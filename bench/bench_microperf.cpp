@@ -14,7 +14,6 @@
 #include "bench_report.hpp"
 #include "relogic/area/defrag.hpp"
 #include "relogic/config/controller.hpp"
-#include "relogic/config/kernel.hpp"
 #include "relogic/config/port.hpp"
 #include "relogic/netlist/benchmarks.hpp"
 #include "relogic/obs/timeline.hpp"
@@ -231,52 +230,6 @@ BENCHMARK(BM_DirtyPreview)
     ->Arg(static_cast<int>(fabric::DevicePreset::kXCV4000))
     ->Unit(benchmark::kMicrosecond);
 
-// ---- kernel backend sweep ---------------------------------------------------
-// The BM_ConfigApply XCV1000 workload pinned to each registered kernel
-// backend (DESIGN.md §9). All three produce byte-identical fabric and
-// telemetry (flatpath_test sweeps that contract); what differs is time.
-// Serial is the scalar reference; the perf guard's within-run gate holds
-// the simd backend at >= 2x serial when the runtime CPU dispatch engaged
-// a vector variant — the KernelSimdVectorized flag metric emitted in
-// main() below tells the guard which case it is looking at. The three are
-// registered adjacently so the ratio is taken under the same machine
-// conditions, like the _off/_base observability twins.
-
-void config_apply_kernel_run(benchmark::State& state, const char* name) {
-  const config::KernelBackend* kernel = config::kernel_backend(name);
-  const auto geom =
-      fabric::DeviceGeometry::preset(fabric::DevicePreset::kXCV1000);
-  fabric::Fabric fab(geom);
-  config::BoundaryScanPort port;
-  config::ConfigController ctl(fab, port,
-                               config::WriteGranularity::kDirtyFrame, kernel);
-  const config::ConfigOp ops[2] = {spread_op(geom, 2, 0), spread_op(geom, 2, 1)};
-  int phase = 0;
-  std::int64_t applied = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ctl.apply(ops[phase & 1]).frames_written);
-    ++phase;
-    ++applied;
-  }
-  state.SetItemsProcessed(applied);
-  state.SetLabel(geom.name + "/" + kernel->variant());
-}
-
-void BM_ConfigApplyKernel_serial(benchmark::State& state) {
-  config_apply_kernel_run(state, "serial");
-}
-BENCHMARK(BM_ConfigApplyKernel_serial)->Unit(benchmark::kMicrosecond);
-
-void BM_ConfigApplyKernel_openmp(benchmark::State& state) {
-  config_apply_kernel_run(state, "openmp");
-}
-BENCHMARK(BM_ConfigApplyKernel_openmp)->Unit(benchmark::kMicrosecond);
-
-void BM_ConfigApplyKernel_simd(benchmark::State& state) {
-  config_apply_kernel_run(state, "simd");
-}
-BENCHMARK(BM_ConfigApplyKernel_simd)->Unit(benchmark::kMicrosecond);
-
 void BM_BatcherFlush(benchmark::State& state) {
   const auto geom = fabric::DeviceGeometry::preset(
       static_cast<fabric::DevicePreset>(state.range(0)));
@@ -483,16 +436,6 @@ int main(int argc, char** argv) {
   ReportingConsole console(report);
   benchmark::RunSpecifiedBenchmarks(&console);
   benchmark::Shutdown();
-  // Machine-readable record of the simd backend's runtime CPU dispatch:
-  // 1 when a vector variant (avx2/neon) engaged, 0 when the portable
-  // scalar fallback ran. check_perf_baseline.py keys its kernel gate on
-  // this — the >= 2x-vs-serial requirement only applies on hardware where
-  // a vector path exists; on scalar-fallback machines the gate instead
-  // checks the fallback stays in serial's neighbourhood.
-  if (const auto* simd = relogic::config::kernel_backend("simd")) {
-    report.add("KernelSimdVectorized",
-               simd->variant() == "scalar" ? 0.0 : 1.0, "flag");
-  }
   if (!report.write()) {
     std::fprintf(stderr, "failed to write %s\n", report.path().c_str());
     return 1;

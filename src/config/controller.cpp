@@ -1,7 +1,7 @@
 #include "relogic/config/controller.hpp"
 
 #include <algorithm>
-#include <cstring>
+#include <bit>
 #include <string>
 #include <utility>
 
@@ -12,12 +12,43 @@ namespace relogic::config {
 
 namespace {
 
-/// Packed {row, col, cell} key for overlay / rewrite scratch vectors
-/// (values are small non-negative ints, so 20 bits each is generous).
+/// Packed {row, col, cell} key for the rewrite scratch vector (values are
+/// small non-negative ints, so 20 bits each is generous).
 std::uint64_t pack_cell_key(int row, int col, int cell) {
   return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(row)) << 40) |
          (static_cast<std::uint64_t>(static_cast<std::uint32_t>(col)) << 20) |
          static_cast<std::uint64_t>(static_cast<std::uint32_t>(cell));
+}
+
+/// Appends every set-bit id of a word bitmap in ascending order.
+void expand_bits(const std::vector<std::uint64_t>& words,
+                 std::vector<std::int32_t>& out) {
+  for (std::size_t w = 0; w < words.size(); ++w) {
+    std::uint64_t bits = words[w];
+    while (bits) {
+      const int b = std::countr_zero(bits);
+      bits &= bits - 1;
+      out.push_back(static_cast<std::int32_t>(w * 64 + b));
+    }
+  }
+}
+
+/// Calls `visit(id, delta)` in ascending id order for every touched id of
+/// `deltas` whose delta is still non-zero (XOR-cancelled frames drop out).
+template <typename Visit>
+void for_each_dirty(const FrameDeltaMap& deltas, Visit&& visit) {
+  if (deltas.touched().empty()) return;
+  const std::uint64_t* words = deltas.words();
+  for (int w = 0; w < deltas.word_count(); ++w) {
+    std::uint64_t bits = words[w];
+    while (bits) {
+      const int b = std::countr_zero(bits);
+      bits &= bits - 1;
+      const std::int32_t id = static_cast<std::int32_t>(w * 64 + b);
+      const std::uint64_t d = deltas.delta(id);
+      if (d != 0) visit(id, d);
+    }
+  }
 }
 
 }  // namespace
@@ -40,75 +71,55 @@ ConfigOp& ConfigOp::remove_path(fabric::NetId net,
 
 ConfigController::ConfigController(fabric::Fabric& fabric,
                                    const ConfigPort& port,
-                                   WriteGranularity granularity,
-                                   const KernelBackend* kernel)
+                                   WriteGranularity granularity)
     : fabric_(&fabric),
       port_(&port),
-      kernel_(kernel != nullptr ? kernel : &default_kernel_backend()),
       mapper_(fabric.geometry()),
       granularity_(granularity),
       index_(fabric.geometry()),
       image_(index_),
       columns_(fabric) {
-  deltas_scratch_.reset(index_.total_frames());
   const auto& g = fabric.geometry();
+  const int total = index_.total_frames();
+  deltas_scratch_.reset(total);
   frame_bits_ = g.frame_length_bits();
   max_run_ = std::max({g.frames_center_column, g.frames_per_clb_column,
                        g.frames_per_iob_column});
-  if (fast_path()) {
-    const int total = index_.total_frames();
-    col_of_.resize(static_cast<std::size_t>(total));
-    for (int id = 0; id < total; ++id)
-      col_of_[static_cast<std::size_t>(id)] =
-          static_cast<std::uint16_t>(index_.column_of(id));
-    time_memo_.assign(static_cast<std::size_t>(max_run_) + 1, SimTime::zero());
-    memo_valid_.assign(static_cast<std::size_t>(max_run_) + 1, 0);
-    op_words_.assign(static_cast<std::size_t>((total + 63) / 64), 0);
-    col_words_.assign(static_cast<std::size_t>((g.clb_cols + 63) / 64), 0);
-    const std::size_t slots = static_cast<std::size_t>(columns_.slot_count());
-    overlay_.assign(slots, CellOverlay{0, 0});
-    const std::size_t cell_keys =
-        static_cast<std::size_t>(g.clb_cols) *
-        static_cast<std::size_t>(g.cells_per_clb);
-    runkey_idx_.assign(cell_keys, 0);
-    runkey_stamp_.assign(cell_keys, 0);
-    col_count_.assign(static_cast<std::size_t>(index_.total_columns()), 0);
-    col_stamp_.assign(static_cast<std::size_t>(index_.total_columns()), 0);
-  }
+  col_of_.resize(static_cast<std::size_t>(total));
+  for (int id = 0; id < total; ++id)
+    col_of_[static_cast<std::size_t>(id)] =
+        static_cast<std::uint16_t>(index_.column_of(id));
+  time_memo_.assign(static_cast<std::size_t>(max_run_) + 1, SimTime::zero());
+  for (int n = 1; n <= max_run_; ++n)
+    time_memo_[static_cast<std::size_t>(n)] = port.write_time(n, frame_bits_);
+  op_words_.assign(static_cast<std::size_t>((total + 63) / 64), 0);
+  col_words_.assign(static_cast<std::size_t>((g.clb_cols + 63) / 64), 0);
+  overlay_.assign(static_cast<std::size_t>(columns_.slot_count()),
+                  CellOverlay{0, 0});
+  const std::size_t cell_keys = static_cast<std::size_t>(g.clb_cols) *
+                                static_cast<std::size_t>(g.cells_per_clb);
+  runkey_idx_.assign(cell_keys, 0);
+  runkey_stamp_.assign(cell_keys, 0);
+  col_count_.assign(static_cast<std::size_t>(index_.total_columns()), 0);
+  col_stamp_.assign(static_cast<std::size_t>(index_.total_columns()), 0);
   recompute_digests(audit_baseline_);
 }
 
 void ConfigController::recompute_digests(std::vector<std::uint64_t>& out) const {
   const auto& g = fabric_->geometry();
   out.assign(static_cast<std::size_t>(index_.total_frames()), 0);
-  if (fast_path()) {
-    // Linear sweep over the SoA token columns — one kernel call, and the
-    // parallel backends band it over disjoint per-column output ranges.
-    CellSweepCtx ctx;
-    ctx.tokens = columns_.tokens();
-    ctx.nondefault = columns_.occupancy();
-    ctx.row_default = columns_.row_default_tokens();
-    ctx.rows = g.clb_rows;
-    ctx.cells_per_clb = g.cells_per_clb;
-    ctx.clb_cols = g.clb_cols;
-    ctx.frames_per_cell = g.frames_per_cell_config;
-    ctx.frames_per_clb_column = g.frames_per_clb_column;
-    ctx.clb_base = index_.clb_frame_id(0, 0);
-    kernel_->cell_digest_sweep(ctx, out.data());
-  } else {
-    const fabric::LogicCellConfig def{};
-    for (int row = 0; row < g.clb_rows; ++row) {
-      for (int col = 0; col < g.clb_cols; ++col) {
-        for (int cell = 0; cell < g.cells_per_clb; ++cell) {
-          const fabric::LogicCellConfig& cfg =
-              fabric_->cell(ClbCoord{row, col}, cell);
-          if (cfg == def) continue;
-          const std::uint64_t d = FrameImage::cell_token(row, def) ^
-                                  FrameImage::cell_token(row, cfg);
-          const std::int32_t base = index_.cell_frame_base(col, cell);
-          for (int f = 0; f < g.frames_per_cell_config; ++f)
-            out[static_cast<std::size_t>(base + f)] ^= d;
-        }
+  const fabric::LogicCellConfig def{};
+  for (int row = 0; row < g.clb_rows; ++row) {
+    for (int col = 0; col < g.clb_cols; ++col) {
+      for (int cell = 0; cell < g.cells_per_clb; ++cell) {
+        const fabric::LogicCellConfig& cfg =
+            fabric_->cell(ClbCoord{row, col}, cell);
+        if (cfg == def) continue;
+        const std::uint64_t d = FrameImage::cell_token(row, def) ^
+                                FrameImage::cell_token(row, cfg);
+        const std::int32_t base = index_.cell_frame_base(col, cell);
+        for (int f = 0; f < g.frames_per_cell_config; ++f)
+          out[static_cast<std::size_t>(base + f)] ^= d;
       }
     }
   }
@@ -160,18 +171,10 @@ FrameAddress ConfigController::source_frame(const SourceChange& sc) const {
 }
 
 void ConfigController::frames_of(const ConfigOp& op, FrameSet& out) const {
-  if (fast_path() && granularity_ != WriteGranularity::kColumn) {
-    // kColumn keeps the marker path below: its centre-frame markers carry
-    // exact frame positions that a column bitmap would erase, and the
-    // legacy regime is not on the hot path.
-    frames_of_fast(op, out);
-    return;
-  }
   out.clear();
   const auto& g = fabric_->geometry();
   const auto& skel = fabric_->graph().skeleton();
-  const bool widen = granularity_ == WriteGranularity::kColumn;
-  if (widen) {
+  if (granularity_ == WriteGranularity::kColumn) {
     // Collect one marker id per touched column first (the column's first
     // frame id — centre frames pass through as themselves), dedupe, then
     // expand each distinct column to its contiguous frame run. Expansion
@@ -180,9 +183,8 @@ void ConfigController::frames_of(const ConfigOp& op, FrameSet& out) const {
     columns_scratch_.clear();
     for (const ConfigAction& a : op.actions) {
       if (const auto* cw = std::get_if<CellWrite>(&a)) {
-        // Same bounds contract the old FrameMapper::cell_frames path
-        // enforced — arithmetic id derivation must not spill into a
-        // neighbouring column region on a malformed op.
+        // Arithmetic id derivation must not spill into a neighbouring
+        // column region on a malformed op.
         RELOGIC_CHECK(g.in_bounds(cw->clb));
         RELOGIC_CHECK(cw->cell >= 0 && cw->cell < g.cells_per_clb);
         columns_scratch_.push(index_.clb_frame_id(cw->clb.col, 0));
@@ -216,100 +218,42 @@ void ConfigController::frames_of(const ConfigOp& op, FrameSet& out) const {
     }
     return;
   }
+  // kFrame / kDirtyFrame: mark each action's frames in the per-op bitmap,
+  // expand the set bits to sorted ids, clear only the marked words. A
+  // cell's frame group is fpc ids starting at a multiple of fpc, so with
+  // the Virtex value (4) it never straddles a word; the general case takes
+  // the per-frame path.
+  const int fpc = g.frames_per_cell_config;
+  clear_op_words();
   for (const ConfigAction& a : op.actions) {
     if (const auto* cw = std::get_if<CellWrite>(&a)) {
-      // A cell's frame group is contiguous in id space. Bounds-checked as
-      // the old FrameMapper::cell_frames path was.
       RELOGIC_CHECK(g.in_bounds(cw->clb));
       RELOGIC_CHECK(cw->cell >= 0 && cw->cell < g.cells_per_clb);
-      out.push_run(index_.cell_frame_base(cw->clb.col, cw->cell),
-                   g.frames_per_cell_config);
-    } else if (const auto* ec = std::get_if<EdgeChange>(&a)) {
-      out.push(index_.id(mapper_.pip_frame(skel, ec->edge)));
-    } else if (const auto* sc = std::get_if<SourceChange>(&a)) {
-      out.push(index_.id(source_frame(*sc)));
-    }
-  }
-  out.normalize();
-}
-
-void ConfigController::simulate_deltas(const ConfigOp& op,
-                                       FrameDeltaMap& out) const {
-  out.reset(index_.total_frames());
-  // Overlay of the op's own earlier actions: within one op, a later action
-  // is effective against the state the earlier ones will have produced.
-  overlay_cells_.clear();
-  overlay_edges_.clear();
-  overlay_sources_.clear();
-  accumulate_deltas(op, out);
-}
-
-void ConfigController::accumulate_deltas(const ConfigOp& op,
-                                         FrameDeltaMap& out) const {
-  const auto& g = fabric_->geometry();
-  for (const ConfigAction& a : op.actions) {
-    if (const auto* cw = std::get_if<CellWrite>(&a)) {
-      const std::uint64_t key =
-          pack_cell_key(cw->clb.row, cw->clb.col, cw->cell);
-      const auto [it, inserted] = overlay_cells_.try_emplace(key, cw->cfg);
-      const fabric::LogicCellConfig before =
-          inserted ? fabric_->cell(cw->clb, cw->cell) : it->second;
-      if (!inserted) it->second = cw->cfg;
-      if (before == cw->cfg) continue;
-      const std::uint64_t d = FrameImage::cell_token(cw->clb.row, before) ^
-                              FrameImage::cell_token(cw->clb.row, cw->cfg);
       const std::int32_t base = index_.cell_frame_base(cw->clb.col, cw->cell);
-      for (int f = 0; f < g.frames_per_cell_config; ++f)
-        out.xor_delta(base + f, d);
-    } else if (const auto* ec = std::get_if<EdgeChange>(&a)) {
-      const EdgeKey key{ec->net, ec->edge.from, ec->edge.to};
-      const auto [it, inserted] = overlay_edges_.try_emplace(key, ec->add);
-      const bool on = inserted ? (fabric_->net_exists(ec->net) &&
-                                  fabric_->net(ec->net).has_edge(ec->edge))
-                               : it->second;
-      if (!inserted) it->second = ec->add;
-      if (on == ec->add) continue;
-      out.xor_delta(index_.id(mapper_.pip_frame(fabric_->graph().skeleton(),
-                                                 ec->edge)),
-                    FrameImage::edge_token(ec->edge));
-    } else if (const auto* sc = std::get_if<SourceChange>(&a)) {
-      const std::uint64_t key =
-          (static_cast<std::uint64_t>(sc->net) << 32) | sc->node;
-      const auto [it, inserted] = overlay_sources_.try_emplace(key, sc->attach);
-      const bool on = inserted ? (fabric_->net_exists(sc->net) &&
-                                  fabric_->net(sc->net).has_source(sc->node))
-                               : it->second;
-      if (!inserted) it->second = sc->attach;
-      if (on == sc->attach) continue;
-      out.xor_delta(index_.id(source_frame(*sc)),
-                    FrameImage::source_token(sc->node));
+      const int off = base & 63;
+      const std::size_t w = static_cast<std::size_t>(base) >> 6;
+      if (off + fpc <= 64) {
+        op_words_[w] |= ((std::uint64_t{1} << fpc) - 1) << off;
+        op_word_marks_.push_back(static_cast<std::int32_t>(w));
+      } else {
+        for (int f = 0; f < fpc; ++f) {
+          const std::int32_t id = base + f;
+          op_words_[static_cast<std::size_t>(id) >> 6] |= std::uint64_t{1}
+                                                          << (id & 63);
+          op_word_marks_.push_back(id >> 6);
+        }
+      }
+    } else {
+      const std::int32_t id =
+          std::holds_alternative<EdgeChange>(a)
+              ? index_.id(mapper_.pip_frame(skel, std::get<EdgeChange>(a).edge))
+              : index_.id(source_frame(std::get<SourceChange>(a)));
+      op_words_[static_cast<std::size_t>(id) >> 6] |= std::uint64_t{1}
+                                                      << (id & 63);
+      op_word_marks_.push_back(id >> 6);
     }
   }
-}
-
-ApplyResult ConfigController::price_full(const FrameSet& frames) const {
-  if (fast_path())
-    return price_ids(frames.begin(), static_cast<int>(frames.size()));
-  // One pass: ids are sorted and column-contiguous (FrameIndex layout), so
-  // each column is one run — count it and charge its port transaction as
-  // the run closes. O(frames), no per-column rescan, no allocation.
-  ApplyResult result;
-  result.frames_written = static_cast<int>(frames.size());
-  const int frame_bits = fabric_->geometry().frame_length_bits();
-  std::int32_t run_column = -1;
-  int run_frames = 0;
-  for (const std::int32_t id : frames) {
-    const std::int32_t col = index_.column_of(id);
-    if (col != run_column) {
-      if (run_frames > 0) result.time += port_->write_time(run_frames, frame_bits);
-      run_column = col;
-      run_frames = 0;
-      ++result.columns_touched;
-    }
-    ++run_frames;
-  }
-  if (run_frames > 0) result.time += port_->write_time(run_frames, frame_bits);
-  return result;
+  expand_bits(op_words_, out.raw_ids());
 }
 
 int ConfigController::column_count(const FrameSet& frames) const {
@@ -325,40 +269,26 @@ int ConfigController::column_count(const FrameSet& frames) const {
   return columns;
 }
 
-ApplyResult ConfigController::price(const FrameSet& frames,
-                                    const FrameDeltaMap& deltas) const {
-  if (granularity_ != WriteGranularity::kDirtyFrame)
-    return price_full(frames);
-  dirty_scratch_.clear();
-  for (const std::int32_t id : deltas.touched())
-    if (deltas.delta(id) != 0) dirty_scratch_.push(id);
-  dirty_scratch_.normalize();
-  ApplyResult result = price_full(dirty_scratch_);
-  result.frames_skipped =
-      static_cast<int>(frames.size()) - result.frames_written;
-  return result;
-}
-
 ApplyResult ConfigController::preview(const ConfigOp& op) const {
-  // Counted mode: the dirty fast path never materializes the op's frame id
-  // list — it only needs |frames_of(op)|, which the run collectors count.
-  if (fast_path() && granularity_ == WriteGranularity::kDirtyFrame)
-    return preview_fast(op, nullptr);
+  // Counted mode: the dirty path never materializes the op's frame id list
+  // — it only needs |frames_of(op)|, which the run collectors count.
+  if (granularity_ == WriteGranularity::kDirtyFrame) {
+    clear_overlays();
+    return price_dirty(op, nullptr);
+  }
   frames_of(op, frames_scratch_);
-  return preview(op, frames_scratch_);
+  return preview(frames_scratch_);
 }
 
 ApplyResult ConfigController::preview(const ConfigOp& op,
                                       const FrameSet& frames) const {
-  if (granularity_ != WriteGranularity::kDirtyFrame)
-    return price_full(frames);
-  if (fast_path()) return preview_fast(op, &frames);
-  simulate_deltas(op, deltas_scratch_);
-  return price(frames, deltas_scratch_);
+  if (granularity_ != WriteGranularity::kDirtyFrame) return preview(frames);
+  clear_overlays();
+  return price_dirty(op, &frames);
 }
 
 ApplyResult ConfigController::preview(const FrameSet& frames) const {
-  return price_full(frames);
+  return price_ids(frames.begin(), static_cast<int>(frames.size()));
 }
 
 int ConfigController::readback_frames(const ConfigOp& op) const {
@@ -373,47 +303,22 @@ void ConfigController::preview_sequence(
   // One persistent overlay across the whole sequence: op k's deltas are
   // computed against the fabric plus everything ops 0..k-1 would have
   // written, so per-op dirty decisions match a sequential apply exactly.
-  if (fast_path()) {
-    clear_overlays_fast();
-  } else {
-    overlay_cells_.clear();
-    overlay_edges_.clear();
-    overlay_sources_.clear();
-  }
+  clear_overlays();
+  const int fpc = fabric_->geometry().frames_per_cell_config;
   for (std::size_t i = 0; i < ops.size(); ++i) {
     frames_of(ops[i], frames_scratch_);
     if (granularity_ != WriteGranularity::kDirtyFrame) {
-      visit(i, price_full(frames_scratch_), frames_scratch_);
+      visit(i, preview(frames_scratch_), frames_scratch_);
       continue;
     }
-    deltas_scratch_.reset(index_.total_frames());
-    if (fast_path()) {
-      // Cell deltas come out as runs, net deltas in the map; the written
-      // set handed to the visitor is materialized from both (runs and net
-      // frames are disjoint id ranges, so push + normalize dedups nothing).
-      begin_op_fast();
-      accumulate_deltas_fast(ops[i], deltas_scratch_, false);
-      dirty_scratch_.clear();
-      if (!deltas_scratch_.touched().empty())
-        kernel_->scan_dirty(deltas_scratch_.words(),
-                            deltas_scratch_.word_count(),
-                            deltas_scratch_.delta_data(),
-                            dirty_scratch_.raw_ids());
-      ApplyResult r = price_runs(dirty_scratch_.begin(),
-                                 static_cast<int>(dirty_scratch_.size()));
-      r.frames_skipped =
-          static_cast<int>(frames_scratch_.size()) - r.frames_written;
-      const int fpc = fabric_->geometry().frames_per_cell_config;
-      for (std::size_t k = 0; k < run_base_.size(); ++k)
-        if (run_delta_[k] != 0) dirty_scratch_.push_run(run_base_[k], fpc);
-      dirty_scratch_.normalize();
-      visit(i, r, dirty_scratch_);
-      continue;
-    }
-    accumulate_deltas(ops[i], deltas_scratch_);
-    const ApplyResult r = price(frames_scratch_, deltas_scratch_);
-    // price() left the dirty subset — exactly the written set — in
-    // dirty_scratch_.
+    // price_dirty leaves the net dirty ids in dirty_scratch_ and the cell
+    // deltas in the runs; the written set handed to the visitor is
+    // materialized from both (disjoint id ranges, so push + normalize
+    // dedups nothing).
+    const ApplyResult r = price_dirty(ops[i], &frames_scratch_);
+    for (std::size_t k = 0; k < run_base_.size(); ++k)
+      if (run_delta_[k] != 0) dirty_scratch_.push_run(run_base_[k], fpc);
+    dirty_scratch_.normalize();
     visit(i, r, dirty_scratch_);
   }
 }
@@ -421,67 +326,15 @@ void ConfigController::preview_sequence(
 ApplyResult ConfigController::apply(const ConfigOp& op,
                                     bool allow_lut_ram_columns) {
   // Counted mode (see preview(op)): skip materializing the frame id list.
-  if (fast_path() && granularity_ == WriteGranularity::kDirtyFrame)
-    return apply_fast(op, nullptr, allow_lut_ram_columns);
+  if (granularity_ == WriteGranularity::kDirtyFrame)
+    return apply_op(op, nullptr, allow_lut_ram_columns);
   frames_of(op, frames_scratch_);
-  return apply(op, frames_scratch_, allow_lut_ram_columns);
+  return apply_op(op, &frames_scratch_, allow_lut_ram_columns);
 }
 
 ApplyResult ConfigController::apply(const ConfigOp& op, const FrameSet& frames,
                                     bool allow_lut_ram_columns) {
-  if (fast_path()) return apply_fast(op, &frames, allow_lut_ram_columns);
-  if (!allow_lut_ram_columns) check_lut_ram_columns(op, frames, nullptr);
-
-  // Apply the structural actions in order, collecting the exact per-frame
-  // content deltas (before/after values observed on the fabric, so injected
-  // configuration-memory faults are reflected in the shadow image too).
-  const auto& g = fabric_->geometry();
-  deltas_scratch_.reset(index_.total_frames());
-  int effective = 0;
-  for (const ConfigAction& a : op.actions) {
-    if (const auto* cw = std::get_if<CellWrite>(&a)) {
-      const fabric::LogicCellConfig before = fabric_->cell(cw->clb, cw->cell);
-      if (fabric_->set_cell_config(cw->clb, cw->cell, cw->cfg)) {
-        ++effective;
-        const fabric::LogicCellConfig after = fabric_->cell(cw->clb, cw->cell);
-        const std::uint64_t d = FrameImage::cell_token(cw->clb.row, before) ^
-                                FrameImage::cell_token(cw->clb.row, after);
-        const std::int32_t base =
-            index_.cell_frame_base(cw->clb.col, cw->cell);
-        for (int f = 0; f < g.frames_per_cell_config; ++f)
-          deltas_scratch_.xor_delta(base + f, d);
-      }
-    } else if (const auto* ec = std::get_if<EdgeChange>(&a)) {
-      const auto& tree = fabric_->net(ec->net);
-      if (ec->add ? !tree.has_edge(ec->edge) : tree.has_edge(ec->edge)) {
-        if (ec->add)
-          fabric_->add_edge(ec->net, ec->edge);
-        else
-          fabric_->remove_edge(ec->net, ec->edge);
-        ++effective;
-        deltas_scratch_.xor_delta(
-            index_.id(mapper_.pip_frame(fabric_->graph().skeleton(),
-                                        ec->edge)),
-            FrameImage::edge_token(ec->edge));
-      }
-    } else if (const auto* sc = std::get_if<SourceChange>(&a)) {
-      const auto& tree = fabric_->net(sc->net);
-      if (sc->attach ? !tree.has_source(sc->node) : tree.has_source(sc->node)) {
-        if (sc->attach)
-          fabric_->attach_source(sc->net, sc->node);
-        else
-          fabric_->detach_source(sc->net, sc->node);
-        ++effective;
-        deltas_scratch_.xor_delta(index_.id(source_frame(*sc)),
-                                  FrameImage::source_token(sc->node));
-      }
-    }
-  }
-
-  // Commit the deltas to the shadow image, then price per granularity.
-  for (const std::int32_t id : deltas_scratch_.touched())
-    image_.apply_delta_id(id, deltas_scratch_.delta(id));
-  return finish_apply(op, price(frames, deltas_scratch_), effective);
+  return apply_op(op, &frames, allow_lut_ram_columns);
 }
 
 ApplyResult ConfigController::finish_apply(const ConfigOp& op,
@@ -515,63 +368,32 @@ ApplyResult ConfigController::finish_apply(const ConfigOp& op,
   return result;
 }
 
-void ConfigController::check_lut_ram_columns(
-    const ConfigOp& op, const std::set<CellKey>* extra_rewritten) const {
-  frames_of(op, frames_scratch_);
-  check_lut_ram_columns(op, frames_scratch_, extra_rewritten);
-}
-
-// ---- optimized path (non-reference kernels) ---------------------------------
-// Everything below must stay byte-identical to the reference path above:
-// the flatpath golden-equivalence suite sweeps every backend x granularity
-// x device against the serial reference.
-
-void ConfigController::frames_of_fast(const ConfigOp& op,
-                                      FrameSet& out) const {
-  out.clear();
-  const auto& g = fabric_->geometry();
-  const auto& skel = fabric_->graph().skeleton();
-  const int fpc = g.frames_per_cell_config;
-  op_word_marks_.clear();
-  // Mark each action's frames in the per-op bitmap. A cell's frame group is
-  // fpc ids starting at a multiple of fpc, so with the Virtex value (4) it
-  // never straddles a word; the general case takes the two-word path.
-  for (const ConfigAction& a : op.actions) {
-    if (const auto* cw = std::get_if<CellWrite>(&a)) {
-      // Same bounds contract as the reference path.
-      RELOGIC_CHECK(g.in_bounds(cw->clb));
-      RELOGIC_CHECK(cw->cell >= 0 && cw->cell < g.cells_per_clb);
-      const std::int32_t base = index_.cell_frame_base(cw->clb.col, cw->cell);
-      const int off = base & 63;
-      const std::size_t w = static_cast<std::size_t>(base) >> 6;
-      if (off + fpc <= 64) {
-        op_words_[w] |= ((std::uint64_t{1} << fpc) - 1) << off;
-        op_word_marks_.push_back(static_cast<std::int32_t>(w));
-      } else {
-        for (int f = 0; f < fpc; ++f) {
-          const std::int32_t id = base + f;
-          op_words_[static_cast<std::size_t>(id) >> 6] |= std::uint64_t{1}
-                                                          << (id & 63);
-          op_word_marks_.push_back(id >> 6);
-        }
-      }
-    } else {
-      const std::int32_t id =
-          std::holds_alternative<EdgeChange>(a)
-              ? index_.id(mapper_.pip_frame(skel, std::get<EdgeChange>(a).edge))
-              : index_.id(source_frame(std::get<SourceChange>(a)));
-      op_words_[static_cast<std::size_t>(id) >> 6] |= std::uint64_t{1}
-                                                      << (id & 63);
-      op_word_marks_.push_back(id >> 6);
-    }
+void ConfigController::mark_net_frame(std::int32_t id) const {
+  const std::size_t w = static_cast<std::size_t>(id) >> 6;
+  const std::uint64_t m = std::uint64_t{1} << (id & 63);
+  if (!(op_words_[w] & m)) {
+    op_words_[w] |= m;
+    op_word_marks_.push_back(static_cast<std::int32_t>(w));
+    ++net_frame_marks_;
   }
-  kernel_->expand_bits(op_words_.data(), static_cast<int>(op_words_.size()),
-                       out.raw_ids());
-  for (const std::int32_t w : op_word_marks_)
-    op_words_[static_cast<std::size_t>(w)] = 0;
 }
 
-void ConfigController::clear_overlays_fast() const {
+std::size_t ConfigController::run_of(const CellWrite& cw) const {
+  const std::size_t key =
+      static_cast<std::size_t>(cw.clb.col) *
+          static_cast<std::size_t>(fabric_->geometry().cells_per_clb) +
+      static_cast<std::size_t>(cw.cell);
+  if (runkey_stamp_[key] != op_epoch_) {
+    runkey_stamp_[key] = op_epoch_;
+    runkey_idx_[key] = static_cast<std::int32_t>(run_base_.size());
+    run_base_.push_back(index_.cell_frame_base(cw.clb.col, cw.cell));
+    run_delta_.push_back(0);
+    run_col_.push_back(1 + cw.clb.col);  // dense column of a CLB col
+  }
+  return static_cast<std::size_t>(runkey_idx_[key]);
+}
+
+void ConfigController::clear_overlays() const {
   if (++overlay_epoch_ == 0) {  // stamp wrap: restart the epoch space
     for (CellOverlay& ov : overlay_) ov.stamp = 0;
     overlay_epoch_ = 1;
@@ -580,7 +402,7 @@ void ConfigController::clear_overlays_fast() const {
   overlay_sources_.clear();
 }
 
-void ConfigController::begin_op_fast() const {
+void ConfigController::begin_op() const {
   if (++op_epoch_ == 0) {  // stamp wrap: restart the epoch space
     std::fill(runkey_stamp_.begin(), runkey_stamp_.end(), 0);
     std::fill(col_stamp_.begin(), col_stamp_.end(), 0);
@@ -589,42 +411,29 @@ void ConfigController::begin_op_fast() const {
   run_base_.clear();
   run_delta_.clear();
   run_col_.clear();
-  op_word_marks_.clear();
+  clear_op_words();
   net_frame_marks_ = 0;
 }
 
-void ConfigController::accumulate_deltas_fast(const ConfigOp& op,
-                                              FrameDeltaMap& net_out,
-                                              bool count_net_frames) const {
+void ConfigController::clear_op_words() const {
+  for (const std::int32_t w : op_word_marks_)
+    op_words_[static_cast<std::size_t>(w)] = 0;
+  op_word_marks_.clear();
+}
+
+void ConfigController::accumulate_deltas(const ConfigOp& op,
+                                         FrameDeltaMap& net_out,
+                                         bool count_net_frames) const {
   const auto& g = fabric_->geometry();
+  const auto& skel = fabric_->graph().skeleton();
   const std::uint64_t* toks = columns_.tokens();
-  // Counting mode: mark each net action's frame (effective or not) in the
-  // per-op bitmap so distinct-frame counting matches |frames_of(op)|.
-  const auto mark_net = [&](std::int32_t id) {
-    const std::size_t w = static_cast<std::size_t>(id) >> 6;
-    const std::uint64_t m = std::uint64_t{1} << (id & 63);
-    if (!(op_words_[w] & m)) {
-      op_words_[w] |= m;
-      op_word_marks_.push_back(static_cast<std::int32_t>(w));
-      ++net_frame_marks_;
-    }
-  };
   for (const ConfigAction& a : op.actions) {
     if (const auto* cw = std::get_if<CellWrite>(&a)) {
       RELOGIC_CHECK(g.in_bounds(cw->clb));
       RELOGIC_CHECK(cw->cell >= 0 && cw->cell < g.cells_per_clb);
+      const std::size_t run = run_of(*cw);
       const std::size_t slot = static_cast<std::size_t>(
           columns_.slot(cw->clb.row, cw->clb.col, cw->cell));
-      const std::size_t key = static_cast<std::size_t>(cw->clb.col) *
-                                  static_cast<std::size_t>(g.cells_per_clb) +
-                              static_cast<std::size_t>(cw->cell);
-      if (runkey_stamp_[key] != op_epoch_) {
-        runkey_stamp_[key] = op_epoch_;
-        runkey_idx_[key] = static_cast<std::int32_t>(run_base_.size());
-        run_base_.push_back(index_.cell_frame_base(cw->clb.col, cw->cell));
-        run_delta_.push_back(0);
-        run_col_.push_back(1 + cw->clb.col);  // dense column of a CLB col
-      }
       CellOverlay& ov = overlay_[slot];
       const std::uint64_t before =
           ov.stamp == overlay_epoch_ ? ov.tok : toks[slot];
@@ -633,33 +442,20 @@ void ConfigController::accumulate_deltas_fast(const ConfigOp& op,
       ov.tok = after;
       // before ^ after telescopes across repeated writes to the same slot,
       // leaving op-entry token ^ final token per cell in the run's delta.
-      if (before != after)
-        run_delta_[static_cast<std::size_t>(runkey_idx_[key])] ^=
-            before ^ after;
+      run_delta_[run] ^= before ^ after;
     } else if (const auto* ec = std::get_if<EdgeChange>(&a)) {
-      std::int32_t id = -1;
-      if (count_net_frames) {
-        id = index_.id(mapper_.pip_frame(fabric_->graph().skeleton(),
-                                         ec->edge));
-        mark_net(id);
-      }
+      const std::int32_t id = index_.id(mapper_.pip_frame(skel, ec->edge));
+      if (count_net_frames) mark_net_frame(id);
       const EdgeKey key{ec->net, ec->edge.from, ec->edge.to};
       const auto [it, inserted] = overlay_edges_.try_emplace(key, ec->add);
       const bool on = inserted ? (fabric_->net_exists(ec->net) &&
                                   fabric_->net(ec->net).has_edge(ec->edge))
                                : it->second;
       if (!inserted) it->second = ec->add;
-      if (on == ec->add) continue;
-      if (id < 0)
-        id = index_.id(mapper_.pip_frame(fabric_->graph().skeleton(),
-                                         ec->edge));
-      net_out.xor_delta(id, FrameImage::edge_token(ec->edge));
+      if (on != ec->add) net_out.xor_delta(id, FrameImage::edge_token(ec->edge));
     } else if (const auto* sc = std::get_if<SourceChange>(&a)) {
-      std::int32_t id = -1;
-      if (count_net_frames) {
-        id = index_.id(source_frame(*sc));
-        mark_net(id);
-      }
+      const std::int32_t id = index_.id(source_frame(*sc));
+      if (count_net_frames) mark_net_frame(id);
       const std::uint64_t key =
           (static_cast<std::uint64_t>(sc->net) << 32) | sc->node;
       const auto [it, inserted] = overlay_sources_.try_emplace(key, sc->attach);
@@ -667,91 +463,71 @@ void ConfigController::accumulate_deltas_fast(const ConfigOp& op,
                                   fabric_->net(sc->net).has_source(sc->node))
                                : it->second;
       if (!inserted) it->second = sc->attach;
-      if (on == sc->attach) continue;
-      if (id < 0) id = index_.id(source_frame(*sc));
-      net_out.xor_delta(id, FrameImage::source_token(sc->node));
+      if (on != sc->attach)
+        net_out.xor_delta(id, FrameImage::source_token(sc->node));
     }
   }
 }
 
+SimTime ConfigController::run_time(int frames) const {
+  return frames <= max_run_ ? time_memo_[static_cast<std::size_t>(frames)]
+                            : port_->write_time(frames, frame_bits_);
+}
+
 ApplyResult ConfigController::price_ids(const std::int32_t* ids, int n) const {
-  PriceTables tables;
-  tables.column_of = col_of_.data();
-  tables.frame_bits = frame_bits_;
-  tables.port = port_;
-  tables.time_memo = time_memo_.data();
-  tables.memo_valid = memo_valid_.data();
-  tables.max_run = max_run_;
-  const PriceResult p = kernel_->price(ids, n, tables);
   ApplyResult result;
-  result.frames_written = p.frames;
-  result.columns_touched = p.columns;
-  result.time = p.time;
+  result.frames_written = n;
+  int i = 0;
+  while (i < n) {
+    const std::uint16_t col = col_of_[static_cast<std::size_t>(ids[i])];
+    int j = i + 1;
+    while (j < n && col_of_[static_cast<std::size_t>(ids[j])] == col) ++j;
+    result.time += run_time(j - i);
+    ++result.columns_touched;
+    i = j;
+  }
   return result;
 }
 
 ApplyResult ConfigController::price_runs(const std::int32_t* net_dirty,
                                          int n_net) const {
   // Per-column frame counts instead of a sorted id walk: a column's frames
-  // are contiguous in id order, so the reference one-pass pricing charges
-  // exactly one transaction per touched column with the column's total
-  // frame count. Column visit order is irrelevant — the frame / column
-  // counters and the SimTime sum are all commutative — so touched columns
-  // are collected in an epoch-stamped list rather than a sorted bitmap.
+  // are contiguous in id order, so price_ids would charge exactly one
+  // transaction per touched column with the column's total frame count.
+  // Column visit order is irrelevant — the frame / column counters and the
+  // SimTime sum are all commutative — so touched columns are collected in
+  // an epoch-stamped list rather than a sorted bitmap.
   const int fpc = fabric_->geometry().frames_per_cell_config;
   ApplyResult result;
   col_list_.clear();
-  const std::size_t nruns = run_base_.size();
-  for (std::size_t i = 0; i < nruns; ++i) {
-    if (run_delta_[i] == 0) continue;
-    const std::size_t col = static_cast<std::size_t>(run_col_[i]);
+  const auto count = [&](std::size_t col, int frames) {
     if (col_stamp_[col] != op_epoch_) {
       col_stamp_[col] = op_epoch_;
       col_count_[col] = 0;
       col_list_.push_back(static_cast<std::int32_t>(col));
     }
-    col_count_[col] += fpc;
-    result.frames_written += fpc;
-  }
-  for (int i = 0; i < n_net; ++i) {
-    const std::size_t col =
-        static_cast<std::size_t>(col_of_[static_cast<std::size_t>(net_dirty[i])]);
-    if (col_stamp_[col] != op_epoch_) {
-      col_stamp_[col] = op_epoch_;
-      col_count_[col] = 0;
-      col_list_.push_back(static_cast<std::int32_t>(col));
-    }
-    ++col_count_[col];
-    ++result.frames_written;
-  }
-  for (const std::int32_t c : col_list_) {
-    const int run = col_count_[static_cast<std::size_t>(c)];
-    if (run <= max_run_) {
-      if (!memo_valid_[static_cast<std::size_t>(run)]) {
-        time_memo_[static_cast<std::size_t>(run)] =
-            port_->write_time(run, frame_bits_);
-        memo_valid_[static_cast<std::size_t>(run)] = 1;
-      }
-      result.time += time_memo_[static_cast<std::size_t>(run)];
-    } else {
-      result.time += port_->write_time(run, frame_bits_);
-    }
-  }
+    col_count_[col] += frames;
+    result.frames_written += frames;
+  };
+  for (std::size_t i = 0; i < run_base_.size(); ++i)
+    if (run_delta_[i] != 0) count(static_cast<std::size_t>(run_col_[i]), fpc);
+  for (int i = 0; i < n_net; ++i)
+    count(col_of_[static_cast<std::size_t>(net_dirty[i])], 1);
+  for (const std::int32_t c : col_list_)
+    result.time += run_time(col_count_[static_cast<std::size_t>(c)]);
   result.columns_touched = static_cast<int>(col_list_.size());
   return result;
 }
 
-ApplyResult ConfigController::preview_fast(const ConfigOp& op,
-                                           const FrameSet* frames) const {
-  clear_overlays_fast();
-  begin_op_fast();
+ApplyResult ConfigController::price_dirty(const ConfigOp& op,
+                                          const FrameSet* frames) const {
+  begin_op();
   deltas_scratch_.reset(index_.total_frames());
-  accumulate_deltas_fast(op, deltas_scratch_, frames == nullptr);
+  accumulate_deltas(op, deltas_scratch_, frames == nullptr);
   dirty_scratch_.clear();
-  if (!deltas_scratch_.touched().empty())
-    kernel_->scan_dirty(deltas_scratch_.words(), deltas_scratch_.word_count(),
-                        deltas_scratch_.delta_data(),
-                        dirty_scratch_.raw_ids());
+  for_each_dirty(deltas_scratch_, [&](std::int32_t id, std::uint64_t) {
+    dirty_scratch_.push(id);
+  });
   ApplyResult result =
       price_runs(dirty_scratch_.begin(), static_cast<int>(dirty_scratch_.size()));
   const int total =
@@ -761,76 +537,56 @@ ApplyResult ConfigController::preview_fast(const ConfigOp& op,
                     fabric_->geometry().frames_per_cell_config +
                 net_frame_marks_;
   result.frames_skipped = total - result.frames_written;
-  for (const std::int32_t w : op_word_marks_)
-    op_words_[static_cast<std::size_t>(w)] = 0;
   return result;
 }
 
-ApplyResult ConfigController::apply_fast(const ConfigOp& op,
-                                         const FrameSet* frames,
-                                         bool allow_lut_ram_columns) {
-  if (!allow_lut_ram_columns) check_lut_ram_columns_fast(op);
-  begin_op_fast();
+ApplyResult ConfigController::apply_op(const ConfigOp& op,
+                                       const FrameSet* frames,
+                                       bool allow_lut_ram_columns) {
+  if (!allow_lut_ram_columns) check_lut_ram_columns(op);
+  begin_op();
 
   const auto& g = fabric_->geometry();
+  const auto& skel = fabric_->graph().skeleton();
   const std::uint64_t* toks = columns_.tokens();
   const int fpc = g.frames_per_cell_config;
-  const bool counting = frames == nullptr;
-  if (counting) {
-    // Counted mode stands in for the frames_of(op) call the reference path
-    // makes first — replicate its validation order so a malformed op still
-    // throws before any fabric mutation, and mark the net frames for the
-    // distinct count.
+  if (frames == nullptr) {
+    // Counted mode stands in for a frames_of(op) call: validate in the same
+    // order so a malformed op still throws before any fabric mutation, and
+    // mark the net frames for the distinct count.
     for (const ConfigAction& a : op.actions) {
       if (const auto* cw = std::get_if<CellWrite>(&a)) {
         RELOGIC_CHECK(g.in_bounds(cw->clb));
         RELOGIC_CHECK(cw->cell >= 0 && cw->cell < g.cells_per_clb);
       } else {
-        const std::int32_t id =
+        mark_net_frame(
             std::holds_alternative<EdgeChange>(a)
-                ? index_.id(mapper_.pip_frame(fabric_->graph().skeleton(),
+                ? index_.id(mapper_.pip_frame(skel,
                                               std::get<EdgeChange>(a).edge))
-                : index_.id(source_frame(std::get<SourceChange>(a)));
-        const std::size_t w = static_cast<std::size_t>(id) >> 6;
-        const std::uint64_t m = std::uint64_t{1} << (id & 63);
-        if (!(op_words_[w] & m)) {
-          op_words_[w] |= m;
-          op_word_marks_.push_back(static_cast<std::int32_t>(w));
-          ++net_frame_marks_;
-        }
+                : index_.id(source_frame(std::get<SourceChange>(a))));
       }
     }
   }
 
   // Apply the structural actions in order. Cell deltas accumulate per RUN
   // (one frames_per_cell run per distinct cell) instead of per frame; the
-  // before/after tokens come straight from the SoA columns — the
+  // before/after tokens come straight from the SoA column — the
   // CellColumns listener has already folded the observed after-value
   // (faults included) by the time set_cell_config returns, so the loop
-  // hashes nothing itself. Net deltas keep the per-frame map.
+  // hashes nothing itself. Net deltas go to the per-frame map.
   deltas_scratch_.reset(index_.total_frames());
   int effective = 0;
   for (const ConfigAction& a : op.actions) {
     if (const auto* cw = std::get_if<CellWrite>(&a)) {
-      // Bounds were validated before any mutation: by the counting pre-pass
-      // above, or by the caller's frames_of walk when a frame set was given.
+      // Bounds were validated before any mutation: by the counted-mode
+      // pre-pass above, or by the caller's frames_of walk.
+      const std::size_t run = run_of(*cw);
       const std::size_t slot = static_cast<std::size_t>(
           columns_.slot(cw->clb.row, cw->clb.col, cw->cell));
-      const std::size_t key = static_cast<std::size_t>(cw->clb.col) *
-                                  static_cast<std::size_t>(g.cells_per_clb) +
-                              static_cast<std::size_t>(cw->cell);
-      if (runkey_stamp_[key] != op_epoch_) {
-        runkey_stamp_[key] = op_epoch_;
-        runkey_idx_[key] = static_cast<std::int32_t>(run_base_.size());
-        run_base_.push_back(index_.cell_frame_base(cw->clb.col, cw->cell));
-        run_delta_.push_back(0);
-        run_col_.push_back(1 + cw->clb.col);  // dense column of a CLB col
-      }
       const std::uint64_t before = toks[slot];
       if (fabric_->set_cell_config(cw->clb, cw->cell, cw->cfg)) {
         ++effective;
-        run_delta_[static_cast<std::size_t>(runkey_idx_[key])] ^=
-            before ^ toks[slot];
+        run_delta_[run] ^= before ^ toks[slot];
       }
     } else if (const auto* ec = std::get_if<EdgeChange>(&a)) {
       const auto& tree = fabric_->net(ec->net);
@@ -840,10 +596,8 @@ ApplyResult ConfigController::apply_fast(const ConfigOp& op,
         else
           fabric_->remove_edge(ec->net, ec->edge);
         ++effective;
-        deltas_scratch_.xor_delta(
-            index_.id(mapper_.pip_frame(fabric_->graph().skeleton(),
-                                        ec->edge)),
-            FrameImage::edge_token(ec->edge));
+        deltas_scratch_.xor_delta(index_.id(mapper_.pip_frame(skel, ec->edge)),
+                                  FrameImage::edge_token(ec->edge));
       }
     } else if (const auto* sc = std::get_if<SourceChange>(&a)) {
       const auto& tree = fabric_->net(sc->net);
@@ -859,71 +613,43 @@ ApplyResult ConfigController::apply_fast(const ConfigOp& op,
     }
   }
 
-  // Commit: cell runs directly (non-zero net delta per run, same skip rule
-  // as FrameImage::apply_delta_id), net deltas via the kernel's fused
-  // commit + dirty scan. Run frames and net frames are disjoint id ranges.
-  // A run's ever-touched bytes are contiguous, so the steady-state case
-  // (all already tracked) is one word compare instead of fpc byte tests.
-  std::uint64_t* digest = image_.digest_data();
-  std::uint8_t* ever = image_.ever_touched_data();
-  std::size_t& tracked = image_.tracked_counter();
-  for (std::size_t i = 0; i < run_base_.size(); ++i) {
-    const std::uint64_t d = run_delta_[i];
-    if (d == 0) continue;
-    const std::size_t base = static_cast<std::size_t>(run_base_[i]);
-    for (int f = 0; f < fpc; ++f)
-      digest[base + static_cast<std::size_t>(f)] ^= d;
-    if (fpc == 4) {
-      std::uint32_t e;
-      std::memcpy(&e, ever + base, 4);
-      if (e == 0x01010101u) continue;
-    }
-    for (int f = 0; f < fpc; ++f) {
-      if (!ever[base + static_cast<std::size_t>(f)]) {
-        ever[base + static_cast<std::size_t>(f)] = 1;
-        ++tracked;
-      }
-    }
-  }
+  // Commit the cell runs, then the net deltas fused with the dirty scan.
+  // Run frames and net frames are disjoint id ranges.
+  for (std::size_t i = 0; i < run_base_.size(); ++i)
+    image_.apply_delta_run(run_base_[i], fpc, run_delta_[i]);
+  dirty_scratch_.clear();
+  for_each_dirty(deltas_scratch_, [&](std::int32_t id, std::uint64_t d) {
+    image_.apply_delta_id(id, d);
+    dirty_scratch_.push(id);
+  });
   ApplyResult result;
   if (granularity_ == WriteGranularity::kDirtyFrame) {
-    dirty_scratch_.clear();
-    if (!deltas_scratch_.touched().empty())
-      kernel_->commit_scan(deltas_scratch_.words(),
-                           deltas_scratch_.word_count(),
-                           deltas_scratch_.delta_data(), digest, ever, tracked,
-                           &dirty_scratch_.raw_ids());
     result = price_runs(dirty_scratch_.begin(),
                         static_cast<int>(dirty_scratch_.size()));
-    const int total = counting ? static_cast<int>(run_base_.size()) * fpc +
-                                     net_frame_marks_
-                               : static_cast<int>(frames->size());
+    const int total =
+        frames == nullptr
+            ? static_cast<int>(run_base_.size()) * fpc + net_frame_marks_
+            : static_cast<int>(frames->size());
     result.frames_skipped = total - result.frames_written;
   } else {
-    if (!deltas_scratch_.touched().empty())
-      kernel_->commit_scan(deltas_scratch_.words(),
-                           deltas_scratch_.word_count(),
-                           deltas_scratch_.delta_data(), digest, ever, tracked,
-                           nullptr);
-    result = price_ids(frames->begin(), static_cast<int>(frames->size()));
-  }
-  if (counting) {
-    for (const std::int32_t w : op_word_marks_)
-      op_words_[static_cast<std::size_t>(w)] = 0;
+    result = preview(*frames);
   }
   return finish_apply(op, result, effective);
 }
 
-void ConfigController::check_lut_ram_columns_fast(const ConfigOp& op) const {
+void ConfigController::check_lut_ram_columns(
+    const ConfigOp& op, const std::set<CellKey>* extra_rewritten) const {
   // No live LUT-RAM anywhere -> nothing the op touches can violate the
   // paper's Sec. 2 restriction; skip the column derivation entirely.
   if (fabric_->live_lut_ram_total() == 0) return;
   // The CLB-column set of an op's frames equals the CLB-column set of its
   // actions (widening only adds frames inside already-touched columns), so
   // the check derives columns from the actions directly — no frame walk.
+  // The bitmap is cleared first, so a throw never leaks marks into the
+  // next op's check.
   const auto& g = fabric_->geometry();
   const auto& skel = fabric_->graph().skeleton();
-  bool any = false;
+  std::fill(col_words_.begin(), col_words_.end(), 0);
   for (const ConfigAction& a : op.actions) {
     int col = -1;
     if (const auto* cw = std::get_if<CellWrite>(&a)) {
@@ -936,61 +662,11 @@ void ConfigController::check_lut_ram_columns_fast(const ConfigOp& op) const {
               : source_frame(std::get<SourceChange>(a));
       if (f.type == ColumnType::kClb) col = f.column;
     }
-    if (col < 0) continue;
-    col_words_[static_cast<std::size_t>(col) >> 6] |= std::uint64_t{1}
-                                                      << (col & 63);
-    any = true;
+    if (col >= 0)
+      col_words_[static_cast<std::size_t>(col) >> 6] |= std::uint64_t{1}
+                                                        << (col & 63);
   }
-  if (!any) return;
 
-  // Same lazy exemption set as the reference check (built at most once per
-  // op, shared across columns).
-  bool rewrites_built = false;
-  const auto rewritten = [&](int row, int col, int cell) {
-    if (!rewrites_built) {
-      rewrites_built = true;
-      rewrites_scratch_.clear();
-      for (const ConfigAction& a : op.actions) {
-        if (const auto* cw = std::get_if<CellWrite>(&a))
-          rewrites_scratch_.push_back(
-              pack_cell_key(cw->clb.row, cw->clb.col, cw->cell));
-      }
-      std::sort(rewrites_scratch_.begin(), rewrites_scratch_.end());
-    }
-    return std::binary_search(rewrites_scratch_.begin(),
-                              rewrites_scratch_.end(),
-                              pack_cell_key(row, col, cell));
-  };
-
-  for (std::size_t w = 0; w < col_words_.size(); ++w) {
-    std::uint64_t bits = col_words_[w];
-    col_words_[w] = 0;
-    while (bits) {
-      const int b = std::countr_zero(bits);
-      bits &= bits - 1;
-      const int col = static_cast<int>(w * 64) + b;
-      if (fabric_->live_lut_ram_in_col(col) == 0) continue;
-      for (int row = 0; row < g.clb_rows; ++row) {
-        const ClbCoord c{row, col};
-        for (int k = 0; k < g.cells_per_clb; ++k) {
-          const auto& cell = fabric_->cell(c, k);
-          if (cell.used && cell.lut_mode == fabric::LutMode::kRam &&
-              !rewritten(row, col, k)) {
-            throw IllegalOperationError(
-                "config op '" + op.label + "' touches column " +
-                std::to_string(col) + " which holds a live LUT-RAM at " +
-                c.to_string() + " cell " + std::to_string(k) +
-                " (paper Sec. 2: LUT/RAMs must not lie in affected columns)");
-          }
-        }
-      }
-    }
-  }
-}
-
-void ConfigController::check_lut_ram_columns(
-    const ConfigOp& op, const FrameSet& frames,
-    const std::set<CellKey>* extra_rewritten) const {
   // Cells the op itself rewrites (those are intentional, hence exempt),
   // plus any the caller knows are rewritten before this op applies. Built
   // lazily: the fabric's per-column live-LUT-RAM counts short-circuit clean
@@ -1014,27 +690,23 @@ void ConfigController::check_lut_ram_columns(
            extra_rewritten->contains({row, col, cell});
   };
 
-  // CLB columns the op writes: ids are column-contiguous, so distinct
-  // columns are run starts in the sorted id range.
-  const auto& g = fabric_->geometry();
-  int prev_col = -1;
-  for (const std::int32_t id : frames) {
-    if (!index_.is_clb(id)) continue;
-    const int col = index_.clb_column_of(id);
-    if (col == prev_col) continue;
-    prev_col = col;
-    if (fabric_->live_lut_ram_in_col(col) == 0) continue;
-    for (int row = 0; row < g.clb_rows; ++row) {
-      const ClbCoord c{row, col};
-      for (int k = 0; k < g.cells_per_clb; ++k) {
-        const auto& cell = fabric_->cell(c, k);
-        if (cell.used && cell.lut_mode == fabric::LutMode::kRam &&
-            !rewritten(row, col, k)) {
-          throw IllegalOperationError(
-              "config op '" + op.label + "' touches column " +
-              std::to_string(col) + " which holds a live LUT-RAM at " +
-              c.to_string() + " cell " + std::to_string(k) +
-              " (paper Sec. 2: LUT/RAMs must not lie in affected columns)");
+  // Touched columns in ascending order.
+  for (std::size_t w = 0; w < col_words_.size(); ++w) {
+    for (std::uint64_t bits = col_words_[w]; bits; bits &= bits - 1) {
+      const int col = static_cast<int>(w * 64) + std::countr_zero(bits);
+      if (fabric_->live_lut_ram_in_col(col) == 0) continue;
+      for (int row = 0; row < g.clb_rows; ++row) {
+        const ClbCoord c{row, col};
+        for (int k = 0; k < g.cells_per_clb; ++k) {
+          const auto& cell = fabric_->cell(c, k);
+          if (cell.used && cell.lut_mode == fabric::LutMode::kRam &&
+              !rewritten(row, col, k)) {
+            throw IllegalOperationError(
+                "config op '" + op.label + "' touches column " +
+                std::to_string(col) + " which holds a live LUT-RAM at " +
+                c.to_string() + " cell " + std::to_string(k) +
+                " (paper Sec. 2: LUT/RAMs must not lie in affected columns)");
+          }
         }
       }
     }

@@ -20,25 +20,19 @@
 // and the frames_skipped accounting); the structural effect on the fabric
 // is byte-identical across all three policies.
 //
-// The data path runs on the flat structures of config/frame_index.hpp:
-// frame sets are sorted dense-id vectors (FrameSet), content deltas live in
-// a flat zero-invariant map (FrameDeltaMap), and pricing is a single pass
-// over a sorted id range that buckets per column while accumulating port
-// time — O(frames), not O(columns x frames). The controller keeps mutable
-// scratch buffers so steady-state ops allocate nothing; like the Fabric it
-// drives, a controller must not be shared across threads.
-//
-// The inner loops dispatch through a config::KernelBackend (kernel.hpp).
-// A *reference* backend ("serial") runs the preserved PR 5 scalar path —
-// sort-based frame mapping, hash-map action overlays, per-run virtual port
-// pricing, AoS digest recompute. Non-reference backends ("openmp", "simd")
-// run the optimized path: frame mapping through per-op word bitmaps, the
-// op's delta accumulated against the SoA cell-token columns
-// (cell_columns.hpp) with token-level overlays, the digest commit fused
-// with the dirty scan in one kernel sweep, and pricing from a memoized
-// port-time table. Both paths are pinned byte-identical — digests,
-// ApplyResult fields, ConfigTotals, frame sets — by the golden-equivalence
-// suite at every granularity (DESIGN.md §9).
+// The data path runs on the flat structures of config/frame_index.hpp and
+// the SoA cell-token column of config/cell_columns.hpp: frame sets are
+// sorted dense-id vectors (FrameSet) built from a per-op word bitmap, cell
+// deltas are read straight off the token column and accumulate per
+// frames_per_cell run, routing deltas live in a flat zero-invariant map
+// (FrameDeltaMap), the digest commit is fused with the dirty scan, and
+// pricing charges one memoized port transaction per touched column —
+// O(frames), not O(columns x frames). The controller keeps mutable scratch
+// buffers so steady-state ops allocate nothing; like the Fabric it drives,
+// a controller must not be shared across threads. tests/flatpath_test.cpp
+// pins every output — frame sets, ApplyResult fields, ConfigTotals,
+// digests — to a literal std::set / std::map model of the same semantics
+// at every granularity (DESIGN.md §9).
 //
 // The controller performs *configuration*; it never touches user state. The
 // interaction between configuration writes and live user logic is what the
@@ -60,7 +54,6 @@
 #include "relogic/config/frame_image.hpp"
 #include "relogic/config/frame_index.hpp"
 #include "relogic/config/granularity.hpp"
-#include "relogic/config/kernel.hpp"
 #include "relogic/config/port.hpp"
 #include "relogic/fabric/fabric.hpp"
 #include "relogic/obs/trace.hpp"
@@ -157,11 +150,8 @@ struct ConfigTotals {
 
 class ConfigController {
  public:
-  /// `kernel` selects the hot-loop backend; nullptr means
-  /// default_kernel_backend() ($RELOGIC_KERNEL_BACKEND, else "simd").
   ConfigController(fabric::Fabric& fabric, const ConfigPort& port,
-                   WriteGranularity granularity,
-                   const KernelBackend* kernel = nullptr);
+                   WriteGranularity granularity);
 
   /// Legacy two-regime constructor: `column_granular` selects whole-column
   /// rewrites (kColumn, the JBits regime the paper measured) versus minimal
@@ -184,11 +174,6 @@ class ConfigController {
   const FrameIndex& index() const { return index_; }
   /// Shadow copy of the device's frame contents (dirty-frame diffing).
   const FrameImage& image() const { return image_; }
-  /// The kernel backend this controller's hot loops run on.
-  const KernelBackend& kernel() const { return *kernel_; }
-  /// SoA mirror of per-cell configuration state in FrameIndex order.
-  const CellColumns& columns() const { return columns_; }
-  CellColumns& columns() { return columns_; }
 
   /// Frames a ConfigOp would write, without applying it. Widened to whole
   /// columns under kColumn; the exact mapped frame set otherwise (for
@@ -270,14 +255,11 @@ class ConfigController {
   /// (the transaction batcher passes its pending batch's writes so each
   /// queued op is checked exactly as the per-op sequence would be). The
   /// column set this checks is identical across granularities — widening
-  /// only adds frames within columns the op already touches.
+  /// only adds frames within columns the op already touches — so it is
+  /// derived from the op's actions, not from a frame set.
   void check_lut_ram_columns(const ConfigOp& op,
                              const std::set<CellKey>* extra_rewritten =
                                  nullptr) const;
-
-  /// Same check from an already-computed frame set (frames_of(op)).
-  void check_lut_ram_columns(const ConfigOp& op, const FrameSet& frames,
-                             const std::set<CellKey>* extra_rewritten) const;
 
   const ConfigTotals& totals() const { return totals_; }
   void reset_totals() { totals_ = ConfigTotals{}; }
@@ -303,76 +285,63 @@ class ConfigController {
  private:
   /// The frame controlling a net-source attach/detach (output mux / pad).
   FrameAddress source_frame(const SourceChange& sc) const;
-  /// Whether the optimized (non-reference-kernel) data path runs.
-  bool fast_path() const { return !kernel_->reference(); }
-
-  // ---- optimized path (non-reference kernels) ------------------------------
-  /// frames_of for kFrame / kDirtyFrame via a per-op frame bitmap: mark
-  /// each action's frame run, kernel-expand to sorted ids, clear only the
-  /// marked words. Output identical to the sort-based reference path.
-  void frames_of_fast(const ConfigOp& op, FrameSet& out) const;
-  /// accumulate_deltas against the SoA token columns with an epoch-stamped
-  /// per-slot token overlay instead of the cell hash map. Cell deltas come
-  /// out as run_base_/run_delta_ RUNS (one frames_per_cell run per distinct
-  /// cell the op touches, delta possibly XOR-cancelled to 0) instead of a
-  /// per-frame map; edge/source deltas — provably disjoint frame ids, see
-  /// FrameMapper::first_routing_frame — go into `net_out` as before.
-  void accumulate_deltas_fast(const ConfigOp& op, FrameDeltaMap& net_out,
-                              bool count_net_frames) const;
+  /// Marks a routing frame in the per-op bitmap, counting it once — the
+  /// net-side share of |frames_of(op)| in counted mode.
+  void mark_net_frame(std::int32_t id) const;
+  /// Run index of a cell write's (col, cell) frame group in the current op,
+  /// created on first touch.
+  std::size_t run_of(const CellWrite& cw) const;
+  /// Accumulates one op's deltas reading before-values through the
+  /// sequence-persistent overlays (callers clear them to choose single-op
+  /// or sequence semantics). Cell deltas come out as run_base_/run_delta_
+  /// RUNS (one frames_per_cell run per distinct (col, cell) the op touches,
+  /// delta possibly XOR-cancelled to 0); edge/source deltas — provably
+  /// disjoint frame ids, see FrameMapper::first_routing_frame — go into
+  /// `net_out`. `count_net_frames` marks every net action's frame for the
+  /// counted-mode frame total. Injected configuration-memory faults are
+  /// not modelled here — apply() observes the real before/after tokens.
+  void accumulate_deltas(const ConfigOp& op, FrameDeltaMap& net_out,
+                         bool count_net_frames) const;
   /// Resets the sequence-persistent overlays (cell epoch bump + edge/source
-  /// maps). The per-op run state is reset by begin_op_fast().
-  void clear_overlays_fast() const;
+  /// maps). The per-op run state is reset by begin_op().
+  void clear_overlays() const;
   /// Starts a new per-op epoch for the run collectors.
-  void begin_op_fast() const;
-  /// price_full over an already-sorted id array via the kernel's one-pass
-  /// pricing with the memoized port-time table.
+  void begin_op() const;
+  /// Zeroes the per-op frame bitmap words the previous op marked. Runs at
+  /// the start of each use, so an op that threw mid-marking leaves nothing
+  /// behind for the next one.
+  void clear_op_words() const;
+  /// Port time of one same-column transaction of `frames` frames.
+  SimTime run_time(int frames) const;
+  /// Prices a sorted id range: frames, distinct columns, and one port
+  /// transaction per same-column run (ids are column-contiguous).
   ApplyResult price_ids(const std::int32_t* ids, int n) const;
   /// kDirtyFrame pricing of the collected cell runs plus the net dirty ids:
-  /// per-column frame counts + one memoized port transaction per touched
-  /// column in ascending column order — identical to pricing the sorted
-  /// dirty id list, because a column's frames are id-contiguous.
+  /// per-column frame counts + one port transaction per touched column —
+  /// identical to pricing the sorted dirty id list, because a column's
+  /// frames are id-contiguous.
   ApplyResult price_runs(const std::int32_t* net_dirty, int n_net) const;
-  /// apply() body on the optimized path. `frames` supplies the op frame
-  /// count for frames_skipped; nullptr means count internally (4 per
+  /// apply() body. `frames` supplies the op frame set; nullptr (kDirtyFrame
+  /// only) means count |frames_of(op)| internally (frames_per_cell per
   /// distinct cell + distinct net frames) without materializing ids.
-  ApplyResult apply_fast(const ConfigOp& op, const FrameSet* frames,
-                         bool allow_lut_ram_columns);
-  /// preview() body on the optimized kDirtyFrame path (same `frames`
-  /// convention as apply_fast).
-  ApplyResult preview_fast(const ConfigOp& op, const FrameSet* frames) const;
-  /// LUT-RAM legality with the column set derived from the op's actions
-  /// (identical to the frame-derived set — widening never adds columns).
-  void check_lut_ram_columns_fast(const ConfigOp& op) const;
-  /// Charges totals, trace and logging for one applied op (shared tail of
-  /// the reference and fast apply paths).
+  ApplyResult apply_op(const ConfigOp& op, const FrameSet* frames,
+                       bool allow_lut_ram_columns);
+  /// kDirtyFrame preview of one op against the current overlays (same
+  /// `frames` convention as apply_op). Leaves the op's runs and its net
+  /// dirty ids (dirty_scratch_) for preview_sequence.
+  ApplyResult price_dirty(const ConfigOp& op, const FrameSet* frames) const;
+  /// Charges totals, trace and logging for one applied op.
   ApplyResult finish_apply(const ConfigOp& op, ApplyResult result,
                            int effective);
-  /// Absolute per-frame content digest of the fabric as it stands: XOR of
-  /// the diff-from-default token of every non-default cell config plus the
-  /// tokens of every live PIP and attached source. audit_image compares
-  /// image_ against recompute(now) ^ recompute(construction).
+  /// Absolute per-frame content digest of the fabric as it stands, walked
+  /// from fabric ground truth: XOR of the diff-from-default token of every
+  /// non-default cell config plus the tokens of every live PIP and attached
+  /// source. audit_image compares image_ against recompute(now) ^
+  /// recompute(construction).
   void recompute_digests(std::vector<std::uint64_t>& out) const;
-  /// Granularity-aware pricing: every frame of `frames` under kColumn /
-  /// kFrame; only the dirty (non-zero-delta) subset under kDirtyFrame,
-  /// with the remainder counted as frames_skipped.
-  ApplyResult price(const FrameSet& frames, const FrameDeltaMap& deltas) const;
-  /// One pass over a sorted id set: counts frames and columns and charges
-  /// one port transaction per column run.
-  ApplyResult price_full(const FrameSet& frames) const;
-  /// Per-frame content deltas the op *would* produce, simulated against the
-  /// current fabric with an overlay of the op's own earlier actions (an op
-  /// that adds then removes the same PIP nets out to delta 0). Injected
-  /// configuration-memory faults are not modelled here — apply() computes
-  /// the exact deltas from observed before/after values instead.
-  void simulate_deltas(const ConfigOp& op, FrameDeltaMap& out) const;
-  /// simulate_deltas core: accumulates one op's deltas into `out` reading
-  /// before-values through the *persistent* overlay scratch (callers clear
-  /// the overlays to choose single-op or sequence semantics).
-  void accumulate_deltas(const ConfigOp& op, FrameDeltaMap& out) const;
 
   fabric::Fabric* fabric_;
   const ConfigPort* port_;
-  const KernelBackend* kernel_;
   FrameMapper mapper_;
   WriteGranularity granularity_;
   FrameIndex index_;
@@ -383,16 +352,32 @@ class ConfigController {
   /// Fabric content digests at construction — the erased-state baseline the
   /// image's deltas are relative to (see audit_image). One walk at ctor.
   std::vector<std::uint64_t> audit_baseline_;
+  /// Dense column id per frame id (pricing reads it per frame).
+  std::vector<std::uint16_t> col_of_;
+  /// Port write_time by same-column run length (0..max_run_), filled at
+  /// construction: the port model is a pure function of (frames,
+  /// frame_bits), so the table is byte-identical to calling it per run.
+  std::vector<SimTime> time_memo_;
+  int max_run_ = 0;
+  int frame_bits_ = 0;
 
   // ---- reusable scratch (not thread-safe; see the header comment) ---------
   mutable FrameSet frames_scratch_;   ///< apply(op) / preview(op) mapping
-  mutable FrameSet dirty_scratch_;    ///< dirty subset in price()
+  mutable FrameSet dirty_scratch_;    ///< dirty ids of the current op
   mutable FrameSet columns_scratch_;  ///< distinct column markers (kColumn)
   mutable FrameDeltaMap deltas_scratch_;
-  /// simulate_deltas / preview_sequence value overlay of earlier actions.
-  /// Hash maps (reused across calls, so buckets are allocated once): the
-  /// per-op path keeps them tiny, but preview_sequence persists them across
-  /// a whole op sequence, where a linear scan would go quadratic.
+  /// Per-op frame bitmap (frames_of and counted mode) + the touched-word
+  /// list that lets it clear in O(op) instead of O(device).
+  mutable std::vector<std::uint64_t> op_words_;
+  mutable std::vector<std::int32_t> op_word_marks_;
+  /// Distinct-CLB-column bitmap for the LUT-RAM check.
+  mutable std::vector<std::uint64_t> col_words_;
+  /// check_lut_ram_columns: packed {row, col, cell} keys the op rewrites.
+  mutable std::vector<std::uint64_t> rewrites_scratch_;
+  /// Value overlay of earlier actions for preview / preview_sequence. The
+  /// routing overlays are hash maps (reused across calls, so buckets are
+  /// allocated once): preview_sequence persists them across a whole op
+  /// sequence, where a linear scan would go quadratic.
   struct EdgeKey {
     fabric::NetId net;
     fabric::NodeId from;
@@ -409,34 +394,12 @@ class ConfigController {
       return static_cast<std::size_t>(x);
     }
   };
-  mutable std::unordered_map<std::uint64_t, fabric::LogicCellConfig>
-      overlay_cells_;
   mutable std::unordered_map<EdgeKey, bool, EdgeKeyHash> overlay_edges_;
   mutable std::unordered_map<std::uint64_t, bool> overlay_sources_;
-  /// check_lut_ram_columns: packed {row, col, cell} keys the op rewrites.
-  mutable std::vector<std::uint64_t> rewrites_scratch_;
-
-  // ---- fast-path state (non-reference kernels) -----------------------------
-  /// Dense column id per frame id (kernel pricing reads it per frame).
-  std::vector<std::uint16_t> col_of_;
-  /// Memoized port write_time by same-column run length (1..max_run_). The
-  /// port model is a pure function of (frames, frame_bits), so the memo is
-  /// byte-identical to calling the virtual per run.
-  mutable std::vector<SimTime> time_memo_;
-  mutable std::vector<std::uint8_t> memo_valid_;
-  int max_run_ = 0;
-  int frame_bits_ = 0;
-  /// Per-op frame bitmap for frames_of_fast + the touched-word list that
-  /// lets it clear in O(op) instead of O(device).
-  mutable std::vector<std::uint64_t> op_words_;
-  mutable std::vector<std::int32_t> op_word_marks_;
-  /// Distinct-CLB-column bitmap for the fast LUT-RAM check.
-  mutable std::vector<std::uint64_t> col_words_;
-  /// Token-level cell overlay of simulate_deltas / preview_sequence:
-  /// epoch-stamped per slot (slot layout = CellColumns), packed so one
-  /// cache line serves both fields. Token equality stands in for config
-  /// equality — a colliding pair would produce delta 0 on the reference
-  /// path too, so outputs stay identical.
+  /// Token-level cell overlay: epoch-stamped per slot (slot layout =
+  /// CellColumns), packed so one cache line serves both fields. Token
+  /// equality stands in for config equality (a 64-bit collision would
+  /// only over-skip a frame in the timing model).
   struct CellOverlay {
     std::uint64_t tok;
     std::uint32_t stamp;
@@ -446,27 +409,24 @@ class ConfigController {
   /// Per-op run collectors: one entry per distinct (col, cell) the op
   /// touches — a run's frames depend only on the cell's column position,
   /// so every row of the same (col, cell) folds into ONE run (their deltas
-  /// can XOR-cancel, exactly as the reference FrameDeltaMap merges them).
-  /// run_delta_ accumulates before ^ after per write, which telescopes to
-  /// op-entry token ^ final token per touched cell (0 when writes cancel
-  /// or rewrite identically). runkey_* is indexed by
+  /// can XOR-cancel). run_delta_ accumulates before ^ after per write,
+  /// which telescopes to op-entry token ^ final token per touched cell (0
+  /// when writes cancel or rewrite identically). runkey_* is indexed by
   /// col * cells_per_clb + cell — small enough to stay cache-hot.
   mutable std::vector<std::int32_t> run_base_;
   mutable std::vector<std::uint64_t> run_delta_;
-  /// Dense column of each run, recorded at run creation (1 + CLB col —
-  /// saves the col_of_ load in pricing).
+  /// Dense column of each run, recorded at run creation (1 + CLB col).
   mutable std::vector<std::int32_t> run_col_;
   mutable std::vector<std::int32_t> runkey_idx_;
   mutable std::vector<std::uint32_t> runkey_stamp_;
   mutable std::uint32_t op_epoch_ = 1;
   /// price_runs: per-dense-column frame counts + the touched-column list
-  /// (epoch-stamped; all per-column arrays are total_columns()-sized and
-  /// cache-hot). Column visit order doesn't affect the result — frame and
-  /// column counts and the SimTime sum are all commutative.
+  /// (epoch-stamped). Column visit order doesn't affect the result — frame
+  /// and column counts and the SimTime sum are all commutative.
   mutable std::vector<std::int32_t> col_count_;
   mutable std::vector<std::uint32_t> col_stamp_;
   mutable std::vector<std::int32_t> col_list_;
-  /// Distinct net (edge/source) frames of the current op — counting-mode
+  /// Distinct net (edge/source) frames of the current op — counted-mode
   /// substitute for |frames_of(op)| on the net side.
   mutable int net_frame_marks_ = 0;
 };

@@ -70,9 +70,6 @@ class FrameImage {
   }
 
   /// XORs a content delta into a frame's digest (no-op when delta == 0).
-  void apply_delta(const FrameAddress& f, std::uint64_t delta) {
-    apply_delta_id(index_.id(f), delta);
-  }
   void apply_delta_id(std::int32_t id, std::uint64_t delta) {
     if (delta == 0) return;
     hash_[static_cast<std::size_t>(id)] ^= delta;
@@ -80,6 +77,13 @@ class FrameImage {
       touched_[static_cast<std::size_t>(id)] = 1;
       ++tracked_;
     }
+  }
+
+  /// XORs one delta into every frame of the contiguous id run [base, base +
+  /// count) — a cell write's frame group (no-op when delta == 0).
+  void apply_delta_run(std::int32_t base, int count, std::uint64_t delta) {
+    if (delta == 0) return;
+    for (int i = 0; i < count; ++i) apply_delta_id(base + i, delta);
   }
 
   /// Frames whose digest has ever moved away from the erased state.
@@ -91,14 +95,6 @@ class FrameImage {
   bool ever_touched_id(std::int32_t id) const {
     return touched_[static_cast<std::size_t>(id)] != 0;
   }
-
-  // ---- raw views for the kernel backends (config/kernel.hpp) ---------------
-  // KernelBackend::commit_scan fuses the per-op delta commit with the dirty
-  // scan in one sweep; it mutates the digest/touched arrays and the tracked
-  // counter directly instead of going through apply_delta_id per frame.
-  std::uint64_t* digest_data() { return hash_.data(); }
-  std::uint8_t* ever_touched_data() { return touched_.data(); }
-  std::size_t& tracked_counter() { return tracked_; }
 
   // ---- content tokens (XOR-composable) ------------------------------------
   // Defined inline so the per-action token recomputation in the controller's

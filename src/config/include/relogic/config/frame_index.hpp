@@ -23,9 +23,9 @@
 //    delta, direct-indexed over the device's bounded frame universe
 //    (DeviceGeometry::total_frames(), a few thousand even on the XCV1000).
 //    The delta array is zero-invariant (every untouched entry holds 0) and
-//    a word bitmap mirrors the touched set, so the kernel backends
-//    (config/kernel.hpp) can scan for dirty frames with word-at-a-time
-//    bit tricks instead of walking a stamp array; clear() is O(touched).
+//    a word bitmap mirrors the touched set, so the controller scans for
+//    dirty frames word-at-a-time, in ascending id order, instead of
+//    walking and sorting a stamp array; clear() is O(touched).
 //    Replaces the per-op std::map<FrameAddress, uint64_t> allocations in
 //    delta simulation and apply.
 //
@@ -34,7 +34,6 @@
 #pragma once
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -186,23 +185,10 @@ class FrameSet {
     ids_.swap(merge_);
   }
 
-  /// In-place sorted union with the merge routed through a caller-supplied
-  /// kernel: `merge(a, na, b, nb, out)` must append the sorted union of the
-  /// two sorted unique ranges to `out`. Lets the batcher run its running
-  /// unions through the selected config::KernelBackend.
-  template <typename MergeFn>
-  void union_via(const FrameSet& other, MergeFn&& merge) {
-    if (other.ids_.empty()) return;
-    merge_.clear();
-    merge_.reserve(ids_.size() + other.ids_.size());
-    merge(ids_.data(), static_cast<int>(ids_.size()), other.ids_.data(),
-          static_cast<int>(other.ids_.size()), merge_);
-    ids_.swap(merge_);
-  }
-
-  /// Direct access to the underlying id vector so kernel fills (e.g.
-  /// KernelBackend::expand_bits) can append without per-id call overhead.
-  /// The caller must leave the vector sorted and unique, or normalize().
+  /// Direct access to the underlying id vector so bulk fills (the
+  /// controller's bitmap expansion) can append without per-id call
+  /// overhead. The caller must leave the vector sorted and unique, or
+  /// normalize().
   std::vector<std::int32_t>& raw_ids() { return ids_; }
 
   /// Keep only ids satisfying `pred` (normalized order preserved).
@@ -223,8 +209,8 @@ class FrameSet {
 /// and lookups are a single array read.
 ///
 /// Invariant: delta_[id] == 0 for every id not touched since the last
-/// clear(), and words_ has a set bit exactly for the touched ids — so the
-/// kernel backends can sweep (words, delta) directly without a stamp
+/// clear(), and words_ has a set bit exactly for the touched ids — so a
+/// dirty scan can sweep (words, delta) directly without a stamp
 /// indirection, and delta(id) is an unconditional load.
 class FrameDeltaMap {
  public:
@@ -259,32 +245,6 @@ class FrameDeltaMap {
     delta_[static_cast<std::size_t>(id)] ^= d;
   }
 
-  /// XORs the same delta into the contiguous id run [base, base + count) —
-  /// a cell write's frame group is one such run in FrameIndex order. Cell
-  /// frame bases are frames_per_cell-aligned, so on real geometries the run
-  /// sits inside one bitmap word and takes the single-mask path.
-  void xor_delta_run(std::int32_t base, int count, std::uint64_t d) {
-    if (d == 0 || count <= 0) return;
-    const int off = base & 63;
-    if (off + count <= 64) {
-      const std::size_t w = static_cast<std::size_t>(base) >> 6;
-      const std::uint64_t m =
-          (count == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << count) - 1)
-          << off;
-      std::uint64_t fresh = m & ~words_[w];
-      words_[w] |= m;
-      while (fresh) {
-        const int b = std::countr_zero(fresh);
-        fresh &= fresh - 1;
-        touched_.push_back(static_cast<std::int32_t>((w << 6) + b));
-      }
-      for (int i = 0; i < count; ++i)
-        delta_[static_cast<std::size_t>(base + i)] ^= d;
-      return;
-    }
-    for (int i = 0; i < count; ++i) xor_delta(base + i, d);
-  }
-
   std::uint64_t delta(std::int32_t id) const {
     return delta_[static_cast<std::size_t>(id)];
   }
@@ -293,8 +253,7 @@ class FrameDeltaMap {
   /// touched id's delta may have XOR-cancelled back to zero.
   const std::vector<std::int32_t>& touched() const { return touched_; }
 
-  // Raw views for the kernel backends (config/kernel.hpp).
-  const std::uint64_t* delta_data() const { return delta_.data(); }
+  /// Touched-id bitmap, one bit per id (ascending-order dirty scans).
   const std::uint64_t* words() const { return words_.data(); }
   int word_count() const { return static_cast<int>(words_.size()); }
 

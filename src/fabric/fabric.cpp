@@ -99,14 +99,6 @@ void Fabric::inject_fault(ClbCoord c, int cell, CellFault fault) {
   set_cell_config(c, cell, this->cell(c, cell));
 }
 
-std::vector<int> Fabric::fault_cell_indices() const {
-  std::vector<int> out;
-  out.reserve(faults_.size());
-  for (const auto& [idx, fault] : faults_) out.push_back(idx);
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 const CellFault* Fabric::fault_at(ClbCoord c, int cell) const {
   RELOGIC_CHECK(geom_.in_bounds(c) && cell >= 0 &&
                 cell < geom_.cells_per_clb);

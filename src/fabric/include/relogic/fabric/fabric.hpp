@@ -111,10 +111,6 @@ class Fabric {
   /// The fault installed on a cell, if any.
   const CellFault* fault_at(ClbCoord c, int cell) const;
   int injected_fault_count() const { return static_cast<int>(faults_.size()); }
-  /// Linear cell indices ((row * cols + col) * cells_per_clb + cell) of
-  /// every injected fault, sorted ascending. Lets the config plane's SoA
-  /// fault-mask column resync without probing fault_at per cell.
-  std::vector<int> fault_cell_indices() const;
 
   /// True if no cell of the CLB is configured.
   bool clb_free(ClbCoord c) const { return !clb(c).any_used(); }

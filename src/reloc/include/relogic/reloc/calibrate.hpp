@@ -42,9 +42,9 @@ struct CalibratedColumns {
 /// regime (the regime the counts price): implements a canonical minimal
 /// fixture per storage case, relocates each matching cell one CLB below
 /// its region through the real engine, and averages the columns each
-/// relocation's transactions touched. Deterministic — fixed fixtures,
-/// fixed destinations, and the kernel backends' byte-identity contract
-/// make the result a pure function of the geometry and the engine code.
+/// relocation's transactions touched. Deterministic — fixed fixtures and
+/// fixed destinations make the result a pure function of the geometry and
+/// the engine code.
 /// `geom` must be large enough to host the fixtures clear of the border
 /// (any family preset works; the paper's device is the XCV200).
 CalibratedColumns calibrate_cost_params(const fabric::DeviceGeometry& geom,

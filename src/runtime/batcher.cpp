@@ -14,10 +14,10 @@ TransactionBatcher::TransactionBatcher(config::ConfigController& controller,
 void TransactionBatcher::enqueue(const config::ConfigOp& op) {
   if (op.empty()) return;
   // One frame-set computation per op; the unbatched-baseline preview, the
-  // legality check, the max_columns / max_frames gates AND the flush-time
-  // apply (through the running union) all share it. Stats are only
-  // recorded once the op is past the checks that can throw, so a rejected
-  // op never skews the batched-vs-unbatched comparison.
+  // max_columns / max_frames gates AND the flush-time apply (through the
+  // running union) all share it. Stats are only recorded once the op is
+  // past the checks that can throw, so a rejected op never skews the
+  // batched-vs-unbatched comparison.
   controller_->frames_of(op, op_frames_);
 
   // An op that writes a LUT-RAM cell config must apply alone: the live
@@ -66,7 +66,7 @@ void TransactionBatcher::enqueue(const config::ConfigOp& op) {
   // per-op check's verdict. The merged apply()'s own check is strictly
   // weaker and serves as a safety net only.
   if (!options_.allow_lut_ram_columns)
-    controller_->check_lut_ram_columns(op, op_frames_, &pending_rewrites_);
+    controller_->check_lut_ram_columns(op, &pending_rewrites_);
 
   // Merge-path baseline: previewed against the fabric as it stands at
   // enqueue (before the pending batch applies) — an estimate under
@@ -81,12 +81,7 @@ void TransactionBatcher::enqueue(const config::ConfigOp& op) {
 
   if (pending_ops_ > 0 && (options_.max_columns > 0 || options_.max_frames > 0)) {
     merged_scratch_ = pending_frames_;
-    merged_scratch_.union_via(
-        op_frames_, [k = &controller_->kernel()](const std::int32_t* a, int na,
-                                                 const std::int32_t* b, int nb,
-                                                 std::vector<std::int32_t>& out) {
-          k->union_ids(a, na, b, nb, out);
-        });
+    merged_scratch_.union_with(op_frames_);
     if (options_.max_columns > 0 &&
         controller_->column_count(merged_scratch_) > options_.max_columns) {
       flush();
@@ -104,12 +99,7 @@ void TransactionBatcher::enqueue(const config::ConfigOp& op) {
     pending_.label += " + " + op.label;
     pending_.actions.insert(pending_.actions.end(), op.actions.begin(),
                             op.actions.end());
-    pending_frames_.union_via(
-        op_frames_, [k = &controller_->kernel()](const std::int32_t* a, int na,
-                                                 const std::int32_t* b, int nb,
-                                                 std::vector<std::int32_t>& out) {
-          k->union_ids(a, na, b, nb, out);
-        });
+    pending_frames_.union_with(op_frames_);
     ++pending_ops_;
   }
   for (const config::ConfigAction& a : op.actions) {

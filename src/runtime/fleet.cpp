@@ -53,16 +53,9 @@ std::optional<AdmissionMode> parse_admission_mode(const std::string& name) {
   return std::nullopt;
 }
 
-ConfigPlaneSpec FleetConfig::default_plane() const {
-  ConfigPlaneSpec plane = config_plane;
-  if (use_selectmap && plane.port == config::PortBackend::kJtag)
-    plane.port = config::PortBackend::kSelectMap8;
-  return plane;
-}
-
 ConfigPlaneSpec FleetConfig::plane_for(int d) const {
   const auto it = device_config_planes.find(d);
-  return it != device_config_planes.end() ? it->second : default_plane();
+  return it != device_config_planes.end() ? it->second : config_plane;
 }
 
 FleetManager::FleetManager(FleetConfig config) : cfg_(std::move(config)) {
@@ -73,11 +66,6 @@ FleetManager::FleetManager(FleetConfig config) : cfg_(std::move(config)) {
                 cfg_.health.fault_rate <= 1.0);
   RELOGIC_CHECK(cfg_.health.window_cols >= 1);
   RELOGIC_CHECK(cfg_.health.step_period_ms > 0.0);
-  // Resolve the kernel-backend name now so a typo fails at fleet start,
-  // not on a pool thread mid-run.
-  if (!cfg_.kernel.empty())
-    RELOGIC_CHECK_MSG(config::kernel_backend(cfg_.kernel) != nullptr,
-                      "unknown kernel backend \"" + cfg_.kernel + "\"");
   // A plane override for a device that doesn't exist would silently turn a
   // "heterogeneous" run homogeneous — reject it up front.
   for (const auto& [d, plane] : cfg_.device_config_planes)
@@ -665,11 +653,7 @@ DeviceReport FleetManager::run_device(
   // — device bring-up is O(nodes), not the ~100 ms edge rebuild it was.
   fabric::Fabric fab(geom);
   if (cfg_.health.enabled()) faults.install(fab);
-  // Kernel backends are stateless const singletons — safe to share across
-  // the pool's workers (kernel.hpp).
-  const config::KernelBackend* kernel =
-      cfg_.kernel.empty() ? nullptr : config::kernel_backend(cfg_.kernel);
-  config::ConfigController controller(fab, port, plane.granularity, kernel);
+  config::ConfigController controller(fab, port, plane.granularity);
   controller.set_trace(tr.port);
   BatchOptions bopt = cfg_.batch;
   if (!cfg_.batch_config) bopt.max_ops = 1;
@@ -1008,7 +992,6 @@ std::string FleetReport::to_json() const {
     port_time += d.batch.time;
     port_time_unbatched += d.batch.unbatched_time;
   }
-  const ConfigPlaneSpec default_plane = config.default_plane();
   os << "{\n";
   os << "  \"fleet\": {\"devices\": " << config.devices
      << ", \"rows\": " << config.rows << ", \"cols\": " << config.cols
@@ -1018,11 +1001,9 @@ std::string FleetReport::to_json() const {
      << json_number(config.rebalance_backlog_ms)
      << ", \"policy\": \"" << sched::to_string(config.sched.policy)
      << "\", \"overlap\": " << config.overlap << ", \"port\": \""
-     << config::to_string(default_plane.port) << "\", \"granularity\": \""
-     << config::to_string(default_plane.granularity)
-     << "\", \"kernel\": \""
-     << (config.kernel.empty() ? config::default_kernel_backend().name()
-                               : config.kernel)
+     << config::to_string(config.config_plane.port)
+     << "\", \"granularity\": \""
+     << config::to_string(config.config_plane.granularity)
      << "\", \"batching\": " << (config.batch_config ? "true" : "false")
      << ", \"batch_max_ops\": " << config.batch.max_ops
      << ", \"selftest\": " << (config.health.selftest ? "true" : "false")

@@ -151,20 +151,7 @@ struct FleetConfig {
   /// pool) are a first-class scenario. Devices absent here use
   /// config_plane. Resolved via plane_for().
   std::map<int, ConfigPlaneSpec> device_config_planes;
-  /// Kernel backend for every device's configuration controller
-  /// ("serial", "openmp", "simd"; see config/kernel.hpp). Empty selects
-  /// the process default: $RELOGIC_KERNEL_BACKEND if set, else "simd".
-  /// The resolved name is echoed in the telemetry JSON header. Unknown
-  /// names throw at fleet start, not mid-run.
-  std::string kernel;
-  /// Legacy flag: SelectMAP instead of Boundary-Scan. Kept for old callers;
-  /// equivalent to config_plane.port = kSelectMap8 (only honoured while
-  /// config_plane.port is still the default).
-  bool use_selectmap = false;
-  /// The fleet-wide default plane with the legacy use_selectmap flag
-  /// folded in (what devices without an override run).
-  ConfigPlaneSpec default_plane() const;
-  /// The plane device `d` actually runs (override, else default_plane()).
+  /// The plane device `d` actually runs (override, else config_plane).
   ConfigPlaneSpec plane_for(int d) const;
   /// Coalesce adjacent configuration ops per device (TransactionBatcher).
   bool batch_config = true;

@@ -95,13 +95,18 @@ TEST_F(ControllerAuditTest, MirrorMatchesRecomputeThroughBatchedTraffic) {
   EXPECT_NO_THROW(ctl.audit_image());
 }
 
-TEST_F(ControllerAuditTest, PreInstalledFaultsAreTheBaseline) {
+class ControllerAuditGranularityTest
+    : public ControllerAuditTest,
+      public ::testing::WithParamInterface<config::WriteGranularity> {};
+
+TEST_P(ControllerAuditGranularityTest, PreInstalledFaultsAreTheBaseline) {
   // FaultMap::install runs BEFORE controller construction everywhere in the
   // tree (fleet.cpp, main.cpp); the baseline snapshot makes that corruption
-  // invisible to the audit.
+  // invisible to the audit. Every granularity shares the commit path, and
+  // the faulted write must reach the mirror as the value the fabric
+  // actually stored.
   fab_.inject_fault({2, 2}, 0, fabric::CellFault{3, true});
-  config::ConfigController ctl(fab_, port_,
-                               config::WriteGranularity::kDirtyFrame);
+  config::ConfigController ctl(fab_, port_, GetParam());
   EXPECT_NO_THROW(ctl.audit_image());
 
   config::ConfigOp op("cfg");
@@ -109,6 +114,13 @@ TEST_F(ControllerAuditTest, PreInstalledFaultsAreTheBaseline) {
   ctl.apply(op);
   EXPECT_NO_THROW(ctl.audit_image());
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    AllGranularities, ControllerAuditGranularityTest,
+    ::testing::Values(config::WriteGranularity::kColumn,
+                      config::WriteGranularity::kFrame,
+                      config::WriteGranularity::kDirtyFrame),
+    [](const auto& pinfo) { return config::to_string(pinfo.param); });
 
 TEST_F(ControllerAuditTest, MutationBehindTheControllerThrows) {
   config::ConfigController ctl(fab_, port_,

@@ -155,6 +155,54 @@ TEST_F(ControllerTest, LutRamColumnRejected) {
   EXPECT_NO_THROW(ctl.apply(other));
 }
 
+TEST(ControllerScratch, LutRamViolationLeavesNoStaleColumns) {
+  // 70 CLB columns: the check's column bitmap spans two words, and the
+  // violation in the first word must not leave the second word's marks
+  // behind for the next op.
+  const auto geom = DeviceGeometry::tiny(4, 70);
+  Fabric fab(geom);
+  BoundaryScanPort port;
+  LogicCellConfig ram;
+  ram.used = true;
+  ram.lut_mode = fabric::LutMode::kRam;
+  fab.set_cell_config({0, 2}, 0, ram);
+  fab.set_cell_config({0, 66}, 0, ram);
+  ConfigController ctl(fab, port, WriteGranularity::kFrame);
+
+  ConfigOp both("both RAM columns");
+  both.write_cell({1, 2}, 1, LogicCellConfig::constant(true))
+      .write_cell({1, 66}, 1, LogicCellConfig::constant(true));
+  EXPECT_THROW(ctl.apply(both), IllegalOperationError);
+
+  ConfigOp clean("clean column");
+  clean.write_cell({1, 10}, 1, LogicCellConfig::constant(true));
+  EXPECT_NO_THROW(ctl.apply(clean));
+}
+
+TEST_F(ControllerTest, MalformedOpLeavesNoStaleFrameMarks) {
+  // The edge's frame is marked before the out-of-bounds cell write throws;
+  // later ops must see neither an extra frame nor a pre-counted one.
+  ConfigController ctl(fab_, port_, WriteGranularity::kDirtyFrame);
+  const auto& g = fab_.graph();
+  const auto net = fab_.create_net("n");
+  const fabric::RouteEdge e{g.out_pin({2, 2}, 0, false),
+                            g.single({2, 2}, fabric::Dir::kE, 0)};
+  ConfigOp bad("bad");
+  bad.add_edge(net, e).write_cell({99, 99}, 0, LogicCellConfig::constant(true));
+  EXPECT_THROW(ctl.apply(bad), ContractError);
+
+  ConfigOp cell("cell");
+  cell.write_cell({1, 1}, 0, LogicCellConfig::constant(true));
+  EXPECT_EQ(static_cast<int>(ctl.frames_of(cell).size()),
+            geom_.frames_per_cell_config);
+
+  ConfigOp edge("edge");
+  edge.add_edge(net, e);
+  const auto r = ctl.apply(edge);
+  EXPECT_EQ(r.frames_written, 1);
+  EXPECT_EQ(r.frames_skipped, 0);
+}
+
 TEST_F(ControllerTest, SnapshotKeeperRestores) {
   SnapshotKeeper keeper(fab_, 2);
   fab_.set_cell_config({0, 0}, 0, LogicCellConfig::constant(true));

@@ -9,11 +9,9 @@
 // lockstep on randomized op streams — including the 8-cells-per-CLB
 // tiny_dense geometry whose frame layout exercises non-Virtex cell counts.
 //
-// Since the kernel-backend layer, the equivalence sweep runs every
-// registered KernelBackend (serial reference, openmp, simd) against the
-// same reference across all three granularities on tiny, tiny_dense and
-// the paper's XCV200 — this is the suite that enforces the backend
-// byte-identity contract of DESIGN.md §9.
+// The controller's bitmap / SoA-token data path is swept against that
+// reference across all three granularities on tiny, tiny_dense and the
+// paper's XCV200 — the byte-identity contract of DESIGN.md §9.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -27,7 +25,6 @@
 #include "relogic/config/controller.hpp"
 #include "relogic/config/frame_image.hpp"
 #include "relogic/config/frame_index.hpp"
-#include "relogic/config/kernel.hpp"
 #include "relogic/config/port.hpp"
 
 namespace relogic {
@@ -354,30 +351,24 @@ ConfigOp random_op(Rng& rng, const DeviceGeometry& geom, fabric::NetId net,
   return op;
 }
 
-// Sweep axes: geometry selector (tiny / tiny_dense / the paper's XCV200),
-// write granularity, and kernel backend name. Every registered backend is
-// driven through the same randomized stream against the same reference, so
-// byte-identity across backends follows from each one matching the
-// deterministic reference field-for-field.
+// Sweep axes: geometry selector (tiny / tiny_dense / the paper's XCV200)
+// and write granularity.
 class FlatPathEquivalence
-    : public ::testing::TestWithParam<
-          std::tuple<int, WriteGranularity, std::string>> {};
+    : public ::testing::TestWithParam<std::tuple<int, WriteGranularity>> {};
 
 TEST_P(FlatPathEquivalence, MatchesSetMapReferenceOnRandomStreams) {
-  const auto& [geom_sel, gran, backend_name] = GetParam();
+  const auto& [geom_sel, gran] = GetParam();
   const DeviceGeometry geom = geom_sel == 0   ? DeviceGeometry::tiny(6, 6)
                               : geom_sel == 1 ? DeviceGeometry::tiny_dense(6, 6)
                                               : DeviceGeometry::xcv200();
-  const config::KernelBackend* backend = config::kernel_backend(backend_name);
-  ASSERT_NE(backend, nullptr) << backend_name;
   Fabric fab(geom);
   config::BoundaryScanPort port;
-  config::ConfigController ctl(fab, port, gran, backend);
+  config::ConfigController ctl(fab, port, gran);
   ReferencePath ref(fab, port, gran);
   const auto net = fab.create_net("n");
 
-  // Seed depends on geometry only: all backends replay the identical
-  // stream for a given (geometry, granularity) cell.
+  // Seed depends on geometry only: every granularity replays the identical
+  // stream for a given geometry.
   Rng rng(geom_sel == 1 ? 0xD15Eu : geom_sel == 2 ? 0x2C00u : 0xF1A7u);
   ApplyResult ref_totals;
   for (int step = 0; step < 150; ++step) {
@@ -434,19 +425,17 @@ TEST_P(FlatPathEquivalence, MatchesSetMapReferenceOnRandomStreams) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllBackendsGeometriesAndGranularities, FlatPathEquivalence,
+    AllGeometriesAndGranularities, FlatPathEquivalence,
     ::testing::Combine(
         ::testing::Values(0, 1, 2),
         ::testing::Values(WriteGranularity::kColumn, WriteGranularity::kFrame,
-                          WriteGranularity::kDirtyFrame),
-        ::testing::ValuesIn(config::kernel_backend_names())),
+                          WriteGranularity::kDirtyFrame)),
     [](const auto& pinfo) {
       const int geom_sel = std::get<0>(pinfo.param);
       const char* g = geom_sel == 0   ? "tiny"
                       : geom_sel == 1 ? "tiny_dense"
                                       : "xcv200";
-      return std::string(g) + "_" + config::to_string(std::get<1>(pinfo.param)) +
-             "_" + std::get<2>(pinfo.param);
+      return std::string(g) + "_" + config::to_string(std::get<1>(pinfo.param));
     });
 
 }  // namespace

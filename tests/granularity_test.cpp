@@ -422,13 +422,15 @@ TEST(FleetConfigPlane, OverrideForNonexistentDeviceRejected) {
   EXPECT_THROW(runtime::FleetManager{cfg}, ContractError);
 }
 
-TEST(FleetConfigPlane, LegacySelectMapFlagStillResolves) {
+TEST(FleetConfigPlane, PlaneForFallsBackToFleetPlane) {
   runtime::FleetConfig cfg;
-  cfg.use_selectmap = true;
+  cfg.config_plane.port = PortBackend::kSelectMap8;
   EXPECT_EQ(cfg.plane_for(0).port, PortBackend::kSelectMap8);
-  // An explicit plane wins over the legacy flag.
-  cfg.config_plane.port = PortBackend::kIcap32;
+  // A per-device override wins over the fleet-wide plane.
+  cfg.device_config_planes[0] = {PortBackend::kIcap32,
+                                 WriteGranularity::kFrame};
   EXPECT_EQ(cfg.plane_for(0).port, PortBackend::kIcap32);
+  EXPECT_EQ(cfg.plane_for(1).port, PortBackend::kSelectMap8);
 }
 
 TEST(FleetConfigPlane, HeterogeneousRunDeterministicAcrossThreadCounts) {

@@ -593,46 +593,6 @@ TEST(Fleet, ConfigTransactionCountersMatchBatcherStats) {
             std::string::npos);
 }
 
-TEST(Fleet, KernelBackendSelectedAndEchoedInJson) {
-  // An explicit kernel name flows into every device's controller and is
-  // echoed verbatim in the JSON header; the default config echoes the
-  // resolved process default's name. Unknown names fail at construction.
-  FleetConfig cfg = small_fleet(2, DispatchPolicy::kLeastLoaded);
-  cfg.kernel = "serial";
-  FleetManager fleet(cfg);
-  fleet.submit_all(workload(20, 3));
-  const auto serial_report = fleet.run();
-  EXPECT_NE(serial_report.to_json().find("\"kernel\": \"serial\""),
-            std::string::npos);
-
-  FleetConfig dcfg = small_fleet(2, DispatchPolicy::kLeastLoaded);
-  FleetManager dfleet(dcfg);
-  dfleet.submit_all(workload(20, 3));
-  const auto default_report = dfleet.run();
-  EXPECT_NE(default_report.to_json().find(
-                "\"kernel\": \"" + config::default_kernel_backend().name() +
-                "\""),
-            std::string::npos);
-
-  // Backend byte-identity reaches the fleet plane: the serial-reference
-  // run and the default (vectorized) run replay identical configuration
-  // traffic — same transactions, frames, columns, and port time.
-  ASSERT_EQ(serial_report.devices.size(), default_report.devices.size());
-  for (std::size_t i = 0; i < serial_report.devices.size(); ++i) {
-    const auto& a = serial_report.devices[i].batch;
-    const auto& b = default_report.devices[i].batch;
-    EXPECT_EQ(a.transactions, b.transactions);
-    EXPECT_EQ(a.frames_written, b.frames_written);
-    EXPECT_EQ(a.frames_skipped, b.frames_skipped);
-    EXPECT_EQ(a.column_writes, b.column_writes);
-    EXPECT_EQ(a.time, b.time);
-  }
-
-  FleetConfig bad = small_fleet(1, DispatchPolicy::kLeastLoaded);
-  bad.kernel = "avx9000";
-  EXPECT_THROW(FleetManager{bad}, ContractError);
-}
-
 TEST(Fleet, AdmittedCompletedRejectedIdentity) {
   // One geometrically-impossible request (admission reject) plus an
   // overload of full-device tasks with a short queue timeout (device
