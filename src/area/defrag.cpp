@@ -6,59 +6,6 @@ namespace relogic::area {
 
 namespace {
 
-/// Best single move by the greedy criterion — the move that most enlarges
-/// the largest free rectangle; `prefer_small_victims` selects the
-/// equal-gain tie-break. Shape-independent: callers decide when to stop.
-std::optional<Move> best_move(AreaManager& scratch, const DefragOptions& opt,
-                              bool prefer_small_victims) {
-  std::optional<Move> best;
-  long best_gain = -1;
-  long best_dist = 0;
-  long best_area = 0;
-  for (const Region& r : scratch.regions()) {
-    // Candidate destinations: bottom-left and best-fit placements of the
-    // region's shape in the remaining free space (non-overlapping with
-    // its current rect, so plans execute move-by-move on the fabric).
-    for (PlacePolicy policy :
-         {PlacePolicy::kBottomLeft, PlacePolicy::kBestFit}) {
-      const auto dest =
-          scratch.find_free_rect(r.rect.height, r.rect.width, policy);
-      if (!dest || *dest == r.rect) continue;
-      // Score by trial move + rollback (cheaper than copying the whole
-      // manager per candidate; the rollback destination is the region's
-      // own just-vacated rect, so both moves are always legal).
-      scratch.move(r.id, *dest);
-      const long gain = scratch.largest_free_rect().area();
-      scratch.move(r.id, r.rect);
-      const long dist =
-          std::abs(dest->row - r.rect.row) + std::abs(dest->col - r.rect.col);
-      // Relocation cost grows with the moved area (one procedure per
-      // cell), so by default prefer small victims on equal gain; the
-      // alternate pass prefers large ones (sometimes the small-victim
-      // move blocks the only escape of a large region).
-      const long area_penalty = r.rect.area();
-      bool better = false;
-      if (!best) {
-        better = true;
-      } else if (gain != best_gain) {
-        better = gain > best_gain;
-      } else if (area_penalty != best_area) {
-        better = prefer_small_victims ? area_penalty < best_area
-                                      : area_penalty > best_area;
-      } else if (opt.prefer_near) {
-        better = dist < best_dist;
-      }
-      if (better) {
-        best = Move{r.id, r.rect, *dest};
-        best_gain = gain;
-        best_dist = dist;
-        best_area = area_penalty;
-      }
-    }
-  }
-  return best;
-}
-
 /// profile[h-1] = widest w such that an all-free h x w rectangle exists.
 /// Maximal free rectangles via the shared sweep, then a suffix-max pass
 /// (a taller free rect contains every shorter one).
@@ -79,9 +26,80 @@ std::vector<int> free_width_profile(const AreaManager& mgr) {
 
 }  // namespace
 
+std::vector<RequestPlanner::Candidate> RequestPlanner::evaluate(
+    AreaManager& scratch) {
+  std::vector<Candidate> out;
+  for (const Region& r : scratch.regions()) {
+    // Candidate destinations: bottom-left and best-fit placements of the
+    // region's shape in the remaining free space (non-overlapping with
+    // its current rect, so plans execute move-by-move on the fabric).
+    std::optional<ClbRect> bottom_left;
+    for (PlacePolicy policy :
+         {PlacePolicy::kBottomLeft, PlacePolicy::kBestFit}) {
+      const auto dest =
+          scratch.find_free_rect(r.rect.height, r.rect.width, policy);
+      if (!dest || *dest == r.rect) continue;
+      // A best-fit destination equal to the bottom-left one would be an
+      // identical candidate, and pick() replaces only on a strict
+      // improvement, so it could never win.
+      if (dest == bottom_left) continue;
+      bottom_left = dest;
+      // Score by trial move + rollback (cheaper than copying the whole
+      // manager per candidate; the rollback destination is the region's
+      // own just-vacated rect, so both moves are always legal).
+      scratch.move(r.id, *dest);
+      const long gain = scratch.largest_free_rect().area();
+      scratch.move(r.id, r.rect);
+      const long dist =
+          std::abs(dest->row - r.rect.row) + std::abs(dest->col - r.rect.col);
+      out.push_back(Candidate{Move{r.id, r.rect, *dest}, gain, dist,
+                              r.rect.area()});
+    }
+  }
+  return out;
+}
+
+std::optional<Move> RequestPlanner::pick(
+    const std::vector<Candidate>& candidates, bool prefer_small_victims,
+    bool prefer_near) {
+  // The greedy criterion: the move that most enlarges the largest free
+  // rectangle. Relocation cost grows with the moved area (one procedure per
+  // cell), so by default prefer small victims on equal gain; the alternate
+  // pass prefers large ones (sometimes the small-victim move blocks the
+  // only escape of a large region).
+  const Candidate* best = nullptr;
+  for (const Candidate& c : candidates) {
+    bool better = false;
+    if (best == nullptr) {
+      better = true;
+    } else if (c.gain != best->gain) {
+      better = c.gain > best->gain;
+    } else if (c.area != best->area) {
+      better = prefer_small_victims ? c.area < best->area
+                                    : c.area > best->area;
+    } else if (prefer_near) {
+      better = c.dist < best->dist;
+    }
+    if (better) best = &c;
+  }
+  if (best == nullptr) return std::nullopt;
+  return best->move;
+}
+
+const std::vector<RequestPlanner::Candidate>& RequestPlanner::candidates_of(
+    Sequence& seq) const {
+  // At most 2 * (max_moves + 1) states per planner: a linear scan is fine.
+  const std::vector<RegionId>& grid = seq.grids.back();
+  for (const Evaluated& e : evaluated_)
+    if (e.grid == grid) return e.candidates;
+  evaluated_.push_back(Evaluated{grid, evaluate(seq.scratch)});
+  return evaluated_.back().candidates;
+}
+
 RequestPlanner::Sequence::Sequence(const AreaManager& mgr, bool prefer_small)
     : scratch(mgr), prefer_small_victims(prefer_small) {
   fit.push_back(free_width_profile(scratch));
+  grids.push_back(scratch.occupancy());
 }
 
 RequestPlanner::RequestPlanner(const AreaManager& mgr, DefragOptions opt)
@@ -98,14 +116,25 @@ std::optional<DefragPlan> RequestPlanner::query(Sequence& seq, int h,
       if (seq.exhausted ||
           static_cast<int>(seq.moves.size()) >= opt_.max_moves)
         return std::nullopt;
-      const auto mv = best_move(seq.scratch, opt_, seq.prefer_small_victims);
+      const auto mv = pick(candidates_of(seq), seq.prefer_small_victims,
+                           opt_.prefer_near);
       if (!mv) {
         seq.exhausted = true;
         return std::nullopt;
       }
       seq.scratch.move(mv->region, mv->to);
+      // Re-entering a visited state makes the rest of the sequence periodic:
+      // its fit profiles repeat ones every query has already walked past,
+      // so no shape can be satisfied further on.
+      if (std::find(seq.grids.begin(), seq.grids.end(),
+                    seq.scratch.occupancy()) != seq.grids.end()) {
+        seq.scratch.move(mv->region, mv->from);
+        seq.exhausted = true;
+        return std::nullopt;
+      }
       seq.moves.push_back(*mv);
       seq.fit.push_back(free_width_profile(seq.scratch));
+      seq.grids.push_back(seq.scratch.occupancy());
     }
     if (seq.fit[k][static_cast<std::size_t>(h - 1)] >= w) break;
     ++k;
@@ -175,30 +204,31 @@ std::optional<DefragPlan> plan_full_compaction(
     return a.id < b.id;
   });
 
-  std::unordered_map<RegionId, ClbRect> target;
+  std::vector<ClbRect> target;  // target[i]: destination of order[i]
+  target.reserve(order.size());
   for (const Region& r : order) {
     const auto slot =
         packed.find_free_rect(r.rect.height, r.rect.width,
                               PlacePolicy::kBottomLeft);
     if (!slot) return std::nullopt;
     packed.allocate_at(r.name, *slot);
-    target[r.id] = *slot;
+    target.push_back(*slot);
   }
 
   // Order the moves so each destination is free when its turn comes;
-  // break cycles through temporary positions.
+  // break cycles through temporary positions. Pending entries index order.
   AreaManager current = mgr;
-  std::vector<RegionId> pending_moves;
-  for (const Region& r : order) {
-    if (target[r.id] != r.rect) pending_moves.push_back(r.id);
+  std::vector<std::size_t> pending_moves;
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    if (target[i] != order[i].rect) pending_moves.push_back(i);
   }
   int stall_guard = 0;
   while (!pending_moves.empty()) {
     bool progress = false;
     for (auto it = pending_moves.begin(); it != pending_moves.end();) {
-      const RegionId id = *it;
+      const RegionId id = order[*it].id;
       const ClbRect from = current.region(id).rect;
-      const ClbRect to = target[id];
+      const ClbRect to = target[*it];
       if (current.can_move(id, to)) {
         current.move(id, to);
         plan.moves.push_back(Move{id, from, to});
@@ -210,7 +240,7 @@ std::optional<DefragPlan> plan_full_compaction(
     }
     if (progress) continue;
     // Cycle: evict the first pending region to any free spot.
-    const RegionId id = pending_moves.front();
+    const RegionId id = order[pending_moves.front()].id;
     const ClbRect from = current.region(id).rect;
     const auto tmp = current.find_free_rect(from.height, from.width,
                                             PlacePolicy::kBestFit);

@@ -69,6 +69,12 @@ std::optional<DefragPlan> plan_for_request(const AreaManager& mgr, int h,
 /// reduces to a profile lookup plus a cheap replay to recover the request
 /// slot — exact same results as plan_for_request, amortised across every
 /// request shape the on-line scheduler retries against one area state.
+///
+/// Each distinct area state is scored at most once per planner: the
+/// candidate moves of a state (with their gains) are kept in a table keyed
+/// by the occupancy grid and shared by both tie-break sequences, and a
+/// sequence that would re-enter a state it already visited stops there
+/// (DESIGN.md, "Area layer: planner reuse", argues why that is exact).
 class RequestPlanner {
  public:
   explicit RequestPlanner(const AreaManager& mgr, DefragOptions opt = {});
@@ -78,6 +84,19 @@ class RequestPlanner {
   std::optional<DefragPlan> plan(int h, int w) const;
 
  private:
+  /// One scored candidate move of the greedy search.
+  struct Candidate {
+    Move move;
+    long gain;  ///< largest free rect area after the move
+    long dist;  ///< Manhattan distance of the move
+    long area;  ///< victim area
+  };
+  /// The scored candidates of one area state, in scan order.
+  struct Evaluated {
+    std::vector<RegionId> grid;
+    std::vector<Candidate> candidates;
+  };
+
   /// One greedy move sequence (for one victim-preference tie-break),
   /// extended lazily one move at a time as queries demand it.
   struct Sequence {
@@ -85,17 +104,29 @@ class RequestPlanner {
 
     AreaManager scratch;  ///< state after all computed moves
     bool prefer_small_victims;
-    bool exhausted = false;  ///< no further move exists
+    /// No further move exists, or the next one re-enters a visited state.
+    bool exhausted = false;
     std::vector<Move> moves;
     /// fit[k][h-1]: widest w such that a free h x w rect exists after the
     /// first k moves (0 if none). Monotone nonincreasing in h.
     std::vector<std::vector<int>> fit;
+    /// grids[k]: occupancy after the first k moves.
+    std::vector<std::vector<RegionId>> grids;
   };
 
+  /// Every candidate move of `scratch`'s state: bottom-left and best-fit
+  /// destinations of each region, scored by trial move + rollback.
+  static std::vector<Candidate> evaluate(AreaManager& scratch);
+  /// The greedy choice among `candidates` under one tie-break.
+  static std::optional<Move> pick(const std::vector<Candidate>& candidates,
+                                  bool prefer_small_victims, bool prefer_near);
+  /// The candidate table of seq's current state, evaluated on first use.
+  const std::vector<Candidate>& candidates_of(Sequence& seq) const;
   std::optional<DefragPlan> query(Sequence& seq, int h, int w) const;
 
   const AreaManager* mgr_;
   DefragOptions opt_;
+  mutable std::vector<Evaluated> evaluated_;
   mutable Sequence small_victims_;
   /// Built lazily: only consulted when the small-victims pass fails.
   mutable std::optional<Sequence> large_victims_;

@@ -84,7 +84,8 @@ class AreaManager {
   double utilization() const {
     return static_cast<double>(used_clbs()) / total_clbs();
   }
-  /// Largest rectangle of entirely free CLBs.
+  /// Largest rectangle of entirely free CLBs. Cached until the next
+  /// occupancy change (the scheduler samples fragmentation per event).
   ClbRect largest_free_rect() const;
 
   /// Invokes fn(ClbRect) for every maximal-in-histogram rectangle of
@@ -130,6 +131,10 @@ class AreaManager {
   }
   /// Occupant of one CLB (kNoRegion if free).
   RegionId at(ClbCoord c) const;
+  /// Row-major occupancy grid (at() for every CLB). Two managers with equal
+  /// grids hold the same regions at the same positions, so the grid is a
+  /// complete key for any decision that ignores region names.
+  const std::vector<RegionId>& occupancy() const { return grid_; }
 
   /// ASCII rendering of the occupancy grid ('.' free, letters per region)
   /// — the textual stand-in for the paper's Fig. 7 floorplan view.
@@ -138,19 +143,29 @@ class AreaManager {
   // ---- invariant audit (DESIGN.md §8.4) -------------------------------------
   /// Cross-checks the occupancy ledger against the region table from
   /// scratch: every region's rectangle is exactly its grid footprint, every
-  /// grid cell's occupant exists, and the incremental free/masked counters
-  /// match a full recount. Throws AuditError naming the first divergence.
+  /// grid cell's occupant exists, and the incremental free/masked counters,
+  /// free-run grid and cached largest free rectangle match a full recount.
+  /// Throws AuditError naming the first divergence.
   /// Always compiled (tests call it directly); the periodic call sites at
   /// sweep boundaries are gated on RELOGIC_AUDIT.
   void audit() const;
 
  private:
+  /// Writes `id` over `r`, repairs down_ in the touched columns and drops
+  /// the largest-free-rect cache: every occupancy change goes through here.
   void fill(const ClbRect& r, RegionId id);
   bool rect_free(const ClbRect& r) const;
+  /// down_ as computed from grid_ alone (the audit's reference).
+  std::vector<int> recount_down() const;
 
   int rows_;
   int cols_;
   std::vector<RegionId> grid_;  // row-major occupancy
+  /// down_[i]: consecutive free CLBs from cell i downward (i included), so
+  /// an h-tall rect fits below (row, col) iff down_ >= h. Kept exact by
+  /// fill() instead of being rebuilt on every find_free_rect.
+  std::vector<int> down_;
+  mutable std::optional<ClbRect> largest_free_;  // nullopt = stale
   std::unordered_map<RegionId, Region> regions_;
   RegionId next_id_ = 1;
   int free_clbs_;

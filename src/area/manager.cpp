@@ -10,6 +10,21 @@ AreaManager::AreaManager(int rows, int cols)
     : rows_(rows), cols_(cols), free_clbs_(rows * cols) {
   RELOGIC_CHECK(rows >= 1 && cols >= 1);
   grid_.assign(static_cast<std::size_t>(rows) * cols, kNoRegion);
+  down_ = recount_down();
+}
+
+std::vector<int> AreaManager::recount_down() const {
+  std::vector<int> down(grid_.size(), 0);
+  for (int col = 0; col < cols_; ++col) {
+    for (int row = rows_ - 1; row >= 0; --row) {
+      const std::size_t i = static_cast<std::size_t>(row) * cols_ + col;
+      if (grid_[i] == kNoRegion)
+        down[i] = 1 + (row + 1 < rows_
+                           ? down[i + static_cast<std::size_t>(cols_)]
+                           : 0);
+    }
+  }
+  return down;
 }
 
 RegionId AreaManager::at(ClbCoord c) const {
@@ -36,16 +51,31 @@ void AreaManager::fill(const ClbRect& r, RegionId id) {
       grid_[base + col] = id;
     }
   }
+  // A down_ entry depends only on the cells at and below it in its column,
+  // so only the rect's columns at and above its bottom row can change.
+  // Above the rect, the first entry that keeps its value ends the repair:
+  // everything above it depends on unchanged cells only.
+  const std::size_t stride = static_cast<std::size_t>(cols_);
+  for (int col = r.col; col < r.col_end(); ++col) {
+    std::size_t i = static_cast<std::size_t>(r.row_end() - 1) * stride + col;
+    int below = r.row_end() < rows_ ? down_[i + stride] : 0;
+    for (int row = r.row_end() - 1; row >= 0; --row, i -= stride) {
+      const int v = grid_[i] == kNoRegion ? below + 1 : 0;
+      if (row < r.row && down_[i] == v) break;
+      down_[i] = v;
+      below = v;
+    }
+  }
+  largest_free_.reset();
 }
 
 void AreaManager::mask_faulty(ClbCoord c) {
-  RELOGIC_CHECK(c.row >= 0 && c.row < rows_ && c.col >= 0 && c.col < cols_);
-  RegionId& slot = grid_[static_cast<std::size_t>(c.row) * cols_ + c.col];
+  const RegionId slot = at(c);  // bounds-checked
   if (slot == kFaultyRegion) return;  // already masked
   RELOGIC_CHECK_MSG(slot == kNoRegion,
                     "cannot mask " + c.to_string() +
                         ": CLB currently hosts a region");
-  slot = kFaultyRegion;
+  fill(ClbRect{c.row, c.col, 1, 1}, kFaultyRegion);
   --free_clbs_;
   ++masked_clbs_;
 }
@@ -56,28 +86,13 @@ std::optional<ClbRect> AreaManager::find_free_rect(int h, int w,
   RELOGIC_CHECK(h >= 1 && w >= 1);
   if (h > rows_ || w > cols_) return std::nullopt;
 
-  // Per-cell count of consecutive free cells downward (for fast checks).
-  std::vector<int> down(grid_.size(), 0);
-  for (int col = 0; col < cols_; ++col) {
-    for (int row = rows_ - 1; row >= 0; --row) {
-      const std::size_t i = static_cast<std::size_t>(row) * cols_ + col;
-      if (grid_[i] != kNoRegion) {
-        down[i] = 0;
-      } else {
-        down[i] = 1 + (row + 1 < rows_
-                           ? down[i + static_cast<std::size_t>(cols_)]
-                           : 0);
-      }
-    }
-  }
-
   std::optional<ClbRect> best;
   long best_score = 0;
   for (int row = 0; row + h <= rows_; ++row) {
     int run = 0;  // consecutive columns where h cells fit downward
     for (int col = 0; col + 1 <= cols_; ++col) {
       const std::size_t i = static_cast<std::size_t>(row) * cols_ + col;
-      run = (down[i] >= h) ? run + 1 : 0;
+      run = (down_[i] >= h) ? run + 1 : 0;
       if (run >= w) {
         const ClbRect r{row, col - w + 1, h, w};
         if (avoid != nullptr && r.overlaps(*avoid)) continue;
@@ -186,10 +201,12 @@ std::vector<Region> AreaManager::regions() const {
 }
 
 ClbRect AreaManager::largest_free_rect() const {
+  if (largest_free_) return *largest_free_;
   ClbRect best{0, 0, 0, 0};
   for_each_maximal_free_rect([&](const ClbRect& r) {
     if (r.area() > best.area()) best = r;
   });
+  largest_free_ = best;
   return best;
 }
 
@@ -278,6 +295,24 @@ void AreaManager::audit() const {
   RELOGIC_AUDIT_CHECK(masked_clbs_ == masked_count, kWhere,
                       "masked_clbs counter " + std::to_string(masked_clbs_) +
                           " != recounted " + std::to_string(masked_count));
+
+  // Pass 3: the derived free-space structures fill() keeps incrementally.
+  const std::vector<int> down = recount_down();
+  for (std::size_t i = 0; i < grid_.size(); ++i)
+    RELOGIC_AUDIT_CHECK(down_[i] == down[i], kWhere,
+                        "free-run grid at cell " + std::to_string(i) + " is " +
+                            std::to_string(down_[i]) + ", recounted " +
+                            std::to_string(down[i]));
+  if (largest_free_) {
+    ClbRect fresh{0, 0, 0, 0};
+    for_each_maximal_free_rect([&](const ClbRect& r) {
+      if (r.area() > fresh.area()) fresh = r;
+    });
+    RELOGIC_AUDIT_CHECK(*largest_free_ == fresh, kWhere,
+                        "cached largest free rect " +
+                            largest_free_->to_string() + " != recomputed " +
+                            fresh.to_string());
+  }
 }
 
 }  // namespace relogic::area

@@ -12,14 +12,6 @@ namespace relogic::config {
 
 namespace {
 
-/// Packed {row, col, cell} key for the rewrite scratch vector (values are
-/// small non-negative ints, so 20 bits each is generous).
-std::uint64_t pack_cell_key(int row, int col, int cell) {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(row)) << 40) |
-         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(col)) << 20) |
-         static_cast<std::uint64_t>(static_cast<std::uint32_t>(cell));
-}
-
 /// Appends every set-bit id of a word bitmap in ascending order.
 void expand_bits(const std::vector<std::uint64_t>& words,
                  std::vector<std::int32_t>& out) {
@@ -638,7 +630,8 @@ ApplyResult ConfigController::apply_op(const ConfigOp& op,
 }
 
 void ConfigController::check_lut_ram_columns(
-    const ConfigOp& op, const std::set<CellKey>* extra_rewritten) const {
+    const ConfigOp& op,
+    const std::vector<std::uint64_t>* extra_rewritten) const {
   // No live LUT-RAM anywhere -> nothing the op touches can violate the
   // paper's Sec. 2 restriction; skip the column derivation entirely.
   if (fabric_->live_lut_ram_total() == 0) return;
@@ -681,13 +674,15 @@ void ConfigController::check_lut_ram_columns(
           rewrites_scratch_.push_back(
               pack_cell_key(cw->clb.row, cw->clb.col, cw->cell));
       }
+      if (extra_rewritten != nullptr)
+        rewrites_scratch_.insert(rewrites_scratch_.end(),
+                                 extra_rewritten->begin(),
+                                 extra_rewritten->end());
       std::sort(rewrites_scratch_.begin(), rewrites_scratch_.end());
     }
-    if (std::binary_search(rewrites_scratch_.begin(), rewrites_scratch_.end(),
-                           pack_cell_key(row, col, cell)))
-      return true;
-    return extra_rewritten != nullptr &&
-           extra_rewritten->contains({row, col, cell});
+    return std::binary_search(rewrites_scratch_.begin(),
+                              rewrites_scratch_.end(),
+                              pack_cell_key(row, col, cell));
   };
 
   // Touched columns in ascending order.

@@ -40,10 +40,9 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
-#include <set>
 #include <string>
-#include <tuple>
 #include <unordered_map>
 #include <variant>
 #include <vector>
@@ -59,6 +58,16 @@
 #include "relogic/obs/trace.hpp"
 
 namespace relogic::config {
+
+/// Cell key of the LUT-RAM legality check: {row, col, cell}, 20 bits each,
+/// so distinct cells never alias on any geometry (an aliasing key would
+/// silently exempt live LUT-RAM from the check; health_test's
+/// CellKeyRegression cases pin this).
+inline std::uint64_t pack_cell_key(int row, int col, int cell) {
+  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(row)) << 40) |
+         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(col)) << 20) |
+         static_cast<std::uint64_t>(static_cast<std::uint32_t>(cell));
+}
 
 /// Write one logic cell's configuration.
 struct CellWrite {
@@ -241,25 +250,19 @@ class ConfigController {
   ApplyResult apply(const ConfigOp& op, const FrameSet& frames,
                     bool allow_lut_ram_columns);
 
-  /// Cell key used by the LUT-RAM legality check: {row, col, cell}. A
-  /// packed (row, col * 4 + cell) pair was used before; it aliased distinct
-  /// cells on any geometry with cells_per_clb > 4 (e.g. col 0 cell 4 and
-  /// col 1 cell 0), silently exempting live LUT-RAM cells from the column
-  /// check. The tuple is alias-free for every geometry.
-  using CellKey = std::tuple<int, int, int>;
-
   /// LUT-RAM legality (paper, Sec. 2): throws IllegalOperationError if any
   /// frame of the op lies in a CLB column containing a used LUT-RAM cell
-  /// that the op itself does not rewrite. `extra_rewritten` extends the
-  /// exemption set with cells known to be rewritten before this op applies
-  /// (the transaction batcher passes its pending batch's writes so each
-  /// queued op is checked exactly as the per-op sequence would be). The
-  /// column set this checks is identical across granularities — widening
-  /// only adds frames within columns the op already touches — so it is
-  /// derived from the op's actions, not from a frame set.
+  /// that the op itself does not rewrite. `extra_rewritten` (pack_cell_key
+  /// values, any order) extends the exemption set with cells known to be
+  /// rewritten before this op applies (the transaction batcher passes its
+  /// pending batch's writes so each queued op is checked exactly as the
+  /// per-op sequence would be). The column set this checks is identical
+  /// across granularities — widening only adds frames within columns the
+  /// op already touches — so it is derived from the op's actions, not from
+  /// a frame set.
   void check_lut_ram_columns(const ConfigOp& op,
-                             const std::set<CellKey>* extra_rewritten =
-                                 nullptr) const;
+                             const std::vector<std::uint64_t>*
+                                 extra_rewritten = nullptr) const;
 
   const ConfigTotals& totals() const { return totals_; }
   void reset_totals() { totals_ = ConfigTotals{}; }

@@ -65,7 +65,7 @@ struct TraceEvent {
   std::vector<TraceArg> args;
 };
 
-/// Pre-sized single-writer ring of trace events. When full, the oldest
+/// Fixed-capacity single-writer ring of trace events. When full, the oldest
 /// events are overwritten (the most recent window survives) and `dropped`
 /// counts the casualties — deterministically, since insertion order is.
 ///
@@ -85,6 +85,7 @@ class TraceBuffer {
   // it. Audit builds only: the unconditional members keep the default move.
   TraceBuffer(TraceBuffer&& other) noexcept
       : events_(std::move(other.events_)),
+        capacity_(other.capacity_),
         next_(other.next_),
         size_(other.size_),
         dropped_(other.dropped_) {}
@@ -95,13 +96,16 @@ class TraceBuffer {
   TraceEvent& push();
 
   std::size_t size() const { return size_; }
-  std::size_t capacity() const { return events_.size(); }
+  std::size_t capacity() const { return capacity_; }
   std::int64_t dropped() const { return dropped_; }
   /// Event `i` in insertion order (0 = oldest retained).
   const TraceEvent& at(std::size_t i) const;
 
  private:
+  /// Reserved to capacity_ up front (no reallocation, so slots stay put)
+  /// but filled on first push: a track that stays quiet touches no memory.
   std::vector<TraceEvent> events_;
+  std::size_t capacity_;
   std::size_t next_ = 0;
   std::size_t size_ = 0;
   std::int64_t dropped_ = 0;

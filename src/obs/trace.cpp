@@ -79,7 +79,9 @@ TraceArg arg_ms(const char* key, SimTime t) {
 }
 
 TraceBuffer::TraceBuffer(std::size_t capacity)
-    : events_(capacity == 0 ? 1 : capacity) {}
+    : capacity_(capacity == 0 ? 1 : capacity) {
+  events_.reserve(capacity_);
+}
 
 TraceEvent& TraceBuffer::push() {
 #if RELOGIC_AUDIT
@@ -91,9 +93,10 @@ TraceEvent& TraceBuffer::push() {
                       "concurrent push() on a single-writer ring "
                       "(DESIGN.md §7: one writer per track)");
 #endif
+  if (events_.size() < capacity_) events_.emplace_back();
   TraceEvent& e = events_[next_];
-  next_ = (next_ + 1) % events_.size();
-  if (size_ < events_.size()) {
+  next_ = (next_ + 1) % capacity_;
+  if (size_ < capacity_) {
     ++size_;
   } else {
     ++dropped_;
@@ -105,8 +108,8 @@ TraceEvent& TraceBuffer::push() {
 }
 
 const TraceEvent& TraceBuffer::at(std::size_t i) const {
-  const std::size_t oldest = size_ < events_.size() ? 0 : next_;
-  return events_[(oldest + i) % events_.size()];
+  const std::size_t oldest = size_ < capacity_ ? 0 : next_;
+  return events_[(oldest + i) % capacity_];
 }
 
 TraceEvent* TraceTrack::emit(char phase, SimTime ts) const {

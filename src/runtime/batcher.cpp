@@ -104,7 +104,8 @@ void TransactionBatcher::enqueue(const config::ConfigOp& op) {
   }
   for (const config::ConfigAction& a : op.actions) {
     if (const auto* cw = std::get_if<config::CellWrite>(&a))
-      pending_rewrites_.insert({cw->clb.row, cw->clb.col, cw->cell});
+      pending_rewrites_.push_back(
+          config::pack_cell_key(cw->clb.row, cw->clb.col, cw->cell));
   }
   if (pending_ops_ >= options_.max_ops) flush();
 }

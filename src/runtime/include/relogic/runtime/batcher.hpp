@@ -43,9 +43,9 @@
 #pragma once
 
 #include <cstdint>
-#include <set>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "relogic/config/controller.hpp"
 
@@ -119,9 +119,11 @@ class TransactionBatcher {
   /// Scratch reused across enqueues (incoming op's set, gate trial union).
   config::FrameSet op_frames_;
   config::FrameSet merged_scratch_;
-  /// Cells written by the pending batch — the exemption set that makes the
-  /// enqueue-time LUT-RAM legality check match the per-op sequence.
-  std::set<config::ConfigController::CellKey> pending_rewrites_;
+  /// Cells written by the pending batch (config::pack_cell_key, unsorted,
+  /// duplicates allowed) — the exemption set that makes the enqueue-time
+  /// LUT-RAM legality check match the per-op sequence. A plain append: the
+  /// check only reads it when the fabric holds live LUT-RAM.
+  std::vector<std::uint64_t> pending_rewrites_;
   int pending_ops_ = 0;
   BatchStats stats_;
 };

@@ -2,6 +2,12 @@
 // planners) including the free-space partition invariant.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "relogic/area/defrag.hpp"
 #include "relogic/area/manager.hpp"
 #include "relogic/common/rng.hpp"
@@ -215,6 +221,337 @@ TEST(Defrag, RequestPlannerMatchesPerShapePlanning) {
         EXPECT_EQ(shared->moves[i].region, fresh->moves[i].region);
         EXPECT_EQ(shared->moves[i].from, fresh->moves[i].from);
         EXPECT_EQ(shared->moves[i].to, fresh->moves[i].to);
+      }
+    }
+  }
+}
+
+// ---- independent oracle --------------------------------------------------
+//
+// The greedy planner restated as naively as possible, sharing nothing with
+// the area layer's search code: every query is a brute-force scan of
+// AreaManager::at(), every (shape, tie-break) pair runs its own greedy pass
+// from scratch, and nothing is reused or cut short (no free-run grid, no
+// cached free rectangle, no candidate tables, no cycle stop). Only the
+// final full-compaction fallback is the library's own.
+
+bool naive_free(const AreaManager& m, const ClbRect& r) {
+  for (int row = r.row; row < r.row_end(); ++row)
+    for (int col = r.col; col < r.col_end(); ++col)
+      if (m.at({row, col}) != kNoRegion) return false;
+  return true;
+}
+
+int naive_free_count(const AreaManager& m) {
+  int n = 0;
+  for (int row = 0; row < m.rows(); ++row)
+    for (int col = 0; col < m.cols(); ++col)
+      n += m.at({row, col}) == kNoRegion ? 1 : 0;
+  return n;
+}
+
+std::optional<ClbRect> naive_find(const AreaManager& m, int h, int w,
+                                  PlacePolicy policy,
+                                  const ClbRect* avoid = nullptr) {
+  const auto occupied = [&](int row, int col) {
+    return row < 0 || row >= m.rows() || col < 0 || col >= m.cols() ||
+           m.at({row, col}) != kNoRegion;
+  };
+  std::optional<ClbRect> best;
+  long best_score = 0;
+  for (int row = 0; row + h <= m.rows(); ++row) {
+    for (int col = 0; col + w <= m.cols(); ++col) {
+      const ClbRect r{row, col, h, w};
+      if (!naive_free(m, r)) continue;
+      if (avoid != nullptr && r.overlaps(*avoid)) continue;
+      if (policy == PlacePolicy::kBottomLeft) return r;
+      long score = 0;
+      for (int c = col; c < col + w; ++c)
+        score += (occupied(row - 1, c) ? 1 : 0) + (occupied(row + h, c) ? 1 : 0);
+      for (int rr = row; rr < row + h; ++rr)
+        score += (occupied(rr, col - 1) ? 1 : 0) + (occupied(rr, col + w) ? 1 : 0);
+      if (!best || score > best_score) {
+        best = r;
+        best_score = score;
+      }
+    }
+  }
+  return best;
+}
+
+int naive_largest_free_area(const AreaManager& m) {
+  int best = 0;
+  for (int top = 0; top < m.rows(); ++top) {
+    for (int left = 0; left < m.cols(); ++left) {
+      int width = m.cols() - left;
+      for (int bottom = top; bottom < m.rows() && width > 0; ++bottom) {
+        int run = 0;
+        while (run < width && m.at({bottom, left + run}) == kNoRegion) ++run;
+        width = run;
+        best = std::max(best, width * (bottom - top + 1));
+      }
+    }
+  }
+  return best;
+}
+
+std::vector<RegionId> naive_grid(const AreaManager& m) {
+  std::vector<RegionId> g;
+  for (int row = 0; row < m.rows(); ++row)
+    for (int col = 0; col < m.cols(); ++col) g.push_back(m.at({row, col}));
+  return g;
+}
+
+std::optional<Move> oracle_best_move(const AreaManager& s, bool prefer_small,
+                                     bool prefer_near) {
+  std::optional<Move> best;
+  long best_gain = -1;
+  long best_dist = 0;
+  long best_area = 0;
+  for (const Region& r : s.regions()) {
+    for (PlacePolicy policy :
+         {PlacePolicy::kBottomLeft, PlacePolicy::kBestFit}) {
+      const auto dest = naive_find(s, r.rect.height, r.rect.width, policy);
+      if (!dest || *dest == r.rect) continue;
+      AreaManager trial = s;
+      trial.move(r.id, *dest);
+      const long gain = naive_largest_free_area(trial);
+      const long dist =
+          std::abs(dest->row - r.rect.row) + std::abs(dest->col - r.rect.col);
+      const long area = r.rect.area();
+      bool better = false;
+      if (!best) {
+        better = true;
+      } else if (gain != best_gain) {
+        better = gain > best_gain;
+      } else if (area != best_area) {
+        better = prefer_small ? area < best_area : area > best_area;
+      } else if (prefer_near) {
+        better = dist < best_dist;
+      }
+      if (better) {
+        best = Move{r.id, r.rect, *dest};
+        best_gain = gain;
+        best_dist = dist;
+        best_area = area;
+      }
+    }
+  }
+  return best;
+}
+
+struct OracleResult {
+  std::optional<DefragPlan> plan;
+  bool revisited = false;  ///< some greedy pass re-entered an earlier state
+};
+
+OracleResult oracle_plan(const AreaManager& mgr, int h, int w,
+                         const DefragOptions& opt) {
+  OracleResult out;
+  if (naive_free_count(mgr) < h * w) return out;
+  for (bool prefer_small : {true, false}) {
+    AreaManager s = mgr;
+    DefragPlan plan;
+    std::vector<std::vector<RegionId>> seen{naive_grid(s)};
+    while (true) {
+      if (const auto slot = naive_find(s, h, w, PlacePolicy::kBottomLeft)) {
+        plan.request_slot = *slot;
+        out.plan = plan;
+        return out;
+      }
+      if (static_cast<int>(plan.moves.size()) >= opt.max_moves) break;
+      const auto mv = oracle_best_move(s, prefer_small, opt.prefer_near);
+      if (!mv) break;
+      s.move(mv->region, mv->to);
+      plan.moves.push_back(*mv);
+      auto grid = naive_grid(s);
+      if (std::find(seen.begin(), seen.end(), grid) != seen.end())
+        out.revisited = true;
+      seen.push_back(std::move(grid));
+    }
+  }
+  auto full = plan_full_compaction(mgr, {{h, w}});
+  if (full && static_cast<int>(full->moves.size()) <= opt.max_moves)
+    out.plan = std::move(full);
+  return out;
+}
+
+void expect_same_plan(const std::optional<DefragPlan>& got,
+                      const std::optional<DefragPlan>& want,
+                      const std::string& where) {
+  ASSERT_EQ(got.has_value(), want.has_value()) << where;
+  if (!got) return;
+  EXPECT_EQ(got->request_slot, want->request_slot) << where;
+  ASSERT_EQ(got->moves.size(), want->moves.size()) << where;
+  for (std::size_t i = 0; i < got->moves.size(); ++i) {
+    EXPECT_EQ(got->moves[i].region, want->moves[i].region) << where;
+    EXPECT_EQ(got->moves[i].from, want->moves[i].from) << where;
+    EXPECT_EQ(got->moves[i].to, want->moves[i].to) << where;
+  }
+}
+
+/// A fragmented n x n state: a few masked CLBs (optional), then regions
+/// packed in and every other one released. `uniform` gives every region
+/// the same shape, which makes the greedy tie-breaks decide most moves.
+AreaManager random_state(Rng& rng, int n, bool masked, bool uniform) {
+  AreaManager mgr(n, n);
+  if (masked) {
+    for (int i = 0; i < n / 3; ++i)
+      mgr.mask_faulty({rng.next_int(0, n - 1), rng.next_int(0, n - 1)});
+  }
+  const int uh = rng.next_int(1, 3);
+  const int uw = rng.next_int(1, 3);
+  std::vector<RegionId> live;
+  for (int i = 0; i < n; ++i) {
+    const auto id = mgr.allocate("r", uniform ? uh : rng.next_int(1, n / 3),
+                                 uniform ? uw : rng.next_int(1, n / 3),
+                                 rng.next_bool() ? PlacePolicy::kBottomLeft
+                                                 : PlacePolicy::kBestFit);
+    if (id != kNoRegion) live.push_back(id);
+  }
+  for (std::size_t i = 0; i < live.size(); i += 2) mgr.release(live[i]);
+  return mgr;
+}
+
+TEST(DefragOracle, PlannerMatchesNaiveGreedyOnRandomStates) {
+  Rng rng(2024);
+  int revisits = 0;
+  int plans = 0;
+  for (int n : {12, 16}) {
+    for (bool masked : {false, true}) {
+      for (int trial = 0; trial < 6; ++trial) {
+        const AreaManager mgr = random_state(rng, n, masked, trial % 2 == 1);
+        std::vector<std::pair<int, int>> shapes;
+        for (int i = 0; i < 6; ++i)
+          shapes.push_back({rng.next_int(1, n * 2 / 3),
+                            rng.next_int(1, n * 2 / 3)});
+        for (int max_moves : {1, 2, 8, 16}) {
+          DefragOptions opt;
+          opt.max_moves = max_moves;
+          const RequestPlanner shared(mgr, opt);
+          for (const auto& [h, w] : shapes) {
+            const std::string where =
+                std::to_string(n) + "x" + std::to_string(n) +
+                (masked ? " masked" : "") + " trial " + std::to_string(trial) +
+                " max_moves " + std::to_string(max_moves) + " shape " +
+                std::to_string(h) + "x" + std::to_string(w);
+            const OracleResult want = oracle_plan(mgr, h, w, opt);
+            revisits += want.revisited ? 1 : 0;
+            plans += want.plan ? 1 : 0;
+            expect_same_plan(plan_for_request(mgr, h, w, opt), want.plan,
+                             where + " (plan_for_request)");
+            expect_same_plan(shared.plan(h, w), want.plan,
+                             where + " (shared planner)");
+          }
+        }
+      }
+    }
+  }
+  // The sample must exercise both outcomes and the cycle stop.
+  EXPECT_GT(plans, 0);
+  EXPECT_GT(revisits, 0);
+}
+
+TEST(DefragOracle, OscillatingGreedySequenceStopsWithSameVerdict) {
+  // 1 x 5 strip: region A at col 0, a masked CLB at col 2. A 1 x 3 request
+  // has the free area (cols 1, 3, 4) but can never fit: the mask splits the
+  // strip into runs of 2. Greedy moves A to col 1 (best-fit hugs A's old
+  // cell and the mask), then back to col 0, and so on: S0, S1, S0, ...
+  AreaManager mgr(1, 5);
+  mgr.mask_faulty({0, 2});
+  const RegionId a = mgr.allocate_at("A", ClbRect{0, 0, 1, 1});
+  ASSERT_NE(a, kNoRegion);
+  for (int max_moves : {1, 2, 8, 16}) {
+    DefragOptions opt;
+    opt.max_moves = max_moves;
+    const OracleResult want = oracle_plan(mgr, 1, 3, opt);
+    EXPECT_EQ(want.revisited, max_moves >= 2);
+    EXPECT_FALSE(want.plan.has_value());
+    expect_same_plan(plan_for_request(mgr, 1, 3, opt), want.plan,
+                     "max_moves " + std::to_string(max_moves));
+    // A shape that does fit is still planned after the cycle was found.
+    const RequestPlanner shared(mgr, opt);
+    EXPECT_FALSE(shared.plan(1, 3).has_value());
+    expect_same_plan(shared.plan(1, 2), oracle_plan(mgr, 1, 2, opt).plan,
+                     "1x2 after cycle, max_moves " + std::to_string(max_moves));
+  }
+}
+
+TEST(DefragOracle, CycleStopKeepsTheSequenceTip) {
+  //   . A .      A . .
+  //   X . .  ->  X . .   (S1: a 2 x 2 fits) -> back to S0, ...
+  // A 1 x 3 query walks S0, S1 and finds the way back to S0; a later 2 x 2
+  // query is satisfied at the tip S1, so the planner must still hold S1
+  // (not the re-entered S0) when it looks up the request slot.
+  AreaManager mgr(2, 3);
+  mgr.mask_faulty({1, 0});
+  ASSERT_NE(mgr.allocate_at("A", ClbRect{0, 1, 1, 1}), kNoRegion);
+  for (int max_moves : {2, 8, 16}) {
+    DefragOptions opt;
+    opt.max_moves = max_moves;
+    const std::string where = "max_moves " + std::to_string(max_moves);
+    const OracleResult wide = oracle_plan(mgr, 1, 3, opt);
+    EXPECT_TRUE(wide.revisited) << where;
+    const RequestPlanner shared(mgr, opt);
+    expect_same_plan(shared.plan(1, 3), wide.plan, where + " 1x3");
+    const OracleResult square = oracle_plan(mgr, 2, 2, opt);
+    ASSERT_TRUE(square.plan.has_value()) << where;
+    EXPECT_EQ(square.plan->moves.size(), 1u) << where;
+    expect_same_plan(shared.plan(2, 2), square.plan, where + " 2x2");
+  }
+}
+
+TEST(AreaOracle, FreeSpaceQueriesMatchNaiveScanUnderChurn) {
+  // Every occupancy change repairs the free-run grid and drops the cached
+  // largest free rectangle; after each one, both queries must agree with a
+  // brute-force scan and the audit's from-scratch recount must hold.
+  Rng rng(99);
+  for (int n : {12, 16}) {
+    AreaManager mgr(n, n);
+    std::vector<RegionId> live;
+    for (int step = 0; step < 300; ++step) {
+      const int op = rng.next_int(0, 9);
+      if (op <= 3 || live.empty()) {
+        const auto id = mgr.allocate(
+            "r", rng.next_int(1, n / 3), rng.next_int(1, n / 3),
+            rng.next_bool() ? PlacePolicy::kBottomLeft : PlacePolicy::kBestFit);
+        if (id != kNoRegion) live.push_back(id);
+      } else if (op <= 6) {
+        const std::size_t k = rng.next_below(live.size());
+        mgr.release(live[k]);
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
+      } else if (op <= 8) {
+        const Region r = mgr.region(live[rng.next_below(live.size())]);
+        const auto to = mgr.find_free_rect(r.rect.height, r.rect.width,
+                                           PlacePolicy::kBestFit);
+        if (to) mgr.move(r.id, *to);
+      } else {
+        const ClbCoord c{rng.next_int(0, n - 1), rng.next_int(0, n - 1)};
+        if (mgr.at(c) == kNoRegion) mgr.mask_faulty(c);
+      }
+      ASSERT_NO_THROW(mgr.audit()) << "step " << step;
+
+      const ClbRect largest = mgr.largest_free_rect();
+      ASSERT_EQ(largest.area(), naive_largest_free_area(mgr)) << "step " << step;
+      if (largest.area() > 0) {
+        EXPECT_TRUE(naive_free(mgr, largest)) << "step " << step;
+      }
+      ASSERT_NO_THROW(mgr.audit()) << "step " << step << " (cached)";
+
+      const ClbRect avoid{rng.next_int(0, n - 1), rng.next_int(0, n - 1),
+                          rng.next_int(1, n / 2), rng.next_int(1, n / 2)};
+      for (int q = 0; q < 4; ++q) {
+        const int h = rng.next_int(1, n);
+        const int w = rng.next_int(1, n);
+        for (PlacePolicy policy :
+             {PlacePolicy::kBottomLeft, PlacePolicy::kBestFit}) {
+          EXPECT_EQ(mgr.find_free_rect(h, w, policy),
+                    naive_find(mgr, h, w, policy))
+              << "step " << step << " shape " << h << "x" << w;
+          EXPECT_EQ(mgr.find_free_rect(h, w, policy, &avoid),
+                    naive_find(mgr, h, w, policy, &avoid))
+              << "step " << step << " shape " << h << "x" << w << " avoid";
+        }
       }
     }
   }

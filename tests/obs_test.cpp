@@ -2,6 +2,8 @@
 // the determinism contract, and the fleet instrumentation).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
@@ -30,6 +32,34 @@ TEST(TraceBuffer, InsertionOrderAndOverwrite) {
   EXPECT_EQ(buf.at(0).name, "e2");
   EXPECT_EQ(buf.at(1).name, "e3");
   EXPECT_EQ(buf.at(2).name, "e4");
+}
+
+TEST(TraceBuffer, LazySlotsMatchEagerRingAcrossWrap) {
+  // Slots are constructed on first push; before, during and after the wrap
+  // the ring must read exactly like a pre-filled one: a fixed array of
+  // `capacity` slots written round-robin.
+  constexpr std::size_t kCap = 3;
+  TraceBuffer buf(kCap);
+  EXPECT_EQ(buf.capacity(), kCap);
+  EXPECT_EQ(buf.size(), 0u);
+  std::vector<std::string> eager(kCap);
+  std::size_t next = 0;
+  for (int i = 0; i < 7; ++i) {
+    buf.push().name = "e" + std::to_string(i);
+    eager[next] = "e" + std::to_string(i);
+    next = (next + 1) % kCap;
+    const std::size_t pushed = static_cast<std::size_t>(i) + 1;
+    const std::size_t size = std::min(pushed, kCap);
+    ASSERT_EQ(buf.size(), size);
+    ASSERT_EQ(buf.dropped(), static_cast<std::int64_t>(pushed - size));
+    ASSERT_EQ(buf.capacity(), kCap);
+    const std::size_t oldest = pushed < kCap ? 0 : next;
+    for (std::size_t k = 0; k < size; ++k)
+      EXPECT_EQ(buf.at(k).name, eager[(oldest + k) % kCap])
+          << "after push " << i << ", slot " << k;
+  }
+  EXPECT_EQ(buf.at(0).name, "e4");
+  EXPECT_EQ(buf.at(2).name, "e6");
 }
 
 TEST(TraceTrack, DefaultHandleIsDisabledNoOp) {
