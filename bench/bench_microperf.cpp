@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_report.hpp"
@@ -108,8 +109,11 @@ void BM_MazeRoute(benchmark::State& state) {
 }
 BENCHMARK(BM_MazeRoute)->Arg(4)->Arg(16)->Arg(38)->Unit(benchmark::kMicrosecond);
 
-void BM_SimulatorCycles(benchmark::State& state) {
-  fabric::Fabric fab(fabric::DeviceGeometry::tiny(16, 16));
+// The same small FSM on two device sizes: a clock edge visits only its
+// domain's FF sites (DESIGN.md §11), so the time per cycle should not grow
+// with the device.
+void BM_SimulatorCycles(benchmark::State& state, fabric::DeviceGeometry geom) {
+  fabric::Fabric fab(std::move(geom));
   const fabric::DelayModel dm;
   sim::FabricSim sim(fab, dm);
   sim.add_clock(sim::ClockSpec{});
@@ -130,7 +134,9 @@ void BM_SimulatorCycles(benchmark::State& state) {
   }
   state.SetItemsProcessed(cycles);
 }
-BENCHMARK(BM_SimulatorCycles);
+BENCHMARK_CAPTURE(BM_SimulatorCycles, tiny16,
+                  fabric::DeviceGeometry::tiny(16, 16));
+BENCHMARK_CAPTURE(BM_SimulatorCycles, xcv200, fabric::DeviceGeometry::xcv200());
 
 void BM_GatedCellRelocation(benchmark::State& state) {
   // Wall-clock cost of one full gated-clock relocation (engine + sim),

@@ -96,6 +96,12 @@ class FabricSim final : public fabric::FabricListener {
   /// kDriveConflict violations. Invoked automatically at each clock edge.
   void check_drive_coherence();
 
+  /// Recomputes the clocked-site index and the multi-source net list from a
+  /// full scan of the fabric and throws AuditError on any difference
+  /// (DESIGN.md §8.4, §11). RELOGIC_AUDIT builds call it at the end of
+  /// every run_until.
+  void audit() const;
+
   std::int64_t events_processed() const { return events_processed_; }
 
   // ---- FabricListener --------------------------------------------------------
@@ -161,9 +167,27 @@ class FabricSim final : public fabric::FabricListener {
   std::vector<NetCache> net_cache_;  // by net id
   std::unordered_map<fabric::NodeId, std::vector<fabric::NetId>> nets_of_pin_;
 
-  std::vector<ClockSpec> clocks_;
-  std::unordered_map<std::uint8_t, std::int64_t> edges_seen_;
-  std::unordered_map<std::uint8_t, bool> clock_halted_;
+  /// One clock domain: its generator, if any, and the sites holding a used
+  /// FF of the domain in ascending site index, which is the order an edge
+  /// visits them in (DESIGN.md §11). Kept exact by on_cell_changed.
+  struct Domain {
+    bool has_clock = false;
+    ClockSpec clock;
+    bool halted = false;
+    std::int64_t edges_seen = 0;
+    std::vector<int> ff_sites;
+  };
+  /// The record of a domain, created on first use.
+  Domain& domain(std::uint8_t d);
+  /// The record of a domain, or nullptr if it was never used.
+  const Domain* find_domain(std::uint8_t d) const;
+  /// The clock of a domain; throws ContractError if it has none.
+  const ClockSpec& clock_of(std::uint8_t d) const;
+
+  std::vector<Domain> domains_;  // by domain id
+  /// Ids of the live nets with two or more sources, ascending: the nets
+  /// check_drive_coherence inspects.
+  std::vector<fabric::NetId> multi_source_nets_;
   GlitchMonitor monitor_;
 };
 

@@ -1,8 +1,8 @@
 #include "relogic/sim/simulator.hpp"
 
 #include <algorithm>
-#include <unordered_set>
 
+#include "relogic/common/audit.hpp"
 #include "relogic/common/logging.hpp"
 
 namespace relogic::sim {
@@ -10,6 +10,25 @@ namespace relogic::sim {
 using fabric::NetId;
 using fabric::NodeId;
 using fabric::NodeKind;
+
+namespace {
+
+/// A used cell whose storage element is an edge-triggered FF: the cells a
+/// clock edge of their domain visits.
+bool clocked(const fabric::LogicCellConfig& cfg) {
+  return cfg.used && cfg.reg == fabric::RegMode::kFF;
+}
+
+/// Adds `x` to (member) or removes it from (!member) an ascending vector.
+template <typename T>
+void set_member(std::vector<T>& v, T x, bool member) {
+  const auto pos = std::lower_bound(v.begin(), v.end(), x);
+  const bool present = pos != v.end() && *pos == x;
+  if (member && !present) v.insert(pos, x);
+  if (!member && present) v.erase(pos);
+}
+
+}  // namespace
 
 FabricSim::FabricSim(fabric::Fabric& fabric, const fabric::DelayModel& dm)
     : fabric_(&fabric), dm_(&dm) {
@@ -30,6 +49,7 @@ FabricSim::FabricSim(fabric::Fabric& fabric, const fabric::DelayModel& dm)
         const auto& cfg = fabric_->cell(clb, k);
         if (!cfg.used) continue;
         const int site = site_index(clb, k);
+        if (clocked(cfg)) domain(cfg.clock_domain).ff_sites.push_back(site);
         q_val_[static_cast<std::size_t>(site)] = cfg.init;
         schedule(Event{now_ + dm_->lut_delay, ++seq_, EventKind::kEval,
                        fabric::kInvalidNode, site, false, 0});
@@ -56,12 +76,28 @@ int FabricSim::site_cell(int site) const {
   return site % fabric_->geometry().cells_per_clb;
 }
 
+FabricSim::Domain& FabricSim::domain(std::uint8_t d) {
+  if (domains_.size() <= d) domains_.resize(static_cast<std::size_t>(d) + 1);
+  return domains_[d];
+}
+
+const FabricSim::Domain* FabricSim::find_domain(std::uint8_t d) const {
+  return d < domains_.size() ? &domains_[d] : nullptr;
+}
+
+const ClockSpec& FabricSim::clock_of(std::uint8_t d) const {
+  const Domain* dom = find_domain(d);
+  if (dom == nullptr || !dom->has_clock)
+    throw ContractError("no clock defined for domain " + std::to_string(d));
+  return dom->clock;
+}
+
 void FabricSim::add_clock(ClockSpec spec) {
   RELOGIC_CHECK(spec.period > SimTime::zero());
-  for (const auto& c : clocks_) {
-    RELOGIC_CHECK_MSG(c.domain != spec.domain, "clock domain already defined");
-  }
-  clocks_.push_back(spec);
+  Domain& dom = domain(spec.domain);
+  RELOGIC_CHECK_MSG(!dom.has_clock, "clock domain already defined");
+  dom.has_clock = true;
+  dom.clock = spec;
   SimTime first = spec.first_edge;
   while (first < now_) first += spec.period;
   schedule(Event{first, ++seq_, EventKind::kClockEdge, fabric::kInvalidNode,
@@ -69,30 +105,22 @@ void FabricSim::add_clock(ClockSpec spec) {
 }
 
 bool FabricSim::has_clock(std::uint8_t domain) const {
-  for (const auto& c : clocks_) {
-    if (c.domain == domain) return true;
-  }
-  return false;
+  const Domain* dom = find_domain(domain);
+  return dom != nullptr && dom->has_clock;
 }
 
 SimTime FabricSim::clock_period(std::uint8_t domain) const {
-  for (const auto& c : clocks_) {
-    if (c.domain == domain) return c.period;
-  }
-  throw ContractError("no clock defined for domain " + std::to_string(domain));
+  return clock_of(domain).period;
 }
 
 SimTime FabricSim::next_edge(std::uint8_t domain, SimTime from) const {
-  for (const auto& c : clocks_) {
-    if (c.domain != domain) continue;
-    if (from <= c.first_edge) return c.first_edge;
-    const std::int64_t k =
-        (from - c.first_edge).picoseconds() / c.period.picoseconds();
-    SimTime t = c.first_edge + c.period * k;
-    if (t < from) t += c.period;
-    return t;
-  }
-  throw ContractError("no clock defined for domain " + std::to_string(domain));
+  const ClockSpec& c = clock_of(domain);
+  if (from <= c.first_edge) return c.first_edge;
+  const std::int64_t k =
+      (from - c.first_edge).picoseconds() / c.period.picoseconds();
+  SimTime t = c.first_edge + c.period * k;
+  if (t < from) t += c.period;
+  return t;
 }
 
 void FabricSim::drive_pad(NodeId pad, bool value) {
@@ -120,6 +148,7 @@ void FabricSim::run_until(SimTime t) {
     ++events_processed_;
   }
   now_ = t;
+  if constexpr (audit_enabled()) audit();
 }
 
 void FabricSim::run_cycles(int n, std::uint8_t domain) {
@@ -271,69 +300,42 @@ void FabricSim::do_q_set(int site, bool value, SimTime t) {
 }
 
 std::int64_t FabricSim::edges_seen(std::uint8_t domain) const {
-  auto it = edges_seen_.find(domain);
-  return it == edges_seen_.end() ? 0 : it->second;
+  const Domain* dom = find_domain(domain);
+  return dom == nullptr ? 0 : dom->edges_seen;
 }
 
 void FabricSim::set_clock_running(std::uint8_t domain, bool running) {
   RELOGIC_CHECK_MSG(has_clock(domain), "no clock defined for the domain");
-  clock_halted_[domain] = !running;
+  domains_[domain].halted = !running;
 }
 
 bool FabricSim::clock_running(std::uint8_t domain) const {
-  auto it = clock_halted_.find(domain);
-  return it == clock_halted_.end() || !it->second;
+  const Domain* dom = find_domain(domain);
+  return dom == nullptr || !dom->halted;
 }
 
 void FabricSim::do_clock_edge(std::uint8_t domain, SimTime t) {
-  if (!clock_running(domain)) {
-    // Halted domain: the generator keeps its phase, nothing captures.
-    for (const auto& spec : clocks_) {
-      if (spec.domain == domain) {
-        schedule(Event{t + spec.period, ++seq_, EventKind::kClockEdge,
-                       fabric::kInvalidNode, -1, false, domain});
-        break;
-      }
-    }
-    return;
-  }
-  ++edges_seen_[domain];
-  monitor_.on_clock_edge(t);
-  check_drive_coherence();
-
-  const auto& geom = fabric_->geometry();
-  for (int r = 0; r < geom.clb_rows; ++r) {
-    for (int c = 0; c < geom.clb_cols; ++c) {
-      const ClbCoord clb{r, c};
-      if (fabric_->clb_free(clb)) continue;
-      for (int k = 0; k < geom.cells_per_clb; ++k) {
-        const auto& cfg = fabric_->cell(clb, k);
-        if (!cfg.used || cfg.reg != fabric::RegMode::kFF ||
-            cfg.clock_domain != domain)
-          continue;
-        const int site = site_index(clb, k);
-        const bool ce =
-            !cfg.uses_ce || pin_val_[static_cast<std::size_t>(site)][4];
-        if (!ce) continue;
-        const bool d = cfg.d_src == fabric::DSrc::kBypass
-                           ? pin_val_[static_cast<std::size_t>(site)][5]
-                           : x_val_[static_cast<std::size_t>(site)];
-        if (d != q_val_[static_cast<std::size_t>(site)]) {
-          schedule(Event{t + dm_->clk_to_q, ++seq_, EventKind::kQSet,
-                         fabric::kInvalidNode, site, d, 0});
-        }
+  Domain& dom = domains_[domain];
+  // A halted domain's generator keeps its phase, but nothing captures.
+  if (!dom.halted) {
+    ++dom.edges_seen;
+    monitor_.on_clock_edge(t);
+    check_drive_coherence();
+    for (const int site : dom.ff_sites) {
+      const auto& cfg = fabric_->cell(site_clb(site), site_cell(site));
+      const auto& pins = pin_val_[static_cast<std::size_t>(site)];
+      if (cfg.uses_ce && !pins[4]) continue;
+      const bool d = cfg.d_src == fabric::DSrc::kBypass
+                         ? pins[5]
+                         : x_val_[static_cast<std::size_t>(site)];
+      if (d != q_val_[static_cast<std::size_t>(site)]) {
+        schedule(Event{t + dm_->clk_to_q, ++seq_, EventKind::kQSet,
+                       fabric::kInvalidNode, site, d, 0});
       }
     }
   }
-
-  // Next edge.
-  for (const auto& spec : clocks_) {
-    if (spec.domain == domain) {
-      schedule(Event{t + spec.period, ++seq_, EventKind::kClockEdge,
-                     fabric::kInvalidNode, -1, false, domain});
-      break;
-    }
-  }
+  schedule(Event{t + dom.clock.period, ++seq_, EventKind::kClockEdge,
+                 fabric::kInvalidNode, -1, false, domain});
 }
 
 void FabricSim::propagate_pin(NodeId pin, bool value, SimTime t) {
@@ -361,7 +363,10 @@ void FabricSim::rebuild_net_cache(NetId net) {
     if (it != nets_of_pin_.end()) std::erase(it->second, net);
   }
   cache = NetCache{};
-  if (!fabric_->net_exists(net)) return;
+  const bool exists = fabric_->net_exists(net);
+  set_member(multi_source_nets_, net,
+             exists && fabric_->net(net).sources.size() >= 2);
+  if (!exists) return;
 
   const auto& tree = fabric_->net(net);
   cache.sources = tree.sources;
@@ -411,6 +416,13 @@ void FabricSim::on_cell_changed(ClbCoord clb, int cell,
                                 const fabric::LogicCellConfig& before,
                                 const fabric::LogicCellConfig& after) {
   const int site = site_index(clb, cell);
+  if (clocked(before) != clocked(after) ||
+      before.clock_domain != after.clock_domain) {
+    if (clocked(before))
+      set_member(domain(before.clock_domain).ff_sites, site, false);
+    if (clocked(after))
+      set_member(domain(after.clock_domain).ff_sites, site, true);
+  }
   if (!before.used && after.used) {
     q_val_[static_cast<std::size_t>(site)] = after.init;
     // Refresh inputs: routed pins read their net's current value; unrouted
@@ -448,10 +460,8 @@ void FabricSim::on_net_changed(NetId net) {
 }
 
 void FabricSim::check_drive_coherence() {
-  for (NetId net = 1; net < net_cache_.size(); ++net) {
-    if (!fabric_->net_exists(net)) continue;
+  for (const NetId net : multi_source_nets_) {
     const NetCache& cache = net_cache_[net];
-    if (cache.sources.size() < 2) continue;
     const bool v0 = source_pin_value(cache.sources.front());
     for (std::size_t i = 1; i < cache.sources.size(); ++i) {
       if (source_pin_value(cache.sources[i]) != v0) {
@@ -463,6 +473,30 @@ void FabricSim::check_drive_coherence() {
       }
     }
   }
+}
+
+void FabricSim::audit() const {
+  constexpr const char* kWhere = "FabricSim";
+  std::vector<std::vector<int>> ff_sites(domains_.size());
+  for (int site = 0; site < static_cast<int>(q_val_.size()); ++site) {
+    const auto& cfg = fabric_->cell(site_clb(site), site_cell(site));
+    if (!clocked(cfg)) continue;
+    RELOGIC_AUDIT_CHECK(cfg.clock_domain < ff_sites.size(), kWhere,
+                        "FF of domain " + std::to_string(cfg.clock_domain) +
+                            " missing from the clocked-site index");
+    ff_sites[cfg.clock_domain].push_back(site);
+  }
+  for (std::size_t d = 0; d < domains_.size(); ++d) {
+    RELOGIC_AUDIT_CHECK(domains_[d].ff_sites == ff_sites[d], kWhere,
+                        "clocked-site list of domain " + std::to_string(d) +
+                            " differs from a fabric scan");
+  }
+  std::vector<NetId> multi;
+  for (const NetId n : fabric_->live_nets()) {
+    if (fabric_->net(n).sources.size() >= 2) multi.push_back(n);
+  }
+  RELOGIC_AUDIT_CHECK(multi_source_nets_ == multi, kWhere,
+                      "multi-source net list differs from a fabric scan");
 }
 
 }  // namespace relogic::sim

@@ -1,0 +1,407 @@
+// Tests of the logic simulator's own contracts (src/sim/simulator.cpp).
+//
+// * SimGolden pins, as an FNV-1a digest, everything the simulator shows
+//   while live circuits are relocated under it: events processed, edges
+//   seen, the state and combinational value of every used site and the
+//   value of every pad after each lockstep cycle, and the final violation
+//   list. The digests were taken before the clocked-site index
+//   (DESIGN.md §11) replaced the per-edge device scan; event order is part
+//   of what they pin, so they must never be re-pinned for a performance
+//   change.
+// * ClockedSiteIndex drives the per-domain FF-site lists through every kind
+//   of cell change while clocks run and checks them with FabricSim::audit.
+// * DriveConflict checks that a drive conflict is found by the clock edge
+//   alone, through the multi-source net list.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <initializer_list>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "relogic/common/audit.hpp"
+#include "relogic/common/rng.hpp"
+#include "relogic/config/controller.hpp"
+#include "relogic/config/port.hpp"
+#include "relogic/netlist/benchmarks.hpp"
+#include "relogic/place/implement.hpp"
+#include "relogic/reloc/engine.hpp"
+#include "relogic/sim/harness.hpp"
+
+namespace relogic {
+namespace {
+
+using netlist::bench::ClockingStyle;
+using place::CellSite;
+
+/// 64-bit FNV-1a over little-endian 64-bit words.
+class Fnv {
+ public:
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (v >> (8 * i)) & 0xFF;
+      h_ *= 0x100000001B3ull;
+    }
+  }
+  void add(const std::string& s) {
+    add(s.size());
+    for (const char c : s) add(static_cast<std::uint8_t>(c));
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xCBF29CE484222325ull;
+};
+
+/// A used cell whose storage element captures the constant LUT output
+/// `lut_value` (no CE, D from the LUT), configured to power up at 0.
+fabric::LogicCellConfig storage(fabric::RegMode reg, std::uint8_t domain,
+                                bool lut_value) {
+  auto cfg = fabric::LogicCellConfig::constant(lut_value);
+  cfg.reg = reg;
+  cfg.clock_domain = domain;
+  return cfg;
+}
+
+struct Rig {
+  fabric::Fabric fab;
+  fabric::DelayModel dm;
+  config::BoundaryScanPort port;
+  config::ConfigController controller{fab, port, /*column_granular=*/true};
+  sim::FabricSim sim{fab, dm};
+  place::Implementer implementer{fab, dm};
+  place::Router router{fab, dm};
+  reloc::RelocationEngine engine{controller, router, &sim};
+
+  explicit Rig(fabric::DeviceGeometry geom) : fab(std::move(geom)) {}
+
+  place::Implementation implement(const netlist::Netlist& nl,
+                                  ClbCoord origin) {
+    const auto mapped = netlist::map_netlist(nl);
+    place::ImplementOptions opts;
+    opts.region = place::suggest_region(mapped, origin, fab.geometry());
+    return implementer.implement(mapped, opts);
+  }
+};
+
+/// Hashes what the simulator shows after one lockstep cycle.
+void observe(Fnv& h, const Rig& rig,
+             std::initializer_list<std::uint8_t> domains,
+             std::initializer_list<const place::Implementation*> impls) {
+  h.add(static_cast<std::uint64_t>(rig.sim.events_processed()));
+  h.add(rig.sim.now().picoseconds());
+  for (const std::uint8_t d : domains)
+    h.add(static_cast<std::uint64_t>(rig.sim.edges_seen(d)));
+  const auto& geom = rig.fab.geometry();
+  for (int r = 0; r < geom.clb_rows; ++r) {
+    for (int c = 0; c < geom.clb_cols; ++c) {
+      for (int k = 0; k < geom.cells_per_clb; ++k) {
+        if (!rig.fab.cell(ClbCoord{r, c}, k).used) continue;
+        h.add((static_cast<std::uint64_t>(r) << 32) |
+              (static_cast<std::uint64_t>(c) << 8) |
+              static_cast<std::uint64_t>(k));
+        h.add(rig.sim.state_of(ClbCoord{r, c}, k));
+        h.add(rig.sim.comb_of(ClbCoord{r, c}, k));
+      }
+    }
+  }
+  for (const auto* impl : impls) {
+    for (const auto& [sig, pad] : impl->input_pads)
+      h.add(rig.sim.pad_value(pad));
+    for (const auto& [name, pad] : impl->output_pads)
+      h.add(rig.sim.pad_value(pad));
+  }
+}
+
+void observe_violations(Fnv& h, const Rig& rig) {
+  const auto& vs = rig.sim.monitor().violations();
+  h.add(vs.size());
+  for (const auto& v : vs) {
+    h.add(static_cast<std::uint64_t>(v.kind));
+    h.add(v.time.picoseconds());
+    h.add(v.node);
+    h.add(v.description);
+  }
+}
+
+// The Fig. 4 set-up: a gated-clock ITC'99-class circuit on an XCV200,
+// relocated cell by cell over Boundary Scan while it captures (CE high).
+TEST(SimGolden, GatedClockCircuitRelocatedCellByCellOnXcv200) {
+  Rig rig(fabric::DeviceGeometry::xcv200());
+  rig.sim.add_clock(sim::ClockSpec{0, SimTime::us(8), SimTime::us(8)});
+  const auto nl = netlist::bench::b01(ClockingStyle::kGatedClock);
+  auto impl = rig.implement(nl, ClbCoord{2, 2});
+  sim::CircuitHarness harness(rig.sim, nl, impl);
+  harness.watch_registered_outputs();
+
+  Fnv h;
+  Rng rng(2003);
+  auto step = [&] {
+    std::vector<bool> in;
+    for (const netlist::SigId s : nl.inputs())
+      in.push_back(nl.node(s).name == "ce" || rng.next_bool());
+    const auto r = harness.step(in);
+    h.add(static_cast<std::uint64_t>(r.output_mismatches));
+    h.add(static_cast<std::uint64_t>(r.state_mismatches));
+    observe(h, rig, {0}, {&impl});
+  };
+  for (int i = 0; i < 6; ++i) step();
+  const ClbCoord block{impl.region.row + 12, impl.region.col + 16};
+  for (int k = 0; k < impl.cell_count(); ++k) {
+    rig.sim.run_until(rig.sim.now() + SimTime::ns(1300 * (k + 1)));
+    rig.engine.relocate_cell(impl, k,
+                             CellSite{ClbCoord{block.row, block.col + k / 4},
+                                      k % 4});
+    step();
+  }
+  observe_violations(h, rig);
+  EXPECT_EQ(harness.total_mismatches(), 0);
+  EXPECT_EQ(h.value(), 0xf48b3e113071dd90ull);
+}
+
+// The two-domain rig of extensions_test's MultiClock case, followed by a
+// phase in which two nets gain a disagreeing second source so that the
+// drive-conflict check records violations at the edges of both domains.
+TEST(SimGolden, TwoClockDomainsRelocateAndConflict) {
+  Rig rig(fabric::DeviceGeometry::tiny(16, 16));
+  rig.sim.add_clock(sim::ClockSpec{0, SimTime::ns(100), SimTime::ns(100)});
+  rig.sim.add_clock(sim::ClockSpec{1, SimTime::ns(70), SimTime::ns(70)});
+  const auto nl_a = netlist::bench::counter(4);
+  const auto nl_b = netlist::bench::gray_counter(4);
+  place::ImplementOptions oa, ob;
+  oa.region = ClbRect{1, 1, 3, 3};
+  oa.clock_domain = 0;
+  ob.region = ClbRect{1, 8, 3, 3};
+  ob.clock_domain = 1;
+  auto ia = rig.implementer.implement(netlist::map_netlist(nl_a), oa);
+  auto ib = rig.implementer.implement(netlist::map_netlist(nl_b), ob);
+  sim::CircuitHarness ha(rig.sim, nl_a, ia);
+  sim::CircuitHarness hb(rig.sim, nl_b, ib);
+
+  Fnv h;
+  auto step = [&] {
+    h.add(static_cast<std::uint64_t>(ha.step({}).ok()));
+    h.add(static_cast<std::uint64_t>(hb.step({}).ok()));
+    observe(h, rig, {0, 1}, {&ia, &ib});
+  };
+  for (int i = 0; i < 10; ++i) step();
+  rig.engine.relocate_cell(ia, 0, CellSite{ClbCoord{12, 2}, 0});
+  rig.engine.relocate_cell(ib, 0, CellSite{ClbCoord{12, 9}, 0});
+  for (int i = 0; i < 8; ++i) step();
+  EXPECT_EQ(ha.total_mismatches() + hb.total_mismatches(), 0);
+
+  // Parallel two extra FFs of each counter's domain onto its first state
+  // net. The pair captures opposite values at the same edge, so both writes
+  // reach the net's sinks at the same instant and the value the sinks keep
+  // depends on the order the edge visits FF sites in; the disagreement is
+  // also a drive conflict at the edges after.
+  struct Extra {
+    ClbCoord clb;
+    const place::Implementation* impl;
+    const netlist::Netlist* nl;
+    bool value;
+  };
+  const Extra extras[] = {{ClbCoord{14, 14}, &ia, &nl_a, true},
+                          {ClbCoord{14, 15}, &ia, &nl_a, false},
+                          {ClbCoord{15, 14}, &ib, &nl_b, true},
+                          {ClbCoord{15, 15}, &ib, &nl_b, false}};
+  for (const auto& e : extras) {
+    auto cfg = storage(fabric::RegMode::kFF, e.impl->clock_domain, e.value);
+    cfg.init = !e.value;
+    rig.fab.set_cell_config(e.clb, 0, cfg);
+    const auto state_net =
+        e.impl->signal_nets.at(e.nl->state_elements().front());
+    rig.fab.attach_source(state_net, rig.fab.graph().out_pin(e.clb, 0, true));
+  }
+  for (int i = 0; i < 12; ++i) {
+    for (const auto& e : extras) {
+      auto cfg = rig.fab.cell(e.clb, 0);
+      cfg.lut = static_cast<std::uint16_t>(~cfg.lut);
+      rig.fab.set_cell_config(e.clb, 0, cfg);
+    }
+    rig.sim.run_until(rig.sim.now() + SimTime::ns(90));
+    observe(h, rig, {0, 1}, {&ia, &ib});
+  }
+  EXPECT_GT(rig.sim.monitor().count(sim::ViolationKind::kDriveConflict), 0);
+  observe_violations(h, rig);
+  EXPECT_EQ(h.value(), 0xf2278bba67d6c436ull);
+}
+
+// The paper's third implementation case: a latch pipeline (no FF, so no
+// clocked site) relocated while it holds data, with a clock running.
+TEST(SimGolden, LatchPipelineRelocates) {
+  Rig rig(fabric::DeviceGeometry::tiny(12, 12));
+  rig.sim.add_clock(sim::ClockSpec{});
+  const auto nl = netlist::bench::async_pipeline(4);
+  auto impl = rig.implement(nl, ClbCoord{2, 2});
+  sim::CircuitHarness harness(rig.sim, nl, impl);
+
+  Fnv h;
+  auto step = [&](bool din, bool phi1, bool phi2) {
+    const auto r = harness.settle_step({din, phi1, phi2});
+    h.add(static_cast<std::uint64_t>(r.ok()));
+    observe(h, rig, {0}, {&impl});
+  };
+  step(true, true, false);
+  step(true, false, true);
+  rig.engine.relocate_cell(impl, 1, CellSite{ClbCoord{9, 9}, 0});
+  step(false, true, false);
+  step(false, false, true);
+  step(false, true, false);
+  rig.engine.relocate_cell(impl, 2, CellSite{ClbCoord{9, 9}, 1});
+  step(true, true, false);
+  step(true, false, true);
+  observe_violations(h, rig);
+  EXPECT_EQ(harness.total_mismatches(), 0);
+  EXPECT_EQ(h.value(), 0x5131ad13fd220b1full);
+}
+
+TEST(ClockedSiteIndex, FollowsEveryCellChangeAndCapturesOnlyInItsDomain) {
+  using fabric::RegMode;
+  fabric::Fabric fab(fabric::DeviceGeometry::tiny(8, 8));
+  const fabric::DelayModel dm;
+  const ClbCoord a{1, 1}, b{2, 2}, c{3, 3};
+  // A is configured before the simulator exists, B and C before any clock.
+  fab.set_cell_config(a, 0, storage(RegMode::kFF, 0, true));
+  sim::FabricSim sim(fab, dm);
+  sim.audit();
+  fab.set_cell_config(b, 1, storage(RegMode::kFF, 1, true));
+  fab.set_cell_config(c, 0, storage(RegMode::kLatch, 0, true));
+  sim.audit();
+
+  // Domain 0 edges at 100, 200, ... ns; domain 1 at 150, 250, ... ns. Each
+  // check samples 20 ns after an edge, when its clk-to-q has settled.
+  auto run_to_ns = [&](std::int64_t ns) {
+    sim.run_until(SimTime::ns(ns));
+    sim.audit();
+  };
+  sim.add_clock(sim::ClockSpec{0, SimTime::ns(100), SimTime::ns(100)});
+  run_to_ns(120);
+  EXPECT_TRUE(sim.state_of(a, 0));   // domain 0 captured
+  EXPECT_FALSE(sim.state_of(b, 1));  // domain 1 has no clock yet
+  EXPECT_FALSE(sim.state_of(c, 0));  // a latch is no clocked site
+  EXPECT_EQ(sim.edges_seen(0), 1);
+  EXPECT_EQ(sim.edges_seen(1), 0);
+
+  sim.add_clock(sim::ClockSpec{1, SimTime::ns(100), SimTime::ns(150)});
+  run_to_ns(170);
+  EXPECT_TRUE(sim.state_of(b, 1));
+
+  // A moves to domain 1 with a new value: domain 0's edge at 200 must not
+  // capture it, domain 1's edge at 250 must.
+  fab.set_cell_config(a, 0, storage(RegMode::kFF, 1, false));
+  sim.audit();
+  run_to_ns(220);
+  EXPECT_TRUE(sim.state_of(a, 0));
+  run_to_ns(270);
+  EXPECT_FALSE(sim.state_of(a, 0));
+
+  // FF -> latch (B, CE low: the latch holds) and latch -> FF (C).
+  fab.set_cell_config(b, 1, storage(RegMode::kLatch, 1, false));
+  fab.set_cell_config(c, 0, storage(RegMode::kFF, 0, true));
+  sim.audit();
+  run_to_ns(370);
+  EXPECT_TRUE(sim.state_of(b, 1));
+  EXPECT_TRUE(sim.state_of(c, 0));
+
+  // FF -> unused -> FF in the other domain: the site powers up at its init
+  // value and then follows domain 0 only.
+  fab.clear_cell(a, 0);
+  sim.audit();
+  run_to_ns(420);
+  fab.set_cell_config(a, 0, storage(RegMode::kFF, 0, true));
+  sim.audit();
+  EXPECT_FALSE(sim.state_of(a, 0));
+  run_to_ns(470);
+  EXPECT_FALSE(sim.state_of(a, 0));  // domain 1's edge at 450
+  run_to_ns(520);
+  EXPECT_TRUE(sim.state_of(a, 0));
+
+  // A halted domain keeps its sites indexed but neither counts nor
+  // captures; the other domain runs on.
+  const std::int64_t edges0 = sim.edges_seen(0);
+  const std::int64_t edges1 = sim.edges_seen(1);
+  sim.set_clock_running(0, false);
+  fab.set_cell_config(c, 0, storage(RegMode::kFF, 0, false));
+  run_to_ns(820);
+  EXPECT_TRUE(sim.state_of(c, 0));
+  EXPECT_EQ(sim.edges_seen(0), edges0);
+  EXPECT_EQ(sim.edges_seen(1), edges1 + 3);
+  sim.set_clock_running(0, true);
+  run_to_ns(920);
+  EXPECT_FALSE(sim.state_of(c, 0));
+  EXPECT_EQ(sim.edges_seen(0), edges0 + 1);
+}
+
+TEST(ClockedSiteIndex, AuditCatchesAStaleIndex) {
+  fabric::Fabric fab(fabric::DeviceGeometry::tiny(8, 8));
+  const fabric::DelayModel dm;
+  sim::FabricSim sim(fab, dm);
+  fab.set_cell_config(ClbCoord{1, 1}, 0,
+                      storage(fabric::RegMode::kFF, 0, true));
+  sim.audit();
+  // A change the simulator is not told about leaves its index stale.
+  fab.remove_listener(&sim);
+  fab.clear_cell(ClbCoord{1, 1}, 0);
+  EXPECT_THROW(sim.audit(), AuditError);
+  fab.add_listener(&sim);
+}
+
+TEST(DriveConflict, RecordedByTheClockEdgeAlone) {
+  fabric::Fabric fab(fabric::DeviceGeometry::tiny(8, 8));
+  const fabric::DelayModel dm;
+  sim::FabricSim sim(fab, dm);
+  sim.add_clock(sim::ClockSpec{0, SimTime::ns(100), SimTime::ns(100)});
+  const ClbCoord one{1, 1}, zero{1, 2}, also_one{1, 3};
+  fab.set_cell_config(one, 0, fabric::LogicCellConfig::constant(true));
+  fab.set_cell_config(zero, 0, fabric::LogicCellConfig::constant(false));
+  fab.set_cell_config(also_one, 0, fabric::LogicCellConfig::constant(true));
+  const auto x = [&](ClbCoord clb) {
+    return fab.graph().out_pin(clb, 0, false);
+  };
+  const fabric::NetId net = fab.create_net("paralleled");
+  fab.attach_source(net, x(one));
+  auto conflicts = [&] {
+    return sim.monitor().count(sim::ViolationKind::kDriveConflict);
+  };
+
+  // Two agreeing sources are no conflict.
+  fab.attach_source(net, x(also_one));
+  sim.run_until(SimTime::ns(150));
+  sim.audit();
+  EXPECT_EQ(conflicts(), 0);
+
+  // A disagreeing third source: nothing until the next edge, which records
+  // one violation naming it, at the edge's time.
+  fab.attach_source(net, x(zero));
+  sim.audit();
+  sim.run_until(SimTime::ns(199));
+  EXPECT_EQ(conflicts(), 0);
+  sim.run_until(SimTime::ns(201));
+  ASSERT_EQ(conflicts(), 1);
+  const sim::Violation& v = sim.monitor().violations().back();
+  EXPECT_EQ(v.time, SimTime::ns(200));
+  EXPECT_EQ(v.node, x(zero));
+  sim.run_until(SimTime::ns(301));
+  EXPECT_EQ(conflicts(), 2);  // every edge while the conflict lasts
+
+  // Back to agreeing sources: no further violations.
+  fab.detach_source(net, x(zero));
+  sim.audit();
+  sim.run_until(SimTime::ns(601));
+  EXPECT_EQ(conflicts(), 2);
+
+  // Conflict again, then the net is destroyed: nothing after that.
+  fab.attach_source(net, x(zero));
+  sim.run_until(SimTime::ns(701));
+  EXPECT_EQ(conflicts(), 3);
+  fab.destroy_net(net);
+  sim.audit();
+  sim.run_until(SimTime::ns(1001));
+  EXPECT_EQ(conflicts(), 3);
+  EXPECT_EQ(sim.edges_seen(0), 10);
+}
+
+}  // namespace
+}  // namespace relogic
