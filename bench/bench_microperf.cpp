@@ -138,6 +138,51 @@ BENCHMARK_CAPTURE(BM_SimulatorCycles, tiny16,
                   fabric::DeviceGeometry::tiny(16, 16));
 BENCHMARK_CAPTURE(BM_SimulatorCycles, xcv200, fabric::DeviceGeometry::xcv200());
 
+// One pad driving a net of several hundred FF sinks spread over an XCV200,
+// toggled every cycle: each toggle schedules a pin event per sink, so the
+// pending set holds hundreds of events and per-event cost (sink lookup,
+// queue step) dominates.
+void BM_SimulatorFanout(benchmark::State& state) {
+  fabric::Fabric fab(fabric::DeviceGeometry::xcv200());
+  const fabric::DelayModel dm;
+  place::Router router(fab, dm);
+  const auto& g = fab.graph();
+  const auto& geom = fab.geometry();
+  auto ff = fabric::LogicCellConfig{};
+  ff.lut = fabric::luts::kBufI0;
+  ff.reg = fabric::RegMode::kFF;
+  ff.used = true;
+  const fabric::NodeId pad = g.pad(ClbCoord{0, geom.clb_cols / 2}, 0);
+  const auto net = fab.create_net("fanout");
+  fab.attach_source(net, pad);
+  int sinks = 0;
+  for (int r = 1; r < geom.clb_rows; r += 3) {
+    for (int c = 1; c < geom.clb_cols; c += 3) {
+      for (int k = 0; k < 2; ++k) {
+        fab.set_cell_config(ClbCoord{r, c}, k, ff);
+        router.route_sink(net, g.in_pin({r, c}, k, fabric::CellPort::kI0));
+        ++sinks;
+      }
+    }
+  }
+  sim::FabricSim sim(fab, dm);
+  sim.add_clock(sim::ClockSpec{});
+  bool level = false;
+  std::int64_t cycles = 0;
+  for (auto _ : state) {
+    for (int i = 0; i < 10; ++i) {
+      level = !level;
+      sim.drive_pad(pad, level);
+      sim.run_cycles(1);
+    }
+    benchmark::DoNotOptimize(sim.events_processed());
+    cycles += 10;
+  }
+  state.SetItemsProcessed(cycles);
+  state.counters["sinks"] = sinks;
+}
+BENCHMARK(BM_SimulatorFanout)->Unit(benchmark::kMicrosecond);
+
 void BM_GatedCellRelocation(benchmark::State& state) {
   // Wall-clock cost of one full gated-clock relocation (engine + sim),
   // not the modelled configuration time.

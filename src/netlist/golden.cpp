@@ -100,14 +100,14 @@ void GoldenSim::settle() {
 
 void GoldenSim::clock() {
   // Capture phase: sample every DFF's D (and CE) simultaneously.
-  std::vector<std::pair<SigId, bool>> captures;
+  captures_.clear();
   for (SigId s : nl_->state_elements()) {
     const Node& n = nl_->node(s);
     if (n.kind != OpKind::kDff) continue;
     const bool ce = n.fanin.size() < 2 || values_[n.fanin[1]];
-    if (ce) captures.emplace_back(s, values_[n.fanin[0]]);
+    if (ce) captures_.emplace_back(s, values_[n.fanin[0]]);
   }
-  for (const auto& [s, d] : captures) values_[s] = d;
+  for (const auto& [s, d] : captures_) values_[s] = d;
   settle();
 }
 

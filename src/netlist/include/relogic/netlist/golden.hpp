@@ -9,6 +9,7 @@
 #pragma once
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "relogic/netlist/netlist.hpp"
@@ -52,6 +53,8 @@ class GoldenSim {
   const Netlist* nl_;
   std::vector<SigId> order_;
   std::vector<bool> values_;
+  /// clock()'s capture buffer, kept to reuse its allocation across edges.
+  std::vector<std::pair<SigId, bool>> captures_;
 };
 
 }  // namespace relogic::netlist

@@ -23,8 +23,8 @@
 
 #include <array>
 #include <cstdint>
-#include <queue>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "relogic/common/time.hpp"
@@ -96,10 +96,11 @@ class FabricSim final : public fabric::FabricListener {
   /// kDriveConflict violations. Invoked automatically at each clock edge.
   void check_drive_coherence();
 
-  /// Recomputes the clocked-site index and the multi-source net list from a
-  /// full scan of the fabric and throws AuditError on any difference
-  /// (DESIGN.md §8.4, §11). RELOGIC_AUDIT builds call it at the end of
-  /// every run_until.
+  /// Recomputes the simulator's derived state from a full scan of the
+  /// fabric and throws AuditError on any difference (DESIGN.md §8.4, §11):
+  /// the cell mirror, the clocked-site index, the multi-source net list,
+  /// the source -> net table and every cached sink's site and port.
+  /// RELOGIC_AUDIT builds call it at the end of every run_until.
   void audit() const;
 
   std::int64_t events_processed() const { return events_processed_; }
@@ -112,40 +113,68 @@ class FabricSim final : public fabric::FabricListener {
 
  private:
   enum class EventKind : std::uint8_t { kPinSet, kEval, kClockEdge, kQSet };
+  /// One pending event in 24 bytes. Events are processed in the total order
+  /// of (time, seq), seq being the schedule() count; `key` holds seq above
+  /// eight low bits for the kind, value and port, so ordering by
+  /// (time, key) is ordering by (time, seq) (DESIGN.md §11).
   struct Event {
     SimTime time;
-    std::uint64_t seq = 0;
-    EventKind kind;
-    fabric::NodeId node = fabric::kInvalidNode;  // kPinSet target
-    std::int32_t site = -1;                      // kEval / kQSet
-    bool value = false;
-    std::uint8_t domain = 0;  // kClockEdge
+    std::uint64_t key = 0;
+    fabric::NodeId node = fabric::kInvalidNode;  // kPinSet: pin or pad
+    /// kPinSet: site of the pin, -1 for a pad; kEval / kQSet: the site;
+    /// kClockEdge: the domain.
+    std::int32_t site = -1;
+
+    EventKind kind() const { return static_cast<EventKind>(key & 3u); }
+    bool value() const { return ((key >> 2) & 1u) != 0; }
+    int port() const { return static_cast<int>((key >> 3) & 7u); }
   };
-  struct EventOrder {
+  static_assert(sizeof(Event) == 24);
+  /// Heap order: the earliest (time, key) on top.
+  struct Later {
     bool operator()(const Event& a, const Event& b) const {
       if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
+      return a.key > b.key;
     }
   };
 
+  /// A routed sink of a net, resolved once when the net changes.
+  struct Sink {
+    fabric::NodeId node = fabric::kInvalidNode;
+    std::int32_t site = -1;  ///< -1 for a pad
+    std::uint8_t port = 0;   ///< CellPort of a cell pin
+    SimTime delay;           ///< max over paralleled paths
+  };
   struct NetCache {
     std::vector<fabric::NodeId> sources;
-    std::vector<std::pair<fabric::NodeId, SimTime>> sinks;  // max path delay
+    std::vector<Sink> sinks;
   };
 
   int site_index(ClbCoord clb, int cell) const;
   ClbCoord site_clb(int site) const;
   int site_cell(int site) const;
+  /// Slot of an out pin in `out_pin_net_`.
+  static std::size_t out_slot(int site, bool registered) {
+    return static_cast<std::size_t>(site) * 2 + (registered ? 1 : 0);
+  }
 
-  void schedule(Event e);
+  /// Queues an event, giving it the next sequence number.
+  void schedule(SimTime time, EventKind kind, std::int32_t site,
+                bool value = false, fabric::NodeId node = fabric::kInvalidNode,
+                int port = 0);
+  void schedule_sinks(const NetCache& cache, bool value, SimTime t);
   void process(const Event& e);
-  void do_pin_set(fabric::NodeId node, bool value, SimTime t);
+  void do_pin_set(const Event& e);
   void do_eval(int site, SimTime t);
   void do_q_set(int site, bool value, SimTime t);
   void do_clock_edge(std::uint8_t domain, SimTime t);
-  /// Propagates the value of an output pin to all sinks of its nets.
-  void propagate_pin(fabric::NodeId pin, bool value, SimTime t);
+  /// Propagates a new source value to every sink of the net it drives.
+  void propagate_net(fabric::NetId net, bool value, SimTime t);
   void rebuild_net_cache(fabric::NetId net);
+  /// The net a source node (out pin or pad) drives, kNoNet if none.
+  fabric::NetId source_net(fabric::NodeId source) const;
+  /// Records (net != kNoNet) or clears the net a source node drives.
+  void set_source_net(fabric::NodeId source, fabric::NetId net);
   bool source_pin_value(fabric::NodeId pin) const;
   unsigned lut_input_vector(int site) const;
 
@@ -154,9 +183,14 @@ class FabricSim final : public fabric::FabricListener {
   SimTime now_ = SimTime::zero();
   std::uint64_t seq_ = 0;
   std::int64_t events_processed_ = 0;
-  std::priority_queue<Event, std::vector<Event>, EventOrder> queue_;
+  /// Binary min-heap of pending events under Later (std::push_heap /
+  /// std::pop_heap).
+  std::vector<Event> queue_;
 
   // Dense per-site state (4 cells per CLB).
+  /// Mirror of every site's Fabric::cell, written by on_cell_changed after
+  /// the fabric stores the change.
+  std::vector<fabric::LogicCellConfig> cells_;
   std::vector<std::array<bool, 6>> pin_val_;  // I0..I3, CE, BX
   std::vector<bool> x_val_;
   std::vector<bool> q_val_;
@@ -165,7 +199,12 @@ class FabricSim final : public fabric::FabricListener {
   std::unordered_map<fabric::NodeId, bool> pad_driven_;  // externally driven
 
   std::vector<NetCache> net_cache_;  // by net id
-  std::unordered_map<fabric::NodeId, std::vector<fabric::NetId>> nets_of_pin_;
+  /// The live net each cell out pin sources, by out_slot(); kNoNet if none.
+  /// A routing node belongs to at most one net (RoutingGraph::occupy), so
+  /// one slot per pin suffices.
+  std::vector<fabric::NetId> out_pin_net_;
+  /// The same for pads, the only other sources: (pad, net) pairs.
+  std::vector<std::pair<fabric::NodeId, fabric::NetId>> pad_net_;
 
   /// One clock domain: its generator, if any, and the sites holding a used
   /// FF of the domain in ascending site index, which is the order an edge

@@ -35,9 +35,11 @@ FabricSim::FabricSim(fabric::Fabric& fabric, const fabric::DelayModel& dm)
   const auto& geom = fabric_->geometry();
   const std::size_t sites =
       static_cast<std::size_t>(geom.clb_count()) * geom.cells_per_clb;
+  cells_.resize(sites);
   pin_val_.assign(sites, {false, false, false, false, false, false});
   x_val_.assign(sites, false);
   q_val_.assign(sites, false);
+  out_pin_net_.assign(sites * 2, fabric::kNoNet);
 
   fabric_->add_listener(this);
 
@@ -49,10 +51,10 @@ FabricSim::FabricSim(fabric::Fabric& fabric, const fabric::DelayModel& dm)
         const auto& cfg = fabric_->cell(clb, k);
         if (!cfg.used) continue;
         const int site = site_index(clb, k);
+        cells_[static_cast<std::size_t>(site)] = cfg;
         if (clocked(cfg)) domain(cfg.clock_domain).ff_sites.push_back(site);
         q_val_[static_cast<std::size_t>(site)] = cfg.init;
-        schedule(Event{now_ + dm_->lut_delay, ++seq_, EventKind::kEval,
-                       fabric::kInvalidNode, site, false, 0});
+        schedule(now_ + dm_->lut_delay, EventKind::kEval, site);
       }
     }
   }
@@ -100,8 +102,7 @@ void FabricSim::add_clock(ClockSpec spec) {
   dom.clock = spec;
   SimTime first = spec.first_edge;
   while (first < now_) first += spec.period;
-  schedule(Event{first, ++seq_, EventKind::kClockEdge, fabric::kInvalidNode,
-                 -1, false, spec.domain});
+  schedule(first, EventKind::kClockEdge, spec.domain);
 }
 
 bool FabricSim::has_clock(std::uint8_t domain) const {
@@ -130,7 +131,7 @@ void FabricSim::drive_pad(NodeId pad, bool value) {
   if (it != pad_val_.end() && it->second == value) return;
   pad_val_[pad] = value;
   monitor_.record_transition(pad, now_);
-  propagate_pin(pad, value, now_);
+  propagate_net(source_net(pad), value, now_);
 }
 
 bool FabricSim::pad_value(NodeId pad) const {
@@ -140,9 +141,10 @@ bool FabricSim::pad_value(NodeId pad) const {
 
 void FabricSim::run_until(SimTime t) {
   RELOGIC_CHECK(t >= now_);
-  while (!queue_.empty() && queue_.top().time <= t) {
-    const Event e = queue_.top();
-    queue_.pop();
+  while (!queue_.empty() && queue_.front().time <= t) {
+    std::pop_heap(queue_.begin(), queue_.end(), Later{});
+    const Event e = queue_.back();
+    queue_.pop_back();
     now_ = e.time;
     process(e);
     ++events_processed_;
@@ -204,6 +206,25 @@ bool FabricSim::source_pin_value(NodeId pin) const {
   }
 }
 
+NetId FabricSim::source_net(NodeId source) const {
+  const auto info = fabric_->graph().info(source);
+  if (info.kind == NodeKind::kOutPin)
+    return out_pin_net_[out_slot(site_index(info.tile, info.a), info.b != 0)];
+  for (const auto& [pad, net] : pad_net_)
+    if (pad == source) return net;
+  return fabric::kNoNet;
+}
+
+void FabricSim::set_source_net(NodeId source, NetId net) {
+  const auto info = fabric_->graph().info(source);
+  if (info.kind == NodeKind::kOutPin) {
+    out_pin_net_[out_slot(site_index(info.tile, info.a), info.b != 0)] = net;
+    return;
+  }
+  std::erase_if(pad_net_, [&](const auto& e) { return e.first == source; });
+  if (net != fabric::kNoNet) pad_net_.emplace_back(source, net);
+}
+
 unsigned FabricSim::lut_input_vector(int site) const {
   const auto& pins = pin_val_[static_cast<std::size_t>(site)];
   unsigned vec = 0;
@@ -211,28 +232,42 @@ unsigned FabricSim::lut_input_vector(int site) const {
   return vec;
 }
 
-void FabricSim::schedule(Event e) { queue_.push(e); }
+void FabricSim::schedule(SimTime time, EventKind kind, std::int32_t site,
+                         bool value, NodeId node, int port) {
+  const std::uint64_t key = (++seq_ << 8) |
+                            static_cast<std::uint64_t>(port) << 3 |
+                            (value ? 4u : 0u) | static_cast<unsigned>(kind);
+  queue_.push_back(Event{time, key, node, site});
+  std::push_heap(queue_.begin(), queue_.end(), Later{});
+}
+
+void FabricSim::schedule_sinks(const NetCache& cache, bool value, SimTime t) {
+  for (const Sink& s : cache.sinks)
+    schedule(t + s.delay, EventKind::kPinSet, s.site, value, s.node, s.port);
+}
 
 void FabricSim::process(const Event& e) {
-  switch (e.kind) {
+  switch (e.kind()) {
     case EventKind::kPinSet:
-      do_pin_set(e.node, e.value, e.time);
+      do_pin_set(e);
       break;
     case EventKind::kEval:
       do_eval(e.site, e.time);
       break;
     case EventKind::kQSet:
-      do_q_set(e.site, e.value, e.time);
+      do_q_set(e.site, e.value(), e.time);
       break;
     case EventKind::kClockEdge:
-      do_clock_edge(e.domain, e.time);
+      do_clock_edge(static_cast<std::uint8_t>(e.site), e.time);
       break;
   }
 }
 
-void FabricSim::do_pin_set(NodeId node, bool value, SimTime t) {
-  const auto info = fabric_->graph().info(node);
-  if (info.kind == NodeKind::kPad) {
+void FabricSim::do_pin_set(const Event& e) {
+  const NodeId node = e.node;
+  const bool value = e.value();
+  const SimTime t = e.time;
+  if (e.site < 0) {  // a pad
     auto it = pad_val_.find(node);
     const bool old = it != pad_val_.end() && it->second;
     if (old == value && it != pad_val_.end()) return;
@@ -240,63 +275,53 @@ void FabricSim::do_pin_set(NodeId node, bool value, SimTime t) {
     if (old != value) monitor_.record_transition(node, t);
     return;
   }
-  RELOGIC_CHECK(info.kind == NodeKind::kInPin);
-  const int site = site_index(info.tile, info.a);
-  const int port = info.b;
+  const int site = e.site;
+  const int port = e.port();
   auto& pins = pin_val_[static_cast<std::size_t>(site)];
   if (pins[static_cast<std::size_t>(port)] == value) return;
   pins[static_cast<std::size_t>(port)] = value;
   monitor_.record_transition(node, t);
 
-  const auto& cfg = fabric_->cell(info.tile, info.a);
+  const auto& cfg = cells_[static_cast<std::size_t>(site)];
   if (!cfg.used) return;
   if (port < 4) {
-    schedule(Event{t + dm_->lut_delay, ++seq_, EventKind::kEval,
-                   fabric::kInvalidNode, site, false, 0});
+    schedule(t + dm_->lut_delay, EventKind::kEval, site);
   } else if (port == 4) {
     // CE pin: latch transparency opening captures the current D value.
     if (cfg.reg == fabric::RegMode::kLatch && value) {
       const bool d = cfg.d_src == fabric::DSrc::kBypass
                          ? pins[5]
                          : x_val_[static_cast<std::size_t>(site)];
-      schedule(Event{t + dm_->latch_d_to_q, ++seq_, EventKind::kQSet,
-                     fabric::kInvalidNode, site, d, 0});
+      schedule(t + dm_->latch_d_to_q, EventKind::kQSet, site, d);
     }
   } else {
     // BX bypass pin: transparent latches in bypass mode follow it.
     if (cfg.reg == fabric::RegMode::kLatch &&
         cfg.d_src == fabric::DSrc::kBypass && pins[4]) {
-      schedule(Event{t + dm_->latch_d_to_q, ++seq_, EventKind::kQSet,
-                     fabric::kInvalidNode, site, value, 0});
+      schedule(t + dm_->latch_d_to_q, EventKind::kQSet, site, value);
     }
   }
 }
 
 void FabricSim::do_eval(int site, SimTime t) {
-  const ClbCoord clb = site_clb(site);
-  const int cell = site_cell(site);
-  const auto& cfg = fabric_->cell(clb, cell);
+  const auto& cfg = cells_[static_cast<std::size_t>(site)];
   if (!cfg.used) return;
   const bool x = cfg.eval(lut_input_vector(site));
   if (x == x_val_[static_cast<std::size_t>(site)]) return;
   x_val_[static_cast<std::size_t>(site)] = x;
-  propagate_pin(fabric_->graph().out_pin(clb, cell, false), x, t);
+  propagate_net(out_pin_net_[out_slot(site, false)], x, t);
   if (cfg.reg == fabric::RegMode::kLatch &&
       cfg.d_src == fabric::DSrc::kLut &&
       pin_val_[static_cast<std::size_t>(site)][4]) {
-    schedule(Event{t + dm_->latch_d_to_q, ++seq_, EventKind::kQSet,
-                   fabric::kInvalidNode, site, x, 0});
+    schedule(t + dm_->latch_d_to_q, EventKind::kQSet, site, x);
   }
 }
 
 void FabricSim::do_q_set(int site, bool value, SimTime t) {
   if (q_val_[static_cast<std::size_t>(site)] == value) return;
-  const ClbCoord clb = site_clb(site);
-  const int cell = site_cell(site);
-  const auto& cfg = fabric_->cell(clb, cell);
-  if (!cfg.used) return;
+  if (!cells_[static_cast<std::size_t>(site)].used) return;
   q_val_[static_cast<std::size_t>(site)] = value;
-  propagate_pin(fabric_->graph().out_pin(clb, cell, true), value, t);
+  propagate_net(out_pin_net_[out_slot(site, true)], value, t);
 }
 
 std::int64_t FabricSim::edges_seen(std::uint8_t domain) const {
@@ -322,45 +347,35 @@ void FabricSim::do_clock_edge(std::uint8_t domain, SimTime t) {
     monitor_.on_clock_edge(t);
     check_drive_coherence();
     for (const int site : dom.ff_sites) {
-      const auto& cfg = fabric_->cell(site_clb(site), site_cell(site));
+      const auto& cfg = cells_[static_cast<std::size_t>(site)];
       const auto& pins = pin_val_[static_cast<std::size_t>(site)];
       if (cfg.uses_ce && !pins[4]) continue;
       const bool d = cfg.d_src == fabric::DSrc::kBypass
                          ? pins[5]
                          : x_val_[static_cast<std::size_t>(site)];
-      if (d != q_val_[static_cast<std::size_t>(site)]) {
-        schedule(Event{t + dm_->clk_to_q, ++seq_, EventKind::kQSet,
-                       fabric::kInvalidNode, site, d, 0});
-      }
+      if (d != q_val_[static_cast<std::size_t>(site)])
+        schedule(t + dm_->clk_to_q, EventKind::kQSet, site, d);
     }
   }
-  schedule(Event{t + dom.clock.period, ++seq_, EventKind::kClockEdge,
-                 fabric::kInvalidNode, -1, false, domain});
+  schedule(t + dom.clock.period, EventKind::kClockEdge, domain);
 }
 
-void FabricSim::propagate_pin(NodeId pin, bool value, SimTime t) {
-  auto it = nets_of_pin_.find(pin);
-  if (it == nets_of_pin_.end()) return;
-  for (NetId net : it->second) {
-    const NetCache& cache = net_cache_[net];
-    // Multi-source nets: the paralleled drivers are functionally identical
-    // (verified by check_drive_coherence), so last-write-wins per sink is
-    // the settled value; skew between them is the Fig. 6 fuzziness.
-    for (const auto& [sink, delay] : cache.sinks) {
-      schedule(Event{t + delay, ++seq_, EventKind::kPinSet, sink, -1, value,
-                     0});
-    }
-  }
+void FabricSim::propagate_net(NetId net, bool value, SimTime t) {
+  if (net == fabric::kNoNet) return;
+  // Multi-source nets: the paralleled drivers are functionally identical
+  // (verified by check_drive_coherence), so last-write-wins per sink is
+  // the settled value; skew between them is the Fig. 6 fuzziness.
+  schedule_sinks(net_cache_[net], value, t);
 }
 
 void FabricSim::rebuild_net_cache(NetId net) {
   if (net_cache_.size() <= net) net_cache_.resize(net + 1);
   NetCache& cache = net_cache_[net];
 
-  // Unregister old source mappings.
+  // Unregister old source mappings. While Fabric::restore notifies net by
+  // net, another net may already have claimed one of them.
   for (NodeId s : cache.sources) {
-    auto it = nets_of_pin_.find(s);
-    if (it != nets_of_pin_.end()) std::erase(it->second, net);
+    if (source_net(s) == net) set_source_net(s, fabric::kNoNet);
   }
   cache = NetCache{};
   const bool exists = fabric_->net_exists(net);
@@ -370,7 +385,7 @@ void FabricSim::rebuild_net_cache(NetId net) {
 
   const auto& tree = fabric_->net(net);
   cache.sources = tree.sources;
-  for (NodeId s : cache.sources) nets_of_pin_[s].push_back(net);
+  for (NodeId s : cache.sources) set_source_net(s, net);
 
   // Forward traversal from sources accumulating the max delay per node;
   // tolerates partially built trees (unreachable sinks are simply absent).
@@ -404,10 +419,12 @@ void FabricSim::rebuild_net_cache(NetId net) {
     }
   }
   for (const auto& [node, d] : max_delay) {
-    const NodeKind k = graph.info(node).kind;
-    if (k == NodeKind::kInPin ||
-        (k == NodeKind::kPad && !tree.has_source(node))) {
-      cache.sinks.emplace_back(node, d);
+    const auto info = graph.info(node);
+    if (info.kind == NodeKind::kInPin) {
+      cache.sinks.push_back(
+          Sink{node, site_index(info.tile, info.a), info.b, d});
+    } else if (info.kind == NodeKind::kPad && !tree.has_source(node)) {
+      cache.sinks.push_back(Sink{node, -1, 0, d});
     }
   }
 }
@@ -416,6 +433,7 @@ void FabricSim::on_cell_changed(ClbCoord clb, int cell,
                                 const fabric::LogicCellConfig& before,
                                 const fabric::LogicCellConfig& after) {
   const int site = site_index(clb, cell);
+  cells_[static_cast<std::size_t>(site)] = after;
   if (clocked(before) != clocked(after) ||
       before.clock_domain != after.clock_domain) {
     if (clocked(before))
@@ -438,13 +456,10 @@ void FabricSim::on_cell_changed(ClbCoord clb, int cell,
           !fabric_->net(net).sources.empty()) {
         value = source_pin_value(fabric_->net(net).sources.front());
       }
-      schedule(Event{now_, ++seq_, EventKind::kPinSet, pin, -1, value, 0});
+      schedule(now_, EventKind::kPinSet, site, value, pin, p);
     }
   }
-  if (after.used) {
-    schedule(Event{now_ + dm_->lut_delay, ++seq_, EventKind::kEval,
-                   fabric::kInvalidNode, site, false, 0});
-  }
+  if (after.used) schedule(now_ + dm_->lut_delay, EventKind::kEval, site);
 }
 
 void FabricSim::on_net_changed(NetId net) {
@@ -452,11 +467,7 @@ void FabricSim::on_net_changed(NetId net) {
   if (!fabric_->net_exists(net)) return;
   const NetCache& cache = net_cache_[net];
   if (cache.sources.empty()) return;
-  const bool v = source_pin_value(cache.sources.front());
-  for (const auto& [sink, delay] : cache.sinks) {
-    schedule(
-        Event{now_ + delay, ++seq_, EventKind::kPinSet, sink, -1, v, 0});
-  }
+  schedule_sinks(cache, source_pin_value(cache.sources.front()), now_);
 }
 
 void FabricSim::check_drive_coherence() {
@@ -478,8 +489,11 @@ void FabricSim::check_drive_coherence() {
 void FabricSim::audit() const {
   constexpr const char* kWhere = "FabricSim";
   std::vector<std::vector<int>> ff_sites(domains_.size());
-  for (int site = 0; site < static_cast<int>(q_val_.size()); ++site) {
+  for (int site = 0; site < static_cast<int>(cells_.size()); ++site) {
     const auto& cfg = fabric_->cell(site_clb(site), site_cell(site));
+    RELOGIC_AUDIT_CHECK(cells_[static_cast<std::size_t>(site)] == cfg, kWhere,
+                        "cell mirror of site " + std::to_string(site) +
+                            " differs from the fabric");
     if (!clocked(cfg)) continue;
     RELOGIC_AUDIT_CHECK(cfg.clock_domain < ff_sites.size(), kWhere,
                         "FF of domain " + std::to_string(cfg.clock_domain) +
@@ -491,12 +505,45 @@ void FabricSim::audit() const {
                         "clocked-site list of domain " + std::to_string(d) +
                             " differs from a fabric scan");
   }
+
+  const auto& graph = fabric_->graph();
   std::vector<NetId> multi;
+  std::size_t sources = 0;
   for (const NetId n : fabric_->live_nets()) {
-    if (fabric_->net(n).sources.size() >= 2) multi.push_back(n);
+    const auto& tree = fabric_->net(n);
+    if (tree.sources.size() >= 2) multi.push_back(n);
+    sources += tree.sources.size();
+    for (const NodeId s : tree.sources) {
+      RELOGIC_AUDIT_CHECK(source_net(s) == n, kWhere,
+                          "source " + graph.info(s).to_string() + " of net " +
+                              std::to_string(n) +
+                              " missing from the source -> net table");
+    }
+    if (n >= net_cache_.size()) continue;  // created, never changed: empty
+    for (const Sink& sink : net_cache_[n].sinks) {
+      const auto info = graph.info(sink.node);
+      const bool resolved =
+          info.kind == NodeKind::kInPin
+              ? sink.site == site_index(info.tile, info.a) &&
+                    sink.port == info.b
+              : info.kind == NodeKind::kPad && sink.site == -1;
+      RELOGIC_AUDIT_CHECK(resolved, kWhere,
+                          "cached sink " + info.to_string() + " of net " +
+                              std::to_string(n) + " has a stale site or port");
+    }
   }
   RELOGIC_AUDIT_CHECK(multi_source_nets_ == multi, kWhere,
                       "multi-source net list differs from a fabric scan");
+  // Every live source was found above; entries beyond them are stale.
+  const auto entries =
+      static_cast<std::size_t>(
+          std::count_if(out_pin_net_.begin(), out_pin_net_.end(),
+                        [](NetId n) { return n != fabric::kNoNet; })) +
+      pad_net_.size();
+  RELOGIC_AUDIT_CHECK(entries == sources, kWhere,
+                      "source -> net table holds " + std::to_string(entries) +
+                          " entries for " + std::to_string(sources) +
+                          " live sources");
 }
 
 }  // namespace relogic::sim

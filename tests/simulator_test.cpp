@@ -4,12 +4,17 @@
 //   while live circuits are relocated under it: events processed, edges
 //   seen, the state and combinational value of every used site and the
 //   value of every pad after each lockstep cycle, and the final violation
-//   list. The digests were taken before the clocked-site index
-//   (DESIGN.md §11) replaced the per-edge device scan; event order is part
-//   of what they pin, so they must never be re-pinned for a performance
-//   change.
+//   list. The first three digests were taken before the clocked-site
+//   index (DESIGN.md §11) replaced the per-edge device scan, the fourth
+//   (pads and mid-run re-sourcing) before the event core resolved sinks
+//   and sources once per net change; event order is part of what they
+//   pin, so they must never be re-pinned for a performance change.
 // * ClockedSiteIndex drives the per-domain FF-site lists through every kind
 //   of cell change while clocks run and checks them with FabricSim::audit.
+// * EventCoreAudit drives the event core's derived state (the cell mirror,
+//   the source -> net table, the resolved sink tables) through every kind
+//   of net and cell change while a clock runs and checks it with
+//   FabricSim::audit.
 // * DriveConflict checks that a drive conflict is found by the clock edge
 //   alone, through the multi-source net list.
 #include <gtest/gtest.h>
@@ -27,6 +32,7 @@
 #include "relogic/netlist/benchmarks.hpp"
 #include "relogic/place/implement.hpp"
 #include "relogic/reloc/engine.hpp"
+#include "relogic/reloc/net_surgery.hpp"
 #include "relogic/sim/harness.hpp"
 
 namespace relogic {
@@ -257,6 +263,113 @@ TEST(SimGolden, LatchPipelineRelocates) {
   EXPECT_EQ(h.value(), 0x5131ad13fd220b1full);
 }
 
+/// Routes `sinks` of a new net driven by `source`.
+fabric::NetId route_net(Rig& rig, const std::string& name,
+                        fabric::NodeId source,
+                        std::initializer_list<fabric::NodeId> sinks) {
+  const fabric::NetId net = rig.fab.create_net(name);
+  rig.fab.attach_source(net, source);
+  for (const fabric::NodeId s : sinks) rig.router.route_sink(net, s);
+  return net;
+}
+
+/// Parallels `to` with the current sources of `net`, the way a relocation
+/// does: a path from `to` joins the net's tree, then `to` drives it.
+void parallel_source(Rig& rig, fabric::NetId net, fabric::NodeId to) {
+  const auto path = rig.router.find_path_to_net(to, net);
+  std::vector<fabric::RouteEdge> edges;
+  for (std::size_t i = 0; i + 1 < path.size(); ++i)
+    edges.push_back({path[i], path[i + 1]});
+  rig.fab.add_edges(net, edges);
+  rig.fab.attach_source(net, to);
+}
+
+/// Disconnects source `from` of `net` and the branch that served only it.
+void drop_source(Rig& rig, fabric::NetId net, fabric::NodeId from) {
+  rig.fab.remove_edges(net, reloc::prune_for_source_removal(rig.fab, net, from));
+  rig.fab.detach_source(net, from);
+}
+
+// Pad-sourced nets feeding LUT, CE and BX pins, cell outputs driving output
+// pads, and nets re-sourced mid-run from one out pin to another, first
+// through a paralleled agreeing replica and then to a different function.
+TEST(SimGolden, PadsAndNetsResourcedMidRun) {
+  using fabric::CellPort;
+  using fabric::RegMode;
+  Rig rig(fabric::DeviceGeometry::tiny(12, 12));
+  rig.sim.add_clock(sim::ClockSpec{});
+  const auto& g = rig.fab.graph();
+
+  // A: FF of pad a.  B: comb a ^ A.  C: CE-gated FF of B ^ A, CE = pad b.
+  // D: bypass latch of pad a, gated by pad b.  E: a replica of A.
+  const CellSite a{ClbCoord{3, 3}, 0}, b{ClbCoord{3, 6}, 1},
+      c{ClbCoord{6, 4}, 2}, d{ClbCoord{7, 7}, 0}, e{ClbCoord{8, 2}, 0};
+  auto ff_of_i0 = fabric::LogicCellConfig{};
+  ff_of_i0.lut = fabric::luts::kBufI0;
+  ff_of_i0.reg = RegMode::kFF;
+  ff_of_i0.used = true;
+  auto xor2 = fabric::LogicCellConfig{};
+  xor2.lut = fabric::luts::kXor2;
+  xor2.used = true;
+  auto gated = xor2;
+  gated.reg = RegMode::kFF;
+  gated.uses_ce = true;
+  gated.init = true;
+  auto bypass_latch = fabric::LogicCellConfig{};
+  bypass_latch.reg = RegMode::kLatch;
+  bypass_latch.d_src = fabric::DSrc::kBypass;
+  bypass_latch.used = true;
+  rig.fab.set_cell_config(a.clb, a.cell, ff_of_i0);
+  rig.fab.set_cell_config(b.clb, b.cell, xor2);
+  rig.fab.set_cell_config(c.clb, c.cell, gated);
+  rig.fab.set_cell_config(d.clb, d.cell, bypass_latch);
+  rig.fab.set_cell_config(e.clb, e.cell, ff_of_i0);
+
+  const auto in = [&](CellSite s, CellPort p) {
+    return g.in_pin(s.clb, s.cell, p);
+  };
+  const auto out = [&](CellSite s, bool registered) {
+    return g.out_pin(s.clb, s.cell, registered);
+  };
+  const fabric::NodeId pad_a = g.pad(ClbCoord{0, 3}, 0);
+  const fabric::NodeId pad_b = g.pad(ClbCoord{0, 6}, 1);
+  const fabric::NodeId pad_qa = g.pad(ClbCoord{11, 4}, 0);
+  const fabric::NodeId pad_x = g.pad(ClbCoord{6, 11}, 0);
+  const fabric::NodeId pad_qc = g.pad(ClbCoord{11, 8}, 1);
+  route_net(rig, "a", pad_a,
+            {in(a, CellPort::kI0), in(b, CellPort::kI0), in(d, CellPort::kBX),
+             in(e, CellPort::kI0)});
+  route_net(rig, "b", pad_b, {in(c, CellPort::kCE), in(d, CellPort::kCE)});
+  const fabric::NetId qa = route_net(
+      rig, "qa", out(a, true), {pad_qa, in(b, CellPort::kI1), in(c, CellPort::kI1)});
+  const fabric::NetId x =
+      route_net(rig, "x", out(b, false), {pad_x, in(c, CellPort::kI0)});
+  route_net(rig, "qc", out(c, true), {pad_qc});
+
+  Fnv h;
+  Rng rng(6151);
+  auto step = [&] {
+    rig.sim.drive_pad(pad_a, rng.next_bool());
+    rig.sim.drive_pad(pad_b, rng.next_bool());
+    rig.sim.run_cycles(1);
+    observe(h, rig, {0}, {});
+    for (const fabric::NodeId p : {pad_a, pad_b, pad_qa, pad_x, pad_qc})
+      h.add(rig.sim.pad_value(p));
+  };
+  for (int i = 0; i < 10; ++i) step();
+  parallel_source(rig, qa, out(e, true));  // E agrees with A
+  for (int i = 0; i < 5; ++i) step();
+  drop_source(rig, qa, out(a, true));
+  for (int i = 0; i < 5; ++i) step();
+  parallel_source(rig, x, out(d, true));  // D disagrees with B: a conflict
+  for (int i = 0; i < 3; ++i) step();
+  drop_source(rig, x, out(b, false));
+  for (int i = 0; i < 6; ++i) step();
+  EXPECT_GT(rig.sim.monitor().count(sim::ViolationKind::kDriveConflict), 0);
+  observe_violations(h, rig);
+  EXPECT_EQ(h.value(), 0x35f8338b70f846c4ull);
+}
+
 TEST(ClockedSiteIndex, FollowsEveryCellChangeAndCapturesOnlyInItsDomain) {
   using fabric::RegMode;
   fabric::Fabric fab(fabric::DeviceGeometry::tiny(8, 8));
@@ -344,6 +457,100 @@ TEST(ClockedSiteIndex, AuditCatchesAStaleIndex) {
   // A change the simulator is not told about leaves its index stale.
   fab.remove_listener(&sim);
   fab.clear_cell(ClbCoord{1, 1}, 0);
+  EXPECT_THROW(sim.audit(), AuditError);
+  fab.add_listener(&sim);
+}
+
+TEST(EventCoreAudit, FollowsEveryNetAndCellChangeWhileClocked) {
+  using fabric::CellPort;
+  Rig rig(fabric::DeviceGeometry::tiny(10, 10));
+  rig.sim.add_clock(sim::ClockSpec{});
+  const auto& g = rig.fab.graph();
+  const ClbCoord one{2, 2}, other{2, 6}, spare{6, 2};
+  auto ff = fabric::LogicCellConfig{};
+  ff.lut = fabric::luts::kBufI0;
+  ff.reg = fabric::RegMode::kFF;
+  ff.used = true;
+  rig.fab.set_cell_config(one, 0, ff);
+  rig.fab.set_cell_config(other, 1, ff);
+  rig.fab.set_cell_config(spare, 0, ff);
+  SimTime t = SimTime::zero();
+  auto run_audited = [&] {
+    t += SimTime::ns(250);
+    rig.sim.run_until(t);
+    rig.sim.audit();
+  };
+  run_audited();
+
+  // A pad-sourced net feeding cell pins.
+  const fabric::NodeId in_pad = g.pad(ClbCoord{0, 4}, 0);
+  route_net(rig, "in", in_pad,
+            {g.in_pin(one, 0, CellPort::kI0), g.in_pin(other, 1, CellPort::kI0),
+             g.in_pin(spare, 0, CellPort::kI0)});
+  rig.sim.audit();
+  rig.sim.drive_pad(in_pad, true);
+  run_audited();
+  EXPECT_TRUE(rig.sim.state_of(one, 0));
+
+  // An out pin driving an output pad.
+  const fabric::NodeId out_pad = g.pad(ClbCoord{9, 4}, 1);
+  const fabric::NetId q =
+      route_net(rig, "q", g.out_pin(one, 0, true), {out_pad});
+  rig.sim.audit();
+  run_audited();
+  EXPECT_TRUE(rig.sim.pad_value(out_pad));
+
+  // Re-sourcing the net from one out pin to another.
+  parallel_source(rig, q, g.out_pin(other, 1, true));
+  rig.sim.audit();
+  drop_source(rig, q, g.out_pin(one, 0, true));
+  rig.sim.audit();
+  rig.sim.drive_pad(in_pad, false);
+  run_audited();
+  EXPECT_FALSE(rig.sim.pad_value(out_pad));
+
+  // A second paralleled source, attached and detached.
+  parallel_source(rig, q, g.out_pin(spare, 0, true));
+  rig.sim.audit();
+  run_audited();
+  drop_source(rig, q, g.out_pin(spare, 0, true));
+  rig.sim.audit();
+  run_audited();
+
+  // destroy_net.
+  rig.fab.destroy_net(q);
+  rig.sim.audit();
+  run_audited();
+
+  // A cell going used -> unused -> used.
+  rig.fab.clear_cell(other, 1);
+  rig.sim.audit();
+  run_audited();
+  rig.fab.set_cell_config(other, 1, ff);
+  rig.sim.audit();
+  rig.sim.drive_pad(in_pad, true);
+  run_audited();
+  EXPECT_TRUE(rig.sim.state_of(other, 1));
+  EXPECT_TRUE(rig.sim.monitor().clean());
+}
+
+TEST(EventCoreAudit, CatchesAStaleMirrorAndSourceTable) {
+  fabric::Fabric fab(fabric::DeviceGeometry::tiny(8, 8));
+  const fabric::DelayModel dm;
+  sim::FabricSim sim(fab, dm);
+  const ClbCoord clb{1, 1};
+  fab.set_cell_config(clb, 0, fabric::LogicCellConfig::constant(true));
+  const fabric::NetId net = fab.create_net("n");
+  sim.audit();
+
+  // Changes the simulator is not told about leave its tables stale: a LUT
+  // rewrite (no clocked-site change) and a new source.
+  fab.remove_listener(&sim);
+  fab.set_cell_config(clb, 0, fabric::LogicCellConfig::constant(false));
+  EXPECT_THROW(sim.audit(), AuditError);
+  fab.set_cell_config(clb, 0, fabric::LogicCellConfig::constant(true));
+  sim.audit();
+  fab.attach_source(net, fab.graph().out_pin(clb, 0, false));
   EXPECT_THROW(sim.audit(), AuditError);
   fab.add_listener(&sim);
 }
