@@ -7,6 +7,7 @@
 // Writes BENCH_fleet_throughput.json (see bench_report.hpp).
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -43,7 +44,12 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  constexpr int kTasks = 400;
+  // RELOGIC_BENCH_SMOKE=1: fewer tasks and device counts, same shape (CI
+  // smoke mode).
+  const bool smoke = std::getenv("RELOGIC_BENCH_SMOKE") != nullptr;
+  const int task_count = smoke ? 100 : 400;
+  const std::vector<int> device_counts =
+      smoke ? std::vector<int>{1, 4} : std::vector<int>{1, 2, 4, 8};
   constexpr std::uint64_t kSeed = 2003;
 
   bench_report::Report report("fleet_throughput");
@@ -51,12 +57,12 @@ int main(int argc, char** argv) {
   std::printf(
       "fleet throughput sweep: %d random tasks, seed %llu, transparent "
       "relocation, 24x24 devices\n\n",
-      kTasks, static_cast<unsigned long long>(kSeed));
+      task_count, static_cast<unsigned long long>(kSeed));
   std::printf("%8s %14s %10s %10s %12s %12s %10s\n", "devices", "dispatch",
               "done", "rejected", "tasks/s", "wall ms", "txn saved");
 
   std::vector<Sweep> sweeps;
-  for (int devices : {1, 2, 4, 8}) {
+  for (const int devices : device_counts) {
     for (auto dispatch :
          {runtime::DispatchPolicy::kRoundRobin,
           runtime::DispatchPolicy::kLeastLoaded,
@@ -72,7 +78,7 @@ int main(int argc, char** argv) {
     cfg.sched.policy = sched::ManagementPolicy::kTransparent;
 
     sched::RandomTaskParams params;
-    params.task_count = kTasks;
+    params.task_count = task_count;
     params.seed = kSeed;
 
     runtime::FleetManager fleet(cfg);
@@ -113,7 +119,7 @@ int main(int argc, char** argv) {
     cfg.sched.policy = sched::ManagementPolicy::kTransparent;
 
     sched::RandomTaskParams params;
-    params.task_count = kTasks;
+    params.task_count = task_count;
     params.seed = kSeed;
 
     obs::Tracer tracer;

@@ -376,8 +376,8 @@ void BM_TraceOverhead_on(benchmark::State& state) {
 BENCHMARK(BM_TraceOverhead_on)->Unit(benchmark::kMicrosecond);
 
 // Metrics plane overhead on the scheduler's event loop: base never mentions
-// metrics, off attaches a null sampler (the per-event `if (live_)` guards),
-// on samples a live registry every 1 ms of simulated time. The perf gate
+// metrics, off attaches a null sampler (one `if (metrics_)` per tick site),
+// on snapshots the run's registry every 1 ms of simulated time. The perf gate
 // (check_perf_baseline.py) holds off within 5% of base: a disabled metrics
 // plane must be free on the request path, mirroring BM_TraceOverhead.
 enum class MetricsMode { kBase, kOff, kOn };

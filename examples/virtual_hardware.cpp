@@ -18,8 +18,8 @@ using namespace relogic::sched;
 int main() {
   const int rows = 20, cols = 20;  // 400 CLBs of real hardware
   config::SelectMapPort port;
-  const reloc::RelocationCostModel cost(
-      fabric::DeviceGeometry::xcv200(), port);
+  const auto geom = fabric::DeviceGeometry::xcv200();  // outlives `cost`
+  const reloc::RelocationCostModel cost(geom, port);
 
   // 40 functions of 25-144 CLBs each: several device-fulls of aggregate
   // demand on a 400-CLB device, phased so multiple functions contend.

@@ -4,10 +4,10 @@
 // A single end-of-run registry snapshot cannot show the behaviour the paper
 // argues about: a roving self-test window sweeping a live device while
 // requests keep arriving. The timeline records *sampled* registry snapshots
-// on the simulated clock: a TimelineSampler owns a live registry that the
-// discrete-event run updates as events execute, and snapshots it at a fixed
-// sample interval (scheduled as DES tick events, so sample times are part
-// of the deterministic event order, never wall time). Derived series —
+// on the simulated clock: a TimelineSampler snapshots the registry the
+// discrete-event run writes as events execute (the run's telemetry) at a
+// fixed sample interval (scheduled as DES tick events, so sample times are
+// part of the deterministic event order, never wall time). Derived series —
 // per-window counter deltas/rates and sliding-window histogram quantiles
 // from bucket-count deltas — are computed at export time from consecutive
 // snapshots, so the stored form stays a plain cumulative snapshot and
@@ -72,12 +72,14 @@ class MetricsTimeline {
     std::map<std::string, HistogramState> histograms;
   };
 
-  /// Appends a snapshot of `registry` at time t. Samples must arrive in
-  /// non-decreasing time order; a sample at the same t as the previous one
-  /// replaces it (the final end-of-run sample supersedes a tick that landed
-  /// on the same instant).
+  /// Appends a snapshot of `registry` at time t; the metrics of `sampled`,
+  /// when given, join the same row. Samples must arrive in non-decreasing
+  /// time order; a sample at the same t as the previous one replaces it
+  /// (the final end-of-run sample supersedes a tick that landed on the same
+  /// instant).
   void record(SimTime t, const runtime::Telemetry& registry,
-              int sweep_col = -1, int quarantined_devices = 0);
+              int sweep_col = -1, int quarantined_devices = 0,
+              const runtime::Telemetry* sampled = nullptr);
 
   bool empty() const { return samples_.empty(); }
   std::size_t size() const { return samples_.size(); }
@@ -134,11 +136,14 @@ class MetricsTimeline {
   std::vector<Snapshot> samples_;
 };
 
-/// Couples a live Telemetry registry (updated by the DES run as events
-/// execute) to a MetricsTimeline. The scheduler's engine calls sample() on
-/// metric tick events; when a trace meter track is attached, every sample
-/// additionally emits one 'C' counter event per metric, so Perfetto shows
-/// curves instead of a single end-of-run step.
+/// Samples a DES run's telemetry registry into a MetricsTimeline. The
+/// scheduler's engine calls sample() on metric tick events with its
+/// registry and the area state at that instant. The area gauges
+/// (utilization, fragmentation) accumulate here, sampler-side: they reach
+/// the timeline rows but never the run's telemetry. When a trace meter
+/// track is attached, every sample additionally emits one 'C' counter event
+/// per counter, so Perfetto shows curves instead of a single end-of-run
+/// step.
 class TimelineSampler {
  public:
   /// `out` receives the snapshots and must outlive the sampler. `interval`
@@ -147,20 +152,19 @@ class TimelineSampler {
   TimelineSampler(MetricsTimeline* out, SimTime interval)
       : out_(out), interval_(interval) {}
 
-  runtime::Telemetry& live() { return live_; }
-  const runtime::Telemetry& live() const { return live_; }
   SimTime interval() const { return interval_; }
 
   /// Attaches a trace counter lane (single-writer: the thread running the
   /// DES run; a default handle disables the emission).
   void set_meter(TraceTrack meter) { meter_ = meter; }
 
-  void sample(SimTime t, int sweep_col = -1, int quarantined_devices = 0);
+  void sample(SimTime t, const runtime::Telemetry& events, double utilization,
+              double fragmentation, int sweep_col = -1);
 
  private:
   MetricsTimeline* out_;
   SimTime interval_;
-  runtime::Telemetry live_;
+  runtime::Telemetry area_;  ///< the sampled area gauges
   TraceTrack meter_;
 };
 

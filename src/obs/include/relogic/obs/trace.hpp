@@ -102,9 +102,10 @@ class TraceBuffer {
   const TraceEvent& at(std::size_t i) const;
 
  private:
-  /// Reserved to capacity_ up front (no reallocation, so slots stay put)
-  /// but filled on first push: a track that stays quiet touches no memory.
-  std::vector<TraceEvent> events_;
+  /// Grown block by block up to capacity_: slots stay put (push_back never
+  /// moves deque elements), and no megabytes of reserved, untouched heap
+  /// per track make peak RSS depend on incidental allocation order.
+  std::deque<TraceEvent> events_;
   std::size_t capacity_;
   std::size_t next_ = 0;
   std::size_t size_ = 0;

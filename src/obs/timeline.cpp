@@ -14,17 +14,21 @@ using runtime::json_number;
 using runtime::json_quoted;
 
 void MetricsTimeline::record(SimTime t, const runtime::Telemetry& registry,
-                             int sweep_col, int quarantined_devices) {
+                             int sweep_col, int quarantined_devices,
+                             const runtime::Telemetry* sampled) {
   Snapshot s;
   s.t = t;
   s.sweep_col = sweep_col;
   s.quarantined_devices = quarantined_devices;
-  for (const auto& [name, c] : registry.counters()) s.counters[name] = c.value();
-  for (const auto& [name, g] : registry.gauges())
-    s.gauges[name] = GaugeState{g.sum(), g.samples()};
-  for (const auto& [name, h] : registry.histograms())
-    s.histograms[name] =
-        HistogramState{h.bounds(), h.bucket_counts(), h.count(), h.sum()};
+  for (const runtime::Telemetry* r : {&registry, sampled}) {
+    if (r == nullptr) continue;
+    for (const auto& [name, c] : r->counters()) s.counters[name] = c.value();
+    for (const auto& [name, g] : r->gauges())
+      s.gauges[name] = GaugeState{g.sum(), g.samples()};
+    for (const auto& [name, h] : r->histograms())
+      s.histograms[name] =
+          HistogramState{h.bounds(), h.bucket_counts(), h.count(), h.sum()};
+  }
   if (!samples_.empty()) {
     RELOGIC_CHECK_MSG(t >= samples_.back().t,
                       "metrics samples must be recorded in time order");
@@ -312,11 +316,14 @@ void MetricsTimeline::audit(const std::string& where) const {
   }
 }
 
-void TimelineSampler::sample(SimTime t, int sweep_col,
-                             int quarantined_devices) {
-  out_->record(t, live_, sweep_col, quarantined_devices);
+void TimelineSampler::sample(SimTime t, const runtime::Telemetry& events,
+                             double utilization, double fragmentation,
+                             int sweep_col) {
+  area_.gauge("utilization").set(utilization);
+  area_.gauge("fragmentation").set(fragmentation);
+  out_->record(t, events, sweep_col, /*quarantined_devices=*/0, &area_);
   if (meter_) {
-    for (const auto& [name, c] : live_.counters())
+    for (const auto& [name, c] : events.counters())
       meter_.counter(name, t, static_cast<double>(c.value()));
   }
 }

@@ -79,9 +79,7 @@ TraceArg arg_ms(const char* key, SimTime t) {
 }
 
 TraceBuffer::TraceBuffer(std::size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity) {
-  events_.reserve(capacity_);
-}
+    : capacity_(capacity == 0 ? 1 : capacity) {}
 
 TraceEvent& TraceBuffer::push() {
 #if RELOGIC_AUDIT

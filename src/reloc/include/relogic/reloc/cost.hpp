@@ -61,6 +61,9 @@ class RelocationCostModel {
       CostParams params = {},
       config::WriteGranularity granularity = config::WriteGranularity::kColumn)
       : geom_(&geom), port_(&port), params_(params), granularity_(granularity) {}
+  /// The model keeps a pointer to the geometry: a temporary would dangle.
+  RelocationCostModel(fabric::DeviceGeometry&&, const config::ConfigPort&,
+                      CostParams = {}, config::WriteGranularity = {}) = delete;
 
   /// Time to relocate one logic cell of the given storage kind.
   SimTime cell_time(fabric::RegMode reg, bool gated_clock) const;

@@ -616,11 +616,11 @@ DeviceReport FleetManager::run_device(
 
   sched::Scheduler scheduler(cfg_.rows, cfg_.cols, cost, cfg_.sched);
   scheduler.set_trace({tr.sched, tr.tasks, tr.health});
-  // Sim-clock metrics sampling: the sampler (and its live registry) lives
-  // on this worker's stack and writes into this worker's own report slot —
-  // thread-confined like everything else here (DESIGN.md §8.1). Samples
-  // land on the device's simulated clock, so the timeline is byte-identical
-  // across thread counts.
+  // Sim-clock metrics sampling: the sampler lives on this worker's stack and
+  // writes into this worker's own report slot — thread-confined like
+  // everything else here (DESIGN.md §8.1). Samples land on the device's
+  // simulated clock, so the timeline is byte-identical across thread
+  // counts.
   obs::TimelineSampler sampler(&report.timeline, cfg_.metrics.interval());
   if (cfg_.metrics.enabled()) {
     sampler.set_meter(tr.meter);
@@ -714,20 +714,14 @@ DeviceReport FleetManager::run_device(
   report.batch = batcher.stats();
 
   // ---- per-device telemetry ----------------------------------------------
-  // Counter semantics (see README "Fleet telemetry schema"):
-  //   tasks_admitted  = tasks handed to this device by dispatch, including
-  //                     tasks the device itself later rejected;
-  //   tasks_completed = tasks that ran to completion;
-  //   tasks_rejected  = tasks this device gave up on (queue timeout /
-  //                     never-fitting), so admitted == completed + rejected.
+  // The scheduler's registry already holds every event count and latency
+  // histogram of the run (README "Fleet telemetry schema"), tasks_admitted
+  // == tasks_completed + tasks_rejected among them. Added here is only
+  // what the scheduler cannot know: the replay's configuration-traffic
+  // counters, the end-of-run gauges and the detected fault density.
+  report.telemetry = std::move(report.stats.telemetry);
   Telemetry& t = report.telemetry;
   const auto& s = report.stats;
-  t.counter("tasks_admitted").add(static_cast<std::int64_t>(s.tasks.size()));
-  t.counter("tasks_completed")
-      .add(static_cast<std::int64_t>(s.tasks.size()) - s.rejected);
-  t.counter("tasks_rejected").add(s.rejected);
-  t.counter("rearrangement_moves").add(s.rearrangement_moves);
-  t.counter("moved_clbs").add(s.moved_clbs);
   t.counter("config_ops").add(report.batch.ops_in);
   // Transactions are coalesced op applications; the unbatched baseline is
   // one transaction per op on the same stream. Column writes (per-column
@@ -741,23 +735,8 @@ DeviceReport FleetManager::run_device(
   t.counter("frame_writes").add(report.batch.frames_written);
   t.counter("frame_writes_unbatched").add(report.batch.unbatched_frames);
   t.counter("frame_writes_dirty_skipped").add(report.batch.frames_skipped);
-  if (cfg_.health.enabled()) {
-    t.counter("swept_clbs").add(s.swept_clbs);
-    t.counter("tested_clbs").add(s.tested_clbs);
-    t.counter("sweep_rotations").add(s.sweep_rotations);
-    t.counter("selftest_moves").add(s.selftest_moves);
-    t.counter("faulty_cells").add(s.faults_detected);
-    t.counter("faulty_clbs").add(s.faulty_clbs);
+  if (cfg_.health.enabled())
     t.gauge("fault_density").set(faults.detected_clb_density());
-  }
-
-  for (const auto& task : s.tasks) {
-    if (task.rejected) continue;
-    t.histogram("queue_wait_ms").observe(task.allocation_delay().milliseconds());
-    t.histogram("turnaround_ms").observe((task.finish - task.ready).milliseconds());
-  }
-  for (const SimTime& mt : s.move_times)
-    t.histogram("relocation_ms").observe(mt.milliseconds());
 
   t.gauge("makespan_ms").set(s.makespan.milliseconds());
   t.gauge("utilization_avg").set(s.utilization_avg);
@@ -775,31 +754,6 @@ DeviceReport FleetManager::run_device(
     // keeps the sample order deterministic.
     for (const auto& [name, c] : t.counters())
       tr.meter.counter(name, s.makespan, static_cast<double>(c.value()));
-  }
-  if constexpr (relogic::audit_enabled()) {
-    // Metrics-plane boundary: the timeline's closing row was accumulated
-    // live, event by event; the telemetry above was derived from RunStats
-    // after the run. For every counter both planes observe, the two must
-    // agree exactly. (tasks_completed/tasks_rejected are excluded: the
-    // end-of-run identity reclassifies placed-but-never-ran jobs in a way
-    // the live counters legitimately see as completed work in flight.)
-    if (!report.timeline.empty()) {
-      static constexpr const char* kCrossChecked[] = {
-          "tasks_admitted", "rearrangement_moves", "moved_clbs",
-          "selftest_moves", "swept_clbs",          "tested_clbs",
-          "sweep_rotations", "faulty_cells",       "faulty_clbs"};
-      const auto& last = report.timeline.samples().back();
-      for (const char* name : kCrossChecked) {
-        const auto it = last.counters.find(name);
-        const std::int64_t live = it == last.counters.end() ? 0 : it->second;
-        const std::int64_t total = t.counter_value(name);
-        RELOGIC_AUDIT_CHECK(
-            live == total, "FleetManager",
-            "device " + std::to_string(device) + " timeline counter " +
-                name + " diverged from end-of-run telemetry (" +
-                std::to_string(live) + " vs " + std::to_string(total) + ")");
-      }
-    }
   }
   clear_log_context();
   return report;
@@ -883,14 +837,16 @@ FleetReport FleetManager::run() {
   report.rebalanced = rebalanced_;
   report.quarantined = quarantined_count_;
   for (const DeviceReport& d : report.devices) {
-    report.completed +=
-        static_cast<int>(d.stats.tasks.size()) - d.stats.rejected;
-    report.rejected += d.stats.rejected;
-    report.faulty_cells += d.stats.faults_detected;
-    report.tested_clbs += d.stats.tested_clbs;
     report.makespan = std::max(report.makespan, d.stats.makespan);
     report.aggregate.merge(d.telemetry);
   }
+  const auto total = [&](const char* name) {
+    return static_cast<int>(report.aggregate.counter_value(name));
+  };
+  report.completed = total("tasks_completed");
+  report.rejected += total("tasks_rejected");
+  report.faulty_cells = total("faulty_cells");
+  report.tested_clbs = total("tested_clbs");
   // Aggregation boundary: before the fleet-only counters land, every
   // aggregate counter must equal the sum of its per-device contributions —
   // the merge must neither drop nor double-count a device.

@@ -99,15 +99,15 @@ struct FleetHealthConfig {
 };
 
 /// Time-series metrics plane (obs::MetricsTimeline): when enabled, every
-/// device's discrete-event run snapshots its live telemetry registry each
+/// device's discrete-event run snapshots its telemetry registry each
 /// sample_interval_ms of *simulated* time — the sampler ticks are DES
 /// events, so the timelines are byte-identical across repeat runs and
 /// worker-thread counts, and a fleet-aggregate timeline is folded from the
-/// per-device ones after the pool joins (DESIGN.md §7.5).
+/// per-device ones after the pool joins (DESIGN.md §7.5). The telemetry
+/// is the same with the plane on or off.
 struct MetricsConfig {
   /// Simulated-clock sampling period in milliseconds; <= 0 disables the
-  /// metrics plane entirely (no live registry, no per-event overhead
-  /// beyond one null-pointer test).
+  /// metrics plane (no sampler, no tick events).
   double sample_interval_ms = 0.0;
 
   bool enabled() const { return sample_interval_ms > 0.0; }
@@ -168,8 +168,10 @@ struct FleetConfig {
 /// Everything measured about one device's run.
 struct DeviceReport {
   int device = 0;
-  sched::RunStats stats;
+  sched::RunStats stats;  ///< its telemetry is moved into `telemetry`
   BatchStats batch;
+  /// The scheduler's registry plus the replay counters, the end-of-run
+  /// gauges and, with the self-test on, fault_density.
   Telemetry telemetry;
   /// Sim-clock metrics timeline (empty unless FleetConfig::metrics is
   /// enabled). Sampled inside the device's DES run; the closing row sits at
@@ -183,7 +185,7 @@ struct FleetReport {
   Telemetry aggregate;
   int admitted = 0;   ///< tasks (application functions) assigned to devices,
                       ///< including tasks their device later rejected
-  int completed = 0;
+  int completed = 0;  ///< tasks that ran to completion
   int rejected = 0;   ///< per-device rejects plus admission rejects
   int rebalanced = 0; ///< requests migrated between devices before starting
                       ///< (load rebalancing plus quarantine evacuations)

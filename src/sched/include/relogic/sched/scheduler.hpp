@@ -34,6 +34,7 @@
 #include "relogic/health/fault.hpp"
 #include "relogic/obs/trace.hpp"
 #include "relogic/reloc/cost.hpp"
+#include "relogic/runtime/telemetry.hpp"
 #include "relogic/sched/workload.hpp"
 
 namespace relogic::obs {
@@ -116,22 +117,16 @@ struct TaskRecord {
 
 struct RunStats {
   std::vector<TaskRecord> tasks;
-  /// Configuration-port cost of each rearrangement move, in execution
-  /// order (one entry per move counted in rearrangement_moves).
-  std::vector<SimTime> move_times;
+  /// The run's event counts and latency histograms, written at the event
+  /// sites as the DES executes: the one record of them (README "Fleet
+  /// telemetry schema" lists the keys).
+  runtime::Telemetry telemetry;
   SimTime makespan = SimTime::zero();
   SimTime config_port_busy = SimTime::zero();
   SimTime total_halted = SimTime::zero();
-  int rearrangement_moves = 0;
-  int moved_clbs = 0;
-  int rejected = 0;
-  // Roving self-test (all zero unless enabled):
-  int swept_clbs = 0;       ///< window CLBs visited (rotations x rows x cols)
-  int tested_clbs = 0;      ///< CLBs actually pattern-tested (free at visit)
-  int sweep_rotations = 0;  ///< completed full-device rotations
-  int selftest_moves = 0;   ///< vacating relocations performed by the sweep
-  int faults_detected = 0;  ///< faulty cells newly detected
-  int faulty_clbs = 0;      ///< CLBs masked out after detection
+  int rearrangement_moves = 0;  ///< telemetry's rearrangement_moves
+  int moved_clbs = 0;           ///< telemetry's moved_clbs
+  int rejected = 0;             ///< telemetry's tasks_rejected
   double utilization_avg = 0.0;   ///< time-weighted mean CLB occupancy
   double fragmentation_avg = 0.0; ///< time-weighted mean fragmentation
   double fragmentation_max = 0.0;
@@ -164,11 +159,11 @@ class Scheduler {
   void set_trace(const SchedulerTrace& trace) { trace_ = trace; }
 
   /// Attaches a metrics sampler for subsequent runs (nullptr detaches).
-  /// The engine updates the sampler's live registry as events execute and
-  /// snapshots it every sampler->interval() of simulated time, scheduled as
-  /// DES tick events — sample times are part of the deterministic event
-  /// order, never wall time (DESIGN.md §7.5). The sampler must outlive the
-  /// runs and is written only from the thread running them.
+  /// The sampler snapshots the run's telemetry registry (RunStats::telemetry)
+  /// every sampler->interval() of simulated time, scheduled as DES tick
+  /// events — sample times are part of the deterministic event order, never
+  /// wall time (DESIGN.md §7.5). The sampler must outlive the runs and is
+  /// written only from the thread running them.
   void set_metrics(obs::TimelineSampler* sampler) { metrics_ = sampler; }
 
   /// Enables the roving self-test for subsequent runs. `faults` carries the

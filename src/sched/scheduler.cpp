@@ -107,8 +107,7 @@ class Engine {
         st_(&selftest),
         faults_(faults),
         tr_(trace),
-        metrics_(metrics),
-        live_(metrics ? &metrics->live() : nullptr) {}
+        metrics_(metrics) {}
 
   std::vector<Job> jobs;
   /// Jobs whose readiness is triggered by another job's end (prefetch
@@ -189,10 +188,7 @@ class Engine {
       case EvKind::kReady:
         // First (and only) readiness event of this job: it is now in the
         // device's hands, whatever happens to it later.
-        if (live_) {
-          live_->counter("tasks_admitted").add(1);
-          ++live_admitted_;
-        }
+        tel().counter("tasks_admitted").add(1);
         try_start(job);
         break;
       case EvKind::kConfigDone:
@@ -211,27 +207,27 @@ class Engine {
     }
   }
 
-  /// Snapshots the live registry into the timeline at now_. Instantaneous
-  /// area state lands as gauge samples first, so every row carries the
-  /// occupancy alongside the event-driven counters.
+  /// The run's event registry (RunStats::telemetry), written at the event
+  /// sites below whether or not a metrics sampler is attached.
+  runtime::Telemetry& tel() { return stats_.telemetry; }
+
+  /// Snapshots the registry into the timeline at now_, together with the
+  /// instantaneous area state (sampler-side gauges: every row carries the
+  /// occupancy, the run's telemetry does not).
   void sample_metrics() {
-    live_->gauge("utilization").set(mgr_.utilization());
-    live_->gauge("fragmentation").set(mgr_.fragmentation());
-    metrics_->sample(now_, st_->enabled ? sweep_col_ : -1);
+    metrics_->sample(now_, tel(), mgr_.utilization(),
+                     mgr_.fragmentation(), st_->enabled ? sweep_col_ : -1);
   }
 
-  void reject_live(Job& job) {
+  void reject(Job& job) {
     job.rejected = true;
-    if (live_) {
-      live_->counter("tasks_rejected").add(1);
-      ++live_rejected_;
-    }
+    tel().counter("tasks_rejected").add(1);
   }
 
   void try_start(Job& job) {
     if (job.placed || job.done || job.rejected) return;
     if (job.fn.height > mgr_.rows() || job.fn.width > mgr_.cols()) {
-      reject_live(job);
+      reject(job);
       if (tr_.tasks)
         tr_.tasks.instant("queue", job.fn.name + " rejected", now_,
                           {obs::arg("reason", "oversized")});
@@ -240,7 +236,7 @@ class Engine {
     // Expired waiters are rejected.
     if (cfg_->max_wait != SimTime::never() &&
         now_ - job.ready > cfg_->max_wait) {
-      reject_live(job);
+      reject(job);
       if (tr_.tasks)
         tr_.tasks.instant("queue", job.fn.name + " rejected", now_,
                           {obs::arg("reason", "max-wait")});
@@ -318,8 +314,7 @@ class Engine {
       const Job& pred = jobs[static_cast<std::size_t>(*job.predecessor)];
       if (pred.done) eligible = std::max(eligible, pred.end);
     }
-    if (live_)
-      live_->histogram("queue_wait_ms").observe((now_ - eligible).milliseconds());
+    tel().histogram("queue_wait_ms").observe((now_ - eligible).milliseconds());
     if (tr_.tasks) {
       // Queue-wait span: eligibility until execution begins.
       tr_.tasks.complete("queue", job.fn.name, eligible, now_ - eligible,
@@ -332,10 +327,8 @@ class Engine {
     job.running = false;
     job.done = true;
     job.end = now_;
-    if (live_) {
-      live_->counter("tasks_completed").add(1);
-      live_->histogram("turnaround_ms").observe((now_ - job.ready).milliseconds());
-    }
+    tel().counter("tasks_completed").add(1);
+    tel().histogram("turnaround_ms").observe((now_ - job.ready).milliseconds());
     if (tr_.tasks)
       tr_.tasks.complete("task", job.fn.name, job.run_start,
                          now_ - job.run_start,
@@ -450,7 +443,8 @@ class Engine {
   }
 
   /// One relocation, shared by on-demand rearrangement and the self-test
-  /// sweep (`selftest` only changes which counter records it).
+  /// sweep (`selftest` only changes which move counter records it; both
+  /// land in moved_clbs and relocation_ms).
   void apply_move(const area::Move& mv, bool selftest) {
     auto it = region_job_.find(mv.region);
     RELOGIC_CHECK_MSG(it != region_job_.end(), "plan moves an unknown region");
@@ -461,19 +455,9 @@ class Engine {
     const SimTime done = start + cost;
     port_free_at_ = done;
     stats_.config_port_busy += cost;
-    stats_.move_times.push_back(cost);
-    if (selftest) {
-      ++stats_.selftest_moves;
-    } else {
-      ++stats_.rearrangement_moves;
-    }
-    stats_.moved_clbs += mv.from.area();
-    if (live_) {
-      live_->counter(selftest ? "selftest_moves" : "rearrangement_moves")
-          .add(1);
-      live_->counter("moved_clbs").add(mv.from.area());
-      live_->histogram("relocation_ms").observe(cost.milliseconds());
-    }
+    tel().counter(selftest ? "selftest_moves" : "rearrangement_moves").add(1);
+    tel().counter("moved_clbs").add(mv.from.area());
+    tel().histogram("relocation_ms").observe(cost.milliseconds());
     if (tr_.sched)
       tr_.sched.complete(
           "relocation", victim.fn.name, start, cost,
@@ -614,14 +598,10 @@ class Engine {
             const ClbCoord clb{r, c};
             const int fresh = faults_->detect_all_in(clb);
             if (fresh > 0) {
-              stats_.faults_detected += fresh;
               mgr_.mask_faulty(clb);
-              ++stats_.faulty_clbs;
               ++area_gen_;
-              if (live_) {
-                live_->counter("faulty_cells").add(fresh);
-                live_->counter("faulty_clbs").add(1);
-              }
+              tel().counter("faulty_cells").add(fresh);
+              tel().counter("faulty_clbs").add(1);
               if (tr_.health)
                 tr_.health.instant("health", "fault-detected", now_,
                                    {obs::arg("row", r), obs::arg("col", c),
@@ -632,20 +612,16 @@ class Engine {
       }
     }
 
-    stats_.swept_clbs += window.area();
-    stats_.tested_clbs += sweep_claimed_;
-    if (live_) {
-      live_->counter("swept_clbs").add(window.area());
-      live_->counter("tested_clbs").add(sweep_claimed_);
-    }
+    tel().counter("swept_clbs").add(window.area());
+    tel().counter("tested_clbs").add(sweep_claimed_);
     sweep_col_ += window.width;
     if (sweep_col_ >= mgr_.cols()) {
       sweep_col_ = 0;
-      ++stats_.sweep_rotations;
-      if (live_) live_->counter("sweep_rotations").add(1);
+      runtime::Counter& rotations = tel().counter("sweep_rotations");
+      rotations.add(1);
       if (tr_.health)
         tr_.health.instant("health", "rotation", now_,
-                           {obs::arg("rotation", stats_.sweep_rotations)});
+                           {obs::arg("rotation", rotations.value())});
     }
 
     // Sweep-done boundary: the claim strips are released and any detected
@@ -658,7 +634,7 @@ class Engine {
 
     // Keep roving while work is resident; always finish the rotation quota.
     if (placed_live_ > 0 || sweep_col_ != 0 ||
-        stats_.sweep_rotations < st_->min_rotations) {
+        tel().counter_value("sweep_rotations") < st_->min_rotations) {
       push(Ev{now_ + sweep_period(), seq_++, EvKind::kSweepStep, -1});
     }
   }
@@ -669,6 +645,33 @@ class Engine {
       stats_.utilization_avg = util_integral_ / elapsed_ms_;
       stats_.fragmentation_avg = frag_integral_ / elapsed_ms_;
     }
+    // Each job's fate is decided by now. A chained function whose readiness
+    // never fired (an ancestor never finished) was still handed to this
+    // device: it is admitted here. Every job that did not finish — still
+    // waiting, never ready, or configured behind a predecessor that was
+    // rejected — is rejected.
+    for (Job& job : jobs) {
+      if (job.ready == SimTime::never()) tel().counter("tasks_admitted").add(1);
+      if (!job.done && !job.rejected) reject(job);
+    }
+    // The closing row carries both counters even when zero.
+    tel().counter("tasks_admitted");
+    tel().counter("tasks_rejected");
+    if (metrics_) sample_metrics();  // closing row at the makespan
+    // Keys the telemetry always carries, zero if they never fired. Added
+    // after the closing row, so timeline rows hold only metrics that fired.
+    for (const char* name :
+         {"tasks_completed", "rearrangement_moves", "moved_clbs"})
+      tel().counter(name);
+    if (st_->enabled) {
+      for (const char* name : {"swept_clbs", "tested_clbs", "sweep_rotations",
+                               "selftest_moves", "faulty_cells", "faulty_clbs"})
+        tel().counter(name);
+    }
+    stats_.rearrangement_moves =
+        static_cast<int>(tel().counter_value("rearrangement_moves"));
+    stats_.moved_clbs = static_cast<int>(tel().counter_value("moved_clbs"));
+    stats_.rejected = static_cast<int>(tel().counter_value("tasks_rejected"));
     for (const Job& job : jobs) {
       TaskRecord r;
       r.name = job.fn.name;
@@ -684,20 +687,8 @@ class Engine {
       r.run_start = job.run_start;
       r.finish = job.end;
       r.halted = job.halted;
-      r.rejected = job.rejected || (!job.done && !job.placed);
-      if (r.rejected) ++stats_.rejected;
+      r.rejected = job.rejected;
       stats_.tasks.push_back(r);
-    }
-    if (metrics_) {
-      // Reconcile the live counters with the authoritative end-of-run
-      // semantics (fleet.cpp "per-device telemetry"): every job counts as
-      // admitted even if its readiness never fired (a chained function
-      // whose ancestor never completed), and placed-but-never-ran jobs are
-      // rejected only at finalize time.
-      live_->counter("tasks_admitted")
-          .add(static_cast<std::int64_t>(jobs.size()) - live_admitted_);
-      live_->counter("tasks_rejected").add(stats_.rejected - live_rejected_);
-      sample_metrics();  // closing row at the makespan
     }
   }
 
@@ -707,10 +698,7 @@ class Engine {
   const SelfTestConfig* st_;
   health::FaultMap* faults_;
   SchedulerTrace tr_;
-  obs::TimelineSampler* metrics_;    ///< nullptr = metrics plane off
-  runtime::Telemetry* live_;         ///< metrics_->live(), cached
-  std::int64_t live_admitted_ = 0;   ///< kReady events counted live
-  std::int64_t live_rejected_ = 0;   ///< explicit rejections counted live
+  obs::TimelineSampler* metrics_;  ///< nullptr = metrics plane off
   int sweep_col_ = 0;
   int sweep_claimed_ = 0;       ///< CLBs held by the current test window
   bool sweep_testing_ = false;  ///< a test transaction holds the port

@@ -477,13 +477,16 @@ TEST(SchedulerSelfTest, RotationCompletesAndMasksFaults) {
   const auto stats =
       scheduler.run_tasks(sched::WorkloadGenerator(wp).generate());
 
+  const auto counter = [&](const char* name) {
+    return stats.telemetry.counter_value(name);
+  };
   // At least one full rotation, and every rotation visits every CLB once.
-  EXPECT_GE(stats.sweep_rotations, 1);
-  EXPECT_EQ(stats.swept_clbs, stats.sweep_rotations * 100);
-  EXPECT_GT(stats.tested_clbs, 0);
+  EXPECT_GE(counter("sweep_rotations"), 1);
+  EXPECT_EQ(counter("swept_clbs"), counter("sweep_rotations") * 100);
+  EXPECT_GT(counter("tested_clbs"), 0);
   // All three faults found and their CLBs masked.
-  EXPECT_EQ(stats.faults_detected, 3);
-  EXPECT_EQ(stats.faulty_clbs, 3);
+  EXPECT_EQ(counter("faulty_cells"), 3);
+  EXPECT_EQ(counter("faulty_clbs"), 3);
   EXPECT_EQ(faults.detected_count(), 3);
   // The workload still ran.
   EXPECT_EQ(static_cast<int>(stats.tasks.size()), 40);
@@ -499,10 +502,10 @@ TEST(SchedulerSelfTest, SweepAloneRunsOnEmptyDevice) {
   st.enabled = true;
   scheduler.enable_selftest(st, nullptr);
   const auto stats = scheduler.run_tasks({});
-  EXPECT_EQ(stats.sweep_rotations, 1);
-  EXPECT_EQ(stats.swept_clbs, 36);
-  EXPECT_EQ(stats.tested_clbs, 36);
-  EXPECT_EQ(stats.faults_detected, 0);
+  EXPECT_EQ(stats.telemetry.counter_value("sweep_rotations"), 1);
+  EXPECT_EQ(stats.telemetry.counter_value("swept_clbs"), 36);
+  EXPECT_EQ(stats.telemetry.counter_value("tested_clbs"), 36);
+  EXPECT_EQ(stats.telemetry.counter_value("faulty_cells"), 0);
 }
 
 // ---- fleet integration ------------------------------------------------------

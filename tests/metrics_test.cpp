@@ -300,6 +300,28 @@ TEST(FleetMetrics, TimelinesCoverTheRunAndMatchEndOfRunTelemetry) {
   EXPECT_NE(doc.find("\"sample_interval_ms\": 2"), std::string::npos);
 }
 
+TEST(FleetMetrics, TelemetryDoesNotDependOnTheMetricsPlane) {
+  // The telemetry is the scheduler's event registry whether or not a
+  // sampler snapshots it: neither the sampler's area gauges nor the keys
+  // it sees may leak into the report.
+  const auto run = [](double interval_ms) {
+    runtime::FleetConfig cfg = metrics_fleet_config();
+    cfg.health.fault_rate = 0.02;
+    cfg.health.quarantine_threshold = 0.05;
+    cfg.metrics.sample_interval_ms = interval_ms;
+    runtime::FleetManager fleet(cfg);
+    fleet.submit_all(metrics_workload());
+    return fleet.run();
+  };
+  const runtime::FleetReport off = run(0.0);
+  const runtime::FleetReport on = run(2.0);
+  ASSERT_GT(off.quarantined, 0);
+  ASSERT_GT(off.faulty_cells, 0);
+  EXPECT_TRUE(off.timeline.empty());
+  EXPECT_FALSE(on.timeline.empty());
+  EXPECT_EQ(off.to_json(), on.to_json());
+}
+
 TEST(FleetMetrics, DisabledPlaneLeavesReportsEmpty) {
   runtime::FleetConfig cfg = metrics_fleet_config();
   cfg.metrics.sample_interval_ms = 0.0;

@@ -303,6 +303,44 @@ TEST(Scheduler, HigherParallelismNeedsMoreAreaOrDelays) {
             seq.avg_allocation_delay_ms() + seq.rejected);
 }
 
+TEST(Scheduler, PrefetchedSuccessorOfRejectedFunctionIsRejected) {
+  // App A holds the left half of a 4x4 device for 100 ms. App B arrives at
+  // 10 ms; with overlap 2 both of its functions are ready at once. b0 needs
+  // the whole device, waits past max_wait and is rejected; b1 fits beside A
+  // and is configured, but can never run: its predecessor never finishes.
+  SchedulerConfig cfg;
+  cfg.policy = ManagementPolicy::kNoRearrange;
+  cfg.max_wait = SimTime::ms(5);
+  Scheduler sched(4, 4, fast_cost(), cfg);
+  const auto fn = [](const char* name, int height, int width, double ms) {
+    FunctionSpec f;
+    f.name = name;
+    f.height = height;
+    f.width = width;
+    f.duration = SimTime::ms(ms);
+    return f;
+  };
+  const std::vector<AppSpec> apps{
+      {"A", {fn("a0", 4, 2, 100)}, SimTime::zero()},
+      {"B", {fn("b0", 4, 4, 10), fn("b1", 1, 1, 10)}, SimTime::ms(10)}};
+  const auto stats = sched.run_apps(apps, 2);
+  ASSERT_EQ(stats.tasks.size(), 3u);
+  EXPECT_FALSE(stats.tasks[0].rejected);  // a0 ran
+  EXPECT_TRUE(stats.tasks[1].rejected);   // b0 timed out
+  EXPECT_TRUE(stats.tasks[2].rejected);   // b1 never ran
+  for (const auto& t : stats.tasks) {
+    if (!t.rejected) {
+      EXPECT_GE(t.allocation_delay(), SimTime::zero()) << t.name;
+    }
+  }
+  EXPECT_GE(stats.avg_allocation_delay_ms(), 0.0);
+  // Completed == the jobs that ran; every job is counted exactly once.
+  EXPECT_EQ(static_cast<int>(stats.tasks.size()) - stats.rejected, 1);
+  EXPECT_EQ(stats.telemetry.counter_value("tasks_completed"), 1);
+  EXPECT_EQ(stats.telemetry.counter_value("tasks_rejected"), 2);
+  EXPECT_EQ(stats.telemetry.counter_value("tasks_admitted"), 3);
+}
+
 TEST(Scheduler, UtilizationBoundedAndPositive) {
   RandomTaskParams p;
   p.task_count = 80;
