@@ -1,9 +1,7 @@
 #include "relogic/place/router.hpp"
 
 #include <algorithm>
-#include <queue>
-#include <unordered_map>
-#include <unordered_set>
+#include <bit>
 
 namespace relogic::place {
 
@@ -14,18 +12,8 @@ using fabric::NodeKind;
 
 namespace {
 
-struct QueueItem {
-  std::int64_t f = 0;  // g + h, picoseconds
-  std::int64_t g = 0;
-  /// Either a plain NodeId or a (node << 1 | touched-tree) search key.
-  std::uint64_t node = fabric::kInvalidNode;
-  bool operator>(const QueueItem& o) const { return f > o.f; }
-};
-
-bool node_blocked(const fabric::RoutingGraph& graph, NodeId n, NetId net,
-                  const RouteOptions& opt, const NodeInfo& info) {
-  const NetId occ = graph.occupant(n);
-  if (occ != fabric::kNoNet && occ != net) return true;
+/// Whether the options rule out node `n` (occupancy is checked apart).
+bool avoided(NodeId n, const RouteOptions& opt, const NodeInfo& info) {
   if (opt.avoid_nodes.contains(n)) return true;
   if (!opt.allow_longs &&
       (info.kind == NodeKind::kLongRow || info.kind == NodeKind::kLongCol))
@@ -42,8 +30,48 @@ bool node_blocked(const fabric::RoutingGraph& graph, NodeId n, NetId net,
 
 }  // namespace
 
+void Router::SearchTable::clear() {
+  for (const std::uint32_t i : filled_) slots_[i] = Slot{};
+  filled_.clear();
+}
+
+Router::SearchTable::Slot* Router::SearchTable::find(std::uint64_t key) {
+  if (slots_.empty()) return nullptr;
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = home(key);; i = (i + 1) & mask) {
+    Slot& s = slots_[i];
+    if (s.key == key) return &s;
+    if (s.key == kNone) return nullptr;
+  }
+}
+
+Router::SearchTable::Slot& Router::SearchTable::claim(std::uint64_t key) {
+  // Load factor at most 1/2 keeps probe runs short.
+  if (2 * (filled_.size() + 1) > slots_.size()) grow();
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = home(key);
+  while (slots_[i].key != key && slots_[i].key != kNone) i = (i + 1) & mask;
+  Slot& s = slots_[i];
+  if (s.key == kNone) {
+    s.key = key;
+    filled_.push_back(static_cast<std::uint32_t>(i));
+  }
+  return s;
+}
+
+void Router::SearchTable::grow() {
+  std::vector<Slot> old;
+  old.reserve(filled_.size());
+  for (const std::uint32_t i : filled_) old.push_back(slots_[i]);
+  const std::size_t cap = slots_.empty() ? 1024 : slots_.size() * 2;
+  slots_.assign(cap, Slot{});
+  shift_ = 64 - std::countr_zero(cap);
+  filled_.clear();
+  for (const Slot& s : old) claim(s.key) = s;
+}
+
 std::vector<NodeId> Router::find_path(NetId net, NodeId sink,
-                                      const RouteOptions& opt) const {
+                                      const RouteOptions& opt) {
   const auto& tree = fabric_->net(net);
   std::vector<NodeId> seeds = tree.nodes();
   RELOGIC_CHECK_MSG(!seeds.empty(),
@@ -53,7 +81,7 @@ std::vector<NodeId> Router::find_path(NetId net, NodeId sink,
 
 std::vector<NodeId> Router::find_path_from(std::span<const NodeId> seeds,
                                            NetId net, NodeId sink,
-                                           const RouteOptions& opt) const {
+                                           const RouteOptions& opt) {
   const auto& graph = fabric_->graph();
   const auto& skel = graph.skeleton();
   const NodeInfo sink_info = skel.info(sink);
@@ -82,19 +110,22 @@ std::vector<NodeId> Router::find_path_from(std::span<const NodeId> seeds,
   // existing tree at most once and never re-enter it after leaving —
   // re-joining upstream of the leave point would close a cycle through
   // the tree. Riding the tree (net-node to net-node) must follow existing
-  // edge directions for the same reason.
-  std::priority_queue<QueueItem, std::vector<QueueItem>, std::greater<>> open;
-  std::unordered_map<std::uint64_t, std::int64_t> best_g;
-  std::unordered_map<std::uint64_t, std::uint64_t> parent;
+  // edge directions for the same reason. The search state is emptied here,
+  // at the start, so a search that threw leaves nothing behind.
+  open_.clear();
+  table_.clear();
   auto key_of = [](NodeId n, bool touched) {
     return (static_cast<std::uint64_t>(n) << 1) | (touched ? 1u : 0u);
   };
+  auto edge_key = [](NodeId from, NodeId to) {
+    return (static_cast<std::uint64_t>(from) << 32) | to;
+  };
 
-  std::unordered_set<std::uint64_t> tree_edges;
+  tree_edges_.clear();
   if (fabric_->net_exists(net)) {
-    for (const auto& e : fabric_->net(net).edges) {
-      tree_edges.insert((static_cast<std::uint64_t>(e.from) << 32) | e.to);
-    }
+    for (const auto& e : fabric_->net(net).edges)
+      tree_edges_.push_back(edge_key(e.from, e.to));
+    std::sort(tree_edges_.begin(), tree_edges_.end());
   }
 
   for (NodeId s : seeds) {
@@ -104,52 +135,46 @@ std::vector<NodeId> Router::find_path_from(std::span<const NodeId> seeds,
     // orphaned when a parallel branch is later pruned).
     if (s == sink || opt.avoid_nodes.contains(s)) continue;
     const bool touched = graph.occupant(s) == net;
-    best_g.try_emplace(key_of(s, touched), 0);
-    open.push(QueueItem{heuristic(info), 0, key_of(s, touched)});
+    table_.claim(key_of(s, touched)).g = 0;
+    open_.push(QueueItem{heuristic(info), 0, key_of(s, touched)});
   }
-  RELOGIC_CHECK_MSG(!best_g.empty(), "no usable route seeds");
+  RELOGIC_CHECK_MSG(!table_.empty(), "no usable route seeds");
 
   int expansions = 0;
-  while (!open.empty()) {
-    const QueueItem item = open.top();
-    open.pop();
+  while (!open_.empty()) {
+    const QueueItem item = open_.top();
+    open_.pop();
     const NodeId item_node = static_cast<NodeId>(item.node >> 1);
     const bool item_touched = (item.node & 1) != 0;
     if (item_node == sink) {
       // Reconstruct.
       std::vector<NodeId> path{sink};
-      std::uint64_t cur = item.node;
-      while (true) {
-        auto it = parent.find(cur);
-        if (it == parent.end()) break;
-        cur = it->second;
+      for (std::uint64_t cur = table_.find(item.node)->parent;
+           cur != SearchTable::kNone; cur = table_.find(cur)->parent)
         path.push_back(static_cast<NodeId>(cur >> 1));
-      }
       std::reverse(path.begin(), path.end());
       return path;
     }
-    auto bg = best_g.find(item.node);
-    if (bg != best_g.end() && item.g > bg->second) continue;  // stale
+    if (item.g > table_.find(item.node)->g) continue;  // stale
     if (++expansions > opt.max_expansions) break;
 
     const bool item_in_net = graph.occupant(item_node) == net;
     for (NodeId next : skel.fanout(item_node)) {
+      const NetId occ = graph.occupant(next);
+      if (occ != fabric::kNoNet && occ != net) continue;  // another net's
       const NodeInfo info = skel.info(next);
-      if (next == sink) {
-        if (node_blocked(graph, next, net, opt, info)) continue;
-      } else if (info.kind == NodeKind::kInPin || info.kind == NodeKind::kPad ||
-                 info.kind == NodeKind::kOutPin) {
+      if (next != sink &&
+          (info.kind == NodeKind::kInPin || info.kind == NodeKind::kPad ||
+           info.kind == NodeKind::kOutPin))
         continue;  // do not route *through* pins
-      } else if (node_blocked(graph, next, net, opt, info)) {
-        continue;
-      }
-      const bool next_in_net = graph.occupant(next) == net;
+      if (avoided(next, opt, info)) continue;
+      const bool next_in_net = occ == net;
       if (next_in_net && next != sink) {
         if (item_in_net) {
           // Riding: only along existing tree directions.
-          const std::uint64_t ekey =
-              (static_cast<std::uint64_t>(item_node) << 32) | next;
-          if (!tree_edges.contains(ekey)) continue;
+          if (!std::binary_search(tree_edges_.begin(), tree_edges_.end(),
+                                  edge_key(item_node, next)))
+            continue;
         } else if (item_touched) {
           continue;  // re-joining after leaving the tree: cycle risk
         }
@@ -159,85 +184,17 @@ std::vector<NodeId> Router::find_path_from(std::span<const NodeId> seeds,
           item.g +
           (dm_->pip_delay + dm_->node_delay(info.kind)).picoseconds();
       const std::uint64_t nkey = key_of(next, next_touched);
-      auto it = best_g.find(nkey);
-      if (it != best_g.end() && it->second <= g) continue;
-      best_g[nkey] = g;
-      parent[nkey] = item.node;
-      open.push(QueueItem{g + heuristic(info), g, nkey});
+      SearchTable::Slot& slot = table_.claim(nkey);
+      if (slot.g <= g) continue;
+      slot.g = g;
+      slot.parent = item.node;
+      open_.push(QueueItem{g + heuristic(info), g, nkey});
     }
   }
   throw ResourceError("no route to sink " + sink_info.to_string() +
                       (expansions > opt.max_expansions
                            ? " (expansion budget exhausted)"
                            : " (congestion or avoidance constraints)"));
-}
-
-std::vector<NodeId> Router::find_path_to_net(NodeId from, NetId net,
-                                             const RouteOptions& opt) const {
-  const auto& graph = fabric_->graph();
-  const auto& skel = graph.skeleton();
-  {
-    const auto kind = skel.info(from).kind;
-    RELOGIC_CHECK_MSG(kind == NodeKind::kOutPin || kind == NodeKind::kPad,
-                      "source-join must start at an output pin or pad");
-  }
-  auto is_target = [&](NodeId n) {
-    if (graph.occupant(n) != net) return false;
-    const NodeKind k = skel.info(n).kind;
-    return k == NodeKind::kSingle || k == NodeKind::kHex ||
-           k == NodeKind::kLongRow || k == NodeKind::kLongCol;
-  };
-
-  // Dijkstra (no useful heuristic toward a node set).
-  std::priority_queue<QueueItem, std::vector<QueueItem>, std::greater<>> open;
-  std::unordered_map<NodeId, std::int64_t> best_g;
-  std::unordered_map<NodeId, NodeId> parent;
-  best_g.emplace(from, 0);
-  open.push(QueueItem{0, 0, from});
-
-  int expansions = 0;
-  while (!open.empty()) {
-    const QueueItem item = open.top();
-    open.pop();
-    if (is_target(item.node)) {
-      // This search keys items by plain NodeId (no touched-tree bit), so
-      // the narrowing is value-preserving.
-      std::vector<NodeId> path{static_cast<NodeId>(item.node)};
-      NodeId cur = item.node;
-      while (true) {
-        auto it = parent.find(cur);
-        if (it == parent.end()) break;
-        cur = it->second;
-        path.push_back(cur);
-      }
-      std::reverse(path.begin(), path.end());
-      return path;
-    }
-    auto bg = best_g.find(item.node);
-    if (bg != best_g.end() && item.g > bg->second) continue;
-    if (++expansions > opt.max_expansions) break;
-
-    for (NodeId next : skel.fanout(item.node)) {
-      const NodeInfo info = skel.info(next);
-      if (!is_target(next)) {
-        if (info.kind == NodeKind::kInPin || info.kind == NodeKind::kPad ||
-            info.kind == NodeKind::kOutPin)
-          continue;
-        if (node_blocked(graph, next, net, opt, info)) continue;
-      } else if (opt.avoid_nodes.contains(next)) {
-        continue;
-      }
-      const std::int64_t g =
-          item.g + (dm_->pip_delay + dm_->node_delay(info.kind)).picoseconds();
-      auto it = best_g.find(next);
-      if (it != best_g.end() && it->second <= g) continue;
-      best_g[next] = g;
-      parent[next] = item.node;
-      open.push(QueueItem{g, g, next});
-    }
-  }
-  throw ResourceError("no join path from " + skel.info(from).to_string() +
-                      " into net tree");
 }
 
 void Router::route_sink(NetId net, NodeId sink, const RouteOptions& opt) {

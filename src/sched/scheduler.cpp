@@ -219,9 +219,41 @@ class Engine {
                      mgr_.fragmentation(), st_->enabled ? sweep_col_ : -1);
   }
 
-  void reject(Job& job) {
+  /// Marks `job` rejected and counts it. finalize() uses this alone:
+  /// releasing regions there would change the closing metrics sample.
+  void count_rejected(Job& job) {
     job.rejected = true;
     tel().counter("tasks_rejected").add(1);
+  }
+
+  /// Rejects `job` mid-run. A successor configured ahead of it and waiting
+  /// for it to end can never run: it is rejected too, cascading, and its
+  /// region released at once.
+  void reject(Job& job) {
+    count_rejected(job);
+    const auto range = pending_run_.equal_range(job.id);
+    std::vector<int> successors;
+    for (auto it = range.first; it != range.second; ++it)
+      successors.push_back(it->second);
+    pending_run_.erase(range.first, range.second);
+    for (const int id : successors)
+      reject_orphan(jobs[static_cast<std::size_t>(id)]);
+  }
+
+  /// Rejects a placed `job` whose predecessor was rejected.
+  void reject_orphan(Job& job) {
+    release(job);
+    if (tr_.tasks)
+      tr_.tasks.instant("queue", job.fn.name + " rejected", now_,
+                        {obs::arg("reason", "predecessor")});
+    reject(job);
+  }
+
+  void release(Job& job) {
+    mgr_.release(job.region);
+    ++area_gen_;
+    --placed_live_;
+    region_job_.erase(job.region);
   }
 
   void try_start(Job& job) {
@@ -294,6 +326,10 @@ class Engine {
     SimTime start = now_;
     if (job.predecessor) {
       const Job& pred = jobs[static_cast<std::size_t>(*job.predecessor)];
+      if (pred.rejected) {  // while this job was configuring
+        reject_orphan(job);
+        return;
+      }
       if (!pred.done) {
         pending_run_.emplace(*job.predecessor, job.id);
         return;
@@ -334,10 +370,7 @@ class Engine {
                          now_ - job.run_start,
                          {obs::arg("slot", job.slot.to_string()),
                           obs::arg_ms("halted", job.halted)});
-    mgr_.release(job.region);
-    ++area_gen_;
-    --placed_live_;
-    region_job_.erase(job.region);
+    release(job);
 
     // Successor may begin (it might still be configuring; kConfigDone
     // handles the synchronisation in that case).
@@ -648,11 +681,11 @@ class Engine {
     // Each job's fate is decided by now. A chained function whose readiness
     // never fired (an ancestor never finished) was still handed to this
     // device: it is admitted here. Every job that did not finish — still
-    // waiting, never ready, or configured behind a predecessor that was
-    // rejected — is rejected.
+    // waiting, never ready, or configured behind a predecessor that never
+    // ran — is rejected.
     for (Job& job : jobs) {
       if (job.ready == SimTime::never()) tel().counter("tasks_admitted").add(1);
-      if (!job.done && !job.rejected) reject(job);
+      if (!job.done && !job.rejected) count_rejected(job);
     }
     // The closing row carries both counters even when zero.
     tel().counter("tasks_admitted");

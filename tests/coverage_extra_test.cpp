@@ -1,7 +1,7 @@
-// Depth tests for paths the main suites touch only incidentally:
-// source-join routing, router limits, engine options, golden-model resets,
-// capture/restore under randomized mutation, bitstream listings, and the
-// proactive defragmentation trigger.
+// Depth tests for paths the main suites touch only incidentally: router
+// limits, engine options, golden-model resets, capture/restore under
+// randomized mutation, bitstream listings, and the proactive
+// defragmentation trigger.
 #include <gtest/gtest.h>
 
 #include "relogic/config/bitstream.hpp"
@@ -22,33 +22,6 @@ using fabric::DeviceGeometry;
 using fabric::Dir;
 using fabric::Fabric;
 using fabric::NodeId;
-
-TEST(RouterJoin, FindPathToNetJoinsOnWires) {
-  Fabric fab(DeviceGeometry::tiny(10, 10));
-  fabric::DelayModel dm;
-  place::Router router(fab, dm);
-  const auto& g = fab.graph();
-
-  const auto net = fab.create_net("join");
-  fab.attach_source(net, g.out_pin({5, 2}, 0, false));
-  router.route_sink(net, g.in_pin({5, 7}, 0, CellPort::kI0));
-
-  const NodeId second = g.out_pin({3, 4}, 1, false);
-  const auto path = router.find_path_to_net(second, net);
-  ASSERT_GE(path.size(), 2u);
-  EXPECT_EQ(path.front(), second);
-  // Join node is a wire the net already owns.
-  EXPECT_EQ(g.occupant(path.back()), net);
-  const auto kind = g.info(path.back()).kind;
-  EXPECT_TRUE(kind == fabric::NodeKind::kSingle ||
-              kind == fabric::NodeKind::kHex ||
-              kind == fabric::NodeKind::kLongRow ||
-              kind == fabric::NodeKind::kLongCol);
-  // Intermediate nodes are free (cycle-safe join).
-  for (std::size_t i = 1; i + 1 < path.size(); ++i) {
-    EXPECT_TRUE(g.is_free(path[i]));
-  }
-}
 
 TEST(RouterLimits, ExpansionBudgetHonoured) {
   Fabric fab(DeviceGeometry::tiny(12, 12));

@@ -2,6 +2,9 @@
 // (event-driven simulator behaviours that the relocation engine relies on).
 #include <gtest/gtest.h>
 
+#include <random>
+#include <set>
+
 #include "relogic/config/controller.hpp"
 #include "relogic/config/frame.hpp"
 #include "relogic/config/port.hpp"
@@ -111,6 +114,124 @@ TEST_F(RouterTest, CongestionEventuallyExhausts) {
   (void)exhausted;        // exhaustion may or may not occur at this scale
 }
 
+// Pins the router's output. Paths and their tie-breaks are part of the
+// determinism contract (fig5/fig6 and the perfbench digests depend on
+// them), so every path of a fixed, seeded batch is hashed into one digest:
+// multi-sink nets whose later sinks ride the tree, avoided columns and
+// nodes, searches without long lines, paralleled sources joining a tree,
+// and searches that throw. After a throw, the same Router must return what
+// a fresh Router returns.
+TEST(RouterGolden, SeededBatchDigest) {
+  Fabric fab(DeviceGeometry::tiny(16, 16));
+  fabric::DelayModel dm;
+  place::Router router(fab, dm);
+  const auto& g = fab.graph();
+  std::mt19937_64 rng(2003);
+  auto pick = [&](int n) {
+    return static_cast<int>(rng() % static_cast<std::uint64_t>(n));
+  };
+  auto clb = [&] { return ClbCoord{pick(16), pick(16)}; };
+  std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a
+  auto add = [&](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xFF;
+      h *= 0x100000001B3ull;
+    }
+  };
+  constexpr std::uint64_t kThrew = ~std::uint64_t{0};
+  auto commit = [&](fabric::NetId net, const std::vector<NodeId>& path) {
+    add(path.size());
+    std::vector<fabric::RouteEdge> edges;
+    for (std::size_t i = 1; i < path.size(); ++i) {
+      add(path[i - 1]);
+      const fabric::RouteEdge e{path[i - 1], path[i]};
+      if (!fab.net(net).has_edge(e)) edges.push_back(e);
+    }
+    add(path.back());
+    fab.add_edges(net, edges);
+  };
+  // After a throw, the next search on `router` must match a fresh Router's.
+  auto expect_clean = [&](fabric::NetId net, NodeId sink) {
+    place::Router fresh(fab, dm);
+    const auto path = router.find_path(net, sink);
+    EXPECT_EQ(path, fresh.find_path(net, sink));
+    commit(net, path);
+  };
+
+  std::set<NodeId> sources;
+  auto new_source = [&] {
+    NodeId pin;
+    do {
+      pin = g.out_pin(clb(), pick(4), pick(2) == 1);
+    } while (!sources.insert(pin).second);
+    return pin;
+  };
+  auto random_sink = [&] {
+    return g.in_pin(clb(), pick(4), static_cast<CellPort>(pick(4)));
+  };
+
+  fabric::NetId first = fabric::kNoNet;
+  for (int i = 0; i < 32; ++i) {
+    const auto net = fab.create_net("n" + std::to_string(i));
+    if (i == 0) first = net;
+    fab.attach_source(net, new_source());
+    place::RouteOptions opt;
+    switch (i % 4) {
+      case 1:
+        opt.avoid_columns = {pick(16), pick(16)};
+        break;
+      case 2:
+        opt.allow_longs = false;
+        break;
+      default:
+        break;
+    }
+    for (int k = 0; k < 3; ++k) {
+      const NodeId sink = random_sink();
+      try {
+        if (i % 4 == 3) {
+          // Avoid the interior of the unconstrained path: force a detour.
+          const auto direct = router.find_path(net, sink);
+          opt.avoid_nodes = {direct.begin() + 1, direct.end() - 1};
+        }
+        commit(net, router.find_path(net, sink, opt));
+      } catch (const ResourceError&) {
+        add(kThrew);  // occupied sink, or no way around the avoided nodes
+      }
+    }
+    if (i % 8 == 5) {
+      // Parallel a second source with the first, the way a replica is:
+      // a search from the new pin to each sink joins and rides the tree.
+      const NodeId second = new_source();
+      fab.attach_source(net, second);
+      for (const NodeId sink : fab.net_sinks(net)) {
+        try {
+          commit(net, router.find_path_from({&second, 1}, net, sink));
+        } catch (const ResourceError&) {
+          add(kThrew);
+        }
+      }
+    }
+  }
+
+  // A search that exhausts its budget, then one on the same Router.
+  const auto net = fab.create_net("budget");
+  fab.attach_source(net, g.out_pin({0, 0}, 0, false));
+  place::RouteOptions tight;
+  tight.max_expansions = 3;
+  const NodeId far = g.in_pin({15, 15}, 3, CellPort::kI3);
+  EXPECT_THROW(router.find_path(net, far, tight), ResourceError);
+  expect_clean(net, far);
+  // A sink another net holds, then a search on the same Router.
+  ASSERT_FALSE(fab.net_sinks(first).empty());
+  EXPECT_THROW(router.find_path(net, fab.net_sinks(first).front()),
+               ResourceError);
+  expect_clean(net, g.in_pin({15, 0}, 2, CellPort::kI1));
+
+  // Pinned with the hash-map search state the flat table replaced.
+  EXPECT_EQ(h, 0xd38d82aaee86e200ull);
+}
+
 class ImplementTest : public ::testing::Test {
  protected:
   DeviceGeometry geom_ = DeviceGeometry::tiny(12, 12);
@@ -203,15 +324,19 @@ TEST_F(SimBehaviourTest, ParallelSourcesLastWriterConsistent) {
   const NodeId s2 = g.out_pin({1, 2}, 0, false);
   fab_.attach_source(net, s1);
   place::Router router(fab_, dm_);
-  router.route_sink(net, g.in_pin({1, 4}, 0, CellPort::kI0));
+  const NodeId sink = g.in_pin({1, 4}, 0, CellPort::kI0);
+  router.route_sink(net, sink);
   sim.run_until(SimTime::us(1));
 
-  // Join the second source into the tree.
-  const auto path = router.find_path_to_net(s2, net);
+  // Join the second source into the tree, the way a replica is paralleled:
+  // a path from s2 to the sink, riding whatever tree edges it reaches.
+  const auto path = router.find_path_from({&s2, 1}, net, sink);
   fab_.attach_source(net, s2);
   std::vector<fabric::RouteEdge> edges;
-  for (std::size_t i = 1; i < path.size(); ++i)
-    edges.push_back({path[i - 1], path[i]});
+  for (std::size_t i = 1; i < path.size(); ++i) {
+    const fabric::RouteEdge e{path[i - 1], path[i]};
+    if (!fab_.net(net).has_edge(e)) edges.push_back(e);
+  }
   fab_.add_edges(net, edges);
   sim.run_until(SimTime::us(2));
 

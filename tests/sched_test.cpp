@@ -341,6 +341,61 @@ TEST(Scheduler, PrefetchedSuccessorOfRejectedFunctionIsRejected) {
   EXPECT_EQ(stats.telemetry.counter_value("tasks_admitted"), 3);
 }
 
+FunctionSpec function(const char* name, int height, int width, double ms) {
+  FunctionSpec f;
+  f.name = name;
+  f.height = height;
+  f.width = width;
+  f.duration = SimTime::ms(ms);
+  return f;
+}
+
+TEST(Scheduler, RejectedPredecessorReleasesPrefetchedSuccessor) {
+  // The set-up above plus app C, which needs the whole device at 150 ms.
+  // b1 can never run once b0 is rejected, so its region is released then:
+  // by the time C arrives the device is empty and c0 runs.
+  SchedulerConfig cfg;
+  cfg.policy = ManagementPolicy::kNoRearrange;
+  cfg.max_wait = SimTime::ms(5);
+  Scheduler sched(4, 4, fast_cost(), cfg);
+  const std::vector<AppSpec> apps{
+      {"A", {function("a0", 4, 2, 100)}, SimTime::zero()},
+      {"B", {function("b0", 4, 4, 10), function("b1", 1, 1, 10)},
+       SimTime::ms(10)},
+      {"C", {function("c0", 4, 4, 10)}, SimTime::ms(150)}};
+  const auto stats = sched.run_apps(apps, 2);
+  ASSERT_EQ(stats.tasks.size(), 4u);
+  EXPECT_FALSE(stats.tasks[0].rejected);  // a0 ran
+  EXPECT_TRUE(stats.tasks[1].rejected);   // b0 timed out
+  EXPECT_TRUE(stats.tasks[2].rejected);   // b1 never ran
+  EXPECT_FALSE(stats.tasks[3].rejected);  // c0 found the device empty
+  EXPECT_EQ(stats.tasks[3].config_start, SimTime::ms(150));  // no wait
+  EXPECT_EQ(stats.telemetry.counter_value("tasks_completed"), 2);
+  EXPECT_EQ(stats.telemetry.counter_value("tasks_rejected"), 2);
+  EXPECT_EQ(stats.telemetry.counter_value("tasks_admitted"), 4);
+}
+
+TEST(Scheduler, PredecessorRejectedWhileSuccessorConfigures) {
+  // b0 is larger than the device and rejected on arrival, while b1 is
+  // placed and still configuring: b1 is rejected, and its region released,
+  // when its configuration completes. c0 then finds the device empty.
+  SchedulerConfig cfg;
+  cfg.policy = ManagementPolicy::kNoRearrange;
+  Scheduler sched(4, 4, fast_cost(), cfg);
+  const std::vector<AppSpec> apps{
+      {"B", {function("b0", 5, 5, 10), function("b1", 1, 1, 10)},
+       SimTime::zero()},
+      {"C", {function("c0", 4, 4, 10)}, SimTime::ms(50)}};
+  const auto stats = sched.run_apps(apps, 2);
+  ASSERT_EQ(stats.tasks.size(), 3u);
+  EXPECT_TRUE(stats.tasks[0].rejected);   // b0 oversized
+  EXPECT_TRUE(stats.tasks[1].rejected);   // b1 never ran
+  EXPECT_FALSE(stats.tasks[2].rejected);  // c0 ran
+  EXPECT_EQ(stats.tasks[2].config_start, SimTime::ms(50));
+  EXPECT_EQ(stats.telemetry.counter_value("tasks_completed"), 1);
+  EXPECT_EQ(stats.telemetry.counter_value("tasks_rejected"), 2);
+}
+
 TEST(Scheduler, UtilizationBoundedAndPositive) {
   RandomTaskParams p;
   p.task_count = 80;

@@ -19,8 +19,12 @@
 //   alone, through the multi-source net list.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <initializer_list>
+#include <map>
+#include <queue>
 #include <string>
 #include <utility>
 #include <vector>
@@ -273,10 +277,63 @@ fabric::NetId route_net(Rig& rig, const std::string& name,
   return net;
 }
 
-/// Parallels `to` with the current sources of `net`, the way a relocation
-/// does: a path from `to` joins the net's tree, then `to` drives it.
+/// The path by which a second source `to` joins `net`'s tree: the cheapest
+/// (Dijkstra, first popped on ties) from `to` through free wires to any wire
+/// the net already occupies. Returns to..join-node.
+std::vector<fabric::NodeId> join_path(const Rig& rig, fabric::NetId net,
+                                      fabric::NodeId to) {
+  using fabric::NodeKind;
+  const auto& graph = rig.fab.graph();
+  const auto& skel = graph.skeleton();
+  auto is_join = [&](fabric::NodeId n) {
+    const NodeKind k = skel.info(n).kind;
+    return graph.occupant(n) == net &&
+           (k == NodeKind::kSingle || k == NodeKind::kHex ||
+            k == NodeKind::kLongRow || k == NodeKind::kLongCol);
+  };
+  struct Item {
+    std::int64_t g;
+    fabric::NodeId node;
+    bool operator>(const Item& o) const { return g > o.g; }
+  };
+  std::priority_queue<Item, std::vector<Item>, std::greater<>> open;
+  std::map<fabric::NodeId, std::int64_t> best{{to, 0}};
+  std::map<fabric::NodeId, fabric::NodeId> parent;
+  open.push({0, to});
+  while (!open.empty()) {
+    const Item item = open.top();
+    open.pop();
+    if (is_join(item.node)) {
+      std::vector<fabric::NodeId> path{item.node};
+      for (auto it = parent.find(item.node); it != parent.end();
+           it = parent.find(it->second))
+        path.push_back(it->second);
+      std::reverse(path.begin(), path.end());
+      return path;
+    }
+    if (item.g > best[item.node]) continue;
+    for (const fabric::NodeId next : skel.fanout(item.node)) {
+      const NodeKind k = skel.info(next).kind;
+      if (!is_join(next) &&
+          (k == NodeKind::kInPin || k == NodeKind::kPad ||
+           k == NodeKind::kOutPin || graph.occupant(next) != fabric::kNoNet))
+        continue;
+      const std::int64_t g =
+          item.g + (rig.dm.pip_delay + rig.dm.node_delay(k)).picoseconds();
+      if (const auto it = best.find(next); it != best.end() && it->second <= g)
+        continue;
+      best[next] = g;
+      parent[next] = item.node;
+      open.push({g, next});
+    }
+  }
+  throw ResourceError("no join path into the net's tree");
+}
+
+/// Parallels `to` with the current sources of `net`: a path from `to` joins
+/// the net's tree, then `to` drives it.
 void parallel_source(Rig& rig, fabric::NetId net, fabric::NodeId to) {
-  const auto path = rig.router.find_path_to_net(to, net);
+  const auto path = join_path(rig, net, to);
   std::vector<fabric::RouteEdge> edges;
   for (std::size_t i = 0; i + 1 < path.size(); ++i)
     edges.push_back({path[i], path[i + 1]});
