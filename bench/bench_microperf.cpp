@@ -17,6 +17,7 @@
 #include "relogic/config/controller.hpp"
 #include "relogic/config/port.hpp"
 #include "relogic/netlist/benchmarks.hpp"
+#include "relogic/netlist/golden.hpp"
 #include "relogic/obs/timeline.hpp"
 #include "relogic/obs/trace.hpp"
 #include "relogic/place/implement.hpp"
@@ -182,6 +183,30 @@ void BM_SimulatorFanout(benchmark::State& state) {
   state.counters["sinks"] = sinks;
 }
 BENCHMARK(BM_SimulatorFanout)->Unit(benchmark::kMicrosecond);
+
+// The golden model's cost per clock cycle, driven the way
+// CircuitHarness::step drives it alongside the fabric: new inputs, settle,
+// one edge. The FSM is BM_SimulatorCycles's, gated-clock style.
+void BM_GoldenClock(benchmark::State& state) {
+  const auto nl = netlist::bench::random_fsm(
+      "perf", 24, 4, 4, 5, netlist::bench::ClockingStyle::kGatedClock);
+  netlist::GoldenSim golden(nl);
+  const netlist::SigId out = nl.outputs().front().signal;
+  Rng rng(1);
+  std::int64_t cycles = 0;
+  for (auto _ : state) {
+    for (int i = 0; i < 10; ++i) {
+      for (const netlist::SigId in : nl.inputs())
+        golden.set_input(in, rng.next_bool());
+      golden.settle();
+      golden.clock();
+    }
+    benchmark::DoNotOptimize(golden.value(out));
+    cycles += 10;
+  }
+  state.SetItemsProcessed(cycles);
+}
+BENCHMARK(BM_GoldenClock)->Unit(benchmark::kMicrosecond);
 
 void BM_GatedCellRelocation(benchmark::State& state) {
   // Wall-clock cost of one full gated-clock relocation (engine + sim),

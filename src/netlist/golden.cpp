@@ -2,8 +2,75 @@
 
 namespace relogic::netlist {
 
-GoldenSim::GoldenSim(const Netlist& nl) : nl_(&nl), order_(nl.topo_order()) {
-  values_.assign(nl.node_count(), false);
+namespace {
+
+/// The truth table of a combinational node, fanin i being bit i of the
+/// input vector.
+std::uint16_t truth_table(const Node& n) {
+  if (n.kind == OpKind::kLut) return n.lut;
+  std::uint16_t mask = 0;
+  for (unsigned vec = 0; vec < (1u << n.fanin.size()); ++vec) {
+    auto v = [&](unsigned i) { return ((vec >> i) & 1u) != 0; };
+    bool out = false;
+    switch (n.kind) {
+      case OpKind::kBuf:
+        out = v(0);
+        break;
+      case OpKind::kNot:
+        out = !v(0);
+        break;
+      case OpKind::kAnd:
+        out = v(0) && v(1);
+        break;
+      case OpKind::kOr:
+        out = v(0) || v(1);
+        break;
+      case OpKind::kNand:
+        out = !(v(0) && v(1));
+        break;
+      case OpKind::kNor:
+        out = !(v(0) || v(1));
+        break;
+      case OpKind::kXor:
+        out = v(0) != v(1);
+        break;
+      case OpKind::kXnor:
+        out = v(0) == v(1);
+        break;
+      case OpKind::kMux:
+        out = v(2) ? v(1) : v(0);
+        break;
+      default:
+        RELOGIC_CHECK_MSG(false, "truth_table of a non-combinational node");
+    }
+    if (out) mask = static_cast<std::uint16_t>(mask | (1u << vec));
+  }
+  return mask;
+}
+
+}  // namespace
+
+GoldenSim::GoldenSim(const Netlist& nl) : nl_(&nl) {
+  const auto zero = static_cast<SigId>(nl.node_count());
+  const SigId one = zero + 1;
+  for (const SigId id : nl.topo_order()) {
+    const Node& n = nl.node(id);
+    RELOGIC_CHECK(n.fanin.size() <= 4);
+    Op op{truth_table(n), id, {zero, zero, zero, zero}};
+    for (std::size_t i = 0; i < n.fanin.size(); ++i) op.in[i] = n.fanin[i];
+    ops_.push_back(op);
+  }
+  for (const SigId s : nl.state_elements()) {
+    const Node& n = nl.node(s);
+    if (n.kind == OpKind::kDff) {
+      dffs_.push_back({s, n.fanin[0], n.fanin.size() < 2 ? one : n.fanin[1]});
+    } else {
+      latches_.push_back({s, n.fanin[0], n.fanin[1]});
+    }
+  }
+  values_.assign(nl.node_count() + 2, 0);
+  values_[one] = 1;
+  captures_.resize(dffs_.size());
   reset();
 }
 
@@ -12,14 +79,14 @@ void GoldenSim::reset() {
     const Node& n = nl_->node(id);
     switch (n.kind) {
       case OpKind::kConst1:
-        values_[id] = true;
+        values_[id] = 1;
         break;
       case OpKind::kDff:
       case OpKind::kLatch:
         values_[id] = n.init;
         break;
       default:
-        values_[id] = false;
+        values_[id] = 0;
     }
   }
   settle();
@@ -34,42 +101,13 @@ void GoldenSim::set_input(const std::string& name, bool value) {
   set_input(nl_->find_input(name), value);
 }
 
-bool GoldenSim::eval_node(SigId id) const {
-  const Node& n = nl_->node(id);
-  auto v = [&](int i) { return values_[n.fanin[static_cast<std::size_t>(i)]]; };
-  switch (n.kind) {
-    case OpKind::kBuf:
-      return v(0);
-    case OpKind::kNot:
-      return !v(0);
-    case OpKind::kAnd:
-      return v(0) && v(1);
-    case OpKind::kOr:
-      return v(0) || v(1);
-    case OpKind::kNand:
-      return !(v(0) && v(1));
-    case OpKind::kNor:
-      return !(v(0) || v(1));
-    case OpKind::kXor:
-      return v(0) != v(1);
-    case OpKind::kXnor:
-      return v(0) == v(1);
-    case OpKind::kMux:
-      return v(2) ? v(1) : v(0);
-    case OpKind::kLut: {
-      unsigned vec = 0;
-      for (std::size_t i = 0; i < n.fanin.size(); ++i)
-        vec |= (values_[n.fanin[i]] ? 1u : 0u) << i;
-      return ((n.lut >> vec) & 1u) != 0;
-    }
-    default:
-      RELOGIC_CHECK_MSG(false, "eval_node on a non-combinational node");
-  }
-  return false;
-}
-
 void GoldenSim::propagate_comb() {
-  for (SigId id : order_) values_[id] = eval_node(id);
+  std::uint8_t* v = values_.data();
+  for (const Op& op : ops_) {
+    const unsigned vec = v[op.in[0]] | v[op.in[1]] << 1 | v[op.in[2]] << 2 |
+                         v[op.in[3]] << 3;
+    v[op.out] = static_cast<std::uint8_t>((op.lut >> vec) & 1u);
+  }
 }
 
 void GoldenSim::settle() {
@@ -79,16 +117,10 @@ void GoldenSim::settle() {
   const int rounds = static_cast<int>(nl_->state_elements().size()) + 1;
   for (int r = 0; r < rounds; ++r) {
     bool changed = false;
-    for (SigId s : nl_->state_elements()) {
-      const Node& n = nl_->node(s);
-      if (n.kind != OpKind::kLatch) continue;
-      const bool gate = values_[n.fanin[1]];
-      if (gate) {
-        const bool d = values_[n.fanin[0]];
-        if (values_[s] != d) {
-          values_[s] = d;
-          changed = true;
-        }
+    for (const Storage& l : latches_) {
+      if (values_[l.en] && values_[l.q] != values_[l.d]) {
+        values_[l.q] = values_[l.d];
+        changed = true;
       }
     }
     if (!changed) return;
@@ -100,34 +132,32 @@ void GoldenSim::settle() {
 
 void GoldenSim::clock() {
   // Capture phase: sample every DFF's D (and CE) simultaneously.
-  captures_.clear();
-  for (SigId s : nl_->state_elements()) {
-    const Node& n = nl_->node(s);
-    if (n.kind != OpKind::kDff) continue;
-    const bool ce = n.fanin.size() < 2 || values_[n.fanin[1]];
-    if (ce) captures_.emplace_back(s, values_[n.fanin[0]]);
+  for (std::size_t i = 0; i < dffs_.size(); ++i) {
+    const Storage& f = dffs_[i];
+    captures_[i] = values_[f.en] ? values_[f.d] : values_[f.q];
   }
-  for (const auto& [s, d] : captures_) values_[s] = d;
+  for (std::size_t i = 0; i < dffs_.size(); ++i)
+    values_[dffs_[i].q] = captures_[i];
   settle();
 }
 
 bool GoldenSim::output(const std::string& name) const {
   auto sig = nl_->find_output(name);
   RELOGIC_CHECK_MSG(sig.has_value(), "no output named " + name);
-  return values_[*sig];
+  return values_[*sig] != 0;
 }
 
 std::vector<bool> GoldenSim::state() const {
   std::vector<bool> out;
   out.reserve(nl_->state_elements().size());
-  for (SigId s : nl_->state_elements()) out.push_back(values_[s]);
+  for (SigId s : nl_->state_elements()) out.push_back(values_[s] != 0);
   return out;
 }
 
 std::vector<bool> GoldenSim::outputs() const {
   std::vector<bool> out;
   out.reserve(nl_->outputs().size());
-  for (const auto& o : nl_->outputs()) out.push_back(values_[o.signal]);
+  for (const auto& o : nl_->outputs()) out.push_back(values_[o.signal] != 0);
   return out;
 }
 

@@ -8,8 +8,9 @@
 // information or functional disturbance was observed".
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "relogic/netlist/netlist.hpp"
@@ -35,8 +36,8 @@ class GoldenSim {
   void clock();
 
   bool value(SigId sig) const {
-    RELOGIC_CHECK(sig < values_.size());
-    return values_[sig];
+    RELOGIC_CHECK(sig < nl_->node_count());
+    return values_[sig] != 0;
   }
   bool output(const std::string& name) const;
   /// Values of all state elements, in Netlist::state_elements() order.
@@ -47,14 +48,35 @@ class GoldenSim {
   const Netlist& netlist() const { return *nl_; }
 
  private:
+  /// One combinational node as a truth table over four fanin slots: every
+  /// gate kind is compiled to the mask of its function (a kLut keeps its
+  /// own), and unused slots read the constant-0 slot, so vectors past the
+  /// node's fanin count never occur.
+  struct Op {
+    std::uint16_t lut = 0;
+    SigId out = kInvalidSig;
+    std::array<SigId, 4> in{};
+  };
+  /// A DFF (`en` is the constant-1 slot when it has no CE) or a latch
+  /// (`en` is its gate).
+  struct Storage {
+    SigId q = kInvalidSig;
+    SigId d = kInvalidSig;
+    SigId en = kInvalidSig;
+  };
+
   void propagate_comb();
-  bool eval_node(SigId id) const;
 
   const Netlist* nl_;
-  std::vector<SigId> order_;
-  std::vector<bool> values_;
-  /// clock()'s capture buffer, kept to reuse its allocation across edges.
-  std::vector<std::pair<SigId, bool>> captures_;
+  /// Ops in Netlist::topo_order().
+  std::vector<Op> ops_;
+  /// DFFs and latches, each in Netlist::state_elements() order.
+  std::vector<Storage> dffs_;
+  std::vector<Storage> latches_;
+  /// One byte per signal, then the constant-0 and constant-1 slots.
+  std::vector<std::uint8_t> values_;
+  /// clock()'s capture buffer, one D value per DFF.
+  std::vector<std::uint8_t> captures_;
 };
 
 }  // namespace relogic::netlist

@@ -29,6 +29,7 @@
 
 #include "relogic/common/time.hpp"
 #include "relogic/fabric/fabric.hpp"
+#include "relogic/sim/event_lanes.hpp"
 #include "relogic/sim/monitor.hpp"
 
 namespace relogic::sim {
@@ -99,7 +100,8 @@ class FabricSim final : public fabric::FabricListener {
   /// Recomputes the simulator's derived state from a full scan of the
   /// fabric and throws AuditError on any difference (DESIGN.md §8.4, §11):
   /// the cell mirror, the clocked-site index, the multi-source net list,
-  /// the source -> net table and every cached sink's site and port.
+  /// the source -> net table, every cached sink's site, port and event
+  /// lane, and the event queue's lanes and heads heap.
   /// RELOGIC_AUDIT builds call it at the end of every run_until.
   void audit() const;
 
@@ -130,18 +132,14 @@ class FabricSim final : public fabric::FabricListener {
     int port() const { return static_cast<int>((key >> 3) & 7u); }
   };
   static_assert(sizeof(Event) == 24);
-  /// Heap order: the earliest (time, key) on top.
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.key > b.key;
-    }
-  };
+  using Queue = EventLanes<Event>;
+  using Lane = Queue::Lane;
 
   /// A routed sink of a net, resolved once when the net changes.
   struct Sink {
     fabric::NodeId node = fabric::kInvalidNode;
     std::int32_t site = -1;  ///< -1 for a pad
+    Lane lane = 0;           ///< the event lane of `delay`
     std::uint8_t port = 0;   ///< CellPort of a cell pin
     SimTime delay;           ///< max over paralleled paths
   };
@@ -158,18 +156,19 @@ class FabricSim final : public fabric::FabricListener {
     return static_cast<std::size_t>(site) * 2 + (registered ? 1 : 0);
   }
 
-  /// Queues an event, giving it the next sequence number.
-  void schedule(SimTime time, EventKind kind, std::int32_t site,
+  /// Queues an event at now() plus the lane's delay, giving it the next
+  /// sequence number.
+  void schedule(Lane lane, EventKind kind, std::int32_t site,
                 bool value = false, fabric::NodeId node = fabric::kInvalidNode,
                 int port = 0);
-  void schedule_sinks(const NetCache& cache, bool value, SimTime t);
+  void schedule_sinks(const NetCache& cache, bool value);
   void process(const Event& e);
   void do_pin_set(const Event& e);
-  void do_eval(int site, SimTime t);
-  void do_q_set(int site, bool value, SimTime t);
-  void do_clock_edge(std::uint8_t domain, SimTime t);
+  void do_eval(int site);
+  void do_q_set(int site, bool value);
+  void do_clock_edge(std::uint8_t domain);
   /// Propagates a new source value to every sink of the net it drives.
-  void propagate_net(fabric::NetId net, bool value, SimTime t);
+  void propagate_net(fabric::NetId net, bool value);
   void rebuild_net_cache(fabric::NetId net);
   /// The net a source node (out pin or pad) drives, kNoNet if none.
   fabric::NetId source_net(fabric::NodeId source) const;
@@ -183,20 +182,23 @@ class FabricSim final : public fabric::FabricListener {
   SimTime now_ = SimTime::zero();
   std::uint64_t seq_ = 0;
   std::int64_t events_processed_ = 0;
-  /// Binary min-heap of pending events under Later (std::push_heap /
-  /// std::pop_heap).
-  std::vector<Event> queue_;
+  Queue queue_;
+  /// Lanes of the fixed delays, resolved at construction (a domain's
+  /// period lane lives in its Domain record, a sink's in its Sink).
+  Lane now_lane_;
+  Lane lut_lane_;
+  Lane clk_to_q_lane_;
+  Lane latch_lane_;
 
   // Dense per-site state (4 cells per CLB).
   /// Mirror of every site's Fabric::cell, written by on_cell_changed after
   /// the fabric stores the change.
   std::vector<fabric::LogicCellConfig> cells_;
   std::vector<std::array<bool, 6>> pin_val_;  // I0..I3, CE, BX
-  std::vector<bool> x_val_;
-  std::vector<bool> q_val_;
+  std::vector<std::uint8_t> x_val_;
+  std::vector<std::uint8_t> q_val_;
 
   std::unordered_map<fabric::NodeId, bool> pad_val_;
-  std::unordered_map<fabric::NodeId, bool> pad_driven_;  // externally driven
 
   std::vector<NetCache> net_cache_;  // by net id
   /// The live net each cell out pin sources, by out_slot(); kNoNet if none.
@@ -212,6 +214,7 @@ class FabricSim final : public fabric::FabricListener {
   struct Domain {
     bool has_clock = false;
     ClockSpec clock;
+    Lane period_lane = 0;  ///< valid once has_clock
     bool halted = false;
     std::int64_t edges_seen = 0;
     std::vector<int> ff_sites;

@@ -31,7 +31,12 @@ void set_member(std::vector<T>& v, T x, bool member) {
 }  // namespace
 
 FabricSim::FabricSim(fabric::Fabric& fabric, const fabric::DelayModel& dm)
-    : fabric_(&fabric), dm_(&dm) {
+    : fabric_(&fabric),
+      dm_(&dm),
+      now_lane_(queue_.lane(SimTime::zero())),
+      lut_lane_(queue_.lane(dm.lut_delay)),
+      clk_to_q_lane_(queue_.lane(dm.clk_to_q)),
+      latch_lane_(queue_.lane(dm.latch_d_to_q)) {
   const auto& geom = fabric_->geometry();
   const std::size_t sites =
       static_cast<std::size_t>(geom.clb_count()) * geom.cells_per_clb;
@@ -54,7 +59,7 @@ FabricSim::FabricSim(fabric::Fabric& fabric, const fabric::DelayModel& dm)
         cells_[static_cast<std::size_t>(site)] = cfg;
         if (clocked(cfg)) domain(cfg.clock_domain).ff_sites.push_back(site);
         q_val_[static_cast<std::size_t>(site)] = cfg.init;
-        schedule(now_ + dm_->lut_delay, EventKind::kEval, site);
+        schedule(lut_lane_, EventKind::kEval, site);
       }
     }
   }
@@ -100,9 +105,10 @@ void FabricSim::add_clock(ClockSpec spec) {
   RELOGIC_CHECK_MSG(!dom.has_clock, "clock domain already defined");
   dom.has_clock = true;
   dom.clock = spec;
+  dom.period_lane = queue_.lane(spec.period);
   SimTime first = spec.first_edge;
   while (first < now_) first += spec.period;
-  schedule(first, EventKind::kClockEdge, spec.domain);
+  schedule(queue_.lane(first - now_), EventKind::kClockEdge, spec.domain);
 }
 
 bool FabricSim::has_clock(std::uint8_t domain) const {
@@ -126,12 +132,11 @@ SimTime FabricSim::next_edge(std::uint8_t domain, SimTime from) const {
 
 void FabricSim::drive_pad(NodeId pad, bool value) {
   RELOGIC_CHECK(fabric_->graph().info(pad).kind == NodeKind::kPad);
-  pad_driven_[pad] = true;
   auto it = pad_val_.find(pad);
   if (it != pad_val_.end() && it->second == value) return;
   pad_val_[pad] = value;
   monitor_.record_transition(pad, now_);
-  propagate_net(source_net(pad), value, now_);
+  propagate_net(source_net(pad), value);
 }
 
 bool FabricSim::pad_value(NodeId pad) const {
@@ -141,10 +146,8 @@ bool FabricSim::pad_value(NodeId pad) const {
 
 void FabricSim::run_until(SimTime t) {
   RELOGIC_CHECK(t >= now_);
-  while (!queue_.empty() && queue_.front().time <= t) {
-    std::pop_heap(queue_.begin(), queue_.end(), Later{});
-    const Event e = queue_.back();
-    queue_.pop_back();
+  while (!queue_.empty() && queue_.top_time() <= t) {
+    const Event e = queue_.pop();
     now_ = e.time;
     process(e);
     ++events_processed_;
@@ -232,18 +235,19 @@ unsigned FabricSim::lut_input_vector(int site) const {
   return vec;
 }
 
-void FabricSim::schedule(SimTime time, EventKind kind, std::int32_t site,
+void FabricSim::schedule(Lane lane, EventKind kind, std::int32_t site,
                          bool value, NodeId node, int port) {
+  // The lane's delay is never negative (EventLanes::lane checks it), so no
+  // event lands before now() and every lane stays sorted.
   const std::uint64_t key = (++seq_ << 8) |
                             static_cast<std::uint64_t>(port) << 3 |
                             (value ? 4u : 0u) | static_cast<unsigned>(kind);
-  queue_.push_back(Event{time, key, node, site});
-  std::push_heap(queue_.begin(), queue_.end(), Later{});
+  queue_.push(lane, Event{now_ + queue_.delay(lane), key, node, site});
 }
 
-void FabricSim::schedule_sinks(const NetCache& cache, bool value, SimTime t) {
+void FabricSim::schedule_sinks(const NetCache& cache, bool value) {
   for (const Sink& s : cache.sinks)
-    schedule(t + s.delay, EventKind::kPinSet, s.site, value, s.node, s.port);
+    schedule(s.lane, EventKind::kPinSet, s.site, value, s.node, s.port);
 }
 
 void FabricSim::process(const Event& e) {
@@ -252,13 +256,13 @@ void FabricSim::process(const Event& e) {
       do_pin_set(e);
       break;
     case EventKind::kEval:
-      do_eval(e.site, e.time);
+      do_eval(e.site);
       break;
     case EventKind::kQSet:
-      do_q_set(e.site, e.value(), e.time);
+      do_q_set(e.site, e.value());
       break;
     case EventKind::kClockEdge:
-      do_clock_edge(static_cast<std::uint8_t>(e.site), e.time);
+      do_clock_edge(static_cast<std::uint8_t>(e.site));
       break;
   }
 }
@@ -266,13 +270,12 @@ void FabricSim::process(const Event& e) {
 void FabricSim::do_pin_set(const Event& e) {
   const NodeId node = e.node;
   const bool value = e.value();
-  const SimTime t = e.time;
   if (e.site < 0) {  // a pad
     auto it = pad_val_.find(node);
     const bool old = it != pad_val_.end() && it->second;
     if (old == value && it != pad_val_.end()) return;
     pad_val_[node] = value;
-    if (old != value) monitor_.record_transition(node, t);
+    if (old != value) monitor_.record_transition(node, now_);
     return;
   }
   const int site = e.site;
@@ -280,48 +283,48 @@ void FabricSim::do_pin_set(const Event& e) {
   auto& pins = pin_val_[static_cast<std::size_t>(site)];
   if (pins[static_cast<std::size_t>(port)] == value) return;
   pins[static_cast<std::size_t>(port)] = value;
-  monitor_.record_transition(node, t);
+  monitor_.record_transition(node, now_);
 
   const auto& cfg = cells_[static_cast<std::size_t>(site)];
   if (!cfg.used) return;
   if (port < 4) {
-    schedule(t + dm_->lut_delay, EventKind::kEval, site);
+    schedule(lut_lane_, EventKind::kEval, site);
   } else if (port == 4) {
     // CE pin: latch transparency opening captures the current D value.
     if (cfg.reg == fabric::RegMode::kLatch && value) {
       const bool d = cfg.d_src == fabric::DSrc::kBypass
                          ? pins[5]
-                         : x_val_[static_cast<std::size_t>(site)];
-      schedule(t + dm_->latch_d_to_q, EventKind::kQSet, site, d);
+                         : x_val_[static_cast<std::size_t>(site)] != 0;
+      schedule(latch_lane_, EventKind::kQSet, site, d);
     }
   } else {
     // BX bypass pin: transparent latches in bypass mode follow it.
     if (cfg.reg == fabric::RegMode::kLatch &&
         cfg.d_src == fabric::DSrc::kBypass && pins[4]) {
-      schedule(t + dm_->latch_d_to_q, EventKind::kQSet, site, value);
+      schedule(latch_lane_, EventKind::kQSet, site, value);
     }
   }
 }
 
-void FabricSim::do_eval(int site, SimTime t) {
+void FabricSim::do_eval(int site) {
   const auto& cfg = cells_[static_cast<std::size_t>(site)];
   if (!cfg.used) return;
   const bool x = cfg.eval(lut_input_vector(site));
-  if (x == x_val_[static_cast<std::size_t>(site)]) return;
+  if (x == (x_val_[static_cast<std::size_t>(site)] != 0)) return;
   x_val_[static_cast<std::size_t>(site)] = x;
-  propagate_net(out_pin_net_[out_slot(site, false)], x, t);
+  propagate_net(out_pin_net_[out_slot(site, false)], x);
   if (cfg.reg == fabric::RegMode::kLatch &&
       cfg.d_src == fabric::DSrc::kLut &&
       pin_val_[static_cast<std::size_t>(site)][4]) {
-    schedule(t + dm_->latch_d_to_q, EventKind::kQSet, site, x);
+    schedule(latch_lane_, EventKind::kQSet, site, x);
   }
 }
 
-void FabricSim::do_q_set(int site, bool value, SimTime t) {
-  if (q_val_[static_cast<std::size_t>(site)] == value) return;
+void FabricSim::do_q_set(int site, bool value) {
+  if ((q_val_[static_cast<std::size_t>(site)] != 0) == value) return;
   if (!cells_[static_cast<std::size_t>(site)].used) return;
   q_val_[static_cast<std::size_t>(site)] = value;
-  propagate_net(out_pin_net_[out_slot(site, true)], value, t);
+  propagate_net(out_pin_net_[out_slot(site, true)], value);
 }
 
 std::int64_t FabricSim::edges_seen(std::uint8_t domain) const {
@@ -339,12 +342,12 @@ bool FabricSim::clock_running(std::uint8_t domain) const {
   return dom == nullptr || !dom->halted;
 }
 
-void FabricSim::do_clock_edge(std::uint8_t domain, SimTime t) {
+void FabricSim::do_clock_edge(std::uint8_t domain) {
   Domain& dom = domains_[domain];
   // A halted domain's generator keeps its phase, but nothing captures.
   if (!dom.halted) {
     ++dom.edges_seen;
-    monitor_.on_clock_edge(t);
+    monitor_.on_clock_edge(now_);
     check_drive_coherence();
     for (const int site : dom.ff_sites) {
       const auto& cfg = cells_[static_cast<std::size_t>(site)];
@@ -352,20 +355,20 @@ void FabricSim::do_clock_edge(std::uint8_t domain, SimTime t) {
       if (cfg.uses_ce && !pins[4]) continue;
       const bool d = cfg.d_src == fabric::DSrc::kBypass
                          ? pins[5]
-                         : x_val_[static_cast<std::size_t>(site)];
-      if (d != q_val_[static_cast<std::size_t>(site)])
-        schedule(t + dm_->clk_to_q, EventKind::kQSet, site, d);
+                         : x_val_[static_cast<std::size_t>(site)] != 0;
+      if (d != (q_val_[static_cast<std::size_t>(site)] != 0))
+        schedule(clk_to_q_lane_, EventKind::kQSet, site, d);
     }
   }
-  schedule(t + dom.clock.period, EventKind::kClockEdge, domain);
+  schedule(dom.period_lane, EventKind::kClockEdge, domain);
 }
 
-void FabricSim::propagate_net(NetId net, bool value, SimTime t) {
+void FabricSim::propagate_net(NetId net, bool value) {
   if (net == fabric::kNoNet) return;
   // Multi-source nets: the paralleled drivers are functionally identical
   // (verified by check_drive_coherence), so last-write-wins per sink is
   // the settled value; skew between them is the Fig. 6 fuzziness.
-  schedule_sinks(net_cache_[net], value, t);
+  schedule_sinks(net_cache_[net], value);
 }
 
 void FabricSim::rebuild_net_cache(NetId net) {
@@ -422,9 +425,9 @@ void FabricSim::rebuild_net_cache(NetId net) {
     const auto info = graph.info(node);
     if (info.kind == NodeKind::kInPin) {
       cache.sinks.push_back(
-          Sink{node, site_index(info.tile, info.a), info.b, d});
+          Sink{node, site_index(info.tile, info.a), queue_.lane(d), info.b, d});
     } else if (info.kind == NodeKind::kPad && !tree.has_source(node)) {
-      cache.sinks.push_back(Sink{node, -1, 0, d});
+      cache.sinks.push_back(Sink{node, -1, queue_.lane(d), 0, d});
     }
   }
 }
@@ -456,10 +459,10 @@ void FabricSim::on_cell_changed(ClbCoord clb, int cell,
           !fabric_->net(net).sources.empty()) {
         value = source_pin_value(fabric_->net(net).sources.front());
       }
-      schedule(now_, EventKind::kPinSet, site, value, pin, p);
+      schedule(now_lane_, EventKind::kPinSet, site, value, pin, p);
     }
   }
-  if (after.used) schedule(now_ + dm_->lut_delay, EventKind::kEval, site);
+  if (after.used) schedule(lut_lane_, EventKind::kEval, site);
 }
 
 void FabricSim::on_net_changed(NetId net) {
@@ -467,7 +470,7 @@ void FabricSim::on_net_changed(NetId net) {
   if (!fabric_->net_exists(net)) return;
   const NetCache& cache = net_cache_[net];
   if (cache.sources.empty()) return;
-  schedule_sinks(cache, source_pin_value(cache.sources.front()), now_);
+  schedule_sinks(cache, source_pin_value(cache.sources.front()));
 }
 
 void FabricSim::check_drive_coherence() {
@@ -530,6 +533,10 @@ void FabricSim::audit() const {
       RELOGIC_AUDIT_CHECK(resolved, kWhere,
                           "cached sink " + info.to_string() + " of net " +
                               std::to_string(n) + " has a stale site or port");
+      RELOGIC_AUDIT_CHECK(queue_.delay(sink.lane) == sink.delay, kWhere,
+                          "cached sink " + info.to_string() + " of net " +
+                              std::to_string(n) +
+                              " names the event lane of another delay");
     }
   }
   RELOGIC_AUDIT_CHECK(multi_source_nets_ == multi, kWhere,
@@ -544,6 +551,21 @@ void FabricSim::audit() const {
                       "source -> net table holds " + std::to_string(entries) +
                           " entries for " + std::to_string(sources) +
                           " live sources");
+
+  RELOGIC_AUDIT_CHECK(queue_.delay(now_lane_) == SimTime::zero() &&
+                          queue_.delay(lut_lane_) == dm_->lut_delay &&
+                          queue_.delay(clk_to_q_lane_) == dm_->clk_to_q &&
+                          queue_.delay(latch_lane_) == dm_->latch_d_to_q,
+                      kWhere, "a fixed-delay event lane has another delay");
+  for (std::size_t d = 0; d < domains_.size(); ++d) {
+    RELOGIC_AUDIT_CHECK(!domains_[d].has_clock ||
+                            queue_.delay(domains_[d].period_lane) ==
+                                domains_[d].clock.period,
+                        kWhere,
+                        "period lane of domain " + std::to_string(d) +
+                            " has another delay");
+  }
+  queue_.audit(now_);
 }
 
 }  // namespace relogic::sim

@@ -1,7 +1,9 @@
 # Golden pin of a program's standard output: runs EXE (no arguments) in
 # OUT_DIR and compares what it prints byte-for-byte with GOLDEN. Used for
-# the deterministic figure benches (bench_fig5_routing_reloc,
-# bench_fig6_path_delay), whose tables depend on every router tie-break.
+# the deterministic figure benches: bench_fig5_routing_reloc and
+# bench_fig6_path_delay, whose tables depend on every router tie-break,
+# and bench_fig4_relocation_time in smoke mode, whose table depends on the
+# logic simulator's event order.
 #
 #   cmake -DEXE=<program> -DGOLDEN=<file> -DOUT_DIR=<scratch dir>
 #         -P check_stdout_golden.cmake

@@ -2,6 +2,11 @@
 // benchmark circuits).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "relogic/common/rng.hpp"
 #include "relogic/netlist/benchmarks.hpp"
 #include "relogic/netlist/golden.hpp"
@@ -200,6 +205,207 @@ TEST(GoldenSim, LatchTransparencyFollowsGate) {
   sim.set_input("g", true);
   sim.settle();
   EXPECT_FALSE(sim.output("q"));  // transparent again
+}
+
+/// The golden model's contract evaluated the slow way, as the oracle of
+/// GoldenSim.MatchesNaiveRecursiveEvaluator. A combinational signal is
+/// evaluated recursively from its fanins on every read. A settle round
+/// evaluates each latch's D and gate from the storage values of the
+/// round's start, except that a D or gate that is itself a storage element
+/// reads its current value; rounds repeat until no latch changes. A clock
+/// edge samples every DFF's D and CE first, then writes them all.
+class NaiveSim {
+ public:
+  explicit NaiveSim(const Netlist& nl) : nl_(nl), val_(nl.node_count()) {
+    for (const SigId s : nl.state_elements()) val_[s] = nl.node(s).init;
+    settle();
+  }
+  void set_input(SigId in, bool v) { val_[in] = v; }
+
+  void settle() {
+    const std::size_t limit = nl_.state_elements().size() + 1;
+    for (std::size_t round = 0;; ++round) {
+      ASSERT_LT(round, limit) << "latches never settle";
+      const std::vector<bool> start = val_;
+      bool changed = false;
+      for (const SigId s : nl_.state_elements()) {
+        const Node& n = nl_.node(s);
+        if (n.kind != OpKind::kLatch) continue;
+        if (!read(n.fanin[1], start)) continue;
+        const bool d = read(n.fanin[0], start);
+        if (val_[s] != d) {
+          val_[s] = d;
+          changed = true;
+        }
+      }
+      if (!changed) return;
+    }
+  }
+
+  void clock() {
+    std::vector<std::pair<SigId, bool>> captured;
+    for (const SigId s : nl_.state_elements()) {
+      const Node& n = nl_.node(s);
+      if (n.kind != OpKind::kDff) continue;
+      if (n.fanin.size() < 2 || eval(n.fanin[1], val_))
+        captured.emplace_back(s, eval(n.fanin[0], val_));
+    }
+    for (const auto& [s, d] : captured) val_[s] = d;
+    settle();
+  }
+
+  std::vector<bool> state() const {
+    std::vector<bool> out;
+    for (const SigId s : nl_.state_elements()) out.push_back(val_[s]);
+    return out;
+  }
+  std::vector<bool> outputs() const {
+    std::vector<bool> out;
+    for (const auto& o : nl_.outputs()) out.push_back(eval(o.signal, val_));
+    return out;
+  }
+
+ private:
+  static bool is_storage(OpKind k) {
+    return k == OpKind::kDff || k == OpKind::kLatch;
+  }
+  /// A latch's D or gate inside a settle round.
+  bool read(SigId id, const std::vector<bool>& start) const {
+    return is_storage(nl_.node(id).kind) ? val_[id] : eval(id, start);
+  }
+  /// The value of `id` with storage elements and inputs taken from `src`.
+  bool eval(SigId id, const std::vector<bool>& src) const {
+    const Node& n = nl_.node(id);
+    auto f = [&](std::size_t i) { return eval(n.fanin[i], src); };
+    switch (n.kind) {
+      case OpKind::kInput:
+      case OpKind::kDff:
+      case OpKind::kLatch:
+        return src[id];
+      case OpKind::kConst0:
+        return false;
+      case OpKind::kConst1:
+        return true;
+      case OpKind::kBuf:
+        return f(0);
+      case OpKind::kNot:
+        return !f(0);
+      case OpKind::kAnd:
+        return f(0) && f(1);
+      case OpKind::kOr:
+        return f(0) || f(1);
+      case OpKind::kNand:
+        return !(f(0) && f(1));
+      case OpKind::kNor:
+        return !(f(0) || f(1));
+      case OpKind::kXor:
+        return f(0) != f(1);
+      case OpKind::kXnor:
+        return f(0) == f(1);
+      case OpKind::kMux:
+        return f(2) ? f(1) : f(0);
+      case OpKind::kLut: {
+        unsigned vec = 0;
+        for (std::size_t i = 0; i < n.fanin.size(); ++i)
+          vec |= (f(i) ? 1u : 0u) << i;
+        return ((n.lut >> vec) & 1u) != 0;
+      }
+    }
+    return false;
+  }
+
+  const Netlist& nl_;
+  std::vector<bool> val_;  ///< inputs and storage elements
+};
+
+/// A random FSM over every combinational kind, LUTs of 1..4 inputs, DFFs
+/// (half of them CE-gated) and transparent latches. Latch k's D and gate
+/// read only inputs, DFFs and latches before it, so the latches settle.
+Netlist random_sequential(std::uint64_t seed) {
+  Rng rng(seed);
+  Netlist nl("rand" + std::to_string(seed));
+  std::vector<SigId> pool;
+  for (int i = 0; i < 4; ++i) pool.push_back(nl.input("i" + std::to_string(i)));
+  pool.push_back(nl.constant(false));
+  pool.push_back(nl.constant(true));
+  std::vector<SigId> dffs;
+  for (int i = 0; i < 6; ++i) {
+    dffs.push_back(nl.dff_feedback(rng.next_bool()));
+    pool.push_back(dffs.back());
+  }
+  auto pick = [&] {
+    return pool[static_cast<std::size_t>(
+        rng.next_int(0, static_cast<int>(pool.size()) - 1))];
+  };
+  auto gates = [&](int count) {
+    for (int g = 0; g < count; ++g) {
+      SigId out = kInvalidSig;
+      switch (rng.next_int(0, 9)) {
+        case 0: out = nl.buf(pick()); break;
+        case 1: out = nl.not_(pick()); break;
+        case 2: out = nl.and_(pick(), pick()); break;
+        case 3: out = nl.or_(pick(), pick()); break;
+        case 4: out = nl.nand_(pick(), pick()); break;
+        case 5: out = nl.nor_(pick(), pick()); break;
+        case 6: out = nl.xor_(pick(), pick()); break;
+        case 7: out = nl.xnor_(pick(), pick()); break;
+        case 8: out = nl.mux(pick(), pick(), pick()); break;
+        default: {
+          std::vector<SigId> fanin(
+              static_cast<std::size_t>(rng.next_int(1, 4)));
+          for (SigId& f : fanin) f = pick();
+          out = nl.lut(static_cast<std::uint16_t>(rng.next_u64()), fanin);
+        }
+      }
+      pool.push_back(out);
+    }
+  };
+  for (int k = 0; k < 4; ++k) {
+    gates(5);
+    const SigId d = pick();
+    const SigId gate = pick();
+    pool.push_back(nl.latch(d, gate, rng.next_bool()));
+  }
+  gates(20);
+  for (const SigId ff : dffs) {
+    const SigId d = pick();
+    if (rng.next_bool()) {
+      nl.connect_dff(ff, d, pick());
+    } else {
+      nl.connect_dff(ff, d);
+    }
+  }
+  for (int o = 0; o < 6; ++o) nl.output("o" + std::to_string(o), pick());
+  nl.validate();
+  return nl;
+}
+
+TEST(GoldenSim, MatchesNaiveRecursiveEvaluator) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    const Netlist nl = random_sequential(seed);
+    ASSERT_EQ(nl.latch_count(), 4);
+    GoldenSim golden(nl);
+    NaiveSim naive(nl);
+    Rng stim(seed * 7919);
+    auto where = [&](int cycle) {
+      return "seed " + std::to_string(seed) + " cycle " + std::to_string(cycle);
+    };
+    for (int cycle = 0; cycle < 60; ++cycle) {
+      for (const SigId in : nl.inputs()) {
+        const bool v = stim.next_bool();
+        golden.set_input(in, v);
+        naive.set_input(in, v);
+      }
+      golden.settle();
+      naive.settle();
+      ASSERT_EQ(golden.state(), naive.state()) << where(cycle);
+      ASSERT_EQ(golden.outputs(), naive.outputs()) << where(cycle);
+      golden.clock();
+      naive.clock();
+      ASSERT_EQ(golden.state(), naive.state()) << where(cycle);
+      ASSERT_EQ(golden.outputs(), naive.outputs()) << where(cycle);
+    }
+  }
 }
 
 TEST(Benchmarks, PublishedFFCounts) {

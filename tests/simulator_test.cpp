@@ -17,6 +17,9 @@
 //   FabricSim::audit.
 // * DriveConflict checks that a drive conflict is found by the clock edge
 //   alone, through the multi-source net list.
+// * EventLanes checks the event queue against a std::priority_queue on
+//   (time, seq) over random monotone schedule streams, and that a lane
+//   that never drains keeps a bounded buffer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -37,6 +40,7 @@
 #include "relogic/place/implement.hpp"
 #include "relogic/reloc/engine.hpp"
 #include "relogic/reloc/net_surgery.hpp"
+#include "relogic/sim/event_lanes.hpp"
 #include "relogic/sim/harness.hpp"
 
 namespace relogic {
@@ -665,6 +669,158 @@ TEST(DriveConflict, RecordedByTheClockEdgeAlone) {
   sim.run_until(SimTime::ns(1001));
   EXPECT_EQ(conflicts(), 3);
   EXPECT_EQ(sim.edges_seen(0), 10);
+}
+
+// ---- EventLanes ----------------------------------------------------------
+
+struct LaneEvent {
+  SimTime time;
+  std::uint64_t key = 0;
+};
+
+/// Drives an EventLanes queue and a reference std::priority_queue on
+/// (time, seq) with one schedule stream, the way FabricSim does: every
+/// event lands a delay after now(), and now() only moves forward, to the
+/// time of a popped event or to a run_until target.
+class LaneOracle {
+ public:
+  using Lanes = sim::EventLanes<LaneEvent>;
+
+  Lanes::Lane schedule(SimTime delay) {
+    const LaneEvent e{now_ + delay, ++seq_};
+    const Lanes::Lane lane = lanes_.lane(delay);
+    lanes_.push(lane, e);
+    ref_.push(e);
+    return lane;
+  }
+  /// Pops the next event from both queues and checks they agree.
+  void pop() {
+    ASSERT_FALSE(ref_.empty());
+    ASSERT_FALSE(lanes_.empty());
+    EXPECT_EQ(lanes_.top_time(), ref_.top().time);
+    const LaneEvent got = lanes_.pop();
+    const LaneEvent want = ref_.top();
+    ref_.pop();
+    ASSERT_EQ(got.time, want.time) << "pop " << pops_;
+    ASSERT_EQ(got.key, want.key) << "pop " << pops_;
+    now_ = got.time;
+    ++pops_;
+  }
+  /// FabricSim::run_until: pops every event up to `t`, then now() = t.
+  void run_until(SimTime t) {
+    while (!ref_.empty() && ref_.top().time <= t) {
+      pop();
+      if (testing::Test::HasFatalFailure()) return;
+    }
+    EXPECT_TRUE(lanes_.empty() || lanes_.top_time() > t);
+    now_ = t;
+  }
+  void audit() const { lanes_.audit(now_); }
+
+  SimTime now() const { return now_; }
+  std::size_t pending() const { return ref_.size(); }
+  std::int64_t pops() const { return pops_; }
+  const Lanes& lanes() const { return lanes_; }
+
+ private:
+  struct Later {
+    bool operator()(const LaneEvent& a, const LaneEvent& b) const {
+      return a.time != b.time ? a.time > b.time : a.key > b.key;
+    }
+  };
+
+  Lanes lanes_;
+  std::priority_queue<LaneEvent, std::vector<LaneEvent>, Later> ref_;
+  SimTime now_ = SimTime::zero();
+  std::uint64_t seq_ = 0;
+  std::int64_t pops_ = 0;
+};
+
+TEST(EventLanes, RandomMonotoneStreamsPopInReferenceOrder) {
+  // Small delays that are sums of one another, so events of different
+  // lanes often share a time; zero (FabricSim's pin refresh); and, now and
+  // then, a delay never seen before.
+  const std::vector<std::int64_t> common = {0, 1, 2, 3, 5, 8, 13, 100};
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    LaneOracle q;
+    for (int step = 0; step < 4000; ++step) {
+      const int burst = rng.next_int(0, 6);
+      for (int i = 0; i < burst; ++i) {
+        const std::int64_t d =
+            rng.next_bool(0.05)
+                ? rng.next_int(0, 5000)
+                : common[static_cast<std::size_t>(
+                      rng.next_int(0, static_cast<int>(common.size()) - 1))];
+        q.schedule(SimTime::ps(d));
+      }
+      if (rng.next_bool(0.2)) {
+        q.run_until(q.now() + SimTime::ps(rng.next_int(0, 20)));
+      } else {
+        for (int i = rng.next_int(0, 8); i > 0 && q.pending() > 0; --i) q.pop();
+      }
+      if (HasFatalFailure()) return;
+      if (step % 97 == 0) {
+        EXPECT_NO_THROW(q.audit());
+      }
+    }
+    q.run_until(SimTime::never());  // drain: every lane empties
+    EXPECT_TRUE(q.lanes().empty());
+    EXPECT_NO_THROW(q.audit());
+    EXPECT_GT(q.lanes().lane_count(), common.size());  // unseen delays
+  }
+}
+
+TEST(EventLanes, LanesDrainRefillAndWrapInOrder) {
+  LaneOracle q;
+  // Three events in one lane, two popped, then enough pushes to wrap the
+  // four-slot ring and grow it while wrapped; a second lane interleaves.
+  for (int i = 0; i < 3; ++i) q.schedule(SimTime::ps(10));
+  q.pop();
+  q.pop();
+  for (int i = 0; i < 9; ++i) {
+    q.schedule(SimTime::ps(10));
+    q.schedule(SimTime::ps(i));
+    EXPECT_NO_THROW(q.audit());
+  }
+  q.run_until(SimTime::ps(1000));
+  EXPECT_TRUE(q.lanes().empty());
+  // Drained lanes refill and re-enter the heads heap.
+  q.schedule(SimTime::ps(10));
+  q.schedule(SimTime::ps(0));
+  EXPECT_NO_THROW(q.audit());
+  q.run_until(SimTime::ps(2000));
+  EXPECT_EQ(q.pops(), 3 + 18 + 2);
+}
+
+TEST(EventLanes, NeverDrainingLaneStaysBounded) {
+  // A clock-like lane keeps ~10 events pending for the whole run (one
+  // pushed every 100 ps, each due 1000 ps later), while a second lane
+  // drains and refills around it.
+  LaneOracle q;
+  LaneOracle::Lanes::Lane slow = 0;
+  for (int step = 1; step <= 200000; ++step) {
+    slow = q.schedule(SimTime::ps(1000));
+    q.schedule(SimTime::ps(30));
+    q.run_until(q.now() + SimTime::ps(100));
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GE(q.pending(), 9u);
+  EXPECT_LE(q.lanes().capacity(slow), 16u);
+  EXPECT_NO_THROW(q.audit());
+}
+
+TEST(EventLanes, RejectsNegativeDelaysAndAuditsOrder) {
+  sim::EventLanes<LaneEvent> lanes;
+  EXPECT_THROW(lanes.lane(SimTime::ps(-1)), ContractError);
+  const auto l = lanes.lane(SimTime::ps(5));
+  lanes.push(l, LaneEvent{SimTime::ps(10), 1});
+  EXPECT_NO_THROW(lanes.audit(SimTime::ps(10)));
+  // An event earlier than now() ...
+  EXPECT_THROW(lanes.audit(SimTime::ps(11)), AuditError);
+  // ... and a lane out of (time, key) order are both caught.
+  lanes.push(l, LaneEvent{SimTime::ps(9), 2});
+  EXPECT_THROW(lanes.audit(SimTime::zero()), AuditError);
 }
 
 }  // namespace
