@@ -451,21 +451,32 @@ void BM_MetricsOverhead_on(benchmark::State& state) {
 BENCHMARK(BM_MetricsOverhead_on)->Unit(benchmark::kMillisecond);
 
 void BM_DefragPlan(benchmark::State& state) {
-  // Planning cost on a fragmented 32x32 grid.
-  area::AreaManager mgr(32, 32);
+  // Planning cost on a fragmented grid: 32x32 (one 64-bit word per CLB
+  // row) and XCV1000's 64x96 (two words per row).
+  const int rows = static_cast<int>(state.range(0));
+  const int cols = static_cast<int>(state.range(1));
+  area::AreaManager mgr(rows, cols);
   Rng rng(3);
   std::vector<area::RegionId> live;
-  for (int i = 0; i < 40; ++i) {
+  for (int i = 0; i < 40 * (rows * cols) / (32 * 32); ++i) {
     const auto id =
         mgr.allocate("r", rng.next_int(2, 7), rng.next_int(2, 7));
     if (id != area::kNoRegion) live.push_back(id);
   }
   for (std::size_t i = 0; i < live.size(); i += 2) mgr.release(live[i]);
+  // The request scales with the grid (12x12 on 32x32) so it never fits
+  // without rearranging.
+  const int h = rows * 12 / 32;
+  const int w = cols * 12 / 32;
+  RELOGIC_CHECK(!mgr.can_fit(h, w));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(area::plan_for_request(mgr, 12, 12));
+    benchmark::DoNotOptimize(area::plan_for_request(mgr, h, w));
   }
 }
-BENCHMARK(BM_DefragPlan)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DefragPlan)
+    ->Args({32, 32})
+    ->Args({64, 96})
+    ->Unit(benchmark::kMillisecond);
 
 /// google-benchmark 1.8.0 replaced Run::error_occurred with Run::skipped;
 /// these overloads pick whichever member the system library has.

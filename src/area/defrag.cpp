@@ -4,41 +4,22 @@
 
 namespace relogic::area {
 
-namespace {
-
-/// profile[h-1] = widest w such that an all-free h x w rectangle exists.
-/// Maximal free rectangles via the shared sweep, then a suffix-max pass
-/// (a taller free rect contains every shorter one).
-std::vector<int> free_width_profile(const AreaManager& mgr) {
-  const int rows = mgr.rows();
-  std::vector<int> profile(static_cast<std::size_t>(rows), 0);
-  mgr.for_each_maximal_free_rect([&](const ClbRect& r) {
-    profile[static_cast<std::size_t>(r.height - 1)] =
-        std::max(profile[static_cast<std::size_t>(r.height - 1)], r.width);
-  });
-  for (int h = rows - 1; h >= 1; --h) {
-    profile[static_cast<std::size_t>(h - 1)] =
-        std::max(profile[static_cast<std::size_t>(h - 1)],
-                 profile[static_cast<std::size_t>(h)]);
-  }
-  return profile;
-}
-
-}  // namespace
-
 std::vector<RequestPlanner::Candidate> RequestPlanner::evaluate(
     AreaManager& scratch) {
   std::vector<Candidate> out;
-  for (const Region& r : scratch.regions()) {
+  // Trial moves rewrite Region::rect in place (the table itself keeps its
+  // size and order), so each region's id and rect are copied first.
+  for (const Region& region : scratch.regions()) {
+    const RegionId id = region.id;
+    const ClbRect rect = region.rect;
     // Candidate destinations: bottom-left and best-fit placements of the
     // region's shape in the remaining free space (non-overlapping with
     // its current rect, so plans execute move-by-move on the fabric).
     std::optional<ClbRect> bottom_left;
     for (PlacePolicy policy :
          {PlacePolicy::kBottomLeft, PlacePolicy::kBestFit}) {
-      const auto dest =
-          scratch.find_free_rect(r.rect.height, r.rect.width, policy);
-      if (!dest || *dest == r.rect) continue;
+      const auto dest = scratch.find_free_rect(rect.height, rect.width, policy);
+      if (!dest || *dest == rect) continue;
       // A best-fit destination equal to the bottom-left one would be an
       // identical candidate, and pick() replaces only on a strict
       // improvement, so it could never win.
@@ -47,13 +28,12 @@ std::vector<RequestPlanner::Candidate> RequestPlanner::evaluate(
       // Score by trial move + rollback (cheaper than copying the whole
       // manager per candidate; the rollback destination is the region's
       // own just-vacated rect, so both moves are always legal).
-      scratch.move(r.id, *dest);
-      const long gain = scratch.largest_free_rect().area();
-      scratch.move(r.id, r.rect);
+      scratch.move(id, *dest);
+      const long gain = scratch.largest_free_area();
+      scratch.move(id, rect);
       const long dist =
-          std::abs(dest->row - r.rect.row) + std::abs(dest->col - r.rect.col);
-      out.push_back(Candidate{Move{r.id, r.rect, *dest}, gain, dist,
-                              r.rect.area()});
+          std::abs(dest->row - rect.row) + std::abs(dest->col - rect.col);
+      out.push_back(Candidate{Move{id, rect, *dest}, gain, dist, rect.area()});
     }
   }
   return out;
@@ -98,12 +78,12 @@ const std::vector<RequestPlanner::Candidate>& RequestPlanner::candidates_of(
 
 RequestPlanner::Sequence::Sequence(const AreaManager& mgr, bool prefer_small)
     : scratch(mgr), prefer_small_victims(prefer_small) {
-  fit.push_back(free_width_profile(scratch));
+  fit.push_back(scratch.free_width_profile());
   grids.push_back(scratch.occupancy());
 }
 
 RequestPlanner::RequestPlanner(const AreaManager& mgr, DefragOptions opt)
-    : mgr_(&mgr), opt_(opt), small_victims_(mgr, /*prefer_small=*/true) {}
+    : mgr_(&mgr), opt_(opt) {}
 
 std::optional<DefragPlan> RequestPlanner::query(Sequence& seq, int h,
                                                 int w) const {
@@ -133,7 +113,7 @@ std::optional<DefragPlan> RequestPlanner::query(Sequence& seq, int h,
         return std::nullopt;
       }
       seq.moves.push_back(*mv);
-      seq.fit.push_back(free_width_profile(seq.scratch));
+      seq.fit.push_back(seq.scratch.free_width_profile());
       seq.grids.push_back(seq.scratch.occupancy());
     }
     if (seq.fit[k][static_cast<std::size_t>(h - 1)] >= w) break;
@@ -163,7 +143,8 @@ std::optional<DefragPlan> RequestPlanner::plan(int h, int w) const {
 
   // Greedy with the cheap tie-break first, the alternate second, full
   // bottom-left repacking as the last resort (still bounded by max_moves).
-  if (auto plan = query(small_victims_, h, w)) return plan;
+  if (!small_victims_) small_victims_.emplace(*mgr_, /*prefer_small=*/true);
+  if (auto plan = query(*small_victims_, h, w)) return plan;
   if (!large_victims_) large_victims_.emplace(*mgr_, /*prefer_small=*/false);
   if (auto plan = query(*large_victims_, h, w)) return plan;
   auto full = plan_full_compaction(*mgr_, {{h, w}});
@@ -182,36 +163,38 @@ std::optional<DefragPlan> plan_full_compaction(
   // Pack everything into a fresh grid: pending request first (it must end
   // up placed), then regions by area descending. Faulty CLBs masked in the
   // source keep their mask so no repacking target ever lands on one.
-  AreaManager packed(mgr.rows(), mgr.cols());
-  for (int r = 0; r < mgr.rows(); ++r) {
-    for (int c = 0; c < mgr.cols(); ++c) {
-      if (mgr.masked({r, c})) packed.mask_faulty({r, c});
-    }
-  }
+  AreaManager packed = mgr.masked_copy();
   DefragPlan plan;
 
   if (pending) {
     const auto slot = packed.find_free_rect(pending->first, pending->second,
                                             PlacePolicy::kBottomLeft);
     if (!slot) return std::nullopt;
-    packed.allocate_at("pending", *slot);
+    packed.allocate_at({}, *slot);
     plan.request_slot = *slot;
   }
 
-  std::vector<Region> order = mgr.regions();
-  std::sort(order.begin(), order.end(), [](const Region& a, const Region& b) {
-    if (a.rect.area() != b.rect.area()) return a.rect.area() > b.rect.area();
+  struct Piece {
+    int area;
+    RegionId id;
+    ClbRect rect;
+  };
+  std::vector<Piece> order;
+  order.reserve(mgr.region_count());
+  for (const Region& r : mgr.regions())
+    order.push_back(Piece{r.rect.area(), r.id, r.rect});
+  std::sort(order.begin(), order.end(), [](const Piece& a, const Piece& b) {
+    if (a.area != b.area) return a.area > b.area;
     return a.id < b.id;
   });
 
   std::vector<ClbRect> target;  // target[i]: destination of order[i]
   target.reserve(order.size());
-  for (const Region& r : order) {
-    const auto slot =
-        packed.find_free_rect(r.rect.height, r.rect.width,
-                              PlacePolicy::kBottomLeft);
+  for (const Piece& p : order) {
+    const auto slot = packed.find_free_rect(p.rect.height, p.rect.width,
+                                            PlacePolicy::kBottomLeft);
     if (!slot) return std::nullopt;
-    packed.allocate_at(r.name, *slot);
+    packed.allocate_at({}, *slot);
     target.push_back(*slot);
   }
 

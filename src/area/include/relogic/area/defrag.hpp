@@ -127,7 +127,8 @@ class RequestPlanner {
   const AreaManager* mgr_;
   DefragOptions opt_;
   mutable std::vector<Evaluated> evaluated_;
-  mutable Sequence small_victims_;
+  /// Built lazily, on the first query that passes the free-CLB check.
+  mutable std::optional<Sequence> small_victims_;
   /// Built lazily: only consulted when the small-victims pass fails.
   mutable std::optional<Sequence> large_victims_;
 };

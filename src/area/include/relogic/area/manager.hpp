@@ -10,9 +10,9 @@
 // and quantifies exactly that fragmentation.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "relogic/common/error.hpp"
@@ -65,9 +65,11 @@ class AreaManager {
   /// True if `move(id, to)` would succeed (cells free or the region's own).
   bool can_move(RegionId id, ClbRect to) const;
 
-  bool exists(RegionId id) const { return regions_.contains(id); }
+  bool exists(RegionId id) const;
   const Region& region(RegionId id) const;
-  std::vector<Region> regions() const;
+  /// Every region in ascending id order. The reference stays valid until
+  /// the next allocate or release; move() rewrites Region::rect in place.
+  const std::vector<Region>& regions() const { return regions_; }
   std::size_t region_count() const { return regions_.size(); }
 
   // ---- fault masking --------------------------------------------------------
@@ -77,6 +79,9 @@ class AreaManager {
   void mask_faulty(ClbCoord c);
   bool masked(ClbCoord c) const { return at(c) == kFaultyRegion; }
   int masked_clbs() const { return masked_clbs_; }
+  /// A manager of the same geometry holding no region, only this one's
+  /// masked CLBs: the defrag planners' repacking canvas.
+  AreaManager masked_copy() const;
 
   // ---- metrics ----------------------------------------------------------------
   int free_clbs() const { return free_clbs_; }
@@ -84,45 +89,19 @@ class AreaManager {
   double utilization() const {
     return static_cast<double>(used_clbs()) / total_clbs();
   }
-  /// Largest rectangle of entirely free CLBs. Cached until the next
-  /// occupancy change (the scheduler samples fragmentation per event).
+  /// Largest rectangle of entirely free CLBs, as the histogram sweep finds
+  /// it first (its tie order is part of the CLI's and the proactive
+  /// compaction's output). Cached until the next occupancy change.
   ClbRect largest_free_rect() const;
-
-  /// Invokes fn(ClbRect) for every maximal-in-histogram rectangle of
-  /// entirely free CLBs (row-wise histogram sweep with a stack; every
-  /// maximal free rectangle of the grid is among the visited ones).
-  /// Shared by largest_free_rect and the defrag planner's fit profiles so
-  /// the subtle sweep lives in one place.
-  template <typename Fn>
-  void for_each_maximal_free_rect(Fn&& fn) const {
-    std::vector<int> height(static_cast<std::size_t>(cols_), 0);
-    std::vector<int> stack;
-    for (int row = 0; row < rows_; ++row) {
-      for (int col = 0; col < cols_; ++col) {
-        const bool free =
-            grid_[static_cast<std::size_t>(row) * cols_ + col] == kNoRegion;
-        height[static_cast<std::size_t>(col)] =
-            free ? height[static_cast<std::size_t>(col)] + 1 : 0;
-      }
-      stack.clear();
-      for (int col = 0; col <= cols_; ++col) {
-        const int h = col < cols_ ? height[static_cast<std::size_t>(col)] : 0;
-        while (!stack.empty() &&
-               height[static_cast<std::size_t>(stack.back())] > h) {
-          const int top = stack.back();
-          stack.pop_back();
-          const int hh = height[static_cast<std::size_t>(top)];
-          const int left = stack.empty() ? 0 : stack.back() + 1;
-          const int ww = col - left;
-          fn(ClbRect{row - hh + 1, left, hh, ww});
-        }
-        // Zero-height columns stay on the stack as barriers; otherwise a
-        // later pop would wrongly extend across the gap.
-        if (col < cols_) stack.push_back(col);
-      }
-    }
-  }
-  /// 1 - largest_free_rect.area / free_clbs (0 when free space is one
+  /// Area of the largest free rectangle (= largest_free_rect().area()),
+  /// from the row bitsets. Cached until the next occupancy change (the
+  /// scheduler samples fragmentation per event; the planner scores every
+  /// trial move with it).
+  int largest_free_area() const;
+  /// profile[h-1] = widest w such that an all-free h x w rectangle exists
+  /// (0 if none); nonincreasing in h. The defrag planner's fit profile.
+  std::vector<int> free_width_profile() const;
+  /// 1 - largest_free_area / free_clbs (0 when free space is one
   /// rectangle; -> 1 as it shatters). 0 when no free space.
   double fragmentation() const;
   /// Would an h x w request fit right now?
@@ -143,30 +122,47 @@ class AreaManager {
   // ---- invariant audit (DESIGN.md §8.4) -------------------------------------
   /// Cross-checks the occupancy ledger against the region table from
   /// scratch: every region's rectangle is exactly its grid footprint, every
-  /// grid cell's occupant exists, and the incremental free/masked counters,
-  /// free-run grid and cached largest free rectangle match a full recount.
+  /// grid cell's occupant exists, the table is in strict id order, and the
+  /// incremental free/masked counters, the row and column free bitsets and
+  /// the cached largest free area and rectangle match a full recount.
   /// Throws AuditError naming the first divergence.
   /// Always compiled (tests call it directly); the periodic call sites at
   /// sweep boundaries are gated on RELOGIC_AUDIT.
   void audit() const;
 
  private:
-  /// Writes `id` over `r`, repairs down_ in the touched columns and drops
-  /// the largest-free-rect cache: every occupancy change goes through here.
+  /// Writes `id` over `r`, updates the row and column bitsets and drops
+  /// the cached largest free area and rectangle: every occupancy change
+  /// goes through here.
   void fill(const ClbRect& r, RegionId id);
   bool rect_free(const ClbRect& r) const;
-  /// down_ as computed from grid_ alone (the audit's reference).
-  std::vector<int> recount_down() const;
+  /// The region table entry of `id`, or regions_.end().
+  std::vector<Region>::const_iterator find(RegionId id) const;
+  Region& region_mut(RegionId id);
+  /// Row-wise histogram sweep with a stack over the grid; the first largest
+  /// maximal free rectangle it meets (the audit's reference too).
+  ClbRect sweep_largest_free_rect() const;
+  const std::uint64_t* row_bits(int row) const {
+    return &row_free_[static_cast<std::size_t>(row) * row_words_];
+  }
+  const std::uint64_t* col_bits(int col) const {
+    return &col_free_[static_cast<std::size_t>(col) * col_words_];
+  }
 
   int rows_;
   int cols_;
+  int row_words_;  // ceil(cols / 64)
+  int col_words_;  // ceil(rows / 64)
   std::vector<RegionId> grid_;  // row-major occupancy
-  /// down_[i]: consecutive free CLBs from cell i downward (i included), so
-  /// an h-tall rect fits below (row, col) iff down_ >= h. Kept exact by
-  /// fill() instead of being rebuilt on every find_free_rect.
-  std::vector<int> down_;
+  /// Free-space bitsets kept exact by fill(): bit c of row r's words (and
+  /// bit r of column c's words) is set iff CLB (r, c) is free. Bits past
+  /// the last column (row) are always clear, so word-wide shifts and
+  /// popcounts never see phantom free cells.
+  std::vector<std::uint64_t> row_free_;  // rows_ x row_words_
+  std::vector<std::uint64_t> col_free_;  // cols_ x col_words_
   mutable std::optional<ClbRect> largest_free_;  // nullopt = stale
-  std::unordered_map<RegionId, Region> regions_;
+  mutable int largest_area_ = -1;                // -1 = stale
+  std::vector<Region> regions_;  // ascending id (ids are never reused)
   RegionId next_id_ = 1;
   int free_clbs_;
   int masked_clbs_ = 0;

@@ -1,30 +1,140 @@
 #include "relogic/area/manager.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 
 #include "relogic/common/audit.hpp"
 
 namespace relogic::area {
 
-AreaManager::AreaManager(int rows, int cols)
-    : rows_(rows), cols_(cols), free_clbs_(rows * cols) {
-  RELOGIC_CHECK(rows >= 1 && cols >= 1);
-  grid_.assign(static_cast<std::size_t>(rows) * cols, kNoRegion);
-  down_ = recount_down();
+namespace {
+
+using Word = std::uint64_t;
+constexpr int kWordBits = 64;
+
+int words_for(int bits) { return (bits + kWordBits - 1) / kWordBits; }
+
+/// Low `len` bits set (0 <= len <= 64).
+Word low_mask(int len) {
+  return len >= kWordBits ? ~Word{0} : (Word{1} << len) - 1;
 }
 
-std::vector<int> AreaManager::recount_down() const {
-  std::vector<int> down(grid_.size(), 0);
-  for (int col = 0; col < cols_; ++col) {
-    for (int row = rows_ - 1; row >= 0; --row) {
-      const std::size_t i = static_cast<std::size_t>(row) * cols_ + col;
-      if (grid_[i] == kNoRegion)
-        down[i] = 1 + (row + 1 < rows_
-                           ? down[i + static_cast<std::size_t>(cols_)]
-                           : 0);
+/// Sets (on) or clears bits [lo, lo + len) of a word array (lo >= 0).
+void set_bits(Word* words, int lo, int len, bool on) {
+  Word* w = words + lo / kWordBits;
+  for (int b = lo % kWordBits; len > 0; ++w, b = 0) {
+    const int take = std::min(len, kWordBits - b);
+    const Word m = low_mask(take) << b;
+    *w = on ? (*w | m) : (*w & ~m);
+    len -= take;
+  }
+}
+
+/// Number of set bits in [lo, lo + len) of a word array (lo >= 0).
+int count_bits(const Word* words, int lo, int len) {
+  const Word* w = words + lo / kWordBits;
+  const int b = lo % kWordBits;
+  if (b + len <= kWordBits) return std::popcount((*w >> b) & low_mask(len));
+  int n = std::popcount(*w >> b);
+  for (len -= kWordBits - b, ++w; len > 0; len -= kWordBits, ++w)
+    n += std::popcount(*w & low_mask(len));
+  return n;
+}
+
+/// Longest run of consecutive set bits across an n-word array.
+int longest_run(const Word* words, int n) {
+  int best = 0;
+  int start = -1;  // absolute index of the open run's first bit, or -1
+  for (int i = 0; i < n; ++i) {
+    const Word x = words[i];
+    int pos = 0;  // bits of word i consumed
+    while (pos < kWordBits) {
+      // An open run looks for its first clear bit, otherwise the next run
+      // starts at the next set bit.
+      const Word rest = (start < 0 ? x : ~x) >> pos;
+      if (rest == 0) break;
+      pos += std::countr_zero(rest);
+      if (start < 0) {
+        start = i * kWordBits + pos;
+      } else {
+        best = std::max(best, i * kWordBits + pos - start);
+        start = -1;
+      }
     }
   }
-  return down;
+  if (start >= 0) best = std::max(best, n * kWordBits - start);
+  return best;
+}
+
+/// In place, bit c becomes the AND of bits c .. c+w-1 (w >= 1): set iff a
+/// w-long run of set bits starts at c. Doubling, so log2(w) word passes;
+/// the array's top bits are clear, so runs never extend past its end.
+void keep_run_starts(Word* words, int n, int w) {
+  for (int len = 1; len < w;) {
+    const int s = std::min(len, w - len);
+    const int ws = s / kWordBits;
+    const int bs = s % kWordBits;
+    // words[i] reads words[i + ws] and words[i + ws + 1] only: ascending i
+    // never reads a word this pass has already rewritten (ws = 0 reads the
+    // current one before writing it).
+    for (int i = 0; i < n; ++i) {
+      const Word lo = i + ws < n ? words[i + ws] : 0;
+      const Word hi = i + ws + 1 < n ? words[i + ws + 1] : 0;
+      words[i] &= bs == 0 ? lo : (lo >> bs) | (hi << (kWordBits - bs));
+    }
+    len += s;
+  }
+}
+
+/// Word scratch for one query: inline up to 256 columns (XCV4000 has
+/// 192), on the heap beyond; the same code runs either way.
+class WordBuf {
+ public:
+  explicit WordBuf(int n) {
+    if (n > static_cast<int>(inline_.size()))
+      heap_.resize(static_cast<std::size_t>(n));
+  }
+  Word* data() { return heap_.empty() ? inline_.data() : heap_.data(); }
+
+ private:
+  std::array<Word, 4> inline_{};
+  std::vector<Word> heap_;
+};
+
+/// acc = AND of `count` consecutive rows starting at `first` (stride n
+/// words). Returns false as soon as acc is all clear.
+bool and_rows(Word* acc, const Word* first, int n, int count) {
+  for (int i = 0; i < n; ++i) acc[i] = first[i];
+  for (int k = 1; k < count; ++k) {
+    Word any = 0;
+    const Word* row = first + static_cast<std::ptrdiff_t>(k) * n;
+    for (int i = 0; i < n; ++i) any |= (acc[i] &= row[i]);
+    if (any == 0) return false;
+  }
+  for (int i = 0; i < n; ++i)
+    if (acc[i] != 0) return true;
+  return false;
+}
+
+}  // namespace
+
+AreaManager::AreaManager(int rows, int cols)
+    : rows_(rows),
+      cols_(cols),
+      row_words_(words_for(cols)),
+      col_words_(words_for(rows)),
+      free_clbs_(rows * cols) {
+  RELOGIC_CHECK(rows >= 1 && cols >= 1);
+  grid_.assign(static_cast<std::size_t>(rows) * cols, kNoRegion);
+  row_free_.assign(static_cast<std::size_t>(rows) * row_words_, 0);
+  col_free_.assign(static_cast<std::size_t>(cols) * col_words_, 0);
+  for (int row = 0; row < rows_; ++row)
+    set_bits(&row_free_[static_cast<std::size_t>(row) * row_words_], 0, cols_,
+             true);
+  for (int col = 0; col < cols_; ++col)
+    set_bits(&col_free_[static_cast<std::size_t>(col) * col_words_], 0, rows_,
+             true);
 }
 
 RegionId AreaManager::at(ClbCoord c) const {
@@ -36,37 +146,26 @@ bool AreaManager::rect_free(const ClbRect& r) const {
   if (r.row < 0 || r.col < 0 || r.row_end() > rows_ || r.col_end() > cols_)
     return false;
   for (int row = r.row; row < r.row_end(); ++row) {
-    const std::size_t base = static_cast<std::size_t>(row) * cols_;
-    for (int col = r.col; col < r.col_end(); ++col) {
-      if (grid_[base + col] != kNoRegion) return false;
-    }
+    if (count_bits(row_bits(row), r.col, r.width) != r.width) return false;
   }
   return true;
 }
 
 void AreaManager::fill(const ClbRect& r, RegionId id) {
+  const bool free = id == kNoRegion;
   for (int row = r.row; row < r.row_end(); ++row) {
     const std::size_t base = static_cast<std::size_t>(row) * cols_;
-    for (int col = r.col; col < r.col_end(); ++col) {
-      grid_[base + col] = id;
-    }
+    std::fill(grid_.begin() + static_cast<std::ptrdiff_t>(base + r.col),
+              grid_.begin() + static_cast<std::ptrdiff_t>(base + r.col_end()),
+              id);
+    set_bits(&row_free_[static_cast<std::size_t>(row) * row_words_], r.col,
+             r.width, free);
   }
-  // A down_ entry depends only on the cells at and below it in its column,
-  // so only the rect's columns at and above its bottom row can change.
-  // Above the rect, the first entry that keeps its value ends the repair:
-  // everything above it depends on unchanged cells only.
-  const std::size_t stride = static_cast<std::size_t>(cols_);
-  for (int col = r.col; col < r.col_end(); ++col) {
-    std::size_t i = static_cast<std::size_t>(r.row_end() - 1) * stride + col;
-    int below = r.row_end() < rows_ ? down_[i + stride] : 0;
-    for (int row = r.row_end() - 1; row >= 0; --row, i -= stride) {
-      const int v = grid_[i] == kNoRegion ? below + 1 : 0;
-      if (row < r.row && down_[i] == v) break;
-      down_[i] = v;
-      below = v;
-    }
-  }
+  for (int col = r.col; col < r.col_end(); ++col)
+    set_bits(&col_free_[static_cast<std::size_t>(col) * col_words_], r.row,
+             r.height, free);
   largest_free_.reset();
+  largest_area_ = -1;
 }
 
 void AreaManager::mask_faulty(ClbCoord c) {
@@ -86,35 +185,45 @@ std::optional<ClbRect> AreaManager::find_free_rect(int h, int w,
   RELOGIC_CHECK(h >= 1 && w >= 1);
   if (h > rows_ || w > cols_) return std::nullopt;
 
+  const int n = row_words_;
+  WordBuf buf(n);
+  Word* fits = buf.data();
+  // Best-fit prefers positions hugging occupied space / edges: score = the
+  // number of occupied-or-border cells adjacent to the rect. No position
+  // can beat a fully enclosed one, so the first of those ends the scan.
+  const long max_score = 2L * (h + w);
   std::optional<ClbRect> best;
   long best_score = 0;
   for (int row = 0; row + h <= rows_; ++row) {
-    int run = 0;  // consecutive columns where h cells fit downward
-    for (int col = 0; col + 1 <= cols_; ++col) {
-      const std::size_t i = static_cast<std::size_t>(row) * cols_ + col;
-      run = (down_[i] >= h) ? run + 1 : 0;
-      if (run >= w) {
-        const ClbRect r{row, col - w + 1, h, w};
-        if (avoid != nullptr && r.overlaps(*avoid)) continue;
+    // fits: bit c set iff the h x w rect at (row, c) is all free, scanned
+    // in the same row-major order as a cell-by-cell search.
+    if (!and_rows(fits, row_bits(row), n, h)) continue;
+    keep_run_starts(fits, n, w);
+    if (avoid != nullptr && row < avoid->row_end() && avoid->row < row + h) {
+      // Starts c with c < avoid.col_end and c + w > avoid.col overlap it.
+      const int lo = std::max(0, avoid->col - w + 1);
+      const int hi = std::min(cols_, avoid->col_end());
+      if (lo < hi) set_bits(fits, lo, hi - lo, false);
+    }
+    for (int i = 0; i < n; ++i) {
+      for (Word x = fits[i]; x != 0; x &= x - 1) {
+        const int col = i * kWordBits + std::countr_zero(x);
+        const ClbRect r{row, col, h, w};
         if (policy == PlacePolicy::kBottomLeft) return r;
-        // Best-fit: prefer positions hugging occupied space / edges —
-        // score = number of occupied-or-border cells adjacent to the rect.
-        long score = 0;
-        auto occupied = [&](int rr, int cc) {
-          if (rr < 0 || rr >= rows_ || cc < 0 || cc >= cols_) return true;
-          return grid_[static_cast<std::size_t>(rr) * cols_ + cc] != kNoRegion;
-        };
-        for (int cc = r.col; cc < r.col_end(); ++cc) {
-          score += occupied(r.row - 1, cc) ? 1 : 0;
-          score += occupied(r.row_end(), cc) ? 1 : 0;
-        }
-        for (int rr = r.row; rr < r.row_end(); ++rr) {
-          score += occupied(rr, r.col - 1) ? 1 : 0;
-          score += occupied(rr, r.col_end()) ? 1 : 0;
-        }
+        // Rows above and below first: if even fully occupied side
+        // columns could not beat the best so far, skip counting them.
+        const long rows_score =
+            (row == 0 ? w : w - count_bits(row_bits(row - 1), col, w)) +
+            (row + h == rows_ ? w : w - count_bits(row_bits(row + h), col, w));
+        if (best && rows_score + 2L * h <= best_score) continue;
+        const long score =
+            rows_score +
+            (col == 0 ? h : h - count_bits(col_bits(col - 1), row, h)) +
+            (col + w == cols_ ? h : h - count_bits(col_bits(col + w), row, h));
         if (!best || score > best_score) {
           best = r;
           best_score = score;
+          if (score == max_score) return best;
         }
       }
     }
@@ -126,11 +235,7 @@ RegionId AreaManager::allocate(std::string name, int h, int w,
                                PlacePolicy policy) {
   const auto rect = find_free_rect(h, w, policy);
   if (!rect) return kNoRegion;
-  const RegionId id = next_id_++;
-  fill(*rect, id);
-  free_clbs_ -= rect->area();
-  regions_.emplace(id, Region{id, std::move(name), *rect});
-  return id;
+  return allocate_at(std::move(name), *rect);
 }
 
 RegionId AreaManager::allocate_at(std::string name, ClbRect rect) {
@@ -139,22 +244,43 @@ RegionId AreaManager::allocate_at(std::string name, ClbRect rect) {
   const RegionId id = next_id_++;
   fill(rect, id);
   free_clbs_ -= rect.area();
-  regions_.emplace(id, Region{id, std::move(name), rect});
+  regions_.push_back(Region{id, std::move(name), rect});  // ids ascend
   return id;
 }
 
-void AreaManager::release(RegionId id) {
-  auto it = regions_.find(id);
+std::vector<Region>::const_iterator AreaManager::find(RegionId id) const {
+  const auto it = std::lower_bound(
+      regions_.begin(), regions_.end(), id,
+      [](const Region& r, RegionId key) { return r.id < key; });
+  return it != regions_.end() && it->id == id ? it : regions_.end();
+}
+
+bool AreaManager::exists(RegionId id) const {
+  return find(id) != regions_.end();
+}
+
+const Region& AreaManager::region(RegionId id) const {
+  const auto it = find(id);
   RELOGIC_CHECK_MSG(it != regions_.end(), "unknown region");
-  fill(it->second.rect, kNoRegion);
-  free_clbs_ += it->second.rect.area();
+  return *it;
+}
+
+Region& AreaManager::region_mut(RegionId id) {
+  const auto it = find(id);
+  RELOGIC_CHECK_MSG(it != regions_.end(), "unknown region");
+  return regions_[static_cast<std::size_t>(it - regions_.begin())];
+}
+
+void AreaManager::release(RegionId id) {
+  const auto it = find(id);
+  RELOGIC_CHECK_MSG(it != regions_.end(), "unknown region");
+  fill(it->rect, kNoRegion);
+  free_clbs_ += it->rect.area();
   regions_.erase(it);
 }
 
 void AreaManager::move(RegionId id, ClbRect to) {
-  auto it = regions_.find(id);
-  RELOGIC_CHECK_MSG(it != regions_.end(), "unknown region");
-  Region& r = it->second;
+  Region& r = region_mut(id);
   RELOGIC_CHECK_MSG(to.height == r.rect.height && to.width == r.rect.width,
                     "move must preserve region shape");
   // Free, then claim — the two rects may overlap (nearby relocation).
@@ -169,9 +295,7 @@ void AreaManager::move(RegionId id, ClbRect to) {
 }
 
 bool AreaManager::can_move(RegionId id, ClbRect to) const {
-  auto it = regions_.find(id);
-  RELOGIC_CHECK_MSG(it != regions_.end(), "unknown region");
-  const Region& r = it->second;
+  const Region& r = region(id);
   if (to.height != r.rect.height || to.width != r.rect.width) return false;
   if (to.row < 0 || to.col < 0 || to.row_end() > rows_ ||
       to.col_end() > cols_)
@@ -185,29 +309,118 @@ bool AreaManager::can_move(RegionId id, ClbRect to) const {
   return true;
 }
 
-const Region& AreaManager::region(RegionId id) const {
-  auto it = regions_.find(id);
-  RELOGIC_CHECK_MSG(it != regions_.end(), "unknown region");
-  return it->second;
-}
-
-std::vector<Region> AreaManager::regions() const {
-  std::vector<Region> out;
-  out.reserve(regions_.size());
-  for (const auto& [id, r] : regions_) out.push_back(r);
-  std::sort(out.begin(), out.end(),
-            [](const Region& a, const Region& b) { return a.id < b.id; });
+AreaManager AreaManager::masked_copy() const {
+  AreaManager out(rows_, cols_);
+  if (masked_clbs_ == 0) return out;
+  // Only occupied CLBs (clear bits) can be masked ones.
+  for (int row = 0; row < rows_; ++row) {
+    const Word* bits = row_bits(row);
+    for (int i = 0; i < row_words_; ++i) {
+      const int base = i * kWordBits;
+      Word occupied =
+          ~bits[i] & low_mask(std::min(kWordBits, cols_ - base));
+      for (; occupied != 0; occupied &= occupied - 1) {
+        const int col = base + std::countr_zero(occupied);
+        if (masked({row, col})) out.mask_faulty({row, col});
+      }
+    }
+  }
   return out;
 }
 
-ClbRect AreaManager::largest_free_rect() const {
-  if (largest_free_) return *largest_free_;
+ClbRect AreaManager::sweep_largest_free_rect() const {
+  // Row by row: height[c] = free CLBs ending at this row in column c; a
+  // stack pass then visits every maximal-in-histogram rectangle (every
+  // maximal free rectangle of the grid is among them) and keeps the first
+  // largest one.
   ClbRect best{0, 0, 0, 0};
-  for_each_maximal_free_rect([&](const ClbRect& r) {
-    if (r.area() > best.area()) best = r;
-  });
-  largest_free_ = best;
+  std::vector<int> height(static_cast<std::size_t>(cols_), 0);
+  std::vector<int> stack;
+  for (int row = 0; row < rows_; ++row) {
+    for (int col = 0; col < cols_; ++col) {
+      const bool free =
+          grid_[static_cast<std::size_t>(row) * cols_ + col] == kNoRegion;
+      height[static_cast<std::size_t>(col)] =
+          free ? height[static_cast<std::size_t>(col)] + 1 : 0;
+    }
+    stack.clear();
+    for (int col = 0; col <= cols_; ++col) {
+      const int h = col < cols_ ? height[static_cast<std::size_t>(col)] : 0;
+      while (!stack.empty() &&
+             height[static_cast<std::size_t>(stack.back())] > h) {
+        const int top = stack.back();
+        stack.pop_back();
+        const int hh = height[static_cast<std::size_t>(top)];
+        const int left = stack.empty() ? 0 : stack.back() + 1;
+        const ClbRect r{row - hh + 1, left, hh, col - left};
+        if (r.area() > best.area()) best = r;
+      }
+      // Zero-height columns stay on the stack as barriers; otherwise a
+      // later pop would wrongly extend across the gap.
+      if (col < cols_) stack.push_back(col);
+    }
+  }
   return best;
+}
+
+ClbRect AreaManager::largest_free_rect() const {
+  if (!largest_free_) largest_free_ = sweep_largest_free_rect();
+  return *largest_free_;
+}
+
+int AreaManager::largest_free_area() const {
+  if (largest_area_ >= 0) return largest_area_;
+  // For each top row, AND the rows below it in turn: the longest run of
+  // the AND is the widest free rect spanning exactly those rows. The AND
+  // only loses bits further down, so (rows left) x run bounds every later
+  // candidate from this top.
+  const int n = row_words_;
+  WordBuf buf(n);
+  Word* acc = buf.data();
+  int best = 0;
+  for (int top = 0; top < rows_ && (rows_ - top) * cols_ > best; ++top) {
+    for (int i = 0; i < n; ++i) acc[i] = row_bits(top)[i];
+    for (int bottom = top; bottom < rows_; ++bottom) {
+      if (bottom > top) {
+        const Word* row = row_bits(bottom);
+        for (int i = 0; i < n; ++i) acc[i] &= row[i];
+      }
+      const int run = longest_run(acc, n);
+      if ((rows_ - top) * run <= best) break;
+      best = std::max(best, (bottom - top + 1) * run);
+    }
+  }
+  largest_area_ = best;
+  return best;
+}
+
+std::vector<int> AreaManager::free_width_profile() const {
+  // Height by height: acc[t] is the AND of rows t .. t+h-1, and its
+  // longest run the widest free rect spanning exactly those rows. Adding a
+  // row only clears bits, so a run measured at one height caps that top's
+  // runs at every later height, and profile[h-2] caps profile[h-1]: a top
+  // whose cap cannot beat the height's best so far is not measured.
+  std::vector<int> profile(static_cast<std::size_t>(rows_), 0);
+  const int n = row_words_;
+  std::vector<Word> acc = row_free_;
+  std::vector<int> cap(static_cast<std::size_t>(rows_), cols_);
+  int bound = cols_;
+  for (int h = 1; h <= rows_ && bound > 0; ++h) {
+    int& best = profile[static_cast<std::size_t>(h - 1)];
+    for (int t = 0; t + h <= rows_; ++t) {
+      Word* a = &acc[static_cast<std::size_t>(t) * n];
+      if (h > 1) {
+        const Word* row = row_bits(t + h - 1);
+        for (int i = 0; i < n; ++i) a[i] &= row[i];
+      }
+      int& c = cap[static_cast<std::size_t>(t)];
+      if (c <= best || best == bound) continue;
+      c = longest_run(a, n);
+      best = std::max(best, c);
+    }
+    bound = best;
+  }
+  return profile;
 }
 
 std::string AreaManager::to_ascii() const {
@@ -232,8 +445,7 @@ std::string AreaManager::to_ascii() const {
 
 double AreaManager::fragmentation() const {
   if (free_clbs_ == 0) return 0.0;
-  const int largest = largest_free_rect().area();
-  return 1.0 - static_cast<double>(largest) / free_clbs_;
+  return 1.0 - static_cast<double>(largest_free_area()) / free_clbs_;
 }
 
 void AreaManager::audit() const {
@@ -244,19 +456,20 @@ void AreaManager::audit() const {
 
   // Pass 1: the region table against the grid. Each region's rectangle must
   // lie in bounds and be filled with exactly its id.
-  for (const auto& [id, r] : regions_) {
-    RELOGIC_AUDIT_CHECK(id > 0 && r.id == id, kWhere,
-                        "region table entry with inconsistent id " +
-                            std::to_string(id));
+  for (const Region& r : regions_) {
+    RELOGIC_AUDIT_CHECK(r.id > 0, kWhere,
+                        "region table entry with invalid id " +
+                            std::to_string(r.id));
     RELOGIC_AUDIT_CHECK(
         r.rect.row >= 0 && r.rect.col >= 0 && r.rect.row_end() <= rows_ &&
             r.rect.col_end() <= cols_ && r.rect.area() > 0,
-        kWhere, "region " + std::to_string(id) + " rectangle out of bounds");
+        kWhere,
+        "region " + std::to_string(r.id) + " rectangle out of bounds");
     for (int row = r.rect.row; row < r.rect.row_end(); ++row)
       for (int col = r.rect.col; col < r.rect.col_end(); ++col)
         RELOGIC_AUDIT_CHECK(
-            grid_[static_cast<std::size_t>(row) * cols_ + col] == id, kWhere,
-            "region " + std::to_string(id) + " missing from grid at (" +
+            grid_[static_cast<std::size_t>(row) * cols_ + col] == r.id, kWhere,
+            "region " + std::to_string(r.id) + " missing from grid at (" +
                 std::to_string(row) + "," + std::to_string(col) + ")");
   }
 
@@ -274,8 +487,7 @@ void AreaManager::audit() const {
     } else if (id == kFaultyRegion) {
       ++masked_count;
     } else {
-      const auto it = regions_.find(id);
-      RELOGIC_AUDIT_CHECK(it != regions_.end(), kWhere,
+      RELOGIC_AUDIT_CHECK(exists(id), kWhere,
                           "grid cell " + std::to_string(i) +
                               " occupied by unknown region " +
                               std::to_string(id));
@@ -283,7 +495,7 @@ void AreaManager::audit() const {
     }
   }
   std::size_t table_cells = 0;
-  for (const auto& [id, r] : regions_)
+  for (const Region& r : regions_)
     table_cells += static_cast<std::size_t>(r.rect.area());
   RELOGIC_AUDIT_CHECK(region_cells == table_cells, kWhere,
                       "grid holds " + std::to_string(region_cells) +
@@ -296,22 +508,51 @@ void AreaManager::audit() const {
                       "masked_clbs counter " + std::to_string(masked_clbs_) +
                           " != recounted " + std::to_string(masked_count));
 
-  // Pass 3: the derived free-space structures fill() keeps incrementally.
-  const std::vector<int> down = recount_down();
-  for (std::size_t i = 0; i < grid_.size(); ++i)
-    RELOGIC_AUDIT_CHECK(down_[i] == down[i], kWhere,
-                        "free-run grid at cell " + std::to_string(i) + " is " +
-                            std::to_string(down_[i]) + ", recounted " +
-                            std::to_string(down[i]));
-  if (largest_free_) {
-    ClbRect fresh{0, 0, 0, 0};
-    for_each_maximal_free_rect([&](const ClbRect& r) {
-      if (r.area() > fresh.area()) fresh = r;
-    });
-    RELOGIC_AUDIT_CHECK(*largest_free_ == fresh, kWhere,
-                        "cached largest free rect " +
-                            largest_free_->to_string() + " != recomputed " +
-                            fresh.to_string());
+  // Pass 3: the derived structures. The table is in strict id order (the
+  // binary-search lookup relies on it); every row and column bit, padding
+  // included, equals "the grid cell is free"; the cached largest free area
+  // and rectangle equal the histogram sweep's.
+  for (std::size_t i = 1; i < regions_.size(); ++i)
+    RELOGIC_AUDIT_CHECK(regions_[i - 1].id < regions_[i].id, kWhere,
+                        "region table out of id order at entry " +
+                            std::to_string(i));
+  const auto bit = [](const Word* words, int k) {
+    return ((words[k / kWordBits] >> (k % kWordBits)) & 1) != 0;
+  };
+  for (int row = 0; row < rows_; ++row) {
+    for (int col = 0; col < row_words_ * kWordBits; ++col) {
+      const bool free =
+          col < cols_ &&
+          grid_[static_cast<std::size_t>(row) * cols_ + col] == kNoRegion;
+      RELOGIC_AUDIT_CHECK(bit(row_bits(row), col) == free, kWhere,
+                          "row bitset disagrees with the grid at (" +
+                              std::to_string(row) + "," +
+                              std::to_string(col) + ")");
+    }
+  }
+  for (int col = 0; col < cols_; ++col) {
+    for (int row = 0; row < col_words_ * kWordBits; ++row) {
+      const bool free =
+          row < rows_ &&
+          grid_[static_cast<std::size_t>(row) * cols_ + col] == kNoRegion;
+      RELOGIC_AUDIT_CHECK(bit(col_bits(col), row) == free, kWhere,
+                          "column bitset disagrees with the grid at (" +
+                              std::to_string(row) + "," +
+                              std::to_string(col) + ")");
+    }
+  }
+  if (largest_free_ || largest_area_ >= 0) {
+    const ClbRect fresh = sweep_largest_free_rect();
+    if (largest_free_)
+      RELOGIC_AUDIT_CHECK(*largest_free_ == fresh, kWhere,
+                          "cached largest free rect " +
+                              largest_free_->to_string() +
+                              " != recomputed " + fresh.to_string());
+    if (largest_area_ >= 0)
+      RELOGIC_AUDIT_CHECK(largest_area_ == fresh.area(), kWhere,
+                          "cached largest free area " +
+                              std::to_string(largest_area_) +
+                              " != swept " + std::to_string(fresh.area()));
   }
 }
 

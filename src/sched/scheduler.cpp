@@ -541,19 +541,24 @@ class Engine {
   /// departures to clear the window.
   bool vacate_window(const ClbRect& window) {
     bool clear = true;
-    for (const area::Region& r : mgr_.regions()) {
-      if (!r.rect.overlaps(window)) continue;
+    // Moves rewrite the table's rects in place, so each region's id and
+    // rect are read before it moves, by index into the live table.
+    const std::vector<area::Region>& table = mgr_.regions();
+    for (std::size_t i = 0; i < table.size(); ++i) {
+      const area::RegionId id = table[i].id;
+      const ClbRect rect = table[i].rect;
+      if (!rect.overlaps(window)) continue;
       if (cfg_->policy == ManagementPolicy::kNoRearrange) {
         clear = false;
         continue;
       }
-      const auto dest = mgr_.find_free_rect(r.rect.height, r.rect.width,
+      const auto dest = mgr_.find_free_rect(rect.height, rect.width,
                                             cfg_->placement, &window);
       if (!dest) {
         clear = false;
         continue;
       }
-      apply_move(area::Move{r.id, r.rect, *dest}, /*selftest=*/true);
+      apply_move(area::Move{id, rect, *dest}, /*selftest=*/true);
     }
     return clear;
   }

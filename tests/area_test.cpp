@@ -231,9 +231,9 @@ TEST(Defrag, RequestPlannerMatchesPerShapePlanning) {
 // The greedy planner restated as naively as possible, sharing nothing with
 // the area layer's search code: every query is a brute-force scan of
 // AreaManager::at(), every (shape, tie-break) pair runs its own greedy pass
-// from scratch, and nothing is reused or cut short (no free-run grid, no
-// cached free rectangle, no candidate tables, no cycle stop). Only the
-// final full-compaction fallback is the library's own.
+// from scratch, and nothing is reused or cut short (no free-space
+// bitsets, no cached free rectangle, no candidate tables, no cycle stop).
+// Only the final full-compaction fallback is the library's own.
 
 bool naive_free(const AreaManager& m, const ClbRect& r) {
   for (int row = r.row; row < r.row_end(); ++row)
@@ -390,23 +390,25 @@ void expect_same_plan(const std::optional<DefragPlan>& got,
   }
 }
 
-/// A fragmented n x n state: a few masked CLBs (optional), then regions
-/// packed in and every other one released. `uniform` gives every region
-/// the same shape, which makes the greedy tie-breaks decide most moves.
-AreaManager random_state(Rng& rng, int n, bool masked, bool uniform) {
-  AreaManager mgr(n, n);
+/// A fragmented rows x cols state: a few masked CLBs (optional), then
+/// regions packed in and every other one released. `uniform` gives every
+/// region the same shape, which makes the greedy tie-breaks decide most
+/// moves.
+AreaManager random_state(Rng& rng, int rows, int cols, bool masked,
+                         bool uniform) {
+  AreaManager mgr(rows, cols);
   if (masked) {
-    for (int i = 0; i < n / 3; ++i)
-      mgr.mask_faulty({rng.next_int(0, n - 1), rng.next_int(0, n - 1)});
+    for (int i = 0; i < (rows + cols) / 6; ++i)
+      mgr.mask_faulty({rng.next_int(0, rows - 1), rng.next_int(0, cols - 1)});
   }
   const int uh = rng.next_int(1, 3);
   const int uw = rng.next_int(1, 3);
   std::vector<RegionId> live;
-  for (int i = 0; i < n; ++i) {
-    const auto id = mgr.allocate("r", uniform ? uh : rng.next_int(1, n / 3),
-                                 uniform ? uw : rng.next_int(1, n / 3),
-                                 rng.next_bool() ? PlacePolicy::kBottomLeft
-                                                 : PlacePolicy::kBestFit);
+  for (int i = 0; i < (rows + cols) / 2; ++i) {
+    const auto id = mgr.allocate(
+        "r", uniform ? uh : rng.next_int(1, std::max(1, rows / 3)),
+        uniform ? uw : rng.next_int(1, std::max(1, cols / 3)),
+        rng.next_bool() ? PlacePolicy::kBottomLeft : PlacePolicy::kBestFit);
     if (id != kNoRegion) live.push_back(id);
   }
   for (std::size_t i = 0; i < live.size(); i += 2) mgr.release(live[i]);
@@ -420,7 +422,8 @@ TEST(DefragOracle, PlannerMatchesNaiveGreedyOnRandomStates) {
   for (int n : {12, 16}) {
     for (bool masked : {false, true}) {
       for (int trial = 0; trial < 6; ++trial) {
-        const AreaManager mgr = random_state(rng, n, masked, trial % 2 == 1);
+        const AreaManager mgr =
+            random_state(rng, n, n, masked, trial % 2 == 1);
         std::vector<std::pair<int, int>> shapes;
         for (int i = 0; i < 6; ++i)
           shapes.push_back({rng.next_int(1, n * 2 / 3),
@@ -450,6 +453,39 @@ TEST(DefragOracle, PlannerMatchesNaiveGreedyOnRandomStates) {
   // The sample must exercise both outcomes and the cycle stop.
   EXPECT_GT(plans, 0);
   EXPECT_GT(revisits, 0);
+}
+
+TEST(DefragOracle, PlannerMatchesNaiveGreedyOnMultiWordMaskedGrid) {
+  // 6 x 70: every row spans two 64-bit words, so candidate destinations,
+  // gains and fit profiles all cross the word boundary; masked CLBs break
+  // the free runs.
+  Rng rng(4242);
+  int plans = 0;
+  for (int trial = 0; trial < 3; ++trial) {
+    const AreaManager mgr = random_state(rng, 6, 70, /*masked=*/true,
+                                         /*uniform=*/trial == 1);
+    ASSERT_GT(mgr.masked_clbs(), 0);
+    for (int max_moves : {2, 8}) {
+      DefragOptions opt;
+      opt.max_moves = max_moves;
+      const RequestPlanner shared(mgr, opt);
+      for (int q = 0; q < 4; ++q) {
+        const int h = rng.next_int(1, 5);
+        const int w = rng.next_int(8, 68);
+        const std::string where = "trial " + std::to_string(trial) +
+                                  " max_moves " + std::to_string(max_moves) +
+                                  " shape " + std::to_string(h) + "x" +
+                                  std::to_string(w);
+        const OracleResult want = oracle_plan(mgr, h, w, opt);
+        plans += want.plan ? 1 : 0;
+        expect_same_plan(plan_for_request(mgr, h, w, opt), want.plan,
+                         where + " (plan_for_request)");
+        expect_same_plan(shared.plan(h, w), want.plan,
+                         where + " (shared planner)");
+      }
+    }
+  }
+  EXPECT_GT(plans, 0);
 }
 
 TEST(DefragOracle, OscillatingGreedySequenceStopsWithSameVerdict) {
@@ -501,60 +537,111 @@ TEST(DefragOracle, CycleStopKeepsTheSequenceTip) {
   }
 }
 
-TEST(AreaOracle, FreeSpaceQueriesMatchNaiveScanUnderChurn) {
-  // Every occupancy change repairs the free-run grid and drops the cached
-  // largest free rectangle; after each one, both queries must agree with a
-  // brute-force scan and the audit's from-scratch recount must hold.
-  Rng rng(99);
-  for (int n : {12, 16}) {
-    AreaManager mgr(n, n);
-    std::vector<RegionId> live;
-    for (int step = 0; step < 300; ++step) {
-      const int op = rng.next_int(0, 9);
-      if (op <= 3 || live.empty()) {
-        const auto id = mgr.allocate(
-            "r", rng.next_int(1, n / 3), rng.next_int(1, n / 3),
-            rng.next_bool() ? PlacePolicy::kBottomLeft : PlacePolicy::kBestFit);
-        if (id != kNoRegion) live.push_back(id);
-      } else if (op <= 6) {
-        const std::size_t k = rng.next_below(live.size());
-        mgr.release(live[k]);
-        live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
-      } else if (op <= 8) {
-        const Region r = mgr.region(live[rng.next_below(live.size())]);
-        const auto to = mgr.find_free_rect(r.rect.height, r.rect.width,
-                                           PlacePolicy::kBestFit);
-        if (to) mgr.move(r.id, *to);
-      } else {
-        const ClbCoord c{rng.next_int(0, n - 1), rng.next_int(0, n - 1)};
-        if (mgr.at(c) == kNoRegion) mgr.mask_faulty(c);
-      }
-      ASSERT_NO_THROW(mgr.audit()) << "step " << step;
-
-      const ClbRect largest = mgr.largest_free_rect();
-      ASSERT_EQ(largest.area(), naive_largest_free_area(mgr)) << "step " << step;
-      if (largest.area() > 0) {
-        EXPECT_TRUE(naive_free(mgr, largest)) << "step " << step;
-      }
-      ASSERT_NO_THROW(mgr.audit()) << "step " << step << " (cached)";
-
-      const ClbRect avoid{rng.next_int(0, n - 1), rng.next_int(0, n - 1),
-                          rng.next_int(1, n / 2), rng.next_int(1, n / 2)};
-      for (int q = 0; q < 4; ++q) {
-        const int h = rng.next_int(1, n);
-        const int w = rng.next_int(1, n);
-        for (PlacePolicy policy :
-             {PlacePolicy::kBottomLeft, PlacePolicy::kBestFit}) {
-          EXPECT_EQ(mgr.find_free_rect(h, w, policy),
-                    naive_find(mgr, h, w, policy))
-              << "step " << step << " shape " << h << "x" << w;
-          EXPECT_EQ(mgr.find_free_rect(h, w, policy, &avoid),
-                    naive_find(mgr, h, w, policy, &avoid))
-              << "step " << step << " shape " << h << "x" << w << " avoid";
-        }
+std::vector<int> naive_free_width_profile(const AreaManager& m) {
+  std::vector<int> profile(static_cast<std::size_t>(m.rows()), 0);
+  for (int top = 0; top < m.rows(); ++top) {
+    for (int left = 0; left < m.cols(); ++left) {
+      int width = m.cols() - left;
+      for (int bottom = top; bottom < m.rows() && width > 0; ++bottom) {
+        int run = 0;
+        while (run < width && m.at({bottom, left + run}) == kNoRegion) ++run;
+        width = run;
+        int& slot = profile[static_cast<std::size_t>(bottom - top)];
+        slot = std::max(slot, width);
       }
     }
   }
+  return profile;
+}
+
+/// `steps` random allocate / release / move / mask operations on a
+/// rows x cols manager. After each one, every free-space query must agree
+/// with a brute-force scan and the audit's from-scratch recount must hold.
+void check_queries_under_churn(Rng& rng, int rows, int cols, int steps) {
+  const std::string grid = std::to_string(rows) + "x" + std::to_string(cols);
+  AreaManager mgr(rows, cols);
+  std::vector<RegionId> live;
+  for (int step = 0; step < steps; ++step) {
+    const std::string where = grid + " step " + std::to_string(step);
+    const int op = rng.next_int(0, 9);
+    if (op <= 3 || live.empty()) {
+      const auto id = mgr.allocate(
+          "r", rng.next_int(1, std::max(1, rows / 3)),
+          rng.next_int(1, std::max(1, cols / 3)),
+          rng.next_bool() ? PlacePolicy::kBottomLeft : PlacePolicy::kBestFit);
+      if (id != kNoRegion) live.push_back(id);
+    } else if (op <= 6) {
+      const std::size_t k = rng.next_below(live.size());
+      mgr.release(live[k]);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
+    } else if (op <= 8) {
+      const Region r = mgr.region(live[rng.next_below(live.size())]);
+      const auto to = mgr.find_free_rect(r.rect.height, r.rect.width,
+                                         PlacePolicy::kBestFit);
+      if (to) mgr.move(r.id, *to);
+    } else {
+      const ClbCoord c{rng.next_int(0, rows - 1), rng.next_int(0, cols - 1)};
+      if (mgr.at(c) == kNoRegion) mgr.mask_faulty(c);
+    }
+    ASSERT_NO_THROW(mgr.audit()) << where;
+
+    ASSERT_EQ(mgr.largest_free_area(), naive_largest_free_area(mgr)) << where;
+    const ClbRect largest = mgr.largest_free_rect();
+    ASSERT_EQ(largest.area(), mgr.largest_free_area()) << where;
+    if (largest.area() > 0) {
+      EXPECT_TRUE(naive_free(mgr, largest)) << where;
+    }
+    ASSERT_EQ(mgr.free_width_profile(), naive_free_width_profile(mgr))
+        << where;
+    ASSERT_NO_THROW(mgr.audit()) << where << " (cached)";
+
+    // One random window, and one straddling the 64-bit word boundary in
+    // each dimension the grid crosses it.
+    std::vector<ClbRect> avoids{
+        {rng.next_int(0, rows - 1), rng.next_int(0, cols - 1),
+         rng.next_int(1, std::max(1, rows / 2)),
+         rng.next_int(1, std::max(1, cols / 2))}};
+    if (cols > 64 || rows > 64) {
+      const int r0 = rows > 64 ? rng.next_int(60, 63) : 0;
+      const int c0 =
+          cols > 64 ? rng.next_int(60, 63) : rng.next_int(0, cols - 1);
+      avoids.push_back({r0, c0, rows > 64 ? rng.next_int(2, 8) : rows,
+                        cols > 64 ? rng.next_int(2, 8) : 1});
+    }
+    std::vector<std::pair<int, int>> shapes;
+    for (int q = 0; q < 4; ++q)
+      shapes.push_back({rng.next_int(1, rows), rng.next_int(1, cols)});
+    // Shapes longer than one word in the grid's multi-word dimension.
+    if (cols > 64) shapes.push_back({1, rng.next_int(65, cols)});
+    if (rows > 64) shapes.push_back({rng.next_int(65, rows), 1});
+    for (const auto& [h, w] : shapes) {
+      const std::string shape =
+          where + " shape " + std::to_string(h) + "x" + std::to_string(w);
+      for (PlacePolicy policy :
+           {PlacePolicy::kBottomLeft, PlacePolicy::kBestFit}) {
+        EXPECT_EQ(mgr.find_free_rect(h, w, policy),
+                  naive_find(mgr, h, w, policy))
+            << shape;
+        for (const ClbRect& avoid : avoids)
+          EXPECT_EQ(mgr.find_free_rect(h, w, policy, &avoid),
+                    naive_find(mgr, h, w, policy, &avoid))
+              << shape << " avoid " << avoid.to_string();
+      }
+    }
+  }
+}
+
+TEST(AreaOracle, FreeSpaceQueriesMatchNaiveScanUnderChurn) {
+  Rng rng(99);
+  for (int n : {12, 16}) check_queries_under_churn(rng, n, n, 300);
+}
+
+TEST(AreaOracle, FreeSpaceQueriesMatchNaiveScanAcrossWordBoundaries) {
+  // Rows (6 x 70, 3 x 130) or columns (70 x 6) longer than one 64-bit word.
+  Rng rng(7);
+  check_queries_under_churn(rng, 6, 70, 200);
+  check_queries_under_churn(rng, 70, 6, 200);
+  check_queries_under_churn(rng, 3, 130, 200);
 }
 
 }  // namespace

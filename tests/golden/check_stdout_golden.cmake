@@ -2,8 +2,10 @@
 # OUT_DIR and compares what it prints byte-for-byte with GOLDEN. Used for
 # the deterministic figure benches: bench_fig5_routing_reloc and
 # bench_fig6_path_delay, whose tables depend on every router tie-break,
-# and bench_fig4_relocation_time in smoke mode, whose table depends on the
-# logic simulator's event order.
+# bench_fig4_relocation_time in smoke mode, whose table depends on the
+# logic simulator's event order, and bench_fig1_scheduling and
+# bench_defrag_policies, whose tables depend on every placement and
+# defrag-planner tie-break.
 #
 #   cmake -DEXE=<program> -DGOLDEN=<file> -DOUT_DIR=<scratch dir>
 #         -P check_stdout_golden.cmake
