@@ -184,6 +184,40 @@ void BM_SimulatorFanout(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorFanout)->Unit(benchmark::kMicrosecond);
 
+// One Fig. 4 port wait: a gated-clock FSM on an XCV200 capturing with CE
+// high, new held inputs, then one run_until over 2900 edges of a 125 kHz
+// clock (the ~23 ms a cell takes over Boundary Scan). Steady-state
+// fast-forward (DESIGN.md §11) skips the edges after the state repeats.
+void BM_SimulatorPortWait(benchmark::State& state) {
+  fabric::Fabric fab(fabric::DeviceGeometry::xcv200());
+  const fabric::DelayModel dm;
+  sim::FabricSim sim(fab, dm);
+  const SimTime period = SimTime::us(8);
+  sim.add_clock(sim::ClockSpec{0, period, period});
+  place::Implementer implementer(fab, dm);
+  const auto nl = netlist::bench::random_fsm(
+      "perf", 24, 4, 4, 5, netlist::bench::ClockingStyle::kGatedClock);
+  auto impl = implementer.implement(
+      netlist::map_netlist(nl),
+      place::ImplementOptions{ClbRect{1, 1, 6, 6}, 0, {}, {}});
+  Rng rng(1);
+  std::int64_t edges = 0;
+  for (auto _ : state) {
+    for (const auto& [sig, pad] : impl.input_pads)
+      sim.drive_pad(pad, nl.node(sig).name == "ce" || rng.next_bool());
+    const std::int64_t before = sim.edges_seen(0);
+    sim.run_until(sim.now() + period * 2900);
+    benchmark::DoNotOptimize(sim.events_processed());
+    edges += sim.edges_seen(0) - before;
+  }
+  state.SetItemsProcessed(edges);
+  state.counters["skipped_share"] =
+      edges == 0 ? 0.0
+                 : static_cast<double>(sim.edges_fast_forwarded()) /
+                       static_cast<double>(edges);
+}
+BENCHMARK(BM_SimulatorPortWait)->Unit(benchmark::kMicrosecond);
+
 // The golden model's cost per clock cycle, driven the way
 // CircuitHarness::step drives it alongside the fabric: new inputs, settle,
 // one edge. The FSM is BM_SimulatorCycles's, gated-clock style.

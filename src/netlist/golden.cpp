@@ -141,6 +141,33 @@ void GoldenSim::clock() {
   settle();
 }
 
+void GoldenSim::clock(std::int64_t n) {
+  RELOGIC_CHECK(n >= 0);
+  // clock() is a function of values_ alone, so once values_ equals its
+  // value `lam` edges earlier the model repeats with period lam. Brent's
+  // cycle detection (BIT 20, 1980) finds such a repeat with one stored
+  // vector, moving the tortoise up to the current edge whenever lam reaches
+  // a power of two.
+  std::int64_t power = 1;
+  std::int64_t lam = 0;
+  if (n > 1) tortoise_ = values_;
+  while (n > 1) {
+    clock();
+    --n;
+    ++lam;
+    if (values_ == tortoise_) {
+      n %= lam;
+      break;
+    }
+    if (lam == power) {
+      tortoise_ = values_;
+      power *= 2;
+      lam = 0;
+    }
+  }
+  for (; n > 0; --n) clock();
+}
+
 bool GoldenSim::output(const std::string& name) const {
   auto sig = nl_->find_output(name);
   RELOGIC_CHECK_MSG(sig.has_value(), "no output named " + name);

@@ -34,6 +34,9 @@ class GoldenSim {
   /// One rising clock edge: every DFF whose CE is true (or absent)
   /// captures, then logic settles.
   void clock();
+  /// `n` rising edges with the inputs held: the same values as `n` calls
+  /// of clock(). Once the state repeats, whole periods are skipped.
+  void clock(std::int64_t n);
 
   bool value(SigId sig) const {
     RELOGIC_CHECK(sig < nl_->node_count());
@@ -77,6 +80,8 @@ class GoldenSim {
   std::vector<std::uint8_t> values_;
   /// clock()'s capture buffer, one D value per DFF.
   std::vector<std::uint8_t> captures_;
+  /// clock(n)'s cycle detector: `values_` at an earlier edge.
+  std::vector<std::uint8_t> tortoise_;
 };
 
 }  // namespace relogic::netlist

@@ -74,9 +74,7 @@ CircuitHarness::CycleResult CircuitHarness::step(
   // The fabric may have clocked on while a reconfiguration ran (the
   // application never stops); replay those edges into the golden model
   // with the inputs held at their previous values.
-  const std::int64_t missed = sim_->edges_seen(domain) - golden_edges_;
-  for (std::int64_t i = 0; i < missed; ++i) golden_.clock();
-  golden_edges_ += missed;
+  golden_.clock(sim_->edges_seen(domain) - golden_edges_);
 
   drive(inputs);
   golden_.settle();

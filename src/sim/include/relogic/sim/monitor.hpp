@@ -60,6 +60,9 @@ class GlitchMonitor {
 
   /// Total transitions observed on watched nodes (diagnostics).
   std::int64_t transitions_observed() const { return transitions_; }
+  /// Counts the transitions of clock periods the simulator fast-forwarded:
+  /// `n` transitions that each stayed alone in its window.
+  void add_transitions(std::int64_t n) { transitions_ += n; }
 
  private:
   struct Watch {

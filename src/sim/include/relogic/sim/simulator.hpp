@@ -19,6 +19,11 @@
 // clock-to-XQ delay, and each routed sink its path delay from the
 // DelayModel (max over paralleled paths). Evaluation on delivery gives
 // inertial-delay semantics: pulses shorter than the LUT delay are absorbed.
+//
+// Steady-state fast-forward (DESIGN.md §11): with the inputs held and the
+// fabric unchanged, a settled circuit is an autonomous FSM. Once its state
+// repeats within one run_until call, whole periods are skipped with exactly
+// the values, counts and event order of stepping through them.
 #pragma once
 
 #include <array>
@@ -76,6 +81,8 @@ class FabricSim final : public fabric::FabricListener {
   // ---- execution ------------------------------------------------------------
   SimTime now() const { return now_; }
   /// Processes events up to and including time `t`; advances now() to `t`.
+  /// Repeating clock periods inside the call are fast-forwarded, with the
+  /// same result as stepping through them.
   void run_until(SimTime t);
   /// Runs past the next `n` rising edges of domain plus a settle margin.
   void run_cycles(int n, std::uint8_t domain = 0);
@@ -101,11 +108,15 @@ class FabricSim final : public fabric::FabricListener {
   /// fabric and throws AuditError on any difference (DESIGN.md §8.4, §11):
   /// the cell mirror, the clocked-site index, the multi-source net list,
   /// the source -> net table, every cached sink's site, port and event
-  /// lane, and the event queue's lanes and heads heap.
-  /// RELOGIC_AUDIT builds call it at the end of every run_until.
+  /// lane, the flip-flop state hash, and the event queue's lanes and
+  /// heads heap. RELOGIC_AUDIT builds call it at the end of every
+  /// run_until.
   void audit() const;
 
   std::int64_t events_processed() const { return events_processed_; }
+  /// Clock edges run_until skipped as repeats of a verified period; they
+  /// are counted in edges_seen() and events_processed() all the same.
+  std::int64_t edges_fast_forwarded() const { return edges_fast_forwarded_; }
 
   // ---- FabricListener --------------------------------------------------------
   void on_cell_changed(ClbCoord clb, int cell,
@@ -177,11 +188,41 @@ class FabricSim final : public fabric::FabricListener {
   bool source_pin_value(fabric::NodeId pin) const;
   unsigned lut_input_vector(int site) const;
 
+  // ---- steady-state fast-forward (DESIGN.md §11) ----------------------
+  /// The pseudo-random key a site's q contributes to q_hash_ while it is 1.
+  static std::uint64_t q_key(int site);
+  /// Writes a site's q value, keeping q_hash_ exact.
+  void set_q(int site, bool value);
+  /// Called at every clock-edge pop of run_until(t) before the edge is
+  /// processed: runs the detector, and at the end of a verified period
+  /// skips whole periods by advancing now_ and the counters.
+  void on_edge_pop(std::uint8_t domain, SimTime t);
+  /// One step of Brent's cycle detection over q_hash_ at a quiet edge;
+  /// starts the check of a candidate period that fits twice before `t`.
+  void detect(std::uint8_t domain, SimTime t);
+  /// Ends a period check: clears the journal marks, turns journaling off.
+  void end_check();
+  /// True when every journaled slot holds its journaled value again.
+  bool journal_restored() const;
+  /// Journal slots: site * 8 + k, k being a CellPort (0..5), 6 for x, 7
+  /// for q.
+  static std::uint32_t slot(int site, int k) {
+    return static_cast<std::uint32_t>(site * 8 + k);
+  }
+  /// Records a slot's value before its first change in the checked period.
+  void journal(std::uint32_t slot, bool old) {
+    if (journaled_[slot] != 0) return;
+    journaled_[slot] = 1;
+    journal_.push_back(JournalEntry{slot, old});
+  }
+  void journal_pad(fabric::NodeId pad, bool old);
+
   fabric::Fabric* fabric_;
   const fabric::DelayModel* dm_;
   SimTime now_ = SimTime::zero();
   std::uint64_t seq_ = 0;
   std::int64_t events_processed_ = 0;
+  std::int64_t edges_fast_forwarded_ = 0;
   Queue queue_;
   /// Lanes of the fixed delays, resolved at construction (a domain's
   /// period lane lives in its Domain record, a sink's in its Sink).
@@ -231,6 +272,43 @@ class FabricSim final : public fabric::FabricListener {
   /// check_drive_coherence inspects.
   std::vector<fabric::NetId> multi_source_nets_;
   GlitchMonitor monitor_;
+
+  /// XOR of q_key(site) over the sites whose q is 1: the fingerprint the
+  /// detector compares, one XOR per q change.
+  std::uint64_t q_hash_ = 0;
+  /// Detector state of the current run_until call. Brent's algorithm
+  /// (BIT 20, 1980) keeps one tortoise hash and compares each quiet edge's
+  /// hash with it; a match proposes a period, which is then checked
+  /// exactly over the next `period` edges.
+  struct Detector {
+    bool armed = false;  ///< tortoise holds the hash of an earlier edge
+    std::uint64_t tortoise = 0;
+    std::int64_t power = 1;
+    std::int64_t lam = 0;
+    /// Edge pops left in the period under check; 0 when none is checked.
+    std::int64_t check_left = 0;
+    std::int64_t period = 0;  ///< edge pops in the period under check
+    // Counts at the edge pop that began the check.
+    SimTime time0;
+    std::int64_t events0 = 0;
+    std::int64_t edges0 = 0;
+    std::int64_t transitions0 = 0;
+    std::uint64_t seq0 = 0;
+    std::size_t violations0 = 0;
+  };
+  Detector detector_;
+  struct JournalEntry {
+    std::uint32_t slot;
+    bool old;
+  };
+  /// While a period is checked: the first old value of every pin, x and q
+  /// slot (journal_) and pad (pad_journal_) that changed since the check
+  /// began; journaled_ marks the slots already in journal_. All three are
+  /// reused from check to check, so a check allocates nothing once warm.
+  bool journaling_ = false;
+  std::vector<JournalEntry> journal_;
+  std::vector<std::uint8_t> journaled_;
+  std::vector<std::pair<fabric::NodeId, bool>> pad_journal_;
 };
 
 }  // namespace relogic::sim

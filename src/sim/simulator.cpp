@@ -45,6 +45,7 @@ FabricSim::FabricSim(fabric::Fabric& fabric, const fabric::DelayModel& dm)
   x_val_.assign(sites, false);
   q_val_.assign(sites, false);
   out_pin_net_.assign(sites * 2, fabric::kNoNet);
+  journaled_.assign(sites * 8, 0);
 
   fabric_->add_listener(this);
 
@@ -58,7 +59,7 @@ FabricSim::FabricSim(fabric::Fabric& fabric, const fabric::DelayModel& dm)
         const int site = site_index(clb, k);
         cells_[static_cast<std::size_t>(site)] = cfg;
         if (clocked(cfg)) domain(cfg.clock_domain).ff_sites.push_back(site);
-        q_val_[static_cast<std::size_t>(site)] = cfg.init;
+        set_q(site, cfg.init);
         schedule(lut_lane_, EventKind::kEval, site);
       }
     }
@@ -146,14 +147,126 @@ bool FabricSim::pad_value(NodeId pad) const {
 
 void FabricSim::run_until(SimTime t) {
   RELOGIC_CHECK(t >= now_);
+  // A period found in one call says nothing of the next.
+  detector_ = Detector{};
   while (!queue_.empty() && queue_.top_time() <= t) {
     const Event e = queue_.pop();
     now_ = e.time;
+    if (e.kind() == EventKind::kClockEdge)
+      on_edge_pop(static_cast<std::uint8_t>(e.site), t);
     process(e);
     ++events_processed_;
   }
+  if (journaling_) end_check();
   now_ = t;
   if constexpr (audit_enabled()) audit();
+}
+
+std::uint64_t FabricSim::q_key(int site) {
+  // splitmix64's finaliser over the site index.
+  std::uint64_t z =
+      (static_cast<std::uint64_t>(site) + 1) * 0x9E3779B97F4A7C15ull;
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  return z ^ (z >> 31);
+}
+
+void FabricSim::set_q(int site, bool value) {
+  auto& q = q_val_[static_cast<std::size_t>(site)];
+  if ((q != 0) == value) return;
+  q = value;
+  q_hash_ ^= q_key(site);
+}
+
+// The state an edge pop leaves when it leaves no other event pending is
+// every pin, x, q and pad value: the fabric and the held inputs do not
+// change inside run_until, only one clock generator exists (a second one
+// would be pending), the monitor's windows restart at the edge, and events
+// are scheduled relative to now() with relative sequence numbers. Two such
+// pops with equal values are therefore a period of everything after them
+// (DESIGN.md §11, "Steady-state fast-forward").
+void FabricSim::on_edge_pop(std::uint8_t domain, SimTime t) {
+  const bool quiet = queue_.empty();
+  if (detector_.check_left > 0) {
+    if (--detector_.check_left > 0) return;
+    const bool periodic = quiet && journal_restored() &&
+                          monitor_.violations().size() == detector_.violations0;
+    end_check();
+    if (periodic) {
+      const SimTime span = now_ - detector_.time0;
+      const std::int64_t m = (t - now_).picoseconds() / span.picoseconds();
+      Domain& dom = domains_[domain];
+      now_ += span * m;
+      events_processed_ += (events_processed_ - detector_.events0) * m;
+      dom.edges_seen += (dom.edges_seen - detector_.edges0) * m;
+      seq_ += (seq_ - detector_.seq0) * static_cast<std::uint64_t>(m);
+      monitor_.add_transitions(
+          (monitor_.transitions_observed() - detector_.transitions0) * m);
+      edges_fast_forwarded_ += detector_.period * m;
+    }
+    detector_ = Detector{};
+  }
+  if (!quiet) {
+    detector_.armed = false;
+    return;
+  }
+  detect(domain, t);
+}
+
+void FabricSim::detect(std::uint8_t domain, SimTime t) {
+  if (!detector_.armed) {
+    detector_.armed = true;
+    detector_.tortoise = q_hash_;
+    detector_.power = 1;
+    detector_.lam = 0;
+    return;
+  }
+  ++detector_.lam;
+  // A candidate is worth checking only if a skip can follow the check.
+  if (q_hash_ == detector_.tortoise &&
+      domains_[domain].clock.period * (2 * detector_.lam) <= t - now_) {
+    detector_.check_left = detector_.period = detector_.lam;
+    detector_.time0 = now_;
+    detector_.events0 = events_processed_;
+    detector_.edges0 = domains_[domain].edges_seen;
+    detector_.seq0 = seq_;
+    detector_.transitions0 = monitor_.transitions_observed();
+    detector_.violations0 = monitor_.violations().size();
+    journaling_ = true;
+    return;
+  }
+  if (detector_.lam == detector_.power) {
+    detector_.tortoise = q_hash_;
+    detector_.power *= 2;
+    detector_.lam = 0;
+  }
+}
+
+void FabricSim::journal_pad(NodeId pad, bool old) {
+  for (const auto& [p, v] : pad_journal_)
+    if (p == pad) return;
+  pad_journal_.emplace_back(pad, old);
+}
+
+bool FabricSim::journal_restored() const {
+  for (const JournalEntry& j : journal_) {
+    const std::size_t site = j.slot / 8;
+    const std::uint32_t k = j.slot % 8;
+    const bool value = k < 6   ? pin_val_[site][k]
+                       : k == 6 ? x_val_[site] != 0
+                                : q_val_[site] != 0;
+    if (value != j.old) return false;
+  }
+  for (const auto& [pad, old] : pad_journal_)
+    if (pad_value(pad) != old) return false;
+  return true;
+}
+
+void FabricSim::end_check() {
+  for (const JournalEntry& j : journal_) journaled_[j.slot] = 0;
+  journal_.clear();
+  pad_journal_.clear();
+  journaling_ = false;
 }
 
 void FabricSim::run_cycles(int n, std::uint8_t domain) {
@@ -275,13 +388,17 @@ void FabricSim::do_pin_set(const Event& e) {
     const bool old = it != pad_val_.end() && it->second;
     if (old == value && it != pad_val_.end()) return;
     pad_val_[node] = value;
-    if (old != value) monitor_.record_transition(node, now_);
+    if (old != value) {
+      if (journaling_) journal_pad(node, old);
+      monitor_.record_transition(node, now_);
+    }
     return;
   }
   const int site = e.site;
   const int port = e.port();
   auto& pins = pin_val_[static_cast<std::size_t>(site)];
   if (pins[static_cast<std::size_t>(port)] == value) return;
+  if (journaling_) journal(slot(site, port), !value);
   pins[static_cast<std::size_t>(port)] = value;
   monitor_.record_transition(node, now_);
 
@@ -311,6 +428,7 @@ void FabricSim::do_eval(int site) {
   if (!cfg.used) return;
   const bool x = cfg.eval(lut_input_vector(site));
   if (x == (x_val_[static_cast<std::size_t>(site)] != 0)) return;
+  if (journaling_) journal(slot(site, 6), !x);
   x_val_[static_cast<std::size_t>(site)] = x;
   propagate_net(out_pin_net_[out_slot(site, false)], x);
   if (cfg.reg == fabric::RegMode::kLatch &&
@@ -323,7 +441,8 @@ void FabricSim::do_eval(int site) {
 void FabricSim::do_q_set(int site, bool value) {
   if ((q_val_[static_cast<std::size_t>(site)] != 0) == value) return;
   if (!cells_[static_cast<std::size_t>(site)].used) return;
-  q_val_[static_cast<std::size_t>(site)] = value;
+  if (journaling_) journal(slot(site, 7), !value);
+  set_q(site, value);
   propagate_net(out_pin_net_[out_slot(site, true)], value);
 }
 
@@ -445,7 +564,7 @@ void FabricSim::on_cell_changed(ClbCoord clb, int cell,
       set_member(domain(after.clock_domain).ff_sites, site, true);
   }
   if (!before.used && after.used) {
-    q_val_[static_cast<std::size_t>(site)] = after.init;
+    set_q(site, after.init);
     // Refresh inputs: routed pins read their net's current value; unrouted
     // pins revert to the default level (a previous tenant of this site may
     // have left stale values behind).
@@ -565,6 +684,16 @@ void FabricSim::audit() const {
                         "period lane of domain " + std::to_string(d) +
                             " has another delay");
   }
+  std::uint64_t q_hash = 0;
+  for (int site = 0; site < static_cast<int>(q_val_.size()); ++site)
+    if (q_val_[static_cast<std::size_t>(site)] != 0) q_hash ^= q_key(site);
+  RELOGIC_AUDIT_CHECK(q_hash == q_hash_, kWhere,
+                      "flip-flop state hash differs from a scan of q");
+  RELOGIC_AUDIT_CHECK(
+      !journaling_ && journal_.empty() && pad_journal_.empty() &&
+          std::find(journaled_.begin(), journaled_.end(), 1) ==
+              journaled_.end(),
+      kWhere, "a period check outlived its run_until call");
   queue_.audit(now_);
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -404,6 +405,73 @@ TEST(GoldenSim, MatchesNaiveRecursiveEvaluator) {
       naive.clock();
       ASSERT_EQ(golden.state(), naive.state()) << where(cycle);
       ASSERT_EQ(golden.outputs(), naive.outputs()) << where(cycle);
+    }
+  }
+}
+
+/// Edges until a GoldenSim with held inputs first returns to a state it
+/// was in (the period of the cycle it runs into), by brute force; 0 if
+/// none within `limit` edges.
+int held_input_period(GoldenSim sim, int limit) {
+  std::map<std::vector<bool>, int> seen;
+  for (int edge = 0; edge <= limit; ++edge) {
+    std::vector<bool> key = sim.state();
+    const auto outs = sim.outputs();
+    key.insert(key.end(), outs.begin(), outs.end());
+    const auto [it, inserted] = seen.emplace(std::move(key), edge);
+    if (!inserted) return edge - it->second;
+    sim.clock();
+  }
+  return 0;
+}
+
+// clock(n) against n calls of clock() on every suite circuit in both
+// clocking styles, counter(8), gray_counter(4) and an LFSR: from a state a
+// few random cycles in, inputs held, for n around the period P of the
+// cycle the held inputs lead into and for one Fig. 4 port wait.
+TEST(GoldenSim, ClockNMatchesRepeatedClock) {
+  std::vector<std::pair<std::string, Netlist>> circuits;
+  for (const auto style :
+       {ClockingStyle::kFreeRunning, ClockingStyle::kGatedClock}) {
+    for (auto& e : bench::itc99_suite(style)) {
+      const bool gated = style == ClockingStyle::kGatedClock;
+      circuits.emplace_back(e.name + (gated ? " gated" : " free"),
+                            std::move(e.circuit));
+    }
+  }
+  circuits.emplace_back("counter8", bench::counter(8));
+  circuits.emplace_back("gray4", bench::gray_counter(4));
+  circuits.emplace_back("lfsr5", bench::lfsr(5, 0b10100));
+
+  std::uint64_t seed = 1;
+  for (const auto& [name, nl] : circuits) {
+    Rng rng(++seed);
+    GoldenSim start(nl);
+    auto drive = [&](bool ce) {
+      for (const SigId in : nl.inputs())
+        start.set_input(in, nl.node(in).name == "ce" ? ce : rng.next_bool());
+      start.settle();
+    };
+    for (int i = 0; i < 5; ++i) {
+      drive(rng.next_bool());
+      start.clock();
+    }
+    drive(true);
+    const int period = held_input_period(start, 4096);
+    ASSERT_GT(period, 0) << name;
+    const std::int64_t p = period;
+    for (const std::int64_t n : {std::int64_t{0}, std::int64_t{1}, p - 1, p,
+                                 p + 1, std::int64_t{2900}}) {
+      GoldenSim fast = start;
+      GoldenSim stepped = start;
+      fast.clock(n);
+      for (std::int64_t i = 0; i < n; ++i) stepped.clock();
+      const std::string where = name + " n=" + std::to_string(n) +
+                                " (period " + std::to_string(period) + ")";
+      ASSERT_EQ(fast.state(), stepped.state()) << where;
+      ASSERT_EQ(fast.outputs(), stepped.outputs()) << where;
+      for (SigId s = 0; s < nl.node_count(); ++s)
+        ASSERT_EQ(fast.value(s), stepped.value(s)) << where << " sig " << s;
     }
   }
 }

@@ -17,6 +17,10 @@
 //   FabricSim::audit.
 // * DriveConflict checks that a drive conflict is found by the clock edge
 //   alone, through the multi-source net list.
+// * SimFastForward checks the steady-state fast-forward (DESIGN.md §11)
+//   against the same set-up stepped through every edge: each window of
+//   thousands of edges runs in one run_until call on one twin and in calls
+//   shorter than a clock period, which never hold two edges, on the other.
 // * EventLanes checks the event queue against a std::priority_queue on
 //   (time, seq) over random monotone schedule streams, and that a lane
 //   that never drains keeps a bounded buffer.
@@ -669,6 +673,267 @@ TEST(DriveConflict, RecordedByTheClockEdgeAlone) {
   sim.run_until(SimTime::ns(1001));
   EXPECT_EQ(conflicts(), 3);
   EXPECT_EQ(sim.edges_seen(0), 10);
+}
+
+// ---- SimFastForward ------------------------------------------------------
+
+/// One circuit implemented on a Rig, under a lockstep harness watching its
+/// registered outputs.
+struct FfSide {
+  Rig rig;
+  place::Implementation impl;
+  sim::CircuitHarness harness;
+
+  FfSide(const fabric::DeviceGeometry& geom,
+         std::initializer_list<sim::ClockSpec> clocks,
+         const netlist::Netlist& nl, ClbCoord origin)
+      : rig(geom),
+        impl(add_clocks_then_implement(rig, clocks, nl, origin)),
+        harness(rig.sim, nl, impl) {
+    harness.watch_registered_outputs();
+  }
+
+  static place::Implementation add_clocks_then_implement(
+      Rig& rig, std::initializer_list<sim::ClockSpec> clocks,
+      const netlist::Netlist& nl, ClbCoord origin) {
+    for (const auto& c : clocks) rig.sim.add_clock(c);
+    return rig.implement(nl, origin);
+  }
+};
+
+/// The same set-up built twice. `fast` runs each window in one run_until
+/// call; `ref` runs it in calls shorter than every clock period, so no call
+/// holds two edges of a domain, its detector never proposes a period and it
+/// steps through every edge.
+class FfTwin {
+ public:
+  FfTwin(const fabric::DeviceGeometry& geom,
+         std::initializer_list<sim::ClockSpec> clocks,
+         const netlist::Netlist& nl, ClbCoord origin)
+      : fast(geom, clocks, nl, origin), ref(geom, clocks, nl, origin) {
+    for (const auto& c : clocks)
+      slice_ = std::min(slice_, c.period - SimTime::ps(1));
+  }
+
+  /// Applies `f` to both sides.
+  template <typename F>
+  void both(F&& f) {
+    f(fast);
+    f(ref);
+  }
+  /// One lockstep cycle on both sides with the same inputs, which both
+  /// harnesses must find in agreement with their golden models.
+  void step(const std::vector<bool>& inputs) {
+    both([&](FfSide& s) {
+      const auto r = s.harness.step(inputs);
+      EXPECT_TRUE(r.ok()) << (s.harness.mismatch_log().empty()
+                                  ? std::string()
+                                  : s.harness.mismatch_log().back());
+    });
+  }
+  /// Runs both sides `span` on with the inputs held.
+  void run(SimTime span) {
+    const SimTime t = fast.rig.sim.now() + span;
+    fast.rig.sim.run_until(t);
+    while (ref.rig.sim.now() < t)
+      ref.rig.sim.run_until(std::min(t, ref.rig.sim.now() + slice_));
+  }
+  /// Expects every value and count the simulator shows to agree.
+  void expect_same(const std::string& where) const {
+    const sim::FabricSim& a = fast.rig.sim;
+    const sim::FabricSim& b = ref.rig.sim;
+    EXPECT_EQ(a.now(), b.now()) << where;
+    EXPECT_EQ(a.events_processed(), b.events_processed()) << where;
+    for (std::uint8_t d = 0; d < 4; ++d)
+      EXPECT_EQ(a.edges_seen(d), b.edges_seen(d)) << where << " dom " << +d;
+    EXPECT_EQ(a.monitor().transitions_observed(),
+              b.monitor().transitions_observed())
+        << where;
+    const auto& va = a.monitor().violations();
+    const auto& vb = b.monitor().violations();
+    ASSERT_EQ(va.size(), vb.size()) << where;
+    for (std::size_t i = 0; i < va.size(); ++i) {
+      EXPECT_EQ(va[i].kind, vb[i].kind) << where << " violation " << i;
+      EXPECT_EQ(va[i].time, vb[i].time) << where << " violation " << i;
+      EXPECT_EQ(va[i].node, vb[i].node) << where << " violation " << i;
+    }
+    const auto& geom = fast.rig.fab.geometry();
+    int differ = 0;
+    for (int r = 0; r < geom.clb_rows; ++r) {
+      for (int c = 0; c < geom.clb_cols; ++c) {
+        for (int k = 0; k < geom.cells_per_clb; ++k) {
+          const ClbCoord clb{r, c};
+          differ += a.state_of(clb, k) != b.state_of(clb, k);
+          differ += a.comb_of(clb, k) != b.comb_of(clb, k);
+          for (int p = 0; p < fabric::kInPorts; ++p) {
+            const auto port = static_cast<fabric::CellPort>(p);
+            differ += a.pin_of(clb, k, port) != b.pin_of(clb, k, port);
+          }
+        }
+      }
+    }
+    EXPECT_EQ(differ, 0) << where << ": q, x or pin values differ";
+    for (const auto& [sig, pad] : fast.impl.input_pads)
+      EXPECT_EQ(a.pad_value(pad), b.pad_value(pad)) << where;
+    for (const auto& [name, pad] : fast.impl.output_pads)
+      EXPECT_EQ(a.pad_value(pad), b.pad_value(pad)) << where << " " << name;
+    EXPECT_EQ(b.edges_fast_forwarded(), 0) << where;
+  }
+
+  FfSide fast;
+  FfSide ref;
+
+ private:
+  SimTime slice_ = SimTime::ms(1000);
+};
+
+/// Random inputs for a netlist; "ce" is high unless `ce_random`.
+std::vector<bool> ff_inputs(const netlist::Netlist& nl, Rng& rng,
+                            bool ce_random = false) {
+  std::vector<bool> in;
+  for (const netlist::SigId s : nl.inputs())
+    in.push_back(nl.node(s).name == "ce" && !ce_random ? true
+                                                       : rng.next_bool());
+  return in;
+}
+
+/// Lockstep cycles and held-input windows of 2048 edges, alternately, with
+/// both sides compared after every window. A window keeps the clock phase
+/// a lockstep cycle ends at, so the next cycle drives its inputs half a
+/// period before the edge, as CircuitHarness::step expects.
+void ff_windows(FfTwin& twin, const netlist::Netlist& nl, std::uint64_t seed,
+                SimTime period, const std::string& name) {
+  Rng rng(seed);
+  for (int w = 0; w < 3; ++w) {
+    for (int i = 0; i < 3; ++i) twin.step(ff_inputs(nl, rng, w == 2));
+    twin.run(period * 2048);
+    twin.expect_same(name + " window " + std::to_string(w));
+  }
+  twin.step(ff_inputs(nl, rng));
+  twin.expect_same(name + " after the windows");
+}
+
+TEST(SimFastForward, Itc99SuiteGatedAndFreeRunningMatchesSteppedEdges) {
+  for (const auto style :
+       {ClockingStyle::kFreeRunning, ClockingStyle::kGatedClock}) {
+    const auto suite = netlist::bench::itc99_suite(style);
+    for (std::size_t i = 0; i < suite.size(); ++i) {
+      const auto& e = suite[i];
+      const bool gated = style == ClockingStyle::kGatedClock;
+      const std::string name = e.name + (gated ? " gated" : " free");
+      FfTwin twin(fabric::DeviceGeometry::tiny(12, 12), {sim::ClockSpec{}},
+                  e.circuit, ClbCoord{1, 1});
+      ff_windows(twin, e.circuit, 0xFF00 + i, SimTime::ns(100), name);
+      EXPECT_GT(twin.fast.rig.sim.edges_fast_forwarded(), 0) << name;
+      if (testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
+// The paper's Fig. 4 shape: a gated-clock circuit on an XCV200 with CE
+// high at 125 kHz, one port wait of ~2900 edges, then a cell relocated over
+// Boundary Scan while it captures. The skip must engage, in the plain wait
+// and inside the engine's, and the harness must stay in lockstep.
+TEST(SimFastForward, Fig4ShapeSkipsAndStaysExact) {
+  const SimTime period = SimTime::us(8);
+  const auto nl = netlist::bench::b01(ClockingStyle::kGatedClock);
+  FfTwin twin(fabric::DeviceGeometry::xcv200(),
+              {sim::ClockSpec{0, period, period}}, nl, ClbCoord{2, 2});
+  Rng rng(2003);
+  for (int i = 0; i < 6; ++i) twin.step(ff_inputs(nl, rng));
+  twin.run(SimTime::us(22600));
+  twin.expect_same("port wait");
+  EXPECT_GT(twin.fast.rig.sim.edges_fast_forwarded(), 2000);
+
+  const std::int64_t before = twin.fast.rig.sim.edges_fast_forwarded();
+  FfSide& s = twin.fast;
+  s.rig.engine.relocate_cell(
+      s.impl, 0,
+      CellSite{ClbCoord{s.impl.region.row + 12, s.impl.region.col + 16}, 0});
+  EXPECT_GT(s.rig.sim.edges_fast_forwarded(), before);
+  for (int i = 0; i < 4; ++i) {
+    const auto r = s.harness.step(ff_inputs(nl, rng));
+    EXPECT_TRUE(r.ok());
+  }
+  EXPECT_TRUE(s.rig.sim.monitor().clean());
+}
+
+TEST(SimFastForward, LatchPipelineMatchesSteppedEdges) {
+  const auto nl = netlist::bench::async_pipeline(4);
+  FfTwin twin(fabric::DeviceGeometry::tiny(12, 12), {sim::ClockSpec{}}, nl,
+              ClbCoord{2, 2});
+  const bool phases[][3] = {{true, true, false},  {true, false, true},
+                            {false, true, false}, {false, false, true},
+                            {true, true, true},   {false, false, false}};
+  for (int i = 0; i < 6; ++i) {
+    const auto& ph = phases[i];
+    twin.both([&](FfSide& s) {
+      EXPECT_TRUE(s.harness.settle_step({ph[0], ph[1], ph[2]}).ok());
+    });
+    twin.run(SimTime::ns(100) * 2048);
+    twin.expect_same("phase " + std::to_string(i));
+  }
+}
+
+TEST(SimFastForward, HaltedDomainMatchesSteppedEdges) {
+  const auto nl = netlist::bench::b06(ClockingStyle::kGatedClock);
+  FfTwin twin(fabric::DeviceGeometry::tiny(16, 16), {sim::ClockSpec{}}, nl,
+              ClbCoord{2, 2});
+  Rng rng(77);
+  for (int i = 0; i < 4; ++i) twin.step(ff_inputs(nl, rng));
+  twin.run(SimTime::us(150));
+  twin.expect_same("running");
+  twin.both([](FfSide& s) { s.rig.sim.set_clock_running(0, false); });
+  twin.run(SimTime::us(300) + SimTime::ns(50));
+  twin.expect_same("halted");
+  twin.both([](FfSide& s) { s.rig.sim.set_clock_running(0, true); });
+  twin.run(SimTime::us(150));
+  twin.expect_same("running again");
+  twin.step(ff_inputs(nl, rng));
+  twin.expect_same("after the windows");
+}
+
+TEST(SimFastForward, TwoClockDomainsMatchSteppedEdges) {
+  const auto nl_a = netlist::bench::b01(ClockingStyle::kFreeRunning);
+  const auto nl_b = netlist::bench::gray_counter(4);
+  FfTwin twin(fabric::DeviceGeometry::tiny(16, 16),
+              {sim::ClockSpec{0, SimTime::ns(100), SimTime::ns(100)},
+               sim::ClockSpec{1, SimTime::ns(70), SimTime::ns(70)}},
+              nl_a, ClbCoord{2, 2});
+  // The second circuit, clocked by domain 1, stays unobserved by a harness:
+  // the twins' values and counts are compared directly.
+  twin.both([&](FfSide& s) {
+    place::ImplementOptions opts;
+    opts.region = ClbRect{2, 9, 3, 3};
+    opts.clock_domain = 1;
+    s.rig.implementer.implement(netlist::map_netlist(nl_b), opts);
+  });
+  ff_windows(twin, nl_a, 0x2D, SimTime::ns(100), "two domains");
+  // The other domain's edge is always pending: no edge pop is quiet.
+  EXPECT_EQ(twin.fast.rig.sim.edges_fast_forwarded(), 0);
+}
+
+// Paralleled outputs that disagree: every edge records a drive conflict,
+// so no period is violation-free; the circuit itself keeps running.
+TEST(SimFastForward, DriveConflictMatchesSteppedEdges) {
+  const auto nl = netlist::bench::b02(ClockingStyle::kGatedClock);
+  FfTwin twin(fabric::DeviceGeometry::tiny(16, 16), {sim::ClockSpec{}}, nl,
+              ClbCoord{2, 2});
+  twin.both([](FfSide& s) {
+    auto& fab = s.rig.fab;
+    const ClbCoord one{12, 12}, zero{12, 13};
+    fab.set_cell_config(one, 0, fabric::LogicCellConfig::constant(true));
+    fab.set_cell_config(zero, 0, fabric::LogicCellConfig::constant(false));
+    const fabric::NetId net = fab.create_net("paralleled");
+    fab.attach_source(net, fab.graph().out_pin(one, 0, false));
+    fab.attach_source(net, fab.graph().out_pin(zero, 0, false));
+  });
+  ff_windows(twin, nl, 0xDC, SimTime::ns(100), "drive conflict");
+  EXPECT_GT(twin.fast.rig.sim.monitor().count(
+                sim::ViolationKind::kDriveConflict),
+            6000);
+  // Every candidate period fails its check on the violations it records.
+  EXPECT_EQ(twin.fast.rig.sim.edges_fast_forwarded(), 0);
 }
 
 // ---- EventLanes ----------------------------------------------------------
