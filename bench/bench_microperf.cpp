@@ -23,6 +23,7 @@
 #include "relogic/place/implement.hpp"
 #include "relogic/reloc/engine.hpp"
 #include "relogic/runtime/batcher.hpp"
+#include "relogic/runtime/fleet.hpp"
 #include "relogic/sched/scheduler.hpp"
 #include "relogic/sched/workload.hpp"
 #include "relogic/sim/harness.hpp"
@@ -483,6 +484,80 @@ void BM_MetricsOverhead_on(benchmark::State& state) {
   metrics_overhead_run(state, MetricsMode::kOn);
 }
 BENCHMARK(BM_MetricsOverhead_on)->Unit(benchmark::kMillisecond);
+
+// ---- export path ------------------------------------------------------------
+// The end-of-run exports of one fleet run shaped like perfbench's
+// fleet_online op (4 ICAP-32 devices of 12x12 CLBs, online admission with
+// rebalancing, 2000 bursty arrivals, metrics every 5 ms, trace on): ≈440
+// aggregate metrics rows plus the 4 device timelines, and ≈25k trace
+// events, ≈9k of them counter samples. The run is made once, on first use.
+
+struct ExportFixture {
+  obs::Tracer tracer;
+  runtime::FleetReport report;
+};
+
+const ExportFixture& export_fixture() {
+  static const ExportFixture* fixture = [] {
+    auto* f = new ExportFixture;
+    runtime::FleetConfig cfg;
+    cfg.devices = 4;
+    cfg.rows = cfg.cols = 12;
+    cfg.admission = runtime::AdmissionMode::kOnline;
+    cfg.rebalance_backlog_ms = 80.0;
+    cfg.sched.policy = sched::ManagementPolicy::kTransparent;
+    cfg.config_plane = {config::PortBackend::kIcap32,
+                        config::WriteGranularity::kDirtyFrame};
+    cfg.metrics.sample_interval_ms = 5.0;
+    cfg.threads = 1;
+    sched::WorkloadParams wp;
+    wp.pattern = sched::ArrivalPattern::kBursty;
+    wp.task_count = 2000;
+    wp.mean_interarrival_ms = 0.8;
+    wp.seed = 2003;
+    runtime::FleetManager fleet(cfg);
+    fleet.set_tracer(&f->tracer);
+    for (const auto& a : sched::WorkloadGenerator(wp).generate()) {
+      fleet.submit(a);
+      fleet.dispatch();
+    }
+    f->report = fleet.run();
+    return f;
+  }();
+  return *fixture;
+}
+
+void BM_MetricsJson(benchmark::State& state) {
+  const runtime::FleetReport& report = export_fixture().report;
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string json = report.metrics_json();
+    bytes = json.size();
+    benchmark::DoNotOptimize(json.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(bytes) *
+                          state.iterations());
+  state.SetLabel(std::to_string(report.timeline.size()) + " rows");
+}
+BENCHMARK(BM_MetricsJson)->Unit(benchmark::kMillisecond);
+
+void BM_TraceJson(benchmark::State& state) {
+  const obs::Tracer& tracer = export_fixture().tracer;
+  std::size_t events = 0;
+  for (const auto& t : tracer.tracks()) events += t.buf.size();
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string json = tracer.to_json();
+    bytes = json.size();
+    benchmark::DoNotOptimize(json.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(bytes) *
+                          state.iterations());
+  state.SetLabel(std::to_string(events) + " events");
+}
+BENCHMARK(BM_TraceJson)->Unit(benchmark::kMillisecond);
 
 void BM_DefragPlan(benchmark::State& state) {
   // Planning cost on a fragmented grid: 32x32 (one 64-bit word per CLB

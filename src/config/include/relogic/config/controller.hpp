@@ -265,7 +265,6 @@ class ConfigController {
                                  extra_rewritten = nullptr) const;
 
   const ConfigTotals& totals() const { return totals_; }
-  void reset_totals() { totals_ = ConfigTotals{}; }
 
   // ---- invariant audit (DESIGN.md §8.4) -------------------------------------
   /// Cross-checks the incremental FrameImage digest mirror against a full

@@ -47,7 +47,6 @@ class FrameIndex {
   FrameIndex() = default;
   explicit FrameIndex(const fabric::DeviceGeometry& geom)
       : clb_cols_(geom.clb_cols),
-        frames_center_(geom.frames_center_column),
         frames_clb_(geom.frames_per_clb_column),
         frames_iob_(geom.frames_per_iob_column),
         frames_cell_(geom.frames_per_cell_config),
@@ -74,9 +73,6 @@ class FrameIndex {
     return -1;
   }
 
-  std::int32_t center_frame_id(int frame) const {
-    return static_cast<std::int32_t>(frame);
-  }
   std::int32_t clb_frame_id(int column, int frame) const {
     return static_cast<std::int32_t>(clb_base_ + column * frames_clb_ + frame);
   }
@@ -126,7 +122,6 @@ class FrameIndex {
 
  private:
   int clb_cols_ = 0;
-  int frames_center_ = 0;
   int frames_clb_ = 0;
   int frames_iob_ = 0;
   int frames_cell_ = 0;

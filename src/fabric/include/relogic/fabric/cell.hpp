@@ -87,16 +87,6 @@ struct ClbConfig {
       if (c.used) return true;
     return false;
   }
-  bool any_lut_ram() const {
-    for (const auto& c : cells)
-      if (c.used && c.lut_mode == LutMode::kRam) return true;
-    return false;
-  }
-  int used_cells() const {
-    int n = 0;
-    for (const auto& c : cells) n += c.used ? 1 : 0;
-    return n;
-  }
 };
 
 /// A permanent configuration-memory defect of one logic cell: one LUT

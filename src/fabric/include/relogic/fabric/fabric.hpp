@@ -137,7 +137,6 @@ class Fabric {
   void destroy_net(NetId net);
   bool net_exists(NetId net) const;
   const RouteTree& net(NetId net) const;
-  NetId net_count() const { return static_cast<NetId>(nets_.size() - 1); }
   /// Ids of all live nets.
   std::vector<NetId> live_nets() const;
 

@@ -274,11 +274,6 @@ class RoutingGraph {
 
   /// The immutable connectivity this device shares with its geometry.
   const RoutingSkeleton& skeleton() const { return *skel_; }
-  /// The owning handle (identity tested by the cache tests; lets callers
-  /// hold connectivity past this graph's lifetime).
-  const std::shared_ptr<const RoutingSkeleton>& skeleton_ptr() const {
-    return skel_;
-  }
 
   const DeviceGeometry& geometry() const { return skel_->geometry(); }
   std::size_t node_count() const { return skel_->node_count(); }

@@ -59,7 +59,6 @@ class Netlist {
   explicit Netlist(std::string name = "netlist") : name_(std::move(name)) {}
 
   const std::string& name() const { return name_; }
-  void set_name(std::string n) { name_ = std::move(n); }
 
   // ---- construction -------------------------------------------------------
   SigId input(std::string name);

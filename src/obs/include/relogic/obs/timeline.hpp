@@ -115,10 +115,13 @@ class MetricsTimeline {
   static MetricsTimeline fold(const std::vector<const MetricsTimeline*>& parts,
                               std::vector<SimTime> quarantine_times = {});
 
-  /// Deterministic JSON timeline object (json_number formatting). `indent`
-  /// spaces are applied to every line after the first, matching
+  /// Deterministic JSON timeline object (JsonWriter number formatting).
+  /// `indent` spaces are applied to every line after the first, matching
   /// Telemetry::to_json nesting.
   std::string to_json(int indent = 0) const;
+  /// The same object, appended through `w`. Walks each row once, merging
+  /// its sorted metric maps against the previous row's.
+  void to_json(JsonWriter& w, int indent) const;
   /// CSV for plotting: one row per sample, one column block per metric
   /// (union of names across all samples; windows with no data render empty
   /// quantile cells).
@@ -133,6 +136,8 @@ class MetricsTimeline {
   const Snapshot* prev(std::size_t row) const {
     return row > 0 && row < samples_.size() ? &samples_[row - 1] : nullptr;
   }
+  /// Simulated seconds since the previous row (since t = 0 for row 0).
+  double window_s(std::size_t row) const;
   std::vector<Snapshot> samples_;
 };
 

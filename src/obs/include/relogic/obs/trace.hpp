@@ -33,6 +33,10 @@
 #include <atomic>
 #endif
 
+namespace relogic {
+class JsonWriter;
+}
+
 namespace relogic::obs {
 
 /// One key/value attached to a trace event. The value is stored already
@@ -192,11 +196,13 @@ class Tracer {
   /// Chrome trace-event JSON: metadata events naming each track, then every
   /// retained event, one per line, in track-registration + insertion order.
   std::string to_json() const RELOGIC_EXCLUDES(mu_);
-  /// Renders to_json() into `path`. Returns false on I/O failure.
-  bool write_json(const std::string& path) const;
+  /// Writes to_json()'s document into `path`, streamed through a 64 KiB
+  /// buffer rather than built whole. Returns false on I/O failure.
+  bool write_json(const std::string& path) const RELOGIC_EXCLUDES(mu_);
 
  private:
   std::int64_t dropped_locked() const RELOGIC_REQUIRES(mu_);
+  void write_events(JsonWriter& w) const RELOGIC_REQUIRES(mu_);
 
   Options opt_;
   /// Guards the registry *structure* (registration, export walk). Ring

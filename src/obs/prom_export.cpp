@@ -1,12 +1,10 @@
 #include "relogic/obs/prom_export.hpp"
 
-#include <sstream>
+#include "relogic/common/json_writer.hpp"
 
 namespace relogic::obs {
 
 namespace {
-
-using runtime::json_number;
 
 std::string sanitize(const std::string& name) {
   std::string metric = name;
@@ -20,40 +18,52 @@ std::string sanitize(const std::string& name) {
   return metric;
 }
 
-void emit(std::ostringstream& os, const std::string& name, const char* type,
-          const std::string& value) {
-  os << "# TYPE " << name << " " << type << "\n" << name << " " << value
-     << "\n";
+/// "# TYPE <metric> <type>\n<metric> "; the caller appends the value.
+void open_sample(JsonWriter& w, const std::string& metric, const char* type) {
+  w.raw("# TYPE ").raw(metric).raw(' ').raw(type).raw('\n');
+  w.raw(metric).raw(' ');
 }
 
 }  // namespace
 
 std::string to_prometheus(const MetricsTimeline::Snapshot& snap,
                           const std::string& prefix) {
-  std::ostringstream os;
-  emit(os, prefix + "sim_time_ms", "gauge", json_number(snap.t.milliseconds()));
-  emit(os, prefix + "quarantined_devices", "gauge",
-       std::to_string(snap.quarantined_devices));
-  if (snap.sweep_col >= 0)
-    emit(os, prefix + "sweep_col", "gauge", std::to_string(snap.sweep_col));
-  for (const auto& [name, v] : snap.counters)
-    emit(os, prefix + sanitize(name), "counter", std::to_string(v));
-  for (const auto& [name, g] : snap.gauges)
-    emit(os, prefix + sanitize(name), "gauge", json_number(g.mean()));
+  std::string out;
+  JsonWriter w(out);
+  open_sample(w, prefix + "sim_time_ms", "gauge");
+  w.number(snap.t.milliseconds()).raw('\n');
+  open_sample(w, prefix + "quarantined_devices", "gauge");
+  w.integer(snap.quarantined_devices).raw('\n');
+  if (snap.sweep_col >= 0) {
+    open_sample(w, prefix + "sweep_col", "gauge");
+    w.integer(snap.sweep_col).raw('\n');
+  }
+  for (const auto& [name, v] : snap.counters) {
+    open_sample(w, prefix + sanitize(name), "counter");
+    w.integer(v).raw('\n');
+  }
+  for (const auto& [name, g] : snap.gauges) {
+    open_sample(w, prefix + sanitize(name), "gauge");
+    w.number(g.mean()).raw('\n');
+  }
   for (const auto& [name, h] : snap.histograms) {
     const std::string metric = prefix + sanitize(name);
-    os << "# TYPE " << metric << " histogram\n";
+    w.raw("# TYPE ").raw(metric).raw(" histogram\n");
     std::int64_t cumulative = 0;
     for (std::size_t i = 0; i < h.counts.size(); ++i) {
       cumulative += h.counts[i];
-      const std::string le =
-          i < h.bounds.size() ? json_number(h.bounds[i]) : "+Inf";
-      os << metric << "_bucket{le=\"" << le << "\"} " << cumulative << "\n";
+      w.raw(metric).raw("_bucket{le=\"");
+      if (i < h.bounds.size()) {
+        w.number(h.bounds[i]);
+      } else {
+        w.raw("+Inf");
+      }
+      w.raw("\"} ").integer(cumulative).raw('\n');
     }
-    os << metric << "_sum " << json_number(h.sum) << "\n";
-    os << metric << "_count " << h.count << "\n";
+    w.raw(metric).raw("_sum ").number(h.sum).raw('\n');
+    w.raw(metric).raw("_count ").integer(h.count).raw('\n');
   }
-  return os.str();
+  return out;
 }
 
 }  // namespace relogic::obs

@@ -3,15 +3,70 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
-#include <sstream>
 
 #include "relogic/common/audit.hpp"
+#include "relogic/common/json_writer.hpp"
 #include "relogic/common/logging.hpp"
 
 namespace relogic::obs {
 
-using runtime::json_number;
-using runtime::json_quoted;
+namespace {
+
+/// Walks one std::map in key order for a caller that asks for names in
+/// increasing order: each find() resumes where the last one stopped, so a
+/// row's names are matched against the previous row's in one merge pass.
+template <class Map>
+class SortedCursor {
+ public:
+  explicit SortedCursor(const Map* m) {
+    if (m != nullptr) {
+      it_ = m->begin();
+      end_ = m->end();
+    }
+  }
+
+  const typename Map::mapped_type* find(const std::string& name) {
+    for (; it_ != end_; ++it_) {
+      const int c = it_->first.compare(name);
+      if (c == 0) return &it_->second;
+      if (c > 0) break;
+    }
+    return nullptr;
+  }
+
+ private:
+  typename Map::const_iterator it_{}, end_{};
+};
+
+double rate_per_s(std::int64_t delta, double dt_s) {
+  return dt_s <= 0.0 ? 0.0 : static_cast<double>(delta) / dt_s;
+}
+
+/// Bucket-count deltas of `h` against `before`, the same histogram one row
+/// earlier (nullptr: against zero), into `out`.
+void window_counts(const std::string& name,
+                   const MetricsTimeline::HistogramState& h,
+                   const MetricsTimeline::HistogramState* before,
+                   std::vector<std::int64_t>& out) {
+  out.assign(h.counts.begin(), h.counts.end());
+  if (before == nullptr) return;
+  RELOGIC_CHECK_MSG(before->counts.size() == out.size(),
+                    "histogram " + name +
+                        " changed bucket shape between samples");
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] -= before->counts[i];
+}
+
+struct QuantileKey {
+  const char* cumulative;  ///< member name of the all-time quantile
+  const char* window;      ///< member name of the window quantile
+  double q;
+};
+constexpr QuantileKey kQuantiles[] = {
+    {", \"p50\": ", ", \"window_p50\": ", 0.5},
+    {", \"p95\": ", ", \"window_p95\": ", 0.95},
+    {", \"p99\": ", ", \"window_p99\": ", 0.99}};
+
+}  // namespace
 
 void MetricsTimeline::record(SimTime t, const runtime::Telemetry& registry,
                              int sweep_col, int quarantined_devices,
@@ -56,11 +111,7 @@ std::int64_t MetricsTimeline::counter_delta(std::size_t row,
 double MetricsTimeline::counter_rate_per_s(std::size_t row,
                                            const std::string& name) const {
   RELOGIC_CHECK(row < samples_.size());
-  const Snapshot* p = prev(row);
-  const double dt_s =
-      (samples_[row].t - (p ? p->t : SimTime::zero())).seconds();
-  if (dt_s <= 0.0) return 0.0;
-  return static_cast<double>(counter_delta(row, name)) / dt_s;
+  return rate_per_s(counter_delta(row, name), window_s(row));
 }
 
 std::int64_t MetricsTimeline::window_hist_count(
@@ -101,17 +152,13 @@ std::optional<double> MetricsTimeline::window_quantile(
   RELOGIC_CHECK(row < samples_.size());
   const auto it = samples_[row].histograms.find(name);
   if (it == samples_[row].histograms.end()) return std::nullopt;
-  std::vector<std::int64_t> delta = it->second.counts;
+  const HistogramState* before = nullptr;
   if (const Snapshot* p = prev(row)) {
     const auto pit = p->histograms.find(name);
-    if (pit != p->histograms.end()) {
-      RELOGIC_CHECK_MSG(pit->second.counts.size() == delta.size(),
-                        "histogram " + name +
-                            " changed bucket shape between samples");
-      for (std::size_t i = 0; i < delta.size(); ++i)
-        delta[i] -= pit->second.counts[i];
-    }
+    if (pit != p->histograms.end()) before = &pit->second;
   }
+  std::vector<std::int64_t> delta;
+  window_counts(name, it->second, before, delta);
   return quantile_from_buckets(it->second.bounds, delta, q);
 }
 
@@ -164,74 +211,77 @@ MetricsTimeline MetricsTimeline::fold(
   return out;
 }
 
-namespace {
-
-/// Renders one optional window quantile as a JSON member ("" when absent).
-std::string window_quantile_member(const MetricsTimeline& tl, std::size_t row,
-                                   const std::string& name, const char* key,
-                                   double q) {
-  const auto v = tl.window_quantile(row, name, q);
-  if (!v) return "";
-  return std::string(", \"") + key + "\": " + json_number(*v);
+double MetricsTimeline::window_s(std::size_t row) const {
+  const Snapshot* p = prev(row);
+  return (samples_[row].t - (p ? p->t : SimTime::zero())).seconds();
 }
 
-}  // namespace
-
 std::string MetricsTimeline::to_json(int indent) const {
+  std::string out;
+  JsonWriter w(out);
+  to_json(w, indent);
+  return out;
+}
+
+void MetricsTimeline::to_json(JsonWriter& w, int indent) const {
   const std::string pad(static_cast<std::size_t>(indent), ' ');
-  std::ostringstream os;
-  os << "{\n" << pad << "  \"samples\": [";
+  std::vector<std::int64_t> window;  // one histogram's bucket deltas, reused
+  w.raw("{\n").raw(pad).raw("  \"samples\": [");
   for (std::size_t i = 0; i < samples_.size(); ++i) {
     const Snapshot& s = samples_[i];
-    os << (i ? ",\n" : "\n") << pad << "    {\"t_ms\": "
-       << json_number(s.t.milliseconds()) << ", \"sweep_col\": " << s.sweep_col
-       << ", \"quarantined_devices\": " << s.quarantined_devices;
+    const Snapshot* p = prev(i);
+    w.raw(i ? ",\n" : "\n").raw(pad).raw("    {\"t_ms\": ");
+    w.number(s.t.milliseconds());
+    w.raw(", \"sweep_col\": ").integer(s.sweep_col);
+    w.raw(", \"quarantined_devices\": ").integer(s.quarantined_devices);
 
-    os << ", \"counters\": {";
-    bool first = true;
+    const double dt_s = window_s(i);
+    SortedCursor prev_counters(p ? &p->counters : nullptr);
+    w.raw(", \"counters\": {");
+    const char* sep = "";
     for (const auto& [name, v] : s.counters) {
-      os << (first ? "" : ", ") << json_quoted(name) << ": {\"value\": " << v
-         << ", \"delta\": " << counter_delta(i, name)
-         << ", \"rate_per_s\": " << json_number(counter_rate_per_s(i, name))
-         << "}";
-      first = false;
+      const std::int64_t* before = prev_counters.find(name);
+      const std::int64_t delta = v - (before ? *before : 0);
+      w.raw(sep).quoted(name).raw(": {\"value\": ").integer(v);
+      w.raw(", \"delta\": ").integer(delta);
+      w.raw(", \"rate_per_s\": ").number(rate_per_s(delta, dt_s)).raw('}');
+      sep = ", ";
     }
-    os << "}";
+    w.raw('}');
 
-    os << ", \"gauges\": {";
-    first = true;
+    w.raw(", \"gauges\": {");
+    sep = "";
     for (const auto& [name, g] : s.gauges) {
-      os << (first ? "" : ", ") << json_quoted(name)
-         << ": {\"mean\": " << json_number(g.mean())
-         << ", \"samples\": " << g.samples << "}";
-      first = false;
+      w.raw(sep).quoted(name).raw(": {\"mean\": ").number(g.mean());
+      w.raw(", \"samples\": ").integer(g.samples).raw('}');
+      sep = ", ";
     }
-    os << "}";
+    w.raw('}');
 
-    os << ", \"histograms\": {";
-    first = true;
+    SortedCursor prev_hists(p ? &p->histograms : nullptr);
+    w.raw(", \"histograms\": {");
+    sep = "";
     for (const auto& [name, h] : s.histograms) {
-      os << (first ? "" : ", ") << json_quoted(name)
-         << ": {\"count\": " << h.count
-         << ", \"sum\": " << json_number(h.sum);
-      static constexpr struct {
-        const char* key;
-        double q;
-      } kQuantiles[] = {{"p50", 0.5}, {"p95", 0.95}, {"p99", 0.99}};
-      for (const auto& e : kQuantiles) {
-        const auto v = quantile_from_buckets(h.bounds, h.counts, e.q);
-        os << ", \"" << e.key << "\": " << json_number(v.value_or(0.0));
+      const HistogramState* before = prev_hists.find(name);
+      w.raw(sep).quoted(name).raw(": {\"count\": ").integer(h.count);
+      w.raw(", \"sum\": ").number(h.sum);
+      for (const QuantileKey& k : kQuantiles) {
+        const auto v = quantile_from_buckets(h.bounds, h.counts, k.q);
+        w.raw(k.cumulative).number(v.value_or(0.0));
       }
-      os << ", \"window_count\": " << window_hist_count(i, name)
-         << window_quantile_member(*this, i, name, "window_p50", 0.5)
-         << window_quantile_member(*this, i, name, "window_p95", 0.95)
-         << window_quantile_member(*this, i, name, "window_p99", 0.99) << "}";
-      first = false;
+      w.raw(", \"window_count\": ")
+          .integer(h.count - (before ? before->count : 0));
+      window_counts(name, h, before, window);
+      for (const QuantileKey& k : kQuantiles)
+        if (const auto v = quantile_from_buckets(h.bounds, window, k.q))
+          w.raw(k.window).number(*v);
+      w.raw('}');
+      sep = ", ";
     }
-    os << "}}";
+    w.raw("}}");
   }
-  os << (samples_.empty() ? "" : "\n" + pad + "  ") << "]\n" << pad << "}";
-  return os.str();
+  if (!samples_.empty()) w.raw('\n').raw(pad).raw("  ");
+  w.raw("]\n").raw(pad).raw('}');
 }
 
 std::string MetricsTimeline::to_csv() const {
@@ -243,39 +293,61 @@ std::string MetricsTimeline::to_csv() const {
     for (const auto& [name, g] : s.gauges) gauge_names.insert(name);
     for (const auto& [name, h] : s.histograms) hist_names.insert(name);
   }
-  std::ostringstream os;
-  os << "t_ms,sweep_col,quarantined_devices";
-  for (const auto& n : counter_names) os << "," << n << "," << n << ".rate_per_s";
-  for (const auto& n : gauge_names) os << "," << n << ".mean";
-  for (const auto& n : hist_names)
-    os << "," << n << ".count," << n << ".window_count," << n
-       << ".window_p50," << n << ".window_p95," << n << ".window_p99";
-  os << "\n";
+  std::string out;
+  JsonWriter w(out);
+  w.raw("t_ms,sweep_col,quarantined_devices");
+  for (const auto& n : counter_names)
+    w.raw(',').raw(n).raw(',').raw(n).raw(".rate_per_s");
+  for (const auto& n : gauge_names) w.raw(',').raw(n).raw(".mean");
+  for (const auto& n : hist_names) {
+    for (const char* col : {".count", ".window_count", ".window_p50",
+                            ".window_p95", ".window_p99"})
+      w.raw(',').raw(n).raw(col);
+  }
+  w.raw('\n');
+  std::vector<std::int64_t> window;  // one histogram's bucket deltas, reused
   for (std::size_t i = 0; i < samples_.size(); ++i) {
     const Snapshot& s = samples_[i];
-    os << json_number(s.t.milliseconds()) << "," << s.sweep_col << ","
-       << s.quarantined_devices;
+    const Snapshot* p = prev(i);
+    w.number(s.t.milliseconds()).raw(',').integer(s.sweep_col).raw(',');
+    w.integer(s.quarantined_devices);
+    // Every column walks the row's maps and its predecessor's in name
+    // order, so each row is one merge pass over the union of names.
+    const double dt_s = window_s(i);
+    SortedCursor counters(&s.counters);
+    SortedCursor prev_counters(p ? &p->counters : nullptr);
     for (const auto& n : counter_names) {
-      const auto it = s.counters.find(n);
-      os << "," << (it == s.counters.end() ? 0 : it->second) << ","
-         << json_number(counter_rate_per_s(i, n));
+      const std::int64_t* v = counters.find(n);
+      const std::int64_t* before = prev_counters.find(n);
+      const std::int64_t delta = v ? *v - (before ? *before : 0) : 0;
+      w.raw(',').integer(v ? *v : 0).raw(',').number(rate_per_s(delta, dt_s));
     }
+    SortedCursor gauges(&s.gauges);
     for (const auto& n : gauge_names) {
-      const auto it = s.gauges.find(n);
-      os << "," << json_number(it == s.gauges.end() ? 0.0 : it->second.mean());
+      const GaugeState* g = gauges.find(n);
+      w.raw(',').number(g ? g->mean() : 0.0);
     }
+    SortedCursor hists(&s.histograms);
+    SortedCursor prev_hists(p ? &p->histograms : nullptr);
     for (const auto& n : hist_names) {
-      const auto it = s.histograms.find(n);
-      os << "," << (it == s.histograms.end() ? 0 : it->second.count) << ","
-         << window_hist_count(i, n);
-      for (const double q : {0.5, 0.95, 0.99}) {
-        const auto v = window_quantile(i, n, q);
-        os << "," << (v ? json_number(*v) : "");
+      const HistogramState* h = hists.find(n);
+      const HistogramState* before = prev_hists.find(n);
+      if (h == nullptr) {
+        w.raw(",0,0,,,");
+        continue;
+      }
+      w.raw(',').integer(h->count).raw(',');
+      w.integer(h->count - (before ? before->count : 0));
+      window_counts(n, *h, before, window);
+      for (const QuantileKey& k : kQuantiles) {
+        w.raw(',');
+        if (const auto v = quantile_from_buckets(h->bounds, window, k.q))
+          w.number(*v);
       }
     }
-    os << "\n";
+    w.raw('\n');
   }
-  return os.str();
+  return out;
 }
 
 void MetricsTimeline::audit(const std::string& where) const {
@@ -332,16 +404,21 @@ std::string metrics_json_document(
     const MetricsTimeline& aggregate,
     const std::vector<std::pair<int, const MetricsTimeline*>>& devices,
     double sample_interval_ms) {
-  std::ostringstream os;
-  os << "{\n  \"schema\": " << json_quoted(kMetricsSchema)
-     << ",\n  \"sample_interval_ms\": " << json_number(sample_interval_ms)
-     << ",\n  \"aggregate\": " << aggregate.to_json(2) << ",\n  \"devices\": [";
+  std::string out;
+  JsonWriter w(out);
+  w.raw("{\n  \"schema\": ").quoted(kMetricsSchema);
+  w.raw(",\n  \"sample_interval_ms\": ").number(sample_interval_ms);
+  w.raw(",\n  \"aggregate\": ");
+  aggregate.to_json(w, 2);
+  w.raw(",\n  \"devices\": [");
   for (std::size_t i = 0; i < devices.size(); ++i) {
-    os << (i ? ",\n" : "\n") << "    {\"device\": " << devices[i].first
-       << ", \"timeline\": " << devices[i].second->to_json(4) << "}";
+    w.raw(i ? ",\n" : "\n").raw("    {\"device\": ").integer(devices[i].first);
+    w.raw(", \"timeline\": ");
+    devices[i].second->to_json(w, 4);
+    w.raw('}');
   }
-  os << (devices.empty() ? "" : "\n  ") << "]\n}\n";
-  return os.str();
+  w.raw(devices.empty() ? "]\n}\n" : "\n  ]\n}\n");
+  return out;
 }
 
 }  // namespace relogic::obs

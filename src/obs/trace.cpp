@@ -1,51 +1,13 @@
 #include "relogic/obs/trace.hpp"
 
 #include <chrono>
-#include <cinttypes>
-#include <cstdio>
 #include <fstream>
+
+#include "relogic/common/json_writer.hpp"
 
 namespace relogic::obs {
 
 namespace {
-
-std::string json_quote(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
-
-std::string json_number(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
-
-/// Picoseconds -> microseconds with 6 decimals (i.e. exact to the ps).
-std::string us_from_ps(std::int64_t ps) {
-  char buf[48];
-  const char* sign = ps < 0 ? "-" : "";
-  const std::int64_t abs = ps < 0 ? -ps : ps;
-  std::snprintf(buf, sizeof(buf), "%s%" PRId64 ".%06" PRId64, sign,
-                abs / 1000000, abs % 1000000);
-  return buf;
-}
 
 std::int64_t steady_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -56,26 +18,38 @@ std::int64_t steady_ns() {
 }  // namespace
 
 TraceArg arg(const char* key, const std::string& v) {
-  return {key, json_quote(v)};
+  TraceArg a{key, {}};
+  JsonWriter(a.value).quoted(v);
+  return a;
 }
 TraceArg arg(const char* key, const char* v) {
-  return {key, json_quote(v)};
+  TraceArg a{key, {}};
+  JsonWriter(a.value).quoted(v);
+  return a;
 }
 TraceArg arg(const char* key, std::int64_t v) {
-  return {key, std::to_string(v)};
+  TraceArg a{key, {}};
+  JsonWriter(a.value).integer(v);
+  return a;
 }
-TraceArg arg(const char* key, int v) { return {key, std::to_string(v)}; }
+TraceArg arg(const char* key, int v) {
+  return arg(key, static_cast<std::int64_t>(v));
+}
 TraceArg arg(const char* key, std::size_t v) {
-  return {key, std::to_string(v)};
+  return arg(key, static_cast<std::int64_t>(v));
 }
-TraceArg arg(const char* key, double v) { return {key, json_number(v)}; }
+TraceArg arg(const char* key, double v) {
+  TraceArg a{key, {}};
+  JsonWriter(a.value).number(v);
+  return a;
+}
 TraceArg arg(const char* key, bool v) {
   return {key, v ? "true" : "false"};
 }
 TraceArg arg_ms(const char* key, SimTime t) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.6f", t.milliseconds());
-  return {key, buf};
+  TraceArg a{key, {}};
+  JsonWriter(a.value).fixed6(t.milliseconds());
+  return a;
 }
 
 TraceBuffer::TraceBuffer(std::size_t capacity)
@@ -191,71 +165,72 @@ std::int64_t Tracer::dropped_events() const {
   return dropped_locked();
 }
 
-std::string Tracer::to_json() const {
-  MutexLock lock(mu_);
-  std::string out;
-  out.reserve(1 << 16);
-  out += "{\n\"displayTimeUnit\": \"ms\",\n\"otherData\": {\"generator\": "
-         "\"relogic::obs\", \"dropped_events\": ";
-  out += std::to_string(dropped_locked());
-  out += "},\n\"traceEvents\": [\n";
+void Tracer::write_events(JsonWriter& w) const {
+  w.raw("{\n\"displayTimeUnit\": \"ms\",\n\"otherData\": {\"generator\": "
+        "\"relogic::obs\", \"dropped_events\": ")
+      .integer(dropped_locked())
+      .raw("},\n\"traceEvents\": [\n");
   bool first = true;
-  auto sep = [&] {
-    if (!first) out += ",\n";
+  // Opens the next event object and writes its "pid"/"tid" members.
+  auto open = [&](const Track& t, std::string_view lead) {
+    w.raw(first ? "{" : ",\n{").raw(lead);
     first = false;
+    w.raw("\"pid\":").integer(t.pid).raw(",\"tid\":").integer(t.tid);
   };
   for (const auto& t : tracks_) {
-    sep();
-    out += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" +
-           std::to_string(t.pid) + ",\"tid\":" + std::to_string(t.tid) +
-           ",\"args\":{\"name\":" + json_quote(t.process) + "}}";
-    sep();
-    out += "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" +
-           std::to_string(t.pid) + ",\"tid\":" + std::to_string(t.tid) +
-           ",\"args\":{\"name\":" + json_quote(t.thread) + "}}";
+    open(t, "\"name\":\"process_name\",\"ph\":\"M\",");
+    w.raw(",\"args\":{\"name\":").quoted(t.process).raw("}}");
+    open(t, "\"name\":\"thread_name\",\"ph\":\"M\",");
+    w.raw(",\"args\":{\"name\":").quoted(t.thread).raw("}}");
   }
   for (const auto& t : tracks_) {
     for (std::size_t i = 0; i < t.buf.size(); ++i) {
       const TraceEvent& e = t.buf.at(i);
-      sep();
-      out += "{\"ph\":\"";
-      out += e.phase;
-      out += "\",\"pid\":" + std::to_string(t.pid) +
-             ",\"tid\":" + std::to_string(t.tid) +
-             ",\"ts\":" + us_from_ps(e.ts.picoseconds());
-      if (e.phase == 'X')
-        out += ",\"dur\":" + us_from_ps(e.dur.picoseconds());
+      const char ph[] = {'"', 'p', 'h', '"', ':', '"', e.phase, '"', ','};
+      open(t, std::string_view(ph, sizeof ph));
+      w.raw(",\"ts\":").us_from_ps(e.ts.picoseconds());
+      if (e.phase == 'X') w.raw(",\"dur\":").us_from_ps(e.dur.picoseconds());
       if (e.phase != 'E') {
-        out += ",\"cat\":" + json_quote(e.cat);
-        out += ",\"name\":" + json_quote(e.name);
+        w.raw(",\"cat\":").quoted(e.cat);
+        w.raw(",\"name\":").quoted(e.name);
       }
-      if (e.phase == 'i') out += ",\"s\":\"t\"";
+      if (e.phase == 'i') w.raw(",\"s\":\"t\"");
       if (e.phase != 'E' && (!e.args.empty() || e.wall_us >= 0.0)) {
-        out += ",\"args\":{";
+        w.raw(",\"args\":{");
         bool first_arg = true;
         for (const auto& a : e.args) {
-          if (!first_arg) out += ',';
+          if (!first_arg) w.raw(',');
           first_arg = false;
-          out += json_quote(a.key) + ":" + a.value;
+          w.quoted(a.key).raw(':').raw(a.value);
         }
         if (e.wall_us >= 0.0) {
-          if (!first_arg) out += ',';
-          out += "\"wall_us\":" + json_number(e.wall_us);
+          if (!first_arg) w.raw(',');
+          w.raw("\"wall_us\":").number(e.wall_us);
         }
-        out += '}';
+        w.raw('}');
       }
-      out += '}';
+      w.raw('}');
     }
   }
-  out += "\n]\n}\n";
+  w.raw("\n]\n}\n");
+}
+
+std::string Tracer::to_json() const {
+  MutexLock lock(mu_);
+  std::string out;
+  JsonWriter w(out);
+  write_events(w);
   return out;
 }
 
 bool Tracer::write_json(const std::string& path) const {
-  std::ofstream f(path);
+  std::ofstream f(path, std::ios::binary);
   if (!f) return false;
-  f << to_json();
-  return f.good();
+  MutexLock lock(mu_);
+  std::string buffer;
+  JsonWriter w(buffer, f);
+  write_events(w);
+  return w.flush();
 }
 
 }  // namespace relogic::obs

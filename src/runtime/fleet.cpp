@@ -6,11 +6,11 @@
 #include <limits>
 #include <memory>
 #include <numeric>
-#include <sstream>
 #include <thread>
 #include <utility>
 
 #include "relogic/common/audit.hpp"
+#include "relogic/common/json_writer.hpp"
 #include "relogic/common/logging.hpp"
 #include "relogic/common/thread_annotations.hpp"
 #include "relogic/reloc/cost.hpp"
@@ -933,7 +933,6 @@ std::string FleetReport::metrics_json() const {
 }
 
 std::string FleetReport::to_json() const {
-  std::ostringstream os;
   int txn = 0, txn_unbatched = 0, columns = 0, columns_unbatched = 0;
   int frames = 0, frames_unbatched = 0, frames_skipped = 0;
   SimTime port_time = SimTime::zero(), port_time_unbatched = SimTime::zero();
@@ -948,54 +947,64 @@ std::string FleetReport::to_json() const {
     port_time += d.batch.time;
     port_time_unbatched += d.batch.unbatched_time;
   }
-  os << "{\n";
-  os << "  \"fleet\": {\"devices\": " << config.devices
-     << ", \"rows\": " << config.rows << ", \"cols\": " << config.cols
-     << ", \"dispatch\": \"" << to_string(config.dispatch)
-     << "\", \"admission\": \"" << to_string(config.admission)
-     << "\", \"rebalance_backlog_ms\": "
-     << json_number(config.rebalance_backlog_ms)
-     << ", \"policy\": \"" << sched::to_string(config.sched.policy)
-     << "\", \"overlap\": " << config.overlap << ", \"port\": \""
-     << config::to_string(config.config_plane.port)
-     << "\", \"granularity\": \""
-     << config::to_string(config.config_plane.granularity)
-     << "\", \"batching\": " << (config.batch_config ? "true" : "false")
-     << ", \"batch_max_ops\": " << config.batch.max_ops
-     << ", \"selftest\": " << (config.health.selftest ? "true" : "false")
-     << ", \"fault_rate\": " << json_number(config.health.fault_rate)
-     << ", \"quarantine_threshold\": "
-     << json_number(config.health.quarantine_threshold) << "},\n";
-  os << "  \"totals\": {\"admitted\": " << admitted
-     << ", \"completed\": " << completed << ", \"rejected\": " << rejected
-     << ", \"rebalanced\": " << rebalanced
-     << ", \"quarantined_devices\": " << quarantined
-     << ", \"faulty_cells\": " << faulty_cells
-     << ", \"tested_clbs\": " << tested_clbs
-     << ", \"makespan_ms\": " << json_number(makespan.milliseconds())
-     << ", \"throughput_tasks_per_s\": " << json_number(throughput_tasks_per_s())
-     << ", \"config_transactions\": " << txn
-     << ", \"config_transactions_unbatched\": " << txn_unbatched
-     << ", \"column_writes\": " << columns
-     << ", \"column_writes_unbatched\": " << columns_unbatched
-     << ", \"frame_writes\": " << frames
-     << ", \"frame_writes_unbatched\": " << frames_unbatched
-     << ", \"frame_writes_dirty_skipped\": " << frames_skipped
-     << ", \"config_port_time_ms\": " << json_number(port_time.milliseconds())
-     << ", \"config_port_time_unbatched_ms\": "
-     << json_number(port_time_unbatched.milliseconds()) << "},\n";
-  os << "  \"aggregate\": " << aggregate.to_json(2) << ",\n";
-  os << "  \"devices\": [";
+  std::string out;
+  JsonWriter w(out);
+  const auto flag = [](bool b) { return b ? "true" : "false"; };
+  w.raw("{\n");
+  w.raw("  \"fleet\": {\"devices\": ").integer(config.devices);
+  w.raw(", \"rows\": ").integer(config.rows);
+  w.raw(", \"cols\": ").integer(config.cols);
+  w.raw(", \"dispatch\": \"").raw(to_string(config.dispatch));
+  w.raw("\", \"admission\": \"").raw(to_string(config.admission));
+  w.raw("\", \"rebalance_backlog_ms\": ").number(config.rebalance_backlog_ms);
+  w.raw(", \"policy\": \"").raw(sched::to_string(config.sched.policy));
+  w.raw("\", \"overlap\": ").integer(config.overlap);
+  w.raw(", \"port\": \"").raw(config::to_string(config.config_plane.port));
+  w.raw("\", \"granularity\": \"")
+      .raw(config::to_string(config.config_plane.granularity));
+  w.raw("\", \"batching\": ").raw(flag(config.batch_config));
+  w.raw(", \"batch_max_ops\": ").integer(config.batch.max_ops);
+  w.raw(", \"selftest\": ").raw(flag(config.health.selftest));
+  w.raw(", \"fault_rate\": ").number(config.health.fault_rate);
+  w.raw(", \"quarantine_threshold\": ")
+      .number(config.health.quarantine_threshold);
+  w.raw("},\n");
+  w.raw("  \"totals\": {\"admitted\": ").integer(admitted);
+  w.raw(", \"completed\": ").integer(completed);
+  w.raw(", \"rejected\": ").integer(rejected);
+  w.raw(", \"rebalanced\": ").integer(rebalanced);
+  w.raw(", \"quarantined_devices\": ").integer(quarantined);
+  w.raw(", \"faulty_cells\": ").integer(faulty_cells);
+  w.raw(", \"tested_clbs\": ").integer(tested_clbs);
+  w.raw(", \"makespan_ms\": ").number(makespan.milliseconds());
+  w.raw(", \"throughput_tasks_per_s\": ").number(throughput_tasks_per_s());
+  w.raw(", \"config_transactions\": ").integer(txn);
+  w.raw(", \"config_transactions_unbatched\": ").integer(txn_unbatched);
+  w.raw(", \"column_writes\": ").integer(columns);
+  w.raw(", \"column_writes_unbatched\": ").integer(columns_unbatched);
+  w.raw(", \"frame_writes\": ").integer(frames);
+  w.raw(", \"frame_writes_unbatched\": ").integer(frames_unbatched);
+  w.raw(", \"frame_writes_dirty_skipped\": ").integer(frames_skipped);
+  w.raw(", \"config_port_time_ms\": ").number(port_time.milliseconds());
+  w.raw(", \"config_port_time_unbatched_ms\": ")
+      .number(port_time_unbatched.milliseconds());
+  w.raw("},\n");
+  w.raw("  \"aggregate\": ");
+  aggregate.to_json(w, 2);
+  w.raw(",\n");
+  w.raw("  \"devices\": [");
   for (std::size_t i = 0; i < devices.size(); ++i) {
     const ConfigPlaneSpec plane = config.plane_for(devices[i].device);
-    os << (i ? ",\n" : "\n") << "    {\"device\": " << devices[i].device
-       << ", \"port\": \"" << config::to_string(plane.port)
-       << "\", \"granularity\": \"" << config::to_string(plane.granularity)
-       << "\", \"telemetry\": " << devices[i].telemetry.to_json(4) << "}";
+    w.raw(i ? ",\n" : "\n").raw("    {\"device\": ").integer(devices[i].device);
+    w.raw(", \"port\": \"").raw(config::to_string(plane.port));
+    w.raw("\", \"granularity\": \"").raw(config::to_string(plane.granularity));
+    w.raw("\", \"telemetry\": ");
+    devices[i].telemetry.to_json(w, 4);
+    w.raw('}');
   }
-  os << (devices.empty() ? "" : "\n  ") << "]\n";
-  os << "}\n";
-  return os.str();
+  w.raw(devices.empty() ? "]\n" : "\n  ]\n");
+  w.raw("}\n");
+  return out;
 }
 
 }  // namespace relogic::runtime

@@ -229,8 +229,6 @@ class FleetManager {
   void submit(const sched::AppSpec& app);
   void submit_all(const std::vector<sched::TaskArrival>& tasks);
 
-  std::size_t pending_requests() const { return queue_.size(); }
-
   /// Places every not-yet-placed request onto a device. Online mode walks
   /// the new requests in arrival order, placing each against the ledger at
   /// its arrival time and rebalancing after every admission; offline mode

@@ -23,6 +23,10 @@
 #include <string>
 #include <vector>
 
+namespace relogic {
+class JsonWriter;
+}
+
 namespace relogic::runtime {
 
 /// Monotonic event count.
@@ -140,19 +144,14 @@ class Telemetry {
   /// `indent` spaces of additional indentation are applied to every line
   /// after the first so the object nests cleanly into larger documents.
   std::string to_json(int indent = 0) const;
+  /// The same object, appended through `w` (for nesting into a larger
+  /// document without an intermediate string).
+  void to_json(JsonWriter& w, int indent) const;
 
  private:
   std::map<std::string, Counter> counters_;
   std::map<std::string, Gauge> gauges_;
   std::map<std::string, Histogram> histograms_;
 };
-
-/// Fixed float rendering used by all runtime JSON (shortest round-trippable
-/// form would vary across libcs; "%.6g" is stable and plenty for telemetry).
-std::string json_number(double v);
-
-/// JSON string literal with the control characters every exporter must
-/// escape (shared by the telemetry and metrics-timeline exporters).
-std::string json_quoted(const std::string& s);
 
 }  // namespace relogic::runtime

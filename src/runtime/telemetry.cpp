@@ -2,20 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <sstream>
 
 #include "relogic/common/audit.hpp"
 #include "relogic/common/error.hpp"
+#include "relogic/common/json_writer.hpp"
 
 namespace relogic::runtime {
-
-std::string json_number(double v) {
-  if (!std::isfinite(v)) return "0";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
 
 std::vector<double> Histogram::default_latency_bounds_ms() {
   return {0.01, 0.02, 0.05, 0.1, 0.2,  0.5,  1.0,    2.0,
@@ -133,97 +125,71 @@ void Telemetry::merge(const Telemetry& other) {
   }
 }
 
-std::string json_quoted(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\b':
-        out += "\\b";
-        break;
-      case '\f':
-        out += "\\f";
-        break;
-      default:
-        // Remaining control characters (U+0000–U+001F) are illegal raw in
-        // JSON strings; emit the \u00XX escape.
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out + "\"";
+std::string Telemetry::to_json(int indent) const {
+  std::string out;
+  JsonWriter w(out);
+  to_json(w, indent);
+  return out;
 }
 
-std::string Telemetry::to_json(int indent) const {
+void Telemetry::to_json(JsonWriter& w, int indent) const {
   const std::string pad(static_cast<std::size_t>(indent), ' ');
-  std::ostringstream os;
-  os << "{\n";
-
-  os << pad << "  \"counters\": {";
+  // Starts the line of member `name` in the current section.
   bool first = true;
-  for (const auto& [name, c] : counters_) {
-    os << (first ? "\n" : ",\n") << pad << "    " << json_quoted(name) << ": "
-       << c.value();
+  auto member = [&](const std::string& name) {
+    w.raw(first ? "\n" : ",\n").raw(pad).raw("    ").quoted(name).raw(": ");
     first = false;
-  }
-  os << (first ? "" : "\n" + pad + "  ") << "},\n";
-
-  os << pad << "  \"gauges\": {";
-  first = true;
-  for (const auto& [name, g] : gauges_) {
-    os << (first ? "\n" : ",\n") << pad << "    " << json_quoted(name)
-       << ": {\"mean\": " << json_number(g.mean())
-       << ", \"samples\": " << g.samples() << "}";
-    first = false;
-  }
-  os << (first ? "" : "\n" + pad + "  ") << "},\n";
-
-  os << pad << "  \"histograms\": {";
-  first = true;
-  for (const auto& [name, h] : histograms_) {
-    os << (first ? "\n" : ",\n") << pad << "    " << json_quoted(name) << ": {"
-       << "\"count\": " << h.count() << ", \"sum\": " << json_number(h.sum())
-       << ", \"min\": " << json_number(h.min())
-       << ", \"max\": " << json_number(h.max())
-       << ", \"mean\": " << json_number(h.mean())
-       << ", \"p50\": " << json_number(h.quantile(0.5))
-       << ", \"p90\": " << json_number(h.quantile(0.9))
-       << ", \"p95\": " << json_number(h.quantile(0.95))
-       << ", \"p99\": " << json_number(h.quantile(0.99)) << ", \"buckets\": [";
-    const auto& counts = h.bucket_counts();
-    for (std::size_t i = 0; i < counts.size(); ++i) {
-      if (i) os << ", ";
-      os << "{\"le\": "
-         << (i < h.bounds().size() ? json_number(h.bounds()[i]) : "\"inf\"")
-         << ", \"count\": " << counts[i] << "}";
+  };
+  // One section: `head`, the members `body` writes, then `tail` (on its own
+  // line unless the section is empty).
+  auto section = [&](const char* head, const char* tail, auto&& body) {
+    w.raw(pad).raw(head);
+    first = true;
+    body();
+    if (!first) w.raw('\n').raw(pad).raw("  ");
+    w.raw(tail);
+  };
+  w.raw("{\n");
+  section("  \"counters\": {", "},\n", [&] {
+    for (const auto& [name, c] : counters_) {
+      member(name);
+      w.integer(c.value());
     }
-    os << "]}";
-    first = false;
-  }
-  os << (first ? "" : "\n" + pad + "  ") << "}\n";
-
-  os << pad << "}";
-  return os.str();
+  });
+  section("  \"gauges\": {", "},\n", [&] {
+    for (const auto& [name, g] : gauges_) {
+      member(name);
+      w.raw("{\"mean\": ").number(g.mean());
+      w.raw(", \"samples\": ").integer(g.samples()).raw('}');
+    }
+  });
+  section("  \"histograms\": {", "}\n", [&] {
+    for (const auto& [name, h] : histograms_) {
+      member(name);
+      w.raw("{\"count\": ").integer(h.count());
+      w.raw(", \"sum\": ").number(h.sum());
+      w.raw(", \"min\": ").number(h.min());
+      w.raw(", \"max\": ").number(h.max());
+      w.raw(", \"mean\": ").number(h.mean());
+      w.raw(", \"p50\": ").number(h.quantile(0.5));
+      w.raw(", \"p90\": ").number(h.quantile(0.9));
+      w.raw(", \"p95\": ").number(h.quantile(0.95));
+      w.raw(", \"p99\": ").number(h.quantile(0.99));
+      w.raw(", \"buckets\": [");
+      const auto& counts = h.bucket_counts();
+      for (std::size_t i = 0; i < counts.size(); ++i) {
+        w.raw(i ? ", {\"le\": " : "{\"le\": ");
+        if (i < h.bounds().size()) {
+          w.number(h.bounds()[i]);
+        } else {
+          w.raw("\"inf\"");
+        }
+        w.raw(", \"count\": ").integer(counts[i]).raw('}');
+      }
+      w.raw("]}");
+    }
+  });
+  w.raw(pad).raw('}');
 }
 
 }  // namespace relogic::runtime

@@ -109,8 +109,8 @@ class FabricSim final : public fabric::FabricListener {
   /// the cell mirror, the clocked-site index, the multi-source net list,
   /// the source -> net table, every cached sink's site, port and event
   /// lane, the flip-flop state hash, and the event queue's lanes and
-  /// heads heap. RELOGIC_AUDIT builds call it at the end of every
-  /// run_until.
+  /// heads heap. RELOGIC_AUDIT builds call it after every cell change
+  /// (on_cell_changed); run_until checks only its O(1) invariants.
   void audit() const;
 
   std::int64_t events_processed() const { return events_processed_; }

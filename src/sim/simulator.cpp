@@ -159,7 +159,15 @@ void FabricSim::run_until(SimTime t) {
   }
   if (journaling_) end_check();
   now_ = t;
-  if constexpr (audit_enabled()) audit();
+  // The O(1) part of audit(): lockstep callers make thousands of short
+  // calls, so the O(device) scan runs on fabric changes instead.
+  if constexpr (audit_enabled()) {
+    RELOGIC_AUDIT_CHECK(
+        !journaling_ && journal_.empty() && pad_journal_.empty(), "FabricSim",
+        "a period check outlived its run_until call");
+    RELOGIC_AUDIT_CHECK(queue_.empty() || queue_.top_time() > t, "FabricSim",
+                        "run_until left an event due at or before its end");
+  }
 }
 
 std::uint64_t FabricSim::q_key(int site) {
@@ -582,6 +590,7 @@ void FabricSim::on_cell_changed(ClbCoord clb, int cell,
     }
   }
   if (after.used) schedule(lut_lane_, EventKind::kEval, site);
+  if constexpr (audit_enabled()) audit();
 }
 
 void FabricSim::on_net_changed(NetId net) {

@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <fstream>
+#include <limits>
 #include <map>
+#include <sstream>
 #include <set>
 #include <string>
 #include <utility>
@@ -120,6 +125,59 @@ TEST(Tracer, WallClockOptInAddsWallUsArg) {
   TraceTrack t = tracer.track(0, 0, "p", "t");
   t.instant("cat", "tick", SimTime::zero());
   EXPECT_NE(tracer.to_json().find("\"wall_us\":"), std::string::npos);
+}
+
+TEST(Tracer, NonFiniteArgsAndControlCharactersStayValidJson) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Tracer tracer;
+  TraceTrack t = tracer.track(1, 2, "proc\r", "lane\b");
+  t.complete("config", "line\rfeed\f", SimTime::us(1), SimTime::us(2),
+             {arg("x", nan), arg("big", HUGE_VAL), arg("neg", -HUGE_VAL)});
+  t.counter("level\r", SimTime::us(3), nan);
+
+  const std::string json = tracer.to_json();
+  // Non-finite numbers print 0, the telemetry's rule; bare nan/inf tokens
+  // are not JSON.
+  EXPECT_NE(json.find("\"args\":{\"x\":0,\"big\":0,\"neg\":0}"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"level\\r\",\"args\":{\"value\":0}"),
+            std::string::npos);
+  EXPECT_EQ(json.find("nan"), std::string::npos);
+  EXPECT_EQ(json.find("inf"), std::string::npos);
+  // Control characters use the short escapes, as in every other export.
+  EXPECT_NE(json.find("\"name\":\"line\\rfeed\\f\""), std::string::npos);
+  EXPECT_NE(json.find("\"args\":{\"name\":\"proc\\r\"}"), std::string::npos);
+  EXPECT_NE(json.find("\"args\":{\"name\":\"lane\\b\"}"), std::string::npos);
+
+  const std::string path = testing::TempDir() + "obs_test_nonfinite.json";
+  ASSERT_TRUE(tracer.write_json(path));
+#ifdef RELOGIC_TRACE_CHECKER
+  const std::string cmd = std::string(RELOGIC_PYTHON) + " " +
+                          RELOGIC_TRACE_CHECKER + " " + path;
+  EXPECT_EQ(std::system(cmd.c_str()), 0) << cmd;
+#else
+  GTEST_SKIP() << "python3 not found: trace validator not run";
+#endif
+}
+
+TEST(Tracer, WriteJsonStreamsTheSameBytesAsToJson) {
+  // Enough events for several 64 KiB flushes of the streamed writer.
+  Tracer tracer;
+  TraceTrack a = tracer.track(0, 0, "p", "a");
+  TraceTrack b = tracer.track(0, 1, "p", "b");
+  for (int i = 0; i < 5000; ++i) {
+    a.complete("sched", "task " + std::to_string(i), SimTime::ns(i),
+               SimTime::ns(3), {arg("i", i), arg_ms("at", SimTime::ns(7 * i))});
+    b.counter("depth", SimTime::ns(i), 0.1 * i);
+  }
+  const std::string path = testing::TempDir() + "obs_test_streamed.json";
+  ASSERT_TRUE(tracer.write_json(path));
+  std::ifstream f(path, std::ios::binary);
+  std::ostringstream file;
+  file << f.rdbuf();
+  const std::string json = tracer.to_json();
+  EXPECT_GT(json.size(), 4u << 16);
+  EXPECT_EQ(file.str(), json);
 }
 
 // ---- fleet traces -----------------------------------------------------------

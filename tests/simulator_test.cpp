@@ -93,6 +93,9 @@ struct Rig {
   reloc::RelocationEngine engine{controller, router, &sim};
 
   explicit Rig(fabric::DeviceGeometry geom) : fab(std::move(geom)) {}
+  // The full simulator audit once per rig, at the end of its test: under
+  // RELOGIC_AUDIT, run_until checks only O(1) invariants.
+  ~Rig() { EXPECT_NO_THROW(sim.audit()); }
 
   place::Implementation implement(const netlist::Netlist& nl,
                                   ClbCoord origin) {
