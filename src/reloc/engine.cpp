@@ -763,7 +763,9 @@ RelocationEngine::optimize_function_routing(place::Implementation& impl,
     const auto& tree = fabric().net(net);
     if (tree.sources.empty()) continue;
 
-    const auto delays = fabric().node_delays(net, dm);
+    // Refreshed after every reroute: a later sibling's probe may attach to
+    // a node of the new branch, and pricing it needs that node's delay.
+    auto delays = fabric().node_delays(net, dm);
     for (const NodeId sink : fabric().net_sinks(net)) {
       ++out.sinks_considered;
       auto cur_it = delays.find(sink);
@@ -802,9 +804,9 @@ RelocationEngine::optimize_function_routing(place::Implementation& impl,
       ++out.sinks_rerouted;
       out.config_time += report.config_time;
       out.frames_written += report.frames_written;
-      const auto after = fabric().node_delays(net, dm);
-      auto it = after.find(sink);
-      if (it != after.end()) {
+      delays = fabric().node_delays(net, dm);
+      auto it = delays.find(sink);
+      if (it != delays.end()) {
         out.worst_delay_after = std::max(out.worst_delay_after, it->second);
       }
     }

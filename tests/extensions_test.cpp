@@ -4,11 +4,14 @@
 // involved in the relocation of each CLB").
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "relogic/config/controller.hpp"
 #include "relogic/config/port.hpp"
 #include "relogic/netlist/benchmarks.hpp"
 #include "relogic/place/implement.hpp"
 #include "relogic/reloc/engine.hpp"
+#include "relogic/reloc/net_surgery.hpp"
 #include "relogic/sim/harness.hpp"
 #include "testenv.hpp"
 
@@ -75,6 +78,71 @@ TEST(RouteOptimization, IdempotentSecondPass) {
   const auto second = rig.engine.optimize_function_routing(impl);
   // Once optimised, a second pass finds nothing profitable.
   EXPECT_EQ(second.sinks_rerouted, 0);
+}
+
+/// Delay and serving edges of every sink of an implementation's nets.
+struct SinkRoute {
+  SimTime delay;
+  std::vector<fabric::RouteEdge> branch;  ///< source-to-sink edges
+};
+std::map<std::pair<fabric::NetId, fabric::NodeId>, SinkRoute> sink_routes(
+    const fabric::Fabric& fab, const place::Implementation& impl,
+    const fabric::DelayModel& dm) {
+  std::map<std::pair<fabric::NetId, fabric::NodeId>, SinkRoute> out;
+  for (const auto& [sig, net] : impl.signal_nets) {
+    if (!fab.net_exists(net) || fab.net(net).sources.empty()) continue;
+    const auto delays = fab.node_delays(net, dm);
+    for (const fabric::NodeId sink : fab.net_sinks(net))
+      out[{net, sink}] = SinkRoute{
+          delays.at(sink),
+          reloc::needed_edges(fab, net, fab.net(net).sources, {sink})};
+  }
+  return out;
+}
+
+// A reroute must pay: every sink the pass moves gets at least `min_gain`
+// faster. The pass once priced probes against the net's delays from before
+// its first reroute, so a probe attaching to a sibling's new branch was
+// priced from 0 ps and moved sinks that were already at their best.
+TEST(RouteOptimization, EveryRerouteGainsAtLeastMinGain) {
+  const SimTime min_gain = SimTime::ps(500);
+  int rerouted = 0;
+  for (const auto& entry :
+       netlist::bench::itc99_suite(netlist::bench::ClockingStyle::kGatedClock)) {
+    fabric::Fabric fab{fabric::DeviceGeometry::xcv200()};
+    const fabric::DelayModel dm;
+    config::IcapPort port;
+    config::ConfigController controller{fab, port, true};
+    place::Router router{fab, dm};
+    reloc::RelocationEngine engine{controller, router, nullptr};
+    place::Implementer implementer{fab, dm};
+    const auto mapped = netlist::map_netlist(entry.circuit);
+    place::ImplementOptions opts;
+    opts.region = place::suggest_region(mapped, ClbCoord{2, 2}, fab.geometry());
+    auto impl = implementer.implement(mapped, opts);
+    const ClbCoord block{impl.region.row + 12, impl.region.col + 16};
+    for (int k = 0; k < std::min(5, impl.cell_count()); ++k)
+      engine.relocate_cell(impl, k,
+                           CellSite{ClbCoord{block.row, block.col + k / 4},
+                                    k % 4});
+
+    const auto before = sink_routes(fab, impl, dm);
+    const auto rep = engine.optimize_function_routing(impl, {}, min_gain);
+    const auto after = sink_routes(fab, impl, dm);
+    int moved = 0;
+    for (const auto& [key, was] : before) {
+      const SinkRoute& now = after.at(key);
+      if (now.branch == was.branch) continue;
+      ++moved;
+      EXPECT_LE(now.delay + min_gain, was.delay)
+          << entry.name << ": sink "
+          << fab.graph().info(key.second).to_string() << " rerouted from "
+          << was.delay.to_string() << " to " << now.delay.to_string();
+    }
+    EXPECT_EQ(moved, rep.sinks_rerouted) << entry.name;
+    rerouted += moved;
+  }
+  EXPECT_GT(rerouted, 0);
 }
 
 TEST(MultiClock, IndependentDomainsRelocateIndependently) {
