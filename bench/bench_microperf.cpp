@@ -111,6 +111,40 @@ void BM_MazeRoute(benchmark::State& state) {
 }
 BENCHMARK(BM_MazeRoute)->Arg(4)->Arg(16)->Arg(38)->Unit(benchmark::kMicrosecond);
 
+// One Sec. 3 routing-optimisation pass in the Fig. 5 set-up: a Gray
+// counter bounced across a 16x16 device so its nets stretch, then every
+// sink is priced and the profitable ones rerouted live.
+void BM_RouteOptimization(benchmark::State& state) {
+  int rerouted = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    fabric::Fabric fab(fabric::DeviceGeometry::tiny(16, 16));
+    const fabric::DelayModel dm;
+    config::BoundaryScanPort jtag;
+    config::ConfigController controller(fab, jtag);
+    sim::FabricSim sim(fab, dm);
+    sim.add_clock(sim::ClockSpec{});
+    place::Implementer implementer(fab, dm);
+    place::Router router(fab, dm);
+    reloc::RelocationEngine engine(controller, router, &sim);
+    const auto nl = netlist::bench::gray_counter(4);
+    auto impl = implementer.implement(
+        netlist::map_netlist(nl),
+        place::ImplementOptions{ClbRect{1, 1, 3, 3}, 0, {}, {}});
+    sim::CircuitHarness harness(sim, nl, impl);
+    for (int i = 0; i < 5; ++i) harness.step({});
+    engine.relocate_function(impl, ClbRect{11, 11, 3, 3});
+    engine.relocate_function(impl, ClbRect{1, 11, 3, 3});
+    state.ResumeTiming();
+
+    rerouted += engine.optimize_function_routing(impl).sinks_rerouted;
+  }
+  state.counters["rerouted_per_pass"] =
+      static_cast<double>(rerouted) / static_cast<double>(state.iterations());
+}
+// Each iteration pays ~20 ms of untimed set-up, so a short minimum time.
+BENCHMARK(BM_RouteOptimization)->MinTime(0.1)->Unit(benchmark::kMillisecond);
+
 // The same small FSM on two device sizes: a clock edge visits only its
 // domain's FF sites (DESIGN.md §11), so the time per cycle should not grow
 // with the device.

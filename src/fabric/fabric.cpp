@@ -90,6 +90,14 @@ bool Fabric::set_cell_config(ClbCoord c, int cell,
   return true;
 }
 
+std::set<int> Fabric::lut_ram_columns() const {
+  std::set<int> cols;
+  if (live_lut_ram_total_ == 0) return cols;
+  for (int c = 0; c < geom_.clb_cols; ++c)
+    if (lut_ram_per_col_[static_cast<std::size_t>(c)] > 0) cols.insert(c);
+  return cols;
+}
+
 void Fabric::inject_fault(ClbCoord c, int cell, CellFault fault) {
   RELOGIC_CHECK(geom_.in_bounds(c) && cell >= 0 &&
                 cell < geom_.cells_per_clb);

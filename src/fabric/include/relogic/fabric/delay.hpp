@@ -57,6 +57,20 @@ struct DelayModel {
                      std::span<const NodeId> path) const {
     return path_delay(graph.skeleton(), path);
   }
+
+  /// A lower bound on path_delay of every walk through the skeleton from
+  /// one of `sources` (output pins or pads) to `sink` (an input pin or a
+  /// pad), occupancy ignored. Every PIP leaves from the landing tile of the
+  /// wire before it: a single moves 1 tile, a hex exactly hex_span tiles,
+  /// and a long line jumps anywhere along its row or column. Each axis
+  /// therefore costs at least
+  ///   f(D) = min(pip+long, min over b of b(pip+hex) + |D-span*b|(pip+single)),
+  /// f(0) = 0, and the last hop into the sink adds pip + node_delay(sink).
+  /// DESIGN.md §12 has the proof; routing_skeleton_test checks the bound
+  /// against Dijkstra over the whole skeleton.
+  SimTime route_delay_lower_bound(const RoutingSkeleton& skeleton,
+                                  std::span<const NodeId> sources,
+                                  NodeId sink) const;
 };
 
 }  // namespace relogic::fabric

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <set>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -129,6 +130,9 @@ class Fabric {
   /// Live LUT-RAM cells device-wide — lets the config legality check skip
   /// its per-column scan entirely on LUT-RAM-free fabrics.
   int live_lut_ram_total() const { return live_lut_ram_total_; }
+  /// CLB columns holding a live LUT-RAM cell (the routing and relocation
+  /// exclusion set), read from the same per-column counters.
+  std::set<int> lut_ram_columns() const;
 
   // ---- nets ----------------------------------------------------------------
   /// Creates an empty net and returns its id (ids start at 1).

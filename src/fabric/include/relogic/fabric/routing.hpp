@@ -40,6 +40,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "relogic/common/error.hpp"
 #include "relogic/common/geometry.hpp"
 #include "relogic/fabric/device.hpp"
 
@@ -166,7 +167,16 @@ class RoutingSkeleton {
   NodeId long_col(int col, int track) const;
   NodeId pad(ClbCoord t, int index) const;
 
-  NodeInfo info(NodeId n) const;
+  /// Identity of a node: one bounds-checked load from the packed node
+  /// table built with the skeleton.
+  NodeInfo info(NodeId n) const {
+    RELOGIC_CHECK(n < node_count_);
+    const PackedNode& p = nodes_[n];
+    return NodeInfo{p.kind, ClbCoord{p.row, p.col}, p.a, p.b};
+  }
+  /// Reference decode of a node's identity from the id layout (div/mod
+  /// arithmetic). Fills the packed table; tests check info() against it.
+  NodeInfo decode(NodeId n) const;
 
   /// The tile a wire leaving `t` in direction `d` with the given span lands
   /// in, clipped to the array; returns false if it leaves the device.
@@ -216,6 +226,17 @@ class RoutingSkeleton {
 
   void build_sorted_mirror();
 
+  /// NodeInfo in 8 bytes (tile row/col fit 16 bits: the constructor
+  /// checks it). One per node, shared with the skeleton by every device.
+  struct PackedNode {
+    NodeKind kind;
+    std::uint8_t a;
+    std::uint8_t b;
+    std::int16_t row;
+    std::int16_t col;
+  };
+  static_assert(sizeof(PackedNode) == 8);
+
   DeviceGeometry geom_;
   int tile_stride_ = 0;
   std::size_t tile_nodes_ = 0;
@@ -223,6 +244,8 @@ class RoutingSkeleton {
   std::size_t long_col_base_ = 0;
   std::size_t pad_base_ = 0;
   std::size_t node_count_ = 0;
+
+  std::vector<PackedNode> nodes_;
 
   // CSR adjacency in PIP-enumeration order, plus the row-sorted mirror for
   // membership tests; both share fanout_offsets_.

@@ -77,6 +77,16 @@ RoutingSkeleton::RoutingSkeleton(const DeviceGeometry& geom) : geom_(geom) {
                                    geom_.longs_per_track;
   node_count_ = pad_base_ + static_cast<std::size_t>(geom_.clb_rows) *
                                 geom_.clb_cols * geom_.pads_per_tile;
+
+  RELOGIC_CHECK_MSG(geom_.clb_rows <= 0x7FFF && geom_.clb_cols <= 0x7FFF,
+                    "tile coordinates exceed the packed node table");
+  nodes_.resize(node_count_);
+  for (std::size_t n = 0; n < node_count_; ++n) {
+    const NodeInfo i = decode(static_cast<NodeId>(n));
+    nodes_[n] = PackedNode{i.kind, i.a, i.b,
+                           static_cast<std::int16_t>(i.tile.row),
+                           static_cast<std::int16_t>(i.tile.col)};
+  }
 }
 
 NodeId RoutingSkeleton::out_pin(ClbCoord t, int cell, bool registered) const {
@@ -148,7 +158,7 @@ NodeId RoutingSkeleton::pad(ClbCoord t, int index) const {
       index);
 }
 
-NodeInfo RoutingSkeleton::info(NodeId n) const {
+NodeInfo RoutingSkeleton::decode(NodeId n) const {
   RELOGIC_CHECK(n < node_count_);
   NodeInfo r{};
   if (n < tile_nodes_) {

@@ -88,9 +88,6 @@ class RovingTester {
       const std::vector<place::Implementation*>& live,
       const std::set<int>& lut_ram_cols) const;
 
-  /// Columns currently holding a live LUT-RAM cell.
-  std::set<int> lut_ram_columns() const;
-
   /// Readback-verifies a free cell before live logic is relocated onto it
   /// (write both patterns, compare, clear). A mismatch records the fault —
   /// so no relocation ever lands on a faulty cell, even an undetected one.

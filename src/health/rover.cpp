@@ -21,16 +21,6 @@ RovingTester::RovingTester(config::ConfigController& controller,
                            reloc::RelocationEngine* engine, FaultMap& map)
     : controller_(&controller), engine_(engine), map_(&map) {}
 
-std::set<int> RovingTester::lut_ram_columns() const {
-  const auto& fab = controller_->fabric();
-  const auto& geom = fab.geometry();
-  std::set<int> cols;
-  for (int c = 0; c < geom.clb_cols; ++c) {
-    if (fab.live_lut_ram_in_col(c) > 0) cols.insert(c);
-  }
-  return cols;
-}
-
 std::optional<place::CellSite> RovingTester::find_dest(
     place::CellSite from, const ClbRect& window,
     const std::vector<place::Implementation*>& live,
@@ -139,7 +129,7 @@ SweepReport RovingTester::sweep(
 
   // Stable for the whole rotation: the rover never relocates LUT-RAM cells
   // and never vacates into (or tests) their columns.
-  const std::set<int> ram_cols = lut_ram_columns();
+  const std::set<int> ram_cols = controller_->fabric().lut_ram_columns();
 
   for (int col = 0; col < geom.clb_cols; col += opt.window_cols) {
     const int width = std::min(opt.window_cols, geom.clb_cols - col);

@@ -111,6 +111,8 @@ class Router {
   OpenList open_;
   SearchTable table_;
   std::vector<std::uint64_t> tree_edges_;  ///< sorted (from << 32 | to)
+  std::vector<std::uint8_t> avoid_cols_;   ///< RouteOptions::avoid_columns
+  std::vector<fabric::NodeId> avoid_nodes_;  ///< RouteOptions::avoid_nodes
 };
 
 }  // namespace relogic::place

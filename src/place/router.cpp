@@ -10,26 +10,6 @@ using fabric::NodeId;
 using fabric::NodeInfo;
 using fabric::NodeKind;
 
-namespace {
-
-/// Whether the options rule out node `n` (occupancy is checked apart).
-bool avoided(NodeId n, const RouteOptions& opt, const NodeInfo& info) {
-  if (opt.avoid_nodes.contains(n)) return true;
-  if (!opt.allow_longs &&
-      (info.kind == NodeKind::kLongRow || info.kind == NodeKind::kLongCol))
-    return true;
-  if (!opt.avoid_columns.empty()) {
-    // PIPs into a node are programmed in the node's own tile column (longs:
-    // in the source tile, handled conservatively by also checking wires).
-    if (info.kind != NodeKind::kLongRow && info.kind != NodeKind::kLongCol &&
-        opt.avoid_columns.contains(info.tile.col))
-      return true;
-  }
-  return false;
-}
-
-}  // namespace
-
 void Router::SearchTable::clear() {
   for (const std::uint32_t i : filled_) slots_[i] = Slot{};
   filled_.clear();
@@ -114,6 +94,26 @@ std::vector<NodeId> Router::find_path_from(std::span<const NodeId> seeds,
   // at the start, so a search that threw leaves nothing behind.
   open_.clear();
   table_.clear();
+  // The options in flat form: a byte per CLB column and a sorted node list
+  // (std::set iterates in order), so the fanout loop tests neither set.
+  avoid_cols_.assign(static_cast<std::size_t>(skel.geometry().clb_cols), 0);
+  for (const int c : opt.avoid_columns)
+    if (c >= 0 && c < skel.geometry().clb_cols)
+      avoid_cols_[static_cast<std::size_t>(c)] = 1;
+  avoid_nodes_.assign(opt.avoid_nodes.begin(), opt.avoid_nodes.end());
+  auto avoided_node = [this](NodeId n) {
+    return std::binary_search(avoid_nodes_.begin(), avoid_nodes_.end(), n);
+  };
+  // Whether the options rule out node `n` (occupancy is checked apart).
+  auto avoided = [&](NodeId n, const NodeInfo& info) {
+    if (avoided_node(n)) return true;
+    const bool is_long =
+        info.kind == NodeKind::kLongRow || info.kind == NodeKind::kLongCol;
+    if (is_long) return !opt.allow_longs;
+    // PIPs into a node are programmed in the node's own tile column (longs:
+    // in the source tile, handled conservatively by also checking wires).
+    return avoid_cols_[static_cast<std::size_t>(info.tile.col)] != 0;
+  };
   auto key_of = [](NodeId n, bool touched) {
     return (static_cast<std::uint64_t>(n) << 1) | (touched ? 1u : 0u);
   };
@@ -133,7 +133,7 @@ std::vector<NodeId> Router::find_path_from(std::span<const NodeId> seeds,
     // Seeds belonging to the net are never blocked by their own occupancy;
     // the sink itself is never a seed (a trivial path would leave the sink
     // orphaned when a parallel branch is later pruned).
-    if (s == sink || opt.avoid_nodes.contains(s)) continue;
+    if (s == sink || avoided_node(s)) continue;
     const bool touched = graph.occupant(s) == net;
     table_.claim(key_of(s, touched)).g = 0;
     open_.push(QueueItem{heuristic(info), 0, key_of(s, touched)});
@@ -167,7 +167,7 @@ std::vector<NodeId> Router::find_path_from(std::span<const NodeId> seeds,
           (info.kind == NodeKind::kInPin || info.kind == NodeKind::kPad ||
            info.kind == NodeKind::kOutPin))
         continue;  // do not route *through* pins
-      if (avoided(next, opt, info)) continue;
+      if (avoided(next, info)) continue;
       const bool next_in_net = occ == net;
       if (next_in_net && next != sink) {
         if (item_in_net) {

@@ -53,6 +53,15 @@ struct PlanTracker {
     planned[net].insert(path.begin(), path.end());
   }
 };
+
+/// Keeps a replica path off every node of the branch it parallels, except
+/// the shared sink.
+void avoid_branch(const std::vector<RouteEdge>& branch, NodeId sink,
+                  place::RouteOptions& route) {
+  for (const auto& e : branch) {
+    if (e.to != sink) route.avoid_nodes.insert(e.to);
+  }
+}
 }  // namespace
 
 /// Nets attached around one logic cell, discovered from the fabric itself
@@ -103,21 +112,6 @@ CellSite RelocationEngine::find_aux_site(CellSite near,
   throw ResourceError(
       "no free CLB within radius " + std::to_string(opt.aux_search_radius) +
       " of " + near.clb.to_string() + " for the auxiliary relocation circuit");
-}
-
-std::set<int> RelocationEngine::lut_ram_columns() const {
-  std::set<int> cols;
-  const auto& geom = fabric().geometry();
-  for (int r = 0; r < geom.clb_rows; ++r) {
-    for (int c = 0; c < geom.clb_cols; ++c) {
-      const ClbCoord clb{r, c};
-      for (int k = 0; k < geom.cells_per_clb; ++k) {
-        const auto& cfg = fabric().cell(clb, k);
-        if (cfg.used && cfg.lut_mode == fabric::LutMode::kRam) cols.insert(c);
-      }
-    }
-  }
-  return cols;
 }
 
 void RelocationEngine::apply(const ConfigOp& op, RelocationReport& report,
@@ -202,7 +196,7 @@ RelocationReport RelocationEngine::relocate_cell(place::Implementation& impl,
   const std::uint8_t domain = cfg.clock_domain;
 
   RelocOptions ro = opt;
-  for (int c : lut_ram_columns()) ro.route.avoid_columns.insert(c);
+  for (int c : fabric().lut_ram_columns()) ro.route.avoid_columns.insert(c);
 
   const CellPorts ports = discover_ports(src);
   const auto& graph = fabric().graph();
@@ -628,7 +622,7 @@ RelocationReport RelocationEngine::relocate_lut_ram_cell(
   const std::uint8_t domain = cfg.clock_domain;
 
   RelocOptions ro = opt;
-  for (int c : lut_ram_columns()) ro.route.avoid_columns.insert(c);
+  for (int c : fabric().lut_ram_columns()) ro.route.avoid_columns.insert(c);
   // The halt waives avoidance for the source/destination columns only.
   ro.route.avoid_columns.erase(src.clb.col);
   ro.route.avoid_columns.erase(dest.clb.col);
@@ -752,10 +746,11 @@ RelocationEngine::optimize_function_routing(place::Implementation& impl,
                                             const RelocOptions& opt,
                                             SimTime min_gain) {
   RelocOptions ro = opt;
-  for (int c : lut_ram_columns()) ro.route.avoid_columns.insert(c);
+  for (int c : fabric().lut_ram_columns()) ro.route.avoid_columns.insert(c);
 
   // Delay model mirror of the router's edge costs.
   const fabric::DelayModel dm;  // router uses the same defaults
+  const fabric::RoutingSkeleton& skel = fabric().skeleton();
   RouteOptimizationReport out;
 
   for (const auto& [sig, net] : impl.signal_nets) {
@@ -773,6 +768,14 @@ RelocationEngine::optimize_function_routing(place::Implementation& impl,
       const SimTime current = cur_it->second;
       out.worst_delay_before = std::max(out.worst_delay_before, current);
 
+      // Exact skip: no walk from a source reaches the sink cheaply enough
+      // to pay, so the probe below could not succeed (DESIGN.md §12).
+      if (dm.route_delay_lower_bound(skel, tree.sources, sink) + min_gain >=
+          current) {
+        out.worst_delay_after = std::max(out.worst_delay_after, current);
+        continue;
+      }
+
       // Price a fresh path that may not ride the sink's current branch.
       const auto old_branch = prune_for_sink_removal(fabric(), net, sink);
       if (old_branch.empty()) {
@@ -780,9 +783,7 @@ RelocationEngine::optimize_function_routing(place::Implementation& impl,
         continue;  // branch shared with other sinks: leave it alone
       }
       RelocOptions probe = ro;
-      for (const auto& e : old_branch) {
-        if (e.to != sink) probe.route.avoid_nodes.insert(e.to);
-      }
+      avoid_branch(old_branch, sink, probe.route);
       std::vector<NodeId> path;
       try {
         path = router_->find_path(net, sink, probe.route);
@@ -790,17 +791,19 @@ RelocationEngine::optimize_function_routing(place::Implementation& impl,
         out.worst_delay_after = std::max(out.worst_delay_after, current);
         continue;  // no alternative: keep the current branch
       }
-      auto attach = delays.find(path.front());
-      const SimTime base =
-          attach == delays.end() ? SimTime::zero() : attach->second;
-      const SimTime candidate =
-          base + dm.path_delay(fabric().graph().skeleton(), path);
+      // Every tree node is driven, so the probe's attachment point has a
+      // delay and the candidate prices a real source-to-sink walk.
+      const auto attach = delays.find(path.front());
+      RELOGIC_CHECK_MSG(attach != delays.end(),
+                        "reroute probe attached to an undriven node");
+      const SimTime candidate = attach->second + dm.path_delay(skel, path);
       if (candidate + min_gain >= current) {
         out.worst_delay_after = std::max(out.worst_delay_after, current);
         continue;  // not worth a reconfiguration
       }
 
-      const auto report = relocate_route(net, sink, ro);
+      // The probe's search is exactly relocate_route's: switch onto it.
+      const auto report = switch_route(net, sink, old_branch, path, probe);
       ++out.sinks_rerouted;
       out.config_time += report.config_time;
       out.frames_written += report.frames_written;
@@ -823,28 +826,33 @@ RelocationEngine::optimize_function_routing(place::Implementation& impl,
 RelocationReport RelocationEngine::relocate_route(NetId net, NodeId sink,
                                                   const RelocOptions& opt) {
   RelocOptions ro = opt;
-  for (int c : lut_ram_columns()) ro.route.avoid_columns.insert(c);
-
-  RelocationReport report;
-  const auto& graph = fabric().graph();
-  const auto info = graph.info(sink);
-  report.from = CellSite{info.tile, info.a};
-  report.to = report.from;
+  for (int c : fabric().lut_ram_columns()) ro.route.avoid_columns.insert(c);
 
   // The branch currently serving the sink.
   const auto old_branch = prune_for_sink_removal(fabric(), net, sink);
   RELOGIC_CHECK_MSG(!old_branch.empty(),
                     "sink has no exclusive branch to relocate");
 
-  // Establish the alternative (replica) path first, avoiding the original
-  // branch so the two are truly parallel (Fig. 5).
-  for (const auto& e : old_branch) {
-    if (e.to != sink) ro.route.avoid_nodes.insert(e.to);
-  }
+  // The alternative (replica) path avoids the original branch so the two
+  // are truly parallel (Fig. 5).
+  avoid_branch(old_branch, sink, ro.route);
+  return switch_route(net, sink, old_branch,
+                      router_->find_path(net, sink, ro.route), ro);
+}
+
+RelocationReport RelocationEngine::switch_route(
+    NetId net, NodeId sink, const std::vector<RouteEdge>& old_branch,
+    const std::vector<NodeId>& path, const RelocOptions& opt) {
+  RelocationReport report;
+  const auto info = fabric().graph().info(sink);
+  report.from = CellSite{info.tile, info.a};
+  report.to = report.from;
+
+  // Establish the replica path first.
   {
     ConfigOp op("duplicate interconnection (replica path)");
-    op.add_path(net, router_->find_path(net, sink, ro.route));
-    apply(op, report, ro, {net});
+    op.add_path(net, path);
+    apply(op, report, opt, {net});
   }
 
   // During paralleling the observable delay is the longer of the two paths
@@ -856,7 +864,7 @@ RelocationReport RelocationEngine::relocate_route(NetId net, NodeId sink,
     for (const auto& e : old_branch) {
       if (fabric().net(net).has_edge(e)) op.remove_edge(net, e);
     }
-    apply(op, report, ro, {net});
+    apply(op, report, opt, {net});
   }
   return report;
 }

@@ -139,6 +139,12 @@ class RelocationEngine {
   RelocationReport relocate_lut_ram_cell(place::Implementation& impl,
                                          int cell_index, place::CellSite dest,
                                          const RelocOptions& opt);
+  /// The Fig. 5 switch onto a planned `path` that avoids `old_branch`:
+  /// parallel, wait one cycle, disconnect the old branch.
+  RelocationReport switch_route(fabric::NetId net, fabric::NodeId sink,
+                                const std::vector<fabric::RouteEdge>& old_branch,
+                                const std::vector<fabric::NodeId>& path,
+                                const RelocOptions& opt);
   CellPorts discover_ports(place::CellSite site) const;
   place::CellSite find_aux_site(place::CellSite near,
                                 const RelocOptions& opt) const;
@@ -149,7 +155,6 @@ class RelocationEngine {
   void wait_cycles(int cycles, std::uint8_t domain, RelocationReport& report,
                    const RelocOptions& opt);
   void wait_time(SimTime t, RelocationReport& report);
-  std::set<int> lut_ram_columns() const;
 
   fabric::Fabric& fabric() { return controller_->fabric(); }
   const fabric::Fabric& fabric() const { return controller_->fabric(); }

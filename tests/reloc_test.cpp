@@ -2,8 +2,11 @@
 // beyond the integration suite).
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "relogic/config/controller.hpp"
 #include "relogic/config/port.hpp"
+#include "relogic/common/rng.hpp"
 #include "relogic/netlist/benchmarks.hpp"
 #include "relogic/place/implement.hpp"
 #include "relogic/reloc/cost.hpp"
@@ -99,6 +102,96 @@ TEST_F(NetSurgeryTest, NeededEdgesEmptyWhenNoSinksKept) {
   const Y y = build_y();
   const auto kept = needed_edges(fab_, y.net, fab_.net(y.net).sources, {});
   EXPECT_TRUE(kept.empty());
+}
+
+/// Edges of `t` that lie on no path from `sources` to `sinks`, in tree
+/// order: reachability by fixpoint over the edge list, no adjacency.
+std::vector<RouteEdge> naive_removed(const fabric::RouteTree& t,
+                                     const std::vector<NodeId>& sources,
+                                     const std::vector<NodeId>& sinks) {
+  std::set<NodeId> fwd(sources.begin(), sources.end());
+  std::set<NodeId> back(sinks.begin(), sinks.end());
+  for (bool grew = true; grew;) {
+    grew = false;
+    for (const auto& e : t.edges) {
+      if (fwd.contains(e.from) && fwd.insert(e.to).second) grew = true;
+      if (back.contains(e.to) && back.insert(e.from).second) grew = true;
+    }
+  }
+  std::vector<RouteEdge> removed;
+  for (const auto& e : t.edges)
+    if (!fwd.contains(e.from) || !back.contains(e.to)) removed.push_back(e);
+  return removed;
+}
+
+TEST(NetSurgeryOracle, PruningMatchesNaiveReachabilityOnRandomTrees) {
+  // Random multi-source trees on a small device: up to three source pins,
+  // sinks routed one by one from the growing tree (branches share
+  // trunks), and sometimes a second path to one sink from another source
+  // (the paralleled state of a relocation).
+  const fabric::DelayModel dm;
+  Rng rng(2024);
+  int checked = 0;
+  for (int trial = 0; trial < 80; ++trial) {
+    Fabric fab(DeviceGeometry::tiny(8, 8));
+    place::Router router(fab, dm);
+    const auto& g = fab.graph();
+    const auto net = fab.create_net("random");
+    const auto random_tile = [&] {
+      return ClbCoord{rng.next_int(0, 7), rng.next_int(0, 7)};
+    };
+    for (int i = rng.next_int(1, 3); i > 0; --i) {
+      const NodeId src =
+          g.out_pin(random_tile(), rng.next_int(0, 3), rng.next_bool());
+      fab.attach_source(net, src);
+    }
+    for (int i = rng.next_int(2, 7); i > 0; --i) {
+      const NodeId sink = g.in_pin(random_tile(), rng.next_int(0, 3),
+                                   static_cast<CellPort>(rng.next_int(0, 4)));
+      if (!g.is_free(sink)) continue;
+      try {
+        router.route_sink(net, sink);
+      } catch (const ResourceError&) {
+      }
+    }
+    std::vector<NodeId> sinks = fab.net_sinks(net);
+    const auto& tree = fab.net(net);
+    if (sinks.empty()) continue;
+    if (tree.sources.size() > 1 && rng.next_bool()) {
+      const NodeId from = tree.sources.back();
+      const NodeId to = sinks[static_cast<std::size_t>(
+          rng.next_int(0, static_cast<int>(sinks.size()) - 1))];
+      try {
+        const auto path = router.find_path_from({&from, 1}, net, to);
+        std::vector<RouteEdge> edges;
+        for (std::size_t k = 1; k < path.size(); ++k)
+          edges.push_back(RouteEdge{path[k - 1], path[k]});
+        fab.add_edges(net, edges);
+      } catch (const ResourceError&) {
+      }
+    }
+    fab.validate_net(net);
+
+    // Every subset of up to three dropped sinks drawn at random.
+    for (int round = 0; round < 6; ++round) {
+      std::vector<NodeId> dropped, kept;
+      for (const NodeId s : sinks)
+        (rng.next_bool(0.4) ? dropped : kept).push_back(s);
+      EXPECT_EQ(prune_for_sinks_removal(fab, net, dropped),
+                naive_removed(tree, tree.sources, kept))
+          << "trial " << trial;
+      ++checked;
+    }
+    for (const NodeId src : tree.sources) {
+      std::vector<NodeId> others = tree.sources;
+      std::erase(others, src);
+      EXPECT_EQ(prune_for_source_removal(fab, net, src),
+                naive_removed(tree, others, sinks))
+          << "trial " << trial;
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 400);
 }
 
 TEST(CostModel, OrdersCasesByComplexity) {

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <queue>
 #include <vector>
 
 #include "relogic/fabric/fabric.hpp"
@@ -51,6 +53,106 @@ TEST(RoutingSkeleton, SortedMirrorAgreesWithEnumerationOrderRows) {
     EXPECT_FALSE(skel->has_edge(from, from));
   }
   EXPECT_EQ(checked, skel->edge_count());
+}
+
+TEST(RoutingSkeleton, PackedInfoEqualsReferenceDecodeOnEveryNode) {
+  // info() reads the packed table; decode() is the id-layout arithmetic
+  // it was filled from. XCV4000 is the largest geometry the tests build.
+  for (const auto& geom :
+       {DeviceGeometry::tiny(), DeviceGeometry::tiny_dense(),
+        DeviceGeometry::xcv200(), DeviceGeometry::preset(DevicePreset::kXCV4000)}) {
+    const auto skel = RoutingSkeleton::build(geom);
+    std::size_t mismatches = 0;
+    for (std::size_t n = 0; n < skel->node_count(); ++n) {
+      const NodeInfo got = skel->info(static_cast<NodeId>(n));
+      const NodeInfo want = skel->decode(static_cast<NodeId>(n));
+      if (got.kind != want.kind || got.tile != want.tile || got.a != want.a ||
+          got.b != want.b)
+        ++mismatches;
+    }
+    EXPECT_EQ(mismatches, 0u) << geom.name;
+    EXPECT_THROW((void)skel->info(static_cast<NodeId>(skel->node_count())),
+                 ContractError);
+  }
+}
+
+TEST(RouteDelayLowerBound, NeverExceedsTheShortestWalkThroughTheSkeleton) {
+  // Dijkstra over the whole skeleton, occupancy ignored and through any
+  // node, from every output pin and pad to every input pin and pad. The
+  // routing-optimisation pass skips a sink on this bound, so a skeleton
+  // change that lets some walk beat it (a single spanning two tiles, a
+  // hex landing short of hex_span) must fail here. 8x8 has hexes,
+  // long-line taps and pads.
+  const auto geom = DeviceGeometry::tiny(8, 8);
+  const auto skel = RoutingSkeleton::build(geom);
+  const DelayModel dm;
+  const auto kind = [&](std::size_t n) {
+    return skel->info(static_cast<NodeId>(n)).kind;
+  };
+  constexpr std::int64_t kInf = std::numeric_limits<std::int64_t>::max();
+  std::vector<std::int64_t> dist(skel->node_count());
+  using Item = std::pair<std::int64_t, NodeId>;
+  std::size_t pairs = 0, tight = 0, violations = 0;
+  for (std::size_t s = 0; s < skel->node_count(); ++s) {
+    if (kind(s) != NodeKind::kOutPin && kind(s) != NodeKind::kPad) continue;
+    const auto source = static_cast<NodeId>(s);
+    std::fill(dist.begin(), dist.end(), kInf);
+    std::priority_queue<Item, std::vector<Item>, std::greater<>> open;
+    dist[s] = 0;
+    open.push({0, source});
+    while (!open.empty()) {
+      const auto [d, n] = open.top();
+      open.pop();
+      if (d > dist[n]) continue;
+      for (const NodeId next : skel->fanout(n)) {
+        const std::int64_t nd =
+            d + (dm.pip_delay + dm.node_delay(skel->info(next).kind))
+                    .picoseconds();
+        if (nd < dist[next]) {
+          dist[next] = nd;
+          open.push({nd, next});
+        }
+      }
+    }
+    for (std::size_t t = 0; t < skel->node_count(); ++t) {
+      if (t == s || dist[t] == kInf ||
+          (kind(t) != NodeKind::kInPin && kind(t) != NodeKind::kPad))
+        continue;
+      const std::int64_t lb =
+          dm.route_delay_lower_bound(*skel, {&source, 1}, static_cast<NodeId>(t))
+              .picoseconds();
+      ++pairs;
+      if (lb > dist[t]) {
+        if (++violations <= 5)
+          ADD_FAILURE() << skel->info(source).to_string() << " -> "
+                        << skel->info(static_cast<NodeId>(t)).to_string()
+                        << ": bound " << lb << " ps > shortest walk "
+                        << dist[t] << " ps";
+      }
+      if (lb == dist[t]) ++tight;
+    }
+  }
+  EXPECT_EQ(violations, 0u);
+  EXPECT_GT(pairs, 50000u);
+  // The bound is not vacuous: it is the exact distance for many pairs.
+  EXPECT_GT(tight, pairs / 4);
+}
+
+TEST(RouteDelayLowerBound, TakesTheNearestOfSeveralSources) {
+  const auto geom = DeviceGeometry::tiny(10, 10);
+  const auto skel = RoutingSkeleton::build(geom);
+  const DelayModel dm;
+  const NodeId sink = skel->in_pin({5, 5}, 0, CellPort::kI0);
+  const NodeId far = skel->out_pin({0, 0}, 0, false);
+  const NodeId near = skel->out_pin({5, 6}, 1, true);
+  const NodeId both[] = {far, near};
+  EXPECT_EQ(dm.route_delay_lower_bound(*skel, both, sink),
+            dm.route_delay_lower_bound(*skel, {&near, 1}, sink));
+  // One single and the pin's PIP: the walk a neighbouring cell really has.
+  EXPECT_EQ(dm.route_delay_lower_bound(*skel, {&near, 1}, sink),
+            dm.pip_delay * 2 + dm.single_delay);
+  EXPECT_LT(dm.route_delay_lower_bound(*skel, {&near, 1}, sink),
+            dm.route_delay_lower_bound(*skel, {&far, 1}, sink));
 }
 
 TEST(RoutingSkeletonCache, SameGeometryYieldsSameSkeletonInstance) {
