@@ -248,19 +248,6 @@ void ConfigController::frames_of(const ConfigOp& op, FrameSet& out) const {
   expand_bits(op_words_, out.raw_ids());
 }
 
-int ConfigController::column_count(const FrameSet& frames) const {
-  int columns = 0;
-  std::int32_t run_column = -1;
-  for (const std::int32_t id : frames) {
-    const std::int32_t col = index_.column_of(id);
-    if (col != run_column) {
-      run_column = col;
-      ++columns;
-    }
-  }
-  return columns;
-}
-
 ApplyResult ConfigController::preview(const ConfigOp& op) const {
   // Counted mode: the dirty path never materializes the op's frame id list
   // — it only needs |frames_of(op)|, which the run collectors count.
@@ -324,9 +311,9 @@ ApplyResult ConfigController::apply(const ConfigOp& op,
   return apply_op(op, &frames_scratch_, allow_lut_ram_columns);
 }
 
-ApplyResult ConfigController::apply(const ConfigOp& op, const FrameSet& frames,
-                                    bool allow_lut_ram_columns) {
-  return apply_op(op, &frames, allow_lut_ram_columns);
+ApplyResult ConfigController::apply(const ConfigOp& op,
+                                    const FrameSet& frames) {
+  return apply_op(op, &frames, /*allow_lut_ram_columns=*/false);
 }
 
 ApplyResult ConfigController::finish_apply(const ConfigOp& op,

@@ -218,9 +218,6 @@ class ConfigController {
   /// counters so readback cost is identical across kFrame and kDirtyFrame.
   int readback_frames(const ConfigOp& op) const;
 
-  /// Distinct columns a (normalized) frame set spans — one pass.
-  int column_count(const FrameSet& frames) const;
-
   /// Frame/column/port-time accounting of an op without applying it (the
   /// effective_actions field is left 0 — effectiveness is only known at
   /// apply time). Under kDirtyFrame the dirty set is estimated against the
@@ -247,8 +244,8 @@ class ConfigController {
 
   /// apply() with the frame mapping reused from frames_of(op) — for callers
   /// (the transaction batcher) that already maintain the op's frame set.
-  ApplyResult apply(const ConfigOp& op, const FrameSet& frames,
-                    bool allow_lut_ram_columns);
+  /// Always checks the live-LUT-RAM column rule.
+  ApplyResult apply(const ConfigOp& op, const FrameSet& frames);
 
   /// LUT-RAM legality (paper, Sec. 2): throws IllegalOperationError if any
   /// frame of the op lies in a CLB column containing a used LUT-RAM cell

@@ -1,8 +1,8 @@
 #include "relogic/fabric/fabric.hpp"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
+
+#include "relogic/fabric/tree_index.hpp"
 
 namespace relogic::fabric {
 
@@ -203,15 +203,12 @@ void Fabric::remove_edges(NetId net, std::span<const RouteEdge> edges) {
   }
   if (!changed) return;
   // Release any node no longer referenced.
-  std::unordered_set<NodeId> keep;
-  for (NodeId n : t.sources) keep.insert(n);
-  for (const auto& e : t.edges) {
-    keep.insert(e.from);
-    keep.insert(e.to);
-  }
+  const std::vector<NodeId> keep = t.nodes();
   for (const RouteEdge& e : edges) {
     for (NodeId n : {e.from, e.to}) {
-      if (!keep.contains(n) && graph_.occupant(n) == net) graph_.release(n);
+      if (!std::binary_search(keep.begin(), keep.end(), n) &&
+          graph_.occupant(n) == net)
+        graph_.release(n);
     }
   }
   notify_net(net);
@@ -235,115 +232,39 @@ std::vector<NodeId> Fabric::net_sinks(NetId net) const {
 std::vector<SinkDelay> Fabric::sink_delays(NetId net,
                                            const DelayModel& dm) const {
   const RouteTree& t = this->net(net);
-
-  // Forward adjacency of the tree.
-  std::unordered_map<NodeId, std::vector<NodeId>> adj;
-  adj.reserve(t.edges.size());
-  for (const auto& e : t.edges) adj[e.from].push_back(e.to);
-
-  std::unordered_map<NodeId, SinkDelay> best;
-  const std::vector<NodeId> sinks = net_sinks(net);
-  std::unordered_set<NodeId> sink_set(sinks.begin(), sinks.end());
-
-  // DFS from every source, accumulating delay; record min and max at sinks.
-  struct Item {
-    NodeId node;
-    SimTime delay;
-    int depth;
-  };
-  const int depth_limit = static_cast<int>(t.edges.size()) + 2;
-  for (NodeId src : t.sources) {
-    std::vector<Item> stack{{src, SimTime::zero(), 0}};
-    while (!stack.empty()) {
-      const Item it = stack.back();
-      stack.pop_back();
-      RELOGIC_CHECK_MSG(it.depth <= depth_limit,
-                        "cycle detected in route tree of net " + t.name);
-      if (sink_set.contains(it.node)) {
-        auto [pos, inserted] =
-            best.try_emplace(it.node, SinkDelay{it.node, it.delay, it.delay});
-        if (!inserted) {
-          pos->second.min = std::min(pos->second.min, it.delay);
-          pos->second.max = std::max(pos->second.max, it.delay);
-        }
-      }
-      auto a = adj.find(it.node);
-      if (a == adj.end()) continue;
-      for (NodeId next : a->second) {
-        const SimTime d =
-            it.delay + dm.pip_delay + dm.node_delay(graph_.info(next).kind);
-        stack.push_back({next, d, it.depth + 1});
-      }
-    }
-  }
-
+  const TreeIndex index(t);
+  RELOGIC_CHECK_MSG(index.acyclic(),
+                    "cycle detected in route tree of net " + t.name);
+  std::vector<TreeIndex::Delay> delays;
+  index.delays(skeleton(), dm, delays);
   std::vector<SinkDelay> out;
-  out.reserve(sinks.size());
-  for (NodeId s : sinks) {
-    auto it = best.find(s);
-    RELOGIC_CHECK_MSG(it != best.end(),
+  for (const NodeId sink : net_sinks(net)) {
+    const TreeIndex::Delay& d = delays[index.find(sink)];
+    RELOGIC_CHECK_MSG(d.reached,
                       "sink unreachable from any source in net " + t.name);
-    out.push_back(it->second);
-  }
-  return out;
-}
-
-std::unordered_map<NodeId, SimTime> Fabric::node_delays(
-    NetId net, const DelayModel& dm) const {
-  const RouteTree& t = this->net(net);
-  std::unordered_map<NodeId, std::vector<NodeId>> adj;
-  for (const auto& e : t.edges) adj[e.from].push_back(e.to);
-
-  std::unordered_map<NodeId, SimTime> out;
-  struct Item {
-    NodeId node;
-    SimTime d;
-    int depth;
-  };
-  const int limit = static_cast<int>(t.edges.size()) + 2;
-  std::vector<Item> stack;
-  for (NodeId s : t.sources) {
-    out.try_emplace(s, SimTime::zero());
-    stack.push_back({s, SimTime::zero(), 0});
-  }
-  while (!stack.empty()) {
-    const Item it = stack.back();
-    stack.pop_back();
-    RELOGIC_CHECK_MSG(it.depth <= limit,
-                      "cycle detected in route tree of net " + t.name);
-    auto a = adj.find(it.node);
-    if (a == adj.end()) continue;
-    for (NodeId next : a->second) {
-      const SimTime d =
-          it.d + dm.pip_delay + dm.node_delay(graph_.info(next).kind);
-      auto [pos, inserted] = out.try_emplace(next, d);
-      if (!inserted) {
-        if (d <= pos->second) continue;
-        pos->second = d;
-      }
-      stack.push_back({next, d, it.depth + 1});
-    }
+    out.push_back(SinkDelay{sink, d.min, d.max});
   }
   return out;
 }
 
 void Fabric::validate_net(NetId net) const {
   const RouteTree& t = this->net(net);
-  std::unordered_set<NodeId> driven(t.sources.begin(), t.sources.end());
-  for (const auto& e : t.edges) driven.insert(e.to);
-  for (const auto& e : t.edges) {
+  const TreeIndex index(t);
+  for (std::size_t k = 0; k < t.edges.size(); ++k) {
+    const RouteEdge& e = t.edges[k];
     if (!graph_.has_edge(e.from, e.to)) {
       throw IllegalOperationError("net " + t.name + ": edge is not a PIP: " +
                                   graph_.info(e.from).to_string() + " -> " +
                                   graph_.info(e.to).to_string());
     }
-    if (!driven.contains(e.from)) {
+    const std::uint32_t from = index.edge_from(k);
+    if (!index.is_source(from) && index.fanin(from).empty()) {
       throw IllegalOperationError(
           "net " + t.name +
           ": dangling edge source: " + graph_.info(e.from).to_string());
     }
   }
-  for (NodeId n : t.nodes()) {
+  for (NodeId n : index.nodes()) {
     if (graph_.occupant(n) != net) {
       throw IllegalOperationError(
           "net " + t.name +

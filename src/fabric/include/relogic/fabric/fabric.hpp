@@ -161,13 +161,9 @@ class Fabric {
   std::vector<NodeId> net_sinks(NetId net) const;
 
   /// Per-sink min/max propagation delay from any source (Fig. 6 semantics;
-  /// see SinkDelay). Throws if the tree contains a cycle.
+  /// see SinkDelay), in net_sinks() order. Throws if the tree contains a
+  /// cycle.
   std::vector<SinkDelay> sink_delays(NetId net, const DelayModel& dm) const;
-
-  /// Worst-case delay from any source to every node of the tree (used by
-  /// the routing-optimisation pass to price candidate attachment points).
-  std::unordered_map<NodeId, SimTime> node_delays(NetId net,
-                                                  const DelayModel& dm) const;
 
   /// Structural sanity: every edge is a real PIP, every edge source is
   /// driven (a net source or the target of another edge), every node in the

@@ -59,6 +59,9 @@ class Router {
   void route_sink(fabric::NetId net, fabric::NodeId sink,
                   const RouteOptions& opt = {});
 
+  /// The delay model the search prices paths with.
+  const fabric::DelayModel& delay_model() const { return *dm_; }
+
  private:
   struct QueueItem {
     std::int64_t f = 0;  ///< g + h, picoseconds

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
 #include <unordered_set>
 
 #include "relogic/common/logging.hpp"
+#include "relogic/fabric/tree_index.hpp"
 #include "relogic/reloc/net_surgery.hpp"
 
 namespace relogic::reloc {
@@ -375,7 +377,7 @@ RelocationReport RelocationEngine::relocate_cell(place::Implementation& impl,
       // no spurious capture can occur.
       const NodeId ce_pin = in_pin_of(dest, 4);
       ConfigOp op_rm("release replica CE pin from the auxiliary OR gate");
-      for (const auto& e : prune_for_sink_removal(fabric(), t_or, ce_pin))
+      for (const auto& e : prune_for_removal(fabric(), t_or, {ce_pin}))
         op_rm.remove_edge(t_or, e);
       apply(op_rm, report, ro, {t_or});
 
@@ -401,7 +403,7 @@ RelocationReport RelocationEngine::relocate_cell(place::Implementation& impl,
         if (graph.occupant(pin) == t_q) drops[t_q].push_back(pin);
       }
       for (const auto& [net, pins] : drops) {
-        for (const auto& e : prune_for_sinks_removal(fabric(), net, pins))
+        for (const auto& e : prune_for_removal(fabric(), net, pins))
           op.remove_edge(net, e);
       }
       for (const NetId tn :
@@ -542,14 +544,14 @@ RelocationReport RelocationEngine::relocate_cell(place::Implementation& impl,
     bool any = false;
     if (ports.out_x != fabric::kNoNet) {
       const NodeId ox = graph.out_pin(src.clb, src.cell, false);
-      for (const auto& e : prune_for_source_removal(fabric(), ports.out_x, ox))
+      for (const auto& e : prune_for_removal(fabric(), ports.out_x, {ox}))
         op.remove_edge(ports.out_x, e);
       op.detach_source(ports.out_x, ox);
       any = true;
     }
     if (ports.out_q != fabric::kNoNet) {
       const NodeId oq = graph.out_pin(src.clb, src.cell, true);
-      for (const auto& e : prune_for_source_removal(fabric(), ports.out_q, oq))
+      for (const auto& e : prune_for_removal(fabric(), ports.out_q, {oq}))
         op.remove_edge(ports.out_q, e);
       op.detach_source(ports.out_q, oq);
       any = true;
@@ -577,7 +579,7 @@ RelocationReport RelocationEngine::relocate_cell(place::Implementation& impl,
       drops[n].push_back(pin);
     }
     for (const auto& [n, pins] : drops) {
-      for (const auto& e : prune_for_sinks_removal(fabric(), n, pins))
+      for (const auto& e : prune_for_removal(fabric(), n, pins))
         op.remove_edge(n, e);
       nets.push_back(n);
     }
@@ -676,7 +678,7 @@ RelocationReport RelocationEngine::relocate_lut_ram_cell(
     ConfigOp op("disconnect and free the original LUT-RAM cell");
     if (ports.out_x != fabric::kNoNet) {
       const NodeId ox = graph.out_pin(src.clb, src.cell, false);
-      for (const auto& e : prune_for_source_removal(fabric(), ports.out_x, ox))
+      for (const auto& e : prune_for_removal(fabric(), ports.out_x, {ox}))
         op.remove_edge(ports.out_x, e);
       op.detach_source(ports.out_x, ox);
     }
@@ -688,7 +690,7 @@ RelocationReport RelocationEngine::relocate_lut_ram_cell(
       if (graph.occupant(pin) == n) drops[n].push_back(pin);
     }
     for (const auto& [n, pins] : drops) {
-      for (const auto& e : prune_for_sinks_removal(fabric(), n, pins))
+      for (const auto& e : prune_for_removal(fabric(), n, pins))
         op.remove_edge(n, e);
     }
     op.clear_cell(src.clb, src.cell);
@@ -748,24 +750,37 @@ RelocationEngine::optimize_function_routing(place::Implementation& impl,
   RelocOptions ro = opt;
   for (int c : fabric().lut_ram_columns()) ro.route.avoid_columns.insert(c);
 
-  // Delay model mirror of the router's edge costs.
-  const fabric::DelayModel dm;  // router uses the same defaults
+  const fabric::DelayModel& dm = router_->delay_model();
   const fabric::RoutingSkeleton& skel = fabric().skeleton();
   RouteOptimizationReport out;
+
+  // Node delays of the net's tree, refreshed after every reroute: a later
+  // sibling's probe may attach to its new branch and is priced from there.
+  fabric::TreeIndex index;
+  std::vector<fabric::TreeIndex::Delay> delays;
+  const auto refresh = [&](NetId net) {
+    index.assign(fabric().net(net));
+    RELOGIC_CHECK_MSG(index.acyclic(), "cycle in the route tree of net " +
+                                           fabric().net(net).name);
+    index.delays(skel, dm, delays);
+  };
+  const auto delay_of = [&](NodeId n) -> std::optional<SimTime> {
+    const std::uint32_t i = index.find(n);
+    if (i == fabric::TreeIndex::kAbsent || !delays[i].reached) return {};
+    return delays[i].max;
+  };
 
   for (const auto& [sig, net] : impl.signal_nets) {
     if (!fabric().net_exists(net)) continue;
     const auto& tree = fabric().net(net);
     if (tree.sources.empty()) continue;
 
-    // Refreshed after every reroute: a later sibling's probe may attach to
-    // a node of the new branch, and pricing it needs that node's delay.
-    auto delays = fabric().node_delays(net, dm);
+    refresh(net);
     for (const NodeId sink : fabric().net_sinks(net)) {
       ++out.sinks_considered;
-      auto cur_it = delays.find(sink);
-      if (cur_it == delays.end()) continue;
-      const SimTime current = cur_it->second;
+      const auto cur = delay_of(sink);
+      if (!cur) continue;
+      const SimTime current = *cur;
       out.worst_delay_before = std::max(out.worst_delay_before, current);
 
       // Exact skip: no walk from a source reaches the sink cheaply enough
@@ -777,7 +792,7 @@ RelocationEngine::optimize_function_routing(place::Implementation& impl,
       }
 
       // Price a fresh path that may not ride the sink's current branch.
-      const auto old_branch = prune_for_sink_removal(fabric(), net, sink);
+      const auto old_branch = prune_for_removal(fabric(), net, {sink});
       if (old_branch.empty()) {
         out.worst_delay_after = std::max(out.worst_delay_after, current);
         continue;  // branch shared with other sinks: leave it alone
@@ -793,10 +808,10 @@ RelocationEngine::optimize_function_routing(place::Implementation& impl,
       }
       // Every tree node is driven, so the probe's attachment point has a
       // delay and the candidate prices a real source-to-sink walk.
-      const auto attach = delays.find(path.front());
-      RELOGIC_CHECK_MSG(attach != delays.end(),
+      const auto attach = delay_of(path.front());
+      RELOGIC_CHECK_MSG(attach.has_value(),
                         "reroute probe attached to an undriven node");
-      const SimTime candidate = attach->second + dm.path_delay(skel, path);
+      const SimTime candidate = *attach + dm.path_delay(skel, path);
       if (candidate + min_gain >= current) {
         out.worst_delay_after = std::max(out.worst_delay_after, current);
         continue;  // not worth a reconfiguration
@@ -807,11 +822,9 @@ RelocationEngine::optimize_function_routing(place::Implementation& impl,
       ++out.sinks_rerouted;
       out.config_time += report.config_time;
       out.frames_written += report.frames_written;
-      delays = fabric().node_delays(net, dm);
-      auto it = delays.find(sink);
-      if (it != delays.end()) {
-        out.worst_delay_after = std::max(out.worst_delay_after, it->second);
-      }
+      refresh(net);
+      if (const auto now = delay_of(sink))
+        out.worst_delay_after = std::max(out.worst_delay_after, *now);
     }
   }
   if (out.sinks_rerouted == 0) out.worst_delay_after = out.worst_delay_before;
@@ -829,7 +842,7 @@ RelocationReport RelocationEngine::relocate_route(NetId net, NodeId sink,
   for (int c : fabric().lut_ram_columns()) ro.route.avoid_columns.insert(c);
 
   // The branch currently serving the sink.
-  const auto old_branch = prune_for_sink_removal(fabric(), net, sink);
+  const auto old_branch = prune_for_removal(fabric(), net, {sink});
   RELOGIC_CHECK_MSG(!old_branch.empty(),
                     "sink has no exclusive branch to relocate");
 

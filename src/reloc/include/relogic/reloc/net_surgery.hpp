@@ -5,9 +5,10 @@
 // replica endpoint (paralleled paths / paralleled sources, Figs. 2 and 5).
 // When the original is finally disconnected, exactly the edges that served
 // only the original must be removed — never an edge still carrying signal
-// to a surviving sink. These helpers compute those sets; they never touch
-// the fabric themselves (the relocation engine folds the results into
-// ConfigOps so the changes are charged to the configuration port).
+// to a surviving sink. These helpers compute those sets over the net's
+// fabric::TreeIndex; they never touch the fabric themselves (the
+// relocation engine folds the results into ConfigOps so the changes are
+// charged to the configuration port).
 #pragma once
 
 #include <vector>
@@ -16,31 +17,20 @@
 
 namespace relogic::reloc {
 
-/// Edges no longer needed once `dropped_sink` stops being a sink of `net`
-/// (every remaining sink stays reachable from every source).
-std::vector<fabric::RouteEdge> prune_for_sink_removal(
-    const fabric::Fabric& fabric, fabric::NetId net,
-    fabric::NodeId dropped_sink);
-
-/// Grouped form: edges freed when several sinks of the same net are
-/// dropped together. Must be used when branches may share segments —
-/// per-sink pruning would either leak the shared segment or, combined with
-/// blind edge removal, orphan a surviving branch.
-std::vector<fabric::RouteEdge> prune_for_sinks_removal(
-    const fabric::Fabric& fabric, fabric::NetId net,
-    const std::vector<fabric::NodeId>& dropped_sinks);
-
-/// Edges no longer needed once `dropped_source` stops driving `net`.
-std::vector<fabric::RouteEdge> prune_for_source_removal(
-    const fabric::Fabric& fabric, fabric::NetId net,
-    fabric::NodeId dropped_source);
-
-/// Edges of `net` that are kept when only `sources_keep` drive it and only
-/// `sinks_keep` consume it: an edge survives iff it lies on some
-/// source-to-sink path. Building block of the two functions above.
+/// Edges of `net` that lie on some path from one of `sources_keep` to one
+/// of `sinks_keep`, in tree edge order.
 std::vector<fabric::RouteEdge> needed_edges(
     const fabric::Fabric& fabric, fabric::NetId net,
     const std::vector<fabric::NodeId>& sources_keep,
     const std::vector<fabric::NodeId>& sinks_keep);
+
+/// The complement: edges no longer needed once the `dropped` sources and
+/// sinks leave `net`, in tree edge order. Drop every sink that leaves
+/// together in one call: per-sink pruning would either leak a segment the
+/// branches share or, combined with blind edge removal, orphan a
+/// surviving branch.
+std::vector<fabric::RouteEdge> prune_for_removal(
+    const fabric::Fabric& fabric, fabric::NetId net,
+    const std::vector<fabric::NodeId>& dropped);
 
 }  // namespace relogic::reloc

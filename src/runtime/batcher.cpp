@@ -13,11 +13,10 @@ TransactionBatcher::TransactionBatcher(config::ConfigController& controller,
 
 void TransactionBatcher::enqueue(const config::ConfigOp& op) {
   if (op.empty()) return;
-  // One frame-set computation per op; the unbatched-baseline preview, the
-  // max_columns / max_frames gates AND the flush-time apply (through the
-  // running union) all share it. Stats are only recorded once the op is
-  // past the checks that can throw, so a rejected op never skews the
-  // batched-vs-unbatched comparison.
+  // One frame-set computation per op; the unbatched-baseline preview AND
+  // the flush-time apply (through the running union) share it. Stats are
+  // only recorded once the op is past the checks that can throw, so a
+  // rejected op never skews the batched-vs-unbatched comparison.
   controller_->frames_of(op, op_frames_);
 
   // An op that writes a LUT-RAM cell config must apply alone: the live
@@ -41,8 +40,7 @@ void TransactionBatcher::enqueue(const config::ConfigOp& op) {
     // sequence would see), not an estimate.
     flush();
     const auto alone = controller_->preview(op, op_frames_);
-    const auto r =
-        controller_->apply(op, op_frames_, options_.allow_lut_ram_columns);
+    const auto r = controller_->apply(op, op_frames_);
     ++stats_.ops_in;
     stats_.unbatched_column_writes += alone.columns_touched;
     stats_.unbatched_frames += alone.frames_written;
@@ -65,8 +63,7 @@ void TransactionBatcher::enqueue(const config::ConfigOp& op) {
   // the unbatched sequence — exempting exactly those cells reproduces the
   // per-op check's verdict. The merged apply()'s own check is strictly
   // weaker and serves as a safety net only.
-  if (!options_.allow_lut_ram_columns)
-    controller_->check_lut_ram_columns(op, &pending_rewrites_);
+  controller_->check_lut_ram_columns(op, &pending_rewrites_);
 
   // Merge-path baseline: previewed against the fabric as it stands at
   // enqueue (before the pending batch applies) — an estimate under
@@ -78,18 +75,6 @@ void TransactionBatcher::enqueue(const config::ConfigOp& op) {
   stats_.unbatched_frames += alone.frames_written;
   stats_.unbatched_frames_skipped += alone.frames_skipped;
   stats_.unbatched_time += alone.time;
-
-  if (pending_ops_ > 0 && (options_.max_columns > 0 || options_.max_frames > 0)) {
-    merged_scratch_ = pending_frames_;
-    merged_scratch_.union_with(op_frames_);
-    if (options_.max_columns > 0 &&
-        controller_->column_count(merged_scratch_) > options_.max_columns) {
-      flush();
-    } else if (options_.max_frames > 0 &&
-               static_cast<int>(merged_scratch_.size()) > options_.max_frames) {
-      flush();
-    }
-  }
 
   if (pending_ops_ == 0) {
     pending_ = op;
@@ -118,8 +103,7 @@ void TransactionBatcher::flush() {
   pending_rewrites_.clear();
   // The running union IS frames_of(op) for the merged op, so apply skips
   // the re-mapping pass entirely.
-  const auto r =
-      controller_->apply(op, pending_frames_, options_.allow_lut_ram_columns);
+  const auto r = controller_->apply(op, pending_frames_);
   pending_frames_.clear();
   ++stats_.transactions;
   stats_.column_writes += r.columns_touched;

@@ -655,9 +655,7 @@ DeviceReport FleetManager::run_device(
   if (cfg_.health.enabled()) faults.install(fab);
   config::ConfigController controller(fab, port, plane.granularity);
   controller.set_trace(tr.port);
-  BatchOptions bopt = cfg_.batch;
-  if (!cfg_.batch_config) bopt.max_ops = 1;
-  TransactionBatcher batcher(controller, bopt);
+  TransactionBatcher batcher(controller, cfg_.batch);
 
   // Each task contributes a per-task op *sequence* — its initial partial
   // configuration at config_start and the teardown clear at finish — so the
@@ -962,7 +960,7 @@ std::string FleetReport::to_json() const {
   w.raw(", \"port\": \"").raw(config::to_string(config.config_plane.port));
   w.raw("\", \"granularity\": \"")
       .raw(config::to_string(config.config_plane.granularity));
-  w.raw("\", \"batching\": ").raw(flag(config.batch_config));
+  w.raw("\", \"batching\": ").raw(flag(config.batch.max_ops > 1));
   w.raw(", \"batch_max_ops\": ").integer(config.batch.max_ops);
   w.raw(", \"selftest\": ").raw(flag(config.health.selftest));
   w.raw(", \"fault_rate\": ").number(config.health.fault_rate);

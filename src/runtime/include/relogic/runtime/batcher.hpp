@@ -28,11 +28,10 @@
 //
 // Each incoming op's frame set (config::FrameSet, sorted dense ids) is
 // computed exactly once per enqueue and reused for the LUT-RAM legality
-// check, the unbatched-baseline preview, the max_columns / max_frames
-// gates, and — via the running union the batcher maintains — the flush
-// apply itself, which takes the merged set instead of re-mapping the
-// concatenated op. All sets live in reusable members, so steady-state
-// enqueue/flush allocates nothing.
+// check, the unbatched-baseline preview and — via the running union the
+// batcher maintains — the flush apply itself, which takes the merged set
+// instead of re-mapping the concatenated op. All sets live in reusable
+// members, so steady-state enqueue/flush allocates nothing.
 //
 // Threading contract: a batcher (and the ConfigController + Fabric behind
 // it) belongs to exactly one device run and is confined to that worker
@@ -55,18 +54,6 @@ struct BatchOptions {
   /// Flush automatically once this many ops are pending. <= 1 disables
   /// coalescing (every op is its own transaction).
   int max_ops = 8;
-  /// Flush before a merge would make the coalesced op span more than this
-  /// many columns (0 = unlimited). Bounds the atomicity window: one huge
-  /// transaction monopolises the port.
-  int max_columns = 0;
-  /// Flush before a merge would make the coalesced op map more than this
-  /// many frames (0 = unlimited). The frame-granular analogue of
-  /// max_columns: under kFrame / kDirtyFrame a transaction's port time
-  /// scales with frames, not columns, so this is the meaningful atomicity
-  /// bound there. Counted on frames_of (the pre-dirty-filter upper bound).
-  int max_frames = 0;
-  /// Passed through to ConfigController::apply.
-  bool allow_lut_ram_columns = false;
 };
 
 struct BatchStats {
@@ -96,8 +83,8 @@ class TransactionBatcher {
   explicit TransactionBatcher(config::ConfigController& controller,
                               BatchOptions options = {});
 
-  /// Queues an op, coalescing it with the pending batch. May flush first if
-  /// the batch would exceed the options' limits. Empty ops are dropped.
+  /// Queues an op, coalescing it with the pending batch; flushes once
+  /// max_ops are pending. Empty ops are dropped.
   void enqueue(const config::ConfigOp& op);
 
   /// Applies the pending batch as one transaction. No-op when empty.
@@ -113,12 +100,10 @@ class TransactionBatcher {
   config::ConfigOp pending_;
   /// Running union of the pending batch's frame sets — equals
   /// frames_of(pending_) (widening distributes over unions), so flush()
-  /// hands it to apply() instead of re-mapping the merged op. Also powers
-  /// the max_columns / max_frames gates at one frames_of per incoming op.
+  /// hands it to apply() instead of re-mapping the merged op.
   config::FrameSet pending_frames_;
-  /// Scratch reused across enqueues (incoming op's set, gate trial union).
+  /// The incoming op's frame set, reused across enqueues.
   config::FrameSet op_frames_;
-  config::FrameSet merged_scratch_;
   /// Cells written by the pending batch (config::pack_cell_key, unsorted,
   /// duplicates allowed) — the exemption set that makes the enqueue-time
   /// LUT-RAM legality check match the per-op sequence. A plain append: the

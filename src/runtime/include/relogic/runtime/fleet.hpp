@@ -153,8 +153,8 @@ struct FleetConfig {
   std::map<int, ConfigPlaneSpec> device_config_planes;
   /// The plane device `d` actually runs (override, else config_plane).
   ConfigPlaneSpec plane_for(int d) const;
-  /// Coalesce adjacent configuration ops per device (TransactionBatcher).
-  bool batch_config = true;
+  /// Coalescing of adjacent configuration ops per device
+  /// (TransactionBatcher); max_ops <= 1 applies every op alone.
   BatchOptions batch;
   /// Worker threads for the per-device runs; 0 = one per device, capped at
   /// hardware concurrency.

@@ -34,6 +34,7 @@
 
 #include "relogic/common/time.hpp"
 #include "relogic/fabric/fabric.hpp"
+#include "relogic/fabric/tree_index.hpp"
 #include "relogic/sim/event_lanes.hpp"
 #include "relogic/sim/monitor.hpp"
 
@@ -242,6 +243,9 @@ class FabricSim final : public fabric::FabricListener {
   std::unordered_map<fabric::NodeId, bool> pad_val_;
 
   std::vector<NetCache> net_cache_;  // by net id
+  /// rebuild_net_cache's view of the net it rebuilds; kept to reuse storage.
+  fabric::TreeIndex tree_index_;
+  std::vector<fabric::TreeIndex::Delay> tree_delays_;
   /// The live net each cell out pin sources, by out_slot(); kNoNet if none.
   /// A routing node belongs to at most one net (RoutingGraph::occupy), so
   /// one slot per pin suffices.

@@ -34,6 +34,7 @@ void GlitchMonitor::record_transition(fabric::NodeId node, SimTime time) {
 }
 
 void GlitchMonitor::on_clock_edge(SimTime) {
+  // lint-allow(unordered-iteration): resets every counter; order-free
   for (auto& [node, w] : watched_) w.transitions_this_window = 0;
 }
 

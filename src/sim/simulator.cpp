@@ -517,43 +517,20 @@ void FabricSim::rebuild_net_cache(NetId net) {
   cache.sources = tree.sources;
   for (NodeId s : cache.sources) set_source_net(s, net);
 
-  // Forward traversal from sources accumulating the max delay per node;
-  // tolerates partially built trees (unreachable sinks are simply absent).
-  std::unordered_map<NodeId, std::vector<NodeId>> adj;
-  for (const auto& e : tree.edges) adj[e.from].push_back(e.to);
-  std::unordered_map<NodeId, SimTime> max_delay;
-  struct Item {
-    NodeId node;
-    SimTime d;
-    int depth;
-  };
-  const int limit = static_cast<int>(tree.edges.size()) + 2;
-  std::vector<Item> stack;
-  for (NodeId s : cache.sources) stack.push_back({s, SimTime::zero(), 0});
+  // Sinks in ascending node order at their max delay over paralleled paths;
+  // only those a source reaches, none behind a transient cycle.
+  tree_index_.assign(tree);
+  tree_index_.delays(fabric_->skeleton(), *dm_, tree_delays_);
   const auto& graph = fabric_->graph();
-  while (!stack.empty()) {
-    const Item it = stack.back();
-    stack.pop_back();
-    if (it.depth > limit) continue;  // defensive against transient cycles
-    auto a = adj.find(it.node);
-    if (a == adj.end()) continue;
-    for (NodeId next : a->second) {
-      const SimTime d =
-          it.d + dm_->pip_delay + dm_->node_delay(graph.info(next).kind);
-      auto [pos, inserted] = max_delay.try_emplace(next, d);
-      if (!inserted) {
-        if (d <= pos->second) continue;
-        pos->second = d;
-      }
-      stack.push_back({next, d, it.depth + 1});
-    }
-  }
-  for (const auto& [node, d] : max_delay) {
+  for (std::uint32_t i = 0; i < tree_index_.nodes().size(); ++i) {
+    if (!tree_delays_[i].reached) continue;
+    const NodeId node = tree_index_.nodes()[i];
+    const SimTime d = tree_delays_[i].max;
     const auto info = graph.info(node);
     if (info.kind == NodeKind::kInPin) {
       cache.sinks.push_back(
           Sink{node, site_index(info.tile, info.a), queue_.lane(d), info.b, d});
-    } else if (info.kind == NodeKind::kPad && !tree.has_source(node)) {
+    } else if (info.kind == NodeKind::kPad && !tree_index_.is_source(i)) {
       cache.sinks.push_back(Sink{node, -1, queue_.lane(d), 0, d});
     }
   }

@@ -238,6 +238,7 @@ netlist::Netlist make_circuit(const std::string& name, bool gated) {
 
 Options parse_args(int argc, char** argv) {
   Options opt;
+  bool no_batch = false;
   auto need = [&](int& i) -> std::string {
     if (i + 1 >= argc) usage(2);
     return argv[++i];
@@ -317,7 +318,7 @@ Options parse_args(int argc, char** argv) {
     } else if (arg == "--mean-duration") {
       opt.mean_duration_ms = std::stod(need(i));
     } else if (arg == "--no-batch") {
-      opt.fleet_cfg.batch_config = false;
+      no_batch = true;
     } else if (arg == "--batch-ops") {
       opt.fleet_cfg.batch.max_ops = std::stoi(need(i));
     } else if (arg == "--selectmap") {
@@ -401,6 +402,7 @@ Options parse_args(int argc, char** argv) {
                  "--selftest; enabling the roving self-test\n");
     opt.selftest = true;
   }
+  if (no_batch) opt.fleet_cfg.batch.max_ops = 1;  // beats --batch-ops
   return opt;
 }
 

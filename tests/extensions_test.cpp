@@ -63,6 +63,33 @@ TEST(RouteOptimization, ImprovesStretchedNetsAndStaysInLockstep) {
   }
 }
 
+// The pass prices sinks with the delay model its Router searches with, not
+// with a default-constructed one.
+TEST(RouteOptimization, PricesSinksWithTheRoutersDelayModel) {
+  fabric::Fabric fab{fabric::DeviceGeometry::tiny(16, 16)};
+  fabric::DelayModel dm;
+  dm.pip_delay = dm.pip_delay * 2;
+  config::BoundaryScanPort port;
+  config::ConfigController controller{fab, port, true};
+  place::Implementer implementer{fab, dm};
+  place::Router router{fab, dm};
+  reloc::RelocationEngine engine{controller, router, nullptr};
+  auto impl = implementer.implement(
+      netlist::map_netlist(netlist::bench::counter(4)),
+      place::ImplementOptions{ClbRect{1, 1, 3, 3}, 0, {}, {}});
+  engine.relocate_function(impl, ClbRect{12, 12, 3, 3});
+
+  SimTime worst = SimTime::zero();
+  for (const auto& [sig, net] : impl.signal_nets) {
+    if (!fab.net_exists(net) || fab.net(net).sources.empty()) continue;
+    for (const fabric::SinkDelay& sd : fab.sink_delays(net, dm))
+      worst = std::max(worst, sd.max);
+  }
+  const auto rep = engine.optimize_function_routing(impl);
+  EXPECT_GT(rep.sinks_considered, 0);
+  EXPECT_EQ(rep.worst_delay_before, worst);
+}
+
 TEST(RouteOptimization, IdempotentSecondPass) {
   Rig rig;
   rig.sim.add_clock(sim::ClockSpec{});
@@ -91,11 +118,10 @@ std::map<std::pair<fabric::NetId, fabric::NodeId>, SinkRoute> sink_routes(
   std::map<std::pair<fabric::NetId, fabric::NodeId>, SinkRoute> out;
   for (const auto& [sig, net] : impl.signal_nets) {
     if (!fab.net_exists(net) || fab.net(net).sources.empty()) continue;
-    const auto delays = fab.node_delays(net, dm);
-    for (const fabric::NodeId sink : fab.net_sinks(net))
-      out[{net, sink}] = SinkRoute{
-          delays.at(sink),
-          reloc::needed_edges(fab, net, fab.net(net).sources, {sink})};
+    for (const fabric::SinkDelay& sd : fab.sink_delays(net, dm))
+      out[{net, sd.sink}] = SinkRoute{
+          sd.max,
+          reloc::needed_edges(fab, net, fab.net(net).sources, {sd.sink})};
   }
   return out;
 }

@@ -1,8 +1,16 @@
 // Unit tests: relogic::fabric (device geometry, cells, routing graph,
-// fabric state container, delay model).
+// fabric state container, delay model, route-tree index).
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <utility>
+#include <vector>
+
+#include "relogic/common/rng.hpp"
 #include "relogic/fabric/fabric.hpp"
+#include "relogic/fabric/tree_index.hpp"
+#include "relogic/place/router.hpp"
 
 namespace relogic::fabric {
 namespace {
@@ -283,6 +291,158 @@ TEST(DelayModel, PathDelaySums) {
   };
   EXPECT_EQ(dm.path_delay(graph, path),
             dm.pip_delay + dm.single_delay + dm.pip_delay);
+}
+
+// ---- TreeIndex oracles ------------------------------------------------------
+
+/// Reference delays: enumerates every source-to-node path of an acyclic
+/// tree depth-first (the walk Fabric::sink_delays did before TreeIndex)
+/// and keeps each node's min and max delay over them.
+std::map<NodeId, std::pair<SimTime, SimTime>> enumerated_delays(
+    const RoutingGraph& g, const RouteTree& t, const DelayModel& dm) {
+  std::map<NodeId, std::vector<NodeId>> adj;
+  for (const auto& e : t.edges) adj[e.from].push_back(e.to);
+  std::map<NodeId, std::pair<SimTime, SimTime>> out;
+  struct Item {
+    NodeId node;
+    SimTime delay;
+  };
+  for (const NodeId src : t.sources) {
+    std::vector<Item> stack{{src, SimTime::zero()}};
+    while (!stack.empty()) {
+      const Item it = stack.back();
+      stack.pop_back();
+      auto [pos, inserted] =
+          out.try_emplace(it.node, std::pair{it.delay, it.delay});
+      if (!inserted) {
+        pos->second.first = std::min(pos->second.first, it.delay);
+        pos->second.second = std::max(pos->second.second, it.delay);
+      }
+      for (const NodeId next : adj[it.node]) {
+        stack.push_back(
+            {next, it.delay + dm.pip_delay + dm.node_delay(g.info(next).kind)});
+      }
+    }
+  }
+  return out;
+}
+
+/// Reference reach: fixpoint over the edge list.
+std::set<NodeId> naive_reach(const RouteTree& t,
+                             const std::vector<NodeId>& seeds, bool forward) {
+  std::set<NodeId> nodes;
+  for (const NodeId n : t.nodes()) nodes.insert(n);
+  std::set<NodeId> seen;
+  for (const NodeId s : seeds)
+    if (nodes.contains(s)) seen.insert(s);
+  for (bool grew = true; grew;) {
+    grew = false;
+    for (const auto& e : t.edges) {
+      const NodeId a = forward ? e.from : e.to;
+      const NodeId b = forward ? e.to : e.from;
+      if (seen.contains(a) && seen.insert(b).second) grew = true;
+    }
+  }
+  return seen;
+}
+
+std::set<NodeId> marked(const TreeIndex& index,
+                        const std::vector<std::uint8_t>& seen) {
+  std::set<NodeId> out;
+  for (std::uint32_t i = 0; i < index.nodes().size(); ++i)
+    if (seen[i] != 0) out.insert(index.nodes()[i]);
+  return out;
+}
+
+TEST(TreeIndex, DelaysAndReachMatchPathEnumerationOnRandomTrees) {
+  // Random multi-source trees on a small device: up to three source pins,
+  // sinks routed one by one from the growing tree (branches share trunks),
+  // then a second path to some sinks that avoids the tree, so the sink is
+  // paralleled (Fig. 6: min != max).
+  const DelayModel dm;
+  Rng rng(2311);
+  int nodes_checked = 0;
+  int paralleled = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    Fabric fab(DeviceGeometry::tiny(8, 8));
+    place::Router router(fab, dm);
+    const auto& g = fab.graph();
+    const NetId net = fab.create_net("random");
+    const auto random_tile = [&] {
+      return ClbCoord{rng.next_int(0, 7), rng.next_int(0, 7)};
+    };
+    for (int i = rng.next_int(1, 3); i > 0; --i)
+      fab.attach_source(
+          net, g.out_pin(random_tile(), rng.next_int(0, 3), rng.next_bool()));
+    for (int i = rng.next_int(2, 7); i > 0; --i) {
+      const NodeId sink = g.in_pin(random_tile(), rng.next_int(0, 3),
+                                   static_cast<CellPort>(rng.next_int(0, 4)));
+      if (!g.is_free(sink)) continue;
+      try {
+        router.route_sink(net, sink);
+      } catch (const ResourceError&) {
+      }
+    }
+    const std::vector<NodeId> sinks = fab.net_sinks(net);
+    const RouteTree& tree = fab.net(net);
+    for (const NodeId sink : sinks) {
+      if (!rng.next_bool(0.4)) continue;
+      place::RouteOptions avoid;
+      for (const NodeId n : tree.nodes())
+        if (n != sink && !tree.has_source(n)) avoid.avoid_nodes.insert(n);
+      const std::vector<NodeId> from = tree.sources;
+      try {
+        const auto path = router.find_path_from(from, net, sink, avoid);
+        std::vector<RouteEdge> edges;
+        for (std::size_t k = 1; k < path.size(); ++k)
+          edges.push_back(RouteEdge{path[k - 1], path[k]});
+        fab.add_edges(net, edges);
+      } catch (const ResourceError&) {
+      }
+    }
+    fab.validate_net(net);
+
+    const TreeIndex index(tree);
+    ASSERT_TRUE(index.acyclic());
+    EXPECT_EQ(std::vector<NodeId>(index.nodes().begin(), index.nodes().end()),
+              tree.nodes());
+    std::vector<TreeIndex::Delay> delays;
+    index.delays(fab.skeleton(), dm, delays);
+    const auto expect = enumerated_delays(g, tree, dm);
+    for (std::uint32_t i = 0; i < index.nodes().size(); ++i) {
+      const NodeId n = index.nodes()[i];
+      const auto it = expect.find(n);
+      ASSERT_EQ(delays[i].reached, it != expect.end()) << "trial " << trial;
+      if (it == expect.end()) continue;
+      EXPECT_EQ(delays[i].min, it->second.first) << "trial " << trial;
+      EXPECT_EQ(delays[i].max, it->second.second) << "trial " << trial;
+      ++nodes_checked;
+    }
+
+    const auto sink_delays = fab.sink_delays(net, dm);
+    ASSERT_EQ(sink_delays.size(), sinks.size());
+    for (std::size_t k = 0; k < sinks.size(); ++k) {
+      EXPECT_EQ(sink_delays[k].sink, sinks[k]);
+      EXPECT_EQ(sink_delays[k].min, expect.at(sinks[k]).first);
+      EXPECT_EQ(sink_delays[k].max, expect.at(sinks[k]).second);
+      if (sink_delays[k].min != sink_delays[k].max) ++paralleled;
+    }
+
+    for (int round = 0; round < 4; ++round) {
+      std::vector<NodeId> seeds;
+      for (const NodeId n : tree.nodes())
+        if (rng.next_bool(0.3)) seeds.push_back(n);
+      seeds.push_back(g.in_pin({0, 0}, 0, CellPort::kI0));  // maybe absent
+      std::vector<std::uint8_t> seen;
+      for (const bool forward : {true, false}) {
+        index.reach(seeds, forward, seen);
+        EXPECT_EQ(marked(index, seen), naive_reach(tree, seeds, forward))
+            << "trial " << trial;
+      }
+    }
+  }
+  EXPECT_GT(nodes_checked, 1000);
+  EXPECT_GT(paralleled, 10);
 }
 
 }  // namespace

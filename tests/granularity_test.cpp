@@ -352,26 +352,6 @@ TEST(BatcherDirty, SkippedFramesAreCounted) {
             geom.frames_per_cell_config);
 }
 
-TEST(BatcherDirty, MaxFramesBoundsTransactionWidth) {
-  const auto geom = DeviceGeometry::tiny(8, 8);
-  config::BoundaryScanPort port;
-  Fabric fab(geom);
-  config::ConfigController ctl(fab, port, WriteGranularity::kFrame);
-  runtime::TransactionBatcher batcher(
-      ctl, runtime::BatchOptions{.max_ops = 8,
-                                 .max_frames = geom.frames_per_cell_config});
-
-  // Each op maps frames_per_cell_config frames of a distinct cell group:
-  // with max_frames == one group, every merge attempt flushes first.
-  for (int c = 0; c < 3; ++c) {
-    config::ConfigOp op("op" + std::to_string(c));
-    op.write_cell({1, c}, 0, LogicCellConfig::constant(true));
-    batcher.enqueue(op);
-  }
-  batcher.flush();
-  EXPECT_EQ(batcher.stats().transactions, 3);
-}
-
 // ---- fleet: heterogeneous configuration planes ------------------------------
 
 runtime::FleetConfig hetero_fleet() {

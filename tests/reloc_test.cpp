@@ -57,7 +57,7 @@ class NetSurgeryTest : public ::testing::Test {
 
 TEST_F(NetSurgeryTest, SinkRemovalKeepsSharedTrunk) {
   const Y y = build_y();
-  const auto removed = prune_for_sink_removal(fab_, y.net, y.sink2);
+  const auto removed = prune_for_removal(fab_, y.net, {y.sink2});
   // Only the private branch b->c->sink2 goes; the trunk survives.
   EXPECT_EQ(removed.size(), 2u);
   for (const auto& e : removed) {
@@ -67,12 +67,11 @@ TEST_F(NetSurgeryTest, SinkRemovalKeepsSharedTrunk) {
 
 TEST_F(NetSurgeryTest, GroupedRemovalFreesSharedSegmentsExactlyOnce) {
   const Y y = build_y();
-  const auto removed =
-      prune_for_sinks_removal(fab_, y.net, {y.sink1, y.sink2});
+  const auto removed = prune_for_removal(fab_, y.net, {y.sink1, y.sink2});
   // Dropping both sinks frees everything.
   EXPECT_EQ(removed.size(), fab_.net(y.net).edges.size());
   // Per-sink pruning would have left the shared trunk in place.
-  const auto only1 = prune_for_sink_removal(fab_, y.net, y.sink1);
+  const auto only1 = prune_for_removal(fab_, y.net, {y.sink1});
   EXPECT_LT(only1.size(), removed.size());
 }
 
@@ -88,7 +87,7 @@ TEST_F(NetSurgeryTest, SourceRemovalWithParallelReplica) {
   fab_.add_edge(y.net, {r1, y.a});  // joins the trunk at a
   fab_.validate_net(y.net);
 
-  const auto removed = prune_for_source_removal(fab_, y.net, y.src);
+  const auto removed = prune_for_removal(fab_, y.net, {y.src});
   ASSERT_EQ(removed.size(), 1u);
   EXPECT_EQ(removed[0], (RouteEdge{y.src, y.a}));
 
@@ -172,20 +171,24 @@ TEST(NetSurgeryOracle, PruningMatchesNaiveReachabilityOnRandomTrees) {
     }
     fab.validate_net(net);
 
-    // Every subset of up to three dropped sinks drawn at random.
+    // Random sink subsets, sometimes dropped together with a source.
     for (int round = 0; round < 6; ++round) {
-      std::vector<NodeId> dropped, kept;
+      std::vector<NodeId> dropped, kept, sources = tree.sources;
       for (const NodeId s : sinks)
         (rng.next_bool(0.4) ? dropped : kept).push_back(s);
-      EXPECT_EQ(prune_for_sinks_removal(fab, net, dropped),
-                naive_removed(tree, tree.sources, kept))
+      if (sources.size() > 1 && rng.next_bool()) {
+        dropped.push_back(sources.front());
+        sources.erase(sources.begin());
+      }
+      EXPECT_EQ(prune_for_removal(fab, net, dropped),
+                naive_removed(tree, sources, kept))
           << "trial " << trial;
       ++checked;
     }
     for (const NodeId src : tree.sources) {
       std::vector<NodeId> others = tree.sources;
       std::erase(others, src);
-      EXPECT_EQ(prune_for_source_removal(fab, net, src),
+      EXPECT_EQ(prune_for_removal(fab, net, {src}),
                 naive_removed(tree, others, sinks))
           << "trial " << trial;
       ++checked;

@@ -216,22 +216,6 @@ TEST(TransactionBatcher, DisabledBatchingMatchesBaseline) {
   EXPECT_EQ(s.time, s.unbatched_time);
 }
 
-TEST(TransactionBatcher, MaxColumnsBoundsTransactionWidth) {
-  const auto geom = fabric::DeviceGeometry::tiny(8, 8);
-  const config::BoundaryScanPort port;
-  fabric::Fabric fab(geom);
-  config::ConfigController ctl(fab, port, true);
-  TransactionBatcher batcher(ctl, BatchOptions{.max_ops = 8, .max_columns = 2});
-
-  for (int c = 0; c < 4; ++c)
-    batcher.enqueue(cell_op("op", ClbCoord{1, c},
-                            static_cast<std::uint16_t>(c + 1)));
-  batcher.flush();
-  // Columns 0..3 with a 2-column cap: two transactions of 2 columns each.
-  EXPECT_EQ(batcher.stats().transactions, 2);
-  EXPECT_EQ(batcher.stats().column_writes, 4);
-}
-
 TEST(TransactionBatcher, LutRamOpsApplyAloneSoLegalityMatchesUnbatched) {
   const auto geom = fabric::DeviceGeometry::tiny(8, 8);
   const config::BoundaryScanPort port;
@@ -481,7 +465,7 @@ std::vector<sched::TaskArrival> workload(int n, std::uint64_t seed) {
 TEST(Fleet, BatchingReducesTransactionsOnSameWorkload) {
   FleetConfig cfg = small_fleet(4, DispatchPolicy::kLeastLoaded);
   FleetConfig unbatched_cfg = cfg;
-  unbatched_cfg.batch_config = false;
+  unbatched_cfg.batch.max_ops = 1;
 
   FleetManager batched(cfg);
   FleetManager unbatched(unbatched_cfg);

@@ -15,6 +15,9 @@
 //   the source -> net table, the resolved sink tables) through every kind
 //   of net and cell change while a clock runs and checks it with
 //   FabricSim::audit.
+// * RouteTreeCycle routes a net through a single and a long line that
+//   drive each other and checks that the simulator schedules the sinks a
+//   source reaches and none behind the cycle (DESIGN.md §2 addendum).
 // * DriveConflict checks that a drive conflict is found by the clock edge
 //   alone, through the multi-source net list.
 // * SimFastForward checks the steady-state fast-forward (DESIGN.md §11)
@@ -40,6 +43,7 @@
 #include "relogic/common/rng.hpp"
 #include "relogic/config/controller.hpp"
 #include "relogic/config/port.hpp"
+#include "relogic/fabric/tree_index.hpp"
 #include "relogic/netlist/benchmarks.hpp"
 #include "relogic/place/implement.hpp"
 #include "relogic/reloc/engine.hpp"
@@ -354,7 +358,7 @@ void parallel_source(Rig& rig, fabric::NetId net, fabric::NodeId to) {
 
 /// Disconnects source `from` of `net` and the branch that served only it.
 void drop_source(Rig& rig, fabric::NetId net, fabric::NodeId from) {
-  rig.fab.remove_edges(net, reloc::prune_for_source_removal(rig.fab, net, from));
+  rig.fab.remove_edges(net, reloc::prune_for_removal(rig.fab, net, {from}));
   rig.fab.detach_source(net, from);
 }
 
@@ -621,6 +625,83 @@ TEST(EventCoreAudit, CatchesAStaleMirrorAndSourceTable) {
   fab.attach_source(net, fab.graph().out_pin(clb, 0, false));
   EXPECT_THROW(sim.audit(), AuditError);
   fab.add_listener(&sim);
+}
+
+// A single and a long line that drive each other: add_edges accepts both
+// PIPs, so a route tree can hold a cycle. The tree index reports it,
+// sink_delays throws, and the simulator, told in the middle of an op,
+// schedules the sinks a source reaches around the cycle and none behind it.
+TEST(RouteTreeCycle, NothingBehindTheCycleIsScheduled) {
+  using fabric::NodeId;
+  using fabric::NodeKind;
+  Rig rig(fabric::DeviceGeometry::tiny(8, 8));
+  const auto& g = rig.fab.graph();
+  NodeId single = fabric::kInvalidNode, longline = fabric::kInvalidNode;
+  for (NodeId n = 0; n < g.node_count(); ++n) {
+    if (g.info(n).kind != NodeKind::kSingle) continue;
+    for (const NodeId m : g.fanout(n)) {
+      const NodeKind k = g.info(m).kind;
+      if ((k == NodeKind::kLongRow || k == NodeKind::kLongCol) &&
+          g.has_edge(m, n)) {
+        single = n;
+        longline = m;
+      }
+    }
+    if (longline != fabric::kInvalidNode) break;
+  }
+  ASSERT_NE(longline, fabric::kInvalidNode);
+  // The cell output of the single's tile drives it (OMUX) and another
+  // single that stays off the cycle; each single drives input pins.
+  const ClbCoord tile = g.info(single).tile;
+  const NodeId src = g.out_pin(tile, 0, false);
+  ASSERT_TRUE(g.has_edge(src, single));
+  const auto first_pin = [&](NodeId wire, NodeId other) {
+    for (const NodeId m : g.fanout(wire))
+      if (g.info(m).kind == NodeKind::kInPin && m != other) return m;
+    return fabric::kInvalidNode;
+  };
+  NodeId side = fabric::kInvalidNode;
+  for (const NodeId m : g.fanout(src))
+    if (g.info(m).kind == NodeKind::kSingle && m != single) side = m;
+  ASSERT_NE(side, fabric::kInvalidNode);
+  const NodeId behind = first_pin(single, fabric::kInvalidNode);
+  const NodeId reached = first_pin(side, behind);
+  ASSERT_NE(behind, fabric::kInvalidNode);
+  ASSERT_NE(reached, fabric::kInvalidNode);
+
+  const auto site = [&](NodeId pin) {
+    const auto info = g.info(pin);
+    return std::pair{info.tile, static_cast<int>(info.a)};
+  };
+  auto buffer = fabric::LogicCellConfig::constant(false);
+  buffer.lut = fabric::luts::kBufI0;
+  rig.fab.set_cell_config(tile, 0, fabric::LogicCellConfig::constant(true));
+  for (const NodeId pin : {behind, reached})
+    rig.fab.set_cell_config(site(pin).first, site(pin).second, buffer);
+
+  const fabric::NetId net = rig.fab.create_net("loop");
+  rig.fab.attach_source(net, src);
+  const std::vector<fabric::RouteEdge> edges{{src, single},
+                                             {single, longline},
+                                             {longline, single},
+                                             {single, behind},
+                                             {src, side},
+                                             {side, reached}};
+  rig.fab.add_edges(net, edges);
+
+  const fabric::TreeIndex index(rig.fab.net(net));
+  EXPECT_FALSE(index.acyclic());
+  EXPECT_EQ(index.order().size(), 3u);  // src, side, reached
+  EXPECT_THROW((void)rig.fab.sink_delays(net, rig.dm), ContractError);
+
+  rig.sim.run_until(SimTime::ns(500));
+  const auto pin_value = [&](NodeId pin) {
+    const auto info = g.info(pin);
+    return rig.sim.pin_of(info.tile, info.a,
+                          static_cast<fabric::CellPort>(info.b));
+  };
+  EXPECT_TRUE(pin_value(reached));
+  EXPECT_FALSE(pin_value(behind));
 }
 
 TEST(DriveConflict, RecordedByTheClockEdgeAlone) {

@@ -25,8 +25,11 @@ accepts all of them, so this lint gates the patterns instead:
                       file under obs/ or matching telemetry/json/export,
                       or a function whose name says it renders output
                       (to_json, to_string, export*, dump*, write_json,
-                      render*). Iteration order is libc++-lottery there;
-                      sort first or use std::map.
+                      render*) — or inside an event path: a file under
+                      sim/, sched/ or runtime/, where the loop order can
+                      become the order events are scheduled in.
+                      Iteration order is libc++-lottery there; sort
+                      first or use std::map.
 
   pointer-format      "%p" in a format string, or streaming (void*)/
                       static_cast<void*> — addresses differ across runs
@@ -103,6 +106,9 @@ FUNC_DEF = re.compile(
     r"(?:^|\s)((?:~?\w+::)+~?\w+|\w+)\s*\([^;()]*\)\s*(?:const\s*)?(?:noexcept\s*)?{"
 )
 EXPORT_FILE = re.compile(r"(?:^|/)obs/|telemetry|json|export")
+# The discrete-event simulator, the scheduler and the fleet runtime: what
+# they iterate in may become event or dispatch order.
+EVENT_FILE = re.compile(r"(?:^|/)(?:sim|sched|runtime)/")
 EXPORT_FUNC = re.compile(
     r"to_json|to_string|export|dump|render|write_json|print", re.IGNORECASE
 )
@@ -160,7 +166,7 @@ def scan_file(path, rel, unordered_names):
     violations = []
     allowed_next = set()   # rules allowed by a directive on the previous line
     current_func = ""
-    export_file = bool(EXPORT_FILE.search(rel))
+    ordered_file = bool(EXPORT_FILE.search(rel) or EVENT_FILE.search(rel))
 
     for no, line in enumerate(lines, start=1):
         allowed = set(allowed_next)
@@ -199,7 +205,7 @@ def scan_file(path, rel, unordered_names):
 
         rf = RANGE_FOR.search(code)
         if rf and rf.group(1) in unordered_names:
-            if export_file or EXPORT_FUNC.search(current_func):
+            if ordered_file or EXPORT_FUNC.search(current_func):
                 hit("unordered-iteration")
     return violations
 
@@ -245,13 +251,13 @@ EXPECTED = {
     ("tools/lint_fixtures/planted.cpp", 31, "pointer-format"),
     ("tools/lint_fixtures/planted.cpp", 39, "unordered-iteration"),
     ("tools/lint_fixtures/planted_export.cpp", 10, "unordered-iteration"),
+    ("tools/lint_fixtures/sim/planted_event_order.cpp", 11,
+     "unordered-iteration"),
 }
 
 
 def self_test():
-    fixtures = os.path.join(REPO_ROOT, "tools", "lint_fixtures")
-    files = [os.path.join(fixtures, f) for f in sorted(os.listdir(fixtures))
-             if f.endswith(SOURCE_EXTS)]
+    files = gather(os.path.join(REPO_ROOT, "tools", "lint_fixtures"))
     unordered_names = collect_unordered_names(files)
     got = set()
     for path in files:
