@@ -621,6 +621,35 @@ BENCHMARK(BM_DefragPlan)
     ->Args({64, 96})
     ->Unit(benchmark::kMillisecond);
 
+void BM_FailingPlan(benchmark::State& state) {
+  // The on-line scheduler's common case: a 12x12 device at 75%
+  // utilisation, a request with enough free CLBs but no slot, and no plan:
+  // both greedy move sequences run out and the full-compaction packing
+  // fails too. BM_DefragPlan measures planning that succeeds.
+  area::AreaManager mgr(12, 12);
+  Rng rng(32);
+  std::vector<area::RegionId> live;
+  for (int i = 0; i < 60; ++i) {
+    const auto id = mgr.allocate("r", rng.next_int(1, 4), rng.next_int(1, 4));
+    if (id != area::kNoRegion) live.push_back(id);
+  }
+  while (mgr.utilization() > 0.75) {
+    const std::size_t k = rng.next_below(live.size());
+    mgr.release(live[k]);
+    live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
+  }
+  const int h = 3;
+  const int w = 6;
+  RELOGIC_CHECK(mgr.used_clbs() * 4 == mgr.total_clbs() * 3);
+  RELOGIC_CHECK(mgr.free_clbs() >= h * w && !mgr.can_fit(h, w));
+  RELOGIC_CHECK(!area::plan_full_compaction(mgr, {{h, w}}));
+  RELOGIC_CHECK(!area::plan_for_request(mgr, h, w));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(area::plan_for_request(mgr, h, w));
+  }
+}
+BENCHMARK(BM_FailingPlan)->Unit(benchmark::kMicrosecond);
+
 /// google-benchmark 1.8.0 replaced Run::error_occurred with Run::skipped;
 /// these overloads pick whichever member the system library has.
 template <typename R>

@@ -5,35 +5,28 @@
 namespace relogic::area {
 
 std::vector<RequestPlanner::Candidate> RequestPlanner::evaluate(
-    AreaManager& scratch) {
+    const AreaManager& state) {
   std::vector<Candidate> out;
-  // Trial moves rewrite Region::rect in place (the table itself keeps its
-  // size and order), so each region's id and rect are copied first.
-  for (const Region& region : scratch.regions()) {
-    const RegionId id = region.id;
-    const ClbRect rect = region.rect;
+  for (const Region& region : state.regions()) {
+    const ClbRect& rect = region.rect;
     // Candidate destinations: bottom-left and best-fit placements of the
     // region's shape in the remaining free space (non-overlapping with
     // its current rect, so plans execute move-by-move on the fabric).
-    std::optional<ClbRect> bottom_left;
-    for (PlacePolicy policy :
-         {PlacePolicy::kBottomLeft, PlacePolicy::kBestFit}) {
-      const auto dest = scratch.find_free_rect(rect.height, rect.width, policy);
+    const FreeRects dests = state.find_free_rects(rect.height, rect.width);
+    std::optional<ClbRect> scored;
+    for (const std::optional<ClbRect>& dest :
+         {dests.bottom_left, dests.best_fit}) {
       if (!dest || *dest == rect) continue;
       // A best-fit destination equal to the bottom-left one would be an
       // identical candidate, and pick() replaces only on a strict
       // improvement, so it could never win.
-      if (dest == bottom_left) continue;
-      bottom_left = dest;
-      // Score by trial move + rollback (cheaper than copying the whole
-      // manager per candidate; the rollback destination is the region's
-      // own just-vacated rect, so both moves are always legal).
-      scratch.move(id, *dest);
-      const long gain = scratch.largest_free_area();
-      scratch.move(id, rect);
+      if (dest == scored) continue;
+      scored = dest;
+      const long gain = state.largest_free_area_after_move(rect, *dest);
       const long dist =
           std::abs(dest->row - rect.row) + std::abs(dest->col - rect.col);
-      out.push_back(Candidate{Move{id, rect, *dest}, gain, dist, rect.area()});
+      out.push_back(
+          Candidate{Move{region.id, rect, *dest}, gain, dist, rect.area()});
     }
   }
   return out;
@@ -76,10 +69,12 @@ const std::vector<RequestPlanner::Candidate>& RequestPlanner::candidates_of(
   return evaluated_.back().candidates;
 }
 
-RequestPlanner::Sequence::Sequence(const AreaManager& mgr, bool prefer_small)
+RequestPlanner::Sequence::Sequence(const AreaManager& mgr, bool prefer_small,
+                                   std::vector<int> fit0,
+                                   std::vector<RegionId> grid0)
     : scratch(mgr), prefer_small_victims(prefer_small) {
-  fit.push_back(scratch.free_width_profile());
-  grids.push_back(scratch.occupancy());
+  fit.push_back(std::move(fit0));
+  grids.push_back(std::move(grid0));
 }
 
 RequestPlanner::RequestPlanner(const AreaManager& mgr, DefragOptions opt)
@@ -143,9 +138,14 @@ std::optional<DefragPlan> RequestPlanner::plan(int h, int w) const {
 
   // Greedy with the cheap tie-break first, the alternate second, full
   // bottom-left repacking as the last resort (still bounded by max_moves).
-  if (!small_victims_) small_victims_.emplace(*mgr_, /*prefer_small=*/true);
+  if (!small_victims_)
+    small_victims_.emplace(*mgr_, /*prefer_small=*/true,
+                           mgr_->free_width_profile(), mgr_->occupancy());
   if (auto plan = query(*small_victims_, h, w)) return plan;
-  if (!large_victims_) large_victims_.emplace(*mgr_, /*prefer_small=*/false);
+  if (!large_victims_)
+    large_victims_.emplace(*mgr_, /*prefer_small=*/false,
+                           small_victims_->fit.front(),
+                           small_victims_->grids.front());
   if (auto plan = query(*large_victims_, h, w)) return plan;
   auto full = plan_full_compaction(*mgr_, {{h, w}});
   if (full && static_cast<int>(full->moves.size()) <= opt_.max_moves)
@@ -160,17 +160,19 @@ std::optional<DefragPlan> plan_for_request(const AreaManager& mgr, int h,
 
 std::optional<DefragPlan> plan_full_compaction(
     const AreaManager& mgr, std::optional<std::pair<int, int>> pending) {
-  // Pack everything into a fresh grid: pending request first (it must end
-  // up placed), then regions by area descending. Faulty CLBs masked in the
-  // source keep their mask so no repacking target ever lands on one.
-  AreaManager packed = mgr.masked_copy();
+  // Pack everything into an empty canvas: pending request first (it must
+  // end up placed), then regions by area descending. Bottom-left packing
+  // reads free bits only, so the canvas is the source's row bitsets with
+  // every region's rect set free again: exactly the masked CLBs stay
+  // occupied, and no repacking target ever lands on one.
+  FreeRows canvas = mgr.free_rows();
+  for (const Region& r : mgr.regions()) canvas.set(r.rect, true);
   DefragPlan plan;
 
   if (pending) {
-    const auto slot = packed.find_free_rect(pending->first, pending->second,
-                                            PlacePolicy::kBottomLeft);
+    const auto slot = canvas.first_fit(pending->first, pending->second);
     if (!slot) return std::nullopt;
-    packed.allocate_at({}, *slot);
+    canvas.set(*slot, false);
     plan.request_slot = *slot;
   }
 
@@ -191,10 +193,9 @@ std::optional<DefragPlan> plan_full_compaction(
   std::vector<ClbRect> target;  // target[i]: destination of order[i]
   target.reserve(order.size());
   for (const Piece& p : order) {
-    const auto slot = packed.find_free_rect(p.rect.height, p.rect.width,
-                                            PlacePolicy::kBottomLeft);
+    const auto slot = canvas.first_fit(p.rect.height, p.rect.width);
     if (!slot) return std::nullopt;
-    packed.allocate_at({}, *slot);
+    canvas.set(*slot, false);
     target.push_back(*slot);
   }
 

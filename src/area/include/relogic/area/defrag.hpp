@@ -100,7 +100,10 @@ class RequestPlanner {
   /// One greedy move sequence (for one victim-preference tie-break),
   /// extended lazily one move at a time as queries demand it.
   struct Sequence {
-    Sequence(const AreaManager& mgr, bool prefer_small);
+    /// Starts from `mgr`'s state, whose fit profile and occupancy grid
+    /// are `fit0` and `grid0` (both sequences share them).
+    Sequence(const AreaManager& mgr, bool prefer_small, std::vector<int> fit0,
+             std::vector<RegionId> grid0);
 
     AreaManager scratch;  ///< state after all computed moves
     bool prefer_small_victims;
@@ -114,9 +117,9 @@ class RequestPlanner {
     std::vector<std::vector<RegionId>> grids;
   };
 
-  /// Every candidate move of `scratch`'s state: bottom-left and best-fit
-  /// destinations of each region, scored by trial move + rollback.
-  static std::vector<Candidate> evaluate(AreaManager& scratch);
+  /// Every candidate move of `state`: bottom-left and best-fit
+  /// destinations of each region, scored without writing the manager.
+  static std::vector<Candidate> evaluate(const AreaManager& state);
   /// The greedy choice among `candidates` under one tie-break.
   static std::optional<Move> pick(const std::vector<Candidate>& candidates,
                                   bool prefer_small_victims, bool prefer_near);
@@ -133,9 +136,10 @@ class RequestPlanner {
   mutable std::optional<Sequence> large_victims_;
 };
 
-/// Plans bottom-left repacking of all regions (sorted by height, then
-/// width). Returns the moves in execution order; positions never overlap a
-/// yet-unmoved region's current rect, which a sequential executor requires.
+/// Plans bottom-left repacking of all regions (largest area first, ties by
+/// id) around the masked CLBs. Returns the moves in execution order;
+/// positions never overlap a yet-unmoved region's current rect, which a
+/// sequential executor requires.
 /// `pending` (optional) is reserved first so the request ends up placed.
 std::optional<DefragPlan> plan_full_compaction(
     const AreaManager& mgr, std::optional<std::pair<int, int>> pending = {});

@@ -38,6 +38,46 @@ struct Region {
   ClbRect rect;
 };
 
+/// Row free bitsets of a rows x cols grid, with no region bookkeeping: bit
+/// c of row r's words is set iff CLB (r, c) is free. Bits past the last
+/// column are always clear, so word-wide shifts and popcounts never see
+/// phantom free cells. The manager keeps one exact in fill(); the
+/// compaction planner packs into a bare one.
+class FreeRows {
+ public:
+  /// Every CLB free.
+  FreeRows(int rows, int cols);
+
+  int rows() const { return rows_; }
+  int cols() const { return cols_; }
+  /// 64-bit words per row: ceil(cols / 64).
+  int row_words() const { return row_words_; }
+  const std::uint64_t* row(int r) const {
+    return &bits_[static_cast<std::size_t>(r) * row_words_];
+  }
+  /// All rows, row-major (rows() x row_words() words).
+  const std::vector<std::uint64_t>& bits() const { return bits_; }
+
+  /// Marks every CLB of `r` (in bounds) free or occupied.
+  void set(const ClbRect& r, bool free);
+  /// Bottom-left position of an all-free h x w rect that does not overlap
+  /// `avoid` (optional): the first fitting position in row-major order.
+  std::optional<ClbRect> first_fit(int h, int w,
+                                   const ClbRect* avoid = nullptr) const;
+
+ private:
+  int rows_;
+  int cols_;
+  int row_words_;
+  std::vector<std::uint64_t> bits_;  // rows_ x row_words_
+};
+
+/// Both placement policies' answers for one shape (nullopt if none fits).
+struct FreeRects {
+  std::optional<ClbRect> bottom_left;
+  std::optional<ClbRect> best_fit;
+};
+
 class AreaManager {
  public:
   AreaManager(int rows, int cols);
@@ -53,6 +93,10 @@ class AreaManager {
   /// placements out of the window it is about to reclaim.
   std::optional<ClbRect> find_free_rect(int h, int w, PlacePolicy policy,
                                         const ClbRect* avoid = nullptr) const;
+  /// find_free_rect under both policies from one row-major scan: the
+  /// bottom-left position is the best-fit scan's first hit.
+  FreeRects find_free_rects(int h, int w,
+                            const ClbRect* avoid = nullptr) const;
   /// Allocates a region; returns kNoRegion if nothing fits.
   RegionId allocate(std::string name, int h, int w,
                     PlacePolicy policy = PlacePolicy::kBottomLeft);
@@ -79,9 +123,6 @@ class AreaManager {
   void mask_faulty(ClbCoord c);
   bool masked(ClbCoord c) const { return at(c) == kFaultyRegion; }
   int masked_clbs() const { return masked_clbs_; }
-  /// A manager of the same geometry holding no region, only this one's
-  /// masked CLBs: the defrag planners' repacking canvas.
-  AreaManager masked_copy() const;
 
   // ---- metrics ----------------------------------------------------------------
   int free_clbs() const { return free_clbs_; }
@@ -95,9 +136,13 @@ class AreaManager {
   ClbRect largest_free_rect() const;
   /// Area of the largest free rectangle (= largest_free_rect().area()),
   /// from the row bitsets. Cached until the next occupancy change (the
-  /// scheduler samples fragmentation per event; the planner scores every
-  /// trial move with it).
+  /// scheduler samples fragmentation per event).
   int largest_free_area() const;
+  /// largest_free_area() as it would read after move(id, to) of the
+  /// region at `from`, computed on a copy of the row bitsets: the manager
+  /// is not written. `to` must be free once `from` is vacated.
+  int largest_free_area_after_move(const ClbRect& from,
+                                   const ClbRect& to) const;
   /// profile[h-1] = widest w such that an all-free h x w rectangle exists
   /// (0 if none); nonincreasing in h. The defrag planner's fit profile.
   std::vector<int> free_width_profile() const;
@@ -114,6 +159,8 @@ class AreaManager {
   /// grids hold the same regions at the same positions, so the grid is a
   /// complete key for any decision that ignores region names.
   const std::vector<RegionId>& occupancy() const { return grid_; }
+  /// The row free bitsets (set bit = free CLB).
+  const FreeRows& free_rows() const { return free_rows_; }
 
   /// ASCII rendering of the occupancy grid ('.' free, letters per region)
   /// — the textual stand-in for the paper's Fig. 7 floorplan view.
@@ -142,23 +189,19 @@ class AreaManager {
   /// Row-wise histogram sweep with a stack over the grid; the first largest
   /// maximal free rectangle it meets (the audit's reference too).
   ClbRect sweep_largest_free_rect() const;
-  const std::uint64_t* row_bits(int row) const {
-    return &row_free_[static_cast<std::size_t>(row) * row_words_];
-  }
+  const std::uint64_t* row_bits(int row) const { return free_rows_.row(row); }
   const std::uint64_t* col_bits(int col) const {
     return &col_free_[static_cast<std::size_t>(col) * col_words_];
   }
 
   int rows_;
   int cols_;
-  int row_words_;  // ceil(cols / 64)
   int col_words_;  // ceil(rows / 64)
   std::vector<RegionId> grid_;  // row-major occupancy
   /// Free-space bitsets kept exact by fill(): bit c of row r's words (and
   /// bit r of column c's words) is set iff CLB (r, c) is free. Bits past
-  /// the last column (row) are always clear, so word-wide shifts and
-  /// popcounts never see phantom free cells.
-  std::vector<std::uint64_t> row_free_;  // rows_ x row_words_
+  /// the last column (row) are always clear.
+  FreeRows free_rows_;
   std::vector<std::uint64_t> col_free_;  // cols_ x col_words_
   mutable std::optional<ClbRect> largest_free_;  // nullopt = stale
   mutable int largest_area_ = -1;                // -1 = stale

@@ -87,18 +87,18 @@ void keep_run_starts(Word* words, int n, int w) {
   }
 }
 
-/// Word scratch for one query: inline up to 256 columns (XCV4000 has
-/// 192), on the heap beyond; the same code runs either way.
+/// Word buffer for one query: inline up to N words, on the heap beyond;
+/// the same code runs either way.
+template <int N>
 class WordBuf {
  public:
   explicit WordBuf(int n) {
-    if (n > static_cast<int>(inline_.size()))
-      heap_.resize(static_cast<std::size_t>(n));
+    if (n > N) heap_.resize(static_cast<std::size_t>(n));
   }
   Word* data() { return heap_.empty() ? inline_.data() : heap_.data(); }
 
  private:
-  std::array<Word, 4> inline_{};
+  std::array<Word, N> inline_{};
   std::vector<Word> heap_;
 };
 
@@ -117,21 +117,92 @@ bool and_rows(Word* acc, const Word* first, int n, int count) {
   return false;
 }
 
+/// The placement scan: calls visit(row, col) for every position whose
+/// h x w rect is all free in `bits` and does not overlap `avoid`, in
+/// row-major order, until visit returns true.
+template <typename Visit>
+void for_each_fit(const FreeRows& bits, int h, int w, const ClbRect* avoid,
+                  Visit&& visit) {
+  if (h > bits.rows() || w > bits.cols()) return;
+  const int n = bits.row_words();
+  WordBuf<4> buf(n);  // 256 columns (XCV4000 has 192)
+  Word* fits = buf.data();
+  for (int row = 0; row + h <= bits.rows(); ++row) {
+    // fits: bit c set iff the h x w rect at (row, c) is all free.
+    if (!and_rows(fits, bits.row(row), n, h)) continue;
+    keep_run_starts(fits, n, w);
+    if (avoid != nullptr && row < avoid->row_end() && avoid->row < row + h) {
+      // Starts c with c < avoid.col_end and c + w > avoid.col overlap it.
+      const int lo = std::max(0, avoid->col - w + 1);
+      const int hi = std::min(bits.cols(), avoid->col_end());
+      if (lo < hi) set_bits(fits, lo, hi - lo, false);
+    }
+    for (int i = 0; i < n; ++i)
+      for (Word x = fits[i]; x != 0; x &= x - 1)
+        if (visit(row, i * kWordBits + std::countr_zero(x))) return;
+  }
+}
+
+/// Area of the largest all-free rectangle of `rows` row bitsets (stride n
+/// words, `cols` columns). For each top row, AND the rows below it in
+/// turn: the longest run of the AND is the widest free rect spanning
+/// exactly those rows. The AND only loses bits further down, so
+/// (rows left) x run bounds every later candidate from this top.
+int largest_area(const Word* bits, int rows, int cols, int n) {
+  WordBuf<4> buf(n);
+  Word* acc = buf.data();
+  int best = 0;
+  for (int top = 0; top < rows && (rows - top) * cols > best; ++top) {
+    const Word* first = bits + static_cast<std::ptrdiff_t>(top) * n;
+    for (int i = 0; i < n; ++i) acc[i] = first[i];
+    for (int bottom = top; bottom < rows; ++bottom) {
+      if (bottom > top) {
+        const Word* row = bits + static_cast<std::ptrdiff_t>(bottom) * n;
+        for (int i = 0; i < n; ++i) acc[i] &= row[i];
+      }
+      const int run = longest_run(acc, n);
+      if ((rows - top) * run <= best) break;
+      best = std::max(best, (bottom - top + 1) * run);
+    }
+  }
+  return best;
+}
+
 }  // namespace
+
+FreeRows::FreeRows(int rows, int cols)
+    : rows_(rows), cols_(cols), row_words_(words_for(cols)) {
+  RELOGIC_CHECK(rows >= 1 && cols >= 1);
+  bits_.assign(static_cast<std::size_t>(rows) * row_words_, 0);
+  set(ClbRect{0, 0, rows, cols}, true);
+}
+
+void FreeRows::set(const ClbRect& r, bool free) {
+  for (int row = r.row; row < r.row_end(); ++row)
+    set_bits(&bits_[static_cast<std::size_t>(row) * row_words_], r.col,
+             r.width, free);
+}
+
+std::optional<ClbRect> FreeRows::first_fit(int h, int w,
+                                           const ClbRect* avoid) const {
+  RELOGIC_CHECK(h >= 1 && w >= 1);
+  std::optional<ClbRect> hit;
+  for_each_fit(*this, h, w, avoid, [&](int row, int col) {
+    hit = ClbRect{row, col, h, w};
+    return true;
+  });
+  return hit;
+}
 
 AreaManager::AreaManager(int rows, int cols)
     : rows_(rows),
       cols_(cols),
-      row_words_(words_for(cols)),
       col_words_(words_for(rows)),
+      free_rows_(rows, cols),
       free_clbs_(rows * cols) {
   RELOGIC_CHECK(rows >= 1 && cols >= 1);
   grid_.assign(static_cast<std::size_t>(rows) * cols, kNoRegion);
-  row_free_.assign(static_cast<std::size_t>(rows) * row_words_, 0);
   col_free_.assign(static_cast<std::size_t>(cols) * col_words_, 0);
-  for (int row = 0; row < rows_; ++row)
-    set_bits(&row_free_[static_cast<std::size_t>(row) * row_words_], 0, cols_,
-             true);
   for (int col = 0; col < cols_; ++col)
     set_bits(&col_free_[static_cast<std::size_t>(col) * col_words_], 0, rows_,
              true);
@@ -158,9 +229,8 @@ void AreaManager::fill(const ClbRect& r, RegionId id) {
     std::fill(grid_.begin() + static_cast<std::ptrdiff_t>(base + r.col),
               grid_.begin() + static_cast<std::ptrdiff_t>(base + r.col_end()),
               id);
-    set_bits(&row_free_[static_cast<std::size_t>(row) * row_words_], r.col,
-             r.width, free);
   }
+  free_rows_.set(r, free);
   for (int col = r.col; col < r.col_end(); ++col)
     set_bits(&col_free_[static_cast<std::size_t>(col) * col_words_], r.row,
              r.height, free);
@@ -182,53 +252,40 @@ void AreaManager::mask_faulty(ClbCoord c) {
 std::optional<ClbRect> AreaManager::find_free_rect(int h, int w,
                                                    PlacePolicy policy,
                                                    const ClbRect* avoid) const {
-  RELOGIC_CHECK(h >= 1 && w >= 1);
-  if (h > rows_ || w > cols_) return std::nullopt;
+  if (policy == PlacePolicy::kBottomLeft)
+    return free_rows_.first_fit(h, w, avoid);
+  return find_free_rects(h, w, avoid).best_fit;
+}
 
-  const int n = row_words_;
-  WordBuf buf(n);
-  Word* fits = buf.data();
+FreeRects AreaManager::find_free_rects(int h, int w,
+                                       const ClbRect* avoid) const {
+  RELOGIC_CHECK(h >= 1 && w >= 1);
   // Best-fit prefers positions hugging occupied space / edges: score = the
   // number of occupied-or-border cells adjacent to the rect. No position
   // can beat a fully enclosed one, so the first of those ends the scan.
+  // Bottom-left is the scan's first hit, which comes no later than that.
   const long max_score = 2L * (h + w);
-  std::optional<ClbRect> best;
+  FreeRects out;
   long best_score = 0;
-  for (int row = 0; row + h <= rows_; ++row) {
-    // fits: bit c set iff the h x w rect at (row, c) is all free, scanned
-    // in the same row-major order as a cell-by-cell search.
-    if (!and_rows(fits, row_bits(row), n, h)) continue;
-    keep_run_starts(fits, n, w);
-    if (avoid != nullptr && row < avoid->row_end() && avoid->row < row + h) {
-      // Starts c with c < avoid.col_end and c + w > avoid.col overlap it.
-      const int lo = std::max(0, avoid->col - w + 1);
-      const int hi = std::min(cols_, avoid->col_end());
-      if (lo < hi) set_bits(fits, lo, hi - lo, false);
-    }
-    for (int i = 0; i < n; ++i) {
-      for (Word x = fits[i]; x != 0; x &= x - 1) {
-        const int col = i * kWordBits + std::countr_zero(x);
-        const ClbRect r{row, col, h, w};
-        if (policy == PlacePolicy::kBottomLeft) return r;
-        // Rows above and below first: if even fully occupied side
-        // columns could not beat the best so far, skip counting them.
-        const long rows_score =
-            (row == 0 ? w : w - count_bits(row_bits(row - 1), col, w)) +
-            (row + h == rows_ ? w : w - count_bits(row_bits(row + h), col, w));
-        if (best && rows_score + 2L * h <= best_score) continue;
-        const long score =
-            rows_score +
-            (col == 0 ? h : h - count_bits(col_bits(col - 1), row, h)) +
-            (col + w == cols_ ? h : h - count_bits(col_bits(col + w), row, h));
-        if (!best || score > best_score) {
-          best = r;
-          best_score = score;
-          if (score == max_score) return best;
-        }
-      }
-    }
-  }
-  return best;
+  for_each_fit(free_rows_, h, w, avoid, [&](int row, int col) {
+    const ClbRect r{row, col, h, w};
+    if (!out.bottom_left) out.bottom_left = r;
+    // Rows above and below first: if even fully occupied side columns
+    // could not beat the best so far, skip counting them.
+    const long rows_score =
+        (row == 0 ? w : w - count_bits(row_bits(row - 1), col, w)) +
+        (row + h == rows_ ? w : w - count_bits(row_bits(row + h), col, w));
+    if (out.best_fit && rows_score + 2L * h <= best_score) return false;
+    const long score =
+        rows_score +
+        (col == 0 ? h : h - count_bits(col_bits(col - 1), row, h)) +
+        (col + w == cols_ ? h : h - count_bits(col_bits(col + w), row, h));
+    if (out.best_fit && score <= best_score) return false;
+    out.best_fit = r;
+    best_score = score;
+    return score == max_score;
+  });
+  return out;
 }
 
 RegionId AreaManager::allocate(std::string name, int h, int w,
@@ -309,25 +366,6 @@ bool AreaManager::can_move(RegionId id, ClbRect to) const {
   return true;
 }
 
-AreaManager AreaManager::masked_copy() const {
-  AreaManager out(rows_, cols_);
-  if (masked_clbs_ == 0) return out;
-  // Only occupied CLBs (clear bits) can be masked ones.
-  for (int row = 0; row < rows_; ++row) {
-    const Word* bits = row_bits(row);
-    for (int i = 0; i < row_words_; ++i) {
-      const int base = i * kWordBits;
-      Word occupied =
-          ~bits[i] & low_mask(std::min(kWordBits, cols_ - base));
-      for (; occupied != 0; occupied &= occupied - 1) {
-        const int col = base + std::countr_zero(occupied);
-        if (masked({row, col})) out.mask_faulty({row, col});
-      }
-    }
-  }
-  return out;
-}
-
 ClbRect AreaManager::sweep_largest_free_rect() const {
   // Row by row: height[c] = free CLBs ending at this row in column c; a
   // stack pass then visits every maximal-in-histogram rectangle (every
@@ -369,29 +407,31 @@ ClbRect AreaManager::largest_free_rect() const {
 }
 
 int AreaManager::largest_free_area() const {
-  if (largest_area_ >= 0) return largest_area_;
-  // For each top row, AND the rows below it in turn: the longest run of
-  // the AND is the widest free rect spanning exactly those rows. The AND
-  // only loses bits further down, so (rows left) x run bounds every later
-  // candidate from this top.
-  const int n = row_words_;
-  WordBuf buf(n);
-  Word* acc = buf.data();
-  int best = 0;
-  for (int top = 0; top < rows_ && (rows_ - top) * cols_ > best; ++top) {
-    for (int i = 0; i < n; ++i) acc[i] = row_bits(top)[i];
-    for (int bottom = top; bottom < rows_; ++bottom) {
-      if (bottom > top) {
-        const Word* row = row_bits(bottom);
-        for (int i = 0; i < n; ++i) acc[i] &= row[i];
-      }
-      const int run = longest_run(acc, n);
-      if ((rows_ - top) * run <= best) break;
-      best = std::max(best, (bottom - top + 1) * run);
-    }
-  }
-  largest_area_ = best;
-  return best;
+  if (largest_area_ < 0)
+    largest_area_ = largest_area(free_rows_.bits().data(), rows_, cols_,
+                                 free_rows_.row_words());
+  return largest_area_;
+}
+
+int AreaManager::largest_free_area_after_move(const ClbRect& from,
+                                              const ClbRect& to) const {
+  const auto inside = [&](const ClbRect& r) {
+    return r.row >= 0 && r.col >= 0 && r.row_end() <= rows_ &&
+           r.col_end() <= cols_;
+  };
+  RELOGIC_CHECK(inside(from) && inside(to));
+  // The bits move() would leave: from set (vacated), then to cleared.
+  const int n = free_rows_.row_words();
+  WordBuf<64> buf(rows_ * n);  // up to 64 one-word rows inline
+  Word* bits = buf.data();
+  std::copy(free_rows_.bits().begin(), free_rows_.bits().end(), bits);
+  for (int row = from.row; row < from.row_end(); ++row)
+    set_bits(bits + static_cast<std::ptrdiff_t>(row) * n, from.col,
+             from.width, true);
+  for (int row = to.row; row < to.row_end(); ++row)
+    set_bits(bits + static_cast<std::ptrdiff_t>(row) * n, to.col, to.width,
+             false);
+  return largest_area(bits, rows_, cols_, n);
 }
 
 std::vector<int> AreaManager::free_width_profile() const {
@@ -401,8 +441,8 @@ std::vector<int> AreaManager::free_width_profile() const {
   // runs at every later height, and profile[h-2] caps profile[h-1]: a top
   // whose cap cannot beat the height's best so far is not measured.
   std::vector<int> profile(static_cast<std::size_t>(rows_), 0);
-  const int n = row_words_;
-  std::vector<Word> acc = row_free_;
+  const int n = free_rows_.row_words();
+  std::vector<Word> acc = free_rows_.bits();
   std::vector<int> cap(static_cast<std::size_t>(rows_), cols_);
   int bound = cols_;
   for (int h = 1; h <= rows_ && bound > 0; ++h) {
@@ -520,7 +560,7 @@ void AreaManager::audit() const {
     return ((words[k / kWordBits] >> (k % kWordBits)) & 1) != 0;
   };
   for (int row = 0; row < rows_; ++row) {
-    for (int col = 0; col < row_words_ * kWordBits; ++col) {
+    for (int col = 0; col < free_rows_.row_words() * kWordBits; ++col) {
       const bool free =
           col < cols_ &&
           grid_[static_cast<std::size_t>(row) * cols_ + col] == kNoRegion;

@@ -274,6 +274,12 @@ class Engine {
                           {obs::arg("reason", "max-wait")});
       return;
     }
+    // Fewer free CLBs than the task needs: no slot exists, and the planner
+    // refuses at its own free-CLB check, so skip both searches.
+    if (mgr_.free_clbs() < job.fn.height * job.fn.width) {
+      waiting_.push_back(job.id);
+      return;
+    }
 
     auto slot = mgr_.find_free_rect(job.fn.height, job.fn.width,
                                     cfg_->placement);

@@ -233,7 +233,7 @@ TEST(Defrag, RequestPlannerMatchesPerShapePlanning) {
 // AreaManager::at(), every (shape, tie-break) pair runs its own greedy pass
 // from scratch, and nothing is reused or cut short (no free-space
 // bitsets, no cached free rectangle, no candidate tables, no cycle stop).
-// Only the final full-compaction fallback is the library's own.
+// The full-compaction fallback is restated too (naive_full_compaction).
 
 bool naive_free(const AreaManager& m, const ClbRect& r) {
   for (int row = r.row; row < r.row_end(); ++row)
@@ -300,6 +300,83 @@ std::vector<RegionId> naive_grid(const AreaManager& m) {
   for (int row = 0; row < m.rows(); ++row)
     for (int col = 0; col < m.cols(); ++col) g.push_back(m.at({row, col}));
   return g;
+}
+
+bool naive_can_move(const AreaManager& m, RegionId id, const ClbRect& to) {
+  if (to.row < 0 || to.col < 0 || to.row_end() > m.rows() ||
+      to.col_end() > m.cols())
+    return false;
+  for (int row = to.row; row < to.row_end(); ++row)
+    for (int col = to.col; col < to.col_end(); ++col)
+      if (m.at({row, col}) != kNoRegion && m.at({row, col}) != id)
+        return false;
+  return true;
+}
+
+/// plan_full_compaction restated: bottom-left packing into a fresh manager
+/// that carries the source's masked CLBs, by brute-force scans, then the
+/// same move ordering (sequentially legal, cycles broken through best-fit
+/// temporary positions) on a copy of the source.
+std::optional<DefragPlan> naive_full_compaction(
+    const AreaManager& mgr, std::optional<std::pair<int, int>> pending) {
+  AreaManager packed(mgr.rows(), mgr.cols());
+  for (int row = 0; row < mgr.rows(); ++row)
+    for (int col = 0; col < mgr.cols(); ++col)
+      if (mgr.masked({row, col})) packed.mask_faulty({row, col});
+  DefragPlan plan;
+  if (pending) {
+    const auto slot = naive_find(packed, pending->first, pending->second,
+                                 PlacePolicy::kBottomLeft);
+    if (!slot) return std::nullopt;
+    packed.allocate_at("request", *slot);
+    plan.request_slot = *slot;
+  }
+  // Area descending; regions() ascends by id, which breaks the ties.
+  std::vector<Region> order = mgr.regions();
+  std::stable_sort(order.begin(), order.end(),
+                   [](const Region& a, const Region& b) {
+                     return a.rect.area() > b.rect.area();
+                   });
+  std::vector<ClbRect> target;
+  for (const Region& r : order) {
+    const auto slot = naive_find(packed, r.rect.height, r.rect.width,
+                                 PlacePolicy::kBottomLeft);
+    if (!slot) return std::nullopt;
+    packed.allocate_at(r.name, *slot);
+    target.push_back(*slot);
+  }
+
+  AreaManager current = mgr;
+  std::vector<std::size_t> todo;
+  for (std::size_t i = 0; i < order.size(); ++i)
+    if (target[i] != order[i].rect) todo.push_back(i);
+  int stalls = 0;
+  while (!todo.empty()) {
+    bool progress = false;
+    for (auto it = todo.begin(); it != todo.end();) {
+      const RegionId id = order[*it].id;
+      const ClbRect from = current.region(id).rect;
+      if (naive_can_move(current, id, target[*it])) {
+        current.move(id, target[*it]);
+        plan.moves.push_back(Move{id, from, target[*it]});
+        it = todo.erase(it);
+        progress = true;
+      } else {
+        ++it;
+      }
+    }
+    if (progress) continue;
+    const RegionId id = order[todo.front()].id;
+    const ClbRect from = current.region(id).rect;
+    const auto tmp =
+        naive_find(current, from.height, from.width, PlacePolicy::kBestFit);
+    if (!tmp || ++stalls > 2 * static_cast<int>(mgr.region_count()) + 4)
+      return std::nullopt;
+    current.move(id, *tmp);
+    plan.moves.push_back(Move{id, from, *tmp});
+  }
+  if (!pending) plan.request_slot = current.largest_free_rect();
+  return plan;
 }
 
 std::optional<Move> oracle_best_move(const AreaManager& s, bool prefer_small,
@@ -370,7 +447,7 @@ OracleResult oracle_plan(const AreaManager& mgr, int h, int w,
       seen.push_back(std::move(grid));
     }
   }
-  auto full = plan_full_compaction(mgr, {{h, w}});
+  auto full = naive_full_compaction(mgr, {{h, w}});
   if (full && static_cast<int>(full->moves.size()) <= opt.max_moves)
     out.plan = std::move(full);
   return out;
@@ -488,6 +565,47 @@ TEST(DefragOracle, PlannerMatchesNaiveGreedyOnMultiWordMaskedGrid) {
   EXPECT_GT(plans, 0);
 }
 
+TEST(DefragOracle, FullCompactionMatchesNaivePacking) {
+  // One- and multi-word rows and columns, with and without masked CLBs
+  // (a canvas that dropped the masks would pack onto them), with and
+  // without a pending request.
+  Rng rng(31);
+  int packed = 0;
+  int masked_packed = 0;
+  int failed = 0;
+  for (const auto& [rows, cols] :
+       {std::pair{12, 12}, std::pair{16, 16}, std::pair{6, 70},
+        std::pair{70, 6}}) {
+    for (bool masked : {false, true}) {
+      for (int trial = 0; trial < 6; ++trial) {
+        const AreaManager mgr =
+            random_state(rng, rows, cols, masked, trial % 2 == 1);
+        std::vector<std::optional<std::pair<int, int>>> requests{
+            std::nullopt};
+        for (int q = 0; q < 4; ++q)
+          requests.push_back(
+              std::pair{rng.next_int(1, rows), rng.next_int(1, cols)});
+        for (const auto& pending : requests) {
+          const std::string where =
+              std::to_string(rows) + "x" + std::to_string(cols) +
+              (masked ? " masked" : "") + " trial " + std::to_string(trial) +
+              (pending ? " pending " + std::to_string(pending->first) + "x" +
+                             std::to_string(pending->second)
+                       : " no request");
+          const auto want = naive_full_compaction(mgr, pending);
+          expect_same_plan(plan_full_compaction(mgr, pending), want, where);
+          packed += want ? 1 : 0;
+          masked_packed += want && masked ? 1 : 0;
+          failed += want ? 0 : 1;
+        }
+      }
+    }
+  }
+  EXPECT_GT(packed, 0);
+  EXPECT_GT(masked_packed, 0);
+  EXPECT_GT(failed, 0);
+}
+
 TEST(DefragOracle, OscillatingGreedySequenceStopsWithSameVerdict) {
   // 1 x 5 strip: region A at col 0, a masked CLB at col 2. A 1 x 3 request
   // has the free area (cols 1, 3, 4) but can never fit: the mask splits the
@@ -552,6 +670,46 @@ std::vector<int> naive_free_width_profile(const AreaManager& m) {
     }
   }
   return profile;
+}
+
+/// find_free_rects is find_free_rect under both policies at once.
+void expect_both_policies(const AreaManager& mgr, int h, int w,
+                          const ClbRect* avoid, const std::string& where) {
+  const FreeRects both = mgr.find_free_rects(h, w, avoid);
+  EXPECT_EQ(both.bottom_left,
+            mgr.find_free_rect(h, w, PlacePolicy::kBottomLeft, avoid))
+      << where;
+  EXPECT_EQ(both.best_fit,
+            mgr.find_free_rect(h, w, PlacePolicy::kBestFit, avoid))
+      << where;
+}
+
+/// For every region and each destination the planner could score (both
+/// policies' positions of its shape) plus every one-CLB shift it could be
+/// moved to (overlapping its own rect): the read-only trial score equals
+/// move, largest_free_area() and rollback on the manager itself.
+void check_trial_scores(AreaManager& mgr, const std::string& where) {
+  for (std::size_t i = 0; i < mgr.region_count(); ++i) {
+    const RegionId id = mgr.regions()[i].id;
+    const ClbRect from = mgr.regions()[i].rect;
+    const FreeRects dests = mgr.find_free_rects(from.height, from.width);
+    std::vector<ClbRect> tos;
+    for (const auto& dest : {dests.bottom_left, dests.best_fit})
+      if (dest) tos.push_back(*dest);
+    for (const auto& [dr, dc] : {std::pair{-1, 0}, {1, 0}, {0, -1}, {0, 1}}) {
+      const ClbRect shifted{from.row + dr, from.col + dc, from.height,
+                            from.width};
+      if (mgr.can_move(id, shifted)) tos.push_back(shifted);
+    }
+    for (const ClbRect& to : tos) {
+      const int trial = mgr.largest_free_area_after_move(from, to);
+      mgr.move(id, to);
+      const int moved = mgr.largest_free_area();
+      mgr.move(id, from);
+      ASSERT_EQ(trial, moved) << where << " region " << id << " "
+                              << from.to_string() << " -> " << to.to_string();
+    }
+  }
 }
 
 /// `steps` random allocate / release / move / mask operations on a
@@ -627,7 +785,11 @@ void check_queries_under_churn(Rng& rng, int rows, int cols, int steps) {
                     naive_find(mgr, h, w, policy, &avoid))
               << shape << " avoid " << avoid.to_string();
       }
+      expect_both_policies(mgr, h, w, nullptr, shape);
+      for (const ClbRect& avoid : avoids)
+        expect_both_policies(mgr, h, w, &avoid, shape);
     }
+    check_trial_scores(mgr, where);
   }
 }
 

@@ -27,7 +27,8 @@ accepts all of them, so this lint gates the patterns instead:
                       (to_json, to_string, export*, dump*, write_json,
                       render*) — or inside an event path: a file under
                       sim/, sched/ or runtime/, where the loop order can
-                      become the order events are scheduled in.
+                      become the order events are scheduled in, or under
+                      area/, where it can decide which region moves.
                       Iteration order is libc++-lottery there; sort
                       first or use std::map.
 
@@ -107,8 +108,9 @@ FUNC_DEF = re.compile(
 )
 EXPORT_FILE = re.compile(r"(?:^|/)obs/|telemetry|json|export")
 # The discrete-event simulator, the scheduler and the fleet runtime: what
-# they iterate in may become event or dispatch order.
-EVENT_FILE = re.compile(r"(?:^|/)(?:sim|sched|runtime)/")
+# they iterate in may become event or dispatch order. The area layer: its
+# loop order breaks ties between candidate moves and packing positions.
+EVENT_FILE = re.compile(r"(?:^|/)(?:sim|sched|runtime|area)/")
 EXPORT_FUNC = re.compile(
     r"to_json|to_string|export|dump|render|write_json|print", re.IGNORECASE
 )
@@ -252,6 +254,8 @@ EXPECTED = {
     ("tools/lint_fixtures/planted.cpp", 39, "unordered-iteration"),
     ("tools/lint_fixtures/planted_export.cpp", 10, "unordered-iteration"),
     ("tools/lint_fixtures/sim/planted_event_order.cpp", 11,
+     "unordered-iteration"),
+    ("tools/lint_fixtures/area/planted_move_order.cpp", 12,
      "unordered-iteration"),
 }
 
