@@ -3,9 +3,10 @@
 # the deterministic figure benches: bench_fig5_routing_reloc and
 # bench_fig6_path_delay, whose tables depend on every router tie-break,
 # bench_fig4_relocation_time in smoke mode, whose table depends on the
-# logic simulator's event order, and bench_fig1_scheduling and
+# logic simulator's event order, bench_fig1_scheduling and
 # bench_defrag_policies, whose tables depend on every placement and
-# defrag-planner tie-break.
+# defrag-planner tie-break, and bench_health_sweep, whose table depends on
+# the fleet's fault injection, self-test sweep and quarantine.
 #
 #   cmake -DEXE=<program> -DGOLDEN=<file> -DOUT_DIR=<scratch dir>
 #         -P check_stdout_golden.cmake
