@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
         cfg.dispatch = policy;
         cfg.rebalance_backlog_ms = 80.0;
         cfg.sched.policy = sched::ManagementPolicy::kTransparent;
-        cfg.health.selftest = true;
+        cfg.health.selftest.enabled = true;
         cfg.health.fault_rate = rate;
         cfg.health.fault_seed = kSeed;
         cfg.health.quarantine_threshold = 0.08;
@@ -145,7 +145,7 @@ int main(int argc, char** argv) {
     cfg.dispatch = runtime::DispatchPolicy::kLeastLoaded;
     cfg.rebalance_backlog_ms = 80.0;
     cfg.sched.policy = sched::ManagementPolicy::kTransparent;
-    cfg.health.selftest = true;
+    cfg.health.selftest.enabled = true;
     cfg.health.fault_rate = 0.01;
     cfg.health.fault_seed = kSeed;
     cfg.health.quarantine_threshold = 0.08;

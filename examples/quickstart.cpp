@@ -25,7 +25,7 @@ int main() {
       fabric::DevicePreset::kXCV50));
   const fabric::DelayModel dm;
   config::BoundaryScanPort jtag;  // 20 MHz TCK, the paper's set-up
-  config::ConfigController controller(fab, jtag, /*column_granular=*/true);
+  config::ConfigController controller(fab, jtag);
 
   // --- the live application: a 4-bit counter ------------------------------
   const netlist::Netlist nl =

@@ -33,13 +33,14 @@ std::vector<RequestPlanner::Candidate> RequestPlanner::evaluate(
 }
 
 std::optional<Move> RequestPlanner::pick(
-    const std::vector<Candidate>& candidates, bool prefer_small_victims,
-    bool prefer_near) {
+    const std::vector<Candidate>& candidates, bool prefer_small_victims) {
   // The greedy criterion: the move that most enlarges the largest free
   // rectangle. Relocation cost grows with the moved area (one procedure per
   // cell), so by default prefer small victims on equal gain; the alternate
   // pass prefers large ones (sometimes the small-victim move blocks the
-  // only escape of a large region).
+  // only escape of a large region). Equal victims go to the nearer
+  // destination (the paper: relocate to nearby CLBs to limit path-delay
+  // growth).
   const Candidate* best = nullptr;
   for (const Candidate& c : candidates) {
     bool better = false;
@@ -50,7 +51,7 @@ std::optional<Move> RequestPlanner::pick(
     } else if (c.area != best->area) {
       better = prefer_small_victims ? c.area < best->area
                                     : c.area > best->area;
-    } else if (prefer_near) {
+    } else {
       better = c.dist < best->dist;
     }
     if (better) best = &c;
@@ -91,8 +92,7 @@ std::optional<DefragPlan> RequestPlanner::query(Sequence& seq, int h,
       if (seq.exhausted ||
           static_cast<int>(seq.moves.size()) >= opt_.max_moves)
         return std::nullopt;
-      const auto mv = pick(candidates_of(seq), seq.prefer_small_victims,
-                           opt_.prefer_near);
+      const auto mv = pick(candidates_of(seq), seq.prefer_small_victims);
       if (!mv) {
         seq.exhausted = true;
         return std::nullopt;

@@ -47,9 +47,6 @@ struct DefragPlan {
 struct DefragOptions {
   /// Bound on the number of moved regions in plan_for_request.
   int max_moves = 8;
-  /// Prefer destinations near the origin of each moved region (the paper:
-  /// relocate to nearby CLBs to limit path-delay growth).
-  bool prefer_near = true;
 };
 
 /// Plans a minimal rearrangement so an h x w request fits. Returns nullopt
@@ -120,9 +117,10 @@ class RequestPlanner {
   /// Every candidate move of `state`: bottom-left and best-fit
   /// destinations of each region, scored without writing the manager.
   static std::vector<Candidate> evaluate(const AreaManager& state);
-  /// The greedy choice among `candidates` under one tie-break.
+  /// The greedy choice among `candidates` under one victim-size tie-break;
+  /// the last tie goes to the nearer destination.
   static std::optional<Move> pick(const std::vector<Candidate>& candidates,
-                                  bool prefer_small_victims, bool prefer_near);
+                                  bool prefer_small_victims);
   /// The candidate table of seq's current state, evaluated on first use.
   const std::vector<Candidate>& candidates_of(Sequence& seq) const;
   std::optional<DefragPlan> query(Sequence& seq, int h, int w) const;

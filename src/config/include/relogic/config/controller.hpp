@@ -159,26 +159,16 @@ struct ConfigTotals {
 
 class ConfigController {
  public:
+  /// The default granularity is whole-column rewrites (kColumn, the JBits
+  /// regime the paper measured).
   ConfigController(fabric::Fabric& fabric, const ConfigPort& port,
-                   WriteGranularity granularity);
-
-  /// Legacy two-regime constructor: `column_granular` selects whole-column
-  /// rewrites (kColumn, the JBits regime the paper measured) versus minimal
-  /// frame-level writes (kFrame).
-  ConfigController(fabric::Fabric& fabric, const ConfigPort& port,
-                   bool column_granular = true)
-      : ConfigController(fabric, port,
-                         column_granular ? WriteGranularity::kColumn
-                                         : WriteGranularity::kFrame) {}
+                   WriteGranularity granularity = WriteGranularity::kColumn);
 
   fabric::Fabric& fabric() { return *fabric_; }
   const fabric::Fabric& fabric() const { return *fabric_; }
   const FrameMapper& mapper() const { return mapper_; }
   const ConfigPort& port() const { return *port_; }
   WriteGranularity granularity() const { return granularity_; }
-  bool column_granular() const {
-    return granularity_ == WriteGranularity::kColumn;
-  }
   /// The dense frame-id addressing of this device's geometry.
   const FrameIndex& index() const { return index_; }
   /// Shadow copy of the device's frame contents (dirty-frame diffing).

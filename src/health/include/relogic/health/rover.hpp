@@ -9,7 +9,7 @@
 // was written, and the window advances — one full rotation visits every CLB
 // of the device exactly once.
 //
-// Two complementary LUT patterns (0x5555 / 0xAAAA by default) drive every
+// Two complementary LUT patterns (0x5555 / 0xAAAA) drive every
 // truth-table bit to both polarities, so any single stuck configuration bit
 // (fabric::CellFault) produces a readback mismatch on at least one pattern.
 // Detections are recorded into the FaultMap; cells already known faulty are
@@ -33,11 +33,6 @@ namespace relogic::health {
 struct RoverOptions {
   /// Test window width in CLB columns (the paper-era tools used 1–2).
   int window_cols = 1;
-  /// Complementary patterns: together they must exercise every LUT bit in
-  /// both polarities for single-stuck-bit coverage.
-  std::vector<std::uint16_t> patterns = {0x5555, 0xAAAA};
-  /// Passed through to the relocation engine for the vacating moves.
-  reloc::RelocOptions reloc;
 };
 
 /// Outcome of one full-device rotation.
@@ -91,13 +86,11 @@ class RovingTester {
   /// Readback-verifies a free cell before live logic is relocated onto it
   /// (write both patterns, compare, clear). A mismatch records the fault —
   /// so no relocation ever lands on a faulty cell, even an undetected one.
-  bool probe_cell(place::CellSite site, const RoverOptions& opt,
-                  SweepReport& report);
+  bool probe_cell(place::CellSite site, SweepReport& report);
 
   /// One pattern write + readback + compare on a free cell; records the
   /// fault on mismatch. Shared by the window test and the probe.
-  bool test_cell(ClbCoord clb, int cell, const RoverOptions& opt,
-                 SweepReport& report);
+  bool test_cell(ClbCoord clb, int cell, SweepReport& report);
 
   config::ConfigController* controller_;
   reloc::RelocationEngine* engine_;

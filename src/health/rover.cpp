@@ -7,6 +7,11 @@
 
 namespace relogic::health {
 
+namespace {
+/// The two complementary LUT test patterns (rover.hpp).
+constexpr std::uint16_t kPatterns[] = {0x5555, 0xAAAA};
+}  // namespace
+
 std::string SweepReport::to_string() const {
   return "sweep: " + std::to_string(window_positions) + " windows, " +
          std::to_string(clbs_tested) + "/" + std::to_string(clbs_swept) +
@@ -53,13 +58,12 @@ std::optional<place::CellSite> RovingTester::find_dest(
   return best;
 }
 
-bool RovingTester::test_cell(ClbCoord clb, int cell, const RoverOptions& opt,
-                             SweepReport& report) {
+bool RovingTester::test_cell(ClbCoord clb, int cell, SweepReport& report) {
   auto& fab = controller_->fabric();
   const int frame_bits = fab.geometry().frame_length_bits();
   bool faulty = false;
   fabric::CellFault observed;
-  for (const std::uint16_t pattern : opt.patterns) {
+  for (const std::uint16_t pattern : kPatterns) {
     fabric::LogicCellConfig probe;
     probe.used = true;
     probe.lut = pattern;
@@ -112,17 +116,15 @@ bool RovingTester::test_cell(ClbCoord clb, int cell, const RoverOptions& opt,
   return !faulty;
 }
 
-bool RovingTester::probe_cell(place::CellSite site, const RoverOptions& opt,
-                              SweepReport& report) {
+bool RovingTester::probe_cell(place::CellSite site, SweepReport& report) {
   ++report.cells_probed;
-  return test_cell(site.clb, site.cell, opt, report);
+  return test_cell(site.clb, site.cell, report);
 }
 
 SweepReport RovingTester::sweep(
     const std::vector<place::Implementation*>& live,
     const RoverOptions& opt) {
   RELOGIC_CHECK(opt.window_cols >= 1);
-  RELOGIC_CHECK_MSG(!opt.patterns.empty(), "sweep needs test patterns");
   auto& fab = controller_->fabric();
   const auto& geom = fab.geometry();
   SweepReport report;
@@ -156,10 +158,10 @@ SweepReport RovingTester::sweep(
           // skips it — terminating because every failure shrinks the
           // candidate set.
           auto dest = find_dest(site, window, live, ram_cols);
-          while (dest && !probe_cell(*dest, opt, report))
+          while (dest && !probe_cell(*dest, report))
             dest = find_dest(site, window, live, ram_cols);
           if (!dest) continue;  // nowhere to go: tested around below
-          const auto r = engine_->relocate_cell(*impl, i, *dest, opt.reloc);
+          const auto r = engine_->relocate_cell(*impl, i, *dest);
           ++report.cells_relocated;
           report.ops += r.ops;
           report.frames_written += r.frames_written;
@@ -186,7 +188,7 @@ SweepReport RovingTester::sweep(
             continue;
           }
           if (map_->is_detected(clb, k)) continue;  // already masked
-          test_cell(clb, k, opt, report);
+          test_cell(clb, k, report);
           ++report.cells_tested;
           clb_tested = true;
         }

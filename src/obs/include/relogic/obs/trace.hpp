@@ -152,9 +152,10 @@ class TraceTrack {
 /// a deque so handles stay valid as more are registered.
 class Tracer {
  public:
+  /// Ring capacity per track, in events.
+  static constexpr std::size_t kTrackCapacity = 1 << 14;
+
   struct Options {
-    /// Ring capacity per track, in events.
-    std::size_t track_capacity = 1 << 14;
     /// Stamp each event with the wall clock at emission (exported as a
     /// "wall_us" arg). Off by default: it breaks byte-identical output.
     bool wall_clock = false;

@@ -143,7 +143,7 @@ TraceTrack Tracer::track(int pid, int tid, std::string process,
                          std::string thread) {
   MutexLock lock(mu_);
   tracks_.push_back(Track{pid, tid, std::move(process), std::move(thread),
-                          TraceBuffer(opt_.track_capacity)});
+                          TraceBuffer(kTrackCapacity)});
   TraceTrack handle;
   handle.buf_ = &tracks_.back().buf;
   handle.tracer_ = this;

@@ -82,7 +82,6 @@ Implementation Implementer::implement(netlist::MappedNetlist mapped,
       const ClbCoord clb{r, c};
       for (int k = 0; k < geom.cells_per_clb; ++k) {
         if (fabric_->cell(clb, k).used) continue;
-        if (opts.cell_ok && !opts.cell_ok(clb, k)) continue;
         slots.push_back(CellSite{clb, k});
       }
     }

@@ -4,7 +4,6 @@
 // defragments.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -31,12 +30,6 @@ struct ImplementOptions {
   ClbRect region;
   std::uint8_t clock_domain = 0;
   RouteOptions route;
-  /// Optional per-cell usability filter: sites for which it returns false
-  /// are never placed into. Hook for fault-aware placement — a caller
-  /// holding a health::FaultMap passes `!map.is_detected(clb, cell)` here
-  /// to keep fresh placements off detected-faulty cells (the in-tree
-  /// schedulers mask at CLB granularity via area::AreaManager instead).
-  std::function<bool(ClbCoord, int cell)> cell_ok;
 };
 
 /// A placed-and-routed function instance.

@@ -38,6 +38,14 @@ void FunctionRelocationReport::add(const RelocationReport& r) {
 }
 
 namespace {
+/// Bound on the Fig. 4 "> 2 CLK pulse" state-transfer wait, in cycles.
+constexpr int kMaxStateTransferCycles = 64;
+/// Settle time used instead of clock waits for asynchronous circuits.
+constexpr SimTime kAsyncSettle = SimTime::ns(300);
+/// Clock period assumed for wait accounting when no simulator is attached
+/// (planning/cost mode).
+constexpr SimTime kAssumedClockPeriod = SimTime::ns(100);
+
 /// Paths planned within one transaction are not committed yet, so later
 /// searches for *other* nets must avoid their nodes explicitly.
 struct PlanTracker {
@@ -117,7 +125,6 @@ CellSite RelocationEngine::find_aux_site(CellSite near,
 }
 
 void RelocationEngine::apply(const ConfigOp& op, RelocationReport& report,
-                             const RelocOptions& opt,
                              const std::vector<NetId>& touched,
                              bool allow_lut_ram_columns) {
   const auto result = controller_->apply(op, allow_lut_ram_columns);
@@ -129,15 +136,12 @@ void RelocationEngine::apply(const ConfigOp& op, RelocationReport& report,
   if (sim_ != nullptr) {
     sim_->run_until(sim_->now() + result.time);
   }
-  if (opt.verify) {
-    for (NetId n : touched) {
-      if (!fabric().net_exists(n)) continue;
-      try {
-        fabric().validate_net(n);
-      } catch (const Error& e) {
-        throw IllegalOperationError("after op '" + op.label +
-                                    "': " + e.what());
-      }
+  for (NetId n : touched) {
+    if (!fabric().net_exists(n)) continue;
+    try {
+      fabric().validate_net(n);
+    } catch (const Error& e) {
+      throw IllegalOperationError("after op '" + op.label + "': " + e.what());
     }
   }
   RELOGIC_LOG(kDebug) << "reloc op '" << op.label << "': "
@@ -146,15 +150,14 @@ void RelocationEngine::apply(const ConfigOp& op, RelocationReport& report,
 }
 
 void RelocationEngine::wait_cycles(int cycles, std::uint8_t domain,
-                                   RelocationReport& report,
-                                   const RelocOptions& opt) {
+                                   RelocationReport& report) {
   if (cycles <= 0) return;
   if (sim_ != nullptr) {
     const SimTime before = sim_->now();
     sim_->run_cycles(cycles, domain);
     report.wall_time += sim_->now() - before;
   } else {
-    report.wall_time += opt.assumed_clock_period * cycles;
+    report.wall_time += kAssumedClockPeriod * cycles;
   }
 }
 
@@ -214,7 +217,7 @@ RelocationReport RelocationEngine::relocate_cell(place::Implementation& impl,
     if (needs_aux) replica.d_src = DSrc::kBypass;
     ConfigOp op("copy cell configuration to replica " + dest.to_string());
     op.write_cell(dest.clb, dest.cell, replica);
-    apply(op, report, ro, {});
+    apply(op, report, {});
   }
 
   // Auxiliary relocation circuit (gated-clock FFs and latches, Fig. 3).
@@ -246,7 +249,7 @@ RelocationReport RelocationEngine::relocate_cell(place::Implementation& impl,
       op.write_cell(aux.clb, 1, org);
       op.write_cell(aux.clb, 2, LogicCellConfig::constant(false));  // CE ctl
       op.write_cell(aux.clb, 3, LogicCellConfig::constant(false));  // reloc ctl
-      apply(op, report, ro, {});
+      apply(op, report, {});
     }
 
     // Temporary transfer paths (free routing resources only).
@@ -280,7 +283,7 @@ RelocationReport RelocationEngine::relocate_cell(place::Implementation& impl,
       t_or = fabric().create_net("reloc.t_or");
       op.attach_source(t_or, graph.out_pin(aux.clb, 1, false));
 
-      apply(op, report, ro, {});  // sources first: paths grow from them
+      apply(op, report, {});  // sources first: paths grow from them
 
       ConfigOp routes("route auxiliary transfer paths");
       PlanTracker plan;
@@ -296,7 +299,7 @@ RelocationReport RelocationEngine::relocate_cell(place::Implementation& impl,
       routes.add_path(t_ctl, planned_path(t_ctl, or_i1));
       routes.add_path(t_mux, planned_path(t_mux, in_pin_of(dest, 5)));
       routes.add_path(t_or, planned_path(t_or, in_pin_of(dest, 4)));
-      apply(routes, report, ro, {t_q, t_x, ce_net, t_ctl, t_mux, t_or});
+      apply(routes, report, {t_q, t_x, ce_net, t_ctl, t_mux, t_or});
     }
   }
 
@@ -328,7 +331,7 @@ RelocationReport RelocationEngine::relocate_cell(place::Implementation& impl,
         const NetId n = ports.in[static_cast<std::size_t>(p)];
         if (n != fabric::kNoNet) nets.push_back(n);
       }
-      apply(op, report, ro, nets);
+      apply(op, report, nets);
     }
   }
 
@@ -338,27 +341,27 @@ RelocationReport RelocationEngine::relocate_cell(place::Implementation& impl,
       ConfigOp op("activate relocation and clock enable control");
       op.write_cell(aux.clb, 2, LogicCellConfig::constant(true));
       op.write_cell(aux.clb, 3, LogicCellConfig::constant(true));
-      apply(op, report, ro, {});
+      apply(op, report, {});
     }
     // Fig. 4: wait > 2 CLK pulses (until the replica holds the state).
     if (is_async) {
-      wait_time(opt.async_settle, report);
+      wait_time(kAsyncSettle, report);
     } else {
-      wait_cycles(2, domain, report, opt);
+      wait_cycles(2, domain, report);
     }
-    if (sim_ != nullptr && opt.verify) {
+    if (sim_ != nullptr) {
       int tries = 0;
       while (sim_->state_of(dest.clb, dest.cell) !=
              sim_->state_of(src.clb, src.cell)) {
-        if (++tries > opt.max_state_transfer_cycles) {
+        if (++tries > kMaxStateTransferCycles) {
           throw IllegalOperationError(
               "state transfer did not converge relocating " +
               src.to_string());
         }
         if (is_async) {
-          wait_time(opt.async_settle, report);
+          wait_time(kAsyncSettle, report);
         } else {
-          wait_cycles(1, domain, report, opt);
+          wait_cycles(1, domain, report);
         }
       }
       report.state_verified = true;
@@ -366,7 +369,7 @@ RelocationReport RelocationEngine::relocate_cell(place::Implementation& impl,
     {
       ConfigOp op("deactivate clock enable control");
       op.write_cell(aux.clb, 2, LogicCellConfig::constant(false));
-      apply(op, report, ro, {});
+      apply(op, report, {});
     }
     // Connect the clock enable inputs of both CLBs: swap the replica's CE
     // pin from the OR output to the true CE net in one transaction.
@@ -379,11 +382,11 @@ RelocationReport RelocationEngine::relocate_cell(place::Implementation& impl,
       ConfigOp op_rm("release replica CE pin from the auxiliary OR gate");
       for (const auto& e : prune_for_removal(fabric(), t_or, {ce_pin}))
         op_rm.remove_edge(t_or, e);
-      apply(op_rm, report, ro, {t_or});
+      apply(op_rm, report, {t_or});
 
       ConfigOp op("connect the clock enable inputs of both CLBs");
       op.add_path(ce_net, router_->find_path(ce_net, ce_pin, ro.route));
-      apply(op, report, ro, {ce_net});
+      apply(op, report, {ce_net});
     }
     // Disconnect all the auxiliary relocation circuit signals and return
     // the replica storage element to its combinational D path.
@@ -423,22 +426,22 @@ RelocationReport RelocationEngine::relocate_cell(place::Implementation& impl,
       LogicCellConfig normal = cfg;
       normal.d_src = DSrc::kLut;
       op.write_cell(dest.clb, dest.cell, normal);
-      apply(op, report, ro, {ce_net});
+      apply(op, report, {ce_net});
     }
   } else if (cfg.reg == RegMode::kFF) {
     // Free-running clock: the replica acquires the state through its
     // paralleled inputs within one clock cycle (paper, Sec. 2).
-    wait_cycles(2, domain, report, opt);
-    if (sim_ != nullptr && opt.verify) {
+    wait_cycles(2, domain, report);
+    if (sim_ != nullptr) {
       int tries = 0;
       while (sim_->state_of(dest.clb, dest.cell) !=
              sim_->state_of(src.clb, src.cell)) {
-        if (++tries > opt.max_state_transfer_cycles) {
+        if (++tries > kMaxStateTransferCycles) {
           throw IllegalOperationError(
               "free-running state acquisition did not converge relocating " +
               src.to_string());
         }
-        wait_cycles(1, domain, report, opt);
+        wait_cycles(1, domain, report);
       }
       report.state_verified = true;
     }
@@ -457,28 +460,26 @@ RelocationReport RelocationEngine::relocate_cell(place::Implementation& impl,
             SimTime::ns(1);
         if (quiet > sim_->now()) wait_time(quiet - sim_->now(), report);
       }
-      if (opt.verify) {
-        if (sim_->comb_of(dest.clb, dest.cell) !=
-            sim_->comb_of(src.clb, src.cell)) {
-          std::string diag = "replica combinational output differs from "
-                             "original relocating " + src.to_string() +
-                             " -> " + dest.to_string() + "; port net:sv/dv =";
-          for (int p = 0; p < 4; ++p) {
-            const NodeId sp = in_pin_of(src, p);
-            diag += " " + std::to_string(p) + "=" +
-                    std::to_string(graph.occupant(sp)) + ":" +
-                    std::to_string(sim_->pin_of(src.clb, src.cell,
-                                                static_cast<CellPort>(p))) +
-                    "/" +
-                    std::to_string(sim_->pin_of(dest.clb, dest.cell,
-                                                static_cast<CellPort>(p)));
-          }
-          diag += " x=" + std::to_string(sim_->comb_of(src.clb, src.cell)) +
-                  "/" + std::to_string(sim_->comb_of(dest.clb, dest.cell));
-          throw IllegalOperationError(diag);
+      if (sim_->comb_of(dest.clb, dest.cell) !=
+          sim_->comb_of(src.clb, src.cell)) {
+        std::string diag = "replica combinational output differs from "
+                           "original relocating " + src.to_string() +
+                           " -> " + dest.to_string() + "; port net:sv/dv =";
+        for (int p = 0; p < 4; ++p) {
+          const NodeId sp = in_pin_of(src, p);
+          diag += " " + std::to_string(p) + "=" +
+                  std::to_string(graph.occupant(sp)) + ":" +
+                  std::to_string(sim_->pin_of(src.clb, src.cell,
+                                              static_cast<CellPort>(p))) +
+                  "/" +
+                  std::to_string(sim_->pin_of(dest.clb, dest.cell,
+                                              static_cast<CellPort>(p)));
         }
-        report.state_verified = true;
+        diag += " x=" + std::to_string(sim_->comb_of(src.clb, src.cell)) +
+                "/" + std::to_string(sim_->comb_of(dest.clb, dest.cell));
+        throw IllegalOperationError(diag);
       }
+      report.state_verified = true;
     }
   }
 
@@ -521,21 +522,21 @@ RelocationReport RelocationEngine::relocate_cell(place::Implementation& impl,
       }
       any = true;
     }
-    if (any) apply(op, report, ro, {});
+    if (any) apply(op, report, {});
   }
 
   // Both CLBs remain in parallel for at least one clock cycle.
   if (is_async) {
-    wait_time(opt.async_settle, report);
+    wait_time(kAsyncSettle, report);
   } else {
-    wait_cycles(std::max(1, opt.output_parallel_cycles), domain, report, opt);
+    wait_cycles(std::max(1, opt.output_parallel_cycles), domain, report);
   }
 
   // Deactivate relocation control.
   if (needs_aux) {
     ConfigOp op("deactivate relocation control");
     op.write_cell(aux.clb, 3, LogicCellConfig::constant(false));
-    apply(op, report, ro, {});
+    apply(op, report, {});
   }
 
   // Disconnect the original CLB outputs (first the outputs...).
@@ -560,7 +561,7 @@ RelocationReport RelocationEngine::relocate_cell(place::Implementation& impl,
       std::vector<NetId> nets;
       if (ports.out_x != fabric::kNoNet) nets.push_back(ports.out_x);
       if (ports.out_q != fabric::kNoNet) nets.push_back(ports.out_q);
-      apply(op, report, ro, nets);
+      apply(op, report, nets);
     }
   }
 
@@ -587,7 +588,7 @@ RelocationReport RelocationEngine::relocate_cell(place::Implementation& impl,
     if (needs_aux) {
       for (int k = 0; k < 4; ++k) op.clear_cell(aux.clb, k);
     }
-    apply(op, report, ro, nets);
+    apply(op, report, nets);
   }
 
   // Destroy now-empty temporary nets (bookkeeping only, no frames).
@@ -598,7 +599,7 @@ RelocationReport RelocationEngine::relocate_cell(place::Implementation& impl,
 
   impl.sites[static_cast<std::size_t>(cell_index)] = dest;
 
-  if (sim_ != nullptr && opt.verify) {
+  if (sim_ != nullptr) {
     // The relocation must not have broken connectivity of any impl net.
     for (const auto& [sig, n] : impl.signal_nets) {
       if (fabric().net_exists(n)) fabric().validate_net(n);
@@ -645,7 +646,7 @@ RelocationReport RelocationEngine::relocate_lut_ram_cell(
   {
     ConfigOp op("halted copy of LUT-RAM cell to " + dest.to_string());
     op.write_cell(dest.clb, dest.cell, cfg);
-    apply(op, report, ro, {}, /*allow_lut_ram_columns=*/true);
+    apply(op, report, {}, /*allow_lut_ram_columns=*/true);
   }
   {
     ConfigOp op("rewire LUT-RAM inputs and outputs");
@@ -672,7 +673,7 @@ RelocationReport RelocationEngine::relocate_lut_ram_cell(
         }
       }
     }
-    apply(op, report, ro, {}, true);
+    apply(op, report, {}, true);
   }
   {
     ConfigOp op("disconnect and free the original LUT-RAM cell");
@@ -694,7 +695,7 @@ RelocationReport RelocationEngine::relocate_lut_ram_cell(
         op.remove_edge(n, e);
     }
     op.clear_cell(src.clb, src.cell);
-    apply(op, report, ro, {}, true);
+    apply(op, report, {}, true);
   }
 
   if (sim_ != nullptr) {
@@ -818,7 +819,7 @@ RelocationEngine::optimize_function_routing(place::Implementation& impl,
       }
 
       // The probe's search is exactly relocate_route's: switch onto it.
-      const auto report = switch_route(net, sink, old_branch, path, probe);
+      const auto report = switch_route(net, sink, old_branch, path);
       ++out.sinks_rerouted;
       out.config_time += report.config_time;
       out.frames_written += report.frames_written;
@@ -850,12 +851,12 @@ RelocationReport RelocationEngine::relocate_route(NetId net, NodeId sink,
   // are truly parallel (Fig. 5).
   avoid_branch(old_branch, sink, ro.route);
   return switch_route(net, sink, old_branch,
-                      router_->find_path(net, sink, ro.route), ro);
+                      router_->find_path(net, sink, ro.route));
 }
 
 RelocationReport RelocationEngine::switch_route(
     NetId net, NodeId sink, const std::vector<RouteEdge>& old_branch,
-    const std::vector<NodeId>& path, const RelocOptions& opt) {
+    const std::vector<NodeId>& path) {
   RelocationReport report;
   const auto info = fabric().graph().info(sink);
   report.from = CellSite{info.tile, info.a};
@@ -865,7 +866,7 @@ RelocationReport RelocationEngine::switch_route(
   {
     ConfigOp op("duplicate interconnection (replica path)");
     op.add_path(net, path);
-    apply(op, report, opt, {net});
+    apply(op, report, {net});
   }
 
   // During paralleling the observable delay is the longer of the two paths
@@ -877,7 +878,7 @@ RelocationReport RelocationEngine::switch_route(
     for (const auto& e : old_branch) {
       if (fabric().net(net).has_edge(e)) op.remove_edge(net, e);
     }
-    apply(op, report, opt, {net});
+    apply(op, report, {net});
   }
   return report;
 }

@@ -78,6 +78,7 @@ class RelocationCostModel {
   /// column the function spans plus its routing columns).
   SimTime configure_time(int cells) const;
 
+  const fabric::DeviceGeometry& geometry() const { return *geom_; }
   const CostParams& params() const { return params_; }
   config::WriteGranularity granularity() const { return granularity_; }
 

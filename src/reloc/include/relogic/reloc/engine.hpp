@@ -7,7 +7,7 @@
 // through the ConfigController while the circuit keeps running in the
 // FabricSim.
 //
-// Invariants the engine maintains (and, with verify enabled, checks):
+// Invariants the engine maintains (and checks, with the simulator attached):
 //  * make-before-break: a signal is never broken before its replica path
 //    carries it;
 //  * the replica's outputs are connected only after they are functionally
@@ -34,20 +34,10 @@ struct RelocOptions {
   /// Search radius (in CLBs) for the free CLB hosting the auxiliary
   /// relocation circuit.
   int aux_search_radius = 5;
-  /// Bound on the Fig. 4 "> 2 CLK pulse" state-transfer wait.
-  int max_state_transfer_cycles = 64;
   /// Cycles original and replica outputs stay paralleled (paper: >= 1).
   int output_parallel_cycles = 1;
-  /// Run simulator-based checks (state equality before output paralleling,
-  /// net validation after each transaction).
-  bool verify = true;
   /// Extra routing constraints (LUT-RAM columns are added automatically).
   place::RouteOptions route;
-  /// Settle time used instead of clock waits for asynchronous circuits.
-  SimTime async_settle = SimTime::ns(300);
-  /// Clock period assumed for wait accounting when no simulator is
-  /// attached (planning/cost mode).
-  SimTime assumed_clock_period = SimTime::ns(100);
   /// LUT-RAMs cannot be relocated on-line (paper, Sec. 2). When true the
   /// engine falls back to the documented stop-the-system alternative:
   /// halt the cell's clock domain, copy content + rewire, resume. The
@@ -143,17 +133,16 @@ class RelocationEngine {
   /// parallel, wait one cycle, disconnect the old branch.
   RelocationReport switch_route(fabric::NetId net, fabric::NodeId sink,
                                 const std::vector<fabric::RouteEdge>& old_branch,
-                                const std::vector<fabric::NodeId>& path,
-                                const RelocOptions& opt);
+                                const std::vector<fabric::NodeId>& path);
   CellPorts discover_ports(place::CellSite site) const;
   place::CellSite find_aux_site(place::CellSite near,
                                 const RelocOptions& opt) const;
+  /// Applies `op`, lets the simulator run through its port time, then
+  /// validates every net of `touched` that still exists.
   void apply(const config::ConfigOp& op, RelocationReport& report,
-             const RelocOptions& opt,
              const std::vector<fabric::NetId>& touched,
              bool allow_lut_ram_columns = false);
-  void wait_cycles(int cycles, std::uint8_t domain, RelocationReport& report,
-                   const RelocOptions& opt);
+  void wait_cycles(int cycles, std::uint8_t domain, RelocationReport& report);
   void wait_time(SimTime t, RelocationReport& report);
 
   fabric::Fabric& fabric() { return controller_->fabric(); }

@@ -64,8 +64,8 @@ FleetManager::FleetManager(FleetConfig config) : cfg_(std::move(config)) {
   RELOGIC_CHECK(cfg_.overlap >= 1);
   RELOGIC_CHECK(cfg_.health.fault_rate >= 0.0 &&
                 cfg_.health.fault_rate <= 1.0);
-  RELOGIC_CHECK(cfg_.health.window_cols >= 1);
-  RELOGIC_CHECK(cfg_.health.step_period_ms > 0.0);
+  RELOGIC_CHECK(cfg_.health.selftest.window_cols >= 1);
+  RELOGIC_CHECK(cfg_.health.selftest.step_period_ms > 0.0);
   // A plane override for a device that doesn't exist would silently turn a
   // "heterogeneous" run homogeneous — reject it up front.
   for (const auto& [d, plane] : cfg_.device_config_planes)
@@ -128,8 +128,8 @@ void FleetManager::ensure_health_state() {
       if (rec.clb == last) continue;  // one entry per faulty CLB
       last = rec.clb;
       detect.push_back(
-          (rec.clb.col / cfg_.health.window_cols + 1) *
-          cfg_.health.step_period_ms);
+          (rec.clb.col / cfg_.health.selftest.window_cols + 1) *
+          cfg_.health.selftest.step_period_ms);
     }
     std::sort(detect.begin(), detect.end());
   }
@@ -635,12 +635,7 @@ DeviceReport FleetManager::run_device(
       faults = fault_maps_[static_cast<std::size_t>(device)];
     else
       faults = health::FaultMap(cfg_.rows, cfg_.cols, geom.cells_per_clb);
-    sched::SelfTestConfig st;
-    st.enabled = true;
-    st.window_cols = cfg_.health.window_cols;
-    st.step_period_ms = cfg_.health.step_period_ms;
-    st.cells_per_clb = geom.cells_per_clb;
-    scheduler.enable_selftest(st, &faults);
+    scheduler.enable_selftest(cfg_.health.selftest, &faults);
   }
   report.stats = scheduler.run_apps(apps, cfg_.overlap);
 
@@ -962,7 +957,7 @@ std::string FleetReport::to_json() const {
       .raw(config::to_string(config.config_plane.granularity));
   w.raw("\", \"batching\": ").raw(flag(config.batch.max_ops > 1));
   w.raw(", \"batch_max_ops\": ").integer(config.batch.max_ops);
-  w.raw(", \"selftest\": ").raw(flag(config.health.selftest));
+  w.raw(", \"selftest\": ").raw(flag(config.health.enabled()));
   w.raw(", \"fault_rate\": ").number(config.health.fault_rate);
   w.raw(", \"quarantine_threshold\": ")
       .number(config.health.quarantine_threshold);

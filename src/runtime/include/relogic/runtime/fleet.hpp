@@ -80,22 +80,20 @@ std::optional<AdmissionMode> parse_admission_mode(const std::string& name);
 /// Fleet-level health policy: per-device roving self-test, deterministic
 /// fault injection, and quarantine of degraded devices.
 struct FleetHealthConfig {
-  /// Run the roving self-test sweep on every device (sched::SelfTestConfig
-  /// inside each device run; detection-time estimates at admission).
-  bool selftest = false;
+  /// The roving self-test sweep every device runs when `selftest.enabled`
+  /// (its window shape also drives the detection-time estimates at
+  /// admission).
+  sched::SelfTestConfig selftest;
   /// Probability that any one logic cell carries an injected defect.
   /// Deterministic per (fault_seed, device): same fleet, same faults.
   double fault_rate = 0.0;
   std::uint64_t fault_seed = 1;
-  /// Sweep shape (mirrored into every device's SelfTestConfig).
-  int window_cols = 1;
-  double step_period_ms = 5.0;
   /// Detected-faulty-CLB density above which a device is quarantined: it
   /// receives no further requests and its queued-but-not-started requests
   /// migrate to healthy peers. <= 0 disables quarantine.
   double quarantine_threshold = 0.0;
 
-  bool enabled() const { return selftest; }
+  bool enabled() const { return selftest.enabled; }
 };
 
 /// Time-series metrics plane (obs::MetricsTimeline): when enabled, every

@@ -86,12 +86,6 @@ struct SelfTestConfig {
   /// window cannot be vacated yet (occupied under no-rearrangement, or no
   /// free destination for a vacating move).
   double step_period_ms = 5.0;
-  /// Full-device rotations guaranteed to complete even after the workload
-  /// drains (the sweep also keeps roving as long as tasks are resident).
-  int min_rotations = 1;
-  /// Logic cells per CLB of the modelled device — prices the pattern
-  /// writes (the scheduler itself is CLB-granular).
-  int cells_per_clb = 4;
 };
 
 struct TaskRecord {

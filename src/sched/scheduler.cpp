@@ -54,6 +54,10 @@ double RunStats::avg_turnaround_ms() const {
 
 namespace {
 
+/// Full-device self-test rotations guaranteed to complete even after the
+/// workload drains (the sweep also keeps roving while tasks are resident).
+constexpr std::int64_t kMinSweepRotations = 1;
+
 struct Job {
   int id = 0;
   FunctionSpec fn;
@@ -604,7 +608,8 @@ class Engine {
     // claimed cells (readback priced like the write — both stream the same
     // frames through the same port).
     const SimTime test_time =
-        4 * cost_->configure_time(sweep_claimed_ * st_->cells_per_clb);
+        4 * cost_->configure_time(sweep_claimed_ *
+                                  cost_->geometry().cells_per_clb);
     const SimTime start = std::max(now_, port_free_at_);
     const SimTime done = start + test_time;
     port_free_at_ = done;
@@ -678,7 +683,7 @@ class Engine {
 
     // Keep roving while work is resident; always finish the rotation quota.
     if (placed_live_ > 0 || sweep_col_ != 0 ||
-        tel().counter_value("sweep_rotations") < st_->min_rotations) {
+        tel().counter_value("sweep_rotations") < kMinSweepRotations) {
       push(Ev{now_ + sweep_period(), seq_++, EvKind::kSweepStep, -1});
     }
   }

@@ -474,11 +474,9 @@ int run_fleet(const Options& opt) {
   cfg.devices = opt.fleet;
   cfg.config_plane = runtime::ConfigPlaneSpec{opt.port, opt.granularity};
   cfg.device_config_planes = opt.device_planes;
-  cfg.health.selftest = opt.selftest;
+  cfg.health.selftest = {opt.selftest, opt.sweep_window, opt.sweep_period_ms};
   cfg.health.fault_rate = opt.fault_rate;
   cfg.health.fault_seed = opt.fault_seed.value_or(opt.seed);
-  cfg.health.window_cols = opt.sweep_window;
-  cfg.health.step_period_ms = opt.sweep_period_ms;
   cfg.health.quarantine_threshold = opt.quarantine_threshold;
   if (!opt.metrics_file.empty())
     cfg.metrics.sample_interval_ms = opt.metrics_interval_ms;

@@ -379,8 +379,7 @@ std::optional<DefragPlan> naive_full_compaction(
   return plan;
 }
 
-std::optional<Move> oracle_best_move(const AreaManager& s, bool prefer_small,
-                                     bool prefer_near) {
+std::optional<Move> oracle_best_move(const AreaManager& s, bool prefer_small) {
   std::optional<Move> best;
   long best_gain = -1;
   long best_dist = 0;
@@ -403,7 +402,7 @@ std::optional<Move> oracle_best_move(const AreaManager& s, bool prefer_small,
         better = gain > best_gain;
       } else if (area != best_area) {
         better = prefer_small ? area < best_area : area > best_area;
-      } else if (prefer_near) {
+      } else {
         better = dist < best_dist;
       }
       if (better) {
@@ -437,7 +436,7 @@ OracleResult oracle_plan(const AreaManager& mgr, int h, int w,
         return out;
       }
       if (static_cast<int>(plan.moves.size()) >= opt.max_moves) break;
-      const auto mv = oracle_best_move(s, prefer_small, opt.prefer_near);
+      const auto mv = oracle_best_move(s, prefer_small);
       if (!mv) break;
       s.move(mv->region, mv->to);
       plan.moves.push_back(*mv);

@@ -79,8 +79,8 @@ class ControllerTest : public ::testing::Test {
 };
 
 TEST_F(ControllerTest, ColumnGranularWidensToWholeColumns) {
-  ConfigController column(fab_, port_, /*column_granular=*/true);
-  ConfigController framed(fab_, port_, /*column_granular=*/false);
+  ConfigController column(fab_, port_);
+  ConfigController framed(fab_, port_, WriteGranularity::kFrame);
   ConfigOp op("one cell");
   op.write_cell({2, 3}, 1, LogicCellConfig::constant(true));
   EXPECT_EQ(static_cast<int>(column.frames_of(op).size()),

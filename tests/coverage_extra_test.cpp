@@ -59,7 +59,7 @@ TEST(EngineOptions, OutputParallelCyclesExtendWallTime) {
     Fabric fab(DeviceGeometry::tiny(12, 12));
     fabric::DelayModel dm;
     config::BoundaryScanPort port;
-    config::ConfigController controller(fab, port, true);
+    config::ConfigController controller(fab, port);
     sim::FabricSim sim(fab, dm);
     sim.add_clock(sim::ClockSpec{});
     place::Implementer implementer(fab, dm);
@@ -69,7 +69,7 @@ TEST(EngineOptions, OutputParallelCyclesExtendWallTime) {
     const auto nl = netlist::bench::counter(3);
     auto impl = implementer.implement(
         netlist::map_netlist(nl),
-        place::ImplementOptions{ClbRect{2, 2, 3, 3}, 0, {}, {}});
+        place::ImplementOptions{ClbRect{2, 2, 3, 3}, 0, {}});
     sim::CircuitHarness harness(sim, nl, impl);
     harness.step({});
 
@@ -88,7 +88,7 @@ TEST(EngineOptions, TinyAuxRadiusFailsInCrowdedNeighbourhood) {
   Fabric fab(DeviceGeometry::tiny(12, 12));
   fabric::DelayModel dm;
   config::BoundaryScanPort port;
-  config::ConfigController controller(fab, port, true);
+  config::ConfigController controller(fab, port);
   sim::FabricSim sim(fab, dm);
   sim.add_clock(sim::ClockSpec{});
   place::Implementer implementer(fab, dm);
@@ -99,7 +99,7 @@ TEST(EngineOptions, TinyAuxRadiusFailsInCrowdedNeighbourhood) {
       1, netlist::bench::ClockingStyle::kGatedClock);
   auto impl = implementer.implement(
       netlist::map_netlist(nl),
-      place::ImplementOptions{ClbRect{2, 2, 2, 2}, 0, {}, {}});
+      place::ImplementOptions{ClbRect{2, 2, 2, 2}, 0, {}});
 
   // Crowd the destination's whole neighbourhood.
   const ClbCoord dest{8, 8};
@@ -183,7 +183,7 @@ TEST(CaptureRestore, RandomizedMutationRoundTrip) {
 TEST(Bitstream, ScriptListsEveryOpAndTotals) {
   Fabric fab(DeviceGeometry::tiny(8, 8));
   config::BoundaryScanPort port;
-  config::ConfigController controller(fab, port, true);
+  config::ConfigController controller(fab, port);
   config::BitstreamWriter writer(controller);
 
   std::vector<config::ConfigOp> ops;

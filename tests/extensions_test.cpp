@@ -24,7 +24,7 @@ struct Rig {
   fabric::Fabric fab{fabric::DeviceGeometry::tiny(16, 16)};
   fabric::DelayModel dm;
   config::BoundaryScanPort port;
-  config::ConfigController controller{fab, port, true};
+  config::ConfigController controller{fab, port};
   sim::FabricSim sim{fab, dm};
   place::Implementer implementer{fab, dm};
   place::Router router{fab, dm};
@@ -70,13 +70,13 @@ TEST(RouteOptimization, PricesSinksWithTheRoutersDelayModel) {
   fabric::DelayModel dm;
   dm.pip_delay = dm.pip_delay * 2;
   config::BoundaryScanPort port;
-  config::ConfigController controller{fab, port, true};
+  config::ConfigController controller{fab, port};
   place::Implementer implementer{fab, dm};
   place::Router router{fab, dm};
   reloc::RelocationEngine engine{controller, router, nullptr};
   auto impl = implementer.implement(
       netlist::map_netlist(netlist::bench::counter(4)),
-      place::ImplementOptions{ClbRect{1, 1, 3, 3}, 0, {}, {}});
+      place::ImplementOptions{ClbRect{1, 1, 3, 3}, 0, {}});
   engine.relocate_function(impl, ClbRect{12, 12, 3, 3});
 
   SimTime worst = SimTime::zero();
@@ -96,7 +96,7 @@ TEST(RouteOptimization, IdempotentSecondPass) {
   const auto nl = netlist::bench::counter(3);
   auto impl = rig.implementer.implement(
       netlist::map_netlist(nl),
-      place::ImplementOptions{ClbRect{1, 1, 3, 3}, 0, {}, {}});
+      place::ImplementOptions{ClbRect{1, 1, 3, 3}, 0, {}});
   sim::CircuitHarness harness(rig.sim, nl, impl);
   for (int i = 0; i < 3; ++i) ASSERT_TRUE(harness.step({}).ok());
 
@@ -138,7 +138,7 @@ TEST(RouteOptimization, EveryRerouteGainsAtLeastMinGain) {
     fabric::Fabric fab{fabric::DeviceGeometry::xcv200()};
     const fabric::DelayModel dm;
     config::IcapPort port;
-    config::ConfigController controller{fab, port, true};
+    config::ConfigController controller{fab, port};
     place::Router router{fab, dm};
     reloc::RelocationEngine engine{controller, router, nullptr};
     place::Implementer implementer{fab, dm};
@@ -304,7 +304,7 @@ TEST(LutRamHalt, ClockGatingStopsAndResumesCleanly) {
   const auto nl = netlist::bench::counter(4);
   auto impl = rig.implementer.implement(
       netlist::map_netlist(nl),
-      place::ImplementOptions{ClbRect{2, 2, 3, 3}, 0, {}, {}});
+      place::ImplementOptions{ClbRect{2, 2, 3, 3}, 0, {}});
   sim::CircuitHarness h(rig.sim, nl, impl);
   for (int i = 0; i < 5; ++i) ASSERT_TRUE(h.step({}).ok());
 

@@ -128,7 +128,7 @@ TEST(FabricFaults, DenseGeometryBoundsChecked) {
 TEST(CellKeyRegression, ControllerCheckDoesNotAliasAcrossColumns) {
   fabric::Fabric fab(fabric::DeviceGeometry::tiny_dense(4, 4));
   config::BoundaryScanPort port;
-  config::ConfigController ctl(fab, port, /*column_granular=*/true);
+  config::ConfigController ctl(fab, port);
 
   // Live LUT-RAM at column 0, cell 4 — the alias target of (col 1, cell 0).
   fabric::LogicCellConfig ram;
@@ -155,7 +155,7 @@ TEST(CellKeyRegression, ControllerCheckDoesNotAliasAcrossColumns) {
 TEST(CellKeyRegression, BatcherPendingExemptionsDoNotAlias) {
   fabric::Fabric fab(fabric::DeviceGeometry::tiny_dense(4, 4));
   config::BoundaryScanPort port;
-  config::ConfigController ctl(fab, port, /*column_granular=*/true);
+  config::ConfigController ctl(fab, port);
 
   fabric::LogicCellConfig ram;
   ram.used = true;
@@ -287,32 +287,6 @@ TEST(AreaMasking, PropertyNoPlanTouchesFaultyClbs) {
     check_plan(area::plan_full_compaction(mgr, {{h, w}}));
     area::RequestPlanner planner(mgr);
     check_plan(planner.plan(h, w));
-  }
-}
-
-// Placement-level masking: the implementer never places onto cells the
-// fault map has detected.
-TEST(AreaMasking, ImplementerSkipsDetectedFaultyCells) {
-  fabric::Fabric fab(fabric::DeviceGeometry::tiny(8, 8));
-  const fabric::DelayModel dm;
-  place::Implementer implementer(fab, dm);
-
-  health::FaultMap map(8, 8, 4);
-  // Poison the first CLBs the row-major placement would otherwise pick.
-  for (int c = 2; c < 5; ++c)
-    for (int k = 0; k < 4; ++k) map.mark_detected({2, c}, k, {0, true});
-
-  const auto nl =
-      netlist::bench::b02(netlist::bench::ClockingStyle::kFreeRunning);
-  place::ImplementOptions opts;
-  opts.region = ClbRect{2, 2, 4, 4};
-  opts.cell_ok = [&map](ClbCoord clb, int cell) {
-    return !map.is_detected(clb, cell);
-  };
-  const auto impl = implementer.implement(netlist::map_netlist(nl), opts);
-  for (const auto& site : impl.sites) {
-    EXPECT_FALSE(map.is_detected(site.clb, site.cell))
-        << site.to_string() << " is detected-faulty";
   }
 }
 
@@ -519,13 +493,13 @@ runtime::FleetConfig health_fleet_config() {
   // evacuations, which is exactly what the quarantine test asserts on.
   cfg.rebalance_backlog_ms = 0.0;
   cfg.sched.policy = sched::ManagementPolicy::kTransparent;
-  cfg.health.selftest = true;
+  cfg.health.selftest.enabled = true;
   cfg.health.fault_rate = 0.04;
   cfg.health.fault_seed = 5;
   // Detection needs ~6 faulty CLBs (threshold 5% of 100): with ~15% of
   // CLBs faulty that happens a few sweep steps in (~tens of ms) — late
   // enough for the overloaded fleet below to have queued work to migrate.
-  cfg.health.step_period_ms = 5.0;
+  cfg.health.selftest.step_period_ms = 5.0;
   cfg.health.quarantine_threshold = 0.05;
   return cfg;
 }

@@ -37,7 +37,7 @@ struct Rig {
 
   explicit Rig(DeviceGeometry geom = DeviceGeometry::tiny(12, 12))
       : fab(std::move(geom)),
-        controller(fab, port, /*column_granular=*/true),
+        controller(fab, port),
         sim(fab, dm),
         implementer(fab, dm),
         router(fab, dm),

@@ -236,7 +236,7 @@ runtime::FleetConfig metrics_fleet_config() {
   cfg.rows = cfg.cols = 12;
   cfg.admission = runtime::AdmissionMode::kOnline;
   cfg.sched.policy = sched::ManagementPolicy::kTransparent;
-  cfg.health.selftest = true;
+  cfg.health.selftest.enabled = true;
   cfg.health.fault_rate = 0.002;
   cfg.health.fault_seed = 7;
   cfg.metrics.sample_interval_ms = 2.0;

@@ -189,7 +189,7 @@ runtime::FleetConfig traced_fleet_config() {
   cfg.admission = runtime::AdmissionMode::kOnline;
   cfg.rebalance_backlog_ms = 40.0;
   cfg.sched.policy = sched::ManagementPolicy::kTransparent;
-  cfg.health.selftest = true;
+  cfg.health.selftest.enabled = true;
   cfg.health.fault_rate = 0.002;
   cfg.health.fault_seed = 7;
   return cfg;

@@ -30,7 +30,7 @@ TEST(GrayProperty, SingleBitChangesOnFabric) {
   const auto nl = netlist::bench::gray_counter(4);
   auto impl = implementer.implement(
       netlist::map_netlist(nl),
-      place::ImplementOptions{ClbRect{2, 2, 3, 3}, 0, {}, {}});
+      place::ImplementOptions{ClbRect{2, 2, 3, 3}, 0, {}});
   sim::CircuitHarness h(sim, nl, impl);
 
   auto read = [&] {
@@ -97,7 +97,7 @@ TEST(GatedTransfer, CeActiveThroughoutStillCoherent) {
   Fabric fab(DeviceGeometry::tiny(12, 12));
   fabric::DelayModel dm;
   config::BoundaryScanPort port;
-  config::ConfigController controller(fab, port, true);
+  config::ConfigController controller(fab, port);
   sim::FabricSim sim(fab, dm);
   sim.add_clock(sim::ClockSpec{});
   place::Implementer implementer(fab, dm);
@@ -108,7 +108,7 @@ TEST(GatedTransfer, CeActiveThroughoutStillCoherent) {
       4, netlist::bench::ClockingStyle::kGatedClock);
   auto impl = implementer.implement(
       netlist::map_netlist(nl),
-      place::ImplementOptions{ClbRect{2, 2, 3, 3}, 0, {}, {}});
+      place::ImplementOptions{ClbRect{2, 2, 3, 3}, 0, {}});
   sim::CircuitHarness h(sim, nl, impl);
   // Keep CE high the whole experiment: the counter counts continuously —
   // including all through the relocation interval.
@@ -209,14 +209,14 @@ TEST(IdenticalRewrite, WholeFunctionRewriteIsEffectFree) {
   Fabric fab(DeviceGeometry::tiny(10, 10));
   fabric::DelayModel dm;
   config::BoundaryScanPort port;
-  config::ConfigController controller(fab, port, true);
+  config::ConfigController controller(fab, port);
   sim::FabricSim sim(fab, dm);
   sim.add_clock(sim::ClockSpec{});
   place::Implementer implementer(fab, dm);
   const auto nl = netlist::bench::b02();
   auto impl = implementer.implement(
       netlist::map_netlist(nl),
-      place::ImplementOptions{ClbRect{2, 2, 3, 3}, 0, {}, {}});
+      place::ImplementOptions{ClbRect{2, 2, 3, 3}, 0, {}});
   sim::CircuitHarness h(sim, nl, impl);
   Rng rng(6);
   for (int i = 0; i < 5; ++i) ASSERT_TRUE(h.step_random(rng).ok());

@@ -29,7 +29,7 @@ struct Rig {
 
   explicit Rig(int size = 14)
       : fab(fabric::DeviceGeometry::tiny(size, size)),
-        controller(fab, port, true),
+        controller(fab, port),
         sim(fab, dm),
         implementer(fab, dm),
         router(fab, dm),
@@ -191,7 +191,6 @@ TEST(FailureInjection, BrokenNetFailsValidation) {
           place::suggest_region(netlist::map_netlist(nl), {2, 2},
                                 rig.fab.geometry()),
           0,
-          {},
           {}});
   // Pick a net with at least two edges and amputate its first edge.
   for (const auto& [sig, net] : impl.signal_nets) {

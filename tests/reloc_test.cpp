@@ -230,7 +230,7 @@ struct EngineRig {
   Fabric fab{DeviceGeometry::tiny(12, 12)};
   fabric::DelayModel dm;
   config::BoundaryScanPort port;
-  config::ConfigController controller{fab, port, true};
+  config::ConfigController controller{fab, port};
   sim::FabricSim sim{fab, dm};
   place::Implementer implementer{fab, dm};
   place::Router router{fab, dm};
@@ -259,7 +259,6 @@ TEST(EngineEdgeCases, FunctionRegionWithoutSpaceRejected) {
           place::suggest_region(netlist::map_netlist(nl), {2, 2},
                                 rig.fab.geometry()),
           0,
-          {},
           {}});
   EXPECT_THROW(rig.engine.relocate_function(impl, ClbRect{10, 10, 1, 1}),
                ResourceError);
@@ -271,7 +270,7 @@ TEST(EngineEdgeCases, RelocationWithoutSimulatorStillWorks) {
   Fabric fab(DeviceGeometry::tiny(12, 12));
   fabric::DelayModel dm;
   config::BoundaryScanPort port;
-  config::ConfigController controller(fab, port, true);
+  config::ConfigController controller(fab, port);
   place::Implementer implementer(fab, dm);
   place::Router router(fab, dm);
   RelocationEngine engine(controller, router, nullptr);
@@ -283,7 +282,6 @@ TEST(EngineEdgeCases, RelocationWithoutSimulatorStillWorks) {
           place::suggest_region(netlist::map_netlist(nl), {2, 2},
                                 fab.geometry()),
           0,
-          {},
           {}});
   const auto report =
       engine.relocate_cell(impl, 0, place::CellSite{ClbCoord{9, 9}, 0});
@@ -304,7 +302,6 @@ TEST(EngineEdgeCases, ReportsAccumulateInFunctionRelocation) {
           place::suggest_region(netlist::map_netlist(nl), {1, 1},
                                 rig.fab.geometry()),
           0,
-          {},
           {}});
   sim::CircuitHarness harness(rig.sim, nl, impl);
   for (int i = 0; i < 3; ++i) harness.step({});
@@ -338,7 +335,7 @@ TEST(EngineEdgeCases, AuxSearchFailsOnFullFabric) {
     for (int c = 0; c < 6; ++c) rig.fab.clear_cell({r, c}, 0);
   auto impl = rig.implementer.implement(
       netlist::map_netlist(nl),
-      place::ImplementOptions{ClbRect{0, 0, 4, 5}, 0, {}, {}});
+      place::ImplementOptions{ClbRect{0, 0, 4, 5}, 0, {}});
   // Free exactly one destination cell far away, but keep its CLB's other
   // cells... the destination CLB itself holds cell 0; use cell 1.
   EXPECT_THROW(

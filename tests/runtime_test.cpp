@@ -149,8 +149,8 @@ TEST(TransactionBatcher, CoalescesSharedColumns) {
   // Two identical fabrics: one batched, one op-at-a-time baseline.
   fabric::Fabric batched_fab(geom);
   fabric::Fabric plain_fab(geom);
-  config::ConfigController batched_ctl(batched_fab, port, true);
-  config::ConfigController plain_ctl(plain_fab, port, true);
+  config::ConfigController batched_ctl(batched_fab, port);
+  config::ConfigController plain_ctl(plain_fab, port);
 
   TransactionBatcher batcher(batched_ctl, BatchOptions{.max_ops = 8});
 
@@ -188,7 +188,7 @@ TEST(TransactionBatcher, MaxOpsTriggersFlush) {
   const auto geom = fabric::DeviceGeometry::tiny(8, 8);
   const config::BoundaryScanPort port;
   fabric::Fabric fab(geom);
-  config::ConfigController ctl(fab, port, true);
+  config::ConfigController ctl(fab, port);
   TransactionBatcher batcher(ctl, BatchOptions{.max_ops = 2});
 
   for (int r = 0; r < 4; ++r)
@@ -202,7 +202,7 @@ TEST(TransactionBatcher, DisabledBatchingMatchesBaseline) {
   const auto geom = fabric::DeviceGeometry::tiny(8, 8);
   const config::BoundaryScanPort port;
   fabric::Fabric fab(geom);
-  config::ConfigController ctl(fab, port, true);
+  config::ConfigController ctl(fab, port);
   TransactionBatcher batcher(ctl, BatchOptions{.max_ops = 1});
 
   for (int r = 0; r < 3; ++r)
@@ -220,7 +220,7 @@ TEST(TransactionBatcher, LutRamOpsApplyAloneSoLegalityMatchesUnbatched) {
   const auto geom = fabric::DeviceGeometry::tiny(8, 8);
   const config::BoundaryScanPort port;
   fabric::Fabric fab(geom);
-  config::ConfigController ctl(fab, port, true);
+  config::ConfigController ctl(fab, port);
   TransactionBatcher batcher(ctl, BatchOptions{.max_ops = 8});
 
   // Op A creates a live LUT-RAM cell in column 3. Applied per-op, a later

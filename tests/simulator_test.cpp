@@ -90,7 +90,7 @@ struct Rig {
   fabric::Fabric fab;
   fabric::DelayModel dm;
   config::BoundaryScanPort port;
-  config::ConfigController controller{fab, port, /*column_granular=*/true};
+  config::ConfigController controller{fab, port};
   sim::FabricSim sim{fab, dm};
   place::Implementer implementer{fab, dm};
   place::Router router{fab, dm};

@@ -35,7 +35,7 @@ TEST_P(SuiteLockstep, RunsAndMigratesCleanly) {
   fabric::Fabric fab(fabric::DeviceGeometry::xcv200());
   const fabric::DelayModel dm;
   config::BoundaryScanPort port;
-  config::ConfigController controller(fab, port, true);
+  config::ConfigController controller(fab, port);
   sim::FabricSim sim(fab, dm);
   sim.add_clock(sim::ClockSpec{});
   place::Implementer implementer(fab, dm);
