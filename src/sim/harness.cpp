@@ -37,15 +37,22 @@ void CircuitHarness::drive(const std::vector<bool>& inputs) {
   }
 }
 
-CircuitHarness::CycleResult CircuitHarness::compare(const char* when) {
+CircuitHarness::CycleResult CircuitHarness::compare(
+    const char* when, std::optional<SimTime> margin) {
   CycleResult r;
+  // Each log line names the cycle, its phase and, for clocked cycles, how
+  // long before the capturing edge the inputs were driven.
+  const auto prefix = [&] {
+    std::string at = "cycle " + std::to_string(cycles_) + " (" + when;
+    if (margin) at += ", drive-to-edge margin " + margin->to_string();
+    return at + "): ";
+  };
   for (const auto& [name, pad] : impl_->output_pads) {
     const bool want = golden_.output(name);
     const bool got = sim_->pad_value(pad);
     if (want != got) {
       ++r.output_mismatches;
-      log_.push_back("cycle " + std::to_string(cycles_) + " (" + when +
-                     "): output '" + name + "' fabric=" +
+      log_.push_back(prefix() + "output '" + name + "' fabric=" +
                      std::to_string(got) + " golden=" + std::to_string(want));
     }
   }
@@ -57,8 +64,7 @@ CircuitHarness::CycleResult CircuitHarness::compare(const char* when) {
     const bool got = sim_->state_of(site.clb, site.cell);
     if (want != got) {
       ++r.state_mismatches;
-      log_.push_back("cycle " + std::to_string(cycles_) + " (" + when +
-                     "): state '" + nl_->node(s).name + "' fabric=" +
+      log_.push_back(prefix() + "state '" + nl_->node(s).name + "' fabric=" +
                      std::to_string(got) + " golden=" + std::to_string(want));
     }
   }
@@ -70,6 +76,15 @@ CircuitHarness::CycleResult CircuitHarness::step(
     const std::vector<bool>& inputs) {
   const std::uint8_t domain = impl_->clock_domain;
   const SimTime period = sim_->clock_period(domain);
+
+  // Input-timing contract: inputs are driven at least T/2 before the edge
+  // that captures them. A reconfiguration can end at any clock phase, and
+  // inputs driven just before an edge would reach the fabric's flip-flops
+  // after it, while the golden model settles at once. So when the next
+  // edge is closer than T/2, let it pass first: the replay below covers it
+  // with the previous inputs held.
+  const SimTime next = sim_->next_edge(domain, sim_->now() + SimTime::ps(1));
+  if (next - sim_->now() < period / 2) sim_->run_until(next + period / 4);
 
   // The fabric may have clocked on while a reconfiguration ran (the
   // application never stops); replay those edges into the golden model
@@ -84,13 +99,14 @@ CircuitHarness::CycleResult CircuitHarness::step(
   // relocations to distant CLBs while leaving the other half period for
   // the next cycle's inputs to propagate.
   const SimTime edge = sim_->next_edge(domain, sim_->now() + SimTime::ps(1));
+  const SimTime margin = edge - sim_->now();
   sim_->run_until(edge - SimTime::ps(1));
   sim_->run_until(edge + period / 2);
   golden_.clock();
   golden_edges_ = sim_->edges_seen(domain);
 
   ++cycles_;
-  return compare("post-edge");
+  return compare("post-edge", margin);
 }
 
 CircuitHarness::CycleResult CircuitHarness::step_random(Rng& rng) {
@@ -108,7 +124,7 @@ CircuitHarness::CycleResult CircuitHarness::settle_step(
   // Generous settle horizon: deep latch pipelines ripple stage by stage.
   sim_->run_until(sim_->now() + SimTime::ns(200));
   ++cycles_;
-  return compare("settled");
+  return compare("settled", std::nullopt);
 }
 
 }  // namespace relogic::sim

@@ -8,6 +8,7 @@
 // during the execution of these experiments").
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -36,7 +37,10 @@ class CircuitHarness {
 
   /// One synchronous cycle: drive inputs (ordered as
   /// netlist.inputs()), settle, clock both models, compare outputs and
-  /// state.
+  /// state. Input-timing contract: the inputs are driven at least T/2
+  /// before the edge that captures them; if the simulator stands closer
+  /// than that to the next edge (a reconfiguration ended there), that edge
+  /// passes first with the previous inputs held.
   CycleResult step(const std::vector<bool>& inputs);
   CycleResult step_random(Rng& rng);
 
@@ -52,7 +56,9 @@ class CircuitHarness {
 
  private:
   void drive(const std::vector<bool>& inputs);
-  CycleResult compare(const char* when);
+  /// `margin`: how long before the capturing edge the inputs were driven
+  /// (none for unclocked settle steps); named in every mismatch line.
+  CycleResult compare(const char* when, std::optional<SimTime> margin);
 
   FabricSim* sim_;
   const netlist::Netlist* nl_;

@@ -91,6 +91,63 @@ TEST(Harness, DetectsSingleBitStateCorruption) {
   EXPECT_TRUE(diverged);
 }
 
+TEST(Harness, InputsDrivenJustBeforeAnEdgeAreHeldAcrossIt) {
+  // Input-timing contract: a reconfiguration can end at any clock phase.
+  // Inputs driven a few ns before an edge reach the fabric's flip-flops
+  // only after that edge captured, while the golden model settles at once,
+  // so the harness lets such an edge pass first with the old inputs held.
+  Rig rig;
+  const auto nl = netlist::bench::shift_register(4);
+  auto impl = rig.implement(nl, {2, 2});
+  CircuitHarness h(rig.sim, nl, impl);
+  bool level = false;
+  const auto toggle_step = [&] {
+    level = !level;
+    return h.step(std::vector<bool>(nl.inputs().size(), level));
+  };
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(toggle_step().ok());
+  for (const int margin_ns : {1, 3, 20, 49}) {
+    // Stand where a relocation could have left the simulator.
+    const SimTime edge = rig.sim.next_edge(0, rig.sim.now() + SimTime::ps(1));
+    rig.sim.run_until(edge - SimTime::ns(margin_ns));
+    EXPECT_TRUE(toggle_step().ok())
+        << "inputs driven " << margin_ns << " ns before an edge";
+    EXPECT_TRUE(toggle_step().ok());
+  }
+  EXPECT_EQ(h.total_mismatches(), 0)
+      << (h.mismatch_log().empty() ? "" : h.mismatch_log().front());
+}
+
+TEST(Harness, MismatchLinesNameTheDriveToEdgeMargin) {
+  Rig rig;
+  const auto nl = netlist::bench::lfsr(5, 0b10100);
+  auto impl = rig.implement(nl, {2, 2});
+  CircuitHarness h(rig.sim, nl, impl);
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(h.step({}).ok());
+
+  // Diverge the golden model by one cycle; an LFSR never repeats a state
+  // one cycle on, so the next step mismatches. In lockstep the inputs are
+  // driven half a period (50 ns) before the edge.
+  h.golden().clock();
+  ASSERT_FALSE(h.step({}).ok());
+  ASSERT_FALSE(h.mismatch_log().empty());
+  for (const auto& line : h.mismatch_log())
+    EXPECT_NE(line.find("(post-edge, drive-to-edge margin 50.000 ns)"),
+              std::string::npos)
+        << line;
+
+  // Standing 1 ns before an edge, the harness lets it pass and drives a
+  // quarter period after it: 75 ns before the capturing edge.
+  const std::size_t seen = h.mismatch_log().size();
+  const SimTime edge = rig.sim.next_edge(0, rig.sim.now() + SimTime::ps(1));
+  rig.sim.run_until(edge - SimTime::ns(1));
+  ASSERT_FALSE(h.step({}).ok());
+  ASSERT_GT(h.mismatch_log().size(), seen);
+  EXPECT_NE(h.mismatch_log().back().find("drive-to-edge margin 75.000 ns"),
+            std::string::npos)
+      << h.mismatch_log().back();
+}
+
 TEST(Monitor, WindowResetsEachClockEdge) {
   GlitchMonitor m;
   m.watch(42, "sig");

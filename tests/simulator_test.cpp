@@ -8,7 +8,10 @@
 //   index (DESIGN.md §11) replaced the per-edge device scan, the fourth
 //   (pads and mid-run re-sourcing) before the event core resolved sinks
 //   and sources once per net change; event order is part of what they
-//   pin, so they must never be re-pinned for a performance change.
+//   pin, so they must never be re-pinned for a performance change. The
+//   first two were re-pinned once, for a behaviour change: the lockstep
+//   harness's input-timing contract (DESIGN.md §11) waits out an edge
+//   closer than T/2 before driving, so it runs the simulator longer.
 // * ClockedSiteIndex drives the per-domain FF-site lists through every kind
 //   of cell change while clocks run and checks them with FabricSim::audit.
 // * EventCoreAudit drives the event core's derived state (the cell mirror,
@@ -182,7 +185,7 @@ TEST(SimGolden, GatedClockCircuitRelocatedCellByCellOnXcv200) {
   }
   observe_violations(h, rig);
   EXPECT_EQ(harness.total_mismatches(), 0);
-  EXPECT_EQ(h.value(), 0xf48b3e113071dd90ull);
+  EXPECT_EQ(h.value(), 0x69c6ec6fad4877aaull);
 }
 
 // The two-domain rig of extensions_test's MultiClock case, followed by a
@@ -250,7 +253,7 @@ TEST(SimGolden, TwoClockDomainsRelocateAndConflict) {
   }
   EXPECT_GT(rig.sim.monitor().count(sim::ViolationKind::kDriveConflict), 0);
   observe_violations(h, rig);
-  EXPECT_EQ(h.value(), 0xf2278bba67d6c436ull);
+  EXPECT_EQ(h.value(), 0x8f815352868d4b3full);
 }
 
 // The paper's third implementation case: a latch pipeline (no FF, so no
