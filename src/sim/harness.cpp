@@ -40,8 +40,6 @@ void CircuitHarness::drive(const std::vector<bool>& inputs) {
 CircuitHarness::CycleResult CircuitHarness::compare(
     const char* when, std::optional<SimTime> margin) {
   CycleResult r;
-  // Each log line names the cycle, its phase and, for clocked cycles, how
-  // long before the capturing edge the inputs were driven.
   const auto prefix = [&] {
     std::string at = "cycle " + std::to_string(cycles_) + " (" + when;
     if (margin) at += ", drive-to-edge margin " + margin->to_string();
