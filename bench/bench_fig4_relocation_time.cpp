@@ -13,7 +13,6 @@
 // SelectMAP numbers are printed for contrast, and the analytical cost
 // model (used by the scheduler) is validated against the measured values.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "bench_report.hpp"
@@ -100,7 +99,7 @@ Result run_circuit(
 int main(int argc, char** argv) {
   // --quick bounds per-circuit sampling for CI-style runs;
   // RELOGIC_BENCH_SMOKE=1 additionally trims the circuit suite (CI smoke).
-  const bool smoke = std::getenv("RELOGIC_BENCH_SMOKE") != nullptr;
+  const bool smoke = bench_report::bench_smoke_enabled();
   int max_cells = smoke ? 2 : 10;
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]) == "--full") max_cells = 1 << 20;

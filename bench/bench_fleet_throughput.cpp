@@ -7,7 +7,6 @@
 // Writes BENCH_fleet_throughput.json (see bench_report.hpp).
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -46,7 +45,7 @@ int main(int argc, char** argv) {
   }
   // RELOGIC_BENCH_SMOKE=1: fewer tasks and device counts, same shape (CI
   // smoke mode).
-  const bool smoke = std::getenv("RELOGIC_BENCH_SMOKE") != nullptr;
+  const bool smoke = bench_report::bench_smoke_enabled();
   const int task_count = smoke ? 100 : 400;
   const std::vector<int> device_counts =
       smoke ? std::vector<int>{1, 4} : std::vector<int>{1, 2, 4, 8};

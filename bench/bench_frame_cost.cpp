@@ -9,7 +9,6 @@
 //     swept across the three port backends (JTAG / SelectMAP-8 / ICAP-32);
 //   * staged whole-function relocation vs direct long-distance moves.
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -90,7 +89,7 @@ int main() {
               "frames", "time/ms", "delay/ns", "frames", "time/ms", "frames",
               "skipped", "time/ms");
   // RELOGIC_BENCH_SMOKE=1: fewer distances, same shape (CI smoke mode).
-  const bool smoke = std::getenv("RELOGIC_BENCH_SMOKE") != nullptr;
+  const bool smoke = bench_report::bench_smoke_enabled();
   const std::vector<int> distances =
       smoke ? std::vector<int>{1, 8, 24}
             : std::vector<int>{1, 2, 4, 8, 16, 24, 32};

@@ -15,7 +15,6 @@
 // two runs with the same seed produce byte-identical reports. Set
 // RELOGIC_BENCH_SMOKE=1 for a reduced-size run (CI smoke mode).
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "bench_report.hpp"
@@ -52,7 +51,7 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  const bool smoke = std::getenv("RELOGIC_BENCH_SMOKE") != nullptr;
+  const bool smoke = bench_report::bench_smoke_enabled();
   const int kTasks = smoke ? 60 : 250;
   constexpr int kDevices = 4;
   constexpr std::uint64_t kSeed = 2003;

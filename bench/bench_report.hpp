@@ -15,10 +15,21 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
 namespace bench_report {
+
+/// Smoke mode (a reduced, same-shape run for CI): RELOGIC_BENCH_SMOKE set
+/// to ON/on/1/TRUE/true, parsed like the tests' RELOGIC_SLOW_TESTS, so 0,
+/// OFF or an empty value select the default mode.
+inline bool bench_smoke_enabled() {
+  const char* v = std::getenv("RELOGIC_BENCH_SMOKE");
+  if (v == nullptr) return false;
+  const std::string s(v);
+  return s == "ON" || s == "on" || s == "1" || s == "TRUE" || s == "true";
+}
 
 class Report {
  public:

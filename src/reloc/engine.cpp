@@ -4,8 +4,8 @@
 #include <map>
 #include <optional>
 #include <set>
-#include <unordered_set>
 
+#include "relogic/common/audit.hpp"
 #include "relogic/common/logging.hpp"
 #include "relogic/fabric/tree_index.hpp"
 #include "relogic/reloc/net_surgery.hpp"
@@ -72,38 +72,129 @@ void avoid_branch(const std::vector<RouteEdge>& branch, NodeId sink,
     if (e.to != sink) route.avoid_nodes.insert(e.to);
   }
 }
-}  // namespace
+
+/// `opt` with routing kept out of every column holding live LUT-RAM.
+RelocOptions avoiding_lut_ram(const fabric::Fabric& fabric,
+                              const RelocOptions& opt) {
+  RelocOptions ro = opt;
+  for (int c : fabric.lut_ram_columns()) ro.route.avoid_columns.insert(c);
+  return ro;
+}
+
+NodeId in_pin_of(const fabric::RoutingGraph& graph, CellSite s, int p) {
+  return graph.in_pin(s.clb, s.cell, static_cast<CellPort>(p));
+}
 
 /// Nets attached around one logic cell, discovered from the fabric itself
 /// (the engine needs no netlist knowledge — exactly like the paper's tool,
 /// which works from the configuration).
-struct RelocationEngine::CellPorts {
+struct CellPorts {
   std::array<NetId, fabric::kInPorts> in{};  // kNoNet when pin unused
   NetId out_x = fabric::kNoNet;
   NetId out_q = fabric::kNoNet;
 };
 
-RelocationEngine::RelocationEngine(config::ConfigController& controller,
-                                   place::Router& router, sim::FabricSim* sim)
-    : controller_(&controller), router_(&router), sim_(sim) {}
-
-RelocationEngine::CellPorts RelocationEngine::discover_ports(
-    CellSite site) const {
-  const auto& graph = fabric().graph();
+CellPorts discover_ports(const fabric::Fabric& fabric, CellSite site) {
+  const auto& graph = fabric.graph();
   CellPorts ports;
   for (int p = 0; p < fabric::kInPorts; ++p) {
-    const NodeId pin =
-        graph.in_pin(site.clb, site.cell, static_cast<CellPort>(p));
-    ports.in[static_cast<std::size_t>(p)] = graph.occupant(pin);
+    ports.in[static_cast<std::size_t>(p)] =
+        graph.occupant(in_pin_of(graph, site, p));
   }
   const NodeId x = graph.out_pin(site.clb, site.cell, false);
   const NodeId q = graph.out_pin(site.clb, site.cell, true);
   const NetId nx = graph.occupant(x);
   const NetId nq = graph.occupant(q);
-  if (nx != fabric::kNoNet && fabric().net(nx).has_source(x)) ports.out_x = nx;
-  if (nq != fabric::kNoNet && fabric().net(nq).has_source(q)) ports.out_q = nq;
+  if (nx != fabric::kNoNet && fabric.net(nx).has_source(x)) ports.out_x = nx;
+  if (nq != fabric::kNoNet && fabric.net(nq).has_source(q)) ports.out_q = nq;
   return ports;
 }
+
+// The four rewiring steps of a cell move, shared by the on-line procedure
+// and the halted LUT-RAM copy. Each only appends actions to `op`.
+
+/// Parallels the LUT input nets (and `ce` unless kNoNet, onto the CE pin)
+/// onto the replica at `dest`.
+void add_input_paths(const fabric::Fabric& fabric, place::Router& router,
+                     const CellPorts& ports, NetId ce, CellSite dest,
+                     const place::RouteOptions& route, PlanTracker& plan,
+                     ConfigOp& op) {
+  const auto add_planned = [&](NetId n, int p) {
+    const auto path = router.find_path(n, in_pin_of(fabric.graph(), dest, p),
+                                       plan.options_for(n, route));
+    plan.add(n, path);
+    op.add_path(n, path);
+  };
+  for (int p = 0; p < 4; ++p) {
+    const NetId n = ports.in[static_cast<std::size_t>(p)];
+    if (n != fabric::kNoNet) add_planned(n, p);
+  }
+  if (ce != fabric::kNoNet) add_planned(ce, static_cast<int>(CellPort::kCE));
+}
+
+/// Attaches the replica's outputs as second sources of the cell's output
+/// nets and covers every sink from them. Coverage paths may ride existing
+/// tree segments; only genuinely new PIPs enter the transaction (riding
+/// costs no frames on the device).
+void add_output_paths(const fabric::Fabric& fabric, place::Router& router,
+                      const CellPorts& ports, CellSite dest,
+                      const place::RouteOptions& route, PlanTracker& plan,
+                      ConfigOp& op) {
+  for (const bool registered : {false, true}) {
+    const NetId net = registered ? ports.out_q : ports.out_x;
+    if (net == fabric::kNoNet) continue;
+    const NodeId pin = fabric.graph().out_pin(dest.clb, dest.cell, registered);
+    op.attach_source(net, pin);
+    for (const NodeId s : fabric.net_sinks(net)) {
+      const auto path = router.find_path_from({&pin, 1}, net, s,
+                                              plan.options_for(net, route));
+      plan.add(net, path);
+      const auto& tree = fabric.net(net);
+      for (std::size_t i = 1; i < path.size(); ++i) {
+        const RouteEdge e{path[i - 1], path[i]};
+        if (!tree.has_edge(e)) op.add_edge(net, e);
+      }
+    }
+  }
+}
+
+/// Prunes the branches only the original cell's outputs at `src` drive and
+/// detaches them as sources.
+void remove_outputs(const fabric::Fabric& fabric, const CellPorts& ports,
+                    CellSite src, ConfigOp& op) {
+  for (const bool registered : {false, true}) {
+    const NetId net = registered ? ports.out_q : ports.out_x;
+    if (net == fabric::kNoNet) continue;
+    const NodeId pin = fabric.graph().out_pin(src.clb, src.cell, registered);
+    for (const auto& e : prune_for_removal(fabric, net, {pin}))
+      op.remove_edge(net, e);
+    op.detach_source(net, pin);
+  }
+}
+
+/// Prunes the branches that serve only the original cell's input pins.
+void remove_inputs(const fabric::Fabric& fabric, const CellPorts& ports,
+                   CellSite src, ConfigOp& op) {
+  const auto& graph = fabric.graph();
+  // A net may feed several pins of the cell; drop them together so
+  // shared branch segments are freed exactly once.
+  std::map<NetId, std::vector<NodeId>> drops;
+  for (int p = 0; p < fabric::kInPorts; ++p) {
+    const NetId n = ports.in[static_cast<std::size_t>(p)];
+    if (n == fabric::kNoNet || !fabric.net_exists(n)) continue;
+    const NodeId pin = in_pin_of(graph, src, p);
+    if (graph.occupant(pin) == n) drops[n].push_back(pin);
+  }
+  for (const auto& [n, pins] : drops) {
+    for (const auto& e : prune_for_removal(fabric, n, pins))
+      op.remove_edge(n, e);
+  }
+}
+}  // namespace
+
+RelocationEngine::RelocationEngine(config::ConfigController& controller,
+                                   place::Router& router, sim::FabricSim* sim)
+    : controller_(&controller), router_(&router), sim_(sim) {}
 
 CellSite RelocationEngine::find_aux_site(CellSite near,
                                          const RelocOptions& opt) const {
@@ -125,7 +216,6 @@ CellSite RelocationEngine::find_aux_site(CellSite near,
 }
 
 void RelocationEngine::apply(const ConfigOp& op, RelocationReport& report,
-                             const std::vector<NetId>& touched,
                              bool allow_lut_ram_columns) {
   const auto result = controller_->apply(op, allow_lut_ram_columns);
   ++report.ops;
@@ -135,6 +225,19 @@ void RelocationEngine::apply(const ConfigOp& op, RelocationReport& report,
   report.wall_time += result.time;
   if (sim_ != nullptr) {
     sim_->run_until(sim_->now() + result.time);
+  }
+  // A net's validity changes only through actions naming it: occupy()
+  // refuses foreign nodes and a net releases only its own.
+  std::vector<NetId> touched;
+  for (const auto& action : op.actions) {
+    NetId n = fabric::kNoNet;
+    if (const auto* e = std::get_if<config::EdgeChange>(&action)) {
+      n = e->net;
+    } else if (const auto* s = std::get_if<config::SourceChange>(&action)) {
+      n = s->net;
+    }
+    if (n != fabric::kNoNet && std::ranges::find(touched, n) == touched.end())
+      touched.push_back(n);
   }
   for (NetId n : touched) {
     if (!fabric().net_exists(n)) continue;
@@ -200,14 +303,32 @@ RelocationReport RelocationEngine::relocate_cell(place::Implementation& impl,
   const bool is_async = cfg.reg == RegMode::kLatch;
   const std::uint8_t domain = cfg.clock_domain;
 
-  RelocOptions ro = opt;
-  for (int c : fabric().lut_ram_columns()) ro.route.avoid_columns.insert(c);
-
-  const CellPorts ports = discover_ports(src);
+  const RelocOptions ro = avoiding_lut_ram(fabric(), opt);
+  const CellPorts ports = discover_ports(fabric(), src);
   const auto& graph = fabric().graph();
 
-  auto in_pin_of = [&](CellSite s, int p) {
-    return graph.in_pin(s.clb, s.cell, static_cast<CellPort>(p));
+  // Clock-cycle waits; an asynchronous circuit settles for a fixed time.
+  const auto settle = [&](int cycles) {
+    if (is_async) {
+      wait_time(kAsyncSettle, report);
+    } else {
+      wait_cycles(cycles, domain, report);
+    }
+  };
+  // With the simulator attached, waits (bounded) until the replica holds
+  // the original's state.
+  const auto await_state = [&](const std::string& what) {
+    if (sim_ == nullptr) return;
+    int tries = 0;
+    while (sim_->state_of(dest.clb, dest.cell) !=
+           sim_->state_of(src.clb, src.cell)) {
+      if (++tries > kMaxStateTransferCycles) {
+        throw IllegalOperationError(what + " did not converge relocating " +
+                                    src.to_string());
+      }
+      settle(1);
+    }
+    report.state_verified = true;
   };
 
   // ---------------------------------------------------------------- phase 1
@@ -217,7 +338,7 @@ RelocationReport RelocationEngine::relocate_cell(place::Implementation& impl,
     if (needs_aux) replica.d_src = DSrc::kBypass;
     ConfigOp op("copy cell configuration to replica " + dest.to_string());
     op.write_cell(dest.clb, dest.cell, replica);
-    apply(op, report, {});
+    apply(op, report);
   }
 
   // Auxiliary relocation circuit (gated-clock FFs and latches, Fig. 3).
@@ -249,17 +370,17 @@ RelocationReport RelocationEngine::relocate_cell(place::Implementation& impl,
       op.write_cell(aux.clb, 1, org);
       op.write_cell(aux.clb, 2, LogicCellConfig::constant(false));  // CE ctl
       op.write_cell(aux.clb, 3, LogicCellConfig::constant(false));  // reloc ctl
-      apply(op, report, {});
+      apply(op, report);
     }
 
     // Temporary transfer paths (free routing resources only).
     {
       ConfigOp op("connect signals to the auxiliary relocation circuit");
-      const NodeId mux_i0 = in_pin_of(CellSite{aux.clb, 0}, 0);
-      const NodeId mux_i1 = in_pin_of(CellSite{aux.clb, 0}, 1);
-      const NodeId mux_i2 = in_pin_of(CellSite{aux.clb, 0}, 2);
-      const NodeId or_i0 = in_pin_of(CellSite{aux.clb, 1}, 0);
-      const NodeId or_i1 = in_pin_of(CellSite{aux.clb, 1}, 1);
+      const NodeId mux_i0 = in_pin_of(graph, CellSite{aux.clb, 0}, 0);
+      const NodeId mux_i1 = in_pin_of(graph, CellSite{aux.clb, 0}, 1);
+      const NodeId mux_i2 = in_pin_of(graph, CellSite{aux.clb, 0}, 2);
+      const NodeId or_i0 = in_pin_of(graph, CellSite{aux.clb, 1}, 0);
+      const NodeId or_i1 = in_pin_of(graph, CellSite{aux.clb, 1}, 1);
 
       // Original registered output -> mux data-0. Reuse the cell's Q net if
       // it exists; otherwise build a temporary one.
@@ -283,7 +404,7 @@ RelocationReport RelocationEngine::relocate_cell(place::Implementation& impl,
       t_or = fabric().create_net("reloc.t_or");
       op.attach_source(t_or, graph.out_pin(aux.clb, 1, false));
 
-      apply(op, report, {});  // sources first: paths grow from them
+      apply(op, report);  // sources first: paths grow from them
 
       ConfigOp routes("route auxiliary transfer paths");
       PlanTracker plan;
@@ -297,9 +418,9 @@ RelocationReport RelocationEngine::relocate_cell(place::Implementation& impl,
       routes.add_path(ce_net, planned_path(ce_net, mux_i2));
       routes.add_path(ce_net, planned_path(ce_net, or_i0));
       routes.add_path(t_ctl, planned_path(t_ctl, or_i1));
-      routes.add_path(t_mux, planned_path(t_mux, in_pin_of(dest, 5)));
-      routes.add_path(t_or, planned_path(t_or, in_pin_of(dest, 4)));
-      apply(routes, report, {t_q, t_x, ce_net, t_ctl, t_mux, t_or});
+      routes.add_path(t_mux, planned_path(t_mux, in_pin_of(graph, dest, 5)));
+      routes.add_path(t_or, planned_path(t_or, in_pin_of(graph, dest, 4)));
+      apply(routes, report);
     }
   }
 
@@ -308,31 +429,10 @@ RelocationReport RelocationEngine::relocate_cell(place::Implementation& impl,
   {
     ConfigOp op("place CLB input signals in parallel");
     PlanTracker plan;
-    auto add_planned = [&](NetId n, NodeId to) {
-      const auto path =
-          router_->find_path(n, to, plan.options_for(n, ro.route));
-      plan.add(n, path);
-      op.add_path(n, path);
-    };
-    bool any = false;
-    for (int p = 0; p < 4; ++p) {
-      const NetId n = ports.in[static_cast<std::size_t>(p)];
-      if (n == fabric::kNoNet) continue;
-      add_planned(n, in_pin_of(dest, p));
-      any = true;
-    }
-    if (!needs_aux && ce_net != fabric::kNoNet) {
-      add_planned(ce_net, in_pin_of(dest, 4));
-      any = true;
-    }
-    if (any) {
-      std::vector<NetId> nets;
-      for (int p = 0; p < 5; ++p) {
-        const NetId n = ports.in[static_cast<std::size_t>(p)];
-        if (n != fabric::kNoNet) nets.push_back(n);
-      }
-      apply(op, report, nets);
-    }
+    add_input_paths(fabric(), *router_, ports,
+                    needs_aux ? fabric::kNoNet : ce_net, dest, ro.route, plan,
+                    op);
+    if (!op.empty()) apply(op, report);
   }
 
   // ---------------------------------------------------- state transfer
@@ -341,52 +441,30 @@ RelocationReport RelocationEngine::relocate_cell(place::Implementation& impl,
       ConfigOp op("activate relocation and clock enable control");
       op.write_cell(aux.clb, 2, LogicCellConfig::constant(true));
       op.write_cell(aux.clb, 3, LogicCellConfig::constant(true));
-      apply(op, report, {});
+      apply(op, report);
     }
     // Fig. 4: wait > 2 CLK pulses (until the replica holds the state).
-    if (is_async) {
-      wait_time(kAsyncSettle, report);
-    } else {
-      wait_cycles(2, domain, report);
-    }
-    if (sim_ != nullptr) {
-      int tries = 0;
-      while (sim_->state_of(dest.clb, dest.cell) !=
-             sim_->state_of(src.clb, src.cell)) {
-        if (++tries > kMaxStateTransferCycles) {
-          throw IllegalOperationError(
-              "state transfer did not converge relocating " +
-              src.to_string());
-        }
-        if (is_async) {
-          wait_time(kAsyncSettle, report);
-        } else {
-          wait_cycles(1, domain, report);
-        }
-      }
-      report.state_verified = true;
-    }
+    settle(2);
+    await_state("state transfer");
     {
       ConfigOp op("deactivate clock enable control");
       op.write_cell(aux.clb, 2, LogicCellConfig::constant(false));
-      apply(op, report, {});
+      apply(op, report);
     }
     // Connect the clock enable inputs of both CLBs: swap the replica's CE
-    // pin from the OR output to the true CE net in one transaction.
+    // pin from the OR output to the true CE net. Two transactions: the pin
+    // must be released before the CE-net path can claim it. Between them
+    // the pin holds its last driven value, so no spurious capture can occur.
     {
-      // Swap the replica's CE pin from the OR output to the true CE net.
-      // Two transactions: the pin must be released before the CE-net path
-      // can claim it. Between them the pin holds its last driven value, so
-      // no spurious capture can occur.
-      const NodeId ce_pin = in_pin_of(dest, 4);
+      const NodeId ce_pin = in_pin_of(graph, dest, 4);
       ConfigOp op_rm("release replica CE pin from the auxiliary OR gate");
       for (const auto& e : prune_for_removal(fabric(), t_or, {ce_pin}))
         op_rm.remove_edge(t_or, e);
-      apply(op_rm, report, {t_or});
+      apply(op_rm, report);
 
       ConfigOp op("connect the clock enable inputs of both CLBs");
       op.add_path(ce_net, router_->find_path(ce_net, ce_pin, ro.route));
-      apply(op, report, {ce_net});
+      apply(op, report);
     }
     // Disconnect all the auxiliary relocation circuit signals and return
     // the replica storage element to its combinational D path.
@@ -397,12 +475,12 @@ RelocationReport RelocationEngine::relocate_cell(place::Implementation& impl,
       // sink-coverage analysis, grouped per net so shared segments and
       // later-routed paths that ride them survive exactly as needed.
       std::map<NetId, std::vector<NodeId>> drops;
-      for (const NodeId pin : {in_pin_of(CellSite{aux.clb, 0}, 2),
-                               in_pin_of(CellSite{aux.clb, 1}, 0)}) {
+      for (const NodeId pin : {in_pin_of(graph, CellSite{aux.clb, 0}, 2),
+                               in_pin_of(graph, CellSite{aux.clb, 1}, 0)}) {
         if (graph.occupant(pin) == ce_net) drops[ce_net].push_back(pin);
       }
       if (t_q == ports.out_q && t_q != fabric::kNoNet) {
-        const NodeId pin = in_pin_of(CellSite{aux.clb, 0}, 0);
+        const NodeId pin = in_pin_of(graph, CellSite{aux.clb, 0}, 0);
         if (graph.occupant(pin) == t_q) drops[t_q].push_back(pin);
       }
       for (const auto& [net, pins] : drops) {
@@ -426,25 +504,13 @@ RelocationReport RelocationEngine::relocate_cell(place::Implementation& impl,
       LogicCellConfig normal = cfg;
       normal.d_src = DSrc::kLut;
       op.write_cell(dest.clb, dest.cell, normal);
-      apply(op, report, {ce_net});
+      apply(op, report);
     }
   } else if (cfg.reg == RegMode::kFF) {
     // Free-running clock: the replica acquires the state through its
     // paralleled inputs within one clock cycle (paper, Sec. 2).
-    wait_cycles(2, domain, report);
-    if (sim_ != nullptr) {
-      int tries = 0;
-      while (sim_->state_of(dest.clb, dest.cell) !=
-             sim_->state_of(src.clb, src.cell)) {
-        if (++tries > kMaxStateTransferCycles) {
-          throw IllegalOperationError(
-              "free-running state acquisition did not converge relocating " +
-              src.to_string());
-        }
-        wait_cycles(1, domain, report);
-      }
-      report.state_verified = true;
-    }
+    settle(2);
+    await_state("free-running state acquisition");
   } else {
     // Combinational: outputs are stable after the inputs parallel + LUT
     // delay; the configuration transaction itself is orders of magnitude
@@ -466,7 +532,7 @@ RelocationReport RelocationEngine::relocate_cell(place::Implementation& impl,
                            "original relocating " + src.to_string() +
                            " -> " + dest.to_string() + "; port net:sv/dv =";
         for (int p = 0; p < 4; ++p) {
-          const NodeId sp = in_pin_of(src, p);
+          const NodeId sp = in_pin_of(graph, src, p);
           diag += " " + std::to_string(p) + "=" +
                   std::to_string(graph.occupant(sp)) + ":" +
                   std::to_string(sim_->pin_of(src.clb, src.cell,
@@ -488,107 +554,36 @@ RelocationReport RelocationEngine::relocate_cell(place::Implementation& impl,
   {
     ConfigOp op("place CLB outputs in parallel");
     PlanTracker plan;
-    // Coverage paths may ride existing tree segments; only genuinely new
-    // PIPs enter the transaction (riding costs no frames on the device).
-    auto add_new_edges = [&](fabric::NetId net,
-                             const std::vector<NodeId>& path) {
-      const auto& tree = fabric().net(net);
-      plan.add(net, path);
-      for (std::size_t i = 1; i < path.size(); ++i) {
-        const RouteEdge e{path[i - 1], path[i]};
-        if (!tree.has_edge(e)) op.add_edge(net, e);
-      }
-    };
-    bool any = false;
-    if (ports.out_x != fabric::kNoNet) {
-      const NodeId rx = graph.out_pin(dest.clb, dest.cell, false);
-      op.attach_source(ports.out_x, rx);
-      for (const NodeId s : fabric().net_sinks(ports.out_x)) {
-        add_new_edges(ports.out_x,
-                      router_->find_path_from(
-                          {&rx, 1}, ports.out_x, s,
-                          plan.options_for(ports.out_x, ro.route)));
-      }
-      any = true;
-    }
-    if (ports.out_q != fabric::kNoNet) {
-      const NodeId rq = graph.out_pin(dest.clb, dest.cell, true);
-      op.attach_source(ports.out_q, rq);
-      for (const NodeId s : fabric().net_sinks(ports.out_q)) {
-        add_new_edges(ports.out_q,
-                      router_->find_path_from(
-                          {&rq, 1}, ports.out_q, s,
-                          plan.options_for(ports.out_q, ro.route)));
-      }
-      any = true;
-    }
-    if (any) apply(op, report, {});
+    add_output_paths(fabric(), *router_, ports, dest, ro.route, plan, op);
+    if (!op.empty()) apply(op, report);
   }
 
   // Both CLBs remain in parallel for at least one clock cycle.
-  if (is_async) {
-    wait_time(kAsyncSettle, report);
-  } else {
-    wait_cycles(std::max(1, opt.output_parallel_cycles), domain, report);
-  }
+  settle(std::max(1, opt.output_parallel_cycles));
 
   // Deactivate relocation control.
   if (needs_aux) {
     ConfigOp op("deactivate relocation control");
     op.write_cell(aux.clb, 3, LogicCellConfig::constant(false));
-    apply(op, report, {});
+    apply(op, report);
   }
 
   // Disconnect the original CLB outputs (first the outputs...).
   {
     ConfigOp op("disconnect the original CLB outputs");
-    bool any = false;
-    if (ports.out_x != fabric::kNoNet) {
-      const NodeId ox = graph.out_pin(src.clb, src.cell, false);
-      for (const auto& e : prune_for_removal(fabric(), ports.out_x, {ox}))
-        op.remove_edge(ports.out_x, e);
-      op.detach_source(ports.out_x, ox);
-      any = true;
-    }
-    if (ports.out_q != fabric::kNoNet) {
-      const NodeId oq = graph.out_pin(src.clb, src.cell, true);
-      for (const auto& e : prune_for_removal(fabric(), ports.out_q, {oq}))
-        op.remove_edge(ports.out_q, e);
-      op.detach_source(ports.out_q, oq);
-      any = true;
-    }
-    if (any) {
-      std::vector<NetId> nets;
-      if (ports.out_x != fabric::kNoNet) nets.push_back(ports.out_x);
-      if (ports.out_q != fabric::kNoNet) nets.push_back(ports.out_q);
-      apply(op, report, nets);
-    }
+    remove_outputs(fabric(), ports, src, op);
+    if (!op.empty()) apply(op, report);
   }
 
   // ...then the inputs; the original cell joins the pool of free resources.
   {
     ConfigOp op("disconnect the original CLB inputs");
-    std::vector<NetId> nets;
-    // A net may feed several pins of the cell; drop them together so
-    // shared branch segments are freed exactly once.
-    std::map<NetId, std::vector<NodeId>> drops;
-    for (int p = 0; p < fabric::kInPorts; ++p) {
-      const NetId n = ports.in[static_cast<std::size_t>(p)];
-      if (n == fabric::kNoNet || !fabric().net_exists(n)) continue;
-      const NodeId pin = in_pin_of(src, p);
-      if (graph.occupant(pin) != n) continue;
-      drops[n].push_back(pin);
-    }
-    for (const auto& [n, pins] : drops) {
-      for (const auto& e : prune_for_removal(fabric(), n, pins))
-        op.remove_edge(n, e);
-      nets.push_back(n);
-    }
+    remove_inputs(fabric(), ports, src, op);
     op.clear_cell(src.clb, src.cell);
     if (needs_aux) {
       for (int k = 0; k < 4; ++k) op.clear_cell(aux.clb, k);
     }
-    apply(op, report, nets);
+    apply(op, report);
   }
 
   // Destroy now-empty temporary nets (bookkeeping only, no frames).
@@ -599,8 +594,9 @@ RelocationReport RelocationEngine::relocate_cell(place::Implementation& impl,
 
   impl.sites[static_cast<std::size_t>(cell_index)] = dest;
 
-  if (sim_ != nullptr) {
-    // The relocation must not have broken connectivity of any impl net.
+  if constexpr (relogic::audit_enabled()) {
+    // Cross-check of the per-transaction validation: the relocation must
+    // not have broken connectivity of any impl net.
     for (const auto& [sig, n] : impl.signal_nets) {
       if (fabric().net_exists(n)) fabric().validate_net(n);
     }
@@ -624,17 +620,12 @@ RelocationReport RelocationEngine::relocate_lut_ram_cell(
   report.reg = cfg.reg;
   const std::uint8_t domain = cfg.clock_domain;
 
-  RelocOptions ro = opt;
-  for (int c : fabric().lut_ram_columns()) ro.route.avoid_columns.insert(c);
+  RelocOptions ro = avoiding_lut_ram(fabric(), opt);
   // The halt waives avoidance for the source/destination columns only.
   ro.route.avoid_columns.erase(src.clb.col);
   ro.route.avoid_columns.erase(dest.clb.col);
 
-  const CellPorts ports = discover_ports(src);
-  const auto& graph = fabric().graph();
-  auto in_pin_of = [&](CellSite s, int p) {
-    return graph.in_pin(s.clb, s.cell, static_cast<CellPort>(p));
-  };
+  const CellPorts ports = discover_ports(fabric(), src);
 
   // Stop the system (paper, Sec. 2 / [12]): with the domain halted no
   // write to the RAM can race the copy, and downstream FFs cannot capture
@@ -646,56 +637,22 @@ RelocationReport RelocationEngine::relocate_lut_ram_cell(
   {
     ConfigOp op("halted copy of LUT-RAM cell to " + dest.to_string());
     op.write_cell(dest.clb, dest.cell, cfg);
-    apply(op, report, {}, /*allow_lut_ram_columns=*/true);
+    apply(op, report, /*allow_lut_ram_columns=*/true);
   }
   {
     ConfigOp op("rewire LUT-RAM inputs and outputs");
     PlanTracker plan;
-    for (int p = 0; p < 4; ++p) {
-      const NetId n = ports.in[static_cast<std::size_t>(p)];
-      if (n == fabric::kNoNet) continue;
-      const auto path =
-          router_->find_path(n, in_pin_of(dest, p), plan.options_for(n, ro.route));
-      plan.add(n, path);
-      op.add_path(n, path);
-    }
-    if (ports.out_x != fabric::kNoNet) {
-      const NodeId rx = graph.out_pin(dest.clb, dest.cell, false);
-      op.attach_source(ports.out_x, rx);
-      for (const NodeId s : fabric().net_sinks(ports.out_x)) {
-        const auto path = router_->find_path_from(
-            {&rx, 1}, ports.out_x, s, plan.options_for(ports.out_x, ro.route));
-        plan.add(ports.out_x, path);
-        const auto& tree = fabric().net(ports.out_x);
-        for (std::size_t i = 1; i < path.size(); ++i) {
-          const RouteEdge e{path[i - 1], path[i]};
-          if (!tree.has_edge(e)) op.add_edge(ports.out_x, e);
-        }
-      }
-    }
-    apply(op, report, {}, true);
+    add_input_paths(fabric(), *router_, ports, fabric::kNoNet, dest, ro.route,
+                    plan, op);
+    add_output_paths(fabric(), *router_, ports, dest, ro.route, plan, op);
+    apply(op, report, true);
   }
   {
     ConfigOp op("disconnect and free the original LUT-RAM cell");
-    if (ports.out_x != fabric::kNoNet) {
-      const NodeId ox = graph.out_pin(src.clb, src.cell, false);
-      for (const auto& e : prune_for_removal(fabric(), ports.out_x, {ox}))
-        op.remove_edge(ports.out_x, e);
-      op.detach_source(ports.out_x, ox);
-    }
-    std::map<NetId, std::vector<NodeId>> drops;
-    for (int p = 0; p < fabric::kInPorts; ++p) {
-      const NetId n = ports.in[static_cast<std::size_t>(p)];
-      if (n == fabric::kNoNet || !fabric().net_exists(n)) continue;
-      const NodeId pin = in_pin_of(src, p);
-      if (graph.occupant(pin) == n) drops[n].push_back(pin);
-    }
-    for (const auto& [n, pins] : drops) {
-      for (const auto& e : prune_for_removal(fabric(), n, pins))
-        op.remove_edge(n, e);
-    }
+    remove_outputs(fabric(), ports, src, op);
+    remove_inputs(fabric(), ports, src, op);
     op.clear_cell(src.clb, src.cell);
-    apply(op, report, {}, true);
+    apply(op, report, true);
   }
 
   if (sim_ != nullptr) {
@@ -748,8 +705,7 @@ RelocationEngine::RouteOptimizationReport
 RelocationEngine::optimize_function_routing(place::Implementation& impl,
                                             const RelocOptions& opt,
                                             SimTime min_gain) {
-  RelocOptions ro = opt;
-  for (int c : fabric().lut_ram_columns()) ro.route.avoid_columns.insert(c);
+  const RelocOptions ro = avoiding_lut_ram(fabric(), opt);
 
   const fabric::DelayModel& dm = router_->delay_model();
   const fabric::RoutingSkeleton& skel = fabric().skeleton();
@@ -839,8 +795,7 @@ RelocationEngine::optimize_function_routing(place::Implementation& impl,
 
 RelocationReport RelocationEngine::relocate_route(NetId net, NodeId sink,
                                                   const RelocOptions& opt) {
-  RelocOptions ro = opt;
-  for (int c : fabric().lut_ram_columns()) ro.route.avoid_columns.insert(c);
+  RelocOptions ro = avoiding_lut_ram(fabric(), opt);
 
   // The branch currently serving the sink.
   const auto old_branch = prune_for_removal(fabric(), net, {sink});
@@ -866,7 +821,7 @@ RelocationReport RelocationEngine::switch_route(
   {
     ConfigOp op("duplicate interconnection (replica path)");
     op.add_path(net, path);
-    apply(op, report, {net});
+    apply(op, report);
   }
 
   // During paralleling the observable delay is the longer of the two paths
@@ -878,7 +833,7 @@ RelocationReport RelocationEngine::switch_route(
     for (const auto& e : old_branch) {
       if (fabric().net(net).has_edge(e)) op.remove_edge(net, e);
     }
-    apply(op, report, {net});
+    apply(op, report);
   }
   return report;
 }

@@ -16,7 +16,9 @@
 //    cycle before the original is disconnected (outputs first, then
 //    inputs);
 //  * no configuration write ever touches a column holding a live LUT-RAM
-//    (enforced by ConfigController; routing avoids those columns too).
+//    (enforced by ConfigController; routing avoids those columns too);
+//  * every transaction validates each net its op names, with or without
+//    the simulator: no transaction leaves a live net broken.
 #pragma once
 
 #include <optional>
@@ -124,8 +126,6 @@ class RelocationEngine {
   config::ConfigController& controller() { return *controller_; }
 
  private:
-  struct CellPorts;  // resolved nets around a cell
-
   RelocationReport relocate_lut_ram_cell(place::Implementation& impl,
                                          int cell_index, place::CellSite dest,
                                          const RelocOptions& opt);
@@ -134,13 +134,12 @@ class RelocationEngine {
   RelocationReport switch_route(fabric::NetId net, fabric::NodeId sink,
                                 const std::vector<fabric::RouteEdge>& old_branch,
                                 const std::vector<fabric::NodeId>& path);
-  CellPorts discover_ports(place::CellSite site) const;
   place::CellSite find_aux_site(place::CellSite near,
                                 const RelocOptions& opt) const;
   /// Applies `op`, lets the simulator run through its port time, then
-  /// validates every net of `touched` that still exists.
+  /// validates every still-existing net that one of the op's edge or
+  /// source changes names.
   void apply(const config::ConfigOp& op, RelocationReport& report,
-             const std::vector<fabric::NetId>& touched,
              bool allow_lut_ram_columns = false);
   void wait_cycles(int cycles, std::uint8_t domain, RelocationReport& report);
   void wait_time(SimTime t, RelocationReport& report);

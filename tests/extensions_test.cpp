@@ -4,7 +4,9 @@
 // involved in the relocation of each CLB").
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <string>
 
 #include "relogic/config/controller.hpp"
 #include "relogic/config/port.hpp"
@@ -288,6 +290,13 @@ TEST(LutRamHalt, StopTheSystemRelocationPreservesFunction) {
                                opt);
   EXPECT_GT(rep.halted, SimTime::zero());
   EXPECT_GT(rep.frames_written, 0);
+  for (const auto* im : {&impl, &other_impl}) {
+    for (const auto& [sig, net] : im->signal_nets) {
+      if (rig.fab.net_exists(net)) {
+        EXPECT_NO_THROW(rig.fab.validate_net(net));
+      }
+    }
+  }
 
   for (int i = 0; i < testenv::iters(5, 10); ++i) {
     ASSERT_TRUE(victim.step_random(rng).ok())
@@ -296,6 +305,54 @@ TEST(LutRamHalt, StopTheSystemRelocationPreservesFunction) {
         << bystander.mismatch_log().back();
   }
   EXPECT_TRUE(rig.sim.monitor().clean());
+}
+
+TEST(LutRamHalt, BrokenInputNetFailsTheRewire) {
+  // The halted move validates the nets its transactions name, so an input
+  // net broken behind the engine's back fails the rewire transaction.
+  Rig rig;
+  rig.sim.add_clock(sim::ClockSpec{0, SimTime::ns(100), SimTime::ns(100)});
+  const auto nl = netlist::bench::random_logic("ramckt", 8, 4, 2, 99);
+  place::ImplementOptions opts;
+  opts.region = ClbRect{2, 2, 3, 3};
+  auto impl = rig.implementer.implement(netlist::map_netlist(nl), opts);
+  const CellSite site = impl.sites[0];
+  auto cfg = rig.fab.cell(site.clb, site.cell);
+  cfg.lut_mode = fabric::LutMode::kRam;
+  rig.fab.set_cell_config(site.clb, site.cell, cfg);
+
+  // Amputate a source-adjacent edge with a downstream edge from one of the
+  // cell's LUT input nets, leaving the downstream edge dangling.
+  bool broken = false;
+  for (int p = 0; p < 4 && !broken; ++p) {
+    const auto net = rig.fab.graph().occupant(rig.fab.graph().in_pin(
+        site.clb, site.cell, static_cast<fabric::CellPort>(p)));
+    if (net == fabric::kNoNet) continue;
+    const auto& tree = rig.fab.net(net);
+    for (const auto& first : tree.edges) {
+      if (!tree.has_source(first.from)) continue;
+      const bool downstream =
+          std::ranges::any_of(tree.edges, [&](const fabric::RouteEdge& e) {
+            return e.from == first.to;
+          });
+      if (!downstream) continue;
+      rig.fab.remove_edge(net, first);
+      broken = true;
+      break;
+    }
+  }
+  ASSERT_TRUE(broken) << "no input net with a source-adjacent trunk edge";
+
+  reloc::RelocOptions opt;
+  opt.allow_halt_for_lut_ram = true;
+  try {
+    rig.engine.relocate_cell(impl, 0, CellSite{ClbCoord{8, 2}, 0}, opt);
+    FAIL() << "halted move of a cell with a broken input net succeeded";
+  } catch (const IllegalOperationError& e) {
+    EXPECT_TRUE(std::string(e.what()).starts_with(
+        "after op 'rewire LUT-RAM inputs and outputs'"))
+        << e.what();
+  }
 }
 
 TEST(LutRamHalt, ClockGatingStopsAndResumesCleanly) {
