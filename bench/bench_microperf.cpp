@@ -130,7 +130,7 @@ void BM_RouteOptimization(benchmark::State& state) {
     const auto nl = netlist::bench::gray_counter(4);
     auto impl = implementer.implement(
         netlist::map_netlist(nl),
-        place::ImplementOptions{ClbRect{1, 1, 3, 3}, 0, {}});
+        place::ImplementOptions{ClbRect{1, 1, 3, 3}, 0});
     sim::CircuitHarness harness(sim, nl, impl);
     for (int i = 0; i < 5; ++i) harness.step({});
     engine.relocate_function(impl, ClbRect{11, 11, 3, 3});
@@ -157,7 +157,7 @@ void BM_SimulatorCycles(benchmark::State& state, fabric::DeviceGeometry geom) {
   const auto nl = netlist::bench::random_fsm("perf", 24, 4, 4, 5);
   auto impl = implementer.implement(
       netlist::map_netlist(nl),
-      place::ImplementOptions{ClbRect{1, 1, 6, 6}, 0, {}});
+      place::ImplementOptions{ClbRect{1, 1, 6, 6}, 0});
   // Free-running stimulus through pads.
   Rng rng(1);
   std::int64_t cycles = 0;
@@ -234,7 +234,7 @@ void BM_SimulatorPortWait(benchmark::State& state) {
       "perf", 24, 4, 4, 5, netlist::bench::ClockingStyle::kGatedClock);
   auto impl = implementer.implement(
       netlist::map_netlist(nl),
-      place::ImplementOptions{ClbRect{1, 1, 6, 6}, 0, {}});
+      place::ImplementOptions{ClbRect{1, 1, 6, 6}, 0});
   Rng rng(1);
   std::int64_t edges = 0;
   for (auto _ : state) {
@@ -295,7 +295,7 @@ void BM_GatedCellRelocation(benchmark::State& state) {
         2, netlist::bench::ClockingStyle::kGatedClock);
     auto impl = implementer.implement(
         netlist::map_netlist(nl),
-        place::ImplementOptions{ClbRect{2, 2, 2, 2}, 0, {}});
+        place::ImplementOptions{ClbRect{2, 2, 2, 2}, 0});
     sim::CircuitHarness harness(sim, nl, impl);
     harness.step({true, true});
     state.ResumeTiming();

@@ -53,14 +53,6 @@ ConfigOp& ConfigOp::add_path(fabric::NetId net,
   return *this;
 }
 
-ConfigOp& ConfigOp::remove_path(fabric::NetId net,
-                                const std::vector<fabric::NodeId>& path) {
-  for (std::size_t i = 1; i < path.size(); ++i) {
-    remove_edge(net, fabric::RouteEdge{path[i - 1], path[i]});
-  }
-  return *this;
-}
-
 ConfigController::ConfigController(fabric::Fabric& fabric,
                                    const ConfigPort& port,
                                    WriteGranularity granularity)

@@ -118,8 +118,6 @@ struct ConfigOp {
     return *this;
   }
   ConfigOp& add_path(fabric::NetId net, const std::vector<fabric::NodeId>& path);
-  ConfigOp& remove_path(fabric::NetId net,
-                        const std::vector<fabric::NodeId>& path);
   ConfigOp& attach_source(fabric::NetId net, fabric::NodeId node) {
     actions.push_back(SourceChange{net, node, true});
     return *this;

@@ -115,10 +115,6 @@ class FrameIndex {
     return id >= clb_base_ && id < iob_base_;
   }
   bool is_iob(std::int32_t id) const { return id >= iob_base_; }
-  /// CLB column index of a CLB-region id (precondition: is_clb(id)).
-  int clb_column_of(std::int32_t id) const {
-    return (id - clb_base_) / frames_clb_;
-  }
 
  private:
   int clb_cols_ = 0;

@@ -30,7 +30,6 @@ class SnapshotKeeper {
   bool restore(const std::string& label);
 
   std::size_t retained() const { return entries_.size(); }
-  std::vector<std::string> labels() const;
 
  private:
   struct Entry {

@@ -28,11 +28,4 @@ bool SnapshotKeeper::restore(const std::string& label) {
   return false;
 }
 
-std::vector<std::string> SnapshotKeeper::labels() const {
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const auto& e : entries_) out.push_back(e.label);
-  return out;
-}
-
 }  // namespace relogic::config

@@ -22,13 +22,6 @@ fabric::NetId Implementation::net_for(SigId sig) const {
   return it->second;
 }
 
-NodeId Implementation::input_pad(const std::string& pname) const {
-  for (const auto& [sig, pad] : input_pads) {
-    if (mapped.source->node(sig).name == pname) return pad;
-  }
-  throw ContractError(name + ": no input pad named " + pname);
-}
-
 NodeId Implementation::output_pad(const std::string& pname) const {
   for (const auto& [n, pad] : output_pads) {
     if (n == pname) return pad;
@@ -166,7 +159,7 @@ Implementation Implementer::implement(netlist::MappedNetlist mapped,
     std::sort(pins.begin(), pins.end(), [&](NodeId a, NodeId b) {
       return graph.info(a).tile < graph.info(b).tile;
     });
-    for (NodeId pin : pins) router_.route_sink(net, pin, opts.route);
+    for (NodeId pin : pins) router_.route_sink(net, pin);
   }
 
   // ---- primary outputs get pads -------------------------------------------
@@ -174,7 +167,7 @@ Implementation Implementer::implement(netlist::MappedNetlist mapped,
     const NetId net = net_of(port.signal);
     const NodeId pad = allocate_pad(impl.region, net);
     impl.output_pads.emplace_back(port.name, pad);
-    router_.route_sink(net, pad, opts.route);
+    router_.route_sink(net, pad);
   }
 
   RELOGIC_LOG(kInfo) << "implemented " << impl.name << " in "

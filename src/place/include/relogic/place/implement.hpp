@@ -29,7 +29,6 @@ struct CellSite {
 struct ImplementOptions {
   ClbRect region;
   std::uint8_t clock_domain = 0;
-  RouteOptions route;
 };
 
 /// A placed-and-routed function instance.
@@ -48,7 +47,6 @@ struct Implementation {
   std::uint8_t clock_domain = 0;
 
   fabric::NetId net_for(netlist::SigId sig) const;
-  fabric::NodeId input_pad(const std::string& name) const;
   fabric::NodeId output_pad(const std::string& name) const;
   const CellSite& site_of_state(netlist::SigId state_sig) const;
   int cell_count() const { return static_cast<int>(sites.size()); }

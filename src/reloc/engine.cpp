@@ -45,6 +45,11 @@ constexpr SimTime kAsyncSettle = SimTime::ns(300);
 /// Clock period assumed for wait accounting when no simulator is attached
 /// (planning/cost mode).
 constexpr SimTime kAssumedClockPeriod = SimTime::ns(100);
+/// Search radius (in CLBs) for the free CLB hosting the auxiliary
+/// relocation circuit.
+constexpr int kAuxSearchRadius = 5;
+/// Cycles original and replica outputs stay paralleled (paper: >= 1).
+constexpr int kOutputParallelCycles = 1;
 
 /// Paths planned within one transaction are not committed yet, so later
 /// searches for *other* nets must avoid their nodes explicitly.
@@ -73,12 +78,27 @@ void avoid_branch(const std::vector<RouteEdge>& branch, NodeId sink,
   }
 }
 
-/// `opt` with routing kept out of every column holding live LUT-RAM.
-RelocOptions avoiding_lut_ram(const fabric::Fabric& fabric,
-                              const RelocOptions& opt) {
-  RelocOptions ro = opt;
-  for (int c : fabric.lut_ram_columns()) ro.route.avoid_columns.insert(c);
-  return ro;
+/// Routing kept out of every column holding live LUT-RAM.
+place::RouteOptions avoiding_lut_ram(const fabric::Fabric& fabric) {
+  place::RouteOptions route;
+  route.avoid_columns = fabric.lut_ram_columns();
+  return route;
+}
+
+/// The site of `impl`'s cell `cell_index`, after the checks every cell
+/// move makes: the cell is configured, and `dest` is another, free site.
+CellSite move_source(const fabric::Fabric& fabric,
+                     const place::Implementation& impl, int cell_index,
+                     CellSite dest) {
+  RELOGIC_CHECK(cell_index >= 0 &&
+                cell_index < static_cast<int>(impl.sites.size()));
+  const CellSite src = impl.sites[static_cast<std::size_t>(cell_index)];
+  RELOGIC_CHECK_MSG(fabric.cell(src.clb, src.cell).used,
+                    "source cell is not configured");
+  RELOGIC_CHECK_MSG(src != dest, "source and destination are the same site");
+  RELOGIC_CHECK_MSG(!fabric.cell(dest.clb, dest.cell).used,
+                    "destination cell " + dest.to_string() + " is occupied");
+  return src;
 }
 
 NodeId in_pin_of(const fabric::RoutingGraph& graph, CellSite s, int p) {
@@ -196,22 +216,22 @@ RelocationEngine::RelocationEngine(config::ConfigController& controller,
                                    place::Router& router, sim::FabricSim* sim)
     : controller_(&controller), router_(&router), sim_(sim) {}
 
-CellSite RelocationEngine::find_aux_site(CellSite near,
-                                         const RelocOptions& opt) const {
+CellSite RelocationEngine::find_aux_site(CellSite near) const {
   const auto& geom = fabric().geometry();
-  for (int radius = 1; radius <= opt.aux_search_radius; ++radius) {
+  const std::set<int> lut_ram_cols = fabric().lut_ram_columns();
+  for (int radius = 1; radius <= kAuxSearchRadius; ++radius) {
     for (int dr = -radius; dr <= radius; ++dr) {
       for (int dc = -radius; dc <= radius; ++dc) {
         if (std::max(std::abs(dr), std::abs(dc)) != radius) continue;
         const ClbCoord c{near.clb.row + dr, near.clb.col + dc};
         if (!geom.in_bounds(c)) continue;
-        if (opt.route.avoid_columns.contains(c.col)) continue;
+        if (lut_ram_cols.contains(c.col)) continue;
         if (fabric().clb_free(c)) return CellSite{c, 0};
       }
     }
   }
   throw ResourceError(
-      "no free CLB within radius " + std::to_string(opt.aux_search_radius) +
+      "no free CLB within radius " + std::to_string(kAuxSearchRadius) +
       " of " + near.clb.to_string() + " for the auxiliary relocation circuit");
 }
 
@@ -273,24 +293,14 @@ void RelocationEngine::wait_time(SimTime t, RelocationReport& report) {
 }
 
 RelocationReport RelocationEngine::relocate_cell(place::Implementation& impl,
-                                                 int cell_index, CellSite dest,
-                                                 const RelocOptions& opt) {
-  RELOGIC_CHECK(cell_index >= 0 &&
-                cell_index < static_cast<int>(impl.sites.size()));
-  const CellSite src = impl.sites[static_cast<std::size_t>(cell_index)];
+                                                 int cell_index, CellSite dest) {
+  const CellSite src = move_source(fabric(), impl, cell_index, dest);
   const LogicCellConfig cfg = fabric().cell(src.clb, src.cell);
-  RELOGIC_CHECK_MSG(cfg.used, "source cell is not configured");
-  RELOGIC_CHECK_MSG(src != dest, "source and destination are the same site");
-  RELOGIC_CHECK_MSG(!fabric().cell(dest.clb, dest.cell).used,
-                    "destination cell " + dest.to_string() + " is occupied");
   if (cfg.lut_mode == fabric::LutMode::kRam) {
-    if (opt.allow_halt_for_lut_ram) {
-      return relocate_lut_ram_cell(impl, cell_index, dest, opt);
-    }
     throw IllegalOperationError(
         "cell " + src.to_string() +
         " is a LUT-RAM: on-line relocation is not feasible (paper, Sec. 2); "
-        "set allow_halt_for_lut_ram for the stop-the-system alternative");
+        "relocate_lut_ram_cell_halted is the stop-the-system alternative");
   }
 
   RelocationReport report;
@@ -303,7 +313,7 @@ RelocationReport RelocationEngine::relocate_cell(place::Implementation& impl,
   const bool is_async = cfg.reg == RegMode::kLatch;
   const std::uint8_t domain = cfg.clock_domain;
 
-  const RelocOptions ro = avoiding_lut_ram(fabric(), opt);
+  const place::RouteOptions route = avoiding_lut_ram(fabric());
   const CellPorts ports = discover_ports(fabric(), src);
   const auto& graph = fabric().graph();
 
@@ -331,6 +341,17 @@ RelocationReport RelocationEngine::relocate_cell(place::Implementation& impl,
     report.state_verified = true;
   };
 
+  // Gated-clock FFs and latches need the auxiliary relocation circuit
+  // (Fig. 3) in a free CLB near the destination: find it before any write,
+  // so a move that cannot get one changes nothing.
+  const NetId ce_net = ports.in[static_cast<std::size_t>(CellPort::kCE)];
+  CellSite aux{};
+  if (needs_aux) {
+    RELOGIC_CHECK_MSG(ce_net != fabric::kNoNet,
+                      "gated-clock/latch cell has no CE/gate net");
+    aux = find_aux_site(dest);
+  }
+
   // ---------------------------------------------------------------- phase 1
   // Copy the internal configuration of the CLB cell into the new location.
   {
@@ -342,19 +363,13 @@ RelocationReport RelocationEngine::relocate_cell(place::Implementation& impl,
   }
 
   // Auxiliary relocation circuit (gated-clock FFs and latches, Fig. 3).
-  CellSite aux{};
   NetId t_q = fabric::kNoNet;    // original Q -> mux data-0
   NetId t_x = fabric::kNoNet;    // replica comb X -> mux data-1
   NetId t_mux = fabric::kNoNet;  // mux out -> replica BX
   NetId t_ctl = fabric::kNoNet;  // ce-control const -> OR input
   NetId t_or = fabric::kNoNet;   // OR out -> replica CE
-  const NetId ce_net = ports.in[static_cast<std::size_t>(CellPort::kCE)];
 
   if (needs_aux) {
-    RELOGIC_CHECK_MSG(ce_net != fabric::kNoNet,
-                      "gated-clock/latch cell has no CE/gate net");
-    aux = find_aux_site(dest, ro);
-
     // Configure the auxiliary circuit: 2:1 mux, OR gate, and the two
     // control constants driven "through the reconfiguration memory".
     {
@@ -409,7 +424,7 @@ RelocationReport RelocationEngine::relocate_cell(place::Implementation& impl,
       ConfigOp routes("route auxiliary transfer paths");
       PlanTracker plan;
       auto planned_path = [&](NetId n, NodeId to) {
-        const auto path = router_->find_path(n, to, plan.options_for(n, ro.route));
+        const auto path = router_->find_path(n, to, plan.options_for(n, route));
         plan.add(n, path);
         return path;
       };
@@ -430,8 +445,7 @@ RelocationReport RelocationEngine::relocate_cell(place::Implementation& impl,
     ConfigOp op("place CLB input signals in parallel");
     PlanTracker plan;
     add_input_paths(fabric(), *router_, ports,
-                    needs_aux ? fabric::kNoNet : ce_net, dest, ro.route, plan,
-                    op);
+                    needs_aux ? fabric::kNoNet : ce_net, dest, route, plan, op);
     if (!op.empty()) apply(op, report);
   }
 
@@ -463,7 +477,7 @@ RelocationReport RelocationEngine::relocate_cell(place::Implementation& impl,
       apply(op_rm, report);
 
       ConfigOp op("connect the clock enable inputs of both CLBs");
-      op.add_path(ce_net, router_->find_path(ce_net, ce_pin, ro.route));
+      op.add_path(ce_net, router_->find_path(ce_net, ce_pin, route));
       apply(op, report);
     }
     // Disconnect all the auxiliary relocation circuit signals and return
@@ -554,12 +568,12 @@ RelocationReport RelocationEngine::relocate_cell(place::Implementation& impl,
   {
     ConfigOp op("place CLB outputs in parallel");
     PlanTracker plan;
-    add_output_paths(fabric(), *router_, ports, dest, ro.route, plan, op);
+    add_output_paths(fabric(), *router_, ports, dest, route, plan, op);
     if (!op.empty()) apply(op, report);
   }
 
   // Both CLBs remain in parallel for at least one clock cycle.
-  settle(std::max(1, opt.output_parallel_cycles));
+  settle(kOutputParallelCycles);
 
   // Deactivate relocation control.
   if (needs_aux) {
@@ -606,11 +620,12 @@ RelocationReport RelocationEngine::relocate_cell(place::Implementation& impl,
   return report;
 }
 
-RelocationReport RelocationEngine::relocate_lut_ram_cell(
-    place::Implementation& impl, int cell_index, CellSite dest,
-    const RelocOptions& opt) {
-  const CellSite src = impl.sites[static_cast<std::size_t>(cell_index)];
+RelocationReport RelocationEngine::relocate_lut_ram_cell_halted(
+    place::Implementation& impl, int cell_index, CellSite dest) {
+  const CellSite src = move_source(fabric(), impl, cell_index, dest);
   const LogicCellConfig cfg = fabric().cell(src.clb, src.cell);
+  RELOGIC_CHECK_MSG(cfg.lut_mode == fabric::LutMode::kRam,
+                    "cell " + src.to_string() + " is not a LUT-RAM");
   RELOGIC_CHECK_MSG(cfg.reg == RegMode::kNone,
                     "LUT-RAM with a registered output is not supported");
 
@@ -620,10 +635,10 @@ RelocationReport RelocationEngine::relocate_lut_ram_cell(
   report.reg = cfg.reg;
   const std::uint8_t domain = cfg.clock_domain;
 
-  RelocOptions ro = avoiding_lut_ram(fabric(), opt);
+  place::RouteOptions route = avoiding_lut_ram(fabric());
   // The halt waives avoidance for the source/destination columns only.
-  ro.route.avoid_columns.erase(src.clb.col);
-  ro.route.avoid_columns.erase(dest.clb.col);
+  route.avoid_columns.erase(src.clb.col);
+  route.avoid_columns.erase(dest.clb.col);
 
   const CellPorts ports = discover_ports(fabric(), src);
 
@@ -642,9 +657,9 @@ RelocationReport RelocationEngine::relocate_lut_ram_cell(
   {
     ConfigOp op("rewire LUT-RAM inputs and outputs");
     PlanTracker plan;
-    add_input_paths(fabric(), *router_, ports, fabric::kNoNet, dest, ro.route,
+    add_input_paths(fabric(), *router_, ports, fabric::kNoNet, dest, route,
                     plan, op);
-    add_output_paths(fabric(), *router_, ports, dest, ro.route, plan, op);
+    add_output_paths(fabric(), *router_, ports, dest, route, plan, op);
     apply(op, report, true);
   }
   {
@@ -672,8 +687,7 @@ RelocationReport RelocationEngine::relocate_lut_ram_cell(
 }
 
 FunctionRelocationReport RelocationEngine::relocate_function(
-    place::Implementation& impl, ClbRect dest_region,
-    const RelocOptions& opt) {
+    place::Implementation& impl, ClbRect dest_region) {
   const auto& geom = fabric().geometry();
   RELOGIC_CHECK_MSG(geom.full_rect().contains(dest_region),
                     "destination region exceeds the device");
@@ -695,7 +709,7 @@ FunctionRelocationReport RelocationEngine::relocate_function(
 
   FunctionRelocationReport out;
   for (int i = 0; i < impl.cell_count(); ++i) {
-    out.add(relocate_cell(impl, i, slots[static_cast<std::size_t>(i)], opt));
+    out.add(relocate_cell(impl, i, slots[static_cast<std::size_t>(i)]));
   }
   impl.region = dest_region;
   return out;
@@ -703,9 +717,8 @@ FunctionRelocationReport RelocationEngine::relocate_function(
 
 RelocationEngine::RouteOptimizationReport
 RelocationEngine::optimize_function_routing(place::Implementation& impl,
-                                            const RelocOptions& opt,
                                             SimTime min_gain) {
-  const RelocOptions ro = avoiding_lut_ram(fabric(), opt);
+  const place::RouteOptions route = avoiding_lut_ram(fabric());
 
   const fabric::DelayModel& dm = router_->delay_model();
   const fabric::RoutingSkeleton& skel = fabric().skeleton();
@@ -754,11 +767,11 @@ RelocationEngine::optimize_function_routing(place::Implementation& impl,
         out.worst_delay_after = std::max(out.worst_delay_after, current);
         continue;  // branch shared with other sinks: leave it alone
       }
-      RelocOptions probe = ro;
-      avoid_branch(old_branch, sink, probe.route);
+      place::RouteOptions probe = route;
+      avoid_branch(old_branch, sink, probe);
       std::vector<NodeId> path;
       try {
-        path = router_->find_path(net, sink, probe.route);
+        path = router_->find_path(net, sink, probe);
       } catch (const ResourceError&) {
         out.worst_delay_after = std::max(out.worst_delay_after, current);
         continue;  // no alternative: keep the current branch
@@ -793,9 +806,8 @@ RelocationEngine::optimize_function_routing(place::Implementation& impl,
   return out;
 }
 
-RelocationReport RelocationEngine::relocate_route(NetId net, NodeId sink,
-                                                  const RelocOptions& opt) {
-  RelocOptions ro = avoiding_lut_ram(fabric(), opt);
+RelocationReport RelocationEngine::relocate_route(NetId net, NodeId sink) {
+  place::RouteOptions route = avoiding_lut_ram(fabric());
 
   // The branch currently serving the sink.
   const auto old_branch = prune_for_removal(fabric(), net, {sink});
@@ -804,9 +816,9 @@ RelocationReport RelocationEngine::relocate_route(NetId net, NodeId sink,
 
   // The alternative (replica) path avoids the original branch so the two
   // are truly parallel (Fig. 5).
-  avoid_branch(old_branch, sink, ro.route);
+  avoid_branch(old_branch, sink, route);
   return switch_route(net, sink, old_branch,
-                      router_->find_path(net, sink, ro.route));
+                      router_->find_path(net, sink, route));
 }
 
 RelocationReport RelocationEngine::switch_route(

@@ -5,7 +5,10 @@
 // asynchronous circuits (Figs. 3 and 4), and routing relocation (Fig. 5),
 // entirely as sequences of partial-reconfiguration transactions applied
 // through the ConfigController while the circuit keeps running in the
-// FabricSim.
+// FabricSim. The procedure's waits and search bounds are fixed constants
+// (DESIGN.md §13), not options. A LUT-RAM cell cannot move on-line
+// (paper, Sec. 2); relocate_lut_ram_cell_halted is the explicit
+// stop-the-system alternative.
 //
 // Invariants the engine maintains (and checks, with the simulator attached):
 //  * make-before-break: a signal is never broken before its replica path
@@ -16,12 +19,13 @@
 //    cycle before the original is disconnected (outputs first, then
 //    inputs);
 //  * no configuration write ever touches a column holding a live LUT-RAM
-//    (enforced by ConfigController; routing avoids those columns too);
+//    (enforced by ConfigController; routing avoids those columns too),
+//    except the writes of relocate_lut_ram_cell_halted, made with the
+//    cell's clock domain stopped;
 //  * every transaction validates each net its op names, with or without
 //    the simulator: no transaction leaves a live net broken.
 #pragma once
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -31,21 +35,6 @@
 #include "relogic/sim/simulator.hpp"
 
 namespace relogic::reloc {
-
-struct RelocOptions {
-  /// Search radius (in CLBs) for the free CLB hosting the auxiliary
-  /// relocation circuit.
-  int aux_search_radius = 5;
-  /// Cycles original and replica outputs stay paralleled (paper: >= 1).
-  int output_parallel_cycles = 1;
-  /// Extra routing constraints (LUT-RAM columns are added automatically).
-  place::RouteOptions route;
-  /// LUT-RAMs cannot be relocated on-line (paper, Sec. 2). When true the
-  /// engine falls back to the documented stop-the-system alternative:
-  /// halt the cell's clock domain, copy content + rewire, resume. The
-  /// report's `halted` field carries the downtime.
-  bool allow_halt_for_lut_ram = false;
-};
 
 /// Outcome of one relocation.
 struct RelocationReport {
@@ -89,22 +78,31 @@ class RelocationEngine {
   /// Dispatches on the cell's storage mode: purely combinational cells use
   /// the plain two-phase procedure; free-running-clock FFs add the
   /// state-acquisition wait; gated-clock FFs and latches use the auxiliary
-  /// relocation circuit.
+  /// relocation circuit. A LUT-RAM cell cannot move on-line (paper,
+  /// Sec. 2): it throws IllegalOperationError; see
+  /// relocate_lut_ram_cell_halted.
   RelocationReport relocate_cell(place::Implementation& impl, int cell_index,
-                                 place::CellSite dest,
-                                 const RelocOptions& opt = {});
+                                 place::CellSite dest);
+
+  /// The stop-the-system alternative for a LUT-RAM cell (paper, Sec. 2):
+  /// halts the cell's clock domain, copies the content and rewires the
+  /// cell, then resumes. The report's `halted` field carries the downtime.
+  RelocationReport relocate_lut_ram_cell_halted(place::Implementation& impl,
+                                                int cell_index,
+                                                place::CellSite dest);
 
   /// Relocates every cell of an implementation into `dest_region`
-  /// (cell-by-cell, the staged procedure of Sec. 3). Handles overlapping
-  /// source/destination regions via scratch sites.
+  /// (cell-by-cell, the staged procedure of Sec. 3), filling the region's
+  /// free cells row-major. The region may overlap the source, but it needs
+  /// at least as many free cells as the implementation has; otherwise it
+  /// throws ResourceError before any configuration write.
   FunctionRelocationReport relocate_function(place::Implementation& impl,
-                                             ClbRect dest_region,
-                                             const RelocOptions& opt = {});
+                                             ClbRect dest_region);
 
   /// Routing relocation (Fig. 5): moves one routed sink of a net onto a
-  /// fresh path avoiding `avoid` nodes/columns, parallel-then-disconnect.
-  RelocationReport relocate_route(fabric::NetId net, fabric::NodeId sink,
-                                  const RelocOptions& opt = {});
+  /// fresh path that avoids its current branch and every live LUT-RAM
+  /// column, parallel-then-disconnect.
+  RelocationReport relocate_route(fabric::NetId net, fabric::NodeId sink);
 
   /// Sec. 3: rearrangement of the existing interconnections after CLB
   /// relocations — reroutes every sink whose fresh shortest path would be
@@ -120,22 +118,17 @@ class RelocationEngine {
     int frames_written = 0;
   };
   RouteOptimizationReport optimize_function_routing(
-      place::Implementation& impl, const RelocOptions& opt = {},
-      SimTime min_gain = SimTime::ps(500));
+      place::Implementation& impl, SimTime min_gain = SimTime::ps(500));
 
   config::ConfigController& controller() { return *controller_; }
 
  private:
-  RelocationReport relocate_lut_ram_cell(place::Implementation& impl,
-                                         int cell_index, place::CellSite dest,
-                                         const RelocOptions& opt);
   /// The Fig. 5 switch onto a planned `path` that avoids `old_branch`:
   /// parallel, wait one cycle, disconnect the old branch.
   RelocationReport switch_route(fabric::NetId net, fabric::NodeId sink,
                                 const std::vector<fabric::RouteEdge>& old_branch,
                                 const std::vector<fabric::NodeId>& path);
-  place::CellSite find_aux_site(place::CellSite near,
-                                const RelocOptions& opt) const;
+  place::CellSite find_aux_site(place::CellSite near) const;
   /// Applies `op`, lets the simulator run through its port time, then
   /// validates every still-existing net that one of the op's edge or
   /// source changes names.

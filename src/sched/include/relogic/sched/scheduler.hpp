@@ -49,7 +49,6 @@ std::string to_string(ManagementPolicy p);
 
 struct SchedulerConfig {
   ManagementPolicy policy = ManagementPolicy::kTransparent;
-  area::PlacePolicy placement = area::PlacePolicy::kBottomLeft;
   area::DefragOptions defrag;
   /// Configure the next function of an application while its predecessor
   /// still runs (the rt interval of Fig. 1).
@@ -127,7 +126,6 @@ struct RunStats {
 
   double avg_allocation_delay_ms() const;
   double max_allocation_delay_ms() const;
-  double avg_turnaround_ms() const;
 };
 
 /// Trace lanes the discrete-event run emits into (all on the device's

@@ -41,22 +41,15 @@ double RunStats::max_allocation_delay_ms() const {
   return mx;
 }
 
-double RunStats::avg_turnaround_ms() const {
-  double sum = 0;
-  int n = 0;
-  for (const auto& t : tasks) {
-    if (t.rejected) continue;
-    sum += (t.finish - t.ready).milliseconds();
-    ++n;
-  }
-  return n ? sum / n : 0.0;
-}
-
 namespace {
 
 /// Full-device self-test rotations guaranteed to complete even after the
 /// workload drains (the sweep also keeps roving while tasks are resident).
 constexpr std::int64_t kMinSweepRotations = 1;
+
+/// Where a task's first slot, and a region moved out of the self-test
+/// window, go: the lowest, then leftmost free rectangle.
+constexpr area::PlacePolicy kPlacement = area::PlacePolicy::kBottomLeft;
 
 struct Job {
   int id = 0;
@@ -286,7 +279,7 @@ class Engine {
     }
 
     auto slot = mgr_.find_free_rect(job.fn.height, job.fn.width,
-                                    cfg_->placement);
+                                    kPlacement);
     // While a self-test transaction holds the configuration port, the
     // window's claim regions are immovable (they are not tasks): planning
     // waits for the test to finish; retry_waiting() runs at sweep-done.
@@ -563,7 +556,7 @@ class Engine {
         continue;
       }
       const auto dest = mgr_.find_free_rect(rect.height, rect.width,
-                                            cfg_->placement, &window);
+                                            kPlacement, &window);
       if (!dest) {
         clear = false;
         continue;

@@ -1,8 +1,10 @@
 // Depth tests for paths the main suites touch only incidentally: router
-// limits, engine options, golden-model resets, capture/restore under
-// randomized mutation, bitstream listings, and the proactive
-// defragmentation trigger.
+// limits, the relocation procedure's fixed constants, golden-model resets,
+// capture/restore under randomized mutation, bitstream listings, and the
+// proactive defragmentation trigger.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "relogic/config/bitstream.hpp"
 #include "relogic/config/controller.hpp"
@@ -54,37 +56,39 @@ TEST(RouterLimits, LongsDisabledStillRoutes) {
   }
 }
 
-TEST(EngineOptions, OutputParallelCyclesExtendWallTime) {
-  for (const int cycles : {1, 8}) {
-    Fabric fab(DeviceGeometry::tiny(12, 12));
-    fabric::DelayModel dm;
-    config::BoundaryScanPort port;
-    config::ConfigController controller(fab, port);
-    sim::FabricSim sim(fab, dm);
-    sim.add_clock(sim::ClockSpec{});
-    place::Implementer implementer(fab, dm);
-    place::Router router(fab, dm);
-    reloc::RelocationEngine engine(controller, router, &sim);
+TEST(RelocProcedure, OutputsStayParalleledForAClockCycle) {
+  Fabric fab(DeviceGeometry::tiny(12, 12));
+  fabric::DelayModel dm;
+  config::BoundaryScanPort port;
+  config::ConfigController controller(fab, port);
+  sim::FabricSim sim(fab, dm);
+  sim.add_clock(sim::ClockSpec{});
+  place::Implementer implementer(fab, dm);
+  place::Router router(fab, dm);
+  reloc::RelocationEngine engine(controller, router, &sim);
 
-    const auto nl = netlist::bench::counter(3);
-    auto impl = implementer.implement(
-        netlist::map_netlist(nl),
-        place::ImplementOptions{ClbRect{2, 2, 3, 3}, 0, {}});
-    sim::CircuitHarness harness(sim, nl, impl);
-    harness.step({});
+  const auto nl = netlist::bench::counter(3);
+  auto impl = implementer.implement(
+      netlist::map_netlist(nl),
+      place::ImplementOptions{ClbRect{2, 2, 3, 3}, 0});
+  sim::CircuitHarness harness(sim, nl, impl);
+  harness.step({});
 
-    reloc::RelocOptions opt;
-    opt.output_parallel_cycles = cycles;
-    const auto rep =
-        engine.relocate_cell(impl, 0, place::CellSite{ClbCoord{9, 9}, 0}, opt);
-    // More mandated parallel cycles => strictly more wall time than config
-    // time, growing with the requirement.
-    EXPECT_GE(rep.wall_time - rep.config_time,
-              sim.clock_period(0) * (cycles - 1));
-  }
+  const auto ff =
+      std::ranges::find_if(impl.sites, [&](const place::CellSite& s) {
+        return fab.cell(s.clb, s.cell).reg == fabric::RegMode::kFF;
+      });
+  ASSERT_NE(ff, impl.sites.end()) << "counter has no flip-flop cell";
+  const auto rep = engine.relocate_cell(
+      impl, static_cast<int>(ff - impl.sites.begin()),
+      place::CellSite{ClbCoord{9, 9}, 0});
+  ASSERT_FALSE(rep.gated_clock);
+  // Fig. 2: original and replica outputs stay paralleled for at least one
+  // user clock cycle, on top of the configuration-port time.
+  EXPECT_GE(rep.wall_time - rep.config_time, sim.clock_period(0));
 }
 
-TEST(EngineOptions, TinyAuxRadiusFailsInCrowdedNeighbourhood) {
+TEST(RelocProcedure, AuxCircuitNeedsAFreeClbWithinSearchRadius) {
   Fabric fab(DeviceGeometry::tiny(12, 12));
   fabric::DelayModel dm;
   config::BoundaryScanPort port;
@@ -99,22 +103,32 @@ TEST(EngineOptions, TinyAuxRadiusFailsInCrowdedNeighbourhood) {
       1, netlist::bench::ClockingStyle::kGatedClock);
   auto impl = implementer.implement(
       netlist::map_netlist(nl),
-      place::ImplementOptions{ClbRect{2, 2, 2, 2}, 0, {}});
+      place::ImplementOptions{ClbRect{2, 2, 2, 2}, 0});
 
-  // Crowd the destination's whole neighbourhood.
+  // Crowd every free CLB within the engine's 5-CLB auxiliary-circuit
+  // search radius of the destination; CLBs beyond it stay free.
+  constexpr int kAuxSearchRadius = 5;
   const ClbCoord dest{8, 8};
-  for (int dr = -1; dr <= 1; ++dr) {
-    for (int dc = -1; dc <= 1; ++dc) {
-      if (dr == 0 && dc == 0) continue;
-      fab.set_cell_config({dest.row + dr, dest.col + dc}, 0,
-                          fabric::LogicCellConfig::constant(false));
+  for (int dr = -kAuxSearchRadius; dr <= kAuxSearchRadius; ++dr) {
+    for (int dc = -kAuxSearchRadius; dc <= kAuxSearchRadius; ++dc) {
+      const ClbCoord c{dest.row + dr, dest.col + dc};
+      if (c == dest || !fab.geometry().in_bounds(c) || !fab.clb_free(c))
+        continue;
+      fab.set_cell_config(c, 0, fabric::LogicCellConfig::constant(false));
     }
   }
-  reloc::RelocOptions opt;
-  opt.aux_search_radius = 1;
-  EXPECT_THROW(
-      engine.relocate_cell(impl, 0, place::CellSite{dest, 0}, opt),
-      ResourceError);
+  const int ops_before = controller.totals().ops;
+  try {
+    engine.relocate_cell(impl, 0, place::CellSite{dest, 0});
+    FAIL() << "auxiliary circuit placed outside the search radius";
+  } catch (const ResourceError& e) {
+    EXPECT_NE(std::string(e.what()).find("within radius 5"),
+              std::string::npos)
+        << e.what();
+  }
+  // Refused before any write: the replica site stays free.
+  EXPECT_EQ(controller.totals().ops, ops_before);
+  EXPECT_FALSE(fab.cell(dest, 0).used);
 }
 
 TEST(GoldenModel, ResetRestoresInitialState) {

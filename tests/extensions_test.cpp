@@ -78,7 +78,7 @@ TEST(RouteOptimization, PricesSinksWithTheRoutersDelayModel) {
   reloc::RelocationEngine engine{controller, router, nullptr};
   auto impl = implementer.implement(
       netlist::map_netlist(netlist::bench::counter(4)),
-      place::ImplementOptions{ClbRect{1, 1, 3, 3}, 0, {}});
+      place::ImplementOptions{ClbRect{1, 1, 3, 3}, 0});
   engine.relocate_function(impl, ClbRect{12, 12, 3, 3});
 
   SimTime worst = SimTime::zero();
@@ -98,7 +98,7 @@ TEST(RouteOptimization, IdempotentSecondPass) {
   const auto nl = netlist::bench::counter(3);
   auto impl = rig.implementer.implement(
       netlist::map_netlist(nl),
-      place::ImplementOptions{ClbRect{1, 1, 3, 3}, 0, {}});
+      place::ImplementOptions{ClbRect{1, 1, 3, 3}, 0});
   sim::CircuitHarness harness(rig.sim, nl, impl);
   for (int i = 0; i < 3; ++i) ASSERT_TRUE(harness.step({}).ok());
 
@@ -155,7 +155,7 @@ TEST(RouteOptimization, EveryRerouteGainsAtLeastMinGain) {
                                     k % 4});
 
     const auto before = sink_routes(fab, impl, dm);
-    const auto rep = engine.optimize_function_routing(impl, {}, min_gain);
+    const auto rep = engine.optimize_function_routing(impl, min_gain);
     const auto after = sink_routes(fab, impl, dm);
     int moved = 0;
     for (const auto& [key, was] : before) {
@@ -244,10 +244,9 @@ TEST(MultiClock, GatedRelocationInSecondDomain) {
 }
 
 TEST(LutRamHalt, StopTheSystemRelocationPreservesFunction) {
-  // Sec. 2: LUT-RAMs cannot move on-line; with allow_halt_for_lut_ram the
-  // engine stops the cell's clock domain, copies content + rewires, and
-  // resumes — downtime reported, function preserved, other domains
-  // unaffected.
+  // Sec. 2: LUT-RAMs cannot move on-line; relocate_lut_ram_cell_halted
+  // stops the cell's clock domain, copies content + rewires, and resumes —
+  // downtime reported, function preserved, other domains unaffected.
   Rig rig;
   rig.sim.add_clock(sim::ClockSpec{0, SimTime::ns(100), SimTime::ns(100)});
   rig.sim.add_clock(sim::ClockSpec{1, SimTime::ns(80), SimTime::ns(80)});
@@ -277,17 +276,19 @@ TEST(LutRamHalt, StopTheSystemRelocationPreservesFunction) {
     ASSERT_TRUE(bystander.step({}).ok());
   }
 
-  // Refused without the option...
-  EXPECT_THROW(
-      rig.engine.relocate_cell(impl, 0, place::CellSite{ClbCoord{8, 2}, 0}),
-      IllegalOperationError);
+  // Refused on-line, naming the stop-the-system entry point...
+  try {
+    rig.engine.relocate_cell(impl, 0, place::CellSite{ClbCoord{8, 2}, 0});
+    FAIL() << "on-line relocation of a LUT-RAM succeeded";
+  } catch (const IllegalOperationError& e) {
+    EXPECT_NE(std::string(e.what()).find("relocate_lut_ram_cell_halted"),
+              std::string::npos)
+        << e.what();
+  }
 
-  // ...performed with it.
-  reloc::RelocOptions opt;
-  opt.allow_halt_for_lut_ram = true;
-  const auto rep =
-      rig.engine.relocate_cell(impl, 0, place::CellSite{ClbCoord{8, 2}, 0},
-                               opt);
+  // ...performed by it.
+  const auto rep = rig.engine.relocate_lut_ram_cell_halted(
+      impl, 0, place::CellSite{ClbCoord{8, 2}, 0});
   EXPECT_GT(rep.halted, SimTime::zero());
   EXPECT_GT(rep.frames_written, 0);
   for (const auto* im : {&impl, &other_impl}) {
@@ -343,10 +344,9 @@ TEST(LutRamHalt, BrokenInputNetFailsTheRewire) {
   }
   ASSERT_TRUE(broken) << "no input net with a source-adjacent trunk edge";
 
-  reloc::RelocOptions opt;
-  opt.allow_halt_for_lut_ram = true;
   try {
-    rig.engine.relocate_cell(impl, 0, CellSite{ClbCoord{8, 2}, 0}, opt);
+    rig.engine.relocate_lut_ram_cell_halted(impl, 0,
+                                            CellSite{ClbCoord{8, 2}, 0});
     FAIL() << "halted move of a cell with a broken input net succeeded";
   } catch (const IllegalOperationError& e) {
     EXPECT_TRUE(std::string(e.what()).starts_with(
@@ -361,7 +361,7 @@ TEST(LutRamHalt, ClockGatingStopsAndResumesCleanly) {
   const auto nl = netlist::bench::counter(4);
   auto impl = rig.implementer.implement(
       netlist::map_netlist(nl),
-      place::ImplementOptions{ClbRect{2, 2, 3, 3}, 0, {}});
+      place::ImplementOptions{ClbRect{2, 2, 3, 3}, 0});
   sim::CircuitHarness h(rig.sim, nl, impl);
   for (int i = 0; i < 5; ++i) ASSERT_TRUE(h.step({}).ok());
 

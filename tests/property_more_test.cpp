@@ -30,7 +30,7 @@ TEST(GrayProperty, SingleBitChangesOnFabric) {
   const auto nl = netlist::bench::gray_counter(4);
   auto impl = implementer.implement(
       netlist::map_netlist(nl),
-      place::ImplementOptions{ClbRect{2, 2, 3, 3}, 0, {}});
+      place::ImplementOptions{ClbRect{2, 2, 3, 3}, 0});
   sim::CircuitHarness h(sim, nl, impl);
 
   auto read = [&] {
@@ -108,7 +108,7 @@ TEST(GatedTransfer, CeActiveThroughoutStillCoherent) {
       4, netlist::bench::ClockingStyle::kGatedClock);
   auto impl = implementer.implement(
       netlist::map_netlist(nl),
-      place::ImplementOptions{ClbRect{2, 2, 3, 3}, 0, {}});
+      place::ImplementOptions{ClbRect{2, 2, 3, 3}, 0});
   sim::CircuitHarness h(sim, nl, impl);
   // Keep CE high the whole experiment: the counter counts continuously —
   // including all through the relocation interval.
@@ -216,7 +216,7 @@ TEST(IdenticalRewrite, WholeFunctionRewriteIsEffectFree) {
   const auto nl = netlist::bench::b02();
   auto impl = implementer.implement(
       netlist::map_netlist(nl),
-      place::ImplementOptions{ClbRect{2, 2, 3, 3}, 0, {}});
+      place::ImplementOptions{ClbRect{2, 2, 3, 3}, 0});
   sim::CircuitHarness h(sim, nl, impl);
   Rng rng(6);
   for (int i = 0; i < 5; ++i) ASSERT_TRUE(h.step_random(rng).ok());

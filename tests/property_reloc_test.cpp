@@ -190,8 +190,7 @@ TEST(FailureInjection, BrokenNetFailsValidation) {
       place::ImplementOptions{
           place::suggest_region(netlist::map_netlist(nl), {2, 2},
                                 rig.fab.geometry()),
-          0,
-          {}});
+          0});
   // Pick a net with at least two edges and amputate its first edge.
   for (const auto& [sig, net] : impl.signal_nets) {
     const auto& tree = rig.fab.net(net);

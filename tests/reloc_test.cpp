@@ -258,8 +258,7 @@ TEST(EngineEdgeCases, FunctionRegionWithoutSpaceRejected) {
       place::ImplementOptions{
           place::suggest_region(netlist::map_netlist(nl), {2, 2},
                                 rig.fab.geometry()),
-          0,
-          {}});
+          0});
   EXPECT_THROW(rig.engine.relocate_function(impl, ClbRect{10, 10, 1, 1}),
                ResourceError);
 }
@@ -281,8 +280,7 @@ TEST(EngineEdgeCases, RelocationWithoutSimulatorStillWorks) {
       place::ImplementOptions{
           place::suggest_region(netlist::map_netlist(nl), {2, 2},
                                 fab.geometry()),
-          0,
-          {}});
+          0});
   const auto report =
       engine.relocate_cell(impl, 0, place::CellSite{ClbCoord{9, 9}, 0});
   EXPECT_GT(report.config_time, SimTime::zero());
@@ -301,8 +299,7 @@ TEST(EngineEdgeCases, ReportsAccumulateInFunctionRelocation) {
       place::ImplementOptions{
           place::suggest_region(netlist::map_netlist(nl), {1, 1},
                                 rig.fab.geometry()),
-          0,
-          {}});
+          0});
   sim::CircuitHarness harness(rig.sim, nl, impl);
   for (int i = 0; i < 3; ++i) harness.step({});
 
@@ -317,6 +314,71 @@ TEST(EngineEdgeCases, ReportsAccumulateInFunctionRelocation) {
   EXPECT_EQ(report.config_time, sum);
   EXPECT_EQ(report.frames_written, frames);
   EXPECT_EQ(impl.region, (ClbRect{8, 8, 3, 3}));
+}
+
+/// counter(6) implemented on an XCV200 at suggest_region(..., {2, 2}).
+struct OverlapRig {
+  Fabric fab{DeviceGeometry::xcv200()};
+  fabric::DelayModel dm;
+  config::BoundaryScanPort port;
+  config::ConfigController controller{fab, port};
+  sim::FabricSim sim{fab, dm};
+  place::Implementer implementer{fab, dm};
+  place::Router router{fab, dm};
+  RelocationEngine engine{controller, router, &sim};
+  netlist::Netlist nl = netlist::bench::counter(6);
+  place::Implementation impl;
+
+  OverlapRig() {
+    sim.add_clock(sim::ClockSpec{});
+    const auto mapped = netlist::map_netlist(nl);
+    impl = implementer.implement(
+        mapped, place::ImplementOptions{
+                    place::suggest_region(mapped, {2, 2}, fab.geometry()), 0});
+  }
+  int free_cells(ClbRect r) const {
+    int n = 0;
+    for (int row = r.row; row < r.row_end(); ++row)
+      for (int col = r.col; col < r.col_end(); ++col)
+        for (int k = 0; k < fab.geometry().cells_per_clb; ++k)
+          n += fab.cell({row, col}, k).used ? 0 : 1;
+    return n;
+  }
+};
+
+TEST(FunctionRelocation, OverlappingOneColumnShiftKeepsLockstep) {
+  OverlapRig rig;
+  ASSERT_EQ(rig.impl.region, (ClbRect{2, 2, 4, 3}));
+  sim::CircuitHarness harness(rig.sim, rig.nl, rig.impl);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(harness.step({}).ok());
+
+  ClbRect dest = rig.impl.region;
+  ++dest.col;
+  const auto report = rig.engine.relocate_function(rig.impl, dest);
+  EXPECT_EQ(static_cast<int>(report.cells.size()), rig.impl.cell_count());
+  EXPECT_EQ(rig.impl.region, dest);
+  for (int i = 0; i < 10; ++i)
+    ASSERT_TRUE(harness.step({}).ok()) << harness.mismatch_log().back();
+  EXPECT_TRUE(rig.sim.monitor().clean());
+}
+
+TEST(FunctionRelocation, TooFewFreeCellsThrowBeforeAnyWrite) {
+  OverlapRig rig;
+  // One row of the source region shifted one column: it overlaps the
+  // source and has fewer free cells than the function has cells.
+  ClbRect dest = rig.impl.region;
+  ++dest.col;
+  dest.height = 1;
+  ASSERT_TRUE(dest.overlaps(rig.impl.region));
+  ASSERT_LT(rig.free_cells(dest), rig.impl.cell_count());
+
+  const config::ConfigTotals before = rig.controller.totals();
+  EXPECT_THROW(rig.engine.relocate_function(rig.impl, dest), ResourceError);
+  const config::ConfigTotals& after = rig.controller.totals();
+  EXPECT_EQ(after.ops, before.ops);
+  EXPECT_EQ(after.frames_written, before.frames_written);
+  EXPECT_EQ(after.columns_touched, before.columns_touched);
+  EXPECT_EQ(after.time, before.time);
 }
 
 TEST(EngineEdgeCases, AuxSearchFailsOnFullFabric) {
@@ -335,12 +397,15 @@ TEST(EngineEdgeCases, AuxSearchFailsOnFullFabric) {
     for (int c = 0; c < 6; ++c) rig.fab.clear_cell({r, c}, 0);
   auto impl = rig.implementer.implement(
       netlist::map_netlist(nl),
-      place::ImplementOptions{ClbRect{0, 0, 4, 5}, 0, {}});
+      place::ImplementOptions{ClbRect{0, 0, 4, 5}, 0});
   // Free exactly one destination cell far away, but keep its CLB's other
   // cells... the destination CLB itself holds cell 0; use cell 1.
+  const int ops_before = rig.controller.totals().ops;
   EXPECT_THROW(
       rig.engine.relocate_cell(impl, 0, place::CellSite{ClbCoord{10, 10}, 1}),
       ResourceError);
+  EXPECT_EQ(rig.controller.totals().ops, ops_before);
+  EXPECT_FALSE(rig.fab.cell({10, 10}, 1).used);
 }
 
 }  // namespace
