@@ -621,11 +621,9 @@ BENCHMARK(BM_DefragPlan)
     ->Args({64, 96})
     ->Unit(benchmark::kMillisecond);
 
-void BM_FailingPlan(benchmark::State& state) {
-  // The on-line scheduler's common case: a 12x12 device at 75%
-  // utilisation, a request with enough free CLBs but no slot, and no plan:
-  // both greedy move sequences run out and the full-compaction packing
-  // fails too. BM_DefragPlan measures planning that succeeds.
+/// The on-line scheduler's common case: a 12x12 device at 75% utilisation
+/// where a request has enough free CLBs but no slot, and no plan.
+area::AreaManager failing_plan_state() {
   area::AreaManager mgr(12, 12);
   Rng rng(32);
   std::vector<area::RegionId> live;
@@ -638,17 +636,48 @@ void BM_FailingPlan(benchmark::State& state) {
     mgr.release(live[k]);
     live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
   }
-  const int h = 3;
-  const int w = 6;
   RELOGIC_CHECK(mgr.used_clbs() * 4 == mgr.total_clbs() * 3);
+  return mgr;
+}
+
+/// Asserts that h x w is a failing request on `mgr`: enough free CLBs, no
+/// slot, and both greedy move sequences and the full-compaction packing
+/// fail.
+void check_failing_shape(const area::AreaManager& mgr, int h, int w) {
   RELOGIC_CHECK(mgr.free_clbs() >= h * w && !mgr.can_fit(h, w));
   RELOGIC_CHECK(!area::plan_full_compaction(mgr, {{h, w}}));
   RELOGIC_CHECK(!area::plan_for_request(mgr, h, w));
+}
+
+void BM_FailingPlan(benchmark::State& state) {
+  // One failing request against a fresh planner. BM_DefragPlan measures
+  // planning that succeeds.
+  const area::AreaManager mgr = failing_plan_state();
+  const int h = 3;
+  const int w = 6;
+  check_failing_shape(mgr, h, w);
   for (auto _ : state) {
     benchmark::DoNotOptimize(area::plan_for_request(mgr, h, w));
   }
 }
 BENCHMARK(BM_FailingPlan)->Unit(benchmark::kMicrosecond);
+
+void BM_FailingPlanShapes(benchmark::State& state) {
+  // The scheduler's retry loop asks one planner for every waiting shape;
+  // on fleet_online that is about four per area state. One planner on
+  // BM_FailingPlan's state, queried with four failing shapes: the
+  // candidate tables, sequences and packing input of the first query
+  // serve the other three.
+  const area::AreaManager mgr = failing_plan_state();
+  const std::pair<int, int> shapes[] = {{3, 6}, {4, 5}, {5, 5}, {6, 4}};
+  for (const auto& [h, w] : shapes) check_failing_shape(mgr, h, w);
+  for (auto _ : state) {
+    const area::RequestPlanner planner(mgr);
+    for (const auto& [h, w] : shapes)
+      benchmark::DoNotOptimize(planner.plan(h, w));
+  }
+}
+BENCHMARK(BM_FailingPlanShapes)->Unit(benchmark::kMicrosecond);
 
 /// google-benchmark 1.8.0 replaced Run::error_occurred with Run::skipped;
 /// these overloads pick whichever member the system library has.

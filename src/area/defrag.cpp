@@ -5,10 +5,18 @@
 namespace relogic::area {
 
 std::vector<RequestPlanner::Candidate> RequestPlanner::evaluate(
-    const AreaManager& state) {
+    const AreaManager& state, const std::vector<int>& fit) {
+  // pick() reads the largest gain first; victim area and distance only
+  // break ties among equal gains. So only the candidates of the largest
+  // gain so far are kept, in scan order, and each move is scored only as
+  // far as it could reach that gain: floor best_gain - 1 still measures a
+  // tie exactly, and anything below reads as a loser.
   std::vector<Candidate> out;
+  int best_gain = 0;
   for (const Region& region : state.regions()) {
     const ClbRect& rect = region.rect;
+    // No free h x w rect exists, so the scan below would find nothing.
+    if (fit[static_cast<std::size_t>(rect.height - 1)] < rect.width) continue;
     // Candidate destinations: bottom-left and best-fit placements of the
     // region's shape in the remaining free space (non-overlapping with
     // its current rect, so plans execute move-by-move on the fabric).
@@ -22,7 +30,13 @@ std::vector<RequestPlanner::Candidate> RequestPlanner::evaluate(
       // improvement, so it could never win.
       if (dest == scored) continue;
       scored = dest;
-      const long gain = state.largest_free_area_after_move(rect, *dest);
+      const int gain =
+          state.largest_free_area_after_move(rect, *dest, best_gain - 1);
+      if (gain < best_gain) continue;
+      if (gain > best_gain) {
+        out.clear();
+        best_gain = gain;
+      }
       const long dist =
           std::abs(dest->row - rect.row) + std::abs(dest->col - rect.col);
       out.push_back(
@@ -66,7 +80,8 @@ const std::vector<RequestPlanner::Candidate>& RequestPlanner::candidates_of(
   const std::vector<RegionId>& grid = seq.grids.back();
   for (const Evaluated& e : evaluated_)
     if (e.grid == grid) return e.candidates;
-  evaluated_.push_back(Evaluated{grid, evaluate(seq.scratch)});
+  evaluated_.push_back(
+      Evaluated{grid, evaluate(seq.scratch, seq.fit.back())});
   return evaluated_.back().candidates;
 }
 
@@ -147,7 +162,8 @@ std::optional<DefragPlan> RequestPlanner::plan(int h, int w) const {
                            small_victims_->fit.front(),
                            small_victims_->grids.front());
   if (auto plan = query(*large_victims_, h, w)) return plan;
-  auto full = plan_full_compaction(*mgr_, {{h, w}});
+  if (!full_) full_.emplace(*mgr_);
+  auto full = full_->plan({{h, w}});
   if (full && static_cast<int>(full->moves.size()) <= opt_.max_moves)
     return full;
   return std::nullopt;
@@ -158,15 +174,28 @@ std::optional<DefragPlan> plan_for_request(const AreaManager& mgr, int h,
   return RequestPlanner(mgr, opt).plan(h, w);
 }
 
-std::optional<DefragPlan> plan_full_compaction(
-    const AreaManager& mgr, std::optional<std::pair<int, int>> pending) {
+FullCompaction::FullCompaction(const AreaManager& mgr)
+    : mgr_(&mgr), canvas_(mgr.free_rows()), packed_(canvas_) {
   // Pack everything into an empty canvas: pending request first (it must
   // end up placed), then regions by area descending. Bottom-left packing
   // reads free bits only, so the canvas is the source's row bitsets with
   // every region's rect set free again: exactly the masked CLBs stay
   // occupied, and no repacking target ever lands on one.
-  FreeRows canvas = mgr.free_rows();
-  for (const Region& r : mgr.regions()) canvas.set(r.rect, true);
+  order_.reserve(mgr.region_count());
+  for (const Region& r : mgr.regions()) {
+    canvas_.set(r.rect, true);
+    order_.push_back(Piece{r.rect.area(), r.id, r.rect});
+  }
+  std::sort(order_.begin(), order_.end(), [](const Piece& a, const Piece& b) {
+    if (a.area != b.area) return a.area > b.area;
+    return a.id < b.id;
+  });
+}
+
+std::optional<DefragPlan> FullCompaction::plan(
+    std::optional<std::pair<int, int>> pending) {
+  packed_ = canvas_;  // same size: copies into the scratch words
+  FreeRows& canvas = packed_;
   DefragPlan plan;
 
   if (pending) {
@@ -176,43 +205,28 @@ std::optional<DefragPlan> plan_full_compaction(
     plan.request_slot = *slot;
   }
 
-  struct Piece {
-    int area;
-    RegionId id;
-    ClbRect rect;
-  };
-  std::vector<Piece> order;
-  order.reserve(mgr.region_count());
-  for (const Region& r : mgr.regions())
-    order.push_back(Piece{r.rect.area(), r.id, r.rect});
-  std::sort(order.begin(), order.end(), [](const Piece& a, const Piece& b) {
-    if (a.area != b.area) return a.area > b.area;
-    return a.id < b.id;
-  });
-
-  std::vector<ClbRect> target;  // target[i]: destination of order[i]
-  target.reserve(order.size());
-  for (const Piece& p : order) {
+  target_.clear();  // target_[i]: destination of order_[i]
+  for (const Piece& p : order_) {
     const auto slot = canvas.first_fit(p.rect.height, p.rect.width);
     if (!slot) return std::nullopt;
     canvas.set(*slot, false);
-    target.push_back(*slot);
+    target_.push_back(*slot);
   }
 
   // Order the moves so each destination is free when its turn comes;
-  // break cycles through temporary positions. Pending entries index order.
-  AreaManager current = mgr;
+  // break cycles through temporary positions. Pending entries index order_.
+  AreaManager current = *mgr_;
   std::vector<std::size_t> pending_moves;
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    if (target[i] != order[i].rect) pending_moves.push_back(i);
+  for (std::size_t i = 0; i < order_.size(); ++i) {
+    if (target_[i] != order_[i].rect) pending_moves.push_back(i);
   }
   int stall_guard = 0;
   while (!pending_moves.empty()) {
     bool progress = false;
     for (auto it = pending_moves.begin(); it != pending_moves.end();) {
-      const RegionId id = order[*it].id;
+      const RegionId id = order_[*it].id;
       const ClbRect from = current.region(id).rect;
-      const ClbRect to = target[*it];
+      const ClbRect to = target_[*it];
       if (current.can_move(id, to)) {
         current.move(id, to);
         plan.moves.push_back(Move{id, from, to});
@@ -224,11 +238,11 @@ std::optional<DefragPlan> plan_full_compaction(
     }
     if (progress) continue;
     // Cycle: evict the first pending region to any free spot.
-    const RegionId id = order[pending_moves.front()].id;
+    const RegionId id = order_[pending_moves.front()].id;
     const ClbRect from = current.region(id).rect;
     const auto tmp = current.find_free_rect(from.height, from.width,
                                             PlacePolicy::kBestFit);
-    if (!tmp || ++stall_guard > 2 * static_cast<int>(mgr.region_count()) + 4)
+    if (!tmp || ++stall_guard > 2 * static_cast<int>(order_.size()) + 4)
       return std::nullopt;
     current.move(id, *tmp);
     plan.moves.push_back(Move{id, from, *tmp});
@@ -239,6 +253,11 @@ std::optional<DefragPlan> plan_full_compaction(
     plan.request_slot = biggest;
   }
   return plan;
+}
+
+std::optional<DefragPlan> plan_full_compaction(
+    const AreaManager& mgr, std::optional<std::pair<int, int>> pending) {
+  return FullCompaction(mgr).plan(pending);
 }
 
 }  // namespace relogic::area

@@ -55,6 +55,36 @@ std::optional<DefragPlan> plan_for_request(const AreaManager& mgr, int h,
                                            int w,
                                            const DefragOptions& opt = {});
 
+/// Bottom-left repacking of every region of one area state, for any number
+/// of pending request shapes: the packing canvas (the row free bits with
+/// every region's rect set free again, so exactly the masked CLBs stay
+/// occupied) and the regions in packing order do not depend on the shape,
+/// so they are built once and each plan() packs on scratch copies.
+/// plan_full_compaction is plan() on a fresh FullCompaction.
+class FullCompaction {
+ public:
+  explicit FullCompaction(const AreaManager& mgr);
+
+  /// plan_full_compaction(mgr, pending) for the state this was built
+  /// from. The manager must not have changed.
+  std::optional<DefragPlan> plan(std::optional<std::pair<int, int>> pending);
+
+ private:
+  struct Piece {
+    int area;
+    RegionId id;
+    ClbRect rect;
+  };
+
+  const AreaManager* mgr_;
+  FreeRows canvas_;
+  std::vector<Piece> order_;  ///< area descending, ties by id
+  // Scratch reused by every plan(): the canvas being packed and the
+  // destination of each order_ entry.
+  FreeRows packed_;
+  std::vector<ClbRect> target_;
+};
+
 /// Shared planning front-end for one fixed area state.
 ///
 /// The greedy search of plan_for_request picks each move by the largest
@@ -68,10 +98,12 @@ std::optional<DefragPlan> plan_for_request(const AreaManager& mgr, int h,
 /// request shape the on-line scheduler retries against one area state.
 ///
 /// Each distinct area state is scored at most once per planner: the
-/// candidate moves of a state (with their gains) are kept in a table keyed
-/// by the occupancy grid and shared by both tie-break sequences, and a
-/// sequence that would re-enter a state it already visited stops there
-/// (DESIGN.md, "Area layer: planner reuse", argues why that is exact).
+/// candidate moves of a state that can win (those of the largest gain) are
+/// kept in a table keyed by the occupancy grid and shared by both
+/// tie-break sequences, and a sequence that would re-enter a state it
+/// already visited stops there (DESIGN.md, "Area layer: planner reuse",
+/// argues why that is exact). The full-compaction fallback builds its
+/// packing input once per planner, on the first query that reaches it.
 class RequestPlanner {
  public:
   explicit RequestPlanner(const AreaManager& mgr, DefragOptions opt = {});
@@ -88,7 +120,7 @@ class RequestPlanner {
     long dist;  ///< Manhattan distance of the move
     long area;  ///< victim area
   };
-  /// The scored candidates of one area state, in scan order.
+  /// The largest-gain candidates of one area state, in scan order.
   struct Evaluated {
     std::vector<RegionId> grid;
     std::vector<Candidate> candidates;
@@ -114,9 +146,13 @@ class RequestPlanner {
     std::vector<std::vector<RegionId>> grids;
   };
 
-  /// Every candidate move of `state`: bottom-left and best-fit
-  /// destinations of each region, scored without writing the manager.
-  static std::vector<Candidate> evaluate(const AreaManager& state);
+  /// The candidate moves of `state` that pick() can choose: of the
+  /// bottom-left and best-fit destinations of each region, those of the
+  /// largest gain, in scan order, scored without writing the manager.
+  /// `fit` is the state's fit profile (Sequence::fit): a region whose
+  /// shape it rules out has no destination and is not scanned.
+  static std::vector<Candidate> evaluate(const AreaManager& state,
+                                         const std::vector<int>& fit);
   /// The greedy choice among `candidates` under one victim-size tie-break;
   /// the last tie goes to the nearer destination.
   static std::optional<Move> pick(const std::vector<Candidate>& candidates,
@@ -132,6 +168,8 @@ class RequestPlanner {
   mutable std::optional<Sequence> small_victims_;
   /// Built lazily: only consulted when the small-victims pass fails.
   mutable std::optional<Sequence> large_victims_;
+  /// Built lazily: only consulted when both greedy sequences fail.
+  mutable std::optional<FullCompaction> full_;
 };
 
 /// Plans bottom-left repacking of all regions (largest area first, ties by

@@ -138,11 +138,14 @@ class AreaManager {
   /// from the row bitsets. Cached until the next occupancy change (the
   /// scheduler samples fragmentation per event).
   int largest_free_area() const;
-  /// largest_free_area() as it would read after move(id, to) of the
-  /// region at `from`, computed on a copy of the row bitsets: the manager
-  /// is not written. `to` must be free once `from` is vacated.
-  int largest_free_area_after_move(const ClbRect& from,
-                                   const ClbRect& to) const;
+  /// max(floor, largest_free_area() as it would read after move(id, to)
+  /// of the region at `from`), computed on a copy of the row bitsets: the
+  /// manager is not written. `to` must be free once `from` is vacated. The
+  /// area walk stops as soon as its result cannot exceed `floor`, so a
+  /// caller that only needs to know whether a move beats some area passes
+  /// that area (or one less, to measure ties exactly) as the floor.
+  int largest_free_area_after_move(const ClbRect& from, const ClbRect& to,
+                                   int floor = 0) const;
   /// profile[h-1] = widest w such that an all-free h x w rectangle exists
   /// (0 if none); nonincreasing in h. The defrag planner's fit profile.
   std::vector<int> free_width_profile() const;

@@ -87,19 +87,19 @@ void keep_run_starts(Word* words, int n, int w) {
   }
 }
 
-/// Word buffer for one query: inline up to N words, on the heap beyond;
-/// the same code runs either way.
-template <int N>
-class WordBuf {
+/// Buffer for one query: inline up to N elements, on the heap beyond; the
+/// same code runs either way.
+template <typename T, int N>
+class InlineBuf {
  public:
-  explicit WordBuf(int n) {
+  explicit InlineBuf(int n) {
     if (n > N) heap_.resize(static_cast<std::size_t>(n));
   }
-  Word* data() { return heap_.empty() ? inline_.data() : heap_.data(); }
+  T* data() { return heap_.empty() ? inline_.data() : heap_.data(); }
 
  private:
-  std::array<Word, N> inline_{};
-  std::vector<Word> heap_;
+  std::array<T, N> inline_{};
+  std::vector<T> heap_;
 };
 
 /// acc = AND of `count` consecutive rows starting at `first` (stride n
@@ -125,7 +125,7 @@ void for_each_fit(const FreeRows& bits, int h, int w, const ClbRect* avoid,
                   Visit&& visit) {
   if (h > bits.rows() || w > bits.cols()) return;
   const int n = bits.row_words();
-  WordBuf<4> buf(n);  // 256 columns (XCV4000 has 192)
+  InlineBuf<Word, 4> buf(n);  // 256 columns (XCV4000 has 192)
   Word* fits = buf.data();
   for (int row = 0; row + h <= bits.rows(); ++row) {
     // fits: bit c set iff the h x w rect at (row, c) is all free.
@@ -143,15 +143,17 @@ void for_each_fit(const FreeRows& bits, int h, int w, const ClbRect* avoid,
   }
 }
 
-/// Area of the largest all-free rectangle of `rows` row bitsets (stride n
-/// words, `cols` columns). For each top row, AND the rows below it in
-/// turn: the longest run of the AND is the widest free rect spanning
-/// exactly those rows. The AND only loses bits further down, so
-/// (rows left) x run bounds every later candidate from this top.
-int largest_area(const Word* bits, int rows, int cols, int n) {
-  WordBuf<4> buf(n);
+/// max(floor, area of the largest all-free rectangle) of `rows` row
+/// bitsets (stride n words, `cols` columns). For each top row, AND the
+/// rows below it in turn: the longest run of the AND is the widest free
+/// rect spanning exactly those rows. The AND only loses bits further down,
+/// so (rows left) x run bounds every later candidate from this top; the
+/// walk stops wherever that bound cannot exceed the best so far, which
+/// starts at `floor`.
+int largest_area(const Word* bits, int rows, int cols, int n, int floor) {
+  InlineBuf<Word, 4> buf(n);
   Word* acc = buf.data();
-  int best = 0;
+  int best = floor;
   for (int top = 0; top < rows && (rows - top) * cols > best; ++top) {
     const Word* first = bits + static_cast<std::ptrdiff_t>(top) * n;
     for (int i = 0; i < n; ++i) acc[i] = first[i];
@@ -409,12 +411,13 @@ ClbRect AreaManager::largest_free_rect() const {
 int AreaManager::largest_free_area() const {
   if (largest_area_ < 0)
     largest_area_ = largest_area(free_rows_.bits().data(), rows_, cols_,
-                                 free_rows_.row_words());
+                                 free_rows_.row_words(), 0);
   return largest_area_;
 }
 
 int AreaManager::largest_free_area_after_move(const ClbRect& from,
-                                              const ClbRect& to) const {
+                                              const ClbRect& to,
+                                              int floor) const {
   const auto inside = [&](const ClbRect& r) {
     return r.row >= 0 && r.col >= 0 && r.row_end() <= rows_ &&
            r.col_end() <= cols_;
@@ -422,7 +425,7 @@ int AreaManager::largest_free_area_after_move(const ClbRect& from,
   RELOGIC_CHECK(inside(from) && inside(to));
   // The bits move() would leave: from set (vacated), then to cleared.
   const int n = free_rows_.row_words();
-  WordBuf<64> buf(rows_ * n);  // up to 64 one-word rows inline
+  InlineBuf<Word, 64> buf(rows_ * n);  // up to 64 one-word rows inline
   Word* bits = buf.data();
   std::copy(free_rows_.bits().begin(), free_rows_.bits().end(), bits);
   for (int row = from.row; row < from.row_end(); ++row)
@@ -431,7 +434,7 @@ int AreaManager::largest_free_area_after_move(const ClbRect& from,
   for (int row = to.row; row < to.row_end(); ++row)
     set_bits(bits + static_cast<std::ptrdiff_t>(row) * n, to.col, to.width,
              false);
-  return largest_area(bits, rows_, cols_, n);
+  return largest_area(bits, rows_, cols_, n, floor);
 }
 
 std::vector<int> AreaManager::free_width_profile() const {
@@ -442,18 +445,22 @@ std::vector<int> AreaManager::free_width_profile() const {
   // whose cap cannot beat the height's best so far is not measured.
   std::vector<int> profile(static_cast<std::size_t>(rows_), 0);
   const int n = free_rows_.row_words();
-  std::vector<Word> acc = free_rows_.bits();
-  std::vector<int> cap(static_cast<std::size_t>(rows_), cols_);
+  InlineBuf<Word, 64> acc_buf(rows_ * n);  // up to 64 one-word rows inline
+  Word* acc = acc_buf.data();
+  std::copy(free_rows_.bits().begin(), free_rows_.bits().end(), acc);
+  InlineBuf<int, 64> cap_buf(rows_);
+  int* cap = cap_buf.data();
+  std::fill(cap, cap + rows_, cols_);
   int bound = cols_;
   for (int h = 1; h <= rows_ && bound > 0; ++h) {
     int& best = profile[static_cast<std::size_t>(h - 1)];
     for (int t = 0; t + h <= rows_; ++t) {
-      Word* a = &acc[static_cast<std::size_t>(t) * n];
+      Word* a = acc + static_cast<std::ptrdiff_t>(t) * n;
       if (h > 1) {
         const Word* row = row_bits(t + h - 1);
         for (int i = 0; i < n; ++i) a[i] &= row[i];
       }
-      int& c = cap[static_cast<std::size_t>(t)];
+      int& c = cap[t];
       if (c <= best || best == bound) continue;
       c = longest_run(a, n);
       best = std::max(best, c);

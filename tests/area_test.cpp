@@ -419,6 +419,7 @@ std::optional<Move> oracle_best_move(const AreaManager& s, bool prefer_small) {
 struct OracleResult {
   std::optional<DefragPlan> plan;
   bool revisited = false;  ///< some greedy pass re-entered an earlier state
+  bool packed = false;  ///< both greedy passes failed, the packing planned
 };
 
 OracleResult oracle_plan(const AreaManager& mgr, int h, int w,
@@ -447,8 +448,10 @@ OracleResult oracle_plan(const AreaManager& mgr, int h, int w,
     }
   }
   auto full = naive_full_compaction(mgr, {{h, w}});
-  if (full && static_cast<int>(full->moves.size()) <= opt.max_moves)
+  if (full && static_cast<int>(full->moves.size()) <= opt.max_moves) {
     out.plan = std::move(full);
+    out.packed = true;
+  }
   return out;
 }
 
@@ -605,6 +608,57 @@ TEST(DefragOracle, FullCompactionMatchesNaivePacking) {
   EXPECT_GT(failed, 0);
 }
 
+TEST(DefragOracle, SharedPlannerAnswersManyShapesLikeFreshPlans) {
+  // One RequestPlanner per state, queried with many shapes in random
+  // order: whichever query comes first builds the candidate tables, the
+  // sequences and the packing input, and every later one reuses them (and
+  // the packing scratch). Each answer must equal a fresh plan_for_request
+  // and the naive oracle. The sample must include plans from the packing
+  // fallback, with and without masked CLBs, and several packings per
+  // planner, so a scratch that kept one shape's request slot would show.
+  Rng rng(2028);
+  int packed = 0;
+  int masked_packed = 0;
+  int packings_after_first = 0;
+  for (int n : {8, 12}) {
+    for (bool masked : {false, true}) {
+      for (int trial = 0; trial < 4; ++trial) {
+        const AreaManager mgr =
+            random_state(rng, n, n, masked, trial % 2 == 1);
+        std::vector<std::pair<int, int>> shapes;
+        for (int h = 1; h <= n; ++h)
+          for (int w = 1; w <= n; ++w) shapes.push_back({h, w});
+        rng.shuffle(shapes);
+        shapes.resize(shapes.size() / 3);
+        for (int max_moves : {1, 4, 16}) {
+          DefragOptions opt;
+          opt.max_moves = max_moves;
+          const RequestPlanner shared(mgr, opt);
+          int packings = 0;
+          for (const auto& [h, w] : shapes) {
+            const std::string where =
+                std::to_string(n) + "x" + std::to_string(n) +
+                (masked ? " masked" : "") + " trial " + std::to_string(trial) +
+                " max_moves " + std::to_string(max_moves) + " shape " +
+                std::to_string(h) + "x" + std::to_string(w);
+            const auto fresh = plan_for_request(mgr, h, w, opt);
+            expect_same_plan(shared.plan(h, w), fresh, where + " (shared)");
+            const OracleResult want = oracle_plan(mgr, h, w, opt);
+            expect_same_plan(fresh, want.plan, where + " (oracle)");
+            if (!want.packed) continue;
+            packings_after_first += packings++ > 0 ? 1 : 0;
+            packed += 1;
+            masked_packed += masked ? 1 : 0;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(packed - masked_packed, 0);
+  EXPECT_GT(masked_packed, 0);
+  EXPECT_GT(packings_after_first, 0);
+}
+
 TEST(DefragOracle, OscillatingGreedySequenceStopsWithSameVerdict) {
   // 1 x 5 strip: region A at col 0, a masked CLB at col 2. A 1 x 3 request
   // has the free area (cols 1, 3, 4) but can never fit: the mask splits the
@@ -701,12 +755,22 @@ void check_trial_scores(AreaManager& mgr, const std::string& where) {
       if (mgr.can_move(id, shifted)) tos.push_back(shifted);
     }
     for (const ClbRect& to : tos) {
+      const std::string move = where + " region " + std::to_string(id) +
+                               " " + from.to_string() + " -> " +
+                               to.to_string();
       const int trial = mgr.largest_free_area_after_move(from, to);
       mgr.move(id, to);
       const int moved = mgr.largest_free_area();
       mgr.move(id, from);
-      ASSERT_EQ(trial, moved) << where << " region " << id << " "
-                              << from.to_string() << " -> " << to.to_string();
+      ASSERT_EQ(trial, moved) << move;
+      // With a floor the walk may stop early, but never below the floor and
+      // never off the exact value above it.
+      for (const int floor : {-1, moved / 2, moved - 1, moved, moved + 1,
+                              mgr.total_clbs()}) {
+        ASSERT_EQ(mgr.largest_free_area_after_move(from, to, floor),
+                  std::max(floor, moved))
+            << move << " floor " << floor;
+      }
     }
   }
 }
