@@ -29,7 +29,7 @@ int main() {
     // shared cached skeleton after the first iteration.
     fabric::Fabric fab(fabric::DeviceGeometry::tiny(16, 16));
     const fabric::DelayModel dm;
-    const auto& g = fab.graph();
+    const auto& g = fab.skeleton();
 
     // Original path: straight east along row 8.
     const fabric::NetId net = fab.create_net("fig6");

@@ -77,7 +77,7 @@ void BM_FabricAcquireCached(benchmark::State& state) {
   fabric::Fabric warmup(geom);
   for (auto _ : state) {
     fabric::Fabric fab(geom);
-    benchmark::DoNotOptimize(fab.graph().node_count());
+    benchmark::DoNotOptimize(fab.skeleton().node_count());
   }
   state.SetLabel(geom.name);
 }
@@ -93,7 +93,7 @@ void BM_MazeRoute(benchmark::State& state) {
   fabric::Fabric fab(fabric::DeviceGeometry::xcv200());
   const fabric::DelayModel dm;
   place::Router router(fab, dm);
-  const auto& g = fab.graph();
+  const auto& g = fab.skeleton();
   int k = 0;
   for (auto _ : state) {
     state.PauseTiming();
@@ -182,7 +182,7 @@ void BM_SimulatorFanout(benchmark::State& state) {
   fabric::Fabric fab(fabric::DeviceGeometry::xcv200());
   const fabric::DelayModel dm;
   place::Router router(fab, dm);
-  const auto& g = fab.graph();
+  const auto& g = fab.skeleton();
   const auto& geom = fab.geometry();
   auto ff = fabric::LogicCellConfig{};
   ff.lut = fabric::luts::kBufI0;

@@ -21,7 +21,11 @@ measured in the same run), each guarded time is divided by the same run's
 reference time, and the *ratio of ratios* is gated — a uniformly slower
 machine cancels out, a config-plane regression does not. Without the
 reference the guard falls back to raw times, where the 2x factor must also
-absorb hardware variance.
+absorb hardware variance. Because every guarded ratio is scaled by the
+reference, a change that speeds up or slows down the skeleton builder
+itself needs the baseline re-recorded in the same change (the refresh
+command is at the end of this docstring), or every normalized ratio moves
+with no config-plane change.
 
 The reference must run on one thread, like every guarded benchmark, or
 the scale would depend on the core count rather than the machine's speed.
@@ -41,12 +45,14 @@ Two *within-run* gates guard the routing-skeleton bring-up contract
     staging build is inherently serial — per-node heap allocations with
     data-dependent growth — while the counting build partitions emission
     into tile-row bands and fills disjoint CSR slices concurrently with
-    byte-identical output, so most of the 5x comes from parallel fill +
-    mirror-sort. On boxes where std::thread::hardware_concurrency cannot
-    cover the bands (the builder itself stays serial below 4 cores, see
-    build_threads in routing.cpp) only the serial wins remain — unchecked
-    hoisted PIP arithmetic, no staging allocations, uninitialized-on-resize
-    CSR arrays — and the gate drops to SKELETON_SPEEDUP_SERIAL (1.4x).
+    byte-identical output. The 5x needs both the parallel fill and the
+    uninitialized-on-resize edge array: on a 4-vCPU host the cold build
+    reached 5.9x-6.6x with both, 2.7x-3.1x with a serial-only fill and
+    4.1x-4.2x with a zero-filled array (DESIGN.md section 2 addendum).
+    With fewer than 4 CPUs the fill runs on fewer bands (build_threads
+    in routing.cpp uses one per CPU), so the gate counts only the serial
+    wins — unchecked hoisted PIP arithmetic, no staging allocations, the
+    uninitialized edge array — and drops to SKELETON_SPEEDUP_SERIAL (1.4x).
   * BM_FabricAcquireCached_8 — Fabric bring-up at XCV1000 against a warm
     process-wide skeleton cache — must stay under
     ACQUIRE_CACHED_LIMIT_US (an absolute 1000 us; the point of the cache
@@ -91,7 +97,7 @@ REFERENCE_METRIC = "BM_RoutingGraphBuildCold_3"  # XCV200: serial build
 # Routing-skeleton bring-up gates (within-run; see module docstring).
 SKELETON_COLD = "BM_RoutingGraphBuildCold_8"     # ms
 SKELETON_STAGING = "BM_RoutingGraphBuildStaging_8"  # ms
-SKELETON_SPEEDUP_MULTICORE = 5.0  # >= 4 CPUs: parallel fill + mirror engage
+SKELETON_SPEEDUP_MULTICORE = 5.0  # >= 4 CPUs: the parallel fill engages
 SKELETON_SPEEDUP_SERIAL = 1.4     # < 4 CPUs: serial-only wins
 ACQUIRE_CACHED = "BM_FabricAcquireCached_8"  # us
 ACQUIRE_CACHED_LIMIT_US = 1000.0
@@ -127,7 +133,7 @@ def check_skeleton_gates(current):
               f"{SKELETON_STAGING} in the current report")
         passed = False
     else:
-        # The 5x target needs the parallel fill/mirror path, which
+        # The 5x target needs the parallel fill, which
         # build_threads() only engages with enough cores; below that the
         # builder is serial and only the constant-factor wins apply.
         cpus = os.cpu_count() or 1

@@ -107,7 +107,7 @@ void ConfigController::recompute_digests(std::vector<std::uint64_t>& out) const 
       }
     }
   }
-  const auto& skel = fabric_->graph().skeleton();
+  const auto& skel = fabric_->skeleton();
   for (const fabric::NetId n : fabric_->live_nets()) {
     const fabric::RouteTree& tree = fabric_->net(n);
     for (const fabric::RouteEdge& e : tree.edges)
@@ -145,7 +145,7 @@ void ConfigController::audit_image() const {
 
 FrameAddress ConfigController::source_frame(const SourceChange& sc) const {
   // The output mux of a cell / pad enable lives in the node's own tile.
-  const auto& skel = fabric_->graph().skeleton();
+  const auto& skel = fabric_->skeleton();
   const auto info = skel.info(sc.node);
   if (info.kind == fabric::NodeKind::kPad) {
     const int col = info.tile.col < fabric_->geometry().clb_cols / 2 ? 0 : 1;
@@ -157,7 +157,7 @@ FrameAddress ConfigController::source_frame(const SourceChange& sc) const {
 void ConfigController::frames_of(const ConfigOp& op, FrameSet& out) const {
   out.clear();
   const auto& g = fabric_->geometry();
-  const auto& skel = fabric_->graph().skeleton();
+  const auto& skel = fabric_->skeleton();
   if (granularity_ == WriteGranularity::kColumn) {
     // Collect one marker id per touched column first (the column's first
     // frame id — centre frames pass through as themselves), dedupe, then
@@ -396,7 +396,7 @@ void ConfigController::accumulate_deltas(const ConfigOp& op,
                                          FrameDeltaMap& net_out,
                                          bool count_net_frames) const {
   const auto& g = fabric_->geometry();
-  const auto& skel = fabric_->graph().skeleton();
+  const auto& skel = fabric_->skeleton();
   const std::uint64_t* toks = columns_.tokens();
   for (const ConfigAction& a : op.actions) {
     if (const auto* cw = std::get_if<CellWrite>(&a)) {
@@ -518,7 +518,7 @@ ApplyResult ConfigController::apply_op(const ConfigOp& op,
   begin_op();
 
   const auto& g = fabric_->geometry();
-  const auto& skel = fabric_->graph().skeleton();
+  const auto& skel = fabric_->skeleton();
   const std::uint64_t* toks = columns_.tokens();
   const int fpc = g.frames_per_cell_config;
   if (frames == nullptr) {
@@ -620,7 +620,7 @@ void ConfigController::check_lut_ram_columns(
   // The bitmap is cleared first, so a throw never leaks marks into the
   // next op's check.
   const auto& g = fabric_->geometry();
-  const auto& skel = fabric_->graph().skeleton();
+  const auto& skel = fabric_->skeleton();
   std::fill(col_words_.begin(), col_words_.end(), 0);
   for (const ConfigAction& a : op.actions) {
     int col = -1;

@@ -52,15 +52,9 @@ class FrameMapper {
   std::vector<FrameAddress> cell_frames(ClbCoord clb, int cell) const;
 
   /// The frame controlling one PIP. The mapping depends only on node
-  /// identity, so the primary overload takes the immutable skeleton (hot
-  /// paths in the controller pass it directly); the RoutingGraph form
-  /// forwards for callers holding a device view.
+  /// identity, which the immutable skeleton holds.
   FrameAddress pip_frame(const fabric::RoutingSkeleton& skeleton,
                          fabric::RouteEdge edge) const;
-  FrameAddress pip_frame(const fabric::RoutingGraph& graph,
-                         fabric::RouteEdge edge) const {
-    return pip_frame(graph.skeleton(), edge);
-  }
 
   /// First routing frame index within a CLB column (frames below this hold
   /// logic-cell configuration).

@@ -150,7 +150,7 @@ void Fabric::destroy_net(NetId net) {
 
 void Fabric::attach_source(NetId net, NodeId source) {
   RELOGIC_CHECK_MSG(net_exists(net), "net does not exist");
-  const NodeKind kind = graph_.info(source).kind;
+  const NodeKind kind = skeleton().info(source).kind;
   RELOGIC_CHECK_MSG(kind == NodeKind::kOutPin || kind == NodeKind::kPad,
                     "net source must be a cell output pin or a pad");
   RouteTree& t = nets_[net];
@@ -179,9 +179,9 @@ void Fabric::add_edges(NetId net, std::span<const RouteEdge> edges) {
   RouteTree& t = nets_[net];
   bool changed = false;
   for (const RouteEdge& e : edges) {
-    RELOGIC_CHECK_MSG(graph_.has_edge(e.from, e.to),
-                      "no such PIP: " + graph_.info(e.from).to_string() +
-                          " -> " + graph_.info(e.to).to_string());
+    RELOGIC_CHECK_MSG(skeleton().has_edge(e.from, e.to),
+                      "no such PIP: " + skeleton().info(e.from).to_string() +
+                          " -> " + skeleton().info(e.to).to_string());
     if (t.has_edge(e)) continue;
     graph_.occupy(e.from, net);
     graph_.occupy(e.to, net);
@@ -218,7 +218,7 @@ std::vector<NodeId> Fabric::net_sinks(NetId net) const {
   const RouteTree& t = this->net(net);
   std::vector<NodeId> out;
   for (const auto& e : t.edges) {
-    const NodeKind k = graph_.info(e.to).kind;
+    const NodeKind k = skeleton().info(e.to).kind;
     if (k == NodeKind::kInPin ||
         (k == NodeKind::kPad && !t.has_source(e.to))) {
       out.push_back(e.to);
@@ -248,27 +248,28 @@ std::vector<SinkDelay> Fabric::sink_delays(NetId net,
 }
 
 void Fabric::validate_net(NetId net) const {
+  const RoutingSkeleton& skel = skeleton();
   const RouteTree& t = this->net(net);
   const TreeIndex index(t);
   for (std::size_t k = 0; k < t.edges.size(); ++k) {
     const RouteEdge& e = t.edges[k];
-    if (!graph_.has_edge(e.from, e.to)) {
+    if (!skel.has_edge(e.from, e.to)) {
       throw IllegalOperationError("net " + t.name + ": edge is not a PIP: " +
-                                  graph_.info(e.from).to_string() + " -> " +
-                                  graph_.info(e.to).to_string());
+                                  skel.info(e.from).to_string() + " -> " +
+                                  skel.info(e.to).to_string());
     }
     const std::uint32_t from = index.edge_from(k);
     if (!index.is_source(from) && index.fanin(from).empty()) {
       throw IllegalOperationError(
           "net " + t.name +
-          ": dangling edge source: " + graph_.info(e.from).to_string());
+          ": dangling edge source: " + skel.info(e.from).to_string());
     }
   }
   for (NodeId n : index.nodes()) {
     if (graph_.occupant(n) != net) {
       throw IllegalOperationError(
           "net " + t.name +
-          ": tree node not occupied by the net: " + graph_.info(n).to_string());
+          ": tree node not occupied by the net: " + skel.info(n).to_string());
     }
   }
 }

@@ -48,15 +48,9 @@ struct DelayModel {
 
   /// Delay of a routed path given as a node sequence source..sink: one PIP
   /// per hop plus the traversal delay of each intermediate resource. Delay
-  /// is a property of the connectivity alone, so the primary overload takes
-  /// the immutable skeleton; the RoutingGraph form forwards for callers
-  /// holding a device view.
+  /// is a property of the connectivity alone, read from the skeleton.
   SimTime path_delay(const RoutingSkeleton& skeleton,
                      std::span<const NodeId> path) const;
-  SimTime path_delay(const RoutingGraph& graph,
-                     std::span<const NodeId> path) const {
-    return path_delay(graph.skeleton(), path);
-  }
 
   /// A lower bound on path_delay of every walk through the skeleton from
   /// one of `sources` (output pins or pads) to `sink` (an input pin or a

@@ -27,8 +27,8 @@
 // only on the DeviceGeometry, never on what is placed or routed, so it is
 // factored into an immutable, shareable `RoutingSkeleton` (CSR adjacency +
 // node-id layout) built once per geometry and held in a process-wide cache
-// (`acquire_routing_skeleton`). The per-device `RoutingGraph` is reduced to
-// a skeleton handle plus this device's mutable occupancy overlay, making
+// (`acquire_routing_skeleton`). The per-device `RoutingGraph` is only a
+// skeleton handle plus this device's mutable occupancy overlay, making
 // `Fabric` bring-up O(nodes) instead of O(edges) after the first device of
 // a geometry — the difference between ~100 ms and µs at XCV1000 scale.
 #pragma once
@@ -94,9 +94,9 @@ namespace detail {
 
 /// Allocator that default-initializes on resize — for trivial element
 /// types, resize() leaves the new elements uninitialized instead of
-/// zero-filling them. The skeleton builders size their CSR arrays exactly
-/// and then write every element, so the value-initializing resize() would
-/// memset ~40 MB per array at XCV1000 only to overwrite it immediately.
+/// zero-filling them. The skeleton builder sizes its edge array exactly
+/// and then writes every element, so the value-initializing resize() would
+/// memset the 40 MB edge array at XCV1000 only to overwrite it at once.
 template <class T, class A = std::allocator<T>>
 class default_init_allocator : public A {
   using traits = std::allocator_traits<A>;
@@ -120,7 +120,7 @@ class default_init_allocator : public A {
 
 }  // namespace detail
 
-/// Edge storage of the CSR arrays (uninitialized-on-resize; see
+/// Edge storage of the CSR adjacency (uninitialized-on-resize; see
 /// detail::default_init_allocator).
 using EdgeList = std::vector<NodeId, detail::default_init_allocator<NodeId>>;
 
@@ -130,16 +130,16 @@ using EdgeList = std::vector<NodeId, detail::default_init_allocator<NodeId>>;
 /// safely shared — without locking — by every Fabric of the same geometry
 /// across all fleet worker threads.
 ///
-/// The CSR keeps two views of each fanout row over one offsets array:
-/// `fanout()` iterates the historical PIP-enumeration order — router
-/// exploration order is part of the determinism contract (the fig5 bench
-/// output is byte-pinned to it) — while `has_edge()` binary-searches a
-/// row-sorted mirror, replacing the seed's linear membership scan.
+/// The CSR keeps each fanout row once, in the historical PIP-enumeration
+/// order: router exploration order is part of the determinism contract
+/// (the fig5 bench output is byte-pinned to it). `has_edge()` scans that
+/// row: at most 41 entries with the default track counts, except a long
+/// line's, which holds 8 per tile the line crosses.
 class RoutingSkeleton {
  public:
   /// Builds a skeleton with the two-pass counting build: pass 1 counts each
   /// node's out-degree, a prefix sum sizes the CSR arrays exactly, pass 2
-  /// fills edges in place; rows are then sorted. No per-node allocations.
+  /// fills edges in place. No per-node allocations.
   static std::shared_ptr<const RoutingSkeleton> build(
       const DeviceGeometry& geom);
 
@@ -185,17 +185,15 @@ class RoutingSkeleton {
   // ---- adjacency --------------------------------------------------------
   /// Fanout in PIP-enumeration order (the order routers explore).
   std::span<const NodeId> fanout(NodeId n) const;
-  /// True if a PIP from `from` to `to` exists. Binary search over the
-  /// sorted row mirror.
+  /// True if a PIP from `from` to `to` exists: a scan of fanout(from).
   bool has_edge(NodeId from, NodeId to) const;
 
-  /// Byte-identical adjacency (CSR offsets, edges, and the sorted mirror).
-  /// Used by the skeleton-cache audit: a cached skeleton must equal a
-  /// fresh single-use build.
+  /// Byte-identical adjacency (CSR offsets and edges). Used by the
+  /// skeleton-cache audit: a cached skeleton must equal a fresh
+  /// single-use build.
   bool same_adjacency(const RoutingSkeleton& other) const {
     return fanout_offsets_ == other.fanout_offsets_ &&
-           fanout_edges_ == other.fanout_edges_ &&
-           sorted_edges_ == other.sorted_edges_;
+           fanout_edges_ == other.fanout_edges_;
   }
 
  private:
@@ -224,8 +222,6 @@ class RoutingSkeleton {
   template <class Emit>
   void enumerate_pips_reference(Emit&& emit) const;
 
-  void build_sorted_mirror();
-
   /// NodeInfo in 8 bytes (tile row/col fit 16 bits: the constructor
   /// checks it). One per node, shared with the skeleton by every device.
   struct PackedNode {
@@ -247,11 +243,9 @@ class RoutingSkeleton {
 
   std::vector<PackedNode> nodes_;
 
-  // CSR adjacency in PIP-enumeration order, plus the row-sorted mirror for
-  // membership tests; both share fanout_offsets_.
+  // CSR adjacency in PIP-enumeration order.
   std::vector<std::uint32_t> fanout_offsets_;
   EdgeList fanout_edges_;
-  EdgeList sorted_edges_;
 };
 
 /// Returns the process-wide shared skeleton for `geom`, building it on the
@@ -277,18 +271,15 @@ void clear_routing_skeleton_cache();
 /// (tests invoke it directly); periodic call sites are RELOGIC_AUDIT-gated.
 void audit_routing_skeleton_cache();
 
-/// Per-device view of the routing pool: an immutable shared skeleton plus
-/// this device's occupancy overlay (which net holds each node). All
-/// connectivity queries forward to the skeleton; only occupy/release touch
-/// device-local state, so constructing a RoutingGraph for a geometry whose
+/// Per-device occupancy overlay of the routing pool: which net holds each
+/// node, over a handle to the geometry's shared skeleton. Connectivity is
+/// read from skeleton(); constructing a RoutingGraph for a geometry whose
 /// skeleton is already cached allocates just the occupancy vector.
 class RoutingGraph {
  public:
   /// Acquires the shared skeleton for `geom` (building it if this is the
   /// first device of the geometry) and allocates an empty overlay.
   explicit RoutingGraph(const DeviceGeometry& geom);
-  /// Wraps an already-acquired skeleton (fleet workers sharing one).
-  explicit RoutingGraph(std::shared_ptr<const RoutingSkeleton> skeleton);
 
   RoutingGraph(const RoutingGraph&) = delete;
   RoutingGraph& operator=(const RoutingGraph&) = delete;
@@ -297,42 +288,6 @@ class RoutingGraph {
 
   /// The immutable connectivity this device shares with its geometry.
   const RoutingSkeleton& skeleton() const { return *skel_; }
-
-  const DeviceGeometry& geometry() const { return skel_->geometry(); }
-  std::size_t node_count() const { return skel_->node_count(); }
-
-  // ---- node id construction (forwarded to the skeleton) -----------------
-  NodeId out_pin(ClbCoord t, int cell, bool registered) const {
-    return skel_->out_pin(t, cell, registered);
-  }
-  NodeId in_pin(ClbCoord t, int cell, CellPort p) const {
-    return skel_->in_pin(t, cell, p);
-  }
-  NodeId single(ClbCoord t, Dir d, int index) const {
-    return skel_->single(t, d, index);
-  }
-  NodeId hex(ClbCoord t, Dir d, int index) const {
-    return skel_->hex(t, d, index);
-  }
-  NodeId long_row(int row, int track) const {
-    return skel_->long_row(row, track);
-  }
-  NodeId long_col(int col, int track) const {
-    return skel_->long_col(col, track);
-  }
-  NodeId pad(ClbCoord t, int index) const { return skel_->pad(t, index); }
-
-  NodeInfo info(NodeId n) const { return skel_->info(n); }
-
-  bool wire_target(ClbCoord t, Dir d, int span, ClbCoord& out) const {
-    return skel_->wire_target(t, d, span, out);
-  }
-
-  // ---- adjacency (forwarded to the skeleton) ----------------------------
-  std::span<const NodeId> fanout(NodeId n) const { return skel_->fanout(n); }
-  bool has_edge(NodeId from, NodeId to) const {
-    return skel_->has_edge(from, to);
-  }
 
   // ---- occupancy (device-local overlay) ---------------------------------
   NetId occupant(NodeId n) const { return occupancy_[n]; }

@@ -229,10 +229,8 @@ std::span<const NodeId> RoutingSkeleton::fanout(NodeId n) const {
 }
 
 bool RoutingSkeleton::has_edge(NodeId from, NodeId to) const {
-  RELOGIC_CHECK(from < node_count_);
-  const auto* begin = sorted_edges_.data() + fanout_offsets_[from];
-  const auto* end = sorted_edges_.data() + fanout_offsets_[from + 1];
-  return std::binary_search(begin, end, to);
+  const auto row = fanout(from);
+  return std::find(row.begin(), row.end(), to) != row.end();
 }
 
 // ---------------------------------------------------------------------------
@@ -482,9 +480,9 @@ void RoutingSkeleton::enumerate_pips_reference(Emit&& emit) const {
 
 namespace {
 
-/// Fork-join width for the skeleton build passes. Fill and mirror operate
-/// on disjoint ranges, so ANY width produces byte-identical arrays — the
-/// count only trades wall-clock. Small devices stay serial: spawning
+/// Fork-join width for the skeleton's pass-2 fill. Bands write disjoint
+/// ranges, so ANY width produces byte-identical arrays — the count only
+/// trades wall-clock. Small devices stay serial: spawning
 /// threads costs more than the work saves, and skeletons for test-sized
 /// fabrics are built constantly.
 int build_threads(std::size_t edge_count, int rows) {
@@ -494,49 +492,6 @@ int build_threads(std::size_t edge_count, int rows) {
 }
 
 }  // namespace
-
-void RoutingSkeleton::build_sorted_mirror() {
-  const std::size_t total = fanout_edges_.size();
-  sorted_edges_.resize(total);
-  auto sort_range = [this](std::size_t n0, std::size_t n1) {
-    std::copy(fanout_edges_.begin() + fanout_offsets_[n0],
-              fanout_edges_.begin() + fanout_offsets_[n1],
-              sorted_edges_.begin() + fanout_offsets_[n0]);
-    for (std::size_t n = n0; n < n1; ++n) {
-      const auto begin = sorted_edges_.begin() + fanout_offsets_[n];
-      const auto end = sorted_edges_.begin() + fanout_offsets_[n + 1];
-      // Many rows are emitted already ascending (OMUX fanouts, long-line
-      // taps, pad fanouts); the linear pre-check beats sorting them again.
-      if (!std::is_sorted(begin, end)) std::sort(begin, end);
-    }
-  };
-  const int threads = build_threads(total, geom_.clb_rows);
-  if (threads == 1) {
-    sort_range(0, node_count_);
-    return;
-  }
-  // Split node ranges by edge mass so every thread sorts a similar volume.
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  std::size_t prev = 0;
-  for (int k = 1; k <= threads; ++k) {
-    std::size_t nk = node_count_;
-    if (k < threads) {
-      const auto target =
-          static_cast<std::uint32_t>(total * static_cast<std::size_t>(k) /
-                                     threads);
-      nk = static_cast<std::size_t>(
-          std::lower_bound(fanout_offsets_.begin(), fanout_offsets_.end(),
-                           target) -
-          fanout_offsets_.begin());
-      nk = std::min(nk, node_count_);
-      nk = std::max(nk, prev);
-    }
-    pool.emplace_back(sort_range, prev, nk);
-    prev = nk;
-  }
-  for (auto& t : pool) t.join();
-}
 
 std::shared_ptr<const RoutingSkeleton> RoutingSkeleton::build(
     const DeviceGeometry& geom) {
@@ -597,8 +552,6 @@ std::shared_ptr<const RoutingSkeleton> RoutingSkeleton::build(
     }
     for (auto& t : pool) t.join();
   }
-
-  s->build_sorted_mirror();
   return s;
 }
 
@@ -622,7 +575,6 @@ std::shared_ptr<const RoutingSkeleton> RoutingSkeleton::build_reference(
     s->fanout_edges_.insert(s->fanout_edges_.end(), staging[n].begin(),
                             staging[n].end());
   }
-  s->build_sorted_mirror();
   return s;
 }
 
@@ -720,25 +672,20 @@ void audit_routing_skeleton_cache() {
 // ---------------------------------------------------------------------------
 
 RoutingGraph::RoutingGraph(const DeviceGeometry& geom)
-    : RoutingGraph(acquire_routing_skeleton(geom)) {}
-
-RoutingGraph::RoutingGraph(std::shared_ptr<const RoutingSkeleton> skeleton)
-    : skel_(std::move(skeleton)) {
-  RELOGIC_CHECK(skel_ != nullptr);
-  occupancy_.assign(skel_->node_count(), kNoNet);
-}
+    : skel_(acquire_routing_skeleton(geom)),
+      occupancy_(skel_->node_count(), kNoNet) {}
 
 void RoutingGraph::occupy(NodeId n, NetId net) {
-  RELOGIC_CHECK(n < node_count() && net != kNoNet);
+  RELOGIC_CHECK(n < occupancy_.size() && net != kNoNet);
   RELOGIC_CHECK_MSG(occupancy_[n] == kNoNet || occupancy_[n] == net,
-                    "routing node " + info(n).to_string() +
+                    "routing node " + skel_->info(n).to_string() +
                         " already occupied by another net");
   if (occupancy_[n] == kNoNet) ++occupied_count_;
   occupancy_[n] = net;
 }
 
 void RoutingGraph::release(NodeId n) {
-  RELOGIC_CHECK(n < node_count());
+  RELOGIC_CHECK(n < occupancy_.size());
   if (occupancy_[n] != kNoNet) --occupied_count_;
   occupancy_[n] = kNoNet;
 }

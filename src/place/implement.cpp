@@ -99,19 +99,19 @@ Implementation Implementer::implement(netlist::MappedNetlist mapped,
 
   // ---- collect consumers per signal ---------------------------------------
   std::unordered_map<SigId, std::vector<NodeId>> sinks_of;
-  const auto& graph = fabric_->graph();
+  const auto& skel = fabric_->skeleton();
   for (int i = 0; i < mapped.cell_count(); ++i) {
     const auto& mc = mapped.cells[static_cast<std::size_t>(i)];
     const CellSite& site = impl.sites[static_cast<std::size_t>(i)];
     for (int j = 0; j < 4; ++j) {
       if (mc.in[static_cast<std::size_t>(j)] == kInvalidSig) continue;
       sinks_of[mc.in[static_cast<std::size_t>(j)]].push_back(
-          graph.in_pin(site.clb, site.cell,
-                       static_cast<fabric::CellPort>(j)));
+          skel.in_pin(site.clb, site.cell,
+                      static_cast<fabric::CellPort>(j)));
     }
     if (mc.uses_ce()) {
       sinks_of[mc.ce].push_back(
-          graph.in_pin(site.clb, site.cell, fabric::CellPort::kCE));
+          skel.in_pin(site.clb, site.cell, fabric::CellPort::kCE));
     }
   }
 
@@ -123,11 +123,11 @@ Implementation Implementer::implement(netlist::MappedNetlist mapped,
     switch (p.kind) {
       case Producer::Kind::kCellX: {
         const CellSite& s = impl.sites[static_cast<std::size_t>(p.cell)];
-        return graph.out_pin(s.clb, s.cell, false);
+        return skel.out_pin(s.clb, s.cell, false);
       }
       case Producer::Kind::kCellXQ: {
         const CellSite& s = impl.sites[static_cast<std::size_t>(p.cell)];
-        return graph.out_pin(s.clb, s.cell, true);
+        return skel.out_pin(s.clb, s.cell, true);
       }
       case Producer::Kind::kPrimaryInput:
         return fabric::kInvalidNode;  // handled by pad allocation
@@ -157,7 +157,7 @@ Implementation Implementer::implement(netlist::MappedNetlist mapped,
     const NetId net = net_of(sig);
     // Route nearest sink first: keeps trees compact.
     std::sort(pins.begin(), pins.end(), [&](NodeId a, NodeId b) {
-      return graph.info(a).tile < graph.info(b).tile;
+      return skel.info(a).tile < skel.info(b).tile;
     });
     for (NodeId pin : pins) router_.route_sink(net, pin);
   }
@@ -178,6 +178,7 @@ Implementation Implementer::implement(netlist::MappedNetlist mapped,
 
 NodeId Implementer::allocate_pad(ClbRect near, NetId net) {
   const auto& geom = fabric_->geometry();
+  const auto& skel = fabric_->skeleton();
   const auto& graph = fabric_->graph();
   const ClbCoord center{near.row + near.height / 2, near.col + near.width / 2};
 
@@ -188,7 +189,7 @@ NodeId Implementer::allocate_pad(ClbRect near, NetId net) {
       const ClbCoord t{r, c};
       if (!geom.is_boundary(t)) continue;
       for (int p = 0; p < geom.pads_per_tile; ++p) {
-        const NodeId pad = graph.pad(t, p);
+        const NodeId pad = skel.pad(t, p);
         if (!graph.is_free(pad)) continue;
         const int d = manhattan(t, center);
         if (d < best_dist) {

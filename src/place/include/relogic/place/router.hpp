@@ -33,7 +33,6 @@ struct RouteOptions {
   std::set<int> avoid_columns;
   /// Additional nodes to treat as blocked.
   std::set<fabric::NodeId> avoid_nodes;
-  bool allow_longs = true;
   /// Search effort bound; exceeded => ResourceError.
   int max_expansions = 4'000'000;
 };

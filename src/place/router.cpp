@@ -63,7 +63,7 @@ std::vector<NodeId> Router::find_path_from(std::span<const NodeId> seeds,
                                            NetId net, NodeId sink,
                                            const RouteOptions& opt) {
   const auto& graph = fabric_->graph();
-  const auto& skel = graph.skeleton();
+  const auto& skel = fabric_->skeleton();
   const NodeInfo sink_info = skel.info(sink);
   RELOGIC_CHECK_MSG(
       sink_info.kind == NodeKind::kInPin || sink_info.kind == NodeKind::kPad,
@@ -107,9 +107,8 @@ std::vector<NodeId> Router::find_path_from(std::span<const NodeId> seeds,
   // Whether the options rule out node `n` (occupancy is checked apart).
   auto avoided = [&](NodeId n, const NodeInfo& info) {
     if (avoided_node(n)) return true;
-    const bool is_long =
-        info.kind == NodeKind::kLongRow || info.kind == NodeKind::kLongCol;
-    if (is_long) return !opt.allow_longs;
+    if (info.kind == NodeKind::kLongRow || info.kind == NodeKind::kLongCol)
+      return false;
     // PIPs into a node are programmed in the node's own tile column (longs:
     // in the source tile, handled conservatively by also checking wires).
     return avoid_cols_[static_cast<std::size_t>(info.tile.col)] != 0;

@@ -101,8 +101,8 @@ CellSite move_source(const fabric::Fabric& fabric,
   return src;
 }
 
-NodeId in_pin_of(const fabric::RoutingGraph& graph, CellSite s, int p) {
-  return graph.in_pin(s.clb, s.cell, static_cast<CellPort>(p));
+NodeId in_pin_of(const fabric::RoutingSkeleton& skel, CellSite s, int p) {
+  return skel.in_pin(s.clb, s.cell, static_cast<CellPort>(p));
 }
 
 /// Nets attached around one logic cell, discovered from the fabric itself
@@ -115,14 +115,15 @@ struct CellPorts {
 };
 
 CellPorts discover_ports(const fabric::Fabric& fabric, CellSite site) {
+  const auto& skel = fabric.skeleton();
   const auto& graph = fabric.graph();
   CellPorts ports;
   for (int p = 0; p < fabric::kInPorts; ++p) {
     ports.in[static_cast<std::size_t>(p)] =
-        graph.occupant(in_pin_of(graph, site, p));
+        graph.occupant(in_pin_of(skel, site, p));
   }
-  const NodeId x = graph.out_pin(site.clb, site.cell, false);
-  const NodeId q = graph.out_pin(site.clb, site.cell, true);
+  const NodeId x = skel.out_pin(site.clb, site.cell, false);
+  const NodeId q = skel.out_pin(site.clb, site.cell, true);
   const NetId nx = graph.occupant(x);
   const NetId nq = graph.occupant(q);
   if (nx != fabric::kNoNet && fabric.net(nx).has_source(x)) ports.out_x = nx;
@@ -140,8 +141,9 @@ void add_input_paths(const fabric::Fabric& fabric, place::Router& router,
                      const place::RouteOptions& route, PlanTracker& plan,
                      ConfigOp& op) {
   const auto add_planned = [&](NetId n, int p) {
-    const auto path = router.find_path(n, in_pin_of(fabric.graph(), dest, p),
-                                       plan.options_for(n, route));
+    const auto path =
+        router.find_path(n, in_pin_of(fabric.skeleton(), dest, p),
+                         plan.options_for(n, route));
     plan.add(n, path);
     op.add_path(n, path);
   };
@@ -163,7 +165,8 @@ void add_output_paths(const fabric::Fabric& fabric, place::Router& router,
   for (const bool registered : {false, true}) {
     const NetId net = registered ? ports.out_q : ports.out_x;
     if (net == fabric::kNoNet) continue;
-    const NodeId pin = fabric.graph().out_pin(dest.clb, dest.cell, registered);
+    const NodeId pin =
+        fabric.skeleton().out_pin(dest.clb, dest.cell, registered);
     op.attach_source(net, pin);
     for (const NodeId s : fabric.net_sinks(net)) {
       const auto path = router.find_path_from({&pin, 1}, net, s,
@@ -185,7 +188,8 @@ void remove_outputs(const fabric::Fabric& fabric, const CellPorts& ports,
   for (const bool registered : {false, true}) {
     const NetId net = registered ? ports.out_q : ports.out_x;
     if (net == fabric::kNoNet) continue;
-    const NodeId pin = fabric.graph().out_pin(src.clb, src.cell, registered);
+    const NodeId pin =
+        fabric.skeleton().out_pin(src.clb, src.cell, registered);
     for (const auto& e : prune_for_removal(fabric, net, {pin}))
       op.remove_edge(net, e);
     op.detach_source(net, pin);
@@ -195,6 +199,7 @@ void remove_outputs(const fabric::Fabric& fabric, const CellPorts& ports,
 /// Prunes the branches that serve only the original cell's input pins.
 void remove_inputs(const fabric::Fabric& fabric, const CellPorts& ports,
                    CellSite src, ConfigOp& op) {
+  const auto& skel = fabric.skeleton();
   const auto& graph = fabric.graph();
   // A net may feed several pins of the cell; drop them together so
   // shared branch segments are freed exactly once.
@@ -202,7 +207,7 @@ void remove_inputs(const fabric::Fabric& fabric, const CellPorts& ports,
   for (int p = 0; p < fabric::kInPorts; ++p) {
     const NetId n = ports.in[static_cast<std::size_t>(p)];
     if (n == fabric::kNoNet || !fabric.net_exists(n)) continue;
-    const NodeId pin = in_pin_of(graph, src, p);
+    const NodeId pin = in_pin_of(skel, src, p);
     if (graph.occupant(pin) == n) drops[n].push_back(pin);
   }
   for (const auto& [n, pins] : drops) {
@@ -315,6 +320,7 @@ RelocationReport RelocationEngine::relocate_cell(place::Implementation& impl,
 
   const place::RouteOptions route = avoiding_lut_ram(fabric());
   const CellPorts ports = discover_ports(fabric(), src);
+  const auto& skel = fabric().skeleton();
   const auto& graph = fabric().graph();
 
   // Clock-cycle waits; an asynchronous circuit settles for a fixed time.
@@ -391,15 +397,15 @@ RelocationReport RelocationEngine::relocate_cell(place::Implementation& impl,
     // Temporary transfer paths (free routing resources only).
     {
       ConfigOp op("connect signals to the auxiliary relocation circuit");
-      const NodeId mux_i0 = in_pin_of(graph, CellSite{aux.clb, 0}, 0);
-      const NodeId mux_i1 = in_pin_of(graph, CellSite{aux.clb, 0}, 1);
-      const NodeId mux_i2 = in_pin_of(graph, CellSite{aux.clb, 0}, 2);
-      const NodeId or_i0 = in_pin_of(graph, CellSite{aux.clb, 1}, 0);
-      const NodeId or_i1 = in_pin_of(graph, CellSite{aux.clb, 1}, 1);
+      const NodeId mux_i0 = in_pin_of(skel, CellSite{aux.clb, 0}, 0);
+      const NodeId mux_i1 = in_pin_of(skel, CellSite{aux.clb, 0}, 1);
+      const NodeId mux_i2 = in_pin_of(skel, CellSite{aux.clb, 0}, 2);
+      const NodeId or_i0 = in_pin_of(skel, CellSite{aux.clb, 1}, 0);
+      const NodeId or_i1 = in_pin_of(skel, CellSite{aux.clb, 1}, 1);
 
       // Original registered output -> mux data-0. Reuse the cell's Q net if
       // it exists; otherwise build a temporary one.
-      const NodeId src_q = graph.out_pin(src.clb, src.cell, true);
+      const NodeId src_q = skel.out_pin(src.clb, src.cell, true);
       if (ports.out_q != fabric::kNoNet) {
         t_q = ports.out_q;
       } else {
@@ -408,16 +414,16 @@ RelocationReport RelocationEngine::relocate_cell(place::Implementation& impl,
       }
       // Replica combinational output -> mux data-1.
       t_x = fabric().create_net("reloc.t_x");
-      op.attach_source(t_x, graph.out_pin(dest.clb, dest.cell, false));
+      op.attach_source(t_x, skel.out_pin(dest.clb, dest.cell, false));
       // Mux output -> replica bypass input.
       t_mux = fabric().create_net("reloc.t_mux");
-      op.attach_source(t_mux, graph.out_pin(aux.clb, 0, false));
+      op.attach_source(t_mux, skel.out_pin(aux.clb, 0, false));
       // CE-control constant -> OR input 1.
       t_ctl = fabric().create_net("reloc.t_ctl");
-      op.attach_source(t_ctl, graph.out_pin(aux.clb, 2, false));
+      op.attach_source(t_ctl, skel.out_pin(aux.clb, 2, false));
       // OR output -> replica CE.
       t_or = fabric().create_net("reloc.t_or");
-      op.attach_source(t_or, graph.out_pin(aux.clb, 1, false));
+      op.attach_source(t_or, skel.out_pin(aux.clb, 1, false));
 
       apply(op, report);  // sources first: paths grow from them
 
@@ -433,8 +439,8 @@ RelocationReport RelocationEngine::relocate_cell(place::Implementation& impl,
       routes.add_path(ce_net, planned_path(ce_net, mux_i2));
       routes.add_path(ce_net, planned_path(ce_net, or_i0));
       routes.add_path(t_ctl, planned_path(t_ctl, or_i1));
-      routes.add_path(t_mux, planned_path(t_mux, in_pin_of(graph, dest, 5)));
-      routes.add_path(t_or, planned_path(t_or, in_pin_of(graph, dest, 4)));
+      routes.add_path(t_mux, planned_path(t_mux, in_pin_of(skel, dest, 5)));
+      routes.add_path(t_or, planned_path(t_or, in_pin_of(skel, dest, 4)));
       apply(routes, report);
     }
   }
@@ -470,7 +476,7 @@ RelocationReport RelocationEngine::relocate_cell(place::Implementation& impl,
     // must be released before the CE-net path can claim it. Between them
     // the pin holds its last driven value, so no spurious capture can occur.
     {
-      const NodeId ce_pin = in_pin_of(graph, dest, 4);
+      const NodeId ce_pin = in_pin_of(skel, dest, 4);
       ConfigOp op_rm("release replica CE pin from the auxiliary OR gate");
       for (const auto& e : prune_for_removal(fabric(), t_or, {ce_pin}))
         op_rm.remove_edge(t_or, e);
@@ -489,12 +495,12 @@ RelocationReport RelocationEngine::relocate_cell(place::Implementation& impl,
       // sink-coverage analysis, grouped per net so shared segments and
       // later-routed paths that ride them survive exactly as needed.
       std::map<NetId, std::vector<NodeId>> drops;
-      for (const NodeId pin : {in_pin_of(graph, CellSite{aux.clb, 0}, 2),
-                               in_pin_of(graph, CellSite{aux.clb, 1}, 0)}) {
+      for (const NodeId pin : {in_pin_of(skel, CellSite{aux.clb, 0}, 2),
+                               in_pin_of(skel, CellSite{aux.clb, 1}, 0)}) {
         if (graph.occupant(pin) == ce_net) drops[ce_net].push_back(pin);
       }
       if (t_q == ports.out_q && t_q != fabric::kNoNet) {
-        const NodeId pin = in_pin_of(graph, CellSite{aux.clb, 0}, 0);
+        const NodeId pin = in_pin_of(skel, CellSite{aux.clb, 0}, 0);
         if (graph.occupant(pin) == t_q) drops[t_q].push_back(pin);
       }
       for (const auto& [net, pins] : drops) {
@@ -509,11 +515,11 @@ RelocationReport RelocationEngine::relocate_cell(place::Implementation& impl,
       }
       // Detach temp-net sources.
       if (t_q != ports.out_q && t_q != fabric::kNoNet)
-        op.detach_source(t_q, graph.out_pin(src.clb, src.cell, true));
-      op.detach_source(t_x, graph.out_pin(dest.clb, dest.cell, false));
-      op.detach_source(t_mux, graph.out_pin(aux.clb, 0, false));
-      op.detach_source(t_ctl, graph.out_pin(aux.clb, 2, false));
-      op.detach_source(t_or, graph.out_pin(aux.clb, 1, false));
+        op.detach_source(t_q, skel.out_pin(src.clb, src.cell, true));
+      op.detach_source(t_x, skel.out_pin(dest.clb, dest.cell, false));
+      op.detach_source(t_mux, skel.out_pin(aux.clb, 0, false));
+      op.detach_source(t_ctl, skel.out_pin(aux.clb, 2, false));
+      op.detach_source(t_or, skel.out_pin(aux.clb, 1, false));
       // Replica D input back to the LUT path.
       LogicCellConfig normal = cfg;
       normal.d_src = DSrc::kLut;
@@ -546,7 +552,7 @@ RelocationReport RelocationEngine::relocate_cell(place::Implementation& impl,
                            "original relocating " + src.to_string() +
                            " -> " + dest.to_string() + "; port net:sv/dv =";
         for (int p = 0; p < 4; ++p) {
-          const NodeId sp = in_pin_of(graph, src, p);
+          const NodeId sp = in_pin_of(skel, src, p);
           diag += " " + std::to_string(p) + "=" +
                   std::to_string(graph.occupant(sp)) + ":" +
                   std::to_string(sim_->pin_of(src.clb, src.cell,
@@ -825,7 +831,7 @@ RelocationReport RelocationEngine::switch_route(
     NetId net, NodeId sink, const std::vector<RouteEdge>& old_branch,
     const std::vector<NodeId>& path) {
   RelocationReport report;
-  const auto info = fabric().graph().info(sink);
+  const auto info = fabric().skeleton().info(sink);
   report.from = CellSite{info.tile, info.a};
   report.to = report.from;
 

@@ -132,7 +132,7 @@ SimTime FabricSim::next_edge(std::uint8_t domain, SimTime from) const {
 }
 
 void FabricSim::drive_pad(NodeId pad, bool value) {
-  RELOGIC_CHECK(fabric_->graph().info(pad).kind == NodeKind::kPad);
+  RELOGIC_CHECK(fabric_->skeleton().info(pad).kind == NodeKind::kPad);
   auto it = pad_val_.find(pad);
   if (it != pad_val_.end() && it->second == value) return;
   pad_val_[pad] = value;
@@ -314,7 +314,7 @@ bool FabricSim::net_value(NetId net) const {
 }
 
 bool FabricSim::source_pin_value(NodeId pin) const {
-  const auto info = fabric_->graph().info(pin);
+  const auto info = fabric_->skeleton().info(pin);
   switch (info.kind) {
     case NodeKind::kOutPin: {
       const int site = site_index(info.tile, info.a);
@@ -331,7 +331,7 @@ bool FabricSim::source_pin_value(NodeId pin) const {
 }
 
 NetId FabricSim::source_net(NodeId source) const {
-  const auto info = fabric_->graph().info(source);
+  const auto info = fabric_->skeleton().info(source);
   if (info.kind == NodeKind::kOutPin)
     return out_pin_net_[out_slot(site_index(info.tile, info.a), info.b != 0)];
   for (const auto& [pad, net] : pad_net_)
@@ -340,7 +340,7 @@ NetId FabricSim::source_net(NodeId source) const {
 }
 
 void FabricSim::set_source_net(NodeId source, NetId net) {
-  const auto info = fabric_->graph().info(source);
+  const auto info = fabric_->skeleton().info(source);
   if (info.kind == NodeKind::kOutPin) {
     out_pin_net_[out_slot(site_index(info.tile, info.a), info.b != 0)] = net;
     return;
@@ -520,13 +520,13 @@ void FabricSim::rebuild_net_cache(NetId net) {
   // Sinks in ascending node order at their max delay over paralleled paths;
   // only those a source reaches, none behind a transient cycle.
   tree_index_.assign(tree);
-  tree_index_.delays(fabric_->skeleton(), *dm_, tree_delays_);
-  const auto& graph = fabric_->graph();
+  const auto& skel = fabric_->skeleton();
+  tree_index_.delays(skel, *dm_, tree_delays_);
   for (std::uint32_t i = 0; i < tree_index_.nodes().size(); ++i) {
     if (!tree_delays_[i].reached) continue;
     const NodeId node = tree_index_.nodes()[i];
     const SimTime d = tree_delays_[i].max;
-    const auto info = graph.info(node);
+    const auto info = skel.info(node);
     if (info.kind == NodeKind::kInPin) {
       cache.sinks.push_back(
           Sink{node, site_index(info.tile, info.a), queue_.lane(d), info.b, d});
@@ -553,11 +553,11 @@ void FabricSim::on_cell_changed(ClbCoord clb, int cell,
     // Refresh inputs: routed pins read their net's current value; unrouted
     // pins revert to the default level (a previous tenant of this site may
     // have left stale values behind).
-    const auto& graph = fabric_->graph();
+    const auto& skel = fabric_->skeleton();
     for (int p = 0; p < fabric::kInPorts; ++p) {
       const NodeId pin =
-          graph.in_pin(clb, cell, static_cast<fabric::CellPort>(p));
-      const NetId net = graph.occupant(pin);
+          skel.in_pin(clb, cell, static_cast<fabric::CellPort>(p));
+      const NetId net = fabric_->net_driving(pin);
       bool value = false;
       if (net != fabric::kNoNet && fabric_->net_exists(net) &&
           !fabric_->net(net).sources.empty()) {
@@ -614,7 +614,7 @@ void FabricSim::audit() const {
                             " differs from a fabric scan");
   }
 
-  const auto& graph = fabric_->graph();
+  const auto& skel = fabric_->skeleton();
   std::vector<NetId> multi;
   std::size_t sources = 0;
   for (const NetId n : fabric_->live_nets()) {
@@ -623,13 +623,13 @@ void FabricSim::audit() const {
     sources += tree.sources.size();
     for (const NodeId s : tree.sources) {
       RELOGIC_AUDIT_CHECK(source_net(s) == n, kWhere,
-                          "source " + graph.info(s).to_string() + " of net " +
+                          "source " + skel.info(s).to_string() + " of net " +
                               std::to_string(n) +
                               " missing from the source -> net table");
     }
     if (n >= net_cache_.size()) continue;  // created, never changed: empty
     for (const Sink& sink : net_cache_[n].sinks) {
-      const auto info = graph.info(sink.node);
+      const auto info = skel.info(sink.node);
       const bool resolved =
           info.kind == NodeKind::kInPin
               ? sink.site == site_index(info.tile, info.a) &&

@@ -38,7 +38,7 @@ TEST(FrameMapper, PipFramesAreRoutingFramesOfSinkColumn) {
   const auto geom = DeviceGeometry::tiny(8, 8);
   Fabric fab(geom);
   const FrameMapper mapper(geom);
-  const auto& g = fab.graph();
+  const auto& g = fab.skeleton();
   const fabric::RouteEdge e{g.single({3, 3}, fabric::Dir::kE, 0),
                             g.in_pin({3, 4}, 0, fabric::CellPort::kI0)};
   const auto f = mapper.pip_frame(g, e);
@@ -109,7 +109,7 @@ TEST_F(ControllerTest, ApplyChargesTimeAndAppliesActions) {
 
 TEST_F(ControllerTest, RoutingActionsApply) {
   ConfigController ctl(fab_, port_);
-  const auto& g = fab_.graph();
+  const auto& g = fab_.skeleton();
   const auto net = fab_.create_net("n");
   const auto src = g.out_pin({2, 2}, 0, false);
   const auto wire = g.single({2, 2}, fabric::Dir::kE, 0);
@@ -127,8 +127,8 @@ TEST_F(ControllerTest, RoutingActionsApply) {
       .remove_edge(net, {src, wire})
       .detach_source(net, src);
   ctl.apply(undo);
-  EXPECT_TRUE(g.is_free(wire));
-  EXPECT_TRUE(g.is_free(sink));
+  EXPECT_TRUE(fab_.graph().is_free(wire));
+  EXPECT_TRUE(fab_.graph().is_free(sink));
 }
 
 TEST_F(ControllerTest, LutRamColumnRejected) {
@@ -183,7 +183,7 @@ TEST_F(ControllerTest, MalformedOpLeavesNoStaleFrameMarks) {
   // The edge's frame is marked before the out-of-bounds cell write throws;
   // later ops must see neither an extra frame nor a pre-counted one.
   ConfigController ctl(fab_, port_, WriteGranularity::kDirtyFrame);
-  const auto& g = fab_.graph();
+  const auto& g = fab_.skeleton();
   const auto net = fab_.create_net("n");
   const fabric::RouteEdge e{g.out_pin({2, 2}, 0, false),
                             g.single({2, 2}, fabric::Dir::kE, 0)};

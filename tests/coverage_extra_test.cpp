@@ -29,7 +29,7 @@ TEST(RouterLimits, ExpansionBudgetHonoured) {
   Fabric fab(DeviceGeometry::tiny(12, 12));
   fabric::DelayModel dm;
   place::Router router(fab, dm);
-  const auto& g = fab.graph();
+  const auto& g = fab.skeleton();
   const auto net = fab.create_net("n");
   fab.attach_source(net, g.out_pin({0, 0}, 0, false));
   place::RouteOptions opt;
@@ -37,23 +37,6 @@ TEST(RouterLimits, ExpansionBudgetHonoured) {
   EXPECT_THROW(
       router.find_path(net, g.in_pin({11, 11}, 0, CellPort::kI0), opt),
       ResourceError);
-}
-
-TEST(RouterLimits, LongsDisabledStillRoutes) {
-  Fabric fab(DeviceGeometry::tiny(12, 12));
-  fabric::DelayModel dm;
-  place::Router router(fab, dm);
-  const auto& g = fab.graph();
-  const auto net = fab.create_net("n");
-  fab.attach_source(net, g.out_pin({0, 0}, 0, false));
-  place::RouteOptions opt;
-  opt.allow_longs = false;
-  router.route_sink(net, g.in_pin({11, 11}, 0, CellPort::kI0), opt);
-  for (NodeId n : fab.net(net).nodes()) {
-    const auto kind = g.info(n).kind;
-    EXPECT_NE(kind, fabric::NodeKind::kLongRow);
-    EXPECT_NE(kind, fabric::NodeKind::kLongCol);
-  }
 }
 
 TEST(RelocProcedure, OutputsStayParalleledForAClockCycle) {
@@ -148,7 +131,7 @@ TEST(CaptureRestore, RandomizedMutationRoundTrip) {
   Fabric fab(DeviceGeometry::tiny(10, 10));
   fabric::DelayModel dm;
   place::Router router(fab, dm);
-  const auto& g = fab.graph();
+  const auto& g = fab.skeleton();
   Rng rng(77);
 
   // Seed state: a few cells + routed nets.
@@ -163,7 +146,7 @@ TEST(CaptureRestore, RandomizedMutationRoundTrip) {
     nets.push_back(net);
   }
   const auto snap = fab.capture();
-  const auto occupied = g.occupied_count();
+  const auto occupied = fab.graph().occupied_count();
   const auto used = fab.used_cell_count();
 
   // Mutate heavily.
@@ -185,7 +168,7 @@ TEST(CaptureRestore, RandomizedMutationRoundTrip) {
   }
 
   fab.restore(snap);
-  EXPECT_EQ(g.occupied_count(), occupied);
+  EXPECT_EQ(fab.graph().occupied_count(), occupied);
   EXPECT_EQ(fab.used_cell_count(), used);
   for (const auto net : nets) {
     ASSERT_TRUE(fab.net_exists(net));

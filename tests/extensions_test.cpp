@@ -164,7 +164,7 @@ TEST(RouteOptimization, EveryRerouteGainsAtLeastMinGain) {
       ++moved;
       EXPECT_LE(now.delay + min_gain, was.delay)
           << entry.name << ": sink "
-          << fab.graph().info(key.second).to_string() << " rerouted from "
+          << fab.skeleton().info(key.second).to_string() << " rerouted from "
           << was.delay.to_string() << " to " << now.delay.to_string();
     }
     EXPECT_EQ(moved, rep.sinks_rerouted) << entry.name;
@@ -326,7 +326,7 @@ TEST(LutRamHalt, BrokenInputNetFailsTheRewire) {
   // cell's LUT input nets, leaving the downstream edge dangling.
   bool broken = false;
   for (int p = 0; p < 4 && !broken; ++p) {
-    const auto net = rig.fab.graph().occupant(rig.fab.graph().in_pin(
+    const auto net = rig.fab.graph().occupant(rig.fab.skeleton().in_pin(
         site.clb, site.cell, static_cast<fabric::CellPort>(p)));
     if (net == fabric::kNoNet) continue;
     const auto& tree = rig.fab.net(net);

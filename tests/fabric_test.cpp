@@ -63,37 +63,38 @@ class RoutingGraphTest : public ::testing::Test {
  protected:
   DeviceGeometry geom_ = DeviceGeometry::tiny(8, 8);
   RoutingGraph graph_{geom_};
+  const RoutingSkeleton& skel_ = graph_.skeleton();
 };
 
 TEST_F(RoutingGraphTest, NodeIdsRoundTrip) {
   const ClbCoord t{3, 5};
   {
-    const auto info = graph_.info(graph_.out_pin(t, 2, true));
+    const auto info = skel_.info(skel_.out_pin(t, 2, true));
     EXPECT_EQ(info.kind, NodeKind::kOutPin);
     EXPECT_EQ(info.tile, t);
     EXPECT_EQ(info.a, 2);
     EXPECT_EQ(info.b, 1);
   }
   {
-    const auto info = graph_.info(graph_.in_pin(t, 3, CellPort::kCE));
+    const auto info = skel_.info(skel_.in_pin(t, 3, CellPort::kCE));
     EXPECT_EQ(info.kind, NodeKind::kInPin);
     EXPECT_EQ(info.a, 3);
     EXPECT_EQ(info.b, static_cast<int>(CellPort::kCE));
   }
   {
-    const auto info = graph_.info(graph_.single(t, Dir::kE, 4));
+    const auto info = skel_.info(skel_.single(t, Dir::kE, 4));
     EXPECT_EQ(info.kind, NodeKind::kSingle);
     EXPECT_EQ(info.a, static_cast<int>(Dir::kE));
     EXPECT_EQ(info.b, 4);
   }
   {
-    const auto info = graph_.info(graph_.long_row(6, 1));
+    const auto info = skel_.info(skel_.long_row(6, 1));
     EXPECT_EQ(info.kind, NodeKind::kLongRow);
     EXPECT_EQ(info.tile.row, 6);
     EXPECT_EQ(info.a, 1);
   }
   {
-    const auto info = graph_.info(graph_.pad(ClbCoord{0, 2}, 1));
+    const auto info = skel_.info(skel_.pad(ClbCoord{0, 2}, 1));
     EXPECT_EQ(info.kind, NodeKind::kPad);
     EXPECT_EQ(info.tile, (ClbCoord{0, 2}));
   }
@@ -101,30 +102,30 @@ TEST_F(RoutingGraphTest, NodeIdsRoundTrip) {
 
 TEST_F(RoutingGraphTest, OutPinDrivesLocalSingles) {
   const ClbCoord t{4, 4};
-  const NodeId out = graph_.out_pin(t, 0, false);
+  const NodeId out = skel_.out_pin(t, 0, false);
   for (int d = 0; d < 4; ++d) {
-    EXPECT_TRUE(graph_.has_edge(
-        out, graph_.single(t, static_cast<Dir>(d), 0)));
+    EXPECT_TRUE(skel_.has_edge(
+        out, skel_.single(t, static_cast<Dir>(d), 0)));
   }
 }
 
 TEST_F(RoutingGraphTest, SingleLandsInNeighbourImux) {
   const ClbCoord t{4, 4};
-  const NodeId wire = graph_.single(t, Dir::kE, 2);
+  const NodeId wire = skel_.single(t, Dir::kE, 2);
   const ClbCoord far{4, 5};
-  EXPECT_TRUE(graph_.has_edge(wire, graph_.in_pin(far, 1, CellPort::kI0)));
-  EXPECT_TRUE(graph_.has_edge(wire, graph_.single(far, Dir::kE, 2)));
+  EXPECT_TRUE(skel_.has_edge(wire, skel_.in_pin(far, 1, CellPort::kI0)));
+  EXPECT_TRUE(skel_.has_edge(wire, skel_.single(far, Dir::kE, 2)));
 }
 
 TEST_F(RoutingGraphTest, BoundarySinglesDoNotLeaveDevice) {
   // A wire heading north from row 0 has no far tile: no onward edges to
   // tiles outside the array (its fanout must be empty).
-  const NodeId wire = graph_.single(ClbCoord{0, 3}, Dir::kN, 0);
-  EXPECT_EQ(graph_.fanout(wire).size(), 0u);
+  const NodeId wire = skel_.single(ClbCoord{0, 3}, Dir::kN, 0);
+  EXPECT_EQ(skel_.fanout(wire).size(), 0u);
 }
 
 TEST_F(RoutingGraphTest, OccupancyLifecycle) {
-  const NodeId n = graph_.single(ClbCoord{2, 2}, Dir::kS, 1);
+  const NodeId n = skel_.single(ClbCoord{2, 2}, Dir::kS, 1);
   EXPECT_TRUE(graph_.is_free(n));
   graph_.occupy(n, 7);
   EXPECT_EQ(graph_.occupant(n), 7u);
@@ -139,9 +140,9 @@ TEST_F(RoutingGraphTest, OccupancyLifecycle) {
 }
 
 TEST_F(RoutingGraphTest, PadsOnlyAtBoundary) {
-  EXPECT_NO_THROW(graph_.pad(ClbCoord{0, 0}, 0));
-  EXPECT_NO_THROW(graph_.pad(ClbCoord{7, 3}, 1));
-  EXPECT_THROW(graph_.pad(ClbCoord{3, 3}, 0), ContractError);
+  EXPECT_NO_THROW(skel_.pad(ClbCoord{0, 0}, 0));
+  EXPECT_NO_THROW(skel_.pad(ClbCoord{7, 3}, 1));
+  EXPECT_THROW(skel_.pad(ClbCoord{3, 3}, 0), ContractError);
 }
 
 class FabricTest : public ::testing::Test {
@@ -180,13 +181,13 @@ TEST_F(FabricTest, ListenerSeesOnlyEffectiveChanges) {
   EXPECT_EQ(counter.cells, 1);
 
   const NetId net = fab_.create_net("n");
-  fab_.attach_source(net, fab_.graph().out_pin({0, 0}, 0, false));
+  fab_.attach_source(net, fab_.skeleton().out_pin({0, 0}, 0, false));
   EXPECT_EQ(counter.nets, 1);
   fab_.remove_listener(&counter);
 }
 
 TEST_F(FabricTest, NetRoutingAndSinks) {
-  const auto& g = fab_.graph();
+  const auto& g = fab_.skeleton();
   const NetId net = fab_.create_net("route");
   const NodeId src = g.out_pin({2, 2}, 0, false);
   const NodeId w1 = g.single({2, 2}, Dir::kE, 0);
@@ -215,7 +216,7 @@ TEST_F(FabricTest, NetRoutingAndSinks) {
 TEST_F(FabricTest, ParallelPathsGiveMinMaxDelays) {
   // Fig. 6: while original and replica paths are paralleled the sink sees
   // min != max; the observable value settles after max.
-  const auto& g = fab_.graph();
+  const auto& g = fab_.skeleton();
   const NetId net = fab_.create_net("par");
   const NodeId src = g.out_pin({3, 3}, 0, false);
   const NodeId sink = g.in_pin({3, 4}, 0, CellPort::kI1);
@@ -246,7 +247,7 @@ TEST_F(FabricTest, ParallelPathsGiveMinMaxDelays) {
 }
 
 TEST_F(FabricTest, ValidateNetCatchesDanglingEdge) {
-  const auto& g = fab_.graph();
+  const auto& g = fab_.skeleton();
   const NetId net = fab_.create_net("bad");
   const NodeId w1 = g.single({2, 2}, Dir::kE, 0);
   const NodeId sink = g.in_pin({2, 3}, 1, CellPort::kI0);
@@ -256,7 +257,7 @@ TEST_F(FabricTest, ValidateNetCatchesDanglingEdge) {
 }
 
 TEST_F(FabricTest, CaptureRestoreRoundTrip) {
-  const auto& g = fab_.graph();
+  const auto& g = fab_.skeleton();
   fab_.set_cell_config({1, 1}, 2, LogicCellConfig::constant(true));
   const NetId net = fab_.create_net("snap");
   const NodeId src = g.out_pin({1, 1}, 2, false);
@@ -277,19 +278,19 @@ TEST_F(FabricTest, CaptureRestoreRoundTrip) {
   EXPECT_EQ(fab_.net(net).edges.size(), 1u);
   EXPECT_NO_THROW(fab_.validate_net(net));
   // Released nodes really are free again.
-  EXPECT_TRUE(g.is_free(g.in_pin({2, 1}, 0, CellPort::kI0)));
+  EXPECT_TRUE(fab_.graph().is_free(g.in_pin({2, 1}, 0, CellPort::kI0)));
 }
 
 TEST(DelayModel, PathDelaySums) {
   const DeviceGeometry geom = DeviceGeometry::tiny(6, 6);
-  const RoutingGraph graph(geom);
+  const auto skel = acquire_routing_skeleton(geom);
   const DelayModel dm;
   const std::vector<NodeId> path{
-      graph.out_pin({2, 2}, 0, false),
-      graph.single({2, 2}, Dir::kE, 0),
-      graph.in_pin({2, 3}, 0, CellPort::kI0),
+      skel->out_pin({2, 2}, 0, false),
+      skel->single({2, 2}, Dir::kE, 0),
+      skel->in_pin({2, 3}, 0, CellPort::kI0),
   };
-  EXPECT_EQ(dm.path_delay(graph, path),
+  EXPECT_EQ(dm.path_delay(*skel, path),
             dm.pip_delay + dm.single_delay + dm.pip_delay);
 }
 
@@ -299,7 +300,7 @@ TEST(DelayModel, PathDelaySums) {
 /// tree depth-first (the walk Fabric::sink_delays did before TreeIndex)
 /// and keeps each node's min and max delay over them.
 std::map<NodeId, std::pair<SimTime, SimTime>> enumerated_delays(
-    const RoutingGraph& g, const RouteTree& t, const DelayModel& dm) {
+    const RoutingSkeleton& g, const RouteTree& t, const DelayModel& dm) {
   std::map<NodeId, std::vector<NodeId>> adj;
   for (const auto& e : t.edges) adj[e.from].push_back(e.to);
   std::map<NodeId, std::pair<SimTime, SimTime>> out;
@@ -366,7 +367,7 @@ TEST(TreeIndex, DelaysAndReachMatchPathEnumerationOnRandomTrees) {
   for (int trial = 0; trial < 60; ++trial) {
     Fabric fab(DeviceGeometry::tiny(8, 8));
     place::Router router(fab, dm);
-    const auto& g = fab.graph();
+    const auto& g = fab.skeleton();
     const NetId net = fab.create_net("random");
     const auto random_tile = [&] {
       return ClbCoord{rng.next_int(0, 7), rng.next_int(0, 7)};
@@ -377,7 +378,7 @@ TEST(TreeIndex, DelaysAndReachMatchPathEnumerationOnRandomTrees) {
     for (int i = rng.next_int(2, 7); i > 0; --i) {
       const NodeId sink = g.in_pin(random_tile(), rng.next_int(0, 3),
                                    static_cast<CellPort>(rng.next_int(0, 4)));
-      if (!g.is_free(sink)) continue;
+      if (!fab.graph().is_free(sink)) continue;
       try {
         router.route_sink(net, sink);
       } catch (const ResourceError&) {
@@ -407,7 +408,7 @@ TEST(TreeIndex, DelaysAndReachMatchPathEnumerationOnRandomTrees) {
     EXPECT_EQ(std::vector<NodeId>(index.nodes().begin(), index.nodes().end()),
               tree.nodes());
     std::vector<TreeIndex::Delay> delays;
-    index.delays(fab.skeleton(), dm, delays);
+    index.delays(g, dm, delays);
     const auto expect = enumerated_delays(g, tree, dm);
     for (std::uint32_t i = 0; i < index.nodes().size(); ++i) {
       const NodeId n = index.nodes()[i];

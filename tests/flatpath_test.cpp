@@ -133,13 +133,13 @@ class ReferencePath {
 
   std::set<FrameAddress> frames_of(const ConfigOp& op) const {
     std::set<FrameAddress> frames;
-    const auto& graph = fab_->graph();
+    const auto& skel = fab_->skeleton();
     for (const config::ConfigAction& a : op.actions) {
       if (const auto* cw = std::get_if<config::CellWrite>(&a)) {
         for (const FrameAddress& f : mapper_.cell_frames(cw->clb, cw->cell))
           frames.insert(f);
       } else if (const auto* ec = std::get_if<config::EdgeChange>(&a)) {
-        frames.insert(mapper_.pip_frame(graph, ec->edge));
+        frames.insert(mapper_.pip_frame(skel, ec->edge));
       } else if (const auto* sc = std::get_if<config::SourceChange>(&a)) {
         frames.insert(source_frame(*sc));
       }
@@ -205,7 +205,7 @@ class ReferencePath {
                                fab_->net(ec->net).has_edge(ec->edge));
         edges[key] = ec->add;
         if (on == ec->add) continue;
-        deltas[mapper_.pip_frame(fab_->graph(), ec->edge)] ^=
+        deltas[mapper_.pip_frame(fab_->skeleton(), ec->edge)] ^=
             FrameImage::edge_token(ec->edge);
       } else if (const auto* sc = std::get_if<config::SourceChange>(&a)) {
         const auto key = std::make_pair(sc->net, sc->node);
@@ -268,13 +268,13 @@ class ReferencePath {
 
  private:
   FrameAddress source_frame(const config::SourceChange& sc) const {
-    const auto& graph = fab_->graph();
-    const auto info = graph.info(sc.node);
+    const auto& skel = fab_->skeleton();
+    const auto info = skel.info(sc.node);
     if (info.kind == fabric::NodeKind::kPad) {
       const int col = info.tile.col < fab_->geometry().clb_cols / 2 ? 0 : 1;
       return FrameAddress{ColumnType::kIob, static_cast<std::int16_t>(col), 0};
     }
-    return mapper_.pip_frame(graph, fabric::RouteEdge{sc.node, sc.node});
+    return mapper_.pip_frame(skel, fabric::RouteEdge{sc.node, sc.node});
   }
 
   const Fabric* fab_;
@@ -295,7 +295,7 @@ std::vector<FrameAddress> to_addresses(const FrameSet& set,
 ConfigOp random_op(Rng& rng, const DeviceGeometry& geom, fabric::NetId net,
                    const Fabric& fab, int step) {
   ConfigOp op("op" + std::to_string(step));
-  const auto& g = fab.graph();
+  const auto& g = fab.skeleton();
   const int actions = 1 + static_cast<int>(rng.next_u64() % 4);
   for (int a = 0; a < actions; ++a) {
     const ClbCoord clb{static_cast<int>(rng.next_u64() %

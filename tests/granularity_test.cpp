@@ -111,7 +111,7 @@ TEST_F(DirtyControllerTest, IdenticalRewriteSkipsEveryFrame) {
 }
 
 TEST_F(DirtyControllerTest, SelfCancellingOpDirtiesNothing) {
-  const auto& g = fab_.graph();
+  const auto& g = fab_.skeleton();
   const auto net = fab_.create_net("n");
   const auto src = g.out_pin({2, 2}, 0, false);
   const auto wire = g.single({2, 2}, fabric::Dir::kE, 0);
@@ -128,7 +128,7 @@ TEST_F(DirtyControllerTest, SelfCancellingOpDirtiesNothing) {
   EXPECT_GT(r.frames_skipped, 0);
   EXPECT_EQ(r.effective_actions, 4);  // all four actions did apply
   EXPECT_EQ(ctl_.preview(op).frames_written, 0);
-  EXPECT_TRUE(g.is_free(wire));
+  EXPECT_TRUE(fab_.graph().is_free(wire));
 }
 
 TEST_F(DirtyControllerTest, ReadbackFramesNeverDirtySkipped) {

@@ -61,7 +61,7 @@ TEST_P(RouteDelayConsistency, TreeDelayMatchesPathDelay) {
   Fabric fab(DeviceGeometry::tiny(12, 12));
   fabric::DelayModel dm;
   place::Router router(fab, dm);
-  const auto& g = fab.graph();
+  const auto& g = fab.skeleton();
   Rng rng(static_cast<unsigned>(GetParam()));
 
   for (int trial = 0; trial < 10; ++trial) {

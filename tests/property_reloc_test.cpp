@@ -170,7 +170,7 @@ TEST(FailureInjection, DriveConflictIsDetected) {
   // Parallel two cells computing *different* functions onto one net: the
   // coherence checker must flag it at the next clock edge.
   Rig rig;
-  const auto& g = rig.fab.graph();
+  const auto& g = rig.fab.skeleton();
   rig.fab.set_cell_config({2, 2}, 0, fabric::LogicCellConfig::constant(true));
   rig.fab.set_cell_config({2, 3}, 0,
                           fabric::LogicCellConfig::constant(false));

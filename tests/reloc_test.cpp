@@ -35,7 +35,7 @@ class NetSurgeryTest : public ::testing::Test {
     NodeId src, a, b, c, sink1, sink2;
   };
   Y build_y() {
-    const auto& g = fab_.graph();
+    const auto& g = fab_.skeleton();
     Y y;
     y.net = fab_.create_net("y");
     y.src = g.out_pin({2, 2}, 0, false);
@@ -78,7 +78,7 @@ TEST_F(NetSurgeryTest, GroupedRemovalFreesSharedSegmentsExactlyOnce) {
 TEST_F(NetSurgeryTest, SourceRemovalWithParallelReplica) {
   // src and replica both drive the trunk; removing src keeps the replica
   // path intact and all sinks covered.
-  const auto& g = fab_.graph();
+  const auto& g = fab_.skeleton();
   Y y = build_y();
   const NodeId replica = g.out_pin({3, 2}, 0, false);
   const NodeId r1 = g.single({3, 2}, Dir::kN, 1);
@@ -134,7 +134,7 @@ TEST(NetSurgeryOracle, PruningMatchesNaiveReachabilityOnRandomTrees) {
   for (int trial = 0; trial < 80; ++trial) {
     Fabric fab(DeviceGeometry::tiny(8, 8));
     place::Router router(fab, dm);
-    const auto& g = fab.graph();
+    const auto& g = fab.skeleton();
     const auto net = fab.create_net("random");
     const auto random_tile = [&] {
       return ClbCoord{rng.next_int(0, 7), rng.next_int(0, 7)};
@@ -147,7 +147,7 @@ TEST(NetSurgeryOracle, PruningMatchesNaiveReachabilityOnRandomTrees) {
     for (int i = rng.next_int(2, 7); i > 0; --i) {
       const NodeId sink = g.in_pin(random_tile(), rng.next_int(0, 3),
                                    static_cast<CellPort>(rng.next_int(0, 4)));
-      if (!g.is_free(sink)) continue;
+      if (!fab.graph().is_free(sink)) continue;
       try {
         router.route_sink(net, sink);
       } catch (const ResourceError&) {

@@ -1,16 +1,18 @@
 // Unit tests: the shared immutable RoutingSkeleton, its process-wide
-// per-geometry cache, and the per-device occupancy overlay (PR 9).
+// per-geometry cache, and the per-device occupancy overlay.
 //
 // The load-bearing contract: the two-pass counting CSR build must produce
-// byte-identical adjacency — same offsets, same PIP-enumeration edge order,
-// same sorted mirror — as the seed staging algorithm kept alive as
+// byte-identical adjacency — same offsets, same PIP-enumeration edge order
+// — as the seed staging algorithm kept alive as
 // RoutingSkeleton::build_reference. Everything downstream (router
-// exploration order, fig5/fig6 byte-pinned outputs) rides on that.
+// exploration order, fig5/fig6 byte-pinned outputs) rides on that, and
+// has_edge answers from the same rows.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <limits>
 #include <queue>
+#include <set>
 #include <vector>
 
 #include "relogic/fabric/fabric.hpp"
@@ -35,24 +37,40 @@ TEST(RoutingSkeleton, CountingBuildMatchesSeedStagingBuild) {
   }
 }
 
-TEST(RoutingSkeleton, SortedMirrorAgreesWithEnumerationOrderRows) {
-  // has_edge answers from the row-sorted mirror; fanout() serves the
-  // enumeration-order rows. Every enumerated edge must be found and a
-  // guaranteed non-edge must not be.
-  const auto skel = RoutingSkeleton::build(DeviceGeometry::tiny(6, 6));
-  std::size_t checked = 0;
-  for (std::size_t n = 0; n < skel->node_count(); ++n) {
-    const auto from = static_cast<NodeId>(n);
-    const auto row = skel->fanout(from);
-    for (NodeId to : row) {
-      EXPECT_TRUE(skel->has_edge(from, to));
-      ++checked;
+TEST(RoutingSkeleton, HasEdgeAgreesWithFanoutRows) {
+  // has_edge scans the enumeration-order row fanout() serves. Every
+  // enumerated edge must be found, and every near miss must not be: a
+  // self-loop (the PIP set has none), and each id within 2 of a row entry
+  // that the row lacks, which catches a scan over a neighbouring slot.
+  for (const auto& geom : {DeviceGeometry::tiny(6, 6),
+                           DeviceGeometry::preset(DevicePreset::kXCV50)}) {
+    const auto skel = RoutingSkeleton::build(geom);
+    std::size_t checked = 0;
+    std::size_t misses = 0;
+    for (std::size_t n = 0; n < skel->node_count(); ++n) {
+      const auto from = static_cast<NodeId>(n);
+      const auto row = skel->fanout(from);
+      const std::set<NodeId> members(row.begin(), row.end());
+      for (NodeId to : row) {
+        ASSERT_TRUE(skel->has_edge(from, to)) << geom.name;
+        ++checked;
+      }
+      ASSERT_FALSE(skel->has_edge(from, from)) << geom.name;
+      std::set<NodeId> near;
+      for (NodeId to : row)
+        for (NodeId d = 1; d <= 2; ++d) {
+          if (to >= d) near.insert(to - d);
+          if (to + d < skel->node_count()) near.insert(to + d);
+        }
+      for (NodeId to : near) {
+        if (members.count(to)) continue;
+        ASSERT_FALSE(skel->has_edge(from, to)) << geom.name;
+        ++misses;
+      }
     }
-    // Self-loops never occur in the PIP set, so `from` itself is a
-    // membership probe that must miss in every row.
-    EXPECT_FALSE(skel->has_edge(from, from));
+    EXPECT_EQ(checked, skel->edge_count()) << geom.name;
+    EXPECT_GT(misses, 0u) << geom.name;
   }
-  EXPECT_EQ(checked, skel->edge_count());
 }
 
 TEST(RoutingSkeleton, PackedInfoEqualsReferenceDecodeOnEveryNode) {
@@ -208,7 +226,7 @@ TEST(RoutingGraphOverlay, OccupancyIsolatedBetweenFabricsSharingSkeleton) {
   Fabric f2(geom);
   ASSERT_EQ(&f1.skeleton(), &f2.skeleton());
 
-  const auto n = f1.graph().single(ClbCoord{2, 3}, Dir::kE, 0);
+  const auto n = f1.skeleton().single(ClbCoord{2, 3}, Dir::kE, 0);
   ASSERT_TRUE(f1.graph().is_free(n));
   ASSERT_TRUE(f2.graph().is_free(n));
 

@@ -240,7 +240,8 @@ TEST(SimGolden, TwoClockDomainsRelocateAndConflict) {
     rig.fab.set_cell_config(e.clb, 0, cfg);
     const auto state_net =
         e.impl->signal_nets.at(e.nl->state_elements().front());
-    rig.fab.attach_source(state_net, rig.fab.graph().out_pin(e.clb, 0, true));
+    rig.fab.attach_source(state_net,
+                          rig.fab.skeleton().out_pin(e.clb, 0, true));
   }
   for (int i = 0; i < 12; ++i) {
     for (const auto& e : extras) {
@@ -302,7 +303,7 @@ std::vector<fabric::NodeId> join_path(const Rig& rig, fabric::NetId net,
                                       fabric::NodeId to) {
   using fabric::NodeKind;
   const auto& graph = rig.fab.graph();
-  const auto& skel = graph.skeleton();
+  const auto& skel = rig.fab.skeleton();
   auto is_join = [&](fabric::NodeId n) {
     const NodeKind k = skel.info(n).kind;
     return graph.occupant(n) == net &&
@@ -373,7 +374,7 @@ TEST(SimGolden, PadsAndNetsResourcedMidRun) {
   using fabric::RegMode;
   Rig rig(fabric::DeviceGeometry::tiny(12, 12));
   rig.sim.add_clock(sim::ClockSpec{});
-  const auto& g = rig.fab.graph();
+  const auto& g = rig.fab.skeleton();
 
   // A: FF of pad a.  B: comb a ^ A.  C: CE-gated FF of B ^ A, CE = pad b.
   // D: bypass latch of pad a, gated by pad b.  E: a replica of A.
@@ -540,7 +541,7 @@ TEST(EventCoreAudit, FollowsEveryNetAndCellChangeWhileClocked) {
   using fabric::CellPort;
   Rig rig(fabric::DeviceGeometry::tiny(10, 10));
   rig.sim.add_clock(sim::ClockSpec{});
-  const auto& g = rig.fab.graph();
+  const auto& g = rig.fab.skeleton();
   const ClbCoord one{2, 2}, other{2, 6}, spare{6, 2};
   auto ff = fabric::LogicCellConfig{};
   ff.lut = fabric::luts::kBufI0;
@@ -625,7 +626,7 @@ TEST(EventCoreAudit, CatchesAStaleMirrorAndSourceTable) {
   EXPECT_THROW(sim.audit(), AuditError);
   fab.set_cell_config(clb, 0, fabric::LogicCellConfig::constant(true));
   sim.audit();
-  fab.attach_source(net, fab.graph().out_pin(clb, 0, false));
+  fab.attach_source(net, fab.skeleton().out_pin(clb, 0, false));
   EXPECT_THROW(sim.audit(), AuditError);
   fab.add_listener(&sim);
 }
@@ -638,7 +639,7 @@ TEST(RouteTreeCycle, NothingBehindTheCycleIsScheduled) {
   using fabric::NodeId;
   using fabric::NodeKind;
   Rig rig(fabric::DeviceGeometry::tiny(8, 8));
-  const auto& g = rig.fab.graph();
+  const auto& g = rig.fab.skeleton();
   NodeId single = fabric::kInvalidNode, longline = fabric::kInvalidNode;
   for (NodeId n = 0; n < g.node_count(); ++n) {
     if (g.info(n).kind != NodeKind::kSingle) continue;
@@ -717,7 +718,7 @@ TEST(DriveConflict, RecordedByTheClockEdgeAlone) {
   fab.set_cell_config(zero, 0, fabric::LogicCellConfig::constant(false));
   fab.set_cell_config(also_one, 0, fabric::LogicCellConfig::constant(true));
   const auto x = [&](ClbCoord clb) {
-    return fab.graph().out_pin(clb, 0, false);
+    return fab.skeleton().out_pin(clb, 0, false);
   };
   const fabric::NetId net = fab.create_net("paralleled");
   fab.attach_source(net, x(one));
@@ -1012,8 +1013,8 @@ TEST(SimFastForward, DriveConflictMatchesSteppedEdges) {
     fab.set_cell_config(one, 0, fabric::LogicCellConfig::constant(true));
     fab.set_cell_config(zero, 0, fabric::LogicCellConfig::constant(false));
     const fabric::NetId net = fab.create_net("paralleled");
-    fab.attach_source(net, fab.graph().out_pin(one, 0, false));
-    fab.attach_source(net, fab.graph().out_pin(zero, 0, false));
+    fab.attach_source(net, fab.skeleton().out_pin(one, 0, false));
+    fab.attach_source(net, fab.skeleton().out_pin(zero, 0, false));
   });
   ff_windows(twin, nl, 0xDC, SimTime::ns(100), "drive conflict");
   EXPECT_GT(twin.fast.rig.sim.monitor().count(
