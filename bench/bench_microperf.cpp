@@ -7,7 +7,9 @@
 // drive and catch performance regressions.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -423,10 +425,35 @@ BENCHMARK(BM_BatcherFlush)
 // untaken branch per emission site. All three variants run the exact
 // BM_ConfigApply XCV200 workload: _base never touches the tracer API,
 // _off explicitly installs the null-object handle, _on attaches a live
-// tracer (arg rendering + ring write). CI gates _off within 5% of _base —
-// the two are registered adjacently so they run back-to-back under the
-// same thermal/cache conditions, which a gate against the distant
-// BM_ConfigApply_3 measurement could not guarantee.
+// tracer (arg rendering + ring write). CI gates _off within 5% of _base
+// on the medians of interleaved repetitions (register_off_pair below),
+// which a gate against the distant BM_ConfigApply_3 measurement could not
+// match.
+
+/// check_perf_baseline.py holds each disabled plane's _off benchmark within
+/// 5% of its untouched _base twin. Run once each, back to back, the pair
+/// tripped that gate on scheduling noise alone, so each side runs this many
+/// times, interleaved in alternating order (base/off, off/base, ...) so
+/// both see the same machine drift, and the report keeps each name's
+/// median (ReportingConsole).
+constexpr int kOffPairRepetitions = 5;
+
+using BenchFn = void (*)(benchmark::State&);
+
+bool register_off_pair(const char* base_name, BenchFn base,
+                       const char* off_name, BenchFn off,
+                       benchmark::TimeUnit unit) {
+  for (int r = 0; r < kOffPairRepetitions; ++r) {
+    const bool base_first = r % 2 == 0;
+    benchmark::RegisterBenchmark(base_first ? base_name : off_name,
+                                 base_first ? base : off)
+        ->Unit(unit);
+    benchmark::RegisterBenchmark(base_first ? off_name : base_name,
+                                 base_first ? off : base)
+        ->Unit(unit);
+  }
+  return true;
+}
 
 enum class TraceMode { kBase, kOff, kOn };
 
@@ -457,12 +484,13 @@ void trace_overhead_run(benchmark::State& state, TraceMode mode) {
 void BM_TraceOverhead_base(benchmark::State& state) {
   trace_overhead_run(state, TraceMode::kBase);
 }
-BENCHMARK(BM_TraceOverhead_base)->Unit(benchmark::kMicrosecond);
 
 void BM_TraceOverhead_off(benchmark::State& state) {
   trace_overhead_run(state, TraceMode::kOff);
 }
-BENCHMARK(BM_TraceOverhead_off)->Unit(benchmark::kMicrosecond);
+[[maybe_unused]] const bool kTraceOffPair = register_off_pair(
+    "BM_TraceOverhead_base", BM_TraceOverhead_base, "BM_TraceOverhead_off",
+    BM_TraceOverhead_off, benchmark::kMicrosecond);
 
 void BM_TraceOverhead_on(benchmark::State& state) {
   trace_overhead_run(state, TraceMode::kOn);
@@ -472,8 +500,9 @@ BENCHMARK(BM_TraceOverhead_on)->Unit(benchmark::kMicrosecond);
 // Metrics plane overhead on the scheduler's event loop: base never mentions
 // metrics, off attaches a null sampler (one `if (metrics_)` per tick site),
 // on snapshots the run's registry every 1 ms of simulated time. The perf gate
-// (check_perf_baseline.py) holds off within 5% of base: a disabled metrics
-// plane must be free on the request path, mirroring BM_TraceOverhead.
+// (check_perf_baseline.py) holds off within 5% of base, on the medians of
+// interleaved repetitions: a disabled metrics plane must be free on the
+// request path, mirroring BM_TraceOverhead.
 enum class MetricsMode { kBase, kOff, kOn };
 
 void metrics_overhead_run(benchmark::State& state, MetricsMode mode) {
@@ -507,12 +536,14 @@ void metrics_overhead_run(benchmark::State& state, MetricsMode mode) {
 void BM_MetricsOverhead_base(benchmark::State& state) {
   metrics_overhead_run(state, MetricsMode::kBase);
 }
-BENCHMARK(BM_MetricsOverhead_base)->Unit(benchmark::kMillisecond);
 
 void BM_MetricsOverhead_off(benchmark::State& state) {
   metrics_overhead_run(state, MetricsMode::kOff);
 }
-BENCHMARK(BM_MetricsOverhead_off)->Unit(benchmark::kMillisecond);
+[[maybe_unused]] const bool kMetricsOffPair = register_off_pair(
+    "BM_MetricsOverhead_base", BM_MetricsOverhead_base,
+    "BM_MetricsOverhead_off", BM_MetricsOverhead_off,
+    benchmark::kMillisecond);
 
 void BM_MetricsOverhead_on(benchmark::State& state) {
   metrics_overhead_run(state, MetricsMode::kOn);
@@ -692,12 +723,11 @@ auto run_failed(const R& run, long)
   return static_cast<bool>(run.skipped);
 }
 
-/// Console output as usual, plus every run captured into the shared
-/// machine-readable report (BENCH_microperf.json).
+/// Console output as usual, plus every run captured for the shared
+/// machine-readable report (BENCH_microperf.json). A name that runs more
+/// than once (the interleaved off-gate pairs) is reported as its median.
 class ReportingConsole : public benchmark::ConsoleReporter {
  public:
-  explicit ReportingConsole(bench_report::Report& report) : report_(&report) {}
-
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const Run& run : runs) {
       if (run_failed(run, 0)) continue;
@@ -705,14 +735,35 @@ class ReportingConsole : public benchmark::ConsoleReporter {
       for (char& c : name) {
         if (c == '/' || c == ':') c = '_';
       }
-      report_->add(name, run.GetAdjustedRealTime(),
-                   benchmark::GetTimeUnitString(run.time_unit));
+      auto it = std::find_if(samples_.begin(), samples_.end(),
+                             [&](const Samples& s) { return s.name == name; });
+      if (it == samples_.end()) {
+        samples_.push_back(
+            {name, benchmark::GetTimeUnitString(run.time_unit), {}});
+        it = std::prev(samples_.end());
+      }
+      it->values.push_back(run.GetAdjustedRealTime());
     }
     ConsoleReporter::ReportRuns(runs);
   }
 
+  /// Adds each benchmark's median time to `report`, in first-run order.
+  void add_medians(bench_report::Report& report) {
+    for (Samples& s : samples_) {
+      std::sort(s.values.begin(), s.values.end());
+      const std::size_t n = s.values.size();
+      report.add(s.name, (s.values[(n - 1) / 2] + s.values[n / 2]) / 2,
+                 s.unit);
+    }
+  }
+
  private:
-  bench_report::Report* report_;
+  struct Samples {
+    std::string name;
+    std::string unit;
+    std::vector<double> values;
+  };
+  std::vector<Samples> samples_;
 };
 
 }  // namespace
@@ -720,10 +771,11 @@ class ReportingConsole : public benchmark::ConsoleReporter {
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  bench_report::Report report("microperf");
-  ReportingConsole console(report);
+  ReportingConsole console;
   benchmark::RunSpecifiedBenchmarks(&console);
   benchmark::Shutdown();
+  bench_report::Report report("microperf");
+  console.add_medians(report);
   if (!report.write()) {
     std::fprintf(stderr, "failed to write %s\n", report.path().c_str());
     return 1;

@@ -66,11 +66,13 @@ BM_TraceOverhead_off (the BM_ConfigApply XCV200 workload with a null trace
 handle explicitly installed) within OFF_FACTOR of BM_TraceOverhead_base
 (the identical workload never touching the tracer API), and likewise
 BM_MetricsOverhead_off (the scheduler event loop with a null sampler
-explicitly installed) within OFF_FACTOR of BM_MetricsOverhead_base. Each
-pair is registered adjacently in bench_microperf so it runs back-to-back —
-same machine state, no normalization needed; gating against a
-minutes-earlier measurement was too drift-prone for a 5% margin. Missing
-either metric of a pair fails the guard.
+explicitly installed) within OFF_FACTOR of BM_MetricsOverhead_base. Both
+sides of a pair run in the same bench_microperf process, as
+kOffPairRepetitions interleaved repetitions in alternating order, and the
+report carries each side's median, so the gate compares medians taken
+under the same machine drift and needs no normalization. One back-to-back
+measurement per side tripped the 5% margin on scheduling noise alone.
+Missing either metric of a pair fails the guard.
 
 If the guard fires without a plausible code cause, or after an intentional
 hot-path change, refresh the baseline:
@@ -102,8 +104,9 @@ SKELETON_SPEEDUP_SERIAL = 1.4     # < 4 CPUs: serial-only wins
 ACQUIRE_CACHED = "BM_FabricAcquireCached_8"  # us
 ACQUIRE_CACHED_LIMIT_US = 1000.0
 
-# Disabled-observability gates: _off vs the adjacent untouched twin,
-# same run. One pair per plane (tracer, metrics sampler).
+# Disabled-observability gates: median of _off vs median of its untouched
+# twin, interleaved in the same run. One pair per plane (tracer, metrics
+# sampler).
 OFF_GATES = (
     ("BM_TraceOverhead_off", "BM_TraceOverhead_base"),
     ("BM_MetricsOverhead_off", "BM_MetricsOverhead_base"),
@@ -175,7 +178,8 @@ def check_off_gates(current):
         ratio = off / base
         verdict = "FAIL" if ratio > OFF_FACTOR else "ok"
         print(f"{verdict:4} {off_name}: {off:.3g} vs {base_name} "
-              f"{base:.3g} same-run ({ratio:.3f}x, limit {OFF_FACTOR:.2f}x)")
+              f"{base:.3g} same-run medians ({ratio:.3f}x, limit "
+              f"{OFF_FACTOR:.2f}x)")
         passed = passed and ratio <= OFF_FACTOR
     return passed
 

@@ -12,19 +12,6 @@ namespace relogic::config {
 
 namespace {
 
-/// Appends every set-bit id of a word bitmap in ascending order.
-void expand_bits(const std::vector<std::uint64_t>& words,
-                 std::vector<std::int32_t>& out) {
-  for (std::size_t w = 0; w < words.size(); ++w) {
-    std::uint64_t bits = words[w];
-    while (bits) {
-      const int b = std::countr_zero(bits);
-      bits &= bits - 1;
-      out.push_back(static_cast<std::int32_t>(w * 64 + b));
-    }
-  }
-}
-
 /// Calls `visit(id, delta)` in ascending id order for every touched id of
 /// `deltas` whose delta is still non-zero (XOR-cancelled frames drop out).
 template <typename Visit>
@@ -61,8 +48,7 @@ ConfigController::ConfigController(fabric::Fabric& fabric,
       mapper_(fabric.geometry()),
       granularity_(granularity),
       index_(fabric.geometry()),
-      image_(index_),
-      columns_(fabric) {
+      image_(index_) {
   const auto& g = fabric.geometry();
   const int total = index_.total_frames();
   deltas_scratch_.reset(total);
@@ -77,11 +63,13 @@ ConfigController::ConfigController(fabric::Fabric& fabric,
   for (int n = 1; n <= max_run_; ++n)
     time_memo_[static_cast<std::size_t>(n)] = port.write_time(n, frame_bits_);
   op_words_.assign(static_cast<std::size_t>((total + 63) / 64), 0);
+  op_lo_ = op_words_.size();
   col_words_.assign(static_cast<std::size_t>((g.clb_cols + 63) / 64), 0);
-  overlay_.assign(static_cast<std::size_t>(columns_.slot_count()),
+  const std::size_t cells_per_clb = static_cast<std::size_t>(g.cells_per_clb);
+  overlay_.assign(static_cast<std::size_t>(g.clb_count()) * cells_per_clb,
                   CellOverlay{0, 0});
-  const std::size_t cell_keys = static_cast<std::size_t>(g.clb_cols) *
-                                static_cast<std::size_t>(g.cells_per_clb);
+  const std::size_t cell_keys =
+      static_cast<std::size_t>(g.clb_cols) * cells_per_clb;
   runkey_idx_.assign(cell_keys, 0);
   runkey_stamp_.assign(cell_keys, 0);
   col_count_.assign(static_cast<std::size_t>(index_.total_columns()), 0);
@@ -203,59 +191,76 @@ void ConfigController::frames_of(const ConfigOp& op, FrameSet& out) const {
     return;
   }
   // kFrame / kDirtyFrame: mark each action's frames in the per-op bitmap,
-  // expand the set bits to sorted ids, clear only the marked words. A
-  // cell's frame group is fpc ids starting at a multiple of fpc, so with
-  // the Virtex value (4) it never straddles a word; the general case takes
-  // the per-frame path.
+  // then expand the marked word range to sorted ids, zeroing each word as
+  // it is read. A cell's frame group is fpc ids starting at a multiple of
+  // fpc, so with the Virtex value (4) it never straddles a word and is
+  // marked as one mask; the general case takes the per-frame path. A run
+  // of fpc set bits is emitted in one step.
   const int fpc = g.frames_per_cell_config;
+  const std::uint64_t group =
+      fpc >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << fpc) - 1;
   clear_op_words();
+  const auto mark = [&](std::size_t w, std::uint64_t bits) {
+    op_words_[w] |= bits;
+    op_lo_ = std::min(op_lo_, w);
+    op_hi_ = std::max(op_hi_, w + 1);
+  };
+  std::size_t upper = 0;  // ids marked, counting repeats
   for (const ConfigAction& a : op.actions) {
     if (const auto* cw = std::get_if<CellWrite>(&a)) {
       RELOGIC_CHECK(g.in_bounds(cw->clb));
       RELOGIC_CHECK(cw->cell >= 0 && cw->cell < g.cells_per_clb);
       const std::int32_t base = index_.cell_frame_base(cw->clb.col, cw->cell);
-      const int off = base & 63;
-      const std::size_t w = static_cast<std::size_t>(base) >> 6;
-      if (off + fpc <= 64) {
-        op_words_[w] |= ((std::uint64_t{1} << fpc) - 1) << off;
-        op_word_marks_.push_back(static_cast<std::int32_t>(w));
+      if ((base & 63) + fpc <= 64) {
+        mark(static_cast<std::size_t>(base) >> 6, group << (base & 63));
       } else {
-        for (int f = 0; f < fpc; ++f) {
-          const std::int32_t id = base + f;
-          op_words_[static_cast<std::size_t>(id) >> 6] |= std::uint64_t{1}
-                                                          << (id & 63);
-          op_word_marks_.push_back(id >> 6);
-        }
+        for (std::int32_t id = base; id < base + fpc; ++id)
+          mark(static_cast<std::size_t>(id) >> 6, std::uint64_t{1}
+                                                      << (id & 63));
       }
+      upper += static_cast<std::size_t>(fpc);
     } else {
       const std::int32_t id =
           std::holds_alternative<EdgeChange>(a)
               ? index_.id(mapper_.pip_frame(skel, std::get<EdgeChange>(a).edge))
               : index_.id(source_frame(std::get<SourceChange>(a)));
-      op_words_[static_cast<std::size_t>(id) >> 6] |= std::uint64_t{1}
-                                                      << (id & 63);
-      op_word_marks_.push_back(id >> 6);
+      mark(static_cast<std::size_t>(id) >> 6, std::uint64_t{1} << (id & 63));
+      ++upper;
     }
   }
-  expand_bits(op_words_, out.raw_ids());
+  std::vector<std::int32_t>& ids = out.raw_ids();
+  ids.resize(upper);
+  std::int32_t* next = ids.data();
+  for (std::size_t w = op_lo_; w < op_hi_; ++w) {
+    std::uint64_t bits = op_words_[w];
+    op_words_[w] = 0;
+    while (bits) {
+      const int b = std::countr_zero(bits);
+      const std::int32_t id = static_cast<std::int32_t>(w * 64 + b);
+      if (fpc > 1 && b + fpc <= 64 && ((bits >> b) & group) == group) {
+        for (int f = 0; f < fpc; ++f) *next++ = id + f;
+        bits &= ~(group << b);
+      } else {
+        *next++ = id;
+        bits &= bits - 1;
+      }
+    }
+  }
+  op_lo_ = op_words_.size();
+  op_hi_ = 0;
+  ids.resize(static_cast<std::size_t>(next - ids.data()));
 }
 
 ApplyResult ConfigController::preview(const ConfigOp& op) const {
-  // Counted mode: the dirty path never materializes the op's frame id list
-  // — it only needs |frames_of(op)|, which the run collectors count.
-  if (granularity_ == WriteGranularity::kDirtyFrame) {
-    clear_overlays();
-    return price_dirty(op, nullptr);
-  }
   frames_of(op, frames_scratch_);
-  return preview(frames_scratch_);
+  return preview(op, frames_scratch_);
 }
 
 ApplyResult ConfigController::preview(const ConfigOp& op,
                                       const FrameSet& frames) const {
   if (granularity_ != WriteGranularity::kDirtyFrame) return preview(frames);
   clear_overlays();
-  return price_dirty(op, &frames);
+  return price_dirty(op, frames);
 }
 
 ApplyResult ConfigController::preview(const FrameSet& frames) const {
@@ -286,7 +291,7 @@ void ConfigController::preview_sequence(
     // deltas in the runs; the written set handed to the visitor is
     // materialized from both (disjoint id ranges, so push + normalize
     // dedups nothing).
-    const ApplyResult r = price_dirty(ops[i], &frames_scratch_);
+    const ApplyResult r = price_dirty(ops[i], frames_scratch_);
     for (std::size_t k = 0; k < run_base_.size(); ++k)
       if (run_delta_[k] != 0) dirty_scratch_.push_run(run_base_[k], fpc);
     dirty_scratch_.normalize();
@@ -296,16 +301,13 @@ void ConfigController::preview_sequence(
 
 ApplyResult ConfigController::apply(const ConfigOp& op,
                                     bool allow_lut_ram_columns) {
-  // Counted mode (see preview(op)): skip materializing the frame id list.
-  if (granularity_ == WriteGranularity::kDirtyFrame)
-    return apply_op(op, nullptr, allow_lut_ram_columns);
   frames_of(op, frames_scratch_);
-  return apply_op(op, &frames_scratch_, allow_lut_ram_columns);
+  return apply_op(op, frames_scratch_, allow_lut_ram_columns);
 }
 
 ApplyResult ConfigController::apply(const ConfigOp& op,
                                     const FrameSet& frames) {
-  return apply_op(op, &frames, /*allow_lut_ram_columns=*/false);
+  return apply_op(op, frames, /*allow_lut_ram_columns=*/false);
 }
 
 ApplyResult ConfigController::finish_apply(const ConfigOp& op,
@@ -337,16 +339,6 @@ ApplyResult ConfigController::finish_apply(const ConfigOp& op,
                       << result.columns_touched << " columns, "
                       << result.time.to_string();
   return result;
-}
-
-void ConfigController::mark_net_frame(std::int32_t id) const {
-  const std::size_t w = static_cast<std::size_t>(id) >> 6;
-  const std::uint64_t m = std::uint64_t{1} << (id & 63);
-  if (!(op_words_[w] & m)) {
-    op_words_[w] |= m;
-    op_word_marks_.push_back(static_cast<std::int32_t>(w));
-    ++net_frame_marks_;
-  }
 }
 
 std::size_t ConfigController::run_of(const CellWrite& cw) const {
@@ -382,32 +374,28 @@ void ConfigController::begin_op() const {
   run_base_.clear();
   run_delta_.clear();
   run_col_.clear();
-  clear_op_words();
-  net_frame_marks_ = 0;
 }
 
 void ConfigController::clear_op_words() const {
-  for (const std::int32_t w : op_word_marks_)
-    op_words_[static_cast<std::size_t>(w)] = 0;
-  op_word_marks_.clear();
+  for (std::size_t w = op_lo_; w < op_hi_; ++w) op_words_[w] = 0;
+  op_lo_ = op_words_.size();
+  op_hi_ = 0;
 }
 
 void ConfigController::accumulate_deltas(const ConfigOp& op,
-                                         FrameDeltaMap& net_out,
-                                         bool count_net_frames) const {
-  const auto& g = fabric_->geometry();
+                                         FrameDeltaMap& net_out) const {
   const auto& skel = fabric_->skeleton();
-  const std::uint64_t* toks = columns_.tokens();
   for (const ConfigAction& a : op.actions) {
     if (const auto* cw = std::get_if<CellWrite>(&a)) {
-      RELOGIC_CHECK(g.in_bounds(cw->clb));
-      RELOGIC_CHECK(cw->cell >= 0 && cw->cell < g.cells_per_clb);
+      // Fabric::cell checks the coordinates before any index is derived.
+      const fabric::LogicCellConfig& current = fabric_->cell(cw->clb, cw->cell);
       const std::size_t run = run_of(*cw);
-      const std::size_t slot = static_cast<std::size_t>(
-          columns_.slot(cw->clb.row, cw->clb.col, cw->cell));
-      CellOverlay& ov = overlay_[slot];
+      CellOverlay& ov = overlay_[static_cast<std::size_t>(
+          fabric_->cell_index(cw->clb, cw->cell))];
       const std::uint64_t before =
-          ov.stamp == overlay_epoch_ ? ov.tok : toks[slot];
+          ov.stamp == overlay_epoch_
+              ? ov.tok
+              : FrameImage::cell_token(cw->clb.row, current);
       const std::uint64_t after = FrameImage::cell_token(cw->clb.row, cw->cfg);
       ov.stamp = overlay_epoch_;
       ov.tok = after;
@@ -416,7 +404,6 @@ void ConfigController::accumulate_deltas(const ConfigOp& op,
       run_delta_[run] ^= before ^ after;
     } else if (const auto* ec = std::get_if<EdgeChange>(&a)) {
       const std::int32_t id = index_.id(mapper_.pip_frame(skel, ec->edge));
-      if (count_net_frames) mark_net_frame(id);
       const EdgeKey key{ec->net, ec->edge.from, ec->edge.to};
       const auto [it, inserted] = overlay_edges_.try_emplace(key, ec->add);
       const bool on = inserted ? (fabric_->net_exists(ec->net) &&
@@ -426,7 +413,6 @@ void ConfigController::accumulate_deltas(const ConfigOp& op,
       if (on != ec->add) net_out.xor_delta(id, FrameImage::edge_token(ec->edge));
     } else if (const auto* sc = std::get_if<SourceChange>(&a)) {
       const std::int32_t id = index_.id(source_frame(*sc));
-      if (count_net_frames) mark_net_frame(id);
       const std::uint64_t key =
           (static_cast<std::uint64_t>(sc->net) << 32) | sc->node;
       const auto [it, inserted] = overlay_sources_.try_emplace(key, sc->attach);
@@ -491,73 +477,47 @@ ApplyResult ConfigController::price_runs(const std::int32_t* net_dirty,
 }
 
 ApplyResult ConfigController::price_dirty(const ConfigOp& op,
-                                          const FrameSet* frames) const {
+                                          const FrameSet& frames) const {
   begin_op();
   deltas_scratch_.reset(index_.total_frames());
-  accumulate_deltas(op, deltas_scratch_, frames == nullptr);
+  accumulate_deltas(op, deltas_scratch_);
   dirty_scratch_.clear();
   for_each_dirty(deltas_scratch_, [&](std::int32_t id, std::uint64_t) {
     dirty_scratch_.push(id);
   });
   ApplyResult result =
       price_runs(dirty_scratch_.begin(), static_cast<int>(dirty_scratch_.size()));
-  const int total =
-      frames != nullptr
-          ? static_cast<int>(frames->size())
-          : static_cast<int>(run_base_.size()) *
-                    fabric_->geometry().frames_per_cell_config +
-                net_frame_marks_;
-  result.frames_skipped = total - result.frames_written;
+  result.frames_skipped = static_cast<int>(frames.size()) - result.frames_written;
   return result;
 }
 
 ApplyResult ConfigController::apply_op(const ConfigOp& op,
-                                       const FrameSet* frames,
+                                       const FrameSet& frames,
                                        bool allow_lut_ram_columns) {
   if (!allow_lut_ram_columns) check_lut_ram_columns(op);
   begin_op();
 
-  const auto& g = fabric_->geometry();
   const auto& skel = fabric_->skeleton();
-  const std::uint64_t* toks = columns_.tokens();
-  const int fpc = g.frames_per_cell_config;
-  if (frames == nullptr) {
-    // Counted mode stands in for a frames_of(op) call: validate in the same
-    // order so a malformed op still throws before any fabric mutation, and
-    // mark the net frames for the distinct count.
-    for (const ConfigAction& a : op.actions) {
-      if (const auto* cw = std::get_if<CellWrite>(&a)) {
-        RELOGIC_CHECK(g.in_bounds(cw->clb));
-        RELOGIC_CHECK(cw->cell >= 0 && cw->cell < g.cells_per_clb);
-      } else {
-        mark_net_frame(
-            std::holds_alternative<EdgeChange>(a)
-                ? index_.id(mapper_.pip_frame(skel,
-                                              std::get<EdgeChange>(a).edge))
-                : index_.id(source_frame(std::get<SourceChange>(a))));
-      }
-    }
-  }
+  const int fpc = fabric_->geometry().frames_per_cell_config;
 
   // Apply the structural actions in order. Cell deltas accumulate per RUN
-  // (one frames_per_cell run per distinct cell) instead of per frame; the
-  // before/after tokens come straight from the SoA column — the
-  // CellColumns listener has already folded the observed after-value
-  // (faults included) by the time set_cell_config returns, so the loop
-  // hashes nothing itself. Net deltas go to the per-frame map.
+  // (one frames_per_cell run per distinct cell) instead of per frame. Only
+  // an effective write is hashed, and its after-token is taken from the
+  // value the fabric stored, so an injected fault's corruption reaches the
+  // image. Net deltas go to the per-frame map.
   deltas_scratch_.reset(index_.total_frames());
   int effective = 0;
   for (const ConfigAction& a : op.actions) {
     if (const auto* cw = std::get_if<CellWrite>(&a)) {
-      // Bounds were validated before any mutation: by the counted-mode
-      // pre-pass above, or by the caller's frames_of walk.
-      const std::size_t run = run_of(*cw);
-      const std::size_t slot = static_cast<std::size_t>(
-          columns_.slot(cw->clb.row, cw->clb.col, cw->cell));
-      const std::uint64_t before = toks[slot];
+      // Bounds were validated before any mutation, by the caller's
+      // frames_of walk.
+      const fabric::LogicCellConfig before = fabric_->cell(cw->clb, cw->cell);
       if (fabric_->set_cell_config(cw->clb, cw->cell, cw->cfg)) {
         ++effective;
-        run_delta_[run] ^= before ^ toks[slot];
+        run_delta_[run_of(*cw)] ^=
+            FrameImage::cell_token(cw->clb.row, before) ^
+            FrameImage::cell_token(cw->clb.row,
+                                   fabric_->cell(cw->clb, cw->cell));
       }
     } else if (const auto* ec = std::get_if<EdgeChange>(&a)) {
       const auto& tree = fabric_->net(ec->net);
@@ -597,13 +557,10 @@ ApplyResult ConfigController::apply_op(const ConfigOp& op,
   if (granularity_ == WriteGranularity::kDirtyFrame) {
     result = price_runs(dirty_scratch_.begin(),
                         static_cast<int>(dirty_scratch_.size()));
-    const int total =
-        frames == nullptr
-            ? static_cast<int>(run_base_.size()) * fpc + net_frame_marks_
-            : static_cast<int>(frames->size());
-    result.frames_skipped = total - result.frames_written;
+    result.frames_skipped =
+        static_cast<int>(frames.size()) - result.frames_written;
   } else {
-    result = preview(*frames);
+    result = preview(frames);
   }
   return finish_apply(op, result, effective);
 }

@@ -21,13 +21,16 @@
 // is byte-identical across all three policies.
 //
 // The data path runs on the flat structures of config/frame_index.hpp and
-// the SoA cell-token column of config/cell_columns.hpp: frame sets are
-// sorted dense-id vectors (FrameSet) built from a per-op word bitmap, cell
-// deltas are read straight off the token column and accumulate per
-// frames_per_cell run, routing deltas live in a flat zero-invariant map
-// (FrameDeltaMap), the digest commit is fused with the dirty scan, and
-// pricing charges one memoized port transaction per touched column —
-// O(frames), not O(columns x frames). The controller keeps mutable scratch
+// has one shape at every granularity: every apply and preview maps the op
+// to its FrameSet (a sorted dense-id vector built from a per-op word
+// bitmap) first. Cell deltas are the XOR of the before and after
+// FrameImage::cell_token of each effective write, read from the Fabric's
+// own cell array (the Fabric is the only copy of the cell state), and
+// accumulate per frames_per_cell run; routing deltas live in a flat
+// zero-invariant map (FrameDeltaMap), the digest commit is fused with the
+// dirty scan, and pricing charges one memoized port transaction per
+// touched column — O(frames), not O(columns x frames). The controller
+// registers no FabricListener. It keeps mutable scratch
 // buffers so steady-state ops allocate nothing; like the Fabric it drives,
 // a controller must not be shared across threads. tests/flatpath_test.cpp
 // pins every output — frame sets, ApplyResult fields, ConfigTotals,
@@ -48,7 +51,6 @@
 #include <vector>
 
 #include "relogic/common/time.hpp"
-#include "relogic/config/cell_columns.hpp"
 #include "relogic/config/frame.hpp"
 #include "relogic/config/frame_image.hpp"
 #include "relogic/config/frame_index.hpp"
@@ -169,7 +171,8 @@ class ConfigController {
   WriteGranularity granularity() const { return granularity_; }
   /// The dense frame-id addressing of this device's geometry.
   const FrameIndex& index() const { return index_; }
-  /// Shadow copy of the device's frame contents (dirty-frame diffing).
+  /// Per-frame content digests of everything written through this
+  /// controller; read by audit_image() and by tests.
   const FrameImage& image() const { return image_; }
 
   /// Frames a ConfigOp would write, without applying it. Widened to whole
@@ -272,31 +275,28 @@ class ConfigController {
  private:
   /// The frame controlling a net-source attach/detach (output mux / pad).
   FrameAddress source_frame(const SourceChange& sc) const;
-  /// Marks a routing frame in the per-op bitmap, counting it once — the
-  /// net-side share of |frames_of(op)| in counted mode.
-  void mark_net_frame(std::int32_t id) const;
   /// Run index of a cell write's (col, cell) frame group in the current op,
   /// created on first touch.
   std::size_t run_of(const CellWrite& cw) const;
   /// Accumulates one op's deltas reading before-values through the
   /// sequence-persistent overlays (callers clear them to choose single-op
-  /// or sequence semantics). Cell deltas come out as run_base_/run_delta_
-  /// RUNS (one frames_per_cell run per distinct (col, cell) the op touches,
-  /// delta possibly XOR-cancelled to 0); edge/source deltas — provably
-  /// disjoint frame ids, see FrameMapper::first_routing_frame — go into
-  /// `net_out`. `count_net_frames` marks every net action's frame for the
-  /// counted-mode frame total. Injected configuration-memory faults are
-  /// not modelled here — apply() observes the real before/after tokens.
-  void accumulate_deltas(const ConfigOp& op, FrameDeltaMap& net_out,
-                         bool count_net_frames) const;
+  /// or sequence semantics); a cell the overlay has not seen yet reads the
+  /// token of its current fabric value. Cell deltas come out as
+  /// run_base_/run_delta_ RUNS (one frames_per_cell run per distinct
+  /// (col, cell) the op touches, delta possibly XOR-cancelled to 0);
+  /// edge/source deltas — provably disjoint frame ids, see
+  /// FrameMapper::first_routing_frame — go into `net_out`. Injected
+  /// configuration-memory faults are not modelled here — apply() observes
+  /// the real before/after values.
+  void accumulate_deltas(const ConfigOp& op, FrameDeltaMap& net_out) const;
   /// Resets the sequence-persistent overlays (cell epoch bump + edge/source
   /// maps). The per-op run state is reset by begin_op().
   void clear_overlays() const;
   /// Starts a new per-op epoch for the run collectors.
   void begin_op() const;
-  /// Zeroes the per-op frame bitmap words the previous op marked. Runs at
-  /// the start of each use, so an op that threw mid-marking leaves nothing
-  /// behind for the next one.
+  /// Zeroes the frame bitmap words [op_lo_, op_hi_) that a frames_of call
+  /// marked but did not expand. Runs at the start of each call, so an op
+  /// that threw mid-marking leaves nothing behind for the next one.
   void clear_op_words() const;
   /// Port time of one same-column transaction of `frames` frames.
   SimTime run_time(int frames) const;
@@ -308,15 +308,14 @@ class ConfigController {
   /// identical to pricing the sorted dirty id list, because a column's
   /// frames are id-contiguous.
   ApplyResult price_runs(const std::int32_t* net_dirty, int n_net) const;
-  /// apply() body. `frames` supplies the op frame set; nullptr (kDirtyFrame
-  /// only) means count |frames_of(op)| internally (frames_per_cell per
-  /// distinct cell + distinct net frames) without materializing ids.
-  ApplyResult apply_op(const ConfigOp& op, const FrameSet* frames,
+  /// apply() body. `frames` is frames_of(op); under kDirtyFrame the frames
+  /// of it left clean are counted as frames_skipped.
+  ApplyResult apply_op(const ConfigOp& op, const FrameSet& frames,
                        bool allow_lut_ram_columns);
-  /// kDirtyFrame preview of one op against the current overlays (same
-  /// `frames` convention as apply_op). Leaves the op's runs and its net
-  /// dirty ids (dirty_scratch_) for preview_sequence.
-  ApplyResult price_dirty(const ConfigOp& op, const FrameSet* frames) const;
+  /// kDirtyFrame preview of one op against the current overlays (`frames`
+  /// as for apply_op). Leaves the op's runs and its net dirty ids
+  /// (dirty_scratch_) for preview_sequence.
+  ApplyResult price_dirty(const ConfigOp& op, const FrameSet& frames) const;
   /// Charges totals, trace and logging for one applied op.
   ApplyResult finish_apply(const ConfigOp& op, ApplyResult result,
                            int effective);
@@ -333,7 +332,6 @@ class ConfigController {
   WriteGranularity granularity_;
   FrameIndex index_;
   FrameImage image_;
-  CellColumns columns_;
   ConfigTotals totals_;
   obs::TraceTrack trace_;
   /// Fabric content digests at construction — the erased-state baseline the
@@ -353,10 +351,12 @@ class ConfigController {
   mutable FrameSet dirty_scratch_;    ///< dirty ids of the current op
   mutable FrameSet columns_scratch_;  ///< distinct column markers (kColumn)
   mutable FrameDeltaMap deltas_scratch_;
-  /// Per-op frame bitmap (frames_of and counted mode) + the touched-word
-  /// list that lets it clear in O(op) instead of O(device).
+  /// Per-op frame bitmap of frames_of + the word range [op_lo_, op_hi_)
+  /// it marked, so expanding and clearing it cost O(op's span), not
+  /// O(device). The range is empty between calls.
   mutable std::vector<std::uint64_t> op_words_;
-  mutable std::vector<std::int32_t> op_word_marks_;
+  mutable std::size_t op_lo_ = 0;
+  mutable std::size_t op_hi_ = 0;
   /// Distinct-CLB-column bitmap for the LUT-RAM check.
   mutable std::vector<std::uint64_t> col_words_;
   /// check_lut_ram_columns: packed {row, col, cell} keys the op rewrites.
@@ -383,8 +383,8 @@ class ConfigController {
   };
   mutable std::unordered_map<EdgeKey, bool, EdgeKeyHash> overlay_edges_;
   mutable std::unordered_map<std::uint64_t, bool> overlay_sources_;
-  /// Token-level cell overlay: epoch-stamped per slot (slot layout =
-  /// CellColumns), packed so one cache line serves both fields. Token
+  /// Token-level cell overlay: epoch-stamped per cell, indexed by
+  /// Fabric::cell_index, packed so one cache line serves both fields. Token
   /// equality stands in for config equality (a 64-bit collision would
   /// only over-skip a frame in the timing model).
   struct CellOverlay {
@@ -394,7 +394,8 @@ class ConfigController {
   mutable std::vector<CellOverlay> overlay_;
   mutable std::uint32_t overlay_epoch_ = 1;
   /// Per-op run collectors: one entry per distinct (col, cell) the op
-  /// touches — a run's frames depend only on the cell's column position,
+  /// writes (apply: writes effectively) — a run's frames depend only on the
+  /// cell's column position,
   /// so every row of the same (col, cell) folds into ONE run (their deltas
   /// can XOR-cancel). run_delta_ accumulates before ^ after per write,
   /// which telescopes to op-entry token ^ final token per touched cell (0
@@ -413,9 +414,6 @@ class ConfigController {
   mutable std::vector<std::int32_t> col_count_;
   mutable std::vector<std::uint32_t> col_stamp_;
   mutable std::vector<std::int32_t> col_list_;
-  /// Distinct net (edge/source) frames of the current op — counted-mode
-  /// substitute for |frames_of(op)| on the net side.
-  mutable int net_frame_marks_ = 0;
 };
 
 }  // namespace relogic::config

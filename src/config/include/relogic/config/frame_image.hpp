@@ -26,9 +26,8 @@
 //
 // Note the dirty decision itself is per-op (delta != 0) and never reads the
 // accumulated digests; the digest store is the *mirror* of the device's
-// frame contents — maintained for consumers of mirrored contents
-// (digest-based readback comparison, the dirty-aware BitstreamWriter
-// rendering).
+// frame contents. Its only readers are ConfigController::audit_image, which
+// checks it against a recompute from the fabric, and tests.
 //
 // Storage is a flat array indexed by dense frame id (config::FrameIndex) —
 // the frame universe is bounded by the device geometry, so the mirror is a
@@ -97,10 +96,9 @@ class FrameImage {
   }
 
   // ---- content tokens (XOR-composable) ------------------------------------
-  // Defined inline so the per-action token recomputation in the controller's
-  // hot loop (and the SoA column maintenance in cell_columns.hpp) inlines
-  // instead of paying a cross-TU call per cell — a measured cost of the old
-  // out-of-line definitions at XCV1000 op rates.
+  // Defined inline so the per-action token computation in the controller's
+  // hot loops inlines instead of paying a cross-TU call per cell — a
+  // measured cost of the old out-of-line definitions at XCV1000 op rates.
 
   /// splitmix64 finaliser — the standard 64-bit avalanche mix.
   static constexpr std::uint64_t mix64(std::uint64_t x) {
@@ -116,17 +114,19 @@ class FrameImage {
       int row, const fabric::LogicCellConfig& cfg) {
     // Pack every configuration field; two configs differing in any field get
     // different pre-mix words, so equal tokens <=> equal (row, cfg) up to a
-    // 64-bit hash collision.
-    std::uint64_t w =
-        static_cast<std::uint64_t>(static_cast<std::uint32_t>(row));
-    w = (w << 16) | cfg.lut;
-    w = (w << 2) | static_cast<std::uint64_t>(cfg.reg);
-    w = (w << 1) | static_cast<std::uint64_t>(cfg.lut_mode);
-    w = (w << 1) | static_cast<std::uint64_t>(cfg.d_src);
-    w = (w << 1) | static_cast<std::uint64_t>(cfg.uses_ce);
-    w = (w << 1) | static_cast<std::uint64_t>(cfg.init);
-    w = (w << 8) | cfg.clock_domain;
-    w = (w << 1) | static_cast<std::uint64_t>(cfg.used);
+    // 64-bit hash collision. The fields are ORed in at fixed offsets (row
+    // from bit 31, lut from 15, reg 13, lut_mode 12, d_src 11, uses_ce 10,
+    // init 9, clock_domain 1, used 0) so the shifts run in parallel.
+    const std::uint64_t w =
+        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(row)) << 31) |
+        (static_cast<std::uint64_t>(cfg.lut) << 15) |
+        (static_cast<std::uint64_t>(cfg.reg) << 13) |
+        (static_cast<std::uint64_t>(cfg.lut_mode) << 12) |
+        (static_cast<std::uint64_t>(cfg.d_src) << 11) |
+        (static_cast<std::uint64_t>(cfg.uses_ce) << 10) |
+        (static_cast<std::uint64_t>(cfg.init) << 9) |
+        (static_cast<std::uint64_t>(cfg.clock_domain) << 1) |
+        static_cast<std::uint64_t>(cfg.used);
     return mix64(w);
   }
 

@@ -50,16 +50,6 @@ void Fabric::remove_listener(FabricListener* listener) {
   std::erase(listeners_, listener);
 }
 
-const ClbConfig& Fabric::clb(ClbCoord c) const {
-  RELOGIC_CHECK(geom_.in_bounds(c));
-  return clbs_[static_cast<std::size_t>(c.row) * geom_.clb_cols + c.col];
-}
-
-const LogicCellConfig& Fabric::cell(ClbCoord c, int cell) const {
-  RELOGIC_CHECK(cell >= 0 && cell < geom_.cells_per_clb);
-  return clb(c).cells[static_cast<std::size_t>(cell)];
-}
-
 LogicCellConfig& Fabric::mutable_cell(ClbCoord c, int cell) {
   RELOGIC_CHECK(geom_.in_bounds(c) && cell >= 0 && cell < geom_.cells_per_clb);
   return clbs_[static_cast<std::size_t>(c.row) * geom_.clb_cols + c.col]

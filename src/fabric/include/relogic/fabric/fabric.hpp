@@ -4,8 +4,8 @@
 // occupied graph nodes). All mutations go through Fabric methods so that:
 //  * identical rewrites are detected (they change nothing and — exactly as
 //    on the real device — generate no events in the simulator), and
-//  * registered listeners (the logic simulator, the configuration-port cost
-//    accountant) observe every effective change.
+//  * registered listeners (the logic simulator) observe every effective
+//    change.
 //
 // During a relocation a net may temporarily have several sources (original
 // and replica cell outputs paralleled) and several paths to one sink
@@ -90,8 +90,20 @@ class Fabric {
   void remove_listener(FabricListener* listener);
 
   // ---- logic cells -------------------------------------------------------
-  const ClbConfig& clb(ClbCoord c) const;
-  const LogicCellConfig& cell(ClbCoord c, int cell) const;
+  // Inline: the config plane reads a cell per write it prices or applies.
+  const ClbConfig& clb(ClbCoord c) const {
+    RELOGIC_CHECK(geom_.in_bounds(c));
+    return clbs_[static_cast<std::size_t>(c.row) * geom_.clb_cols + c.col];
+  }
+  const LogicCellConfig& cell(ClbCoord c, int cell) const {
+    RELOGIC_CHECK(cell >= 0 && cell < geom_.cells_per_clb);
+    return clb(c).cells[static_cast<std::size_t>(cell)];
+  }
+  /// Linear index of a cell, `(row * cols + col) * cells_per_clb + cell`:
+  /// the key of the fault map and of the config plane's per-cell overlay.
+  int cell_index(ClbCoord c, int cell) const {
+    return (c.row * geom_.clb_cols + c.col) * geom_.cells_per_clb + cell;
+  }
 
   /// Writes a cell configuration. Returns true if the stored value changed
   /// (an identical rewrite returns false and notifies nobody — the
@@ -190,9 +202,6 @@ class Fabric {
  private:
   void notify_net(NetId net);
   LogicCellConfig& mutable_cell(ClbCoord c, int cell);
-  int cell_index(ClbCoord c, int cell) const {
-    return (c.row * geom_.clb_cols + c.col) * geom_.cells_per_clb + cell;
-  }
 
   DeviceGeometry geom_;
   RoutingGraph graph_;

@@ -722,8 +722,7 @@ FunctionRelocationReport RelocationEngine::relocate_function(
 }
 
 RelocationEngine::RouteOptimizationReport
-RelocationEngine::optimize_function_routing(place::Implementation& impl,
-                                            SimTime min_gain) {
+RelocationEngine::optimize_function_routing(place::Implementation& impl) {
   const place::RouteOptions route = avoiding_lut_ram(fabric());
 
   const fabric::DelayModel& dm = router_->delay_model();
@@ -761,7 +760,7 @@ RelocationEngine::optimize_function_routing(place::Implementation& impl,
 
       // Exact skip: no walk from a source reaches the sink cheaply enough
       // to pay, so the probe below could not succeed (DESIGN.md §12).
-      if (dm.route_delay_lower_bound(skel, tree.sources, sink) + min_gain >=
+      if (dm.route_delay_lower_bound(skel, tree.sources, sink) + kMinRerouteGain >=
           current) {
         out.worst_delay_after = std::max(out.worst_delay_after, current);
         continue;
@@ -788,7 +787,7 @@ RelocationEngine::optimize_function_routing(place::Implementation& impl,
       RELOGIC_CHECK_MSG(attach.has_value(),
                         "reroute probe attached to an undriven node");
       const SimTime candidate = *attach + dm.path_delay(skel, path);
-      if (candidate + min_gain >= current) {
+      if (candidate + kMinRerouteGain >= current) {
         out.worst_delay_after = std::max(out.worst_delay_after, current);
         continue;  // not worth a reconfiguration
       }

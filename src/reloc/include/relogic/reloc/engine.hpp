@@ -70,7 +70,8 @@ struct FunctionRelocationReport {
 class RelocationEngine {
  public:
   /// `sim` may be null: the engine then plans and applies configuration
-  /// without simulation-time interleaving (used by area-manager planning).
+  /// without simulation-time interleaving (used by calibrate_cost_params,
+  /// which prices relocations without running the circuit).
   RelocationEngine(config::ConfigController& controller, place::Router& router,
                    sim::FabricSim* sim);
 
@@ -104,9 +105,13 @@ class RelocationEngine {
   /// column, parallel-then-disconnect.
   RelocationReport relocate_route(fabric::NetId net, fabric::NodeId sink);
 
+  /// A reroute must make its sink at least this much faster to be worth
+  /// a reconfiguration (DESIGN.md §13).
+  static constexpr SimTime kMinRerouteGain = SimTime::ps(500);
+
   /// Sec. 3: rearrangement of the existing interconnections after CLB
   /// relocations — reroutes every sink whose fresh shortest path would be
-  /// at least `min_gain` faster than its current (possibly
+  /// at least kMinRerouteGain faster than its current (possibly
   /// relocation-stretched) path, each via the parallel-then-disconnect
   /// procedure. Running functions are never disturbed.
   struct RouteOptimizationReport {
@@ -118,7 +123,7 @@ class RelocationEngine {
     int frames_written = 0;
   };
   RouteOptimizationReport optimize_function_routing(
-      place::Implementation& impl, SimTime min_gain = SimTime::ps(500));
+      place::Implementation& impl);
 
   config::ConfigController& controller() { return *controller_; }
 

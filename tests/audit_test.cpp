@@ -104,13 +104,14 @@ TEST_P(ControllerAuditGranularityTest, PreInstalledFaultsAreTheBaseline) {
   // tree (fleet.cpp, main.cpp); the baseline snapshot makes that corruption
   // invisible to the audit. Every granularity shares the commit path, and
   // the faulted write must reach the mirror as the value the fabric
-  // actually stored.
+  // actually stored. The written LUT (0x0000) has the stuck bit clear, so
+  // the stored value (0x0008) differs from the one the op carries.
   fab_.inject_fault({2, 2}, 0, fabric::CellFault{3, true});
   config::ConfigController ctl(fab_, port_, GetParam());
   EXPECT_NO_THROW(ctl.audit_image());
 
   config::ConfigOp op("cfg");
-  op.write_cell({2, 2}, 0, LogicCellConfig::constant(true));
+  op.write_cell({2, 2}, 0, LogicCellConfig::constant(false));
   ctl.apply(op);
   EXPECT_NO_THROW(ctl.audit_image());
 }

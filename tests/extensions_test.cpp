@@ -128,12 +128,13 @@ std::map<std::pair<fabric::NetId, fabric::NodeId>, SinkRoute> sink_routes(
   return out;
 }
 
-// A reroute must pay: every sink the pass moves gets at least `min_gain`
-// faster. The pass once priced probes against the net's delays from before
-// its first reroute, so a probe attaching to a sibling's new branch was
-// priced from 0 ps and moved sinks that were already at their best.
+// A reroute must pay: every sink the pass moves gets at least
+// kMinRerouteGain faster. The pass once priced probes against the net's
+// delays from before its first reroute, so a probe attaching to a sibling's
+// new branch was priced from 0 ps and moved sinks that were already at
+// their best.
 TEST(RouteOptimization, EveryRerouteGainsAtLeastMinGain) {
-  const SimTime min_gain = SimTime::ps(500);
+  const SimTime min_gain = reloc::RelocationEngine::kMinRerouteGain;
   int rerouted = 0;
   for (const auto& entry :
        netlist::bench::itc99_suite(netlist::bench::ClockingStyle::kGatedClock)) {
@@ -155,7 +156,7 @@ TEST(RouteOptimization, EveryRerouteGainsAtLeastMinGain) {
                                     k % 4});
 
     const auto before = sink_routes(fab, impl, dm);
-    const auto rep = engine.optimize_function_routing(impl, min_gain);
+    const auto rep = engine.optimize_function_routing(impl);
     const auto after = sink_routes(fab, impl, dm);
     int moved = 0;
     for (const auto& [key, was] : before) {
