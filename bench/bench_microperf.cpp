@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -426,23 +425,31 @@ BENCHMARK(BM_BatcherFlush)
 // BM_ConfigApply XCV200 workload: _base never touches the tracer API,
 // _off explicitly installs the null-object handle, _on attaches a live
 // tracer (arg rendering + ring write). CI gates _off within 5% of _base
-// on the medians of interleaved repetitions (register_off_pair below),
-// which a gate against the distant BM_ConfigApply_3 measurement could not
-// match.
+// on back-to-back repetitions (register_off_pair below), which a gate
+// against the distant BM_ConfigApply_3 measurement could not match.
 
 /// check_perf_baseline.py holds each disabled plane's _off benchmark within
-/// 5% of its untouched _base twin. Run once each, back to back, the pair
-/// tripped that gate on scheduling noise alone, so each side runs this many
-/// times, interleaved in alternating order (base/off, off/base, ...) so
-/// both see the same machine drift, and the report keeps each name's
-/// median (ReportingConsole).
-constexpr int kOffPairRepetitions = 5;
+/// 5% of its untouched _base twin. Each side runs this many times, in
+/// back-to-back pairs of alternating order (base/off, off/base, ...), and
+/// the report carries the median of the pairs' off/base ratios as
+/// `<off>_vs_base` (ReportingConsole), which the gate reads. The ratio of
+/// the two sides' medians tripped the gate on noise: a shared host's speed
+/// shifts over a few repetitions, and a shift that spans several pairs
+/// moves one side's median, while it moves only the pair ratios it cuts.
+constexpr int kOffPairRepetitions = 11;
 
 using BenchFn = void (*)(benchmark::State&);
+
+/// The registered (base, off) name pairs, for ReportingConsole.
+std::vector<std::pair<std::string, std::string>>& off_pairs() {
+  static std::vector<std::pair<std::string, std::string>> pairs;
+  return pairs;
+}
 
 bool register_off_pair(const char* base_name, BenchFn base,
                        const char* off_name, BenchFn off,
                        benchmark::TimeUnit unit) {
+  off_pairs().emplace_back(base_name, off_name);
   for (int r = 0; r < kOffPairRepetitions; ++r) {
     const bool base_first = r % 2 == 0;
     benchmark::RegisterBenchmark(base_first ? base_name : off_name,
@@ -500,9 +507,9 @@ BENCHMARK(BM_TraceOverhead_on)->Unit(benchmark::kMicrosecond);
 // Metrics plane overhead on the scheduler's event loop: base never mentions
 // metrics, off attaches a null sampler (one `if (metrics_)` per tick site),
 // on snapshots the run's registry every 1 ms of simulated time. The perf gate
-// (check_perf_baseline.py) holds off within 5% of base, on the medians of
-// interleaved repetitions: a disabled metrics plane must be free on the
-// request path, mirroring BM_TraceOverhead.
+// (check_perf_baseline.py) holds off within 5% of base, on back-to-back
+// repetitions: a disabled metrics plane must be free on the request path,
+// mirroring BM_TraceOverhead.
 enum class MetricsMode { kBase, kOff, kOn };
 
 void metrics_overhead_run(benchmark::State& state, MetricsMode mode) {
@@ -725,7 +732,7 @@ auto run_failed(const R& run, long)
 
 /// Console output as usual, plus every run captured for the shared
 /// machine-readable report (BENCH_microperf.json). A name that runs more
-/// than once (the interleaved off-gate pairs) is reported as its median.
+/// than once (the off-gate pairs) is reported as its median.
 class ReportingConsole : public benchmark::ConsoleReporter {
  public:
   void ReportRuns(const std::vector<Run>& runs) override {
@@ -735,26 +742,33 @@ class ReportingConsole : public benchmark::ConsoleReporter {
       for (char& c : name) {
         if (c == '/' || c == ':') c = '_';
       }
-      auto it = std::find_if(samples_.begin(), samples_.end(),
-                             [&](const Samples& s) { return s.name == name; });
-      if (it == samples_.end()) {
+      Samples* s = find(name);
+      if (s == nullptr) {
         samples_.push_back(
             {name, benchmark::GetTimeUnitString(run.time_unit), {}});
-        it = std::prev(samples_.end());
+        s = &samples_.back();
       }
-      it->values.push_back(run.GetAdjustedRealTime());
+      s->values.push_back(run.GetAdjustedRealTime());
     }
     ConsoleReporter::ReportRuns(runs);
   }
 
-  /// Adds each benchmark's median time to `report`, in first-run order.
+  /// Adds each benchmark's median time to `report`, in first-run order,
+  /// then each off pair's median off/base ratio as `<off>_vs_base`. The
+  /// k-th runs of a pair's two names are the k-th back-to-back pair.
   void add_medians(bench_report::Report& report) {
-    for (Samples& s : samples_) {
-      std::sort(s.values.begin(), s.values.end());
-      const std::size_t n = s.values.size();
-      report.add(s.name, (s.values[(n - 1) / 2] + s.values[n / 2]) / 2,
-                 s.unit);
+    std::vector<Samples> ratios;
+    for (const auto& [base_name, off_name] : off_pairs()) {
+      const Samples* base = find(base_name);
+      const Samples* off = find(off_name);
+      if (base == nullptr || off == nullptr) continue;  // filtered out
+      Samples& r = ratios.emplace_back(Samples{off_name + "_vs_base", "x", {}});
+      for (std::size_t k = 0;
+           k < std::min(base->values.size(), off->values.size()); ++k)
+        r.values.push_back(off->values[k] / base->values[k]);
     }
+    for (Samples& s : samples_) report.add(s.name, median(s.values), s.unit);
+    for (Samples& s : ratios) report.add(s.name, median(s.values), s.unit);
   }
 
  private:
@@ -763,6 +777,19 @@ class ReportingConsole : public benchmark::ConsoleReporter {
     std::string unit;
     std::vector<double> values;
   };
+
+  Samples* find(const std::string& name) {
+    auto it = std::find_if(samples_.begin(), samples_.end(),
+                           [&](const Samples& s) { return s.name == name; });
+    return it == samples_.end() ? nullptr : &*it;
+  }
+
+  static double median(std::vector<double>& values) {
+    std::sort(values.begin(), values.end());
+    const std::size_t n = values.size();
+    return (values[(n - 1) / 2] + values[n / 2]) / 2;
+  }
+
   std::vector<Samples> samples_;
 };
 

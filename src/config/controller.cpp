@@ -142,6 +142,29 @@ FrameAddress ConfigController::source_frame(const SourceChange& sc) const {
   return mapper_.pip_frame(skel, fabric::RouteEdge{sc.node, sc.node});
 }
 
+template <typename Visit>
+void ConfigController::for_each_frame_run(const ConfigOp& op,
+                                          Visit&& visit) const {
+  const auto& g = fabric_->geometry();
+  const auto& skel = fabric_->skeleton();
+  for (const ConfigAction& a : op.actions) {
+    if (const auto* cw = std::get_if<CellWrite>(&a)) {
+      // Arithmetic id derivation must not spill into a neighbouring
+      // column region on a malformed op.
+      RELOGIC_CHECK(g.in_bounds(cw->clb));
+      RELOGIC_CHECK(cw->cell >= 0 && cw->cell < g.cells_per_clb);
+      visit(index_.cell_frame_base(cw->clb.col, cw->cell),
+            g.frames_per_cell_config);
+    } else {
+      visit(std::holds_alternative<EdgeChange>(a)
+                ? index_.id(
+                      mapper_.pip_frame(skel, std::get<EdgeChange>(a).edge))
+                : index_.id(source_frame(std::get<SourceChange>(a))),
+            1);
+    }
+  }
+}
+
 void ConfigController::frames_of(const ConfigOp& op, FrameSet& out) const {
   out.clear();
   const auto& g = fabric_->geometry();
@@ -191,76 +214,46 @@ void ConfigController::frames_of(const ConfigOp& op, FrameSet& out) const {
     return;
   }
   // kFrame / kDirtyFrame: mark each action's frames in the per-op bitmap,
-  // then expand the marked word range to sorted ids, zeroing each word as
-  // it is read. A cell's frame group is fpc ids starting at a multiple of
-  // fpc, so with the Virtex value (4) it never straddles a word and is
-  // marked as one mask; the general case takes the per-frame path. A run
-  // of fpc set bits is emitted in one step.
-  const int fpc = g.frames_per_cell_config;
-  const std::uint64_t group =
-      fpc >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << fpc) - 1;
+  // then list the marked word range in ascending id order. A cell's frame
+  // group is fpc ids starting at a multiple of fpc, so with the Virtex
+  // value (4) it never straddles a word and is marked as one mask; the
+  // general case takes the per-frame path.
   clear_op_words();
   const auto mark = [&](std::size_t w, std::uint64_t bits) {
     op_words_[w] |= bits;
     op_lo_ = std::min(op_lo_, w);
     op_hi_ = std::max(op_hi_, w + 1);
   };
-  std::size_t upper = 0;  // ids marked, counting repeats
-  for (const ConfigAction& a : op.actions) {
-    if (const auto* cw = std::get_if<CellWrite>(&a)) {
-      RELOGIC_CHECK(g.in_bounds(cw->clb));
-      RELOGIC_CHECK(cw->cell >= 0 && cw->cell < g.cells_per_clb);
-      const std::int32_t base = index_.cell_frame_base(cw->clb.col, cw->cell);
-      if ((base & 63) + fpc <= 64) {
-        mark(static_cast<std::size_t>(base) >> 6, group << (base & 63));
-      } else {
-        for (std::int32_t id = base; id < base + fpc; ++id)
-          mark(static_cast<std::size_t>(id) >> 6, std::uint64_t{1}
-                                                      << (id & 63));
-      }
-      upper += static_cast<std::size_t>(fpc);
+  for_each_frame_run(op, [&](std::int32_t base, int count) {
+    if ((base & 63) + count <= 64) {
+      mark(static_cast<std::size_t>(base) >> 6,
+           ((std::uint64_t{1} << count) - 1) << (base & 63));
     } else {
-      const std::int32_t id =
-          std::holds_alternative<EdgeChange>(a)
-              ? index_.id(mapper_.pip_frame(skel, std::get<EdgeChange>(a).edge))
-              : index_.id(source_frame(std::get<SourceChange>(a)));
-      mark(static_cast<std::size_t>(id) >> 6, std::uint64_t{1} << (id & 63));
-      ++upper;
+      for (std::int32_t id = base; id < base + count; ++id)
+        mark(static_cast<std::size_t>(id) >> 6, std::uint64_t{1} << (id & 63));
     }
-  }
+  });
   std::vector<std::int32_t>& ids = out.raw_ids();
-  ids.resize(upper);
-  std::int32_t* next = ids.data();
-  for (std::size_t w = op_lo_; w < op_hi_; ++w) {
-    std::uint64_t bits = op_words_[w];
-    op_words_[w] = 0;
-    while (bits) {
-      const int b = std::countr_zero(bits);
-      const std::int32_t id = static_cast<std::int32_t>(w * 64 + b);
-      if (fpc > 1 && b + fpc <= 64 && ((bits >> b) & group) == group) {
-        for (int f = 0; f < fpc; ++f) *next++ = id + f;
-        bits &= ~(group << b);
-      } else {
-        *next++ = id;
-        bits &= bits - 1;
-      }
-    }
-  }
-  op_lo_ = op_words_.size();
-  op_hi_ = 0;
-  ids.resize(static_cast<std::size_t>(next - ids.data()));
+  for (std::size_t w = op_lo_; w < op_hi_; ++w)
+    for (std::uint64_t bits = op_words_[w]; bits; bits &= bits - 1)
+      ids.push_back(static_cast<std::int32_t>(w * 64) + std::countr_zero(bits));
+  clear_op_words();
 }
 
 ApplyResult ConfigController::preview(const ConfigOp& op) const {
+  if (granularity_ == WriteGranularity::kDirtyFrame) {
+    clear_overlays();
+    return price_dirty(op);
+  }
   frames_of(op, frames_scratch_);
-  return preview(op, frames_scratch_);
+  return preview(frames_scratch_);
 }
 
 ApplyResult ConfigController::preview(const ConfigOp& op,
                                       const FrameSet& frames) const {
   if (granularity_ != WriteGranularity::kDirtyFrame) return preview(frames);
   clear_overlays();
-  return price_dirty(op, frames);
+  return price_dirty(op);
 }
 
 ApplyResult ConfigController::preview(const FrameSet& frames) const {
@@ -282,8 +275,8 @@ void ConfigController::preview_sequence(
   clear_overlays();
   const int fpc = fabric_->geometry().frames_per_cell_config;
   for (std::size_t i = 0; i < ops.size(); ++i) {
-    frames_of(ops[i], frames_scratch_);
     if (granularity_ != WriteGranularity::kDirtyFrame) {
+      frames_of(ops[i], frames_scratch_);
       visit(i, preview(frames_scratch_), frames_scratch_);
       continue;
     }
@@ -291,7 +284,7 @@ void ConfigController::preview_sequence(
     // deltas in the runs; the written set handed to the visitor is
     // materialized from both (disjoint id ranges, so push + normalize
     // dedups nothing).
-    const ApplyResult r = price_dirty(ops[i], frames_scratch_);
+    const ApplyResult r = price_dirty(ops[i]);
     for (std::size_t k = 0; k < run_base_.size(); ++k)
       if (run_delta_[k] != 0) dirty_scratch_.push_run(run_base_[k], fpc);
     dirty_scratch_.normalize();
@@ -301,13 +294,19 @@ void ConfigController::preview_sequence(
 
 ApplyResult ConfigController::apply(const ConfigOp& op,
                                     bool allow_lut_ram_columns) {
+  if (granularity_ == WriteGranularity::kDirtyFrame) {
+    // No frame set to build, but the same walk and checks, so a malformed
+    // op throws before apply_op changes anything.
+    for_each_frame_run(op, [](std::int32_t, int) {});
+    return apply_op(op, nullptr, allow_lut_ram_columns);
+  }
   frames_of(op, frames_scratch_);
-  return apply_op(op, frames_scratch_, allow_lut_ram_columns);
+  return apply_op(op, &frames_scratch_, allow_lut_ram_columns);
 }
 
 ApplyResult ConfigController::apply(const ConfigOp& op,
                                     const FrameSet& frames) {
-  return apply_op(op, frames, /*allow_lut_ram_columns=*/false);
+  return apply_op(op, &frames, /*allow_lut_ram_columns=*/false);
 }
 
 ApplyResult ConfigController::finish_apply(const ConfigOp& op,
@@ -404,6 +403,7 @@ void ConfigController::accumulate_deltas(const ConfigOp& op,
       run_delta_[run] ^= before ^ after;
     } else if (const auto* ec = std::get_if<EdgeChange>(&a)) {
       const std::int32_t id = index_.id(mapper_.pip_frame(skel, ec->edge));
+      net_out.touch(id);
       const EdgeKey key{ec->net, ec->edge.from, ec->edge.to};
       const auto [it, inserted] = overlay_edges_.try_emplace(key, ec->add);
       const bool on = inserted ? (fabric_->net_exists(ec->net) &&
@@ -413,6 +413,7 @@ void ConfigController::accumulate_deltas(const ConfigOp& op,
       if (on != ec->add) net_out.xor_delta(id, FrameImage::edge_token(ec->edge));
     } else if (const auto* sc = std::get_if<SourceChange>(&a)) {
       const std::int32_t id = index_.id(source_frame(*sc));
+      net_out.touch(id);
       const std::uint64_t key =
           (static_cast<std::uint64_t>(sc->net) << 32) | sc->node;
       const auto [it, inserted] = overlay_sources_.try_emplace(key, sc->attach);
@@ -446,8 +447,7 @@ ApplyResult ConfigController::price_ids(const std::int32_t* ids, int n) const {
   return result;
 }
 
-ApplyResult ConfigController::price_runs(const std::int32_t* net_dirty,
-                                         int n_net) const {
+ApplyResult ConfigController::price_runs() const {
   // Per-column frame counts instead of a sorted id walk: a column's frames
   // are contiguous in id order, so price_ids would charge exactly one
   // transaction per touched column with the column's total frame count.
@@ -468,16 +468,20 @@ ApplyResult ConfigController::price_runs(const std::int32_t* net_dirty,
   };
   for (std::size_t i = 0; i < run_base_.size(); ++i)
     if (run_delta_[i] != 0) count(static_cast<std::size_t>(run_col_[i]), fpc);
-  for (int i = 0; i < n_net; ++i)
-    count(col_of_[static_cast<std::size_t>(net_dirty[i])], 1);
+  for (const std::int32_t id : dirty_scratch_)
+    count(col_of_[static_cast<std::size_t>(id)], 1);
   for (const std::int32_t c : col_list_)
     result.time += run_time(col_count_[static_cast<std::size_t>(c)]);
   result.columns_touched = static_cast<int>(col_list_.size());
+  // The op's frame set is fpc frames per run (one per distinct cell frame
+  // group) plus every net frame it touched; the rest of it stays clean.
+  result.frames_skipped = static_cast<int>(run_base_.size()) * fpc +
+                          static_cast<int>(deltas_scratch_.touched().size()) -
+                          result.frames_written;
   return result;
 }
 
-ApplyResult ConfigController::price_dirty(const ConfigOp& op,
-                                          const FrameSet& frames) const {
+ApplyResult ConfigController::price_dirty(const ConfigOp& op) const {
   begin_op();
   deltas_scratch_.reset(index_.total_frames());
   accumulate_deltas(op, deltas_scratch_);
@@ -485,14 +489,11 @@ ApplyResult ConfigController::price_dirty(const ConfigOp& op,
   for_each_dirty(deltas_scratch_, [&](std::int32_t id, std::uint64_t) {
     dirty_scratch_.push(id);
   });
-  ApplyResult result =
-      price_runs(dirty_scratch_.begin(), static_cast<int>(dirty_scratch_.size()));
-  result.frames_skipped = static_cast<int>(frames.size()) - result.frames_written;
-  return result;
+  return price_runs();
 }
 
 ApplyResult ConfigController::apply_op(const ConfigOp& op,
-                                       const FrameSet& frames,
+                                       const FrameSet* frames,
                                        bool allow_lut_ram_columns) {
   if (!allow_lut_ram_columns) check_lut_ram_columns(op);
   begin_op();
@@ -504,22 +505,26 @@ ApplyResult ConfigController::apply_op(const ConfigOp& op,
   // (one frames_per_cell run per distinct cell) instead of per frame. Only
   // an effective write is hashed, and its after-token is taken from the
   // value the fabric stored, so an injected fault's corruption reaches the
-  // image. Net deltas go to the per-frame map.
+  // image. Net deltas go to the per-frame map. Every action's run or net
+  // frame is recorded, effective or not: price_runs counts them.
   deltas_scratch_.reset(index_.total_frames());
   int effective = 0;
   for (const ConfigAction& a : op.actions) {
     if (const auto* cw = std::get_if<CellWrite>(&a)) {
       // Bounds were validated before any mutation, by the caller's
-      // frames_of walk.
+      // for_each_frame_run walk.
+      const std::size_t run = run_of(*cw);
       const fabric::LogicCellConfig before = fabric_->cell(cw->clb, cw->cell);
       if (fabric_->set_cell_config(cw->clb, cw->cell, cw->cfg)) {
         ++effective;
-        run_delta_[run_of(*cw)] ^=
+        run_delta_[run] ^=
             FrameImage::cell_token(cw->clb.row, before) ^
             FrameImage::cell_token(cw->clb.row,
                                    fabric_->cell(cw->clb, cw->cell));
       }
     } else if (const auto* ec = std::get_if<EdgeChange>(&a)) {
+      const std::int32_t id = index_.id(mapper_.pip_frame(skel, ec->edge));
+      deltas_scratch_.touch(id);
       const auto& tree = fabric_->net(ec->net);
       if (ec->add ? !tree.has_edge(ec->edge) : tree.has_edge(ec->edge)) {
         if (ec->add)
@@ -527,10 +532,11 @@ ApplyResult ConfigController::apply_op(const ConfigOp& op,
         else
           fabric_->remove_edge(ec->net, ec->edge);
         ++effective;
-        deltas_scratch_.xor_delta(index_.id(mapper_.pip_frame(skel, ec->edge)),
-                                  FrameImage::edge_token(ec->edge));
+        deltas_scratch_.xor_delta(id, FrameImage::edge_token(ec->edge));
       }
     } else if (const auto* sc = std::get_if<SourceChange>(&a)) {
+      const std::int32_t id = index_.id(source_frame(*sc));
+      deltas_scratch_.touch(id);
       const auto& tree = fabric_->net(sc->net);
       if (sc->attach ? !tree.has_source(sc->node) : tree.has_source(sc->node)) {
         if (sc->attach)
@@ -538,8 +544,7 @@ ApplyResult ConfigController::apply_op(const ConfigOp& op,
         else
           fabric_->detach_source(sc->net, sc->node);
         ++effective;
-        deltas_scratch_.xor_delta(index_.id(source_frame(*sc)),
-                                  FrameImage::source_token(sc->node));
+        deltas_scratch_.xor_delta(id, FrameImage::source_token(sc->node));
       }
     }
   }
@@ -553,16 +558,11 @@ ApplyResult ConfigController::apply_op(const ConfigOp& op,
     image_.apply_delta_id(id, d);
     dirty_scratch_.push(id);
   });
-  ApplyResult result;
-  if (granularity_ == WriteGranularity::kDirtyFrame) {
-    result = price_runs(dirty_scratch_.begin(),
-                        static_cast<int>(dirty_scratch_.size()));
-    result.frames_skipped =
-        static_cast<int>(frames.size()) - result.frames_written;
-  } else {
-    result = preview(frames);
-  }
-  return finish_apply(op, result, effective);
+  return finish_apply(op,
+                      granularity_ == WriteGranularity::kDirtyFrame
+                          ? price_runs()
+                          : preview(*frames),
+                      effective);
 }
 
 void ConfigController::check_lut_ram_columns(

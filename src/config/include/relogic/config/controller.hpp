@@ -21,21 +21,23 @@
 // is byte-identical across all three policies.
 //
 // The data path runs on the flat structures of config/frame_index.hpp and
-// has one shape at every granularity: every apply and preview maps the op
-// to its FrameSet (a sorted dense-id vector built from a per-op word
-// bitmap) first. Cell deltas are the XOR of the before and after
-// FrameImage::cell_token of each effective write, read from the Fabric's
-// own cell array (the Fabric is the only copy of the cell state), and
-// accumulate per frames_per_cell run; routing deltas live in a flat
-// zero-invariant map (FrameDeltaMap), the digest commit is fused with the
-// dirty scan, and pricing charges one memoized port transaction per
-// touched column — O(frames), not O(columns x frames). The controller
-// registers no FabricListener. It keeps mutable scratch
-// buffers so steady-state ops allocate nothing; like the Fabric it drives,
-// a controller must not be shared across threads. tests/flatpath_test.cpp
-// pins every output — frame sets, ApplyResult fields, ConfigTotals,
-// digests — to a literal std::set / std::map model of the same semantics
-// at every granularity (DESIGN.md §9).
+// has one apply path at every granularity. kColumn and kFrame price the
+// op's FrameSet (a sorted dense-id vector built from a per-op word
+// bitmap). kDirtyFrame prices only the frames whose content changes, and
+// counts the rest of the op's frames as skipped from the cell runs and net
+// frames its delta pass records, so it builds no FrameSet. Cell deltas are
+// the XOR of the before and after FrameImage::cell_token of each write
+// (apply: each effective write), read from the Fabric's own cell array
+// (the Fabric is the only copy of the cell state), and accumulate per
+// frames_per_cell run; routing deltas live in a flat zero-invariant map
+// (FrameDeltaMap), the digest commit is fused with the dirty scan, and
+// pricing charges one memoized port transaction per touched column —
+// O(frames), not O(columns x frames). The controller registers no
+// FabricListener. It keeps mutable scratch buffers so steady-state ops
+// allocate nothing; like the Fabric it drives, a controller must not be
+// shared across threads. tests/flatpath_test.cpp pins every output — frame
+// sets, ApplyResult fields, ConfigTotals, digests — to a literal std::set /
+// std::map model of the same semantics at every granularity (DESIGN.md §9).
 //
 // The controller performs *configuration*; it never touches user state. The
 // interaction between configuration writes and live user logic is what the
@@ -224,7 +226,7 @@ class ConfigController {
 
   /// preview(op) with the frame mapping reused from frames_of(op) — the
   /// granularity-aware variant of the overload above (dirty filtering
-  /// still applies under kDirtyFrame).
+  /// still applies under kDirtyFrame, which does not read `frames`).
   ApplyResult preview(const ConfigOp& op, const FrameSet& frames) const;
 
   /// Applies the op to the fabric and charges the port timing model.
@@ -234,8 +236,9 @@ class ConfigController {
   ApplyResult apply(const ConfigOp& op, bool allow_lut_ram_columns = false);
 
   /// apply() with the frame mapping reused from frames_of(op) — for callers
-  /// (the transaction batcher) that already maintain the op's frame set.
-  /// Always checks the live-LUT-RAM column rule.
+  /// (the transaction batcher) that already maintain the op's frame set
+  /// (kDirtyFrame does not read it). Always checks the live-LUT-RAM column
+  /// rule.
   ApplyResult apply(const ConfigOp& op, const FrameSet& frames);
 
   /// LUT-RAM legality (paper, Sec. 2): throws IllegalOperationError if any
@@ -285,7 +288,8 @@ class ConfigController {
   /// run_base_/run_delta_ RUNS (one frames_per_cell run per distinct
   /// (col, cell) the op touches, delta possibly XOR-cancelled to 0);
   /// edge/source deltas — provably disjoint frame ids, see
-  /// FrameMapper::first_routing_frame — go into `net_out`. Injected
+  /// FrameMapper::first_routing_frame — go into `net_out`, which also
+  /// records every net action's frame as touched, delta or not. Injected
   /// configuration-memory faults are not modelled here — apply() observes
   /// the real before/after values.
   void accumulate_deltas(const ConfigOp& op, FrameDeltaMap& net_out) const;
@@ -294,28 +298,36 @@ class ConfigController {
   void clear_overlays() const;
   /// Starts a new per-op epoch for the run collectors.
   void begin_op() const;
-  /// Zeroes the frame bitmap words [op_lo_, op_hi_) that a frames_of call
-  /// marked but did not expand. Runs at the start of each call, so an op
-  /// that threw mid-marking leaves nothing behind for the next one.
+  /// Checks each action's coordinates and calls `visit(first_id, count)`
+  /// with its kFrame / kDirtyFrame frames: the frames_per_cell ids of a
+  /// cell write's frame group, or the one frame of a net action.
+  template <typename Visit>
+  void for_each_frame_run(const ConfigOp& op, Visit&& visit) const;
+  /// Zeroes the frame bitmap words [op_lo_, op_hi_) and empties the range.
+  /// frames_of runs it first, so an op that threw mid-marking leaves
+  /// nothing behind for the next one.
   void clear_op_words() const;
   /// Port time of one same-column transaction of `frames` frames.
   SimTime run_time(int frames) const;
   /// Prices a sorted id range: frames, distinct columns, and one port
   /// transaction per same-column run (ids are column-contiguous).
   ApplyResult price_ids(const std::int32_t* ids, int n) const;
-  /// kDirtyFrame pricing of the collected cell runs plus the net dirty ids:
-  /// per-column frame counts + one port transaction per touched column —
-  /// identical to pricing the sorted dirty id list, because a column's
-  /// frames are id-contiguous.
-  ApplyResult price_runs(const std::int32_t* net_dirty, int n_net) const;
-  /// apply() body. `frames` is frames_of(op); under kDirtyFrame the frames
-  /// of it left clean are counted as frames_skipped.
-  ApplyResult apply_op(const ConfigOp& op, const FrameSet& frames,
+  /// kDirtyFrame pricing of the collected cell runs plus the net dirty ids
+  /// (dirty_scratch_): per-column frame counts + one port transaction per
+  /// touched column — identical to pricing the sorted dirty id list,
+  /// because a column's frames are id-contiguous. frames_skipped is the
+  /// rest of |frames_of(op)|, which is frames_per_cell per run plus the
+  /// net frames touched in deltas_scratch_.
+  ApplyResult price_runs() const;
+  /// apply() body. `frames` is frames_of(op), which prices the write under
+  /// kColumn / kFrame; kDirtyFrame does not read it (callers may pass
+  /// null).
+  ApplyResult apply_op(const ConfigOp& op, const FrameSet* frames,
                        bool allow_lut_ram_columns);
-  /// kDirtyFrame preview of one op against the current overlays (`frames`
-  /// as for apply_op). Leaves the op's runs and its net dirty ids
-  /// (dirty_scratch_) for preview_sequence.
-  ApplyResult price_dirty(const ConfigOp& op, const FrameSet& frames) const;
+  /// kDirtyFrame preview of one op against the current overlays. Leaves
+  /// the op's runs and its net dirty ids (dirty_scratch_) for
+  /// preview_sequence.
+  ApplyResult price_dirty(const ConfigOp& op) const;
   /// Charges totals, trace and logging for one applied op.
   ApplyResult finish_apply(const ConfigOp& op, ApplyResult result,
                            int effective);
@@ -352,7 +364,7 @@ class ConfigController {
   mutable FrameSet columns_scratch_;  ///< distinct column markers (kColumn)
   mutable FrameDeltaMap deltas_scratch_;
   /// Per-op frame bitmap of frames_of + the word range [op_lo_, op_hi_)
-  /// it marked, so expanding and clearing it cost O(op's span), not
+  /// it marked, so listing and clearing it cost O(op's span), not
   /// O(device). The range is empty between calls.
   mutable std::vector<std::uint64_t> op_words_;
   mutable std::size_t op_lo_ = 0;
@@ -394,8 +406,7 @@ class ConfigController {
   mutable std::vector<CellOverlay> overlay_;
   mutable std::uint32_t overlay_epoch_ = 1;
   /// Per-op run collectors: one entry per distinct (col, cell) the op
-  /// writes (apply: writes effectively) — a run's frames depend only on the
-  /// cell's column position,
+  /// writes — a run's frames depend only on the cell's column position,
   /// so every row of the same (col, cell) folds into ONE run (their deltas
   /// can XOR-cancel). run_delta_ accumulates before ^ after per write,
   /// which telescopes to op-entry token ^ final token per touched cell (0

@@ -225,14 +225,19 @@ class FrameDeltaMap {
     touched_.clear();
   }
 
-  void xor_delta(std::int32_t id, std::uint64_t d) {
-    if (d == 0) return;
+  /// Records `id` as touched, leaving its delta as it is.
+  void touch(std::int32_t id) {
     const std::size_t w = static_cast<std::size_t>(id) >> 6;
     const std::uint64_t m = std::uint64_t{1} << (id & 63);
     if (!(words_[w] & m)) {
       words_[w] |= m;
       touched_.push_back(id);
     }
+  }
+
+  void xor_delta(std::int32_t id, std::uint64_t d) {
+    if (d == 0) return;
+    touch(id);
     delta_[static_cast<std::size_t>(id)] ^= d;
   }
 
