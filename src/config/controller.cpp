@@ -155,12 +155,13 @@ void ConfigController::for_each_frame_run(const ConfigOp& op,
       RELOGIC_CHECK(cw->cell >= 0 && cw->cell < g.cells_per_clb);
       visit(index_.cell_frame_base(cw->clb.col, cw->cell),
             g.frames_per_cell_config);
+    } else if (const auto* ec = std::get_if<EdgeChange>(&a)) {
+      RELOGIC_CHECK_MSG(fabric_->net_exists(ec->net), "net does not exist");
+      visit(index_.id(mapper_.pip_frame(skel, ec->edge)), 1);
     } else {
-      visit(std::holds_alternative<EdgeChange>(a)
-                ? index_.id(
-                      mapper_.pip_frame(skel, std::get<EdgeChange>(a).edge))
-                : index_.id(source_frame(std::get<SourceChange>(a))),
-            1);
+      const auto& sc = std::get<SourceChange>(a);
+      RELOGIC_CHECK_MSG(fabric_->net_exists(sc.net), "net does not exist");
+      visit(index_.id(source_frame(sc)), 1);
     }
   }
 }
@@ -168,7 +169,6 @@ void ConfigController::for_each_frame_run(const ConfigOp& op,
 void ConfigController::frames_of(const ConfigOp& op, FrameSet& out) const {
   out.clear();
   const auto& g = fabric_->geometry();
-  const auto& skel = fabric_->skeleton();
   if (granularity_ == WriteGranularity::kColumn) {
     // Collect one marker id per touched column first (the column's first
     // frame id — centre frames pass through as themselves), dedupe, then
@@ -176,31 +176,10 @@ void ConfigController::frames_of(const ConfigOp& op, FrameSet& out) const {
     // order follows the sorted markers, and runs are disjoint and laid out
     // in marker order, so `out` needs no second sort.
     columns_scratch_.clear();
-    for (const ConfigAction& a : op.actions) {
-      if (const auto* cw = std::get_if<CellWrite>(&a)) {
-        // Arithmetic id derivation must not spill into a neighbouring
-        // column region on a malformed op.
-        RELOGIC_CHECK(g.in_bounds(cw->clb));
-        RELOGIC_CHECK(cw->cell >= 0 && cw->cell < g.cells_per_clb);
-        columns_scratch_.push(index_.clb_frame_id(cw->clb.col, 0));
-      } else {
-        const FrameAddress f =
-            std::holds_alternative<EdgeChange>(a)
-                ? mapper_.pip_frame(skel, std::get<EdgeChange>(a).edge)
-                : source_frame(std::get<SourceChange>(a));
-        switch (f.type) {
-          case ColumnType::kClb:
-            columns_scratch_.push(index_.clb_frame_id(f.column, 0));
-            break;
-          case ColumnType::kIob:
-            columns_scratch_.push(index_.iob_frame_id(f.column, 0));
-            break;
-          case ColumnType::kCenter:
-            columns_scratch_.push(index_.id(f));
-            break;
-        }
-      }
-    }
+    for_each_frame_run(op, [&](std::int32_t base, int) {
+      const std::int32_t col = col_of_[static_cast<std::size_t>(base)];
+      columns_scratch_.push(col == 0 ? base : index_.column_first_id(col));
+    });
     columns_scratch_.normalize();
     for (const std::int32_t marker : columns_scratch_) {
       if (index_.is_clb(marker)) {
@@ -246,18 +225,7 @@ ApplyResult ConfigController::preview(const ConfigOp& op) const {
     return price_dirty(op);
   }
   frames_of(op, frames_scratch_);
-  return preview(frames_scratch_);
-}
-
-ApplyResult ConfigController::preview(const ConfigOp& op,
-                                      const FrameSet& frames) const {
-  if (granularity_ != WriteGranularity::kDirtyFrame) return preview(frames);
-  clear_overlays();
-  return price_dirty(op);
-}
-
-ApplyResult ConfigController::preview(const FrameSet& frames) const {
-  return price_ids(frames.begin(), static_cast<int>(frames.size()));
+  return price_frames(frames_scratch_);
 }
 
 int ConfigController::readback_frames(const ConfigOp& op) const {
@@ -277,7 +245,7 @@ void ConfigController::preview_sequence(
   for (std::size_t i = 0; i < ops.size(); ++i) {
     if (granularity_ != WriteGranularity::kDirtyFrame) {
       frames_of(ops[i], frames_scratch_);
-      visit(i, preview(frames_scratch_), frames_scratch_);
+      visit(i, price_frames(frames_scratch_), frames_scratch_);
       continue;
     }
     // price_dirty leaves the net dirty ids in dirty_scratch_ and the cell
@@ -290,23 +258,6 @@ void ConfigController::preview_sequence(
     dirty_scratch_.normalize();
     visit(i, r, dirty_scratch_);
   }
-}
-
-ApplyResult ConfigController::apply(const ConfigOp& op,
-                                    bool allow_lut_ram_columns) {
-  if (granularity_ == WriteGranularity::kDirtyFrame) {
-    // No frame set to build, but the same walk and checks, so a malformed
-    // op throws before apply_op changes anything.
-    for_each_frame_run(op, [](std::int32_t, int) {});
-    return apply_op(op, nullptr, allow_lut_ram_columns);
-  }
-  frames_of(op, frames_scratch_);
-  return apply_op(op, &frames_scratch_, allow_lut_ram_columns);
-}
-
-ApplyResult ConfigController::apply(const ConfigOp& op,
-                                    const FrameSet& frames) {
-  return apply_op(op, &frames, /*allow_lut_ram_columns=*/false);
 }
 
 ApplyResult ConfigController::finish_apply(const ConfigOp& op,
@@ -406,9 +357,8 @@ void ConfigController::accumulate_deltas(const ConfigOp& op,
       net_out.touch(id);
       const EdgeKey key{ec->net, ec->edge.from, ec->edge.to};
       const auto [it, inserted] = overlay_edges_.try_emplace(key, ec->add);
-      const bool on = inserted ? (fabric_->net_exists(ec->net) &&
-                                  fabric_->net(ec->net).has_edge(ec->edge))
-                               : it->second;
+      const bool on =
+          inserted ? fabric_->net(ec->net).has_edge(ec->edge) : it->second;
       if (!inserted) it->second = ec->add;
       if (on != ec->add) net_out.xor_delta(id, FrameImage::edge_token(ec->edge));
     } else if (const auto* sc = std::get_if<SourceChange>(&a)) {
@@ -417,9 +367,8 @@ void ConfigController::accumulate_deltas(const ConfigOp& op,
       const std::uint64_t key =
           (static_cast<std::uint64_t>(sc->net) << 32) | sc->node;
       const auto [it, inserted] = overlay_sources_.try_emplace(key, sc->attach);
-      const bool on = inserted ? (fabric_->net_exists(sc->net) &&
-                                  fabric_->net(sc->net).has_source(sc->node))
-                               : it->second;
+      const bool on =
+          inserted ? fabric_->net(sc->net).has_source(sc->node) : it->second;
       if (!inserted) it->second = sc->attach;
       if (on != sc->attach)
         net_out.xor_delta(id, FrameImage::source_token(sc->node));
@@ -432,7 +381,9 @@ SimTime ConfigController::run_time(int frames) const {
                             : port_->write_time(frames, frame_bits_);
 }
 
-ApplyResult ConfigController::price_ids(const std::int32_t* ids, int n) const {
+ApplyResult ConfigController::price_frames(const FrameSet& frames) const {
+  const std::int32_t* ids = frames.begin();
+  const int n = static_cast<int>(frames.size());
   ApplyResult result;
   result.frames_written = n;
   int i = 0;
@@ -449,7 +400,7 @@ ApplyResult ConfigController::price_ids(const std::int32_t* ids, int n) const {
 
 ApplyResult ConfigController::price_runs() const {
   // Per-column frame counts instead of a sorted id walk: a column's frames
-  // are contiguous in id order, so price_ids would charge exactly one
+  // are contiguous in id order, so price_frames would charge exactly one
   // transaction per touched column with the column's total frame count.
   // Column visit order is irrelevant — the frame / column counters and the
   // SimTime sum are all commutative — so touched columns are collected in
@@ -492,9 +443,15 @@ ApplyResult ConfigController::price_dirty(const ConfigOp& op) const {
   return price_runs();
 }
 
-ApplyResult ConfigController::apply_op(const ConfigOp& op,
-                                       const FrameSet* frames,
-                                       bool allow_lut_ram_columns) {
+ApplyResult ConfigController::apply(const ConfigOp& op,
+                                    bool allow_lut_ram_columns) {
+  // The action walk checks every action before anything changes: kColumn
+  // and kFrame price the frame set it lists, and kDirtyFrame, which
+  // prices from its delta pass, walks it with no bitmap.
+  if (granularity_ == WriteGranularity::kDirtyFrame)
+    for_each_frame_run(op, [](std::int32_t, int) {});
+  else
+    frames_of(op, frames_scratch_);
   if (!allow_lut_ram_columns) check_lut_ram_columns(op);
   begin_op();
 
@@ -511,8 +468,7 @@ ApplyResult ConfigController::apply_op(const ConfigOp& op,
   int effective = 0;
   for (const ConfigAction& a : op.actions) {
     if (const auto* cw = std::get_if<CellWrite>(&a)) {
-      // Bounds were validated before any mutation, by the caller's
-      // for_each_frame_run walk.
+      // Bounds were validated before any mutation, by the action walk.
       const std::size_t run = run_of(*cw);
       const fabric::LogicCellConfig before = fabric_->cell(cw->clb, cw->cell);
       if (fabric_->set_cell_config(cw->clb, cw->cell, cw->cfg)) {
@@ -561,7 +517,7 @@ ApplyResult ConfigController::apply_op(const ConfigOp& op,
   return finish_apply(op,
                       granularity_ == WriteGranularity::kDirtyFrame
                           ? price_runs()
-                          : preview(*frames),
+                          : price_frames(frames_scratch_),
                       effective);
 }
 
@@ -572,29 +528,17 @@ void ConfigController::check_lut_ram_columns(
   // paper's Sec. 2 restriction; skip the column derivation entirely.
   if (fabric_->live_lut_ram_total() == 0) return;
   // The CLB-column set of an op's frames equals the CLB-column set of its
-  // actions (widening only adds frames inside already-touched columns), so
-  // the check derives columns from the actions directly — no frame walk.
-  // The bitmap is cleared first, so a throw never leaks marks into the
-  // next op's check.
+  // actions' frame runs (widening only adds frames inside already-touched
+  // columns), so the check reads the action walk, not a frame set. The
+  // bitmap is cleared first, so a throw never leaks marks into the next
+  // op's check.
   const auto& g = fabric_->geometry();
-  const auto& skel = fabric_->skeleton();
   std::fill(col_words_.begin(), col_words_.end(), 0);
-  for (const ConfigAction& a : op.actions) {
-    int col = -1;
-    if (const auto* cw = std::get_if<CellWrite>(&a)) {
-      RELOGIC_CHECK(g.in_bounds(cw->clb));
-      col = cw->clb.col;
-    } else {
-      const FrameAddress f =
-          std::holds_alternative<EdgeChange>(a)
-              ? mapper_.pip_frame(skel, std::get<EdgeChange>(a).edge)
-              : source_frame(std::get<SourceChange>(a));
-      if (f.type == ColumnType::kClb) col = f.column;
-    }
-    if (col >= 0)
-      col_words_[static_cast<std::size_t>(col) >> 6] |= std::uint64_t{1}
-                                                        << (col & 63);
-  }
+  for_each_frame_run(op, [&](std::int32_t base, int) {
+    if (!index_.is_clb(base)) return;
+    const std::size_t col = col_of_[static_cast<std::size_t>(base)] - 1u;
+    col_words_[col >> 6] |= std::uint64_t{1} << (col & 63);
+  });
 
   // Cells the op itself rewrites (those are intentional, hence exempt),
   // plus any the caller knows are rewritten before this op applies. Built

@@ -21,7 +21,9 @@
 // is byte-identical across all three policies.
 //
 // The data path runs on the flat structures of config/frame_index.hpp and
-// has one apply path at every granularity. kColumn and kFrame price the
+// has one apply path at every granularity. Its only input is the ConfigOp:
+// no caller hands the controller a frame set, and one walk
+// (for_each_frame_run) maps actions to frames. kColumn and kFrame price the
 // op's FrameSet (a sorted dense-id vector built from a per-op word
 // bitmap). kDirtyFrame prices only the frames whose content changes, and
 // counts the rest of the op's frames as skipped from the cell runs and net
@@ -219,27 +221,14 @@ class ConfigController {
   /// baseline of a coalesced transaction.
   ApplyResult preview(const ConfigOp& op) const;
 
-  /// Same accounting from an already-computed frame set (frames_of(op)),
-  /// for callers that need the frames anyway and shouldn't pay for the
-  /// mapping twice. Prices every frame in the set (no dirty filtering).
-  ApplyResult preview(const FrameSet& frames) const;
-
-  /// preview(op) with the frame mapping reused from frames_of(op) — the
-  /// granularity-aware variant of the overload above (dirty filtering
-  /// still applies under kDirtyFrame, which does not read `frames`).
-  ApplyResult preview(const ConfigOp& op, const FrameSet& frames) const;
-
-  /// Applies the op to the fabric and charges the port timing model.
-  /// `allow_lut_ram_columns` waives the live-LUT-RAM column rule — legal
-  /// only while the affected clock domain is stopped (paper, Sec. 2: the
-  /// system must be halted to guarantee data coherency).
+  /// Applies the op to the fabric and charges the port timing model. Every
+  /// action's coordinates, and the net each routing action names, are
+  /// checked before anything is written, so a malformed op throws and
+  /// changes nothing. `allow_lut_ram_columns` waives the live-LUT-RAM
+  /// column rule — legal only while the affected clock domain is stopped
+  /// (paper, Sec. 2: the system must be halted to guarantee data
+  /// coherency).
   ApplyResult apply(const ConfigOp& op, bool allow_lut_ram_columns = false);
-
-  /// apply() with the frame mapping reused from frames_of(op) — for callers
-  /// (the transaction batcher) that already maintain the op's frame set
-  /// (kDirtyFrame does not read it). Always checks the live-LUT-RAM column
-  /// rule.
-  ApplyResult apply(const ConfigOp& op, const FrameSet& frames);
 
   /// LUT-RAM legality (paper, Sec. 2): throws IllegalOperationError if any
   /// frame of the op lies in a CLB column containing a used LUT-RAM cell
@@ -298,9 +287,12 @@ class ConfigController {
   void clear_overlays() const;
   /// Starts a new per-op epoch for the run collectors.
   void begin_op() const;
-  /// Checks each action's coordinates and calls `visit(first_id, count)`
-  /// with its kFrame / kDirtyFrame frames: the frames_per_cell ids of a
-  /// cell write's frame group, or the one frame of a net action.
+  /// The one walk from actions to frames. Checks each action's coordinates
+  /// and that the net of a routing action exists, and calls
+  /// `visit(first_id, count)` with its kFrame / kDirtyFrame frames: the
+  /// frames_per_cell ids of a cell write's frame group, or the one frame of
+  /// a net action. frames_of, apply's kDirtyFrame pre-pass and
+  /// check_lut_ram_columns all map actions through it.
   template <typename Visit>
   void for_each_frame_run(const ConfigOp& op, Visit&& visit) const;
   /// Zeroes the frame bitmap words [op_lo_, op_hi_) and empties the range.
@@ -309,9 +301,9 @@ class ConfigController {
   void clear_op_words() const;
   /// Port time of one same-column transaction of `frames` frames.
   SimTime run_time(int frames) const;
-  /// Prices a sorted id range: frames, distinct columns, and one port
+  /// Prices a frame set: frames, distinct columns, and one port
   /// transaction per same-column run (ids are column-contiguous).
-  ApplyResult price_ids(const std::int32_t* ids, int n) const;
+  ApplyResult price_frames(const FrameSet& frames) const;
   /// kDirtyFrame pricing of the collected cell runs plus the net dirty ids
   /// (dirty_scratch_): per-column frame counts + one port transaction per
   /// touched column — identical to pricing the sorted dirty id list,
@@ -319,11 +311,6 @@ class ConfigController {
   /// rest of |frames_of(op)|, which is frames_per_cell per run plus the
   /// net frames touched in deltas_scratch_.
   ApplyResult price_runs() const;
-  /// apply() body. `frames` is frames_of(op), which prices the write under
-  /// kColumn / kFrame; kDirtyFrame does not read it (callers may pass
-  /// null).
-  ApplyResult apply_op(const ConfigOp& op, const FrameSet* frames,
-                       bool allow_lut_ram_columns);
   /// kDirtyFrame preview of one op against the current overlays. Leaves
   /// the op's runs and its net dirty ids (dirty_scratch_) for
   /// preview_sequence.
@@ -359,7 +346,7 @@ class ConfigController {
   int frame_bits_ = 0;
 
   // ---- reusable scratch (not thread-safe; see the header comment) ---------
-  mutable FrameSet frames_scratch_;   ///< apply(op) / preview(op) mapping
+  mutable FrameSet frames_scratch_;   ///< frames_of(op) of apply / preview
   mutable FrameSet dirty_scratch_;    ///< dirty ids of the current op
   mutable FrameSet columns_scratch_;  ///< distinct column markers (kColumn)
   mutable FrameDeltaMap deltas_scratch_;

@@ -1,11 +1,11 @@
 // Flat, index-addressable configuration-frame structures.
 //
 // The config plane's hot path — ConfigController::frames_of / preview /
-// apply, the dirty diffing in FrameImage, and the transaction batcher's
-// running unions — used to run on node-based std::set<FrameAddress> /
-// std::map<FrameAddress, uint64_t>. Every relocation costing, defrag plan,
-// health sweep and fleet replay funnels through that path millions of
-// times, so it is rebuilt here on three flat types:
+// apply and the dirty diffing in FrameImage — used to run on node-based
+// std::set<FrameAddress> / std::map<FrameAddress, uint64_t>. Every
+// relocation costing, defrag plan, health sweep and fleet replay funnels
+// through that path millions of times, so it is rebuilt here on three
+// flat types:
 //
 //  * FrameIndex — a perfect, geometry-derived bijection between every
 //    FrameAddress of a device and a dense contiguous frame id. Ids are laid
@@ -15,8 +15,9 @@
 //    over a sorted id range. The id order equals FrameAddress's <=> order,
 //    so iterating a sorted id set visits addresses exactly as the old
 //    std::set did (byte-identical reports and renders).
-//  * FrameSet — a sorted vector of frame ids with O(n) union, binary-search
-//    membership and contiguous iteration. Built push()-then-normalize();
+//  * FrameSet — a sorted vector of frame ids with contiguous iteration: the
+//    output of ConfigController::frames_of and of a preview_sequence step,
+//    never an input of the controller. Built push()-then-normalize();
 //    callers keep instances around as scratch so steady-state operations
 //    allocate nothing.
 //  * FrameDeltaMap — a flat map from frame id to a 64-bit XOR content
@@ -111,6 +112,14 @@ class FrameIndex {
     return 1 + clb_cols_ + (id - iob_base_) / frames_iob_;
   }
 
+  /// First frame id of dense column `column` (the inverse of column_of on
+  /// a column's first frame).
+  std::int32_t column_first_id(std::int32_t column) const {
+    if (column == 0) return 0;
+    if (column <= clb_cols_) return clb_frame_id(column - 1, 0);
+    return iob_frame_id(column - 1 - clb_cols_, 0);
+  }
+
   bool is_clb(std::int32_t id) const {
     return id >= clb_base_ && id < iob_base_;
   }
@@ -131,20 +140,7 @@ class FrameIndex {
 /// set is normalized. Reuse instances to keep the hot path allocation-free.
 class FrameSet {
  public:
-  FrameSet() = default;
-  // Copies carry the ids only — merge_ is union_with() scratch (swap leaves
-  // the previous ids in it) and copying it would memcpy a dead buffer on
-  // every batcher gate trial.
-  FrameSet(const FrameSet& other) : ids_(other.ids_) {}
-  FrameSet& operator=(const FrameSet& other) {
-    if (this != &other) ids_ = other.ids_;
-    return *this;
-  }
-  FrameSet(FrameSet&&) = default;
-  FrameSet& operator=(FrameSet&&) = default;
-
   void clear() { ids_.clear(); }
-  void reserve(std::size_t n) { ids_.reserve(n); }
   bool empty() const { return ids_.empty(); }
   std::size_t size() const { return ids_.size(); }
 
@@ -160,21 +156,6 @@ class FrameSet {
 
   const std::int32_t* begin() const { return ids_.data(); }
   const std::int32_t* end() const { return ids_.data() + ids_.size(); }
-  std::int32_t operator[](std::size_t i) const { return ids_[i]; }
-
-  bool contains(std::int32_t id) const {
-    return std::binary_search(ids_.begin(), ids_.end(), id);
-  }
-
-  /// In-place sorted union with another normalized set.
-  void union_with(const FrameSet& other) {
-    if (other.ids_.empty()) return;
-    merge_.clear();
-    merge_.reserve(ids_.size() + other.ids_.size());
-    std::set_union(ids_.begin(), ids_.end(), other.ids_.begin(),
-                   other.ids_.end(), std::back_inserter(merge_));
-    ids_.swap(merge_);
-  }
 
   /// Direct access to the underlying id vector so bulk fills (the
   /// controller's bitmap expansion) can append without per-id call
@@ -182,17 +163,8 @@ class FrameSet {
   /// normalize().
   std::vector<std::int32_t>& raw_ids() { return ids_; }
 
-  /// Keep only ids satisfying `pred` (normalized order preserved).
-  template <typename Pred>
-  void filter(Pred pred) {
-    ids_.erase(std::remove_if(ids_.begin(), ids_.end(),
-                              [&](std::int32_t id) { return !pred(id); }),
-               ids_.end());
-  }
-
  private:
   std::vector<std::int32_t> ids_;
-  std::vector<std::int32_t> merge_;
 };
 
 /// Flat frame-id -> XOR-delta map, direct-indexed over the device's frame

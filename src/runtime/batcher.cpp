@@ -13,18 +13,14 @@ TransactionBatcher::TransactionBatcher(config::ConfigController& controller,
 
 void TransactionBatcher::enqueue(const config::ConfigOp& op) {
   if (op.empty()) return;
-  // One frame-set computation per op; the unbatched-baseline preview AND
-  // the flush-time apply (through the running union) share it. Stats are
-  // only recorded once the op is past the checks that can throw, so a
-  // rejected op never skews the batched-vs-unbatched comparison.
-  controller_->frames_of(op, op_frames_);
-
   // An op that writes a LUT-RAM cell config must apply alone: the live
   // LUT-RAM column check runs once per transaction against the fabric
   // state at apply time, and this is the one case where checking a merged
   // op diverges from checking each op in sequence (a later op touching the
   // column of a RAM cell an earlier pending op just created would slip
-  // through the merged check's exemption set).
+  // through the merged check's exemption set). A solo op is "flush, queue,
+  // flush": with the pending batch applied first, its unbatched preview is
+  // exact under kDirtyFrame too. max_ops <= 1 flushes after every op.
   bool writes_lut_ram = false;
   for (const config::ConfigAction& a : op.actions) {
     if (const auto* cw = std::get_if<config::CellWrite>(&a)) {
@@ -32,29 +28,7 @@ void TransactionBatcher::enqueue(const config::ConfigOp& op) {
         writes_lut_ram = true;
     }
   }
-
-  if (options_.max_ops <= 1 || writes_lut_ram) {
-    // Flush *before* previewing the baseline: with the pending batch
-    // applied, the solo path's unbatched accounting is exact under
-    // kDirtyFrame (the op previews against the very state the unbatched
-    // sequence would see), not an estimate.
-    flush();
-    const auto alone = controller_->preview(op, op_frames_);
-    const auto r = controller_->apply(op, op_frames_);
-    ++stats_.ops_in;
-    stats_.unbatched_column_writes += alone.columns_touched;
-    stats_.unbatched_frames += alone.frames_written;
-    stats_.unbatched_frames_skipped += alone.frames_skipped;
-    stats_.unbatched_time += alone.time;
-    ++stats_.transactions;
-    stats_.column_writes += r.columns_touched;
-    stats_.frames_written += r.frames_written;
-    stats_.frames_skipped += r.frames_skipped;
-    stats_.time += r.time;
-    // Solo ops commit outside flush(); audit this transaction boundary too.
-    if constexpr (relogic::audit_enabled()) controller_->audit_image();
-    return;
-  }
+  if (writes_lut_ram) flush();
 
   // Exact per-op legality: check this op now, against the current fabric
   // with the pending batch's cell writes as extra exemptions. Pending ops
@@ -65,10 +39,12 @@ void TransactionBatcher::enqueue(const config::ConfigOp& op) {
   // weaker and serves as a safety net only.
   controller_->check_lut_ram_columns(op, &pending_rewrites_);
 
-  // Merge-path baseline: previewed against the fabric as it stands at
+  // Unbatched baseline, previewed against the fabric as it stands at
   // enqueue (before the pending batch applies) — an estimate under
-  // kDirtyFrame, exact otherwise (see the header comment).
-  const auto alone = controller_->preview(op, op_frames_);
+  // kDirtyFrame, exact otherwise (see the header comment). The preview
+  // checks the op as apply would, so a malformed op throws here, before
+  // it is counted or queued.
+  const auto alone = controller_->preview(op);
 
   ++stats_.ops_in;
   stats_.unbatched_column_writes += alone.columns_touched;
@@ -78,21 +54,18 @@ void TransactionBatcher::enqueue(const config::ConfigOp& op) {
 
   if (pending_ops_ == 0) {
     pending_ = op;
-    pending_frames_ = op_frames_;
-    pending_ops_ = 1;
   } else {
     pending_.label += " + " + op.label;
     pending_.actions.insert(pending_.actions.end(), op.actions.begin(),
                             op.actions.end());
-    pending_frames_.union_with(op_frames_);
-    ++pending_ops_;
   }
+  ++pending_ops_;
   for (const config::ConfigAction& a : op.actions) {
     if (const auto* cw = std::get_if<config::CellWrite>(&a))
       pending_rewrites_.push_back(
           config::pack_cell_key(cw->clb.row, cw->clb.col, cw->cell));
   }
-  if (pending_ops_ >= options_.max_ops) flush();
+  if (writes_lut_ram || pending_ops_ >= options_.max_ops) flush();
 }
 
 void TransactionBatcher::flush() {
@@ -101,10 +74,7 @@ void TransactionBatcher::flush() {
   config::ConfigOp op = std::move(pending_);
   pending_ = config::ConfigOp{};
   pending_rewrites_.clear();
-  // The running union IS frames_of(op) for the merged op, so apply skips
-  // the re-mapping pass entirely.
-  const auto r = controller_->apply(op, pending_frames_);
-  pending_frames_.clear();
+  const auto r = controller_->apply(op);
   ++stats_.transactions;
   stats_.column_writes += r.columns_touched;
   stats_.frames_written += r.frames_written;

@@ -26,17 +26,16 @@
 // against the fabric as it stands at enqueue, before the pending batch has
 // applied.
 //
-// Each incoming op's frame set (config::FrameSet, sorted dense ids) is
-// computed exactly once per enqueue and reused for the LUT-RAM legality
-// check, the unbatched-baseline preview and — via the running union the
-// batcher maintains — the flush apply itself, which takes the merged set
-// instead of re-mapping the concatenated op. All sets live in reusable
-// members, so steady-state enqueue/flush allocates nothing.
+// The batcher hands the controller ConfigOps only and keeps no frame sets:
+// enqueue checks LUT-RAM legality (check_lut_ram_columns) and prices the
+// unbatched baseline (preview), and flush applies the merged op (apply),
+// which maps its frames once. The pending op and its exemption keys live
+// in reusable members.
 //
 // Threading contract: a batcher (and the ConfigController + Fabric behind
 // it) belongs to exactly one device run and is confined to that worker
 // thread — nothing here locks (DESIGN.md §8.1). In audit builds every
-// transaction boundary (flush and the solo-op path) cross-checks the
+// transaction boundary (each flush, solo ops included) cross-checks the
 // controller's frame-digest mirror against a full recompute
 // (ConfigController::audit_image, DESIGN.md §8.4).
 #pragma once
@@ -84,7 +83,9 @@ class TransactionBatcher {
                               BatchOptions options = {});
 
   /// Queues an op, coalescing it with the pending batch; flushes once
-  /// max_ops are pending. Empty ops are dropped.
+  /// max_ops are pending. Empty ops are dropped. An op the controller
+  /// would refuse (illegal LUT-RAM column, bad coordinates, a net that
+  /// does not exist) throws here, before it is counted or queued.
   void enqueue(const config::ConfigOp& op);
 
   /// Applies the pending batch as one transaction. No-op when empty.
@@ -92,18 +93,11 @@ class TransactionBatcher {
 
   int pending_ops() const { return pending_ops_; }
   const BatchStats& stats() const { return stats_; }
-  config::ConfigController& controller() { return *controller_; }
 
  private:
   config::ConfigController* controller_;
   BatchOptions options_;
   config::ConfigOp pending_;
-  /// Running union of the pending batch's frame sets — equals
-  /// frames_of(pending_) (widening distributes over unions), so flush()
-  /// hands it to apply() instead of re-mapping the merged op.
-  config::FrameSet pending_frames_;
-  /// The incoming op's frame set, reused across enqueues.
-  config::FrameSet op_frames_;
   /// Cells written by the pending batch (config::pack_cell_key, unsorted,
   /// duplicates allowed) — the exemption set that makes the enqueue-time
   /// LUT-RAM legality check match the per-op sequence. A plain append: the

@@ -406,16 +406,6 @@ Options parse_args(int argc, char** argv) {
   return opt;
 }
 
-/// Captures every op the controller applies, for script/bitstream output.
-class OpRecorder {
- public:
-  void record(const config::ConfigOp& op) { ops_.push_back(op); }
-  const std::vector<config::ConfigOp>& ops() const { return ops_; }
-
- private:
-  std::vector<config::ConfigOp> ops_;
-};
-
 std::unique_ptr<obs::Tracer> make_tracer(const Options& opt) {
   if (opt.trace_file.empty()) return nullptr;
   obs::Tracer::Options topt;

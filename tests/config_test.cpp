@@ -203,6 +203,35 @@ TEST_F(ControllerTest, MalformedOpLeavesNoStaleFrameMarks) {
   EXPECT_EQ(r.frames_skipped, 0);
 }
 
+TEST_F(ControllerTest, OpNamingAMissingNetChangesNothing) {
+  // A routing action on a destroyed net is refused by the action walk, so
+  // the cell write ahead of it is never applied and the image stays in
+  // step with the fabric, at every granularity; preview refuses it too.
+  for (const auto gran : {WriteGranularity::kColumn, WriteGranularity::kFrame,
+                          WriteGranularity::kDirtyFrame}) {
+    Fabric fab(geom_);
+    const auto& g = fab.skeleton();
+    const auto gone = fab.create_net("gone");
+    fab.destroy_net(gone);
+    ConfigController ctl(fab, port_, gran);
+    const auto pin = g.out_pin({2, 2}, 0, false);
+
+    ConfigOp edge("edge on a destroyed net");
+    edge.write_cell({1, 1}, 0, LogicCellConfig::constant(true))
+        .add_edge(gone, {pin, g.single({2, 2}, fabric::Dir::kE, 0)});
+    ConfigOp source("source on a destroyed net");
+    source.write_cell({1, 1}, 0, LogicCellConfig::constant(true))
+        .attach_source(gone, pin);
+    for (const ConfigOp* op : {&edge, &source}) {
+      EXPECT_THROW(ctl.preview(*op), ContractError) << to_string(gran);
+      EXPECT_THROW(ctl.apply(*op), ContractError) << to_string(gran);
+      EXPECT_FALSE(fab.cell({1, 1}, 0).used) << to_string(gran);
+      EXPECT_EQ(ctl.totals().ops, 0);
+      EXPECT_NO_THROW(ctl.audit_image()) << to_string(gran);
+    }
+  }
+}
+
 TEST_F(ControllerTest, SnapshotKeeperRestores) {
   SnapshotKeeper keeper(fab_, 2);
   fab_.set_cell_config({0, 0}, 0, LogicCellConfig::constant(true));

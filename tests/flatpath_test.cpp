@@ -9,9 +9,11 @@
 // lockstep on randomized op streams — including the 8-cells-per-CLB
 // tiny_dense geometry whose frame layout exercises non-Virtex cell counts.
 //
-// The controller's bitmap / SoA-token data path is swept against that
+// The controller's bitmap / token data path is swept against that
 // reference across all three granularities on tiny, tiny_dense and the
-// paper's XCV200 — the byte-identity contract of DESIGN.md §9.
+// paper's XCV200 — the byte-identity contract of DESIGN.md §9 — and so is
+// the TransactionBatcher, whose merged transactions are priced against the
+// reference price of each batch's frame union.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -26,6 +28,7 @@
 #include "relogic/config/frame_image.hpp"
 #include "relogic/config/frame_index.hpp"
 #include "relogic/config/port.hpp"
+#include "relogic/runtime/batcher.hpp"
 
 namespace relogic {
 namespace {
@@ -71,32 +74,18 @@ TEST(FrameIndexTest, BijectionCoversTheWholeUniverseInAddressOrder) {
   }
 }
 
-TEST(FrameSetTest, NormalizeUnionContainsFilter) {
+TEST(FrameSetTest, NormalizeSortsAndDedupes) {
   FrameSet a;
   a.push(7);
   a.push(3);
   a.push(7);
   a.push_run(10, 3);
+  a.push(11);
   a.normalize();
-  ASSERT_EQ(a.size(), 5u);
-  EXPECT_TRUE(a.contains(3));
-  EXPECT_TRUE(a.contains(12));
-  EXPECT_FALSE(a.contains(9));
-
-  FrameSet b;
-  b.push(3);
-  b.push(9);
-  b.normalize();
-  a.union_with(b);
-  ASSERT_EQ(a.size(), 6u);
-  EXPECT_TRUE(a.contains(9));
-  const std::vector<std::int32_t> want{3, 7, 9, 10, 11, 12};
+  const std::vector<std::int32_t> want{3, 7, 10, 11, 12};
   EXPECT_TRUE(std::equal(a.begin(), a.end(), want.begin(), want.end()));
-
-  a.filter([](std::int32_t id) { return id % 2 == 1; });
-  ASSERT_EQ(a.size(), 4u);
-  EXPECT_FALSE(a.contains(10));
-  EXPECT_TRUE(a.contains(11));
+  a.clear();
+  EXPECT_TRUE(a.empty());
 }
 
 TEST(FrameDeltaMapTest, XorAccumulatesAndClearIsCheap) {
@@ -422,6 +411,98 @@ TEST_P(FlatPathEquivalence, MatchesSetMapReferenceOnRandomStreams) {
   EXPECT_EQ(ctl.totals().frames_skipped, ref_totals.frames_skipped);
   EXPECT_EQ(ctl.totals().columns_touched, ref_totals.columns_touched);
   EXPECT_EQ(ctl.totals().time, ref_totals.time);
+}
+
+// Batching on the same random streams (cell, edge and source actions):
+// the batched fabric and image end where a twin controller applying each
+// op alone ends, every transaction is priced as the reference prices the
+// merged op (the union of its ops' frames; under kDirtyFrame the frames its
+// net content delta changes), and under kColumn / kFrame the unbatched
+// baseline is the sum of the reference's per-op prices.
+TEST_P(FlatPathEquivalence, BatcherMatchesPerOpTwinAndBatchUnionPrices) {
+  const auto& [geom_sel, gran] = GetParam();
+  const DeviceGeometry geom = geom_sel == 0   ? DeviceGeometry::tiny(6, 6)
+                              : geom_sel == 1 ? DeviceGeometry::tiny_dense(6, 6)
+                                              : DeviceGeometry::xcv200();
+  constexpr int kMaxOps = 3;
+  Fabric batched_fab(geom);
+  Fabric twin_fab(geom);
+  config::BoundaryScanPort port;
+  config::ConfigController batched_ctl(batched_fab, port, gran);
+  config::ConfigController twin_ctl(twin_fab, port, gran);
+  runtime::TransactionBatcher batcher(batched_ctl,
+                                      runtime::BatchOptions{.max_ops = kMaxOps});
+  ReferencePath ref(twin_fab, port, gran);
+  const auto net = batched_fab.create_net("n");
+  ASSERT_EQ(twin_fab.create_net("n"), net);
+
+  Rng rng(geom_sel == 1 ? 0xBA7Du : geom_sel == 2 ? 0xBA72u : 0xBA70u);
+  ApplyResult per_op;   // sum of the reference's per-op prices
+  ApplyResult batched;  // sum of the reference's per-batch prices
+  int step = 0;
+  for (int batch = 0; batch < 40; ++batch) {
+    // A batch's ops are drawn against the twin as it stands at the batch
+    // start, which is also the batched fabric's state at that point.
+    std::vector<ConfigOp> ops;
+    ConfigOp merged("batch");
+    for (int k = 0; k < kMaxOps; ++k, ++step) {
+      ops.push_back(random_op(rng, geom, net, twin_fab, step));
+      merged.actions.insert(merged.actions.end(), ops.back().actions.begin(),
+                            ops.back().actions.end());
+    }
+    const ApplyResult whole =
+        ref.price(ref.frames_of(merged), ref.deltas_of(merged));
+    batched.frames_written += whole.frames_written;
+    batched.frames_skipped += whole.frames_skipped;
+    batched.columns_touched += whole.columns_touched;
+    batched.time += whole.time;
+
+    for (const ConfigOp& op : ops) {
+      const ApplyResult alone = ref.price(ref.frames_of(op), ref.deltas_of(op));
+      per_op.frames_written += alone.frames_written;
+      per_op.frames_skipped += alone.frames_skipped;
+      per_op.columns_touched += alone.columns_touched;
+      per_op.time += alone.time;
+      twin_ctl.apply(op);
+      batcher.enqueue(op);
+    }
+    ASSERT_EQ(batcher.pending_ops(), 0) << "batch " << batch;
+  }
+  batcher.flush();
+
+  // The streams exercise what batching changes: shared frames written once,
+  // and under kDirtyFrame writes a later op undoes within a batch.
+  EXPECT_LT(batched.frames_written, per_op.frames_written);
+  if (gran == WriteGranularity::kDirtyFrame) {
+    EXPECT_GT(batched.frames_skipped, 0);
+  }
+  EXPECT_FALSE(twin_fab.net(net).edges.empty());
+
+  const runtime::BatchStats& s = batcher.stats();
+  EXPECT_EQ(s.ops_in, step);
+  EXPECT_EQ(s.transactions, step / kMaxOps);
+  EXPECT_EQ(s.frames_written, batched.frames_written);
+  EXPECT_EQ(s.frames_skipped, batched.frames_skipped);
+  EXPECT_EQ(s.column_writes, batched.columns_touched);
+  EXPECT_EQ(s.time, batched.time);
+  if (gran != WriteGranularity::kDirtyFrame) {
+    EXPECT_EQ(s.unbatched_frames, per_op.frames_written);
+    EXPECT_EQ(s.unbatched_frames_skipped, 0);
+    EXPECT_EQ(s.unbatched_column_writes, per_op.columns_touched);
+    EXPECT_EQ(s.unbatched_time, per_op.time);
+  }
+
+  // Same fabric end state and digests as the per-op twin.
+  const Fabric::State a = batched_fab.capture();
+  const Fabric::State b = twin_fab.capture();
+  EXPECT_TRUE(a.clbs == b.clbs);
+  EXPECT_EQ(batched_fab.net(net).edges, twin_fab.net(net).edges);
+  EXPECT_EQ(batched_fab.net(net).sources, twin_fab.net(net).sources);
+  for (std::int32_t id = 0; id < batched_ctl.index().total_frames(); ++id)
+    EXPECT_EQ(batched_ctl.image().digest_id(id), twin_ctl.image().digest_id(id))
+        << batched_ctl.index().address(id).to_string();
+  EXPECT_NO_THROW(batched_ctl.audit_image());
+  EXPECT_NO_THROW(twin_ctl.audit_image());
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -249,6 +249,41 @@ TEST(TransactionBatcher, LutRamOpsApplyAloneSoLegalityMatchesUnbatched) {
   EXPECT_NO_THROW(batcher.flush());
 }
 
+TEST(TransactionBatcher, OpNamingAMissingNetIsRefusedAtEnqueue) {
+  // The batcher must refuse an op the controller would refuse before it
+  // queues it: queued, it would make the merged apply throw after writing
+  // the pending ops, and their stats would be lost.
+  const auto geom = fabric::DeviceGeometry::tiny(8, 8);
+  const config::BoundaryScanPort port;
+  for (const auto gran :
+       {config::WriteGranularity::kColumn, config::WriteGranularity::kFrame,
+        config::WriteGranularity::kDirtyFrame}) {
+    fabric::Fabric fab(geom);
+    const auto& g = fab.skeleton();
+    const auto gone = fab.create_net("gone");
+    fab.destroy_net(gone);
+    config::ConfigController ctl(fab, port, gran);
+    TransactionBatcher batcher(ctl, BatchOptions{.max_ops = 8});
+
+    batcher.enqueue(cell_op("good", ClbCoord{1, 1}, 0x1234));
+    config::ConfigOp bad = cell_op("bad", ClbCoord{2, 2}, 0x4321);
+    bad.add_edge(gone, {g.out_pin({2, 2}, 0, false),
+                        g.single({2, 2}, fabric::Dir::kE, 0)});
+    EXPECT_THROW(batcher.enqueue(bad), ContractError) << to_string(gran);
+    EXPECT_EQ(batcher.pending_ops(), 1);
+    EXPECT_EQ(batcher.stats().ops_in, 1);
+
+    // The earlier pending op still applies, alone and fully accounted.
+    EXPECT_NO_THROW(batcher.flush()) << to_string(gran);
+    EXPECT_EQ(batcher.stats().transactions, 1);
+    EXPECT_EQ(ctl.totals().ops, 1);
+    EXPECT_EQ(batcher.stats().frames_written, ctl.totals().frames_written);
+    EXPECT_TRUE(fab.cell({1, 1}, 0).used);
+    EXPECT_FALSE(fab.cell({2, 2}, 0).used);
+    EXPECT_NO_THROW(ctl.audit_image()) << to_string(gran);
+  }
+}
+
 // ---- dispatch policies ------------------------------------------------------
 
 sched::TaskArrival task(const std::string& name, int side, double start_ms,
