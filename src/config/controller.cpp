@@ -30,6 +30,15 @@ void for_each_dirty(const FrameDeltaMap& deltas, Visit&& visit) {
   }
 }
 
+/// Refuses an added edge that is not a PIP of the skeleton. The action walk
+/// and the dirty-frame delta pass run it before any write, so such an op
+/// changes nothing (Fabric::add_edges would refuse it mid-op).
+void check_pip(const fabric::RoutingSkeleton& skel, const EdgeChange& ec) {
+  RELOGIC_CHECK_MSG(!ec.add || skel.has_edge(ec.edge.from, ec.edge.to),
+                    "no such PIP: " + skel.info(ec.edge.from).to_string() +
+                        " -> " + skel.info(ec.edge.to).to_string());
+}
+
 }  // namespace
 
 ConfigOp& ConfigOp::add_path(fabric::NetId net,
@@ -157,6 +166,7 @@ void ConfigController::for_each_frame_run(const ConfigOp& op,
             g.frames_per_cell_config);
     } else if (const auto* ec = std::get_if<EdgeChange>(&a)) {
       RELOGIC_CHECK_MSG(fabric_->net_exists(ec->net), "net does not exist");
+      check_pip(skel, *ec);
       visit(index_.id(mapper_.pip_frame(skel, ec->edge)), 1);
     } else {
       const auto& sc = std::get<SourceChange>(a);
@@ -353,6 +363,7 @@ void ConfigController::accumulate_deltas(const ConfigOp& op,
       // leaving op-entry token ^ final token per cell in the run's delta.
       run_delta_[run] ^= before ^ after;
     } else if (const auto* ec = std::get_if<EdgeChange>(&a)) {
+      check_pip(skel, *ec);
       const std::int32_t id = index_.id(mapper_.pip_frame(skel, ec->edge));
       net_out.touch(id);
       const EdgeKey key{ec->net, ec->edge.from, ec->edge.to};

@@ -278,7 +278,8 @@ class ConfigController {
   /// (col, cell) the op touches, delta possibly XOR-cancelled to 0);
   /// edge/source deltas — provably disjoint frame ids, see
   /// FrameMapper::first_routing_frame — go into `net_out`, which also
-  /// records every net action's frame as touched, delta or not. Injected
+  /// records every net action's frame as touched, delta or not. Like the
+  /// action walk it refuses an added edge that is not a PIP. Injected
   /// configuration-memory faults are not modelled here — apply() observes
   /// the real before/after values.
   void accumulate_deltas(const ConfigOp& op, FrameDeltaMap& net_out) const;
@@ -287,8 +288,9 @@ class ConfigController {
   void clear_overlays() const;
   /// Starts a new per-op epoch for the run collectors.
   void begin_op() const;
-  /// The one walk from actions to frames. Checks each action's coordinates
-  /// and that the net of a routing action exists, and calls
+  /// The one walk from actions to frames. Checks each action's coordinates,
+  /// that the net of a routing action exists and that an added edge is a
+  /// PIP, and calls
   /// `visit(first_id, count)` with its kFrame / kDirtyFrame frames: the
   /// frames_per_cell ids of a cell write's frame group, or the one frame of
   /// a net action. frames_of, apply's kDirtyFrame pre-pass and

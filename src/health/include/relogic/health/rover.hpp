@@ -55,10 +55,9 @@ struct SweepReport {
 
 class RovingTester {
  public:
-  /// `engine` may be null: occupied cells are then skipped instead of
-  /// relocated (free-space-only testing).
-  RovingTester(config::ConfigController& controller,
-               reloc::RelocationEngine* engine, FaultMap& map);
+  /// Writes and reads back through `engine`'s controller, and moves live
+  /// cells out of the window with `engine`.
+  RovingTester(reloc::RelocationEngine& engine, FaultMap& map);
 
   /// One full rotation over the device. `live` lists the implementations
   /// whose cells the rover may relocate out of the window.
@@ -92,7 +91,10 @@ class RovingTester {
   /// fault on mismatch. Shared by the window test and the probe.
   bool test_cell(ClbCoord clb, int cell, SweepReport& report);
 
-  config::ConfigController* controller_;
+  config::ConfigController& controller() const {
+    return engine_->controller();
+  }
+
   reloc::RelocationEngine* engine_;
   FaultMap* map_;
   int rotations_ = 0;

@@ -22,15 +22,14 @@ std::string SweepReport::to_string() const {
          config_time.to_string();
 }
 
-RovingTester::RovingTester(config::ConfigController& controller,
-                           reloc::RelocationEngine* engine, FaultMap& map)
-    : controller_(&controller), engine_(engine), map_(&map) {}
+RovingTester::RovingTester(reloc::RelocationEngine& engine, FaultMap& map)
+    : engine_(&engine), map_(&map) {}
 
 std::optional<place::CellSite> RovingTester::find_dest(
     place::CellSite from, const ClbRect& window,
     const std::vector<place::Implementation*>& live,
     const std::set<int>& lut_ram_cols) const {
-  const auto& fab = controller_->fabric();
+  const auto& fab = controller().fabric();
   const auto& geom = fab.geometry();
   std::optional<place::CellSite> best;
   int best_dist = 0;
@@ -59,7 +58,7 @@ std::optional<place::CellSite> RovingTester::find_dest(
 }
 
 bool RovingTester::test_cell(ClbCoord clb, int cell, SweepReport& report) {
-  auto& fab = controller_->fabric();
+  auto& fab = controller().fabric();
   const int frame_bits = fab.geometry().frame_length_bits();
   bool faulty = false;
   fabric::CellFault observed;
@@ -70,7 +69,7 @@ bool RovingTester::test_cell(ClbCoord clb, int cell, SweepReport& report) {
     config::ConfigOp op("selftest " + clb.to_string() + "." +
                         std::to_string(cell));
     op.write_cell(clb, cell, probe);
-    const auto res = controller_->apply(op);
+    const auto res = controller().apply(op);
     ++report.ops;
     report.frames_written += res.frames_written;
     report.config_time += res.time;
@@ -79,8 +78,8 @@ bool RovingTester::test_cell(ClbCoord clb, int cell, SweepReport& report) {
     // the written subset — a readback must fetch every frame it wants to
     // verify, so dirty-frame write skipping never shrinks it and sweep
     // readback cost is identical across kFrame and kDirtyFrame.
-    report.config_time += controller_->port().readback_time(
-        controller_->readback_frames(op), frame_bits);
+    report.config_time += controller().port().readback_time(
+        controller().readback_frames(op), frame_bits);
     const std::uint16_t got = fab.cell(clb, cell).lut;
     if (got != pattern) {
       faulty = true;
@@ -94,7 +93,7 @@ bool RovingTester::test_cell(ClbCoord clb, int cell, SweepReport& report) {
     config::ConfigOp op("selftest clear " + clb.to_string() + "." +
                         std::to_string(cell));
     op.clear_cell(clb, cell);
-    const auto res = controller_->apply(op);
+    const auto res = controller().apply(op);
     ++report.ops;
     report.frames_written += res.frames_written;
     report.config_time += res.time;
@@ -104,7 +103,7 @@ bool RovingTester::test_cell(ClbCoord clb, int cell, SweepReport& report) {
     ++report.faults_detected;
     if (trace_)
       trace_.instant("health", "fault " + clb.to_string(),
-                     controller_->totals().time,
+                     controller().totals().time,
                      {obs::arg("cell", cell),
                       obs::arg("lut_bit", int(observed.lut_bit)),
                       obs::arg("stuck_value", observed.stuck_value)});
@@ -125,48 +124,46 @@ SweepReport RovingTester::sweep(
     const std::vector<place::Implementation*>& live,
     const RoverOptions& opt) {
   RELOGIC_CHECK(opt.window_cols >= 1);
-  auto& fab = controller_->fabric();
+  auto& fab = controller().fabric();
   const auto& geom = fab.geometry();
   SweepReport report;
 
   // Stable for the whole rotation: the rover never relocates LUT-RAM cells
   // and never vacates into (or tests) their columns.
-  const std::set<int> ram_cols = controller_->fabric().lut_ram_columns();
+  const std::set<int> ram_cols = fab.lut_ram_columns();
 
   for (int col = 0; col < geom.clb_cols; col += opt.window_cols) {
     const int width = std::min(opt.window_cols, geom.clb_cols - col);
     const ClbRect window{0, col, geom.clb_rows, width};
     ++report.window_positions;
     report.clbs_swept += window.area();
-    const SimTime window_t0 = controller_->totals().time;
+    const SimTime window_t0 = controller().totals().time;
     const int relocated_before = report.cells_relocated;
     const int tested_before = report.cells_tested;
 
     // ---- vacate: relocate live cells out of the window -------------------
-    if (engine_ != nullptr) {
-      for (auto* impl : live) {
-        for (int i = 0; i < impl->cell_count(); ++i) {
-          const place::CellSite site =
-              impl->sites[static_cast<std::size_t>(i)];
-          if (!window.contains(site.clb)) continue;
-          // Cells in a live-LUT-RAM column stay put: clearing the original
-          // would rewrite that column's frames (illegal on-line), and the
-          // column is excluded from testing anyway.
-          if (ram_cols.contains(site.clb.col)) continue;
-          // Readback-verify the destination before trusting it with live
-          // logic; a failed probe records the fault, and find_dest then
-          // skips it — terminating because every failure shrinks the
-          // candidate set.
-          auto dest = find_dest(site, window, live, ram_cols);
-          while (dest && !probe_cell(*dest, report))
-            dest = find_dest(site, window, live, ram_cols);
-          if (!dest) continue;  // nowhere to go: tested around below
-          const auto r = engine_->relocate_cell(*impl, i, *dest);
-          ++report.cells_relocated;
-          report.ops += r.ops;
-          report.frames_written += r.frames_written;
-          report.config_time += r.config_time;
-        }
+    for (auto* impl : live) {
+      for (int i = 0; i < impl->cell_count(); ++i) {
+        const place::CellSite site =
+            impl->sites[static_cast<std::size_t>(i)];
+        if (!window.contains(site.clb)) continue;
+        // Cells in a live-LUT-RAM column stay put: clearing the original
+        // would rewrite that column's frames (illegal on-line), and the
+        // column is excluded from testing anyway.
+        if (ram_cols.contains(site.clb.col)) continue;
+        // Readback-verify the destination before trusting it with live
+        // logic; a failed probe records the fault, and find_dest then
+        // skips it — terminating because every failure shrinks the
+        // candidate set.
+        auto dest = find_dest(site, window, live, ram_cols);
+        while (dest && !probe_cell(*dest, report))
+          dest = find_dest(site, window, live, ram_cols);
+        if (!dest) continue;  // nowhere to go: tested around below
+        const auto r = engine_->relocate_cell(*impl, i, *dest);
+        ++report.cells_relocated;
+        report.ops += r.ops;
+        report.frames_written += r.frames_written;
+        report.config_time += r.config_time;
       }
     }
 
@@ -199,7 +196,7 @@ SweepReport RovingTester::sweep(
     if (trace_)
       trace_.complete(
           "health", "window col " + std::to_string(col), window_t0,
-          controller_->totals().time - window_t0,
+          controller().totals().time - window_t0,
           {obs::arg("cols", width),
            obs::arg("relocated", report.cells_relocated - relocated_before),
            obs::arg("tested", report.cells_tested - tested_before)});
@@ -207,7 +204,7 @@ SweepReport RovingTester::sweep(
 
   ++rotations_;
   if (trace_)
-    trace_.instant("health", "rotation", controller_->totals().time,
+    trace_.instant("health", "rotation", controller().totals().time,
                    {obs::arg("rotation", rotations_),
                     obs::arg("faults_detected", report.faults_detected)});
   return report;

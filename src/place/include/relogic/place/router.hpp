@@ -11,8 +11,8 @@
 // and rides the existing tree.
 //
 // Threading: a Router keeps its search state between calls (DESIGN.md §12),
-// so one Router serves one thread at a time. Every engine, Implementer and
-// calibration run owns its own.
+// so one Router serves one thread at a time. Every engine and Implementer
+// owns its own.
 #pragma once
 
 #include <cstdint>

@@ -42,9 +42,6 @@ namespace {
 constexpr int kMaxStateTransferCycles = 64;
 /// Settle time used instead of clock waits for asynchronous circuits.
 constexpr SimTime kAsyncSettle = SimTime::ns(300);
-/// Clock period assumed for wait accounting when no simulator is attached
-/// (planning/cost mode).
-constexpr SimTime kAssumedClockPeriod = SimTime::ns(100);
 /// Search radius (in CLBs) for the free CLB hosting the auxiliary
 /// relocation circuit.
 constexpr int kAuxSearchRadius = 5;
@@ -99,6 +96,12 @@ CellSite move_source(const fabric::Fabric& fabric,
   RELOGIC_CHECK_MSG(!fabric.cell(dest.clb, dest.cell).used,
                     "destination cell " + dest.to_string() + " is occupied");
   return src;
+}
+
+/// Every wait and every verification of a move runs on the simulator.
+sim::FabricSim& live(sim::FabricSim* sim) {
+  RELOGIC_CHECK_MSG(sim != nullptr, "the relocation engine needs a simulator");
+  return *sim;
 }
 
 NodeId in_pin_of(const fabric::RoutingSkeleton& skel, CellSite s, int p) {
@@ -219,7 +222,7 @@ void remove_inputs(const fabric::Fabric& fabric, const CellPorts& ports,
 
 RelocationEngine::RelocationEngine(config::ConfigController& controller,
                                    place::Router& router, sim::FabricSim* sim)
-    : controller_(&controller), router_(&router), sim_(sim) {}
+    : controller_(&controller), router_(&router), sim_(live(sim)) {}
 
 CellSite RelocationEngine::find_aux_site(CellSite near) const {
   const auto& geom = fabric().geometry();
@@ -248,9 +251,7 @@ void RelocationEngine::apply(const ConfigOp& op, RelocationReport& report,
   report.columns_touched += result.columns_touched;
   report.config_time += result.time;
   report.wall_time += result.time;
-  if (sim_ != nullptr) {
-    sim_->run_until(sim_->now() + result.time);
-  }
+  sim_.run_until(sim_.now() + result.time);
   // A net's validity changes only through actions naming it: occupy()
   // refuses foreign nodes and a net releases only its own.
   std::vector<NetId> touched;
@@ -280,20 +281,14 @@ void RelocationEngine::apply(const ConfigOp& op, RelocationReport& report,
 void RelocationEngine::wait_cycles(int cycles, std::uint8_t domain,
                                    RelocationReport& report) {
   if (cycles <= 0) return;
-  if (sim_ != nullptr) {
-    const SimTime before = sim_->now();
-    sim_->run_cycles(cycles, domain);
-    report.wall_time += sim_->now() - before;
-  } else {
-    report.wall_time += kAssumedClockPeriod * cycles;
-  }
+  const SimTime before = sim_.now();
+  sim_.run_cycles(cycles, domain);
+  report.wall_time += sim_.now() - before;
 }
 
 void RelocationEngine::wait_time(SimTime t, RelocationReport& report) {
   if (t <= SimTime::zero()) return;
-  if (sim_ != nullptr) {
-    sim_->run_until(sim_->now() + t);
-  }
+  sim_.run_until(sim_.now() + t);
   report.wall_time += t;
 }
 
@@ -331,13 +326,11 @@ RelocationReport RelocationEngine::relocate_cell(place::Implementation& impl,
       wait_cycles(cycles, domain, report);
     }
   };
-  // With the simulator attached, waits (bounded) until the replica holds
-  // the original's state.
+  // Waits (bounded) until the replica holds the original's state.
   const auto await_state = [&](const std::string& what) {
-    if (sim_ == nullptr) return;
     int tries = 0;
-    while (sim_->state_of(dest.clb, dest.cell) !=
-           sim_->state_of(src.clb, src.cell)) {
+    while (sim_.state_of(dest.clb, dest.cell) !=
+           sim_.state_of(src.clb, src.cell)) {
       if (++tries > kMaxStateTransferCycles) {
         throw IllegalOperationError(what + " did not converge relocating " +
                                     src.to_string());
@@ -535,38 +528,34 @@ RelocationReport RelocationEngine::relocate_cell(place::Implementation& impl,
     // Combinational: outputs are stable after the inputs parallel + LUT
     // delay; the configuration transaction itself is orders of magnitude
     // longer.
-    if (sim_ != nullptr) {
-      wait_time(SimTime::ns(50), report);
-      // Sample at a quiet instant: surrounding logic keeps switching during
-      // the relocation, and original and replica see different path skews,
-      // so compare just before the next clock edge when everything settled.
-      if (sim_->has_clock(domain)) {
-        const SimTime quiet =
-            sim_->next_edge(domain, sim_->now() + SimTime::ps(1)) -
-            SimTime::ns(1);
-        if (quiet > sim_->now()) wait_time(quiet - sim_->now(), report);
-      }
-      if (sim_->comb_of(dest.clb, dest.cell) !=
-          sim_->comb_of(src.clb, src.cell)) {
-        std::string diag = "replica combinational output differs from "
-                           "original relocating " + src.to_string() +
-                           " -> " + dest.to_string() + "; port net:sv/dv =";
-        for (int p = 0; p < 4; ++p) {
-          const NodeId sp = in_pin_of(skel, src, p);
-          diag += " " + std::to_string(p) + "=" +
-                  std::to_string(graph.occupant(sp)) + ":" +
-                  std::to_string(sim_->pin_of(src.clb, src.cell,
-                                              static_cast<CellPort>(p))) +
-                  "/" +
-                  std::to_string(sim_->pin_of(dest.clb, dest.cell,
-                                              static_cast<CellPort>(p)));
-        }
-        diag += " x=" + std::to_string(sim_->comb_of(src.clb, src.cell)) +
-                "/" + std::to_string(sim_->comb_of(dest.clb, dest.cell));
-        throw IllegalOperationError(diag);
-      }
-      report.state_verified = true;
+    wait_time(SimTime::ns(50), report);
+    // Sample at a quiet instant: surrounding logic keeps switching during
+    // the relocation, and original and replica see different path skews,
+    // so compare just before the next clock edge when everything settled.
+    if (sim_.has_clock(domain)) {
+      const SimTime quiet =
+          sim_.next_edge(domain, sim_.now() + SimTime::ps(1)) - SimTime::ns(1);
+      if (quiet > sim_.now()) wait_time(quiet - sim_.now(), report);
     }
+    if (sim_.comb_of(dest.clb, dest.cell) != sim_.comb_of(src.clb, src.cell)) {
+      std::string diag = "replica combinational output differs from "
+                         "original relocating " + src.to_string() + " -> " +
+                         dest.to_string() + "; port net:sv/dv =";
+      for (int p = 0; p < 4; ++p) {
+        const NodeId sp = in_pin_of(skel, src, p);
+        diag += " " + std::to_string(p) + "=" +
+                std::to_string(graph.occupant(sp)) + ":" +
+                std::to_string(
+                    sim_.pin_of(src.clb, src.cell, static_cast<CellPort>(p))) +
+                "/" +
+                std::to_string(
+                    sim_.pin_of(dest.clb, dest.cell, static_cast<CellPort>(p)));
+      }
+      diag += " x=" + std::to_string(sim_.comb_of(src.clb, src.cell)) + "/" +
+              std::to_string(sim_.comb_of(dest.clb, dest.cell));
+      throw IllegalOperationError(diag);
+    }
+    report.state_verified = true;
   }
 
   // ---------------------------------------------------------------- phase 2
@@ -652,8 +641,8 @@ RelocationReport RelocationEngine::relocate_lut_ram_cell_halted(
   // write to the RAM can race the copy, and downstream FFs cannot capture
   // transients, so the make-before-break choreography collapses to a
   // plain copy + rewire.
-  const SimTime halt_start = sim_ != nullptr ? sim_->now() : SimTime::zero();
-  if (sim_ != nullptr) sim_->set_clock_running(domain, false);
+  const SimTime halt_start = sim_.now();
+  sim_.set_clock_running(domain, false);
 
   {
     ConfigOp op("halted copy of LUT-RAM cell to " + dest.to_string());
@@ -676,14 +665,10 @@ RelocationReport RelocationEngine::relocate_lut_ram_cell_halted(
     apply(op, report, true);
   }
 
-  if (sim_ != nullptr) {
-    // Let the last configuration writes land before releasing the clock.
-    sim_->run_until(sim_->now() + SimTime::ns(10));
-    sim_->set_clock_running(domain, true);
-    report.halted = sim_->now() - halt_start;
-  } else {
-    report.halted = report.config_time;
-  }
+  // Let the last configuration writes land before releasing the clock.
+  sim_.run_until(sim_.now() + SimTime::ns(10));
+  sim_.set_clock_running(domain, true);
+  report.halted = sim_.now() - halt_start;
   report.wall_time = std::max(report.wall_time, report.halted);
 
   impl.sites[static_cast<std::size_t>(cell_index)] = dest;

@@ -10,7 +10,7 @@
 // (paper, Sec. 2); relocate_lut_ram_cell_halted is the explicit
 // stop-the-system alternative.
 //
-// Invariants the engine maintains (and checks, with the simulator attached):
+// Invariants the engine maintains (and checks against the simulator):
 //  * make-before-break: a signal is never broken before its replica path
 //    carries it;
 //  * the replica's outputs are connected only after they are functionally
@@ -22,8 +22,8 @@
 //    (enforced by ConfigController; routing avoids those columns too),
 //    except the writes of relocate_lut_ram_cell_halted, made with the
 //    cell's clock domain stopped;
-//  * every transaction validates each net its op names, with or without
-//    the simulator: no transaction leaves a live net broken.
+//  * every transaction validates each net its op names: no transaction
+//    leaves a live net broken.
 #pragma once
 
 #include <string>
@@ -69,9 +69,8 @@ struct FunctionRelocationReport {
 
 class RelocationEngine {
  public:
-  /// `sim` may be null: the engine then plans and applies configuration
-  /// without simulation-time interleaving (used by calibrate_cost_params,
-  /// which prices relocations without running the circuit).
+  /// `sim` must not be null: every move runs against the live circuit,
+  /// waits on its clock and checks the replica before paralleling outputs.
   RelocationEngine(config::ConfigController& controller, place::Router& router,
                    sim::FabricSim* sim);
 
@@ -147,7 +146,7 @@ class RelocationEngine {
 
   config::ConfigController* controller_;
   place::Router* router_;
-  sim::FabricSim* sim_;
+  sim::FabricSim& sim_;
 };
 
 }  // namespace relogic::reloc

@@ -926,17 +926,11 @@ std::string FleetReport::metrics_json() const {
 }
 
 std::string FleetReport::to_json() const {
-  int txn = 0, txn_unbatched = 0, columns = 0, columns_unbatched = 0;
-  int frames = 0, frames_unbatched = 0, frames_skipped = 0;
+  // The config-traffic counts are the aggregate's counters (run_device
+  // records each device's batcher stats there); no counter holds the port
+  // times, so those are summed here.
   SimTime port_time = SimTime::zero(), port_time_unbatched = SimTime::zero();
   for (const DeviceReport& d : devices) {
-    txn += d.batch.transactions;
-    txn_unbatched += d.batch.ops_in;
-    columns += d.batch.column_writes;
-    columns_unbatched += d.batch.unbatched_column_writes;
-    frames += d.batch.frames_written;
-    frames_unbatched += d.batch.unbatched_frames;
-    frames_skipped += d.batch.frames_skipped;
     port_time += d.batch.time;
     port_time_unbatched += d.batch.unbatched_time;
   }
@@ -971,13 +965,11 @@ std::string FleetReport::to_json() const {
   w.raw(", \"tested_clbs\": ").integer(tested_clbs);
   w.raw(", \"makespan_ms\": ").number(makespan.milliseconds());
   w.raw(", \"throughput_tasks_per_s\": ").number(throughput_tasks_per_s());
-  w.raw(", \"config_transactions\": ").integer(txn);
-  w.raw(", \"config_transactions_unbatched\": ").integer(txn_unbatched);
-  w.raw(", \"column_writes\": ").integer(columns);
-  w.raw(", \"column_writes_unbatched\": ").integer(columns_unbatched);
-  w.raw(", \"frame_writes\": ").integer(frames);
-  w.raw(", \"frame_writes_unbatched\": ").integer(frames_unbatched);
-  w.raw(", \"frame_writes_dirty_skipped\": ").integer(frames_skipped);
+  for (const char* name :
+       {"config_transactions", "config_transactions_unbatched",
+        "column_writes", "column_writes_unbatched", "frame_writes",
+        "frame_writes_unbatched", "frame_writes_dirty_skipped"})
+    w.raw(", \"").raw(name).raw("\": ").integer(aggregate.counter_value(name));
   w.raw(", \"config_port_time_ms\": ").number(port_time.milliseconds());
   w.raw(", \"config_port_time_unbatched_ms\": ")
       .number(port_time_unbatched.milliseconds());

@@ -49,15 +49,17 @@ FabricSim::FabricSim(fabric::Fabric& fabric, const fabric::DelayModel& dm)
 
   fabric_->add_listener(this);
 
-  // Adopt whatever is already configured.
+  // Adopt whatever is already configured. The mirror takes free cells too:
+  // a stuck configuration bit makes a free cell's stored value differ from
+  // the default.
   for (int r = 0; r < geom.clb_rows; ++r) {
     for (int c = 0; c < geom.clb_cols; ++c) {
       const ClbCoord clb{r, c};
       for (int k = 0; k < geom.cells_per_clb; ++k) {
         const auto& cfg = fabric_->cell(clb, k);
-        if (!cfg.used) continue;
         const int site = site_index(clb, k);
         cells_[static_cast<std::size_t>(site)] = cfg;
+        if (!cfg.used) continue;
         if (clocked(cfg)) domain(cfg.clock_domain).ff_sites.push_back(site);
         set_q(site, cfg.init);
         schedule(lut_lane_, EventKind::kEval, site);

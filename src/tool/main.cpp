@@ -147,7 +147,6 @@ struct Options {
       "                         workload shape (defaults 2 / 20)\n"
       "  --no-batch             disable config-transaction batching\n"
       "  --batch-ops K          max ops coalesced per transaction\n"
-      "  --selectmap            SelectMAP port model instead of JTAG\n"
       "  --threads N            worker threads (default: one per device)\n"
       "  --telemetry FILE       write the fleet telemetry JSON to FILE\n"
       "\n"
@@ -321,8 +320,6 @@ Options parse_args(int argc, char** argv) {
       no_batch = true;
     } else if (arg == "--batch-ops") {
       opt.fleet_cfg.batch.max_ops = std::stoi(need(i));
-    } else if (arg == "--selectmap") {
-      opt.port = config::PortBackend::kSelectMap8;  // legacy alias
     } else if (arg == "--port") {
       const std::string v = need(i);
       const auto p = config::parse_port_backend(v);
@@ -649,7 +646,6 @@ int main(int argc, char** argv) {
 
     snapshots.take("before-rearrangement");  // the recovery copy
 
-    std::vector<config::ConfigOp> executed;
     const auto totals_before = controller.totals();
 
     // Phase-boundary metrics sampling: the single-device tool has no DES
@@ -772,7 +768,7 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(
                         opt.fault_seed.value_or(opt.seed)));
       }
-      health::RovingTester rover(controller, &engine, fault_map);
+      health::RovingTester rover(engine, fault_map);
       rover.set_trace(tr_health);
       health::RoverOptions ropt;
       ropt.window_cols = opt.sweep_window;

@@ -203,16 +203,19 @@ TEST_F(ControllerTest, MalformedOpLeavesNoStaleFrameMarks) {
   EXPECT_EQ(r.frames_skipped, 0);
 }
 
-TEST_F(ControllerTest, OpNamingAMissingNetChangesNothing) {
-  // A routing action on a destroyed net is refused by the action walk, so
-  // the cell write ahead of it is never applied and the image stays in
-  // step with the fabric, at every granularity; preview refuses it too.
+TEST_F(ControllerTest, MalformedRoutingOpChangesNothing) {
+  // A routing action on a destroyed net, or an added edge that is not a
+  // PIP, is refused by the action walk (and by the kDirtyFrame delta
+  // pass), so the cell write ahead of it is never applied and the image
+  // stays in step with the fabric, at every granularity; preview refuses
+  // it too.
   for (const auto gran : {WriteGranularity::kColumn, WriteGranularity::kFrame,
                           WriteGranularity::kDirtyFrame}) {
     Fabric fab(geom_);
     const auto& g = fab.skeleton();
     const auto gone = fab.create_net("gone");
     fab.destroy_net(gone);
+    const auto live = fab.create_net("live");
     ConfigController ctl(fab, port_, gran);
     const auto pin = g.out_pin({2, 2}, 0, false);
 
@@ -222,7 +225,11 @@ TEST_F(ControllerTest, OpNamingAMissingNetChangesNothing) {
     ConfigOp source("source on a destroyed net");
     source.write_cell({1, 1}, 0, LogicCellConfig::constant(true))
         .attach_source(gone, pin);
-    for (const ConfigOp* op : {&edge, &source}) {
+    ConfigOp not_pip("edge that is not a PIP");
+    not_pip.write_cell({1, 1}, 0, LogicCellConfig::constant(true))
+        .attach_source(live, pin)
+        .add_edge(live, {pin, g.in_pin({6, 6}, 0, fabric::CellPort::kI0)});
+    for (const ConfigOp* op : {&edge, &source, &not_pip}) {
       EXPECT_THROW(ctl.preview(*op), ContractError) << to_string(gran);
       EXPECT_THROW(ctl.apply(*op), ContractError) << to_string(gran);
       EXPECT_FALSE(fab.cell({1, 1}, 0).used) << to_string(gran);

@@ -73,9 +73,11 @@ TEST(RouteOptimization, PricesSinksWithTheRoutersDelayModel) {
   dm.pip_delay = dm.pip_delay * 2;
   config::BoundaryScanPort port;
   config::ConfigController controller{fab, port};
+  sim::FabricSim sim{fab, dm};
+  sim.add_clock(sim::ClockSpec{});
   place::Implementer implementer{fab, dm};
   place::Router router{fab, dm};
-  reloc::RelocationEngine engine{controller, router, nullptr};
+  reloc::RelocationEngine engine{controller, router, &sim};
   auto impl = implementer.implement(
       netlist::map_netlist(netlist::bench::counter(4)),
       place::ImplementOptions{ClbRect{1, 1, 3, 3}, 0});
@@ -142,8 +144,10 @@ TEST(RouteOptimization, EveryRerouteGainsAtLeastMinGain) {
     const fabric::DelayModel dm;
     config::IcapPort port;
     config::ConfigController controller{fab, port};
+    sim::FabricSim sim{fab, dm};
+    sim.add_clock(sim::ClockSpec{});
     place::Router router{fab, dm};
-    reloc::RelocationEngine engine{controller, router, nullptr};
+    reloc::RelocationEngine engine{controller, router, &sim};
     place::Implementer implementer{fab, dm};
     const auto mapped = netlist::map_netlist(entry.circuit);
     place::ImplementOptions opts;

@@ -292,6 +292,19 @@ TEST(AreaMasking, PropertyNoPlanTouchesFaultyClbs) {
 
 // ---- roving tester (fabric level) -------------------------------------------
 
+/// The relocation engine a rover over `fab` drives through `ctl`: a live
+/// simulator with the default clock and a router.
+struct EngineRig {
+  EngineRig(fabric::Fabric& fab, config::ConfigController& ctl)
+      : sim(fab, dm), router(fab, dm), engine(ctl, router, &sim) {
+    sim.add_clock(sim::ClockSpec{});
+  }
+  const fabric::DelayModel dm;
+  sim::FabricSim sim;
+  place::Router router;
+  reloc::RelocationEngine engine;
+};
+
 TEST(RovingTester, FreeFabricFullRotationDetectsEveryFault) {
   fabric::Fabric fab(fabric::DeviceGeometry::tiny(8, 8));
   config::BoundaryScanPort port;
@@ -302,7 +315,8 @@ TEST(RovingTester, FreeFabricFullRotationDetectsEveryFault) {
   ASSERT_GT(map.injected_count(), 0);
   map.install(fab);
 
-  health::RovingTester rover(ctl, /*engine=*/nullptr, map);
+  EngineRig rig(fab, ctl);
+  health::RovingTester rover(rig.engine, map);
   const auto report = rover.sweep({});
   EXPECT_EQ(report.window_positions, 8);
   EXPECT_EQ(report.clbs_swept, 64);   // zero missed CLBs
@@ -335,7 +349,8 @@ TEST(RovingTester, SweepCostIdenticalAcrossFrameAndDirtyGranularity) {
     health::FaultInjector injector(6, 6, 4, 0.05, 11);
     health::FaultMap map = injector.generate();
     map.install(fab);
-    health::RovingTester rover(ctl, /*engine=*/nullptr, map);
+    EngineRig rig(fab, ctl);
+    health::RovingTester rover(rig.engine, map);
     reports[i++] = rover.sweep({});
   }
   EXPECT_EQ(reports[0].cells_tested, reports[1].cells_tested);
@@ -361,7 +376,8 @@ TEST(RovingTester, SkipsLiveLutRamColumnsEntirely) {
   map.inject({0, 0}, 1, {2, true});
   map.install(fab);
 
-  health::RovingTester rover(ctl, nullptr, map);
+  EngineRig rig(fab, ctl);
+  health::RovingTester rover(rig.engine, map);
   const auto report = rover.sweep({});  // must not throw
   EXPECT_EQ(report.lut_ram_columns_skipped, 1);
   EXPECT_EQ(report.faults_detected, 1);
@@ -406,7 +422,7 @@ TEST(RovingTester, RelocatesLiveCircuitOutOfWindowAndKeepsItRunning) {
   ASSERT_TRUE(planted);
   map.install(fab);
 
-  health::RovingTester rover(ctl, &engine, map);
+  health::RovingTester rover(engine, map);
   const auto report = rover.sweep({&impl});
   EXPECT_EQ(report.clbs_swept, 144);
   EXPECT_GT(report.cells_relocated, 0);  // the circuit was in the way

@@ -263,32 +263,82 @@ TEST(EngineEdgeCases, FunctionRegionWithoutSpaceRejected) {
                ResourceError);
 }
 
-TEST(EngineEdgeCases, RelocationWithoutSimulatorStillWorks) {
-  // Planning mode: no simulator attached; waits are accounted
-  // analytically and no state verification happens.
-  Fabric fab(DeviceGeometry::tiny(12, 12));
-  fabric::DelayModel dm;
-  config::BoundaryScanPort port;
-  config::ConfigController controller(fab, port);
-  place::Implementer implementer(fab, dm);
-  place::Router router(fab, dm);
-  RelocationEngine engine(controller, router, nullptr);
-
-  const auto nl = netlist::bench::counter(3);
-  auto impl = implementer.implement(
-      netlist::map_netlist(nl),
-      place::ImplementOptions{
-          place::suggest_region(netlist::map_netlist(nl), {2, 2},
-                                fab.geometry()),
-          0});
-  const auto report =
-      engine.relocate_cell(impl, 0, place::CellSite{ClbCoord{9, 9}, 0});
-  EXPECT_GT(report.config_time, SimTime::zero());
-  EXPECT_GE(report.wall_time, report.config_time);
-  EXPECT_FALSE(report.state_verified);
-  for (const auto& [sig, net] : impl.signal_nets) {
-    if (fab.net_exists(net)) fab.validate_net(net);
+/// Columns a live move of each `want`-mode cell of `nl` touches, each cell
+/// moved one CLB below its region on a fresh XCV200 rig (JTAG, whole-column
+/// writes, a simulator with the default clock), rounded to the nearest
+/// integer; every move must verify the replica before paralleling outputs.
+int live_move_columns(const netlist::Netlist& nl, fabric::RegMode want) {
+  const auto mapped = netlist::map_netlist(nl);
+  long long sum = 0;
+  int samples = 0;
+  for (int i = 0;; ++i) {
+    Fabric fab(DeviceGeometry::xcv200());
+    const fabric::DelayModel dm;
+    config::BoundaryScanPort jtag;
+    config::ConfigController controller(fab, jtag,
+                                        config::WriteGranularity::kColumn);
+    sim::FabricSim sim(fab, dm);
+    sim.add_clock(sim::ClockSpec{});
+    place::Implementer implementer(fab, dm);
+    place::Router router(fab, dm);
+    RelocationEngine engine(controller, router, &sim);
+    place::ImplementOptions opts;
+    opts.region = place::suggest_region(mapped, ClbCoord{8, 8}, fab.geometry());
+    auto impl = implementer.implement(mapped, opts);
+    if (i >= impl.cell_count()) break;
+    const place::CellSite site = impl.sites[static_cast<std::size_t>(i)];
+    if (fab.cell(site.clb, site.cell).reg != want) continue;
+    const place::CellSite dest{
+        ClbCoord{impl.region.row + impl.region.height + 1, site.clb.col},
+        site.cell};
+    const RelocationReport rep = engine.relocate_cell(impl, i, dest);
+    EXPECT_TRUE(rep.state_verified) << nl.name() << " cell " << i;
+    sum += rep.columns_touched;
+    ++samples;
   }
+  EXPECT_GT(samples, 0) << nl.name();
+  return samples > 0 ? static_cast<int>((sum + samples / 2) / samples) : 0;
+}
+
+// The column footprint of a live move, per storage case of Sec. 2, on the
+// paper's device and port. Small fixtures with minimal connectivity measure
+// the procedure's own footprint: replica cell, its nets and, for the
+// gated-clock and latch cases, the auxiliary relocation circuit. Placement,
+// routing and the column accounting are deterministic, so the counts are
+// exact; change them only with an engine or router change whose footprint
+// shift is understood.
+TEST(EngineFootprint, Xcv200LiveMoveColumnsArePinned) {
+  using netlist::bench::ClockingStyle;
+  const int comb = live_move_columns(
+      netlist::bench::random_logic("calib_comb", 6, 2, 1, 9),
+      fabric::RegMode::kNone);
+  const int ff = live_move_columns(
+      netlist::bench::shift_register(4, ClockingStyle::kFreeRunning),
+      fabric::RegMode::kFF);
+  const int gated = live_move_columns(
+      netlist::bench::shift_register(4, ClockingStyle::kGatedClock),
+      fabric::RegMode::kFF);
+  const int latch = live_move_columns(netlist::bench::async_pipeline(4),
+                                      fabric::RegMode::kLatch);
+  EXPECT_EQ(comb, 8);
+  EXPECT_EQ(ff, 8);
+  EXPECT_EQ(gated, 24);
+  EXPECT_EQ(latch, 23);
+
+  // Plain two-phase copies are cheapest, state acquisition costs no less,
+  // and the auxiliary-circuit cases cost at least twice as much.
+  EXPECT_LE(comb, ff);
+  EXPECT_GE(gated, 2 * ff);
+  EXPECT_GE(latch, 2 * ff);
+
+  // The cost model's defaults agree where they are comparable; its
+  // gated-clock and latch counts predate the auxiliary circuit's configure
+  // and teardown columns, so they run lower.
+  const CostParams defaults;
+  EXPECT_EQ(comb, defaults.comb_column_writes);
+  EXPECT_NEAR(ff, defaults.ff_column_writes, 1);
+  EXPECT_GE(gated, defaults.gated_column_writes);
+  EXPECT_GE(latch, defaults.latch_column_writes);
 }
 
 TEST(EngineEdgeCases, ReportsAccumulateInFunctionRelocation) {

@@ -249,38 +249,45 @@ TEST(TransactionBatcher, LutRamOpsApplyAloneSoLegalityMatchesUnbatched) {
   EXPECT_NO_THROW(batcher.flush());
 }
 
-TEST(TransactionBatcher, OpNamingAMissingNetIsRefusedAtEnqueue) {
+TEST(TransactionBatcher, MalformedRoutingOpIsRefusedAtEnqueue) {
   // The batcher must refuse an op the controller would refuse before it
   // queues it: queued, it would make the merged apply throw after writing
-  // the pending ops, and their stats would be lost.
+  // the pending ops, and their stats would be lost. The bad op routes on a
+  // destroyed net, or adds an edge that is not a PIP.
   const auto geom = fabric::DeviceGeometry::tiny(8, 8);
   const config::BoundaryScanPort port;
   for (const auto gran :
        {config::WriteGranularity::kColumn, config::WriteGranularity::kFrame,
         config::WriteGranularity::kDirtyFrame}) {
-    fabric::Fabric fab(geom);
-    const auto& g = fab.skeleton();
-    const auto gone = fab.create_net("gone");
-    fab.destroy_net(gone);
-    config::ConfigController ctl(fab, port, gran);
-    TransactionBatcher batcher(ctl, BatchOptions{.max_ops = 8});
+    for (const bool destroyed : {true, false}) {
+      fabric::Fabric fab(geom);
+      const auto& g = fab.skeleton();
+      const auto net = fab.create_net("n");
+      if (destroyed) fab.destroy_net(net);
+      config::ConfigController ctl(fab, port, gran);
+      TransactionBatcher batcher(ctl, BatchOptions{.max_ops = 8});
+      const std::string what =
+          to_string(gran) + (destroyed ? ", destroyed net" : ", not a PIP");
 
-    batcher.enqueue(cell_op("good", ClbCoord{1, 1}, 0x1234));
-    config::ConfigOp bad = cell_op("bad", ClbCoord{2, 2}, 0x4321);
-    bad.add_edge(gone, {g.out_pin({2, 2}, 0, false),
-                        g.single({2, 2}, fabric::Dir::kE, 0)});
-    EXPECT_THROW(batcher.enqueue(bad), ContractError) << to_string(gran);
-    EXPECT_EQ(batcher.pending_ops(), 1);
-    EXPECT_EQ(batcher.stats().ops_in, 1);
+      batcher.enqueue(cell_op("good", ClbCoord{1, 1}, 0x1234));
+      config::ConfigOp bad = cell_op("bad", ClbCoord{2, 2}, 0x4321);
+      bad.add_edge(net, {g.out_pin({2, 2}, 0, false),
+                         destroyed ? g.single({2, 2}, fabric::Dir::kE, 0)
+                                   : g.in_pin({6, 6}, 0, fabric::CellPort::kI0)});
+      EXPECT_THROW(batcher.enqueue(bad), ContractError) << what;
+      EXPECT_EQ(batcher.pending_ops(), 1) << what;
+      EXPECT_EQ(batcher.stats().ops_in, 1) << what;
 
-    // The earlier pending op still applies, alone and fully accounted.
-    EXPECT_NO_THROW(batcher.flush()) << to_string(gran);
-    EXPECT_EQ(batcher.stats().transactions, 1);
-    EXPECT_EQ(ctl.totals().ops, 1);
-    EXPECT_EQ(batcher.stats().frames_written, ctl.totals().frames_written);
-    EXPECT_TRUE(fab.cell({1, 1}, 0).used);
-    EXPECT_FALSE(fab.cell({2, 2}, 0).used);
-    EXPECT_NO_THROW(ctl.audit_image()) << to_string(gran);
+      // The earlier pending op still applies, alone and fully accounted.
+      EXPECT_NO_THROW(batcher.flush()) << what;
+      EXPECT_EQ(batcher.stats().transactions, 1) << what;
+      EXPECT_EQ(ctl.totals().ops, 1) << what;
+      EXPECT_EQ(batcher.stats().frames_written, ctl.totals().frames_written)
+          << what;
+      EXPECT_TRUE(fab.cell({1, 1}, 0).used) << what;
+      EXPECT_FALSE(fab.cell({2, 2}, 0).used) << what;
+      EXPECT_NO_THROW(ctl.audit_image()) << what;
+    }
   }
 }
 

@@ -17,7 +17,8 @@
 // * EventCoreAudit drives the event core's derived state (the cell mirror,
 //   the source -> net table, the resolved sink tables) through every kind
 //   of net and cell change while a clock runs and checks it with
-//   FabricSim::audit.
+//   FabricSim::audit, and checks that a simulator built on a fabric with a
+//   stuck bit on a free cell mirrors that cell too.
 // * RouteTreeCycle routes a net through a single and a long line that
 //   drive each other and checks that the simulator schedules the sinks a
 //   source reaches and none behind the cycle (DESIGN.md §2 addendum).
@@ -629,6 +630,16 @@ TEST(EventCoreAudit, CatchesAStaleMirrorAndSourceTable) {
   fab.attach_source(net, fab.skeleton().out_pin(clb, 0, false));
   EXPECT_THROW(sim.audit(), AuditError);
   fab.add_listener(&sim);
+}
+
+TEST(EventCoreAudit, MirrorAdoptsAFaultyFreeCellAtConstruction) {
+  fabric::Fabric fab(fabric::DeviceGeometry::tiny(8, 8));
+  fab.inject_fault({2, 2}, 1, fabric::CellFault{2, true});
+  ASSERT_FALSE(fab.cell({2, 2}, 1).used);
+  ASSERT_NE(fab.cell({2, 2}, 1), fabric::LogicCellConfig{});
+  const fabric::DelayModel dm;
+  sim::FabricSim sim(fab, dm);
+  EXPECT_NO_THROW(sim.audit());
 }
 
 // A single and a long line that drive each other: add_edges accepts both
