@@ -1,8 +1,9 @@
 // Prometheus text-exposition rendering of one MetricsTimeline snapshot —
 // the exact payload a future HTTP status endpoint serves for a live fleet.
 //
-// Mapping: counters render as `# TYPE <p><name> counter`, gauges expose
-// their cumulative mean, histograms render the standard cumulative
+// Mapping, read straight off the row's runtime::Telemetry registry:
+// counters render as `# TYPE <p><name> counter`, gauges expose their
+// cumulative mean, histograms render the standard cumulative
 // `_bucket{le="..."}` series plus `_sum`/`_count`. Metric names are
 // sanitised to the Prometheus charset ([a-zA-Z0-9_:]); all numbers use the
 // same fixed formatting as the JSON exporters, so output is deterministic.

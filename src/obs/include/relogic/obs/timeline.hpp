@@ -4,14 +4,15 @@
 // A single end-of-run registry snapshot cannot show the behaviour the paper
 // argues about: a roving self-test window sweeping a live device while
 // requests keep arriving. The timeline records *sampled* registry snapshots
-// on the simulated clock: a TimelineSampler snapshots the registry the
+// on the simulated clock: a TimelineSampler copies the registry the
 // discrete-event run writes as events execute (the run's telemetry) at a
 // fixed sample interval (scheduled as DES tick events, so sample times are
-// part of the deterministic event order, never wall time). Derived series —
-// per-window counter deltas/rates and sliding-window histogram quantiles
-// from bucket-count deltas — are computed at export time from consecutive
-// snapshots, so the stored form stays a plain cumulative snapshot and
-// fleet folding is a row-wise merge.
+// part of the deterministic event order, never wall time). Every row holds
+// a runtime::Telemetry, the same registry type the events were counted in.
+// Derived series — per-window counter deltas/rates and sliding-window
+// histogram quantiles from bucket-count deltas — are computed at export
+// time from consecutive rows, so the stored form stays a plain cumulative
+// registry and fleet folding is Telemetry::merge row by row.
 //
 // Determinism contract (DESIGN.md §7.5): every sample is taken on the
 // simulated clock inside one device's single-threaded DES run; the
@@ -26,7 +27,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <utility>
@@ -44,17 +44,6 @@ inline constexpr const char* kMetricsSchema = "relogic.metrics.v1";
 
 class MetricsTimeline {
  public:
-  struct GaugeState {
-    double sum = 0.0;
-    int samples = 0;
-    double mean() const { return samples ? sum / samples : 0.0; }
-  };
-  struct HistogramState {
-    std::vector<double> bounds;
-    std::vector<std::int64_t> counts;  ///< bounds.size() + 1; back() overflow
-    std::int64_t count = 0;
-    double sum = 0.0;
-  };
   /// One cumulative registry snapshot at simulated time t. Windowed series
   /// (deltas, rates, window quantiles) are derived against the previous
   /// snapshot at export/query time.
@@ -67,19 +56,15 @@ class MetricsTimeline {
     /// Devices quarantined by the admission plane by time t (fleet-
     /// aggregate rows; 0 on per-device timelines).
     int quarantined_devices = 0;
-    std::map<std::string, std::int64_t> counters;
-    std::map<std::string, GaugeState> gauges;
-    std::map<std::string, HistogramState> histograms;
+    runtime::Telemetry metrics;
   };
 
-  /// Appends a snapshot of `registry` at time t; the metrics of `sampled`,
-  /// when given, join the same row. Samples must arrive in non-decreasing
-  /// time order; a sample at the same t as the previous one replaces it
-  /// (the final end-of-run sample supersedes a tick that landed on the same
-  /// instant).
-  void record(SimTime t, const runtime::Telemetry& registry,
-              int sweep_col = -1, int quarantined_devices = 0,
-              const runtime::Telemetry* sampled = nullptr);
+  /// Appends `metrics` as the row at time t. Samples must arrive in
+  /// non-decreasing time order; a sample at the same t as the previous one
+  /// replaces it (the final end-of-run sample supersedes a tick that landed
+  /// on the same instant).
+  void record(SimTime t, runtime::Telemetry metrics, int sweep_col = -1,
+              int quarantined_devices = 0);
 
   bool empty() const { return samples_.empty(); }
   std::size_t size() const { return samples_.size(); }
@@ -98,18 +83,12 @@ class MetricsTimeline {
                                         const std::string& name,
                                         double q) const;
 
-  /// Conservative quantile over a plain bucket-count vector (upper bound of
-  /// the bucket holding the q-th observation; the overflow bucket reports
-  /// the largest finite bound, Prometheus-style). nullopt on zero counts.
-  static std::optional<double> quantile_from_buckets(
-      const std::vector<double>& bounds,
-      const std::vector<std::int64_t>& counts, double q);
-
   /// Folds per-device timelines into one fleet-aggregate timeline: the
-  /// union of all sample times, each row summing every device's latest
-  /// snapshot at or before that time (carry-forward, so counters stay
-  /// monotone after a device's run ends). Call in device-id order after
-  /// the worker pool joins — that ordering is the determinism contract.
+  /// union of all sample times, each row the Telemetry::merge of every
+  /// device's latest snapshot at or before that time (carry-forward, so
+  /// counters stay monotone after a device's run ends). Call in device-id
+  /// order after the worker pool joins — that ordering is the determinism
+  /// contract.
   /// `quarantine_times` (admission-clock instants, any order) drive the
   /// quarantined_devices tag on each aggregate row.
   static MetricsTimeline fold(const std::vector<const MetricsTimeline*>& parts,
@@ -129,7 +108,8 @@ class MetricsTimeline {
 
   /// Cross-checks the series invariants: non-decreasing sample times,
   /// monotone counters and histogram counts, gauge sample counts that never
-  /// shrink. Throws AuditError naming `where` on the first violation.
+  /// shrink, and Telemetry::audit on every row. Throws AuditError naming
+  /// `where` on the first violation.
   void audit(const std::string& where) const;
 
  private:
@@ -144,11 +124,11 @@ class MetricsTimeline {
 /// Samples a DES run's telemetry registry into a MetricsTimeline. The
 /// scheduler's engine calls sample() on metric tick events with its
 /// registry and the area state at that instant. The area gauges
-/// (utilization, fragmentation) accumulate here, sampler-side: they reach
-/// the timeline rows but never the run's telemetry. When a trace meter
-/// track is attached, every sample additionally emits one 'C' counter event
-/// per counter, so Perfetto shows curves instead of a single end-of-run
-/// step.
+/// (utilization, fragmentation) accumulate here, sampler-side, and are
+/// merged into each copied row: they reach the timeline rows but never the
+/// run's telemetry. When a trace meter track is attached, every sample
+/// additionally emits one 'C' counter event per counter, so Perfetto shows
+/// curves instead of a single end-of-run step.
 class TimelineSampler {
  public:
   /// `out` receives the snapshots and must outlive the sampler. `interval`

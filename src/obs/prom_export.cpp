@@ -38,30 +38,30 @@ std::string to_prometheus(const MetricsTimeline::Snapshot& snap,
     open_sample(w, prefix + "sweep_col", "gauge");
     w.integer(snap.sweep_col).raw('\n');
   }
-  for (const auto& [name, v] : snap.counters) {
+  for (const auto& [name, c] : snap.metrics.counters()) {
     open_sample(w, prefix + sanitize(name), "counter");
-    w.integer(v).raw('\n');
+    w.integer(c.value()).raw('\n');
   }
-  for (const auto& [name, g] : snap.gauges) {
+  for (const auto& [name, g] : snap.metrics.gauges()) {
     open_sample(w, prefix + sanitize(name), "gauge");
     w.number(g.mean()).raw('\n');
   }
-  for (const auto& [name, h] : snap.histograms) {
+  for (const auto& [name, h] : snap.metrics.histograms()) {
     const std::string metric = prefix + sanitize(name);
     w.raw("# TYPE ").raw(metric).raw(" histogram\n");
     std::int64_t cumulative = 0;
-    for (std::size_t i = 0; i < h.counts.size(); ++i) {
-      cumulative += h.counts[i];
+    for (std::size_t i = 0; i < h.bucket_counts().size(); ++i) {
+      cumulative += h.bucket_counts()[i];
       w.raw(metric).raw("_bucket{le=\"");
-      if (i < h.bounds.size()) {
-        w.number(h.bounds[i]);
+      if (i < h.bounds().size()) {
+        w.number(h.bounds()[i]);
       } else {
         w.raw("+Inf");
       }
       w.raw("\"} ").integer(cumulative).raw('\n');
     }
-    w.raw(metric).raw("_sum ").number(h.sum).raw('\n');
-    w.raw(metric).raw("_count ").integer(h.count).raw('\n');
+    w.raw(metric).raw("_sum ").number(h.sum()).raw('\n');
+    w.raw(metric).raw("_count ").integer(h.count()).raw('\n');
   }
   return out;
 }

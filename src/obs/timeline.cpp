@@ -1,7 +1,6 @@
 #include "relogic/obs/timeline.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <set>
 
 #include "relogic/common/audit.hpp"
@@ -38,22 +37,35 @@ class SortedCursor {
   typename Map::const_iterator it_{}, end_{};
 };
 
+/// The metric `name` of one registry map, or nullptr.
+template <class Map>
+const typename Map::mapped_type* find(const Map& m, const std::string& name) {
+  const auto it = m.find(name);
+  return it == m.end() ? nullptr : &it->second;
+}
+
+/// Histogram `name` of row `s` (nullptr: no row, or no such histogram).
+const runtime::Histogram* histogram(const MetricsTimeline::Snapshot* s,
+                                    const std::string& name) {
+  return s ? find(s->metrics.histograms(), name) : nullptr;
+}
+
 double rate_per_s(std::int64_t delta, double dt_s) {
   return dt_s <= 0.0 ? 0.0 : static_cast<double>(delta) / dt_s;
 }
 
 /// Bucket-count deltas of `h` against `before`, the same histogram one row
 /// earlier (nullptr: against zero), into `out`.
-void window_counts(const std::string& name,
-                   const MetricsTimeline::HistogramState& h,
-                   const MetricsTimeline::HistogramState* before,
+void window_counts(const std::string& name, const runtime::Histogram& h,
+                   const runtime::Histogram* before,
                    std::vector<std::int64_t>& out) {
-  out.assign(h.counts.begin(), h.counts.end());
+  out.assign(h.bucket_counts().begin(), h.bucket_counts().end());
   if (before == nullptr) return;
-  RELOGIC_CHECK_MSG(before->counts.size() == out.size(),
+  const auto& counts = before->bucket_counts();
+  RELOGIC_CHECK_MSG(counts.size() == out.size(),
                     "histogram " + name +
                         " changed bucket shape between samples");
-  for (std::size_t i = 0; i < out.size(); ++i) out[i] -= before->counts[i];
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] -= counts[i];
 }
 
 struct QuantileKey {
@@ -68,44 +80,22 @@ constexpr QuantileKey kQuantiles[] = {
 
 }  // namespace
 
-void MetricsTimeline::record(SimTime t, const runtime::Telemetry& registry,
-                             int sweep_col, int quarantined_devices,
-                             const runtime::Telemetry* sampled) {
-  Snapshot s;
-  s.t = t;
-  s.sweep_col = sweep_col;
-  s.quarantined_devices = quarantined_devices;
-  for (const runtime::Telemetry* r : {&registry, sampled}) {
-    if (r == nullptr) continue;
-    for (const auto& [name, c] : r->counters()) s.counters[name] = c.value();
-    for (const auto& [name, g] : r->gauges())
-      s.gauges[name] = GaugeState{g.sum(), g.samples()};
-    for (const auto& [name, h] : r->histograms())
-      s.histograms[name] =
-          HistogramState{h.bounds(), h.bucket_counts(), h.count(), h.sum()};
-  }
-  if (!samples_.empty()) {
-    RELOGIC_CHECK_MSG(t >= samples_.back().t,
-                      "metrics samples must be recorded in time order");
-    if (samples_.back().t == t) {
-      samples_.back() = std::move(s);
-      return;
-    }
-  }
-  samples_.push_back(std::move(s));
+void MetricsTimeline::record(SimTime t, runtime::Telemetry metrics,
+                             int sweep_col, int quarantined_devices) {
+  RELOGIC_CHECK_MSG(samples_.empty() || t >= samples_.back().t,
+                    "metrics samples must be recorded in time order");
+  if (!samples_.empty() && samples_.back().t == t) samples_.pop_back();
+  samples_.push_back(
+      Snapshot{t, sweep_col, quarantined_devices, std::move(metrics)});
 }
 
 std::int64_t MetricsTimeline::counter_delta(std::size_t row,
                                             const std::string& name) const {
   RELOGIC_CHECK(row < samples_.size());
-  const auto it = samples_[row].counters.find(name);
-  if (it == samples_[row].counters.end()) return 0;
-  std::int64_t before = 0;
-  if (const Snapshot* p = prev(row)) {
-    const auto pit = p->counters.find(name);
-    if (pit != p->counters.end()) before = pit->second;
-  }
-  return it->second - before;
+  const runtime::Counter* c = find(samples_[row].metrics.counters(), name);
+  if (c == nullptr) return 0;
+  const Snapshot* p = prev(row);
+  return c->value() - (p ? p->metrics.counter_value(name) : 0);
 }
 
 double MetricsTimeline::counter_rate_per_s(std::size_t row,
@@ -117,49 +107,20 @@ double MetricsTimeline::counter_rate_per_s(std::size_t row,
 std::int64_t MetricsTimeline::window_hist_count(
     std::size_t row, const std::string& name) const {
   RELOGIC_CHECK(row < samples_.size());
-  const auto it = samples_[row].histograms.find(name);
-  if (it == samples_[row].histograms.end()) return 0;
-  std::int64_t before = 0;
-  if (const Snapshot* p = prev(row)) {
-    const auto pit = p->histograms.find(name);
-    if (pit != p->histograms.end()) before = pit->second.count;
-  }
-  return it->second.count - before;
-}
-
-std::optional<double> MetricsTimeline::quantile_from_buckets(
-    const std::vector<double>& bounds,
-    const std::vector<std::int64_t>& counts, double q) {
-  std::int64_t total = 0;
-  for (std::int64_t c : counts) total += c;
-  if (total <= 0) return std::nullopt;
-  q = std::clamp(q, 0.0, 1.0);
-  const std::int64_t rank = std::max<std::int64_t>(
-      1, static_cast<std::int64_t>(std::ceil(q * static_cast<double>(total))));
-  std::int64_t seen = 0;
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    seen += counts[i];
-    if (seen >= rank) {
-      if (i < bounds.size()) return bounds[i];
-      break;  // overflow bucket: report the largest finite bound
-    }
-  }
-  return bounds.empty() ? 0.0 : bounds.back();
+  const runtime::Histogram* h = histogram(&samples_[row], name);
+  if (h == nullptr) return 0;
+  const runtime::Histogram* before = histogram(prev(row), name);
+  return h->count() - (before ? before->count() : 0);
 }
 
 std::optional<double> MetricsTimeline::window_quantile(
     std::size_t row, const std::string& name, double q) const {
   RELOGIC_CHECK(row < samples_.size());
-  const auto it = samples_[row].histograms.find(name);
-  if (it == samples_[row].histograms.end()) return std::nullopt;
-  const HistogramState* before = nullptr;
-  if (const Snapshot* p = prev(row)) {
-    const auto pit = p->histograms.find(name);
-    if (pit != p->histograms.end()) before = &pit->second;
-  }
+  const runtime::Histogram* h = histogram(&samples_[row], name);
+  if (h == nullptr) return std::nullopt;
   std::vector<std::int64_t> delta;
-  window_counts(name, it->second, before, delta);
-  return quantile_from_buckets(it->second.bounds, delta, q);
+  window_counts(name, *h, histogram(prev(row), name), delta);
+  return runtime::quantile_from_buckets(h->bounds(), delta, q);
 }
 
 MetricsTimeline MetricsTimeline::fold(
@@ -187,24 +148,7 @@ MetricsTimeline MetricsTimeline::fold(
         ++cursor[d];
       const Snapshot& s = dev[cursor[d]];
       if (s.t > t) continue;  // device has not taken its first sample yet
-      for (const auto& [name, v] : s.counters) row.counters[name] += v;
-      for (const auto& [name, g] : s.gauges) {
-        GaugeState& agg = row.gauges[name];
-        agg.sum += g.sum;
-        agg.samples += g.samples;
-      }
-      for (const auto& [name, h] : s.histograms) {
-        auto [it, inserted] = row.histograms.try_emplace(name, h);
-        if (inserted) continue;
-        HistogramState& agg = it->second;
-        RELOGIC_CHECK_MSG(agg.bounds == h.bounds,
-                          "folding histogram " + name +
-                              " with mismatched bucket bounds");
-        for (std::size_t i = 0; i < agg.counts.size(); ++i)
-          agg.counts[i] += h.counts[i];
-        agg.count += h.count;
-        agg.sum += h.sum;
-      }
+      row.metrics.merge(s.metrics);
     }
     out.samples_.push_back(std::move(row));
   }
@@ -236,13 +180,13 @@ void MetricsTimeline::to_json(JsonWriter& w, int indent) const {
     w.raw(", \"quarantined_devices\": ").integer(s.quarantined_devices);
 
     const double dt_s = window_s(i);
-    SortedCursor prev_counters(p ? &p->counters : nullptr);
+    SortedCursor prev_counters(p ? &p->metrics.counters() : nullptr);
     w.raw(", \"counters\": {");
     const char* sep = "";
-    for (const auto& [name, v] : s.counters) {
-      const std::int64_t* before = prev_counters.find(name);
-      const std::int64_t delta = v - (before ? *before : 0);
-      w.raw(sep).quoted(name).raw(": {\"value\": ").integer(v);
+    for (const auto& [name, c] : s.metrics.counters()) {
+      const runtime::Counter* before = prev_counters.find(name);
+      const std::int64_t delta = c.value() - (before ? before->value() : 0);
+      w.raw(sep).quoted(name).raw(": {\"value\": ").integer(c.value());
       w.raw(", \"delta\": ").integer(delta);
       w.raw(", \"rate_per_s\": ").number(rate_per_s(delta, dt_s)).raw('}');
       sep = ", ";
@@ -251,29 +195,31 @@ void MetricsTimeline::to_json(JsonWriter& w, int indent) const {
 
     w.raw(", \"gauges\": {");
     sep = "";
-    for (const auto& [name, g] : s.gauges) {
+    for (const auto& [name, g] : s.metrics.gauges()) {
       w.raw(sep).quoted(name).raw(": {\"mean\": ").number(g.mean());
-      w.raw(", \"samples\": ").integer(g.samples).raw('}');
+      w.raw(", \"samples\": ").integer(g.samples()).raw('}');
       sep = ", ";
     }
     w.raw('}');
 
-    SortedCursor prev_hists(p ? &p->histograms : nullptr);
+    SortedCursor prev_hists(p ? &p->metrics.histograms() : nullptr);
     w.raw(", \"histograms\": {");
     sep = "";
-    for (const auto& [name, h] : s.histograms) {
-      const HistogramState* before = prev_hists.find(name);
-      w.raw(sep).quoted(name).raw(": {\"count\": ").integer(h.count);
-      w.raw(", \"sum\": ").number(h.sum);
+    for (const auto& [name, h] : s.metrics.histograms()) {
+      const runtime::Histogram* before = prev_hists.find(name);
+      w.raw(sep).quoted(name).raw(": {\"count\": ").integer(h.count());
+      w.raw(", \"sum\": ").number(h.sum());
       for (const QuantileKey& k : kQuantiles) {
-        const auto v = quantile_from_buckets(h.bounds, h.counts, k.q);
+        const auto v =
+            runtime::quantile_from_buckets(h.bounds(), h.bucket_counts(), k.q);
         w.raw(k.cumulative).number(v.value_or(0.0));
       }
       w.raw(", \"window_count\": ")
-          .integer(h.count - (before ? before->count : 0));
+          .integer(h.count() - (before ? before->count() : 0));
       window_counts(name, h, before, window);
       for (const QuantileKey& k : kQuantiles)
-        if (const auto v = quantile_from_buckets(h.bounds, window, k.q))
+        if (const auto v = runtime::quantile_from_buckets(h.bounds(), window,
+                                                          k.q))
           w.raw(k.window).number(*v);
       w.raw('}');
       sep = ", ";
@@ -289,9 +235,10 @@ std::string MetricsTimeline::to_csv() const {
   // (counters created lazily mid-run would otherwise shift columns).
   std::set<std::string> counter_names, gauge_names, hist_names;
   for (const Snapshot& s : samples_) {
-    for (const auto& [name, v] : s.counters) counter_names.insert(name);
-    for (const auto& [name, g] : s.gauges) gauge_names.insert(name);
-    for (const auto& [name, h] : s.histograms) hist_names.insert(name);
+    const runtime::Telemetry& m = s.metrics;
+    for (const auto& [name, c] : m.counters()) counter_names.insert(name);
+    for (const auto& [name, g] : m.gauges()) gauge_names.insert(name);
+    for (const auto& [name, h] : m.histograms()) hist_names.insert(name);
   }
   std::string out;
   JsonWriter w(out);
@@ -314,34 +261,36 @@ std::string MetricsTimeline::to_csv() const {
     // Every column walks the row's maps and its predecessor's in name
     // order, so each row is one merge pass over the union of names.
     const double dt_s = window_s(i);
-    SortedCursor counters(&s.counters);
-    SortedCursor prev_counters(p ? &p->counters : nullptr);
+    SortedCursor counters(&s.metrics.counters());
+    SortedCursor prev_counters(p ? &p->metrics.counters() : nullptr);
     for (const auto& n : counter_names) {
-      const std::int64_t* v = counters.find(n);
-      const std::int64_t* before = prev_counters.find(n);
-      const std::int64_t delta = v ? *v - (before ? *before : 0) : 0;
-      w.raw(',').integer(v ? *v : 0).raw(',').number(rate_per_s(delta, dt_s));
+      const runtime::Counter* c = counters.find(n);
+      const runtime::Counter* before = prev_counters.find(n);
+      const std::int64_t v = c ? c->value() : 0;
+      const std::int64_t delta = c ? v - (before ? before->value() : 0) : 0;
+      w.raw(',').integer(v).raw(',').number(rate_per_s(delta, dt_s));
     }
-    SortedCursor gauges(&s.gauges);
+    SortedCursor gauges(&s.metrics.gauges());
     for (const auto& n : gauge_names) {
-      const GaugeState* g = gauges.find(n);
+      const runtime::Gauge* g = gauges.find(n);
       w.raw(',').number(g ? g->mean() : 0.0);
     }
-    SortedCursor hists(&s.histograms);
-    SortedCursor prev_hists(p ? &p->histograms : nullptr);
+    SortedCursor hists(&s.metrics.histograms());
+    SortedCursor prev_hists(p ? &p->metrics.histograms() : nullptr);
     for (const auto& n : hist_names) {
-      const HistogramState* h = hists.find(n);
-      const HistogramState* before = prev_hists.find(n);
+      const runtime::Histogram* h = hists.find(n);
+      const runtime::Histogram* before = prev_hists.find(n);
       if (h == nullptr) {
         w.raw(",0,0,,,");
         continue;
       }
-      w.raw(',').integer(h->count).raw(',');
-      w.integer(h->count - (before ? before->count : 0));
+      w.raw(',').integer(h->count()).raw(',');
+      w.integer(h->count() - (before ? before->count() : 0));
       window_counts(n, *h, before, window);
       for (const QuantileKey& k : kQuantiles) {
         w.raw(',');
-        if (const auto v = quantile_from_buckets(h->bounds, window, k.q))
+        if (const auto v =
+                runtime::quantile_from_buckets(h->bounds(), window, k.q))
           w.number(*v);
       }
     }
@@ -362,29 +311,23 @@ void MetricsTimeline::audit(const std::string& where) const {
           where + ": quarantined-device count shrank (quarantine is "
                   "permanent within a run)");
     }
-    for (const auto& [name, v] : s.counters)
+    s.metrics.audit(where + " at " + s.t.to_string());
+    for (const auto& [name, c] : s.metrics.counters())
       RELOGIC_AUDIT_CHECK(counter_delta(i, name) >= 0, "MetricsTimeline",
                           where + "/" + name + ": counter ran backwards at " +
                               s.t.to_string());
-    for (const auto& [name, g] : s.gauges) {
-      std::int64_t before = 0;
-      if (p) {
-        const auto it = p->gauges.find(name);
-        if (it != p->gauges.end()) before = it->second.samples;
-      }
-      RELOGIC_AUDIT_CHECK(g.samples >= before, "MetricsTimeline",
+    for (const auto& [name, g] : s.metrics.gauges()) {
+      const runtime::Gauge* before =
+          p ? find(p->metrics.gauges(), name) : nullptr;
+      RELOGIC_AUDIT_CHECK(g.samples() >= (before ? before->samples() : 0),
+                          "MetricsTimeline",
                           where + "/" + name + ": gauge sample count shrank");
     }
-    for (const auto& [name, h] : s.histograms) {
-      RELOGIC_AUDIT_CHECK(h.counts.size() == h.bounds.size() + 1,
-                          "MetricsTimeline",
-                          where + "/" + name +
-                              ": bucket count does not match bounds + overflow");
+    for (const auto& [name, h] : s.metrics.histograms())
       RELOGIC_AUDIT_CHECK(window_hist_count(i, name) >= 0, "MetricsTimeline",
                           where + "/" + name +
                               ": histogram count ran backwards at " +
                               s.t.to_string());
-    }
   }
 }
 
@@ -393,7 +336,9 @@ void TimelineSampler::sample(SimTime t, const runtime::Telemetry& events,
                              int sweep_col) {
   area_.gauge("utilization").set(utilization);
   area_.gauge("fragmentation").set(fragmentation);
-  out_->record(t, events, sweep_col, /*quarantined_devices=*/0, &area_);
+  runtime::Telemetry row = events;
+  row.merge(area_);  // the engine writes no gauges: the names are disjoint
+  out_->record(t, std::move(row), sweep_col);
   if (meter_) {
     for (const auto& [name, c] : events.counters())
       meter_.counter(name, t, static_cast<double>(c.value()));

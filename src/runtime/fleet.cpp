@@ -885,8 +885,8 @@ FleetReport FleetManager::run() {
       // Fleet-aggregate counter curves on the fleet meter lane (the final
       // totals below still land at the makespan, on top of these).
       for (const auto& row : report.timeline.samples())
-        for (const auto& [name, v] : row.counters)
-          tr_meter_.counter(name, row.t, static_cast<double>(v));
+        for (const auto& [name, c] : row.metrics.counters())
+          tr_meter_.counter(name, row.t, static_cast<double>(c.value()));
     }
   }
 

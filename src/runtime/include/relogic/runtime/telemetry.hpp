@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -84,7 +85,8 @@ class Histogram {
   double max() const { return count_ ? max_ : 0.0; }
   double mean() const { return count_ ? sum_ / count_ : 0.0; }
   /// Quantile estimate: upper bound of the bucket holding the q-th
-  /// observation (conservative; exact for values on bucket boundaries).
+  /// observation (conservative; exact for values on bucket boundaries),
+  /// clamped to the largest observation.
   double quantile(double q) const;
 
   const std::vector<double>& bounds() const { return bounds_; }
@@ -110,6 +112,15 @@ class Histogram {
   double max_ = 0.0;
 };
 
+/// Conservative quantile over a plain bucket-count vector laid out like
+/// Histogram::bucket_counts() (e.g. the bucket deltas of a time window):
+/// the upper bound of the bucket holding the q-th observation, or the
+/// largest finite bound when that is the overflow bucket
+/// (Prometheus-style). nullopt when the counts sum to zero.
+std::optional<double> quantile_from_buckets(
+    const std::vector<double>& bounds,
+    const std::vector<std::int64_t>& counts, double q);
+
 /// Named registry of metrics with deterministic JSON export.
 class Telemetry {
  public:
@@ -132,7 +143,8 @@ class Telemetry {
   }
 
   /// Folds another registry into this one (counters add, histograms merge,
-  /// gauges average).
+  /// gauges average). Throws naming the histogram when two histograms of
+  /// one name have different bucket bounds.
   void merge(const Telemetry& other);
 
   /// Audits every metric in the registry (see Histogram::audit; gauges must

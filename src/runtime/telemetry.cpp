@@ -35,21 +35,39 @@ void Histogram::observe(double v) {
   ++count_;
 }
 
+namespace {
+
+/// The bucket holding the q-th of `total` (> 0) observations counted in
+/// `counts`: the first whose running count reaches rank ceil(q * total).
+std::size_t rank_bucket(const std::vector<std::int64_t>& counts,
+                        std::int64_t total, double q) {
+  const std::int64_t rank = std::max<std::int64_t>(
+      1, static_cast<std::int64_t>(std::ceil(std::clamp(q, 0.0, 1.0) *
+                                             static_cast<double>(total))));
+  std::int64_t seen = 0;
+  std::size_t i = 0;
+  for (; i + 1 < counts.size(); ++i)
+    if ((seen += counts[i]) >= rank) break;
+  return i;
+}
+
+}  // namespace
+
 double Histogram::quantile(double q) const {
   if (count_ == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const std::int64_t rank =
-      std::max<std::int64_t>(1, static_cast<std::int64_t>(
-                                    std::ceil(q * static_cast<double>(count_))));
-  std::int64_t seen = 0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    seen += counts_[i];
-    if (seen >= rank) {
-      if (i < bounds_.size()) return std::min(bounds_[i], max());
-      return max();  // overflow bucket
-    }
-  }
-  return max();
+  const std::size_t i = rank_bucket(counts_, count_, q);
+  return i < bounds_.size() ? std::min(bounds_[i], max()) : max();
+}
+
+std::optional<double> quantile_from_buckets(
+    const std::vector<double>& bounds,
+    const std::vector<std::int64_t>& counts, double q) {
+  std::int64_t total = 0;
+  for (std::int64_t c : counts) total += c;
+  if (total <= 0) return std::nullopt;
+  const std::size_t i = rank_bucket(counts, total, q);
+  if (i < bounds.size()) return bounds[i];
+  return bounds.empty() ? 0.0 : bounds.back();
 }
 
 void Histogram::merge(const Histogram& other) {
@@ -119,9 +137,12 @@ void Telemetry::merge(const Telemetry& other) {
     auto it = histograms_.find(name);
     if (it == histograms_.end()) {
       histograms_.emplace(name, h);
-    } else {
-      it->second.merge(h);
+      continue;
     }
+    RELOGIC_CHECK_MSG(it->second.bounds() == h.bounds(),
+                      "merging histogram " + name +
+                          " with mismatched bucket bounds");
+    it->second.merge(h);
   }
 }
 

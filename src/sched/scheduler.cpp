@@ -58,8 +58,6 @@ struct Job {
   // Chain bookkeeping (run_apps): this job may not *run* before pred_end,
   // but may be configured earlier (prefetch).
   std::optional<int> predecessor;
-  int app = -1;
-  int index_in_app = -1;
 
   // runtime state
   area::RegionId region = area::kNoRegion;
@@ -780,17 +778,13 @@ void Scheduler::enable_selftest(const SelfTestConfig& selftest,
 }
 
 RunStats Scheduler::run_tasks(const std::vector<TaskArrival>& tasks) {
-  Engine engine(rows_, cols_, cost_, cfg_, selftest_, faults_, trace_,
-                metrics_);
-  engine.jobs.reserve(tasks.size());
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    Job j;
-    j.id = static_cast<int>(i);
-    j.fn = tasks[i].fn;
-    j.ready = tasks[i].arrival;
-    engine.jobs.push_back(std::move(j));
-  }
-  return engine.run();
+  // A task is a one-function application: ready at its arrival, with no
+  // predecessor and no chained readiness.
+  std::vector<AppSpec> apps;
+  apps.reserve(tasks.size());
+  for (const TaskArrival& task : tasks)
+    apps.push_back(AppSpec{task.fn.name, {task.fn}, task.arrival});
+  return run_apps(apps);
 }
 
 RunStats Scheduler::run_apps(const std::vector<AppSpec>& apps, int overlap) {
@@ -798,15 +792,12 @@ RunStats Scheduler::run_apps(const std::vector<AppSpec>& apps, int overlap) {
   Engine engine(rows_, cols_, cost_, cfg_, selftest_, faults_, trace_,
                 metrics_);
   int id = 0;
-  for (std::size_t a = 0; a < apps.size(); ++a) {
-    const AppSpec& app = apps[a];
+  for (const AppSpec& app : apps) {
     int first_of_app = id;
     for (std::size_t f = 0; f < app.functions.size(); ++f) {
       Job j;
       j.id = id;
       j.fn = app.functions[f];
-      j.app = static_cast<int>(a);
-      j.index_in_app = static_cast<int>(f);
       if (f > 0) j.predecessor = id - 1;
       // Readiness (= when it may start being configured): with prefetch the
       // function is eligible `overlap` positions ahead of the chain; the

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "relogic/common/audit.hpp"
+#include "relogic/common/error.hpp"
 #include "relogic/obs/prom_export.hpp"
 #include "relogic/obs/timeline.hpp"
 #include "relogic/runtime/fleet.hpp"
@@ -104,9 +105,9 @@ TEST(WindowQuantile, EmptyWindowReportsNoDataNotStaleValues) {
 TEST(WindowQuantile, OverflowOnlyWindowReportsLargestFiniteBound) {
   const std::vector<double> bounds{1.0, 2.0};
   const std::vector<std::int64_t> counts{0, 0, 4};  // all overflow
-  EXPECT_EQ(MetricsTimeline::quantile_from_buckets(bounds, counts, 0.5),
+  EXPECT_EQ(runtime::quantile_from_buckets(bounds, counts, 0.5),
             std::optional<double>(2.0));
-  EXPECT_EQ(MetricsTimeline::quantile_from_buckets(bounds, {0, 0, 0}, 0.5),
+  EXPECT_EQ(runtime::quantile_from_buckets(bounds, {0, 0, 0}, 0.5),
             std::nullopt);
 }
 
@@ -134,7 +135,7 @@ TEST(MetricsTimeline, SameInstantSampleReplacesThePreviousRow) {
   reg.counter("done").add(1);
   tl.record(ms(5), reg);  // closing sample on the same tick instant
   ASSERT_EQ(tl.size(), 1u);
-  EXPECT_EQ(tl.samples().back().counters.at("done"), 2);
+  EXPECT_EQ(tl.samples().back().metrics.counter_value("done"), 2);
   EXPECT_NO_THROW(tl.audit("replaced-row"));
 }
 
@@ -153,13 +154,57 @@ TEST(MetricsFold, UnionOfTimesWithCarryForwardStaysMonotone) {
   const MetricsTimeline agg = MetricsTimeline::fold({&ta, &tb});
   ASSERT_EQ(agg.size(), 3u);
   EXPECT_EQ(agg.samples()[0].t, ms(1));
-  EXPECT_EQ(agg.samples()[0].counters.at("done"), 1);  // B not yet sampled
-  EXPECT_EQ(agg.samples()[1].counters.at("done"), 6);
+  EXPECT_EQ(agg.samples()[0].metrics.counter_value("done"), 1);  // B not yet
+  EXPECT_EQ(agg.samples()[1].metrics.counter_value("done"), 6);
   // Past B's makespan its last value carries forward — no sawtooth.
-  EXPECT_EQ(agg.samples()[2].counters.at("done"), 7);
+  EXPECT_EQ(agg.samples()[2].metrics.counter_value("done"), 7);
   EXPECT_NO_THROW(agg.audit("fold"));
   // Sweep position is a per-device notion; aggregate rows never carry one.
   for (const auto& row : agg.samples()) EXPECT_EQ(row.sweep_col, -1);
+}
+
+TEST(MetricsFold, SumsGaugesAndBucketsAndCarriesAFinishedDeviceForward) {
+  const std::vector<double> bounds{1.0, 10.0};
+  Telemetry a, b;
+  MetricsTimeline ta, tb;
+  a.gauge("util").set(0.5);
+  a.histogram("lat_ms", bounds).observe(0.5);
+  ta.record(ms(1), a);  // device A ends at 1 ms
+  b.gauge("util").set(1.0);
+  b.gauge("util").set(0.0);
+  b.histogram("lat_ms", bounds).observe(5.0);
+  b.histogram("lat_ms", bounds).observe(50.0);
+  tb.record(ms(2), b);
+
+  const MetricsTimeline agg = MetricsTimeline::fold({&ta, &tb});
+  ASSERT_EQ(agg.size(), 2u);
+  // Past A's makespan its gauge and histogram keep contributing.
+  const runtime::Telemetry& last = agg.samples()[1].metrics;
+  const runtime::Gauge& util = last.gauges().at("util");
+  EXPECT_DOUBLE_EQ(util.sum(), 1.5);
+  EXPECT_EQ(util.samples(), 3);
+  const Histogram& lat = last.histograms().at("lat_ms");
+  EXPECT_EQ(lat.bucket_counts(), (std::vector<std::int64_t>{1, 1, 1}));
+  EXPECT_EQ(lat.count(), 3);
+  EXPECT_DOUBLE_EQ(lat.sum(), 55.5);
+  EXPECT_EQ(agg.window_hist_count(1, "lat_ms"), 2);
+  EXPECT_NO_THROW(agg.audit("fold"));
+}
+
+TEST(MetricsFold, RefusesHistogramsWithMismatchedBounds) {
+  Telemetry a, b;
+  MetricsTimeline ta, tb;
+  a.histogram("lat_ms", {1.0, 10.0}).observe(0.5);
+  ta.record(ms(1), a);
+  b.histogram("lat_ms", {1.0, 100.0}).observe(0.5);
+  tb.record(ms(1), b);
+  try {
+    (void)MetricsTimeline::fold({&ta, &tb});
+    FAIL() << "fold merged histograms with different bucket bounds";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("lat_ms"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(MetricsFold, QuarantineTimesTagTheAggregateRows) {
@@ -284,9 +329,9 @@ TEST(FleetMetrics, TimelinesCoverTheRunAndMatchEndOfRunTelemetry) {
                            "swept_clbs", "tested_clbs"}) {
     // A live counter that never fired is simply absent from the timeline;
     // absent means zero (the audit applies the same reading).
-    const auto it = last.counters.find(name);
-    const std::int64_t live = it == last.counters.end() ? 0 : it->second;
-    EXPECT_EQ(live, report.aggregate.counter_value(name)) << name;
+    EXPECT_EQ(last.metrics.counter_value(name),
+              report.aggregate.counter_value(name))
+        << name;
   }
   // Per-device timelines carry the sweep position; at least one sampled row
   // should have caught the rover mid-sweep.
